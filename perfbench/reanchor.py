@@ -2,11 +2,11 @@
 
 Usage (from the root of a checkout):
 
-    python3 perfbench/reanchor.py [--reps 5]
+    python3 perfbench/reanchor.py
 
 Prints one JSON object:
   - two_edge_cuts and menasco_certify on chain_link(n) at 8/16/32/48/64
-    crossings (median span duration over --reps calls);
+    crossings (median span duration over REPS calls);
   - extend and verify of a 12-step chain-move derivation (44 crossings),
     with the find_chain_sites calls, diagram analyses built and
     ValidityReport objects made during the verify;
@@ -16,7 +16,6 @@ The numbers are recorded in perfbench/baseline.json.
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import shutil
@@ -27,6 +26,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+# Every figure is the median of this many runs.
+REPS = 5
 
 
 def _span_ms(tracer, name):
@@ -57,10 +58,7 @@ def chain_derivation(hf, steps=12):
     return cert
 
 
-def main(argv=None):
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--reps", type=int, default=5)
-    args = p.parse_args(argv)
+def main():
     if not (SRC / "hyperforge" / "__init__.py").is_file():
         print(f"error: no hyperforge sources under {SRC}", file=sys.stderr)
         return 2
@@ -77,15 +75,15 @@ def main(argv=None):
         for crossings, d in diagrams.items():
             # chain_link() validates its output, so d's analysis is built
             # before timing, as in the ROADMAP measurement
-            for _ in range(args.reps):
+            for _ in range(REPS):
                 hf.diagram.two_edge_cuts(d)
-            for _ in range(args.reps):
+            for _ in range(REPS):
                 hf.menasco_certify(d)
             cuts = _span_ms(tracer, "diagram.two_edge_cuts")
             out["sizes"][crossings] = {
-                "two_edge_cuts_ms": statistics.median(cuts[-2 * args.reps:-args.reps]),
+                "two_edge_cuts_ms": statistics.median(cuts[-2 * REPS:-REPS]),
                 "menasco_certify_ms": statistics.median(
-                    _span_ms(tracer, "classifier.menasco_certify")[-args.reps:]),
+                    _span_ms(tracer, "classifier.menasco_certify")[-REPS:]),
             }
     finally:
         tracer.uninstall()
@@ -94,7 +92,7 @@ def main(argv=None):
     _count_calls(hf.diagram._Analysis, "__init__", counts, "analyses")
     _count_calls(hf.diagram._Analysis, "report", counts, "validity_reports")
     extend_ms, verify_ms = [], []
-    for _ in range(args.reps):
+    for _ in range(REPS):
         tracer = tracing.Tracer()
         tracer.install()
         try:
@@ -137,7 +135,7 @@ def main(argv=None):
         jobs = {}
         for n in (1, 2):
             times = []
-            for _ in range(args.reps):
+            for _ in range(REPS):
                 t0 = time.perf_counter()
                 code, text = cli.run(["verify", "--jobs", str(n), *files])
                 times.append(time.perf_counter() - t0)

@@ -5,16 +5,18 @@ Usage (from the root of a checkout):
     python3 perfbench/run.py --workload certify_bases --seed 1 --seconds 20 --trace 0
 
 Workloads: certify_bases, replay_verify, cli_pipeline, or all of them in
-turn (see README.md in this directory).  With --trace 0 the run reports the end-to-end metrics; with
---trace 1 it runs half the time untraced and half traced and reports the
-per-layer metrics.  The last line of stdout is one JSON object with the keys
-correct, attempted, failed and metrics.  The program is imported from the
-checkout's src/; without it the benchmark exits with code 2.
+turn (see README.md in this directory).  With --trace 0 the run reports the
+end-to-end metrics; with --trace 1 it runs every second item of each kind
+traced and reports the per-layer metrics.  The last line of stdout is one
+JSON object with the keys correct, attempted, failed and metrics.  The
+program is imported from the checkout's src/; without it the benchmark
+exits with code 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import importlib
 import os
@@ -61,43 +63,59 @@ def _setup(workloads, name, seed, workdir):
     return time.perf_counter() - t0, state
 
 
-def _measure(workloads, name, state, seconds, probe=None):
+def _measure(workloads, name, state, seconds, probe=None, tracer=None):
     """Run items until `seconds` of item-loop time have passed.
 
-    Returns (latencies in s, failed count).  Latency is the time of the
-    program call alone; the known-answer check runs outside it.  Each round
-    is in seeded random order, so a run that stops inside a round still
-    measures an unbiased sample of the workload's mix.  `probe`, if given,
-    runs about every PROBE_EVERY_S seconds between items; its time does not
-    count against `seconds`.
+    Returns (untraced latencies in s, traced latencies in s, failed count).
+    Latency is the time of the program call alone; the known-answer check
+    runs outside it.  Each round is in seeded random order, so a run that
+    stops inside a round still measures an unbiased sample of the workload's
+    mix.  `probe`, if given, runs about every PROBE_EVERY_S seconds between
+    items; its time does not count against `seconds`.  With `tracer`, the
+    items of each stratum (see workloads.py) in a round run untraced and
+    traced in turn, starting traced in odd rounds.  So both halves get the
+    same mix, an item that recurs in later rounds runs untraced and traced
+    in turn, and drift of the machine's speed hits both halves alike.
     """
-    _, rounds, execute, check = workloads.WORKLOADS[name]
-    latencies = []
+    _, rounds, execute, check, stratum = workloads.WORKLOADS[name]
+    plain, traced = [], []
     failed = 0
     deadline = time.perf_counter() + seconds
     next_probe = time.perf_counter()
-    for items in rounds(state):
+    for round_no, items in enumerate(rounds(state)):
+        turns = collections.Counter()
         for item in items:
             if probe is not None and time.perf_counter() >= next_probe:
                 t0 = time.perf_counter()
                 probe()
                 deadline += time.perf_counter() - t0
                 next_probe = time.perf_counter() + PROBE_EVERY_S
+            tracing_on = False
+            if tracer is not None:
+                key = stratum(item)
+                tracing_on = (turns[key] + round_no) % 2 == 1
+                turns[key] += 1
+            if tracing_on:
+                tracer.install()
+            error = None
             t0 = time.perf_counter()
             try:
                 outcome = execute(state, item)
             except Exception as err:  # an unexpected exception is a failed item
-                latencies.append(time.perf_counter() - t0)
+                error = err
+            elapsed = time.perf_counter() - t0
+            if tracing_on:
+                tracer.uninstall()
+            (traced if tracing_on else plain).append(elapsed)
+            if error is not None:
                 failed += 1
-                print(f"item raised {type(err).__name__}: {err}", file=sys.stderr)
-                continue
-            latencies.append(time.perf_counter() - t0)
-            if not check(state, item, outcome):
+                print(f"item raised {type(error).__name__}: {error}", file=sys.stderr)
+            elif not check(state, item, outcome):
                 failed += 1
                 print(f"known-answer mismatch: {_describe(item)}", file=sys.stderr)
             if time.perf_counter() >= deadline:
-                return latencies, failed
-    return latencies, failed
+                return plain, traced, failed
+    return plain, traced, failed
 
 
 def _describe(item):
@@ -203,26 +221,23 @@ def _run_all(args, names):
 
 def _run(args, workloads, ka, workdir):
     name, seed = args.workload, args.seed
-    repeats = SETUP_REPEATS if args.trace == 0 else 1
-    setup_times = []
-    for _ in range(repeats):
-        state = None  # free the previous inputs before building new ones
-        elapsed, state = _setup(workloads, name, seed, workdir)
-        setup_times.append(elapsed)
-    setup_s = statistics.median(setup_times)
-
     correct = True
     metrics = {}
-    lines = [f"workload {name}  seed {seed}  run {args.seconds:g} s  trace {args.trace}",
-             f"set-up runs: {', '.join(f'{t:.3f}' for t in setup_times)} s"]
+    lines = [f"workload {name}  seed {seed}  run {args.seconds:g} s  trace {args.trace}"]
     if args.trace == 0:
+        setup_times = []
+        for _ in range(SETUP_REPEATS):
+            state = None  # free the previous inputs before building new ones
+            elapsed, state = _setup(workloads, name, seed, workdir)
+            setup_times.append(elapsed)
+        lines.append(f"set-up runs: {', '.join(f'{t:.3f}' for t in setup_times)} s")
         cold = ColdStart()
-        latencies, failed = _measure(workloads, name, state, args.seconds, probe=cold)
+        latencies, _, failed = _measure(workloads, name, state, args.seconds, probe=cold)
         p50, p90 = _quantiles(latencies)
         cold_ms, cold_ok = statistics.median(cold.times) * 1e3, cold.ok
         correct = cold_ok
         metrics = {
-            "setup_s": _metric(setup_s, "s"),
+            "setup_s": _metric(statistics.median(setup_times), "s"),
             "throughput_items_per_s": _metric(len(latencies) / sum(latencies), "1/s"),
             "latency_p50_ms": _metric(p50 * 1e3, "ms"),
             "latency_p90_ms": _metric(p90 * 1e3, "ms"),
@@ -236,16 +251,20 @@ def _run(args, workloads, ka, workdir):
     else:
         import tracing
 
-        half = args.seconds / 2
-        plain, failed_a = _measure(workloads, name, state, half)
+        # The repeat counter sees every menasco_certify call from set-up on,
+        # traced and untraced items alike.
+        hf = _import_fresh()
+        counter = tracing.RepeatCounter()
+        counter.install()
+        state = workloads.WORKLOADS[name][0](hf, seed, str(workdir))
         tracer = tracing.Tracer()
-        tracer.install()
         try:
-            traced, failed_b = _measure(workloads, name, state, half)
+            plain, traced, failed = _measure(workloads, name, state, args.seconds,
+                                             tracer=tracer)
         finally:
-            tracer.uninstall()
-        latencies, failed = plain + traced, failed_a + failed_b
-        layer = tracing.layer_metrics(tracer.spans, len(traced))
+            counter.uninstall()
+        latencies = plain + traced
+        layer = tracing.layer_metrics(tracer.spans, len(traced), counter.share)
         tp_plain = len(plain) / sum(plain)
         tp_traced = len(traced) / sum(traced)
         layer["trace.overhead_pct"] = (1 - tp_traced / tp_plain) * 100
@@ -253,6 +272,7 @@ def _run(args, workloads, ka, workdir):
         spans_path = OUT / f"spans-{name}-{seed}.jsonl.gz"
         tracer.write(spans_path)
         lines.append(f"items untraced {len(plain)}  traced {len(traced)}  "
+                     f"menasco_certify calls {counter.calls}  "
                      f"spans {len(tracer.spans)} -> {spans_path.relative_to(ROOT)}")
         lines.append(f"failed_share {failed / len(latencies):.4f}")
         lines.append(LAZY_ANALYSIS_NOTE)

@@ -1,11 +1,13 @@
 """Span tracing for the traced benchmark run, applied from outside the program.
 
-`Tracer.install()` wraps the public functions of each hyperforge module and
-rebinds every name under which a wrapped function is bound in any loaded
-``hyperforge`` module namespace.  `certificate`, `moves` and `classifier`
-import names such as `components`, `validate` and `diagram_isomorphic`
-directly, so patching only the defining module would miss those calls.
-`DiagramBuilder.build` is patched on the class.
+`Tracer` wraps the public functions of each hyperforge module and
+`install()` rebinds every name under which a wrapped function is bound in
+any loaded ``hyperforge`` module namespace.  `certificate`, `moves` and
+`classifier` import names such as `components`, `validate` and
+`diagram_isomorphic` directly, so patching only the defining module would
+miss those calls.  `DiagramBuilder.build` is patched on the class.  The
+bindings are found once, so `install()` and `uninstall()` are cheap enough
+to switch tracing on and off between items.
 
 Spans are kept in memory as (id, name, start, end, parent id, thread, size,
 ok) and written out when the run ends.  A span's parent is the innermost
@@ -17,6 +19,9 @@ Self time is a span's duration minus the time covered by its child spans.
 Diagrams analyse themselves lazily (`LinkDiagram._analysis`), so that cost
 lands in the self time of whichever traced function first touches a new
 diagram.
+
+`RepeatCounter` wraps `menasco_certify` alone and counts the calls whose
+input was certified before, over every call made while it is installed.
 """
 
 from __future__ import annotations
@@ -77,22 +82,45 @@ def _step_count(args, kwargs):
     return len(args[0].steps)
 
 
-def _diagram_key(args, kwargs):
-    d = args[0]
-    return (d.crossings, d.loops)  # format_pd is a function of exactly these
-
-
-# Per-call size recorded for the growth-order fits and the repeat share.
+# Per-call size recorded for the growth-order fits.
 SIZE_OF = {
     "diagram.two_edge_cuts": _crossing_count,
     "classifier.menasco_certify": _crossing_count,
     "certificate.verify": _step_count,
 }
-KEY_OF = {"classifier.menasco_certify": _diagram_key}
+
+
+def _bindings(wrappers):
+    """(namespace, name, original, wrapper) for every name under which a
+    loaded hyperforge module binds a function of `wrappers`, a dict from
+    id(original) to (original, wrapper)."""
+    found = []
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name != "hyperforge" and not mod_name.startswith("hyperforge."):
+            continue
+        for attr, value in vars(mod).items():
+            hit = wrappers.get(id(value))
+            if hit is not None and hit[0] is value:
+                found.append((mod, attr, value, hit[1]))
+    return found
+
+
+class _Patch:
+    """A set of bindings that can be switched between wrapper and original."""
+
+    _bindings: list
+
+    def install(self):
+        for owner, attr, _, wrapper in self._bindings:
+            setattr(owner, attr, wrapper)
+
+    def uninstall(self):
+        for owner, attr, original, _ in self._bindings:
+            setattr(owner, attr, original)
 
 
 class Span:
-    __slots__ = ("id", "name", "start", "end", "parent", "thread", "size", "key",
+    __slots__ = ("id", "name", "start", "end", "parent", "thread", "size",
                  "ok", "child_time", "result_valid")
 
     def __init__(self, sid, name, parent, thread):
@@ -101,7 +129,6 @@ class Span:
         self.parent = parent
         self.thread = thread
         self.size = None
-        self.key = None
         self.ok = False
         self.child_time = 0.0
         self.result_valid = None
@@ -112,14 +139,29 @@ class Span:
         return (self.end - self.start) - self.child_time
 
 
-class Tracer:
-    """Wraps hyperforge's public functions and records a span per call."""
+class Tracer(_Patch):
+    """Wraps hyperforge's public functions and records a span per call.
+
+    Make it after hyperforge is imported; it is not installed until
+    `install()` is called.
+    """
 
     def __init__(self):
         self.spans: list[Span] = []
         self._ids = itertools.count()
         self._local = threading.local()
-        self._originals: list[tuple[object, str, object]] = []
+        self._bindings = []
+        wrappers = {}
+        for layer, attr in TRACED:
+            mod = sys.modules[f"hyperforge.{layer}"]
+            name = f"{layer}.{attr}"
+            if attr == "builder_build":
+                cls = mod.DiagramBuilder
+                self._bindings.append((cls, "build", cls.build, self._wrap(name, cls.build)))
+                continue
+            original = getattr(mod, attr)
+            wrappers[id(original)] = (original, self._wrap(name, original))
+        self._bindings += _bindings(wrappers)
 
     def _stack(self):
         stack = getattr(self._local, "stack", None)
@@ -130,7 +172,6 @@ class Tracer:
     def _wrap(self, name, fn):
         tracer = self
         size_of = SIZE_OF.get(name)
-        key_of = KEY_OF.get(name)
 
         @functools.wraps(fn)
         def traced(*args, **kwargs):
@@ -140,8 +181,6 @@ class Tracer:
                         threading.get_ident())
             if size_of is not None:
                 span.size = size_of(args, kwargs)
-            if key_of is not None:
-                span.key = key_of(args, kwargs)
             stack.append(span)
             span.start = time.perf_counter()
             try:
@@ -159,36 +198,6 @@ class Tracer:
 
         return traced
 
-    def install(self):
-        """Rebind every traced function wherever a hyperforge module binds it."""
-        loaded = {
-            name: mod for name, mod in sys.modules.items()
-            if name == "hyperforge" or name.startswith("hyperforge.")
-        }
-        wrappers = {}
-        for layer, attr in TRACED:
-            mod = loaded[f"hyperforge.{layer}"]
-            name = f"{layer}.{attr}"
-            if attr == "builder_build":
-                cls = mod.DiagramBuilder
-                original = cls.build
-                self._originals.append((cls, "build", original))
-                cls.build = self._wrap(name, original)
-                continue
-            original = getattr(mod, attr)
-            wrappers[id(original)] = (original, self._wrap(name, original))
-        for mod in loaded.values():
-            for attr, value in list(vars(mod).items()):
-                hit = wrappers.get(id(value))
-                if hit is not None and hit[0] is value:
-                    self._originals.append((mod, attr, value))
-                    setattr(mod, attr, hit[1])
-
-    def uninstall(self):
-        for owner, attr, value in reversed(self._originals):
-            setattr(owner, attr, value)
-        self._originals.clear()
-
     def write(self, path):
         """Write every span as one JSON line (gzip)."""
         with gzip.open(path, "wt", encoding="utf-8") as fh:
@@ -198,6 +207,33 @@ class Tracer:
                     "parent": s.parent, "thread": s.thread, "size": s.size,
                     "ok": s.ok,
                 }) + "\n")
+
+
+class RepeatCounter(_Patch):
+    """Counts `menasco_certify` calls whose input diagram was certified
+    earlier while the counter was installed.  Make it after hyperforge is
+    imported."""
+
+    def __init__(self):
+        self.calls = self.repeats = 0
+        self._seen = set()
+        self._lock = threading.Lock()  # `verify --jobs` calls it from threads
+        original = sys.modules["hyperforge.classifier"].menasco_certify
+
+        @functools.wraps(original)
+        def counted(d, *args, **kwargs):
+            key = (d.crossings, d.loops)  # format_pd is a function of exactly these
+            with self._lock:
+                self.calls += 1
+                self.repeats += key in self._seen
+                self._seen.add(key)
+            return original(d, *args, **kwargs)
+
+        self._bindings = _bindings({id(original): (original, counted)})
+
+    @property
+    def share(self):
+        return self.repeats / self.calls if self.calls else 0.0
 
 
 def _slope(points):
@@ -212,8 +248,9 @@ def _slope(points):
     return sxy / sxx
 
 
-def layer_metrics(spans, items):
-    """Per-item per-layer metrics from one traced phase of `items` items."""
+def layer_metrics(spans, items, repeat_share):
+    """Per-item per-layer metrics from the spans of `items` traced items;
+    `repeat_share` is `RepeatCounter.share`, passed through."""
     by_id = {s.id: s for s in spans}
 
     def has_ancestor(span, names):
@@ -252,14 +289,7 @@ def layer_metrics(spans, items):
     )
     out["certificate.site_scans_per_chain_step"] = scans / chain_steps if chain_steps else 0.0
 
-    seen = set()
-    repeats = total = 0
-    for s in sorted(spans, key=lambda s: s.start):
-        if s.name == "classifier.menasco_certify":
-            total += 1
-            repeats += s.key in seen
-            seen.add(s.key)
-    out["classifier.repeat_share"] = repeats / total if total else 0.0
+    out["classifier.repeat_share"] = repeat_share
 
     out["diagram.two_edge_cuts.slope"] = _slope(
         (s.size, s.end - s.start) for s in spans if s.name == "diagram.two_edge_cuts"

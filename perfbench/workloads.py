@@ -10,6 +10,9 @@ A workload exposes
   rounds(state) -> iterator of rounds    each round a list of items
   execute(state, item) -> outcome        the timed operation
   check(state, item, outcome) -> bool    known-answer check (not timed)
+  stratum(item) -> key                   the item's class of size or kind;
+                                         a traced run alternates traced and
+                                         untraced items within each class
 """
 
 from __future__ import annotations
@@ -158,6 +161,10 @@ def certify_bases_execute(state, item):
     if isinstance(result, hf.classifier.Refusal):
         return result.reason.value, None
     return ka.ACCEPT, hf.serialize(result)
+
+
+def certify_bases_stratum(item):
+    return item["crossings"]
 
 
 def certify_bases_check(state, item, outcome):
@@ -318,7 +325,8 @@ def replay_verify_build(hf, seed, workdir):
     rng = random.Random(seed)
     docs = make_documents(hf, rng, REPLAY_PATHS, REPLAY_TAMPERED)
     rng.shuffle(docs)
-    items = [{"doc": text, "kind": kind, "failed_step": step} for text, kind, step in docs]
+    items = [{"doc": text, "kind": kind, "failed_step": step,
+              "steps": len(json.loads(text)["steps"])} for text, kind, step in docs]
     return {"hf": hf, "items": items}
 
 
@@ -331,6 +339,10 @@ def replay_verify_execute(state, item):
     hf = state["hf"]
     verdict = hf.verify(hf.deserialize(item["doc"]))
     return verdict.valid, verdict.failed_step
+
+
+def replay_verify_stratum(item):
+    return item["kind"], item["steps"]
 
 
 def replay_verify_check(state, item, outcome):
@@ -643,6 +655,10 @@ def cli_pipeline_execute(state, item):
     return code, out
 
 
+def cli_pipeline_stratum(item):
+    return item[1]["cls"]
+
+
 def cli_pipeline_check(state, item, outcome):
     index, spec = item
     code, out = outcome
@@ -669,9 +685,9 @@ def session_digest(hf, seed, workdir):
 
 WORKLOADS = {
     "certify_bases": (certify_bases_build, certify_bases_rounds,
-                      certify_bases_execute, certify_bases_check),
+                      certify_bases_execute, certify_bases_check, certify_bases_stratum),
     "replay_verify": (replay_verify_build, replay_verify_rounds,
-                      replay_verify_execute, replay_verify_check),
+                      replay_verify_execute, replay_verify_check, replay_verify_stratum),
     "cli_pipeline": (cli_pipeline_build, cli_pipeline_rounds,
-                     cli_pipeline_execute, cli_pipeline_check),
+                     cli_pipeline_execute, cli_pipeline_check, cli_pipeline_stratum),
 }
