@@ -143,7 +143,7 @@ CLI_CLASSES = {
 # recorded at the commit that added this benchmark.  This is a recorded
 # regression guard for byte-determinism, not an independent oracle: it only
 # says the bytes have not changed since then.
-RECORDED_CLI_DIGEST = "220f100881dc6b71d7c400d52247a2447c329de1a50d86d58a37048e490551a0"
+RECORDED_CLI_DIGEST = "d543d7a3a7b53687d5b1240e61c456a7df4148c974f57562e529433640589c58"
 
 
 def continued_fraction(entries) -> Fraction | None:

@@ -2,12 +2,13 @@
 
 Usage (from the root of a checkout):
 
-    python3 perfbench/run.py --workload certify_bases --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload certify_bases --seed 1 --seconds 25 --trace 0
 
 Workloads: certify_bases, replay_verify, cli_pipeline, or all of them in
 turn (see README.md in this directory).  With --trace 0 the run reports the
-end-to-end metrics; with --trace 1 it runs every second item of each kind
-traced and reports the per-layer metrics.  The last line of stdout is one
+end-to-end metrics, every time scaled to a fixed host speed (speed.py);
+with --trace 1 it runs every second item of each kind traced and reports
+the per-layer metrics.  The last line of stdout is one
 JSON object with the keys correct, attempted, failed and metrics.  The
 program is imported from the checkout's src/; without it the benchmark
 exits with code 2.
@@ -28,6 +29,8 @@ import sys
 import time
 from pathlib import Path
 
+from speed import NEAR, NOMINAL_S, Speed
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".bench_out"
@@ -36,7 +39,12 @@ OUT = ROOT / ".bench_out"
 SETUP_REPEATS = 3
 # The cold-start probe runs between items about this often, so its samples
 # spread over the whole run; cold_start_ms is their median.
-PROBE_EVERY_S = 2.0
+COLD_START_EVERY_S = 1.0
+# The host-speed task (speed.py) runs between items about this often, and
+# this many times before and after each set-up run, whose time is scaled by
+# the speed measured around it.
+SPEED_EVERY_S = 0.25
+SPEED_AROUND_SETUP = 3
 COLD_START_ARGV = ["-m", "hyperforge.cli", "fraction", "--seq", "-2 0"]
 COLD_START_WANT = "-1/2\n"  # [-2, 0] is 0 + 1/(-2)
 
@@ -63,33 +71,41 @@ def _setup(workloads, name, seed, workdir):
     return time.perf_counter() - t0, state
 
 
-def _measure(workloads, name, state, seconds, probe=None, tracer=None):
-    """Run items until `seconds` of item-loop time have passed.
+def _measure(workloads, name, state, seconds, probes=(), tracer=None):
+    """Run items until `seconds` of item-loop time have passed and the
+    first round is complete, so that every key has a sample however slow
+    the program is.
 
-    Returns (untraced latencies in s, traced latencies in s, failed count).
-    Latency is the time of the program call alone; the known-answer check
-    runs outside it.  Each round is in seeded random order, so a run that
-    stops inside a round still measures an unbiased sample of the workload's
-    mix.  `probe`, if given, runs about every PROBE_EVERY_S seconds between
-    items; its time does not count against `seconds`.  With `tracer`, the
-    items of each stratum (see workloads.py) in a round run untraced and
-    traced in turn, starting traced in odd rounds.  So both halves get the
+    Returns (untraced samples, traced samples, failed count, the count of
+    each key in the first round); a sample is (key, latency in s, its
+    perf_counter() start).  Latency is the time of the program call alone;
+    the known-answer check runs outside it.  Each round is in seeded random
+    order, so a run that stops inside a round still measures an unbiased
+    sample of the workload's mix.  Each (period in s, probe) of `probes`
+    runs about once a period between items; its time does not count
+    against `seconds`.  With `tracer`, the items of each stratum (see
+    workloads.py) in a round run untraced and traced in turn, starting
+    traced in odd rounds.  So both halves get the
     same mix, an item that recurs in later rounds runs untraced and traced
     in turn, and drift of the machine's speed hits both halves alike.
     """
-    _, rounds, execute, check, stratum = workloads.WORKLOADS[name]
+    _, rounds, execute, check, stratum, key_of = workloads.WORKLOADS[name]
     plain, traced = [], []
     failed = 0
+    per_round = None
     deadline = time.perf_counter() + seconds
-    next_probe = time.perf_counter()
+    next_probe = [time.perf_counter()] * len(probes)
     for round_no, items in enumerate(rounds(state)):
+        if per_round is None:
+            per_round = collections.Counter(key_of(item) for item in items)
         turns = collections.Counter()
         for item in items:
-            if probe is not None and time.perf_counter() >= next_probe:
-                t0 = time.perf_counter()
-                probe()
-                deadline += time.perf_counter() - t0
-                next_probe = time.perf_counter() + PROBE_EVERY_S
+            for i, (period, probe) in enumerate(probes):
+                if time.perf_counter() >= next_probe[i]:
+                    t0 = time.perf_counter()
+                    probe()
+                    deadline += time.perf_counter() - t0
+                    next_probe[i] = time.perf_counter() + period
             tracing_on = False
             if tracer is not None:
                 key = stratum(item)
@@ -106,16 +122,18 @@ def _measure(workloads, name, state, seconds, probe=None, tracer=None):
             elapsed = time.perf_counter() - t0
             if tracing_on:
                 tracer.uninstall()
-            (traced if tracing_on else plain).append(elapsed)
+            (traced if tracing_on else plain).append((key_of(item), elapsed, t0))
             if error is not None:
                 failed += 1
                 print(f"item raised {type(error).__name__}: {error}", file=sys.stderr)
             elif not check(state, item, outcome):
                 failed += 1
                 print(f"known-answer mismatch: {_describe(item)}", file=sys.stderr)
-            if time.perf_counter() >= deadline:
-                return plain, traced, failed
-    return plain, traced, failed
+            if round_no > 0 and time.perf_counter() >= deadline:
+                return plain, traced, failed, per_round
+        if time.perf_counter() >= deadline:
+            break
+    return plain, traced, failed, per_round
 
 
 def _describe(item):
@@ -131,11 +149,13 @@ class ColdStart:
         self.env = dict(os.environ)
         self.env["PYTHONPATH"] = str(SRC) + (
             os.pathsep + self.env["PYTHONPATH"] if self.env.get("PYTHONPATH") else "")
+        self.starts = []
         self.times = []
         self.ok = True
 
     def __call__(self):
         t0 = time.perf_counter()
+        self.starts.append(t0)
         # stdin must be DEVNULL: cli.main() reads stdin to EOF whenever it is
         # not a tty, so a child that inherits an open pipe blocks forever.
         proc = subprocess.run(
@@ -146,9 +166,29 @@ class ColdStart:
         self.ok = self.ok and proc.returncode == 0 and proc.stdout == COLD_START_WANT
 
 
-def _quantiles(latencies):
-    cuts = statistics.quantiles(latencies, n=10)
-    return cuts[4], cuts[8]
+def _key_medians(samples):
+    """The median latency of each key over `samples`."""
+    by_key = collections.defaultdict(list)
+    for key, elapsed, _ in samples:
+        by_key[key].append(elapsed)
+    return {key: statistics.median(times) for key, times in by_key.items()}
+
+
+def _typical(samples, per_round):
+    """Throughput, p50 and p90 of a typical round, from per-key medians.
+
+    Each key's latency is the median of its samples over the run, and a
+    typical round holds each key as often as the first round did.  The
+    host's speed drifts in spells of a few seconds; a median over samples
+    spread across the run ignores the spells that a sum or a mean would
+    carry, so two runs agree much more closely.
+    """
+    median_of = _key_medians(samples)
+    round_latencies = []
+    for key, count in per_round.items():
+        round_latencies += [median_of[key]] * count
+    cuts = statistics.quantiles(round_latencies, n=10)
+    return len(round_latencies) / sum(round_latencies), cuts[4], cuts[8]
 
 
 def _metric(value, unit):
@@ -225,29 +265,56 @@ def _run(args, workloads, ka, workdir):
     metrics = {}
     lines = [f"workload {name}  seed {seed}  run {args.seconds:g} s  trace {args.trace}"]
     if args.trace == 0:
-        setup_times = []
+        speed = Speed()
+        setup_times, setup_scaled = [], []
         for _ in range(SETUP_REPEATS):
             state = None  # free the previous inputs before building new ones
+            first = len(speed.times)
+            for _ in range(SPEED_AROUND_SETUP):
+                speed()
             elapsed, state = _setup(workloads, name, seed, workdir)
+            for _ in range(SPEED_AROUND_SETUP):
+                speed()
             setup_times.append(elapsed)
-        lines.append(f"set-up runs: {', '.join(f'{t:.3f}' for t in setup_times)} s")
+            setup_scaled.append(elapsed * NOMINAL_S / statistics.median(speed.times[first:]))
         cold = ColdStart()
-        latencies, _, failed = _measure(workloads, name, state, args.seconds, probe=cold)
-        p50, p90 = _quantiles(latencies)
-        cold_ms, cold_ok = statistics.median(cold.times) * 1e3, cold.ok
-        correct = cold_ok
-        metrics = {
-            "setup_s": _metric(statistics.median(setup_times), "s"),
-            "throughput_items_per_s": _metric(len(latencies) / sum(latencies), "1/s"),
-            "latency_p50_ms": _metric(p50 * 1e3, "ms"),
-            "latency_p90_ms": _metric(p90 * 1e3, "ms"),
-            "peak_rss_mb": _metric(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
-            "cold_start_ms": _metric(cold_ms, "ms"),
-        }
+        samples, _, failed, per_round = _measure(
+            workloads, name, state, args.seconds,
+            probes=((SPEED_EVERY_S, speed), (COLD_START_EVERY_S, cold)))
+        latencies = [elapsed for _, elapsed, _ in samples]
+        correct = cold.ok
+        # Each time is scaled to the host speed of speed.NOMINAL_S by the
+        # task runs nearest to it; the unscaled figures are printed too.
+        scaled = [(key, elapsed * speed.factor_at(t0), t0) for key, elapsed, t0 in samples]
+        figures = {}
+        for label, rows, cold_times, setup in (
+                ("unscaled", samples, cold.times, setup_times),
+                ("scaled", scaled, [t * speed.factor_at(t0)
+                                    for t, t0 in zip(cold.times, cold.starts)], setup_scaled)):
+            throughput, p50, p90 = _typical(rows, per_round)
+            figures[label] = {
+                "setup_s": (statistics.median(setup), "s"),
+                "throughput_items_per_s": (throughput, "1/s"),
+                "latency_p50_ms": (p50 * 1e3, "ms"),
+                "latency_p90_ms": (p90 * 1e3, "ms"),
+                "cold_start_ms": (statistics.median(cold_times) * 1e3, "ms"),
+            }
+        metrics = {key: _metric(value, unit) for key, (value, unit) in figures["scaled"].items()}
+        metrics["peak_rss_mb"] = _metric(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB")
+        p90 = figures["unscaled"]["latency_p90_ms"][0] / 1e3
+        lines.append(f"set-up runs: {', '.join(f'{t:.3f}' for t in setup_times)} s")
         above = sum(1 for t in latencies if t > p90)
-        lines.append(f"items {len(latencies)}  above p90 {above}  "
+        lines.append(f"items {len(latencies)}  keys {len(per_round)}  above p90 {above}  "
                      f"failed_share {failed / len(latencies):.4f}  "
-                     f"cold-start spawns {len(cold.times)}, output ok {cold_ok}")
+                     f"cold-start spawns {len(cold.times)}, output ok {cold.ok}")
+        lines.append(f"host speed: task median {statistics.median(speed.times) * 1e3:.3f} ms "
+                     f"over {len(speed.times)} runs, nominal {NOMINAL_S * 1e3:.3f} ms "
+                     f"(whole-run scale {speed.factor():.4f}); each time below is scaled "
+                     f"by the median of the {NEAR} task runs nearest to it, setup_s by "
+                     "those around its set-up run")
+        lines.append("unscaled: " + "  ".join(f"{k} {v:.4f} {u}"
+                                             for k, (v, u) in figures["unscaled"].items()))
     else:
         import tracing
 
@@ -259,19 +326,24 @@ def _run(args, workloads, ka, workdir):
         state = workloads.WORKLOADS[name][0](hf, seed, str(workdir))
         tracer = tracing.Tracer()
         try:
-            plain, traced, failed = _measure(workloads, name, state, args.seconds,
-                                             tracer=tracer)
+            plain, traced, failed, _ = _measure(workloads, name, state, args.seconds,
+                                                tracer=tracer)
         finally:
             counter.uninstall()
         latencies = plain + traced
         layer = tracing.layer_metrics(tracer.spans, len(traced), counter.share)
-        tp_plain = len(plain) / sum(plain)
-        tp_traced = len(traced) / sum(traced)
-        layer["trace.overhead_pct"] = (1 - tp_traced / tp_plain) * 100
+        # Compare each key's median untraced and traced latency, over the
+        # keys run both ways: the two halves then hold the same work, and
+        # which costly items fall in which half does not move the figure.
+        plain_at, traced_at = _key_medians(plain), _key_medians(traced)
+        both = plain_at.keys() & traced_at.keys()
+        layer["trace.overhead_pct"] = (
+            1 - sum(plain_at[k] for k in both) / sum(traced_at[k] for k in both)) * 100
         metrics = {k: _metric(v, _per_layer_unit(k)) for k, v in layer.items()}
         spans_path = OUT / f"spans-{name}-{seed}.jsonl.gz"
         tracer.write(spans_path)
         lines.append(f"items untraced {len(plain)}  traced {len(traced)}  "
+                     f"keys run both ways {len(both)}  "
                      f"menasco_certify calls {counter.calls}  "
                      f"spans {len(tracer.spans)} -> {spans_path.relative_to(ROOT)}")
         lines.append(f"failed_share {failed / len(latencies):.4f}")

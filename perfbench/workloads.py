@@ -13,6 +13,12 @@ A workload exposes
   stratum(item) -> key                   the item's class of size or kind;
                                          a traced run alternates traced and
                                          untraced items within each class
+  key(item) -> key                       what recurs from round to round:
+                                         the item itself, or for
+                                         certify_bases (whose subjects are
+                                         all distinct) its crossing count;
+                                         run.py takes the median latency of
+                                         each key over the run
 """
 
 from __future__ import annotations
@@ -128,11 +134,15 @@ def certify_bases_build(hf, seed, workdir):
     rng = random.Random(seed)
     seen: set[str] = set()
     rounds = []
-    for _ in range(CERTIFY_ROUNDS):
+    for r in range(CERTIFY_ROUNDS):
         items = []
-        for c in CERTIFY_ROUND_SIZES:
-            families = list(CERTIFY_FAMILIES)
-            rng.shuffle(families)
+        for i, c in enumerate(CERTIFY_ROUND_SIZES):
+            # The family of each slot depends on the round and the slot, not
+            # on the seed, so every seed gets the same mix of families and
+            # sizes; the seed draws the twists, rings and sites.  A family
+            # that has no new subject of this size yields to the next one.
+            start = (3 * i + r) % len(CERTIFY_FAMILIES)
+            families = CERTIFY_FAMILIES[start:] + CERTIFY_FAMILIES[:start]
             for family in families:
                 d = None
                 for _attempt in range(4):
@@ -183,7 +193,7 @@ def certify_bases_check(state, item, outcome):
 # -- derivations (replay_verify, and the certificate files of cli_pipeline) ----
 
 # Share of each step kind in a derivation; the kinds are shuffled per
-# derivation, so the seed changes the order and the sites but not the mix.
+# derivation, so the plan changes their order but not the mix.
 STEP_SHARES = (("aug", 0.2), ("half", 0.2), ("switch", 0.2))
 EVIDENCE_TEXT = "exterior declared non-rational"
 
@@ -230,13 +240,17 @@ def _pick_step(hf, rng, d, kind, k):
     )
 
 
-def derive(hf, rng, base, length, emit_at=()):
+def derive(hf, rng, base, length, emit_at=(), plan=None):
     """Certificates of a `length`-step mixed derivation from base: the final
-    one, and one after each step count in `emit_at`; None if stuck."""
+    one, and one after each step count in `emit_at`; None if stuck.
+
+    `plan` (by default `rng`) orders the step kinds and the twist counts k;
+    `rng` draws the sites, the evidence and the switch arcs."""
+    plan = plan or rng
     cert = hf.menasco_certify(base)
-    bag = _kind_bag(rng, length)
+    bag = _kind_bag(plan, length)
     ks = [(-2, -1, 0, 1, 2)[i % 5] for i in range(length)]
-    rng.shuffle(ks)
+    plan.shuffle(ks)
     emitted = []
     while bag:
         for i, kind in enumerate(bag):
@@ -269,26 +283,41 @@ def _replay_bases(hf):
 
 def make_documents(hf, rng, paths, tampered):
     """Honest derivation documents, plus `tampered` tampered copies of
-    4..16-step ones: a list of (doc text, kind, expected failed step).
+    4..8-step ones: a list of (doc text, kind, expected failed step).
 
     `paths` lists (steps, prefixes): one derivation of that many steps per
-    entry, with a document for each prefix length in `prefixes`.
+    entry, with a document for each prefix length in `prefixes`.  The base
+    and the plan (see derive) of the n-th derivation, and the kinds and step
+    counts of the tampered copies, do not depend on the seed, so every seed
+    gets the same mix; the seed draws the sites and which documents are
+    tampered.  Move costs vary a lot with the sites, and a mix left to the
+    seed as well made the pool's median time differ by a fifth between seeds.
     """
-    bases = _replay_bases(hf)
+    # A base without a chain site ([3, 3], [3, 2, 3], [4, 4, 2], [2, 2, 2, 2, 2])
+    # gets stuck unless a switch happens to come first, and retrying those
+    # took about half of the set-up time; derivations start from the others.
+    bases = [b for b in _replay_bases(hf) if hf.find_chain_sites(b)]
     honest = []
-    for length, prefixes in paths:
+    for n, (length, prefixes) in enumerate(paths):
+        plan = random.Random(n)
         certs = None
         while certs is None:
-            certs = derive(hf, rng, rng.choice(bases), length, frozenset(prefixes))
+            certs = derive(hf, rng, bases[n % len(bases)], length, frozenset(prefixes), plan)
         honest += [(hf.serialize(c), "honest", None) for c in certs]
     docs = list(honest)
-    # tamper copies of mid-length documents, so the long tail stays honest
-    candidates = [
-        h for h in honest
-        if 4 <= len(json.loads(h[0])["steps"]) <= 16
-        and any(s["kind"] in ("ChainStep", "AugChainStep") for s in json.loads(h[0])["steps"])
-    ]
-    for j, (text, _, _) in enumerate(rng.sample(candidates, tampered)):
+    # tamper copies of mid-length documents, so the long tail stays honest;
+    # the copies take turns over the step counts, two (one of each kind) at
+    # a time
+    by_steps = {}
+    for h in honest:
+        steps = json.loads(h[0])["steps"]
+        if 4 <= len(steps) <= 8 and any(s["kind"] in ("ChainStep", "AugChainStep")
+                                        for s in steps):
+            by_steps.setdefault(len(steps), []).append(h)
+    sizes = sorted(by_steps)
+    for j in range(tampered):
+        pool = by_steps[sizes[(j // 2) % len(sizes)]]
+        text = pool.pop(rng.randrange(len(pool)))[0]
         obj = json.loads(text)
         if j % 2 == 0:
             chain_at = [i for i, s in enumerate(obj["steps"])
@@ -316,7 +345,8 @@ def make_documents(hf, rng, paths, tampered):
 # derivations, so the percentiles average over many of them: eighty 6-step
 # derivations give a document after steps 2, 4 and 6, and one 32-step
 # derivation gives the long tail at 16, 24 and 32 steps.  A quarter of the
-# pool (81 documents) are tampered copies, known to be INVALID.
+# pool (81 documents) are tampered copies, known to be INVALID.  With forty
+# derivations, p50 differed by a fifth between seeds.
 REPLAY_PATHS = ((6, (2, 4, 6)),) * 80 + ((32, (16, 24, 32)),)
 REPLAY_TAMPERED = 81
 
@@ -325,8 +355,9 @@ def replay_verify_build(hf, seed, workdir):
     rng = random.Random(seed)
     docs = make_documents(hf, rng, REPLAY_PATHS, REPLAY_TAMPERED)
     rng.shuffle(docs)
-    items = [{"doc": text, "kind": kind, "failed_step": step,
-              "steps": len(json.loads(text)["steps"])} for text, kind, step in docs]
+    items = [{"index": i, "doc": text, "kind": kind, "failed_step": step,
+              "steps": len(json.loads(text)["steps"])}
+             for i, (text, kind, step) in enumerate(docs)]
     return {"hf": hf, "items": items}
 
 
@@ -343,6 +374,10 @@ def replay_verify_execute(state, item):
 
 def replay_verify_stratum(item):
     return item["kind"], item["steps"]
+
+
+def replay_verify_key(item):
+    return item["index"]
 
 
 def replay_verify_check(state, item, outcome):
@@ -422,12 +457,16 @@ class _Session:
 
     def _write_job_files(self):
         hf, rng = self.hf, self.rng
-        docs = make_documents(hf, rng, ((6, (4, 5, 6)),) * 6, 3)
+        # one 4-step document per derivation, and no document in two sets: a
+        # move's cost varies a lot with the site the seed picks, and 24
+        # independent derivations keep the session's verify --jobs time from
+        # hanging on one or two of them
+        docs = make_documents(hf, rng, ((4, (4,)),) * (6 * CLI_JOB_FILES), 3)
         honest = [d for d in docs if d[1] == "honest"]
         bad = [d for d in docs if d[1] != "honest"]
         sets = []
         for j in range(6):
-            chosen = rng.sample(honest, CLI_JOB_FILES)
+            chosen = honest[j * CLI_JOB_FILES:(j + 1) * CLI_JOB_FILES]
             expect_bad = None
             if j % 2:
                 slot = rng.randrange(CLI_JOB_FILES)
@@ -461,11 +500,14 @@ class _Session:
         return scripts
 
     def pick(self, name, buckets):
-        """Cycle through `buckets` per group name and draw inside one, so
-        each session has the same mix of sizes whatever the seed."""
+        """Cycle through `buckets` per group name and take an entry of one
+        by a draw that depends on the name and the turn, not on the seed,
+        so each session has the same mix of sizes and families whatever
+        the seed; the seed only makes the diagrams in the buckets."""
         turn = self._turns.get(name, 0)
         self._turns[name] = turn + 1
-        return self.rng.choice(buckets[turn % len(buckets)])
+        bucket = buckets[turn % len(buckets)]
+        return bucket[random.Random(f"{name}/{turn}").randrange(len(bucket))]
 
     def add(self, item):
         self.items.append(item)
@@ -659,6 +701,10 @@ def cli_pipeline_stratum(item):
     return item[1]["cls"]
 
 
+def cli_pipeline_key(item):
+    return item[0]
+
+
 def cli_pipeline_check(state, item, outcome):
     index, spec = item
     code, out = outcome
@@ -684,10 +730,10 @@ def session_digest(hf, seed, workdir):
 
 
 WORKLOADS = {
-    "certify_bases": (certify_bases_build, certify_bases_rounds,
-                      certify_bases_execute, certify_bases_check, certify_bases_stratum),
-    "replay_verify": (replay_verify_build, replay_verify_rounds,
-                      replay_verify_execute, replay_verify_check, replay_verify_stratum),
-    "cli_pipeline": (cli_pipeline_build, cli_pipeline_rounds,
-                     cli_pipeline_execute, cli_pipeline_check, cli_pipeline_stratum),
+    "certify_bases": (certify_bases_build, certify_bases_rounds, certify_bases_execute,
+                      certify_bases_check, certify_bases_stratum, certify_bases_stratum),
+    "replay_verify": (replay_verify_build, replay_verify_rounds, replay_verify_execute,
+                      replay_verify_check, replay_verify_stratum, replay_verify_key),
+    "cli_pipeline": (cli_pipeline_build, cli_pipeline_rounds, cli_pipeline_execute,
+                     cli_pipeline_check, cli_pipeline_stratum, cli_pipeline_key),
 }
