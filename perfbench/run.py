@@ -73,8 +73,9 @@ def _setup(workloads, name, seed, workdir):
 
 def _measure(workloads, name, state, seconds, probes=(), tracer=None):
     """Run items until `seconds` of item-loop time have passed and the
-    first round is complete, so that every key has a sample however slow
-    the program is.
+    first round is complete (the first two with `tracer`), so that every
+    key has a sample, and with `tracer` one each way, however slow the
+    program is.
 
     Returns (untraced samples, traced samples, failed count, the count of
     each key in the first round); a sample is (key, latency in s, its
@@ -83,22 +84,24 @@ def _measure(workloads, name, state, seconds, probes=(), tracer=None):
     order, so a run that stops inside a round still measures an unbiased
     sample of the workload's mix.  Each (period in s, probe) of `probes`
     runs about once a period between items; its time does not count
-    against `seconds`.  With `tracer`, the items of each stratum (see
-    workloads.py) in a round run untraced and traced in turn, starting
-    traced in odd rounds.  So both halves get the
-    same mix, an item that recurs in later rounds runs untraced and traced
-    in turn, and drift of the machine's speed hits both halves alike.
+    against `seconds`.  With `tracer`, each key runs untraced and traced
+    in turn, and the keys of each stratum (see workloads.py) start one way
+    and the other in turn.  So both halves get the same mix, every key
+    runs both ways from the second round on, and drift of the machine's
+    speed hits both halves alike.
     """
     _, rounds, execute, check, stratum, key_of = workloads.WORKLOADS[name]
     plain, traced = [], []
     failed = 0
     per_round = None
+    min_rounds = 1 if tracer is None else 2
+    turns = collections.Counter()
+    first_way, runs = {}, collections.Counter()
     deadline = time.perf_counter() + seconds
     next_probe = [time.perf_counter()] * len(probes)
     for round_no, items in enumerate(rounds(state)):
         if per_round is None:
             per_round = collections.Counter(key_of(item) for item in items)
-        turns = collections.Counter()
         for item in items:
             for i, (period, probe) in enumerate(probes):
                 if time.perf_counter() >= next_probe[i]:
@@ -108,9 +111,12 @@ def _measure(workloads, name, state, seconds, probes=(), tracer=None):
                     next_probe[i] = time.perf_counter() + period
             tracing_on = False
             if tracer is not None:
-                key = stratum(item)
-                tracing_on = (turns[key] + round_no) % 2 == 1
-                turns[key] += 1
+                key = key_of(item)
+                if key not in first_way:
+                    first_way[key] = turns[stratum(item)] % 2
+                    turns[stratum(item)] += 1
+                tracing_on = (first_way[key] + runs[key]) % 2 == 1
+                runs[key] += 1
             if tracing_on:
                 tracer.install()
             error = None
@@ -129,9 +135,9 @@ def _measure(workloads, name, state, seconds, probes=(), tracer=None):
             elif not check(state, item, outcome):
                 failed += 1
                 print(f"known-answer mismatch: {_describe(item)}", file=sys.stderr)
-            if round_no > 0 and time.perf_counter() >= deadline:
+            if round_no >= min_rounds and time.perf_counter() >= deadline:
                 return plain, traced, failed, per_round
-        if time.perf_counter() >= deadline:
+        if round_no >= min_rounds - 1 and time.perf_counter() >= deadline:
             break
     return plain, traced, failed, per_round
 
