@@ -14,7 +14,6 @@ import io
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import certificate as cert_mod
 from . import classifier as cls
@@ -127,7 +126,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("verify", help="re-play certificates")
     q.add_argument("files", nargs="*")
-    q.add_argument("--jobs", type=int, default=1)
+    q.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility and ignored: certificates are "
+                        "verified one at a time, in order")
 
     q = sub.add_parser("pipeline", help="run a command file threading named slots")
     q.add_argument("infile")
@@ -248,11 +249,6 @@ def _cmd_certify(args, stdin_text):
     return OK, cert_mod.serialize(result)
 
 
-def _verify_one(text: str):
-    c = cert_mod.deserialize(text)
-    return cert_mod.verify(c)
-
-
 def _cmd_verify(args, stdin_text):
     texts = []
     if args.files:
@@ -261,14 +257,10 @@ def _cmd_verify(args, stdin_text):
                 texts.append(fh.read())
     else:
         texts.append(stdin_text)
-    if args.jobs > 1 and len(texts) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            verdicts = list(pool.map(_verify_one, texts))
-    else:
-        verdicts = [_verify_one(t) for t in texts]
     lines = []
     all_valid = True
-    for i, v in enumerate(verdicts):
+    for i, text in enumerate(texts):
+        v = cert_mod.verify(cert_mod.deserialize(text))
         if v.valid:
             lines.append(f"certificate {i}: VALID")
             for note in v.trusted_premises:
@@ -357,14 +349,31 @@ def _join_negative_values(argv):
     return out
 
 
-def run(argv, stdin_text: str = "") -> tuple[int, str]:
-    """Execute a command line; returns (exit code, output text)."""
-    parser = _build_parser()
+def _parse_args(argv):
+    """(namespace, None), or (None, exit code) when argparse exits."""
     try:
-        args = parser.parse_args(_join_negative_values(list(argv)))
+        return _build_parser().parse_args(_join_negative_values(list(argv))), None
     except SystemExit as exc:
         # argparse already printed to stderr; normalize the exit code
-        return (MALFORMED if exc.code not in (0, None) else OK), ""
+        return None, (MALFORMED if exc.code not in (0, None) else OK)
+
+
+def _reads_stdin(args) -> bool:
+    """Whether the parsed command takes its input from stdin."""
+    if args.command == "verify":
+        return not args.files
+    return args.command != "pipeline" and hasattr(args, "infile") and not args.infile
+
+
+def run(argv, stdin_text: str = "") -> tuple[int, str]:
+    """Execute a command line; returns (exit code, output text)."""
+    args, code = _parse_args(argv)
+    if args is None:
+        return code, ""
+    return _execute(args, stdin_text)
+
+
+def _execute(args, stdin_text: str) -> tuple[int, str]:
     header = ""
     if args.timestamps:
         header = f"# {time.strftime('%Y-%m-%dT%H:%M:%S')}\n"
@@ -381,8 +390,14 @@ def run(argv, stdin_text: str = "") -> tuple[int, str]:
 
 
 def main() -> None:
-    stdin_text = "" if sys.stdin.isatty() else sys.stdin.read()
-    code, out = run(sys.argv[1:], stdin_text=stdin_text)
+    args, code = _parse_args(sys.argv[1:])
+    if args is None:
+        sys.exit(code)
+    # a command given its input as files must not wait on an open stdin
+    stdin_text = ""
+    if _reads_stdin(args) and not sys.stdin.isatty():
+        stdin_text = sys.stdin.read()
+    code, out = _execute(args, stdin_text)
     sys.stdout.write(out)
     sys.exit(code)
 

@@ -2,10 +2,12 @@
 
 These deliberately avoid the library's own code paths: the continued
 fraction uses the stdlib Fraction type, the component counter is a plain
-union-find over the raw crossing tuples, and the linking oracle reads
-signed Gauss entries.
+union-find over the raw crossing tuples, the linking oracle reads
+signed Gauss entries, and the 2-edge-cut oracle runs a union-find per
+pair of arcs instead of reading the faces.
 """
 
+import itertools
 from fractions import Fraction as QQ
 
 INF = "inf"
@@ -76,3 +78,34 @@ def gauss_linking_oracle(d, comp_a, comp_b):
             total += signs[0]
     assert total % 2 == 0
     return total // 2
+
+
+def two_edge_cuts_oracle(d):
+    """Arc pairs whose removal disconnects crossings from crossings, by a
+    full union-find for every pair of arcs (O(E^3))."""
+    d.require_valid()
+    n = len(d.crossings)
+    if n < 2:
+        return ()
+    occ = d._analysis.occ
+    arcs = sorted(occ)
+    cuts = []
+    for e, f in itertools.combinations(arcs, 2):
+        parent = list(range(n))
+
+        def find(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for arc in arcs:
+            if arc in (e, f):
+                continue
+            (c1, _), (c2, _) = occ[arc]
+            r1, r2 = find(c1), find(c2)
+            if r1 != r2:
+                parent[r1] = r2
+        if len({find(ci) for ci in range(n)}) > 1:
+            cuts.append((e, f))
+    return tuple(cuts)

@@ -26,7 +26,7 @@ from hyperforge.generators import ChainSpec, chain_link, rational_link, tk_closu
 from hyperforge.moves import augmenting_circle, _new_ring_component
 from hyperforge.tangle import Fraction, fraction, twist_add
 
-from oracles import union_find_component_count
+from oracles import two_edge_cuts_oracle, union_find_component_count
 
 
 def is_cert(x):
@@ -193,6 +193,13 @@ def test_exceptional_links_all_refused():
 def test_infinity_closure_composite():
     r = menasco_certify(tk_closure([0, 0], 0))
     assert isinstance(r, Refusal) and r.reason is RefusalReason.NotPrime
+
+
+def test_kinked_chain_not_prime_witness():
+    d = reidemeister1(chain_link(ChainSpec(4)), 3, +1)
+    r = menasco_certify(d)
+    assert isinstance(r, Refusal) and r.reason is RefusalReason.NotPrime
+    assert r.witness == two_edge_cuts_oracle(d)[0]
 
 
 def test_augmented_with_two_circles():

@@ -1,6 +1,10 @@
 """Command-line front end: exit codes, determinism, pipelines."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -150,6 +154,34 @@ def test_verify_multiple_jobs(tmp_path):
     f2.write_text(cert)
     code, out = run(["verify", str(f1), str(f2), "--jobs", "2"])
     assert code == OK and out.count("VALID") == 2
+
+
+def _cli_process(argv, **kwargs):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "hyperforge.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30, **kwargs)
+
+
+def test_main_ignores_open_stdin_when_given_files(tmp_path):
+    _, pd = run(["gen", "chain", "--n", "4"])
+    _, cert = run(["certify", "--base", "menasco"], stdin_text=pd)
+    f = tmp_path / "c.json"
+    f.write_text(cert)
+    r, w = os.pipe()  # the write end stays open: reading stdin would block
+    try:
+        proc = _cli_process(["verify", str(f)], stdin=r)
+    finally:
+        os.close(r)
+        os.close(w)
+    assert proc.returncode == OK and proc.stdout == "certificate 0: VALID\n"
+
+
+def test_main_reads_stdin_without_files():
+    _, pd = run(["gen", "chain", "--n", "3"])
+    proc = _cli_process(["validate"], input=pd)
+    assert (proc.returncode, proc.stdout) == run(["validate"], stdin_text=pd)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,9 +1,11 @@
 """PD-code core: validity, components, linking, predicates, R-moves,
 isomorphism, Gauss codes, and the text formats."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperforge.diagram import (
     Crossing,
@@ -31,14 +33,17 @@ from hyperforge.diagram import (
     reidemeister2_undo,
     to_gauss,
     two_braid_status,
+    two_edge_cuts,
     validate,
 )
+from hyperforge.classifier import exceptional_links
 from hyperforge.errors import FormatError, InvalidDiagramError, SiteError
-from hyperforge.generators import ChainSpec, chain_link
+from hyperforge.generators import ChainSpec, chain_link, rational_link, tk_closure
 
-from oracles import gauss_linking_oracle, union_find_component_count
+from oracles import gauss_linking_oracle, two_edge_cuts_oracle, union_find_component_count
 
 HOPF = "X(3,2,4,1) X(1,4,2,3)"
+TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 
 
 def relabeled(d, shift=100):
@@ -194,6 +199,49 @@ def test_predicates_relabel_invariant(trefoil):
 def test_kink_not_reduced(trefoil):
     k = reidemeister1(trefoil, 1, +1)
     assert not is_reduced(k)
+
+
+def two_trefoils():
+    t = parse_pd(TREFOIL)
+    return LinkDiagram(t.crossings + relabeled(t).crossings)
+
+
+def test_two_trefoils_every_pair_cut():
+    d = two_trefoils()
+    assert two_edge_cuts(d) == two_edge_cuts_oracle(d) == tuple(itertools.combinations(d.arcs, 2))
+
+
+_SIGNED_SEQS = st.tuples(
+    st.sampled_from((1, -1)), st.lists(st.integers(0, 3), min_size=1, max_size=3)
+).map(lambda sc: [sc[0] * c for c in sc[1]])
+_CUT_BASES = st.one_of(
+    st.integers(2, 5)
+    .flatmap(lambda n: st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    .map(lambda tw: chain_link(ChainSpec(len(tw), tuple(tw)))),
+    _SIGNED_SEQS.map(rational_link),
+    st.tuples(_SIGNED_SEQS, st.integers(-2, 2)).map(lambda sk: tk_closure(*sk)),
+    st.sampled_from(exceptional_links()),
+    st.just(two_trefoils()),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_CUT_BASES, st.data())
+def test_two_edge_cuts_match_oracle(d, data):
+    """The face-pair reading returns the per-pair union-find's exact tuple,
+    also after random kinks (which add cuts) and R2 bigons."""
+    assert two_edge_cuts(d) == two_edge_cuts_oracle(d)
+    for _ in range(data.draw(st.integers(0, 3))):
+        if not d.crossings or data.draw(st.booleans()):
+            arc = data.draw(st.sampled_from(d.arcs)) if d.arcs else None
+            d = reidemeister1(d, arc, data.draw(st.sampled_from((1, -1))))
+        else:
+            uniq = sorted(set(data.draw(st.sampled_from(d.face_arcs()))))
+            if len(uniq) < 2:
+                continue
+            a, b = data.draw(st.permutations(uniq))[:2]
+            d = reidemeister2(d, (a, b), data.draw(st.sampled_from(("first_over", "second_over"))))
+        assert two_edge_cuts(d) == two_edge_cuts_oracle(d)
 
 
 def test_connected_sum_not_prime(trefoil):
