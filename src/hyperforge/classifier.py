@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from . import diagram as _dg
-from .diagram import DEFAULT_STEP_BUDGET, LinkDiagram
 from .errors import SiteError
 from .tangle import ConwaySequence, Fraction, fraction, twist_add
+
+if TYPE_CHECKING:  # diagram is imported by the certifiers that use it
+    from .diagram import LinkDiagram
 
 
 class ExceptionKind(enum.Enum):
@@ -120,9 +121,14 @@ def exception_base_set() -> frozenset[Fraction]:
 # -- base certifiers ---------------------------------------------------------------
 
 
-def menasco_certify(d: LinkDiagram, budget: int = DEFAULT_STEP_BUDGET):
+def menasco_certify(d: LinkDiagram, budget: Optional[int] = None):
     """Certificate for a reduced prime alternating non-split non-2-braid
-    diagram of a nontrivial link; Refusal otherwise."""
+    diagram of a nontrivial link; Refusal otherwise.  `budget` bounds the
+    R1/R2 reduction steps; None means diagram.DEFAULT_STEP_BUDGET."""
+    from . import diagram as _dg
+
+    if budget is None:
+        budget = _dg.DEFAULT_STEP_BUDGET
     d.require_valid()
     if _dg.is_split(d):
         return Refusal(RefusalReason.Split)
@@ -161,7 +167,7 @@ def menasco_certify(d: LinkDiagram, budget: int = DEFAULT_STEP_BUDGET):
 
 
 def augmented_alternating_certify(
-    d: LinkDiagram, augmenting: frozenset[int] | set[int], budget: int = DEFAULT_STEP_BUDGET
+    d: LinkDiagram, augmenting: frozenset[int] | set[int], budget: Optional[int] = None
 ):
     """Certificate for an alternating base plus trivial augmenting circles.
 

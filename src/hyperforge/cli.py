@@ -15,11 +15,9 @@ import os
 import sys
 import time
 
-from . import certificate as cert_mod
+# certificate, diagram, generators and moves are imported by the commands
+# that use them, so that a command such as `fraction` starts without them.
 from . import classifier as cls
-from . import diagram as dg
-from . import generators as gen
-from . import moves as mv
 from . import tangle as tg
 from .errors import (
     CertificateError,
@@ -35,6 +33,8 @@ OK, REFUSED, MALFORMED = 0, 1, 2
 
 
 def _budget() -> int:
+    from . import diagram as dg
+
     try:
         return int(os.environ.get("HYPERFORGE_STEP_BUDGET", dg.DEFAULT_STEP_BUDGET))
     except ValueError:
@@ -153,6 +153,8 @@ def _cmd_classify(args, _):
 
 
 def _cmd_parse(args, stdin_text):
+    from . import diagram as dg
+
     text = _read_input(args, stdin_text)
     if args.gauss:
         return OK, dg.format_gauss(dg.parse_gauss(text))
@@ -160,6 +162,8 @@ def _cmd_parse(args, stdin_text):
 
 
 def _cmd_validate(args, stdin_text):
+    from . import diagram as dg
+
     d = dg.parse_pd(_read_input(args, stdin_text))
     rep = dg.validate(d)
     out = rep.summary() + "\n"
@@ -167,6 +171,8 @@ def _cmd_validate(args, stdin_text):
 
 
 def _cmd_convert(args, stdin_text):
+    from . import diagram as dg
+
     text = _read_input(args, stdin_text)
     if args.to == "gauss":
         d = dg.parse_pd(text)
@@ -176,6 +182,9 @@ def _cmd_convert(args, stdin_text):
 
 
 def _cmd_gen(args, _):
+    from . import diagram as dg
+    from . import generators as gen
+
     if args.family == "chain":
         twists = tuple(int(t) for t in args.twists.split(",") if t.strip()) if args.twists else ()
         d = gen.chain_link(gen.ChainSpec(args.n, twists, alternating=args.alternating))
@@ -187,6 +196,9 @@ def _cmd_gen(args, _):
 
 
 def _cmd_apply(args, stdin_text):
+    from . import diagram as dg
+    from . import moves as mv
+
     d = dg.parse_pd(_read_input(args, stdin_text))
     if args.move in ("chain", "augchain"):
         if args.component is None or not args.strands:
@@ -237,6 +249,9 @@ def _cmd_apply(args, stdin_text):
 
 
 def _cmd_certify(args, stdin_text):
+    from . import certificate as cert_mod
+    from . import diagram as dg
+
     d = dg.parse_pd(_read_input(args, stdin_text))
     budget = _budget()
     if args.base == "menasco":
@@ -250,6 +265,8 @@ def _cmd_certify(args, stdin_text):
 
 
 def _cmd_verify(args, stdin_text):
+    from . import certificate as cert_mod
+
     texts = []
     if args.files:
         for path in args.files:

@@ -24,9 +24,12 @@ import math
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-from .diagram import DiagramBuilder, LinkDiagram
 from .errors import FormatError, MixedSignError
+
+if TYPE_CHECKING:  # diagram is imported where a diagram is built
+    from .diagram import DiagramBuilder, LinkDiagram
 
 # Crossing chirality per twist-region flavor for positive entries; negative
 # entries use the mirror.  Pinned by the alternation of sign-homogeneous
@@ -260,6 +263,8 @@ def boundary_twists(t: TangleDiagram, n: int) -> TangleDiagram:
 
 def numerator_closure(t: TangleDiagram) -> LinkDiagram:
     """Join NW-NE and SW-SE."""
+    from .diagram import DiagramBuilder
+
     bld = DiagramBuilder()
     ports = t.emit(bld)
     bld.weld(ports["NW"], ports["NE"])

@@ -256,3 +256,23 @@ def test_apply_switch_and_halftwist():
         stdin_text=pd,
     )
     assert code == OK and out2.count("X(") == 9
+
+
+def test_fraction_starts_without_the_diagram_modules():
+    # `python -m hyperforge.cli fraction` imports only what the command uses
+    script = (
+        "import runpy, sys\n"
+        "sys.argv = ['hyperforge', 'fraction', '--seq', '-2 0']\n"
+        "try:\n"
+        "    runpy.run_module('hyperforge.cli', run_name='__main__')\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('hyperforge.'))))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=30, stdin=subprocess.DEVNULL)
+    assert proc.stdout.splitlines() == [
+        "-1/2", "hyperforge.classifier hyperforge.errors hyperforge.tangle"]
