@@ -47,10 +47,8 @@ _EXPORTS = {
     "tangle": (
         "ConwaySequence",
         "Fraction",
-        "RationalTangle",
         "TangleDiagram",
         "fraction",
-        "twist_add",
         "rotate",
         "equivalent",
         "to_alternating_diagram",
@@ -67,7 +65,6 @@ _EXPORTS = {
         "augmented_chain_move",
         "switch_move",
         "half_twist",
-        "build_tk",
     ),
     "classifier": (
         "ExceptionKind",
@@ -90,7 +87,6 @@ _EXPORTS = {
         "HalfTwistStep",
         "GlueStep",
         "Verdict",
-        "base_certificate",
         "extend",
         "verify",
         "glue",
@@ -103,6 +99,7 @@ _EXPORTS = {
         "FormatError",
         "InvalidDiagramError",
         "SiteError",
+        "WiringError",
         "MixedSignError",
         "ExcludedExteriorError",
         "PremiseError",

@@ -12,11 +12,10 @@ allows), it marks the evidence machine-checked instead of trusted.
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 from . import classifier as _cls
 from . import moves as _moves
@@ -35,7 +34,7 @@ from .errors import (
     PremiseError,
     SiteError,
 )
-from .moves import ChainSite, Handedness, SwitchSite
+from .moves import ChainSite, Handedness, SwitchSite, chain_site
 from .tangle import ConwaySequence, fraction
 
 FORMAT_VERSION = 1
@@ -72,18 +71,28 @@ class AbstractManifold:
 
 @dataclass(frozen=True)
 class ChainStep:
+    """A chain move at the site of ``trivial_component`` clasping ``strands``."""
+
     trivial_component: int
     strands: tuple[int, int]
     k: int
     evidence: ExteriorEvidence
 
+    # The variant: its JSON kind, the moves-module function that applies it
+    # (looked up by name at each call), and the components it adds.
+    kind: ClassVar[str] = "ChainStep"
+    move: ClassVar[str] = "chain_move"
+    added: ClassVar[int] = 1
+    wrong_count: ClassVar[str] = "chain step must add exactly one component"
 
-@dataclass(frozen=True)
-class AugChainStep:
-    trivial_component: int
-    strands: tuple[int, int]
-    k: int
-    evidence: ExteriorEvidence
+
+class AugChainStep(ChainStep):
+    """An augmented chain move: the trivial component stays."""
+
+    kind = "AugChainStep"
+    move = "augmented_chain_move"
+    added = 2
+    wrong_count = "augmented chain step must add exactly two components"
 
 
 @dataclass(frozen=True)
@@ -108,7 +117,7 @@ class GlueStep:
     premises: tuple[Premise, ...] = ()
 
 
-Step = Union[ChainStep, AugChainStep, SwitchStep, HalfTwistStep, GlueStep]
+Step = Union[ChainStep, SwitchStep, HalfTwistStep, GlueStep]
 
 
 @dataclass(frozen=True)
@@ -137,18 +146,6 @@ class Verdict:
         return self.valid
 
 
-def base_certificate(d: LinkDiagram):
-    """Menasco base certificate or a Refusal."""
-    return _cls.menasco_certify(d)
-
-
-def _chain_site_for(d: LinkDiagram, comp: int, strands: tuple[int, int]) -> ChainSite:
-    for site in _moves.find_chain_sites(d):
-        if site.trivial_component == comp and {site.strand1, site.strand2} == set(strands):
-            return site
-    raise SiteError(f"no chain site at component {comp} strands {strands}")
-
-
 def _exterior_has_closed_component(d: LinkDiagram, site: ChainSite) -> bool:
     """True when some link component avoids the move's ball entirely; a
     rational tangle exterior has no closed components."""
@@ -163,15 +160,10 @@ def _exterior_has_closed_component(d: LinkDiagram, site: ChainSite) -> bool:
 
 def _apply_step(d: LinkDiagram, step: Step) -> LinkDiagram:
     if isinstance(step, ChainStep):
-        site = _chain_site_for(d, step.trivial_component, step.strands)
-        return _moves.chain_move(d, site, step.k, step.evidence)
-    if isinstance(step, AugChainStep):
-        site = _chain_site_for(d, step.trivial_component, step.strands)
-        return _moves.augmented_chain_move(d, site, step.k, step.evidence)
+        site = chain_site(d, step.trivial_component, step.strands)
+        return getattr(_moves, step.move)(d, site, step.k, step.evidence)
     if isinstance(step, SwitchStep):
-        return _moves.switch_move(
-            d, SwitchSite(step.arc_g, step.arc_g2), step.handedness
-        )
+        return _moves.switch_move(d, SwitchSite(step.arc_g, step.arc_g2), step.handedness)
     if isinstance(step, HalfTwistStep):
         return _moves.half_twist(d, step.component, step.direction)
     raise CertificateError(f"cannot apply {type(step).__name__} to a diagram")
@@ -202,17 +194,21 @@ def verify(cert: Certificate) -> Verdict:
         return _verify_abstract(cert)
     reports: list[str] = []
     trusted: list[str] = []
+
+    def refuse(step: int, reason: str) -> Verdict:
+        return Verdict(False, step, reason, tuple(reports), tuple(trusted))
+
     if cert.base == "MenascoAlternating":
         got = _cls.menasco_certify(cert.base_diagram)
         if isinstance(got, _cls.Refusal):
-            return Verdict(False, -1, f"base refused: {got}")
+            return refuse(-1, f"base refused: {got}")
         reports.append("base: MenascoAlternating accepted")
     elif cert.base == "AugmentedAlternating":
         got = _cls.augmented_alternating_certify(
             cert.base_diagram, frozenset(cert.augmenting)
         )
         if isinstance(got, _cls.Refusal):
-            return Verdict(False, -1, f"base refused: {got}")
+            return refuse(-1, f"base refused: {got}")
         reports.append(
             f"base: AugmentedAlternating accepted (augmenting {cert.augmenting})"
         )
@@ -220,30 +216,24 @@ def verify(cert: Certificate) -> Verdict:
         trusted.append(f"base asserted externally: {cert.description}")
         reports.append("base: ExternallyAsserted (trusted)")
     else:
-        return Verdict(False, -1, f"unknown base {cert.base!r}")
+        return refuse(-1, f"unknown base {cert.base!r}")
 
     current = cert.base_diagram
     saw_admissible_chain = False
     for i, step in enumerate(cert.steps):
-        if isinstance(step, (ChainStep, AugChainStep)):
+        if isinstance(step, ChainStep):
             ev = step.evidence
             if isinstance(ev, Unchecked):
-                return Verdict(
-                    False, i, "unchecked exterior evidence never validates",
-                    tuple(reports), tuple(trusted),
-                )
+                return refuse(i, "unchecked exterior evidence never validates")
             if isinstance(ev, Rational):
                 kind = excluded_exterior(fraction(ev.sequence), step.k)
                 if kind is not None:
-                    return Verdict(
-                        False, i, f"excluded exterior: {kind.value}",
-                        tuple(reports), tuple(trusted),
-                    )
+                    return refuse(i, f"excluded exterior: {kind.value}")
                 reports.append(f"step {i}: rational exterior admissible (k={step.k})")
                 saw_admissible_chain = True
             else:
                 try:
-                    site = _chain_site_for(current, step.trivial_component, step.strands)
+                    site = chain_site(current, step.trivial_component, step.strands)
                     checked = _exterior_has_closed_component(current, site)
                 except SiteError:
                     checked = False
@@ -264,10 +254,7 @@ def verify(cert: Certificate) -> Verdict:
                 saw_admissible_chain = True
         if isinstance(step, SwitchStep):
             if step.premise is None or step.premise.kind != "GeodesicArc":
-                return Verdict(
-                    False, i, "switch step lacks its GeodesicArc premise",
-                    tuple(reports), tuple(trusted),
-                )
+                return refuse(i, "switch step lacks its GeodesicArc premise")
             trusted.append(f"step {i}: geodesic arc ({step.premise.justification})")
             reports.append(
                 f"step {i}: switch move; the geodesic hypothesis is recorded, "
@@ -278,18 +265,11 @@ def verify(cert: Certificate) -> Verdict:
             current = _apply_step(current, step)
             after = components(current).count
         except (SiteError, ExcludedExteriorError, CertificateError) as err:
-            return Verdict(False, i, f"replay failed: {err}", tuple(reports), tuple(trusted))
-        if isinstance(step, ChainStep) and after - before != 1:
-            return Verdict(False, i, "chain step must add exactly one component",
-                           tuple(reports), tuple(trusted))
-        if isinstance(step, AugChainStep) and after - before != 2:
-            return Verdict(False, i, "augmented chain step must add exactly two components",
-                           tuple(reports), tuple(trusted))
+            return refuse(i, f"replay failed: {err}")
+        if isinstance(step, ChainStep) and after - before != step.added:
+            return refuse(i, step.wrong_count)
     if not diagram_isomorphic(current, cert.subject):
-        return Verdict(
-            False, len(cert.steps), "final diagram does not match the subject",
-            tuple(reports), tuple(trusted),
-        )
+        return refuse(len(cert.steps), "final diagram does not match the subject")
     reports.append("final diagram matches the subject")
     return Verdict(True, None, "", tuple(reports), tuple(trusted))
 
@@ -297,43 +277,41 @@ def verify(cert: Certificate) -> Verdict:
 def _verify_abstract(cert: Certificate) -> Verdict:
     reports: list[str] = []
     trusted: list[str] = []
+
+    def refuse(step: int, reason: str) -> Verdict:
+        return Verdict(False, step, reason, tuple(reports), tuple(trusted))
+
     if cert.base != "ExternallyAsserted" or cert.base_manifold is None:
-        return Verdict(False, -1, "abstract certificates need an externally asserted base manifold")
+        return refuse(-1, "abstract certificates need an externally asserted base manifold")
     if not cert.base_manifold.hyperbolic:
-        return Verdict(False, -1, "base manifold is not asserted hyperbolic")
+        return refuse(-1, "base manifold is not asserted hyperbolic")
     trusted.append(f"base manifold {cert.base_manifold.name}: {cert.description}")
     current = cert.base_manifold
     for i, step in enumerate(cert.steps):
         if not isinstance(step, GlueStep):
-            return Verdict(False, i, "abstract certificates admit only glue steps",
-                           tuple(reports), tuple(trusted))
+            return refuse(i, "abstract certificates admit only glue steps")
         inner = verify(step.other)
         if not inner.valid:
-            return Verdict(False, i, f"glued certificate invalid: {inner.reason}",
-                           tuple(reports), tuple(trusted))
+            return refuse(i, f"glued certificate invalid: {inner.reason}")
         other_m = step.other.subject
         if not isinstance(other_m, AbstractManifold):
-            return Verdict(False, i, "glue step needs an abstract-manifold certificate",
-                           tuple(reports), tuple(trusted))
+            return refuse(i, "glue step needs an abstract-manifold certificate")
         try:
             k1 = current.boundary_kind(step.boundary_self)
             k2 = other_m.boundary_kind(step.boundary_other)
         except GlueError as err:
-            return Verdict(False, i, str(err), tuple(reports), tuple(trusted))
+            return refuse(i, str(err))
         if k1 != k2:
-            return Verdict(False, i, f"boundary mismatch: {k1} glued to {k2}",
-                           tuple(reports), tuple(trusted))
+            return refuse(i, f"boundary mismatch: {k1} glued to {k2}")
         geo = [p for p in step.premises if p.kind == "GeodesicArc"]
         if len(geo) < 2:
-            return Verdict(False, i, "glue step needs two GeodesicArc premises",
-                           tuple(reports), tuple(trusted))
+            return refuse(i, "glue step needs two GeodesicArc premises")
         for p in geo:
             trusted.append(f"step {i}: geodesic arc ({p.justification})")
         current = _merge_manifolds(current, other_m, step.boundary_self, step.boundary_other)
         reports.append(f"step {i}: glued {other_m.name} along {step.boundary_self}")
     if current != cert.subject:
-        return Verdict(False, len(cert.steps), "glued manifold does not match the subject",
-                       tuple(reports), tuple(trusted))
+        return refuse(len(cert.steps), "glued manifold does not match the subject")
     return Verdict(True, None, "", tuple(reports), tuple(trusted))
 
 
@@ -390,12 +368,35 @@ def _evidence_doc(ev: ExteriorEvidence) -> dict:
     return {"kind": "Unchecked"}
 
 
+# -- reading documents: every structural fault is a CertificateError
+
+
+_REQUIRED = object()
+# glue steps nest certificates; deeper documents are refused outright
+_MAX_GLUE_DEPTH = 100
+
+
+def _field(doc, key: str, kind, default=_REQUIRED, of=None):
+    """``doc[key]``, checked to be of JSON type ``kind`` (a list of ``of``
+    when given; true and false are not ints); ``default`` when absent."""
+    if type(doc) is not dict:
+        raise CertificateError(f"expected a JSON object with {key!r}, got {doc!r:.40}")
+    value = doc.get(key, default)
+    if value is _REQUIRED:
+        raise CertificateError(f"certificate field {key!r} is missing")
+    if value is not default and (
+        type(value) is not kind or (of and any(type(v) is not of for v in value))
+    ):
+        raise CertificateError(f"certificate field {key!r} has the wrong type: {value!r:.40}")
+    return value
+
+
 def _evidence_from(doc: dict) -> ExteriorEvidence:
-    kind = doc.get("kind")
+    kind = _field(doc, "kind", str, None)
     if kind == "Rational":
-        return Rational(ConwaySequence(tuple(doc["sequence"])))
+        return Rational(ConwaySequence(tuple(_field(doc, "sequence", list, of=int))))
     if kind == "DeclaredNonRational":
-        return DeclaredNonRational(doc.get("justification", ""))
+        return DeclaredNonRational(_field(doc, "justification", str, ""))
     if kind == "Unchecked":
         return Unchecked()
     raise CertificateError(f"unknown evidence kind {kind!r}")
@@ -406,7 +407,11 @@ def _premise_doc(p: Premise) -> dict:
 
 
 def _premise_from(doc: dict) -> Premise:
-    return Premise(doc["kind"], doc.get("justification", ""), doc.get("trusted", True))
+    return Premise(
+        _field(doc, "kind", str),
+        _field(doc, "justification", str, ""),
+        _field(doc, "trusted", bool, True),
+    )
 
 
 def _manifold_doc(m: AbstractManifold) -> dict:
@@ -419,10 +424,13 @@ def _manifold_doc(m: AbstractManifold) -> dict:
 
 
 def _manifold_from(doc: dict) -> AbstractManifold:
+    boundaries = _field(doc, "boundaries", list, [], of=list)
+    if not all(len(b) == 2 and type(b[0]) is type(b[1]) is str for b in boundaries):
+        raise CertificateError("manifold boundaries must be [label, kind] string pairs")
     return AbstractManifold(
-        name=doc["name"],
-        boundaries=tuple((b[0], b[1]) for b in doc.get("boundaries", [])),
-        link_components=tuple(doc.get("link_components", [])),
+        name=_field(doc, "name", str),
+        boundaries=tuple((b[0], b[1]) for b in boundaries),
+        link_components=tuple(_field(doc, "link_components", list, [], of=str)),
         hyperbolic=bool(doc.get("hyperbolic", False)),
     )
 
@@ -430,15 +438,7 @@ def _manifold_from(doc: dict) -> AbstractManifold:
 def _step_doc(step: Step) -> dict:
     if isinstance(step, ChainStep):
         return {
-            "kind": "ChainStep",
-            "component": step.trivial_component,
-            "strands": list(step.strands),
-            "k": step.k,
-            "evidence": _evidence_doc(step.evidence),
-        }
-    if isinstance(step, AugChainStep):
-        return {
-            "kind": "AugChainStep",
+            "kind": step.kind,
             "component": step.trivial_component,
             "strands": list(step.strands),
             "k": step.k,
@@ -469,31 +469,37 @@ def _step_doc(step: Step) -> dict:
     raise CertificateError(f"unknown step {type(step).__name__}")
 
 
-def _step_from(doc: dict) -> Step:
-    kind = doc.get("kind")
-    if kind == "ChainStep":
-        return ChainStep(
-            doc["component"], tuple(doc["strands"]), doc["k"], _evidence_from(doc["evidence"])
-        )
-    if kind == "AugChainStep":
-        return AugChainStep(
-            doc["component"], tuple(doc["strands"]), doc["k"], _evidence_from(doc["evidence"])
+_CHAIN_STEPS = {cls.kind: cls for cls in (ChainStep, AugChainStep)}
+
+
+def _step_from(doc: dict, depth: int) -> Step:
+    kind = _field(doc, "kind", str, None)
+    if kind in _CHAIN_STEPS:
+        return _CHAIN_STEPS[kind](
+            _field(doc, "component", int),
+            tuple(_field(doc, "strands", list, of=int)),
+            _field(doc, "k", int),
+            _evidence_from(_field(doc, "evidence", dict)),
         )
     if kind == "SwitchStep":
+        handedness = _field(doc, "handedness", str)
+        if handedness not in {h.value for h in Handedness}:
+            raise CertificateError(f"unknown handedness {handedness!r}")
+        premise = _field(doc, "premise", dict, None)
         return SwitchStep(
-            doc["arc_g"],
-            doc["arc_g2"],
-            Handedness(doc["handedness"]),
-            _premise_from(doc["premise"]) if doc.get("premise") else None,
+            _field(doc, "arc_g", int),
+            _field(doc, "arc_g2", int),
+            Handedness(handedness),
+            _premise_from(premise) if premise else None,
         )
     if kind == "HalfTwistStep":
-        return HalfTwistStep(doc["component"], doc["direction"])
+        return HalfTwistStep(_field(doc, "component", int), _field(doc, "direction", int))
     if kind == "GlueStep":
         return GlueStep(
-            _cert_from(doc["other"]),
-            doc["boundary_self"],
-            doc["boundary_other"],
-            tuple(_premise_from(p) for p in doc.get("premises", [])),
+            _cert_from(_field(doc, "other", dict), depth + 1),
+            _field(doc, "boundary_self", str),
+            _field(doc, "boundary_other", str),
+            tuple(_premise_from(p) for p in _field(doc, "premises", list, [])),
         )
     raise CertificateError(f"unknown step kind {kind!r}")
 
@@ -531,26 +537,32 @@ def _cert_doc(cert: Certificate) -> dict:
     return doc
 
 
-def _cert_from(doc: dict) -> Certificate:
+def _cert_from(doc: dict, depth: int = 0) -> Certificate:
+    if depth > _MAX_GLUE_DEPTH:
+        raise CertificateError(f"glue steps nested more than {_MAX_GLUE_DEPTH} deep")
     if doc.get("version") != FORMAT_VERSION:
         raise CertificateError(f"unsupported certificate version {doc.get('version')!r}")
     subject_doc = doc.get("subject")
     if not isinstance(subject_doc, dict):
         raise CertificateError("certificate lacks a subject")
     if subject_doc.get("kind") == "diagram":
-        subject: Union[LinkDiagram, AbstractManifold] = parse_pd(subject_doc["pd"])
+        subject: Union[LinkDiagram, AbstractManifold] = parse_pd(_field(subject_doc, "pd", str))
     elif subject_doc.get("kind") == "manifold":
-        subject = _manifold_from(subject_doc["manifold"])
+        subject = _manifold_from(_field(subject_doc, "manifold", dict))
     else:
         raise CertificateError("unknown subject kind")
+    base_diagram = _field(doc, "base_diagram", str, None)
+    if base_diagram is None and isinstance(subject, LinkDiagram):
+        raise CertificateError("a diagram certificate needs its base_diagram")
+    base_manifold = _field(doc, "base_manifold", dict, None)
     return Certificate(
-        base=doc["base"],
+        base=_field(doc, "base", str),
         subject=subject,
-        base_diagram=parse_pd(doc["base_diagram"]) if "base_diagram" in doc else None,
-        base_manifold=_manifold_from(doc["base_manifold"]) if "base_manifold" in doc else None,
-        augmenting=tuple(doc.get("augmenting", [])),
-        description=doc.get("description", ""),
-        steps=tuple(_step_from(s) for s in doc.get("steps", [])),
+        base_diagram=parse_pd(base_diagram) if base_diagram is not None else None,
+        base_manifold=_manifold_from(base_manifold) if base_manifold is not None else None,
+        augmenting=tuple(_field(doc, "augmenting", list, [], of=int)),
+        description=_field(doc, "description", str, ""),
+        steps=tuple(_step_from(s, depth) for s in _field(doc, "steps", list, [])),
     )
 
 
@@ -573,7 +585,7 @@ def deserialize(text: str) -> Certificate:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise CertificateError(f"not a certificate document: {err}") from err
     if not isinstance(doc, dict):
         raise CertificateError("certificate document must be a JSON object")

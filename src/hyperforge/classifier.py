@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import SiteError
-from .tangle import ConwaySequence, Fraction, fraction, twist_add
+from .tangle import ConwaySequence, Fraction, fraction
 
 if TYPE_CHECKING:  # diagram is imported by the certifiers that use it
     from .diagram import LinkDiagram
@@ -90,7 +90,7 @@ ExteriorEvidence = Union[Rational, DeclaredNonRational, Unchecked]
 
 def minus_two_minus_k(k: int) -> Fraction:
     """The fraction of the '-2 -k' tangle: -k - 1/2 for every integer k."""
-    return twist_add(fraction([-2, 0]), -k)
+    return fraction([-2, 0]) + (-k)
 
 
 def excluded_exterior(f: Fraction, k: int) -> Optional[ExceptionKind]:

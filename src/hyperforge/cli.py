@@ -10,7 +10,6 @@ reduction budget used by the certifiers.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 import time
@@ -19,15 +18,7 @@ import time
 # that use them, so that a command such as `fraction` starts without them.
 from . import classifier as cls
 from . import tangle as tg
-from .errors import (
-    CertificateError,
-    ExcludedExteriorError,
-    FormatError,
-    HyperforgeError,
-    InvalidDiagramError,
-    PremiseError,
-    SiteError,
-)
+from .errors import ExcludedExteriorError, FormatError, HyperforgeError
 
 OK, REFUSED, MALFORMED = 0, 1, 2
 
@@ -206,16 +197,7 @@ def _cmd_apply(args, stdin_text):
         strands = tuple(int(a) for a in args.strands.split(","))
         if len(strands) != 2:
             raise FormatError("--strands wants two arc labels")
-        site = next(
-            (s for s in mv.find_chain_sites(d)
-             if s.trivial_component == args.component
-             and {s.strand1, s.strand2} == set(strands)),
-            None,
-        )
-        if site is None:
-            raise SiteError(
-                f"no chain site at component {args.component} strands {strands}"
-            )
+        site = mv.chain_site(d, args.component, strands)
         ev = _parse_evidence(args.evidence)
         move = mv.chain_move if args.move == "chain" else mv.augmented_chain_move
         return OK, dg.format_pd(move(d, site, args.k, ev))
@@ -303,10 +285,9 @@ def _cmd_pipeline(args, _):
         if not line:
             continue
         name = None
-        if "=" in line.split()[0] or (len(line.split("=", 1)) == 2 and line.split("=", 1)[0].strip().isidentifier() and not line.split("=", 1)[0].strip() == line):
-            left, _, right = line.partition("=")
-            if left.strip().isidentifier() and right.strip():
-                name, line = left.strip(), right.strip()
+        left, _, right = line.partition("=")
+        if left.strip().isidentifier() and right.strip():
+            name, line = left.strip(), right.strip()
         argv = line.split()
         stdin_text = ""
         resolved = []
@@ -399,10 +380,7 @@ def _execute(args, stdin_text: str) -> tuple[int, str]:
         return code, header + out
     except ExcludedExteriorError as err:
         return REFUSED, header + f"REFUSED: excluded-exterior {err.kind.value}\n"
-    except (FormatError, InvalidDiagramError, CertificateError, SiteError,
-            PremiseError, HyperforgeError) as err:
-        return MALFORMED, header + f"ERROR: {err}\n"
-    except (OSError, ValueError) as err:
+    except (HyperforgeError, OSError, ValueError) as err:
         return MALFORMED, header + f"ERROR: {err}\n"
 
 

@@ -22,9 +22,9 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import FormatError, InvalidDiagramError, SiteError
+from .errors import FormatError, InvalidDiagramError, SiteError, WiringError
 
 DEFAULT_STEP_BUDGET = 1000
 
@@ -509,7 +509,7 @@ def _renormalize(
         steps, conflict = ana._choose_direction(arc, frozen)
         if conflict:
             if not allow_reorient:
-                raise AssertionError("frozen crossings disagree on strand direction")
+                raise WiringError("frozen crossings disagree on strand direction")
             fwd = ana._walk(arc, 1)
             first = next(
                 (si for _, (ci, si) in fwd if ci in frozen and si in (0, 2)), 0
@@ -520,7 +520,7 @@ def _renormalize(
         for a, (ci, si) in steps:
             if si == 2:
                 if ci in frozen and not allow_reorient:
-                    raise AssertionError(
+                    raise WiringError(
                         "frozen crossing would need rotation; a move reversed a strand"
                     )
                 out[ci] = out[ci].rotated(2)
@@ -532,6 +532,43 @@ def _relabel_occurrence(crossings: list[Crossing], at: Slot, new_arc: int) -> No
     s = list(crossings[ci].slots)
     s[si] = new_arc
     crossings[ci] = Crossing(tuple(s))
+
+
+def _drop_crossings(d: LinkDiagram, removed: set[int], joins) -> LinkDiagram:
+    """Delete the ``removed`` crossings and merge each pair of arcs in
+    ``joins`` (the two sides of a strand through a deleted crossing).
+
+    A merged arc keeps its least label; one that meets no kept crossing
+    becomes a crossing-free loop.
+    """
+    parent: dict[int, int] = {}
+
+    def find(a):
+        parent.setdefault(a, a)
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in joins:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    keep_idx = [i for i in range(len(d.crossings)) if i not in removed]
+    remap = {old: new for new, old in enumerate(keep_idx)}
+    crossings = [d.crossings[i] for i in keep_idx]
+    loops = d.loops
+    groups: dict[int, set[int]] = {}
+    for a in parent:
+        groups.setdefault(find(a), set()).add(a)
+    for root, members in groups.items():
+        far = [o for a in members for o in d._analysis.occ[a] if o[0] not in removed]
+        if not far:
+            loops += 1
+            continue
+        for o in far:
+            _relabel_occurrence(crossings, (remap[o[0]], o[1]), root)
+    return LinkDiagram(tuple(crossings), loops=loops, ambient=d.ambient)
 
 
 # -- fragment builder --------------------------------------------------------------
@@ -612,12 +649,9 @@ class DiagramBuilder:
         self.welds[q].append(p)
 
     def _capacity(self, port) -> int:
-        if isinstance(port, tuple) and len(port) == 3 and port[0] == "t":
+        if self._is_terminal(port):
             return 1 if port in self.stub_labels else 2
         return 1
-
-    def add_loops(self, n: int) -> None:
-        self.loops += n
 
     # twist unit
 
@@ -728,6 +762,59 @@ class DiagramBuilder:
         )
 
 
+# -- splicing --------------------------------------------------------------------
+
+
+def flip_wirings(pairings) -> list[tuple[int, ...]]:
+    """Wirings from (first pair, second pair) options of ends, each pair as
+    given and reversed, the second flipping faster: ab, ab', a'b, a'b'."""
+    return [
+        pa + pb for a, b in pairings for pa in (a, a[::-1]) for pb in (b, b[::-1])
+    ]
+
+
+def splice(
+    base: LinkDiagram,
+    emit: Callable[[DiagramBuilder], Sequence],
+    wirings: Sequence[Sequence[int]],
+    failure: str,
+    *,
+    cut: Sequence[int] = (),
+    stubs: Sequence[int] = (),
+    remove: Iterable[int] = (),
+    passes: Sequence[bool] = (False,),
+) -> LinkDiagram:
+    """Weld a fragment into ``base`` by the first wiring that gives a valid diagram.
+
+    Per candidate, a builder over ``base`` minus ``remove`` cuts the ``cut``
+    arcs in order (ends: each arc's tail, then head), ``emit`` adds the
+    fragment and returns its ports, the ``stubs`` arcs become further ends,
+    and port i is welded to end ``wiring[i]``.  The wirings are tried in
+    order, once per entry of ``passes`` (its ``allow_reorient``); that order
+    fixes the fresh arc labels and crossing indices.  A WiringError or an
+    invalid result moves on to the next candidate, while a builder fault
+    (an over-welded port, an unwelded slot) is a bug and propagates.  With
+    no candidate left: SiteError("<failure> (<last wiring error>)").
+    """
+    last_err: Optional[Exception] = None
+    for allow_reorient in passes:
+        for wiring in wirings:
+            bld = DiagramBuilder(base=base, remove=remove)
+            ends = [end for arc in cut for end in bld.cut(arc)]
+            ports = emit(bld)
+            ends += [bld.stub(arc) for arc in stubs]
+            for port, end in zip(ports, wiring):
+                bld.weld(ends[end], port)
+            try:
+                out = bld.build(allow_reorient=allow_reorient)
+            except (WiringError, InvalidDiagramError) as err:
+                last_err = err
+                continue
+            if validate(out).valid:
+                return out
+    raise SiteError(f"{failure} ({last_err})")
+
+
 # -- Reidemeister moves --------------------------------------------------------
 
 
@@ -772,19 +859,7 @@ def reidemeister1_undo(d: LinkDiagram, ci: int) -> LinkDiagram:
     pair = next((s for s in range(4) if x.slots[s] == x.slots[(s + 1) % 4]), None)
     if pair is None:
         raise SiteError(f"crossing {ci} is not a kink")
-    p = x.slots[(pair + 2) % 4]
-    q = x.slots[(pair + 3) % 4]
-    crossings = [c for i, c in enumerate(d.crossings) if i != ci]
-    remap = {old: new for new, old in enumerate(i for i in range(len(d.crossings)) if i != ci)}
-    loops = d.loops
-    if p == q:
-        loops += 1
-    else:
-        keep, drop = min(p, q), max(p, q)
-        for o in d._analysis.occ[drop]:
-            if o[0] != ci:
-                _relabel_occurrence(crossings, (remap[o[0]], o[1]), keep)
-    return LinkDiagram(tuple(crossings), loops=loops, ambient=d.ambient)
+    return _drop_crossings(d, {ci}, [(x.slots[(pair + 2) % 4], x.slots[(pair + 3) % 4])])
 
 
 def reidemeister2(
@@ -803,34 +878,21 @@ def reidemeister2(
     if layering not in ("first_over", "second_over"):
         raise SiteError("layering must be first_over or second_over")
     over, under = (a, b) if layering == "first_over" else (b, a)
-    last_err = None
-    for flip_o in (False, True):
-        for flip_u in (False, True):
-            bld = DiagramBuilder(base=d)
-            o_tail, o_head = bld.cut(over)
-            u_tail, u_head = bld.cut(under)
-            if flip_o:
-                o_tail, o_head = o_head, o_tail
-            if flip_u:
-                u_tail, u_head = u_head, u_tail
-            # the over strand rides the left rail and stays on top: the
-            # second crossing flips chirality because the rails swap
-            c1 = bld.twist_crossing(+1)
-            c2 = bld.twist_crossing(-1)
-            bld.weld(c1["out_l"], c2["in_l"])
-            bld.weld(c1["out_r"], c2["in_r"])
-            bld.weld(o_tail, c1["in_l"])
-            bld.weld(o_head, c2["out_l"])
-            bld.weld(u_tail, c1["in_r"])
-            bld.weld(u_head, c2["out_r"])
-            try:
-                cand = bld.build()
-            except (AssertionError, InvalidDiagramError) as err:
-                last_err = err
-                continue
-            if validate(cand).valid:
-                return cand
-    raise SiteError(f"R2 site admits no planar wiring ({last_err})")
+
+    def emit(bld: DiagramBuilder) -> tuple:
+        # the over strand rides the left rail and stays on top: the
+        # second crossing flips chirality because the rails swap
+        c1 = bld.twist_crossing(+1)
+        c2 = bld.twist_crossing(-1)
+        bld.weld(c1["out_l"], c2["in_l"])
+        bld.weld(c1["out_r"], c2["in_r"])
+        return (c1["in_l"], c2["out_l"], c1["in_r"], c2["out_r"])
+
+    # ends: over tail, over head, under tail, under head
+    return splice(
+        d, emit, flip_wirings([((0, 1), (2, 3))]), "R2 site admits no planar wiring",
+        cut=(over, under),
+    )
 
 
 def find_r2_bigons(d: LinkDiagram) -> tuple[tuple[int, int], ...]:
@@ -867,41 +929,11 @@ def reidemeister2_undo(d: LinkDiagram, pair: tuple[int, int]) -> LinkDiagram:
         vals.remove(inner)
         return vals[0]
 
-    pa, qa = outer(x1, ma, True), outer(x2, ma, True)
-    pb, qb = outer(x1, mb, False), outer(x2, mb, False)
-
-    parent: dict[int, int] = {}
-
-    def find(u):
-        parent.setdefault(u, u)
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    def union(u, v):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-
-    union(pa, qa)
-    union(pb, qb)
-    removed = {ci, cj}
-    keep_idx = [i for i in range(len(d.crossings)) if i not in removed]
-    remap = {old: new for new, old in enumerate(keep_idx)}
-    crossings = [d.crossings[i] for i in keep_idx]
-    loops = d.loops
-    groups: dict[int, set[int]] = {}
-    for u in {pa, qa, pb, qb}:
-        groups.setdefault(find(u), set()).add(u)
-    for root, members in groups.items():
-        far = [o for u in members for o in occ[u] if o[0] not in removed]
-        if not far:
-            loops += 1
-            continue
-        for o in far:
-            _relabel_occurrence(crossings, (remap[o[0]], o[1]), root)
-    return LinkDiagram(tuple(crossings), loops=loops, ambient=d.ambient)
+    joins = [
+        (outer(x1, ma, True), outer(x2, ma, True)),
+        (outer(x1, mb, False), outer(x2, mb, False)),
+    ]
+    return _drop_crossings(d, {ci, cj}, joins)
 
 
 def reduce_diagram(

@@ -25,6 +25,11 @@ class SiteError(HyperforgeError):
     """A move site does not exist or does not match the required pattern."""
 
 
+class WiringError(HyperforgeError):
+    """A spliced wiring conflicts with the strand directions of the frozen
+    crossings; the splice tries its next candidate wiring."""
+
+
 class MixedSignError(FormatError):
     """Conway sequence entries must be all nonnegative or all nonpositive."""
 

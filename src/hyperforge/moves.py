@@ -13,6 +13,11 @@ verbatim, arc labels outside the ball unchanged.  The one exception is a
 half twist that genuinely reverses a strand segment, which re-expresses
 the under-crossings along that segment (slot rotation by two; labels
 still unchanged).
+
+Every move welds its fragment in through ``diagram.splice``, which tries
+a fixed table of candidate wirings and keeps the first planar one.  Ring
+insertions and half twists often have several planar wirings that give
+different diagrams, so the order of each table is part of the output.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from . import tangle as _tangle
@@ -27,10 +33,12 @@ from .classifier import ExteriorEvidence, Rational, excluded_exterior
 from .diagram import (
     DiagramBuilder,
     LinkDiagram,
+    _drop_crossings,
     components,
-    validate,
+    flip_wirings,
+    splice,
 )
-from .errors import ExcludedExteriorError, InvalidDiagramError, SiteError
+from .errors import ExcludedExteriorError, SiteError
 
 # Clasp chirality of the Tk template (gamma1-C1, C1-C2, C2-gamma2).
 # Calibrated so the template's exceptional closures are the genuine
@@ -127,19 +135,16 @@ class TkTemplate:
         }
 
 
-def build_tk(k: int) -> TkTemplate:
-    return TkTemplate(k)
+# the Tk boundary ports in the order the chain moves' wirings index them
+_TK_PORTS = itemgetter("NW", "NE", "SE", "SW")
 
 
 # -- site scanning ----------------------------------------------------------------
 
 
 def _passages(d: LinkDiagram, comp: int) -> list[tuple[int, int]]:
-    """(crossing, slot) passages of a component, in traversal order."""
-    steps = d._analysis.steps
-    if comp >= len(steps):
-        return []
-    return [(ci, si) for _, (ci, si) in steps[comp]]
+    """(crossing, slot) passages of a component with crossings, in traversal order."""
+    return [(ci, si) for _, (ci, si) in d._analysis.steps[comp]]
 
 
 def _other_strand_arcs(d: LinkDiagram, ci: int, si: int) -> tuple[int, int]:
@@ -150,57 +155,58 @@ def _other_strand_arcs(d: LinkDiagram, ci: int, si: int) -> tuple[int, int]:
     return (x.slots[0], x.slots[2])
 
 
+def _ring_fault(d: LinkDiagram, part, comp: int) -> Optional[str]:
+    """Why ``comp`` is not a ring that other strands cross four times, or None."""
+    if comp >= len(part.cycles):
+        return f"component {comp} has no crossings"
+    pas = _passages(d, comp)
+    if len(pas) != 4:
+        return f"component {comp} crosses {len(pas)} times; the pattern needs 4"
+    comp_arcs = set(part.arcs_of(comp))
+    if any(set(_other_strand_arcs(d, ci, si)) & comp_arcs for ci, si in pas):
+        return f"component {comp} crosses itself"
+    return None
+
+
+def _clasp(d: LinkDiagram, pa, pb) -> Optional[tuple[int, int, int]]:
+    """(inner arc, outer arc at pa, outer arc at pb) when C's passages pa and
+    pb clasp one strand: equal signs and one strand arc running between them."""
+    (ca, sa), (cb, sb) = pa, pb
+    if d.sign(ca) != d.sign(cb):
+        return None
+    arcs_a = set(_other_strand_arcs(d, ca, sa))
+    arcs_b = set(_other_strand_arcs(d, cb, sb))
+    shared = {x for x in arcs_a & arcs_b if {o[0] for o in d._analysis.occ[x]} == {ca, cb}}
+    if len(shared) != 1:
+        return None
+    inner = shared.pop()
+    return inner, (arcs_a - {inner} or {inner}).pop(), (arcs_b - {inner} or {inner}).pop()
+
+
 def find_chain_sites(d: LinkDiagram) -> tuple[ChainSite, ...]:
     """All components matching the chain-site pattern (either clasp phase)."""
     d.require_valid()
     part = components(d)
     sites: list[ChainSite] = []
     for comp in range(len(part.cycles)):
-        pas = _passages(d, comp)
-        if len(pas) != 4:
+        if _ring_fault(d, part, comp):
             continue
-        comp_arcs = set(part.arcs_of(comp))
-        if any(
-            set(_other_strand_arcs(d, ci, si)) & comp_arcs for ci, si in pas
-        ):
-            continue  # C crosses itself
+        pas = _passages(d, comp)
         word = [si % 2 for _, si in pas]
         alternating = all(word[i] != word[(i + 1) % 4] for i in range(4))
         pattern = "alternating" if alternating else "parallel"
         for shift in (0, 1):
             order = [pas[(shift + j) % 4] for j in range(4)]
-            pairs = [(order[0], order[1]), (order[2], order[3])]
-            inners: list[int] = []
-            stubs: list[int] = []
-            ok = True
-            for (ca, sa), (cb, sb) in pairs:
-                if d.sign(ca) != d.sign(cb):
-                    ok = False
-                    break
-                arcs_a = set(_other_strand_arcs(d, ca, sa))
-                arcs_b = set(_other_strand_arcs(d, cb, sb))
-                shared = {
-                    x
-                    for x in arcs_a & arcs_b
-                    if {o[0] for o in d._analysis.occ[x]} == {ca, cb}
-                }
-                if len(shared) != 1:
-                    ok = False
-                    break
-                inner = shared.pop()
-                inners.append(inner)
-                outer_a = (arcs_a - {inner}).pop() if arcs_a - {inner} else inner
-                outer_b = (arcs_b - {inner}).pop() if arcs_b - {inner} else inner
-                stubs.extend([outer_a, outer_b])
-            if not ok or len(inners) != 2 or inners[0] == inners[1]:
+            first, second = _clasp(d, order[0], order[1]), _clasp(d, order[2], order[3])
+            if first is None or second is None or first[0] == second[0]:
                 continue
             sites.append(
                 ChainSite(
                     trivial_component=comp,
-                    strand1=inners[0],
-                    strand2=inners[1],
-                    crossings=tuple(ci for ci, _ in pairs[0] + pairs[1]),
-                    stubs=tuple(stubs),
+                    strand1=first[0],
+                    strand2=second[0],
+                    crossings=tuple(ci for ci, _ in order),
+                    stubs=first[1:] + second[1:],
                     pattern=pattern,
                 )
             )
@@ -210,14 +216,12 @@ def find_chain_sites(d: LinkDiagram) -> tuple[ChainSite, ...]:
     return tuple(sorted(uniq.values(), key=lambda s: s.key()))
 
 
-def _resolve_chain_site(d: LinkDiagram, site: ChainSite) -> ChainSite:
-    for s in find_chain_sites(d):
-        if s.key() == site.key():
-            return s
-    raise SiteError(
-        f"no chain site at component {site.trivial_component} "
-        f"strands ({site.strand1}, {site.strand2})"
-    )
+def chain_site(d: LinkDiagram, component: int, strands) -> ChainSite:
+    """The chain site of ``d`` at ``component`` clasping ``strands`` (either order)."""
+    for site in find_chain_sites(d):
+        if site.trivial_component == component and {site.strand1, site.strand2} == set(strands):
+            return site
+    raise SiteError(f"no chain site at component {component} strands {tuple(strands)}")
 
 
 def _gate_evidence(evidence: ExteriorEvidence, k: int) -> None:
@@ -235,73 +239,44 @@ def chain_move(
     d: LinkDiagram, site: ChainSite, k: int, evidence: ExteriorEvidence
 ) -> LinkDiagram:
     """Replace the trivial component C by the Tk template."""
-    site = _resolve_chain_site(d, site)
+    site = chain_site(d, site.trivial_component, (site.strand1, site.strand2))
     _gate_evidence(evidence, k)
-    # strand1's freed ends take the gamma1 boundary, strand2's the
-    # gamma2/twist side; the stub cyclic order around the removed ball can
-    # run either way, so try both orientations (first planar one wins)
-    last_err: Optional[Exception] = None
-    for asg in (("NE", "NW", "SW", "SE"), ("NW", "NE", "SE", "SW")):
-        bld = DiagramBuilder(base=d, remove=set(site.crossings))
-        ports = TkTemplate(k).emit(bld)
-        for stub_arc, port in zip(site.stubs, asg):
-            bld.weld(bld.stub(stub_arc), ports[port])
-        try:
-            out = bld.build()
-        except (AssertionError, InvalidDiagramError) as err:
-            last_err = err
-            continue
-        if validate(out).valid:
-            return out
-    raise SiteError(f"chain splice found no planar wiring ({last_err})")
+    # strand1's freed ends (stubs 0, 1) take the gamma1 boundary, strand2's
+    # the gamma2/twist side; the stub cyclic order around the removed ball
+    # can run either way, so both orientations are candidates
+    return splice(
+        d, lambda bld: _TK_PORTS(TkTemplate(k).emit(bld)), ((1, 0, 3, 2), (0, 1, 2, 3)),
+        "chain splice found no planar wiring",
+        stubs=site.stubs, remove=set(site.crossings),
+    )
 
 
 def augmented_chain_move(
     d: LinkDiagram, site: ChainSite, k: int, evidence: ExteriorEvidence
 ) -> LinkDiagram:
     """Chain move that keeps C: splice Tk into the strands inside C's disk."""
-    site = _resolve_chain_site(d, site)
+    site = chain_site(d, site.trivial_component, (site.strand1, site.strand2))
     _gate_evidence(evidence, k)
     q = site.crossings
-    last_err: Optional[Exception] = None
-    for flip_x, flip_y in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        bld = DiagramBuilder(base=d)
-        x_t, x_h = bld.cut(site.strand1)
-        y_t, y_h = bld.cut(site.strand2)
-        # match cut ends to C-cyclic crossings q0..q3
-        x_at_q0 = d.tail_of(site.strand1)[0] == q[0]
-        y_at_q2 = d.tail_of(site.strand2)[0] == q[2]
-        e_nw, e_ne = (x_t, x_h) if x_at_q0 != bool(flip_x) else (x_h, x_t)
-        e_se, e_sw = (y_t, y_h) if y_at_q2 != bool(flip_y) else (y_h, y_t)
-        ports = TkTemplate(k).emit(bld)
-        try:
-            bld.weld(e_nw, ports["NW"])
-            bld.weld(e_ne, ports["NE"])
-            bld.weld(e_se, ports["SE"])
-            bld.weld(e_sw, ports["SW"])
-            out = bld.build()
-        except (AssertionError, InvalidDiagramError) as err:
-            last_err = err
-            continue
-        if validate(out).valid:
-            return out
-    raise SiteError(f"augmented chain splice found no planar wiring ({last_err})")
+    # ends: strand1 tail, head (0, 1), strand2 tail, head (2, 3); match
+    # them to C-cyclic crossings q0..q3 first, then flip each strand
+    x = (0, 1) if d.tail_of(site.strand1)[0] == q[0] else (1, 0)
+    y = (2, 3) if d.tail_of(site.strand2)[0] == q[2] else (3, 2)
+    return splice(
+        d, lambda bld: _TK_PORTS(TkTemplate(k).emit(bld)), flip_wirings([(x, y)]),
+        "augmented chain splice found no planar wiring",
+        cut=(site.strand1, site.strand2),
+    )
 
 
 # -- switch move and half-twist -------------------------------------------------------
 
 
-def _new_ring_component(d: LinkDiagram, new_crossings: set[int]) -> int:
+def _new_ring_component(d: LinkDiagram, new: set[int]) -> int:
     part = components(d)
     for comp in range(len(part.cycles)):
-        pas = _passages(d, comp)
-        if len(pas) == 4 and {ci for ci, _ in pas} <= new_crossings:
-            arcs = set(part.arcs_of(comp))
-            others = set()
-            for ci, si in pas:
-                others |= set(_other_strand_arcs(d, ci, si))
-            if not (others & arcs):
-                return comp
+        if not _ring_fault(d, part, comp) and {ci for ci, _ in _passages(d, comp)} <= new:
+            return comp
     raise AssertionError("inserted ring not found")
 
 
@@ -329,6 +304,15 @@ def switch_move(d: LinkDiagram, site: SwitchSite, h: Handedness) -> LinkDiagram:
     return result
 
 
+# Ring insertion wirings of the cut ends (g tail, g head, u tail, u head)
+# onto the clasp ports (ca in_l, ca out_l, cb in_r, cb out_r); 'switched'
+# pairings route one g-end and one u-end through each clasp.
+_SWITCHED_RING_WIRINGS = flip_wirings(
+    [((0, 3), (2, 1)), ((0, 2), (3, 1)), ((1, 2), (3, 0)), ((1, 3), (2, 0))]
+)
+_UNSWITCHED_RING_WIRINGS = flip_wirings([((0, 1), (2, 3))])
+
+
 def _insert_clasped_ring(d: LinkDiagram, g: int, u: int, switched: bool) -> LinkDiagram:
     """Cut arcs g and u and thread them through a new trivial ring's disk.
 
@@ -338,53 +322,19 @@ def _insert_clasped_ring(d: LinkDiagram, g: int, u: int, switched: bool) -> Link
     planar end-assignment in preference order wins.
     """
     xa, xb = SWITCH_CLASP_CHIRALITY
-    # candidate assignments of the four cut ends onto (ca.in_l, ca.out_l,
-    # cb.in_r, cb.out_r); 'switched' pairings route one g-end and one u-end
-    # through each clasp
-    switched_assignments = []
-    unswitched_assignments = []
-    for a_pair, b_pair in (
-        (("g_t", "u_h"), ("u_t", "g_h")),
-        (("g_t", "u_t"), ("u_h", "g_h")),
-        (("g_h", "u_t"), ("u_h", "g_t")),
-        (("g_h", "u_h"), ("u_t", "g_t")),
-    ):
-        for fa in (0, 1):
-            for fb in (0, 1):
-                pa = a_pair if not fa else a_pair[::-1]
-                pb = b_pair if not fb else b_pair[::-1]
-                switched_assignments.append(pa + pb)
-    for a_pair, b_pair in ((("g_t", "g_h"), ("u_t", "u_h")),):
-        for fa in (0, 1):
-            for fb in (0, 1):
-                pa = a_pair if not fa else a_pair[::-1]
-                pb = b_pair if not fb else b_pair[::-1]
-                unswitched_assignments.append(pa + pb)
-    order = switched_assignments + unswitched_assignments
-    if not switched:
-        order = unswitched_assignments + switched_assignments
-    last_err: Optional[Exception] = None
-    for asg in order:
-        bld = DiagramBuilder(base=d)
-        g_t, g_h = bld.cut(g)
-        u_t, u_h = bld.cut(u)
-        ends = {"g_t": g_t, "g_h": g_h, "u_t": u_t, "u_h": u_h}
+
+    def emit(bld: DiagramBuilder) -> tuple:
         ca = bld.twist_region(2, xa)
         cb = bld.twist_region(2, xb)
         bld.weld(ca["in_r"], cb["in_l"])
         bld.weld(cb["out_l"], ca["out_r"])
-        try:
-            bld.weld(ends[asg[0]], ca["in_l"])
-            bld.weld(ends[asg[1]], ca["out_l"])
-            bld.weld(ends[asg[2]], cb["in_r"])
-            bld.weld(ends[asg[3]], cb["out_r"])
-            cand = bld.build()
-        except (AssertionError, InvalidDiagramError) as err:
-            last_err = err
-            continue
-        if validate(cand).valid:
-            return cand
-    raise SiteError(f"no planar ring insertion for arcs {g}, {u} ({last_err})")
+        return (ca["in_l"], ca["out_l"], cb["in_r"], cb["out_r"])
+
+    order = (_SWITCHED_RING_WIRINGS + _UNSWITCHED_RING_WIRINGS if switched
+             else _UNSWITCHED_RING_WIRINGS + _SWITCHED_RING_WIRINGS)
+    return splice(
+        d, emit, order, f"no planar ring insertion for arcs {g}, {u}", cut=(g, u)
+    )
 
 
 def _disk_runs(d: LinkDiagram, comp: int):
@@ -396,16 +346,10 @@ def _disk_runs(d: LinkDiagram, comp: int):
     """
     d.require_valid()
     part = components(d)
-    if comp >= len(part.cycles):
-        raise SiteError(f"component {comp} has no crossings")
+    fault = _ring_fault(d, part, comp)
+    if fault:
+        raise SiteError(fault)
     pas = _passages(d, comp)
-    if len(pas) != 4:
-        raise SiteError(
-            f"component {comp} crosses {len(pas)} times; the pattern needs 4"
-        )
-    comp_arcs = set(part.arcs_of(comp))
-    if any(set(_other_strand_arcs(d, ci, si)) & comp_arcs for ci, si in pas):
-        raise SiteError(f"component {comp} crosses itself")
     c_crossings = {ci for ci, _ in pas}
 
     def inner_run(ca: int, sa: int, cb: int) -> Optional[set[int]]:
@@ -418,20 +362,16 @@ def _disk_runs(d: LinkDiagram, comp: int):
             if not occs:
                 continue  # both ends at ca
             cur = occs[0]
-            steps = 0
-            dead = False
-            while cur[0] not in c_crossings:
+            for _ in range(4 * len(d.crossings) + 1):  # a longer walk is dead
+                if cur[0] in c_crossings:
+                    if cur[0] == cb:
+                        candidates.append(run)
+                    break
                 out = (cur[0], (cur[1] + 2) % 4)
                 nxt_arc = d.crossings[out[0]].slots[out[1]]
                 run.add(nxt_arc)
                 a, b = d._analysis.occ[nxt_arc]
                 cur = b if a == out else a
-                steps += 1
-                if steps > 4 * len(d.crossings):
-                    dead = True
-                    break
-            if not dead and cur[0] == cb:
-                candidates.append(run)
         if not candidates:
             return None
         return min(candidates, key=len)
@@ -463,6 +403,16 @@ def _disk_runs(d: LinkDiagram, comp: int):
     return pairs, runs[0], runs[1]
 
 
+# Half-twist wirings of the cut ends (alpha tail, alpha head, beta tail,
+# beta head) onto the new crossing's ports: the canonical cross-join
+# (alpha tail, beta tail, beta head, alpha head) first, then every other
+# permutation.
+_TWIST_PORTS = itemgetter("in_l", "in_r", "out_r", "out_l")
+_HALF_TWIST_WIRINGS = [(0, 2, 3, 1)] + [
+    p for p in itertools.permutations(range(4)) if p != (0, 2, 3, 1)
+]
+
+
 def half_twist(d: LinkDiagram, c: int, direction: int) -> LinkDiagram:
     """Cut along c's twice-punctured disk, twist a half turn, reglue.
 
@@ -476,29 +426,22 @@ def half_twist(d: LinkDiagram, c: int, direction: int) -> LinkDiagram:
     if direction not in (+1, -1):
         raise SiteError("direction must be +1 or -1")
     pairs, run1, run2 = _disk_runs(d, c)
-    part = components(d)
-    c_arcs = sorted(part.arcs_of(c))
-    spot = None
-    for e in c_arcs:
-        for face, arcs_in_face in zip(d._analysis.faces, d._analysis.face_arcs):
-            if e not in arcs_in_face:
-                continue
-            k = len(arcs_in_face)
-            for i in range(k):
-                if arcs_in_face[i] != e:
-                    continue
-                alpha = arcs_in_face[(i - 1) % k]
-                beta = arcs_in_face[(i + 1) % k]
-                if alpha in run1 and beta in run2:
-                    spot = (alpha, beta)
-                elif alpha in run2 and beta in run1:
-                    spot = (beta, alpha)
-                if spot:
-                    break
-            if spot:
-                break
-        if spot:
-            break
+
+    def spots():
+        # (run1 arc, run2 arc) flanking an arc of c in a face, least c arc first
+        for e in sorted(components(d).arcs_of(c)):
+            for arcs in d._analysis.face_arcs:
+                k = len(arcs)
+                for i in range(k):
+                    if arcs[i] != e:
+                        continue
+                    alpha, beta = arcs[(i - 1) % k], arcs[(i + 1) % k]
+                    if alpha in run1 and beta in run2:
+                        yield alpha, beta
+                    elif alpha in run2 and beta in run1:
+                        yield beta, alpha
+
+    spot = next(spots(), None)
     if spot is None:
         raise SiteError(f"no insertion face inside component {c}'s disk")
     alpha, beta = spot
@@ -507,32 +450,13 @@ def half_twist(d: LinkDiagram, c: int, direction: int) -> LinkDiagram:
     # strands exit, so the cut pieces cross-join through the new crossing
     # (legs interleave around the insertion face); opposite directions give
     # opposite crossing chirality, which is why a +1/-1 pair cancels by R2.
-    canonical = ("a_t", "b_t", "b_h", "a_h")  # ports in_l, in_r, out_r, out_l
-    perms = [canonical] + [
-        p for p in itertools.permutations(("a_t", "a_h", "b_t", "b_h")) if p != canonical
-    ]
-    last_err: Optional[Exception] = None
-    # strict pass first; the reorienting pass covers twists whose
-    # cross-join genuinely reverses a strand segment of one component
-    for allow_reorient in (False, True):
-        for asg in perms:
-            bld = DiagramBuilder(base=d)
-            a_t, a_h = bld.cut(alpha)
-            b_t, b_h = bld.cut(beta)
-            ends = {"a_t": a_t, "a_h": a_h, "b_t": b_t, "b_h": b_h}
-            x = bld.twist_region(1, chi)
-            try:
-                bld.weld(ends[asg[0]], x["in_l"])
-                bld.weld(ends[asg[1]], x["in_r"])
-                bld.weld(ends[asg[2]], x["out_r"])
-                bld.weld(ends[asg[3]], x["out_l"])
-                cand = bld.build(allow_reorient=allow_reorient)
-            except (AssertionError, InvalidDiagramError) as err:
-                last_err = err
-                continue
-            if validate(cand).valid:
-                return cand
-    raise SiteError(f"half twist found no planar wiring ({last_err})")
+    return splice(
+        d, lambda bld: _TWIST_PORTS(bld.twist_region(1, chi)), _HALF_TWIST_WIRINGS,
+        "half twist found no planar wiring", cut=(alpha, beta),
+        # strict pass first; the reorienting pass covers twists whose
+        # cross-join genuinely reverses a strand segment of one component
+        passes=(False, True),
+    )
 
 
 def augmenting_circle(d: LinkDiagram, arc_a: int, arc_b: int) -> LinkDiagram:
@@ -559,43 +483,13 @@ def remove_component(d: LinkDiagram, comp: int) -> LinkDiagram:
         return LinkDiagram(d.crossings, loops=d.loops - 1, ambient=d.ambient)
     comp_arcs = set(part.arcs_of(comp))
     removed = {ci for ci, _ in _passages(d, comp)}
-    parent: dict[int, int] = {}
-
-    def find(a):
-        parent.setdefault(a, a)
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for ci in removed:
-        x = d.crossings[ci]
-        for pair in (x.under(), x.over()):
-            if pair[0] in comp_arcs or pair[1] in comp_arcs:
-                continue
-            union(pair[0], pair[1])
-    keep_idx = [i for i in range(len(d.crossings)) if i not in removed]
-    remap = {old: new for new, old in enumerate(keep_idx)}
-    crossings = [d.crossings[i] for i in keep_idx]
-    occ = d._analysis.occ
-    loops = d.loops
-    groups: dict[int, set[int]] = {}
-    for a in parent:
-        groups.setdefault(find(a), set()).add(a)
-    from .diagram import _relabel_occurrence
-
-    for root, members in groups.items():
-        far = [o for a in members for o in occ[a] if o[0] not in removed]
-        if not far:
-            loops += 1
-            continue
-        for o in far:
-            _relabel_occurrence(crossings, (remap[o[0]], o[1]), root)
-    out = LinkDiagram(tuple(crossings), loops=loops, ambient=d.ambient)
+    # the strands that crossed the component continue straight
+    joins = [
+        pair
+        for ci in removed
+        for pair in (d.crossings[ci].under(), d.crossings[ci].over())
+        if pair[0] not in comp_arcs and pair[1] not in comp_arcs
+    ]
+    out = _drop_crossings(d, removed, joins)
     out.require_valid()
     return out

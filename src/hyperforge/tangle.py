@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import FormatError, MixedSignError
@@ -164,11 +163,6 @@ def fraction(s) -> Fraction:
     return value
 
 
-def twist_add(f: Fraction, n: int) -> Fraction:
-    """f + n; infinity absorbs."""
-    return f + n
-
-
 def rotate(f: Fraction) -> Fraction:
     """-1/f with -1/0 = inf and -1/inf = 0."""
     return -f.reciprocal()
@@ -234,21 +228,6 @@ class TangleDiagram:
             ports["NE"] = region["out_r"]
             ports["SE"] = region["out_l"]
         return ports
-
-
-@dataclass(frozen=True)
-class RationalTangle:
-    """A rational tangle: its Conway sequence plus derived data."""
-
-    sequence: ConwaySequence
-    boundary: tuple[str, str, str, str] = ("NW", "NE", "SW", "SE")
-
-    @cached_property
-    def fraction(self) -> Fraction:
-        return fraction(self.sequence)
-
-    def diagram(self) -> TangleDiagram:
-        return TangleDiagram(self.sequence)
 
 
 def to_alternating_diagram(s) -> TangleDiagram:

@@ -51,7 +51,7 @@ from hyperforge.moves import (
     switch_move,
     _new_ring_component,
 )
-from hyperforge.tangle import ConwaySequence, Fraction, fraction, twist_add
+from hyperforge.tangle import ConwaySequence, Fraction, fraction
 
 from oracles import cf_oracle, oracle_equal, union_find_component_count
 
@@ -90,7 +90,7 @@ def test_acceptance_2_shift_consistency():
         f = fraction(entries)
         for k in range(0, 5):
             lhs = excluded_exterior(f, k) is not None
-            rhs = twist_add(f, k) in base
+            rhs = f + k in base
             assert lhs == rhs, (entries, k)
             checked += 1
     elapsed = time.time() - t0

@@ -14,7 +14,6 @@ from hyperforge.certificate import (
     HalfTwistStep,
     Premise,
     SwitchStep,
-    base_certificate,
     deserialize,
     extend,
     glue,

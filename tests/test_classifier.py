@@ -24,7 +24,7 @@ from hyperforge.diagram import (
 )
 from hyperforge.generators import ChainSpec, chain_link, rational_link, tk_closure
 from hyperforge.moves import augmenting_circle, _new_ring_component
-from hyperforge.tangle import Fraction, fraction, twist_add
+from hyperforge.tangle import Fraction, fraction
 
 from oracles import two_edge_cuts_oracle, union_find_component_count
 
@@ -66,7 +66,7 @@ def test_shift_consistency_sample():
             f = fraction(entries)
             for k in range(0, 4):
                 assert (excluded_exterior(f, k) is not None) == (
-                    twist_add(f, k) in base
+                    f + k in base
                 ), (entries, k)
 
 

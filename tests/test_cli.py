@@ -276,3 +276,127 @@ def test_fraction_starts_without_the_diagram_modules():
                           text=True, timeout=30, stdin=subprocess.DEVNULL)
     assert proc.stdout.splitlines() == [
         "-1/2", "hyperforge.classifier hyperforge.errors hyperforge.tangle"]
+
+
+# verify on damaged certificate documents -----------------------------------------
+
+
+def _derivation_document():
+    """A 4-step derivation (chain, half twist, switch, augmented chain)."""
+    from hyperforge.certificate import (
+        AugChainStep, ChainStep, HalfTwistStep, Premise, SwitchStep, extend, serialize,
+    )
+    from hyperforge.classifier import DeclaredNonRational, Rational, menasco_certify
+    from hyperforge.generators import ChainSpec, chain_link
+    from hyperforge.moves import Handedness, find_chain_sites
+
+    cert = menasco_certify(chain_link(ChainSpec(3)))
+    s = find_chain_sites(cert.subject)[0]
+    cert = extend(cert, ChainStep(s.trivial_component, (s.strand1, s.strand2), 0,
+                                  Rational((2,))))
+    cert = extend(cert, HalfTwistStep(find_chain_sites(cert.subject)[0].trivial_component, 1))
+    g, g2 = next(sorted(set(a))[:2] for a in cert.subject.face_arcs() if len(set(a)) > 1)
+    cert = extend(cert, SwitchStep(g, g2, Handedness.NegativeSkew,
+                                   Premise("GeodesicArc", "assumed")))
+    s = find_chain_sites(cert.subject)[0]
+    cert = extend(cert, AugChainStep(s.trivial_component, (s.strand1, s.strand2), 1,
+                                     DeclaredNonRational("declared")))
+    return serialize(cert)
+
+
+def _glue_nest(depth):
+    """A manifold certificate whose glue steps nest ``depth`` deep."""
+    manifold = '{"name": "M", "boundaries": [["T", "torus"]], "hyperbolic": true}'
+    text = (f'{{"version": 1, "base": "ExternallyAsserted", "base_manifold": {manifold}, '
+            f'"subject": {{"kind": "manifold", "manifold": {manifold}}}}}')
+    for _ in range(depth):
+        text = (f'{{"version": 1, "base": "ExternallyAsserted", "base_manifold": {manifold}, '
+                f'"subject": {{"kind": "manifold", "manifold": {manifold}}}, '
+                f'"steps": [{{"kind": "GlueStep", "boundary_self": "T", '
+                f'"boundary_other": "T", "other": {text}}}]}}')
+    return text
+
+
+def _paths(node, path=()):
+    """Every key and index path into a JSON value."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+def _mutated(doc, path, value, drop=False):
+    obj = json.loads(json.dumps(doc))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if drop:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(obj)
+
+
+def _verify_contract(text):
+    code, out = run(["verify"], stdin_text=text)
+    assert code in (OK, REFUSED, MALFORMED), (code, out)
+    if code == REFUSED:
+        assert "REFUSED:" in out
+    if code == MALFORMED:
+        assert out.startswith("ERROR:")
+    return code, out
+
+
+def test_verify_malformed_certificates_exit_2():
+    doc = json.loads(_derivation_document())
+    chain = ("steps", 0)
+    probes = [
+        _mutated(doc, ("base",), None, drop=True),
+        _mutated(doc, chain + ("component",), None, drop=True),
+        _mutated(doc, chain + ("evidence",), None, drop=True),
+        _mutated(doc, ("base_diagram",), None, drop=True),
+        _mutated(doc, chain + ("strands",), 4),
+        _mutated(doc, chain + ("strands",), "4,8"),
+        _mutated(doc, ("steps",), {"kind": "ChainStep"}),
+        _mutated(doc, ("steps",), 3),
+        _mutated(doc, chain + ("k",), "1"),
+        _mutated(doc, chain, 7),
+        _mutated(doc, chain, ["ChainStep"]),
+        _glue_nest(400),
+        _glue_nest(150),
+    ]
+    for text in probes:
+        code, out = _verify_contract(text)
+        assert code == MALFORMED, out
+
+
+def test_verify_contract_on_mutated_certificates():
+    """Every damaged document exits 0, 1 or 2, REFUSED: only with 1, and
+    never raises: keys dropped, values retyped, step kinds swapped, arcs
+    and counts tampered, glue steps nested."""
+    doc = json.loads(_derivation_document())
+    assert _verify_contract(json.dumps(doc))[0] == OK
+    codes = set()
+    for path in _paths(doc):
+        if path[0] == "premises" and len(path) > 1:
+            continue  # a summary that loading ignores: only the replay would run
+        texts = [_mutated(doc, path, v) for v in (None, True, "x", -1, {})]
+        if isinstance(path[-1], str):
+            texts.append(_mutated(doc, path, None, drop=True))
+        if path[-1] == "kind":
+            texts += [_mutated(doc, path, k) for k in
+                      ("ChainStep", "AugChainStep", "HalfTwistStep", "SwitchStep", "GlueStep")]
+        for text in texts:
+            codes.add(_verify_contract(text)[0])
+    for depth in (1, 5, 60):
+        codes.add(_verify_contract(_glue_nest(depth))[0])
+    assert codes == {OK, REFUSED, MALFORMED}
+
+
+def test_deeply_nested_certificate_exits_2_without_traceback(tmp_path):
+    f = tmp_path / "deep.json"
+    f.write_text(_glue_nest(400))
+    proc = _cli_process(["verify", str(f)], stdin=subprocess.DEVNULL)
+    assert proc.returncode == MALFORMED
+    assert proc.stdout.startswith("ERROR:") and "Traceback" not in proc.stderr

@@ -12,10 +12,11 @@ from hyperforge.diagram import (
     diagram_isomorphic,
     linking_number,
     reduce_diagram,
+    splice,
     validate,
     _renormalize,
 )
-from hyperforge.errors import ExcludedExteriorError, SiteError
+from hyperforge.errors import ExcludedExteriorError, SiteError, WiringError
 from hyperforge.generators import ChainSpec, chain_link, tk_closure
 from hyperforge.moves import (
     Handedness,
@@ -23,7 +24,6 @@ from hyperforge.moves import (
     TkTemplate,
     augmented_chain_move,
     augmenting_circle,
-    build_tk,
     chain_move,
     find_chain_sites,
     half_twist,
@@ -85,9 +85,9 @@ def test_site_patterns_recorded():
 
 
 def test_tk_crossing_counts():
-    assert build_tk(0).crossing_count == 6
-    assert build_tk(3).crossing_count == 9
-    assert build_tk(-4).crossing_count == 10
+    assert TkTemplate(0).crossing_count == 6
+    assert TkTemplate(3).crossing_count == 9
+    assert TkTemplate(-4).crossing_count == 10
 
 
 def test_tk_closure_identity_small():
@@ -342,6 +342,35 @@ def test_half_twist_bad_component():
 def test_half_twist_direction_required():
     with pytest.raises(SiteError):
         half_twist(chain_link(ChainSpec(4)), 0, 0)
+
+
+# splicing ------------------------------------------------------------------------
+
+
+def one_crossing(bld):
+    x = bld.twist_region(1, +1)
+    return (x["in_l"], x["in_r"], x["out_r"], x["out_l"])
+
+
+def test_direction_conflict_raises_wiring_error(trefoil):
+    turned = list(trefoil.crossings)
+    turned[0] = turned[0].rotated(2)
+    with pytest.raises(WiringError, match="disagree on strand direction"):
+        _renormalize(turned, 0, frozen={0, 1, 2})
+
+
+def test_splice_skips_a_conflicting_wiring(trefoil):
+    # arc 1's tail on in_l and its head on in_r reverse a frozen strand
+    with pytest.raises(
+        SiteError, match=r"^no wiring \(frozen crossings disagree on strand direction\)$"
+    ):
+        splice(trefoil, one_crossing, [(0, 1, 2, 3)], "no wiring", cut=(1, 3))
+
+
+def test_splice_does_not_hide_builder_faults(trefoil):
+    # a wiring that welds one end twice is a bug, not a missing wiring
+    with pytest.raises(AssertionError, match="over-welded"):
+        splice(trefoil, one_crossing, [(0, 0, 2, 3)], "no wiring", cut=(1, 3))
 
 
 # augmenting circle / remove component -------------------------------------------

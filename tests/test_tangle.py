@@ -12,14 +12,12 @@ from hyperforge.tangle import (
     ZERO,
     ConwaySequence,
     Fraction,
-    RationalTangle,
     boundary_twists,
     equivalent,
     fraction,
     numerator_closure,
     rotate,
     to_alternating_diagram,
-    twist_add,
 )
 
 from oracles import cf_oracle, oracle_equal, union_find_component_count
@@ -64,9 +62,10 @@ def test_fraction_parse_print():
 
 
 def test_twist_add():
-    assert twist_add(Fraction(-3), 3) == ZERO
-    assert twist_add(INFINITY, 5) == INFINITY
-    assert twist_add(Fraction(-1, 2), 1) == Fraction(1, 2)
+    # adding n half-twists to the outermost region adds n; infinity absorbs
+    assert Fraction(-3) + 3 == ZERO
+    assert INFINITY + 5 == INFINITY
+    assert Fraction(-1, 2) + 1 == Fraction(1, 2)
 
 
 def test_rotate():
@@ -85,7 +84,7 @@ def test_rotate_involution(p, q):
 @given(st.integers(-30, 30), st.integers(0, 30), st.integers(-5, 5))
 def test_twist_add_is_additive(p, q, n):
     f = Fraction(p, q) if (p, q) != (0, 0) else INFINITY
-    assert twist_add(twist_add(f, n), -n) == f
+    assert (f + n) + (-n) == f
 
 
 # sequences --------------------------------------------------------------------
@@ -134,7 +133,7 @@ def test_appending_to_outermost_region_adds():
                 min(appended) < 0 < max(appended)
             ):
                 continue  # not sign-compatible
-            assert fraction(appended) == twist_add(fraction(entries), n)
+            assert fraction(appended) == fraction(entries) + n
 
 
 # tangle diagrams -----------------------------------------------------------------
@@ -210,8 +209,7 @@ def test_boundary_twists_stack():
     assert validate(d).valid
 
 
-def test_rational_tangle_wrapper():
-    r = RationalTangle(ConwaySequence((-2, 0)))
-    assert r.fraction == Fraction(-1, 2)
-    assert r.boundary == ("NW", "NE", "SW", "SE")
-    assert r.diagram().crossing_count == 2
+def test_rational_tangle_fraction_and_diagram():
+    seq = ConwaySequence((-2, 0))
+    assert fraction(seq) == Fraction(-1, 2)
+    assert to_alternating_diagram(seq).crossing_count == 2
