@@ -69,6 +69,9 @@ _EXPORTS = {
     "classifier": (
         "ExceptionKind",
         "Refusal",
+        "Rational",
+        "DeclaredNonRational",
+        "Unchecked",
         "excluded_exterior",
         "exception_base_set",
         "menasco_certify",

@@ -431,7 +431,7 @@ def _manifold_from(doc: dict) -> AbstractManifold:
         name=_field(doc, "name", str),
         boundaries=tuple((b[0], b[1]) for b in boundaries),
         link_components=tuple(_field(doc, "link_components", list, [], of=str)),
-        hyperbolic=bool(doc.get("hyperbolic", False)),
+        hyperbolic=_field(doc, "hyperbolic", bool, False),
     )
 
 

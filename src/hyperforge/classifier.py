@@ -153,14 +153,8 @@ def menasco_certify(d: LinkDiagram, budget: Optional[int] = None):
         return Refusal(RefusalReason.NotReduced, witness=nug)
     if not _dg.is_alternating(d):
         return Refusal(RefusalReason.NotAlternating)
-    status = _dg.two_braid_status(d, budget)
-    if status == "yes":
+    if _dg._is_braid2_form(reduced):
         return Refusal(RefusalReason.TwoBraid)
-    if status == "unknown":
-        return Refusal(
-            RefusalReason.Unknown2Braid,
-            detail="R1/R2 reduction budget exhausted; refusing conservatively",
-        )
     from .certificate import Certificate  # deferred: certificate imports moves
 
     return Certificate(base="MenascoAlternating", base_diagram=d, subject=d)

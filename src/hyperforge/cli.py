@@ -123,6 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("pipeline", help="run a command file threading named slots")
     q.add_argument("infile")
+    q.set_defaults(running=frozenset())  # real paths of the enclosing scripts
     return p
 
 
@@ -276,6 +277,9 @@ def _cmd_verify(args, stdin_text):
 
 
 def _cmd_pipeline(args, _):
+    path = os.path.realpath(args.infile)
+    if path in args.running:
+        raise FormatError(f"pipeline script {args.infile} is already running")
     with open(args.infile, "r", encoding="utf-8") as fh:
         script = fh.read()
     slots: dict[str, str] = {}
@@ -300,7 +304,12 @@ def _cmd_pipeline(args, _):
             else:
                 resolved.append(tok)
         transcript.append(f"$ {line}")
-        code, out = run(resolved, stdin_text=stdin_text)
+        nested, code = _parse_args(resolved)
+        out = ""
+        if nested is not None:
+            # so that a script that runs itself, even through another, is refused
+            nested.running = args.running | {path}
+            code, out = _execute(nested, stdin_text)
         transcript.append(out.rstrip("\n"))
         transcript.append(f"[exit {code}]")
         if code != OK:

@@ -980,13 +980,14 @@ def two_braid_status(d: LinkDiagram, budget: int = DEFAULT_STEP_BUDGET) -> str:
     reduced, _, stable = reduce_diagram(d, budget)
     if not stable:
         return "unknown"
+    return "yes" if _is_braid2_form(reduced) else "no"
+
+
+def _is_braid2_form(reduced: LinkDiagram) -> bool:
+    """Whether a stable R1/R2 reduction is a (2, n) template of either hand."""
     n = len(reduced.crossings)
-    if n < 2 or reduced.loops:
-        return "no"
-    return (
-        "yes"
-        if any(diagram_isomorphic(reduced, braid2_template(n, m)) for m in (False, True))
-        else "no"
+    return n >= 2 and not reduced.loops and any(
+        diagram_isomorphic(reduced, braid2_template(n, m)) for m in (False, True)
     )
 
 
@@ -1000,86 +1001,80 @@ def is_2braid(d: LinkDiagram, budget: int = DEFAULT_STEP_BUDGET) -> bool:
 def diagram_isomorphic(d1: LinkDiagram, d2: LinkDiagram) -> bool:
     """Unoriented-diagram isomorphism.
 
-    Searches for a crossing bijection with per-crossing slot rotation by 0
+    Looks for a crossing bijection with per-crossing slot rotation by 0
     or 2 (preserving CCW rotation and over/under) that induces a consistent
     arc bijection.  Mirrors are NOT identified.
+
+    A planar map is fixed by where one crossing and its rotation go
+    (Weinberg's rooted walk), so no search is needed: each graph component
+    of d1 is rooted at its least crossing at rotation 0 and walked onto
+    every crossing and even rotation of an unclaimed d2 component of the
+    same size; the first root that maps the whole component claims it.
+    Claiming greedily is exact because isomorphism is an equivalence.
+    O(n^2) in the crossing count n, O(n) per root.
     """
     d1.require_valid()
     d2.require_valid()
     if len(d1.crossings) != len(d2.crossings) or d1.loops != d2.loops:
         return False
-    n = len(d1.crossings)
-    if n == 0:
-        return True
+    if len(d1._analysis.occ) != len(d2._analysis.occ):
+        return False
+    comps1: dict[int, list[int]] = {}  # graph component -> its crossings, ascending
+    comps2: dict[int, list[int]] = {}
+    for comps, d in ((comps1, d1), (comps2, d2)):
+        for ci, g in d._analysis.graph_comp_of.items():
+            comps.setdefault(g, []).append(ci)
+    for members1 in comps1.values():
+        claim = next(
+            (
+                g
+                for g, members in comps2.items()
+                if len(members) == len(members1)
+                and any(_walk_from(d1, d2, members1[0], c2, rot) for c2 in members for rot in (0, 2))
+            ),
+            None,
+        )
+        if claim is None:
+            return False
+        del comps2[claim]
+    return True
+
+
+def _walk_from(d1: LinkDiagram, d2: LinkDiagram, root: int, image: int, rot: int) -> bool:
+    """Whether sending d1's crossing ``root`` to d2's ``image`` turned by
+    ``rot`` slots extends over root's whole graph component.
+
+    The map spreads one arc at a time: slot s of a mapped crossing goes to
+    slot s + r of its image, so the arc's far end must go to the image
+    arc's far end, which fixes the far crossing's image and rotation, and
+    that rotation must be even.  A map that passes covers image's graph
+    component, each crossing of it the same number of times; the caller
+    compares the component sizes, so that number is one and the crossing
+    map, the slot map and the arc map are one-to-one.
+    """
+    x1, x2 = d1.crossings, d2.crossings
     occ1, occ2 = d1._analysis.occ, d2._analysis.occ
-    if len(occ1) != len(occ2):
-        return False
-
-    adj: dict[int, set[int]] = {i: set() for i in range(n)}
-    for places in occ1.values():
-        (c1, _), (c2, _) = places
-        adj[c1].add(c2)
-        adj[c2].add(c1)
-    order: list[int] = []
-    seen: set[int] = set()
-    for start in range(n):
-        if start in seen:
-            continue
-        stack = [start]
-        while stack:
-            c = stack.pop()
-            if c in seen:
-                continue
-            seen.add(c)
-            order.append(c)
-            stack.extend(nb for nb in sorted(adj[c], reverse=True) if nb not in seen)
-
-    amap: dict[int, int] = {}
-    amap_inv: dict[int, int] = {}
-    used: set[int] = set()
-
-    def try_assign(c1: int, c2: int, rot: int, undo: list) -> bool:
-        for s in range(4):
-            x = d1.crossings[c1].slots[s]
-            y = d2.crossings[c2].slots[(s + rot) % 4]
-            if x in amap:
-                if amap[x] != y:
+    placed = {root: (image, rot)}  # d1 crossing -> (d2 crossing, rotation)
+    work = [root]
+    while work:
+        c1 = work.pop()
+        c2, r = placed[c1]
+        for s, arc in enumerate(x1[c1].slots):
+            t = (s + r) % 4
+            f1, g1 = occ1[arc]
+            far1 = g1 if f1 == (c1, s) else f1
+            f2, g2 = occ2[x2[c2].slots[t]]
+            far2 = g2 if f2 == (c2, t) else f2
+            want = (far2[0], (far2[1] - far1[1]) % 4)
+            got = placed.get(far1[0])
+            if got is None:
+                if want[1] % 2:
                     return False
-            elif y in amap_inv:
+                placed[far1[0]] = want
+                work.append(far1[0])
+            elif got != want:
                 return False
-            else:
-                amap[x] = y
-                amap_inv[y] = x
-                undo.append((x, y))
-        return True
-
-    def backtrack(pos: int) -> bool:
-        if pos == n:
-            return True
-        c1 = order[pos]
-        cands: Iterable[int] = range(n)
-        for s in range(4):
-            x = d1.crossings[c1].slots[s]
-            if x in amap:
-                cands = sorted({o[0] for o in occ2[amap[x]]})
-                break
-        for c2 in cands:
-            if c2 in used:
-                continue
-            for rot in (0, 2):
-                undo: list = []
-                ok = try_assign(c1, c2, rot, undo)
-                if ok:
-                    used.add(c2)
-                    if backtrack(pos + 1):
-                        return True
-                    used.discard(c2)
-                for x, y in undo:
-                    del amap[x]
-                    del amap_inv[y]
-        return False
-
-    return backtrack(0)
+    return True
 
 
 # -- Gauss codes -----------------------------------------------------------------

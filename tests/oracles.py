@@ -3,12 +3,17 @@
 These deliberately avoid the library's own code paths: the continued
 fraction uses the stdlib Fraction type, the component counter is a plain
 union-find over the raw crossing tuples, the linking oracle reads
-signed Gauss entries, and the 2-edge-cut oracle runs a union-find per
-pair of arcs instead of reading the faces.
+signed Gauss entries, the 2-edge-cut oracle runs a union-find per
+pair of arcs instead of reading the faces, and the isomorphism oracle
+is a backtracking search over crossing assignments instead of a rooted
+walk.
 """
 
 import itertools
 from fractions import Fraction as QQ
+from typing import Iterable
+
+from hyperforge.diagram import LinkDiagram
 
 INF = "inf"
 
@@ -109,3 +114,88 @@ def two_edge_cuts_oracle(d):
         if len({find(ci) for ci in range(n)}) > 1:
             cuts.append((e, f))
     return tuple(cuts)
+
+
+def diagram_isomorphic_oracle(d1: LinkDiagram, d2: LinkDiagram) -> bool:
+    """Unoriented-diagram isomorphism.
+
+    Searches for a crossing bijection with per-crossing slot rotation by 0
+    or 2 (preserving CCW rotation and over/under) that induces a consistent
+    arc bijection.  Mirrors are NOT identified.
+    """
+    d1.require_valid()
+    d2.require_valid()
+    if len(d1.crossings) != len(d2.crossings) or d1.loops != d2.loops:
+        return False
+    n = len(d1.crossings)
+    if n == 0:
+        return True
+    occ1, occ2 = d1._analysis.occ, d2._analysis.occ
+    if len(occ1) != len(occ2):
+        return False
+
+    adj: dict[int, set[int]] = {i: set() for i in range(n)}
+    for places in occ1.values():
+        (c1, _), (c2, _) = places
+        adj[c1].add(c2)
+        adj[c2].add(c1)
+    order: list[int] = []
+    seen: set[int] = set()
+    for start in range(n):
+        if start in seen:
+            continue
+        stack = [start]
+        while stack:
+            c = stack.pop()
+            if c in seen:
+                continue
+            seen.add(c)
+            order.append(c)
+            stack.extend(nb for nb in sorted(adj[c], reverse=True) if nb not in seen)
+
+    amap: dict[int, int] = {}
+    amap_inv: dict[int, int] = {}
+    used: set[int] = set()
+
+    def try_assign(c1: int, c2: int, rot: int, undo: list) -> bool:
+        for s in range(4):
+            x = d1.crossings[c1].slots[s]
+            y = d2.crossings[c2].slots[(s + rot) % 4]
+            if x in amap:
+                if amap[x] != y:
+                    return False
+            elif y in amap_inv:
+                return False
+            else:
+                amap[x] = y
+                amap_inv[y] = x
+                undo.append((x, y))
+        return True
+
+    def backtrack(pos: int) -> bool:
+        if pos == n:
+            return True
+        c1 = order[pos]
+        cands: Iterable[int] = range(n)
+        for s in range(4):
+            x = d1.crossings[c1].slots[s]
+            if x in amap:
+                cands = sorted({o[0] for o in occ2[amap[x]]})
+                break
+        for c2 in cands:
+            if c2 in used:
+                continue
+            for rot in (0, 2):
+                undo: list = []
+                ok = try_assign(c1, c2, rot, undo)
+                if ok:
+                    used.add(c2)
+                    if backtrack(pos + 1):
+                        return True
+                    used.discard(c2)
+                for x, y in undo:
+                    del amap[x]
+                    del amap_inv[y]
+        return False
+
+    return backtrack(0)

@@ -4,8 +4,8 @@ Criteria 3 and 5 are split: their replay/refusal content passes, while
 their drawn-diagram clauses (3b: spliced chains isomorphic to the
 generator's drawing; 5b: the [-3] closure accepted by the alternating
 certifier) are unattainable with the calibrated template that keeps the
-classifier sound, and are kept as honest red tests.  See
-/root/notes/decisions.md for the blocking analysis.
+classifier sound, and are kept as honest red tests.  The README's
+"intentionally red" paragraph in its install-and-test section says why.
 """
 
 import itertools
@@ -131,7 +131,7 @@ def test_acceptance_3b_k0_outputs_match_generator():
     the known exceptional links (and keeps the classifier sound) splices
     clasps whose chirality pattern differs from the alternating chain
     generator's drawing, so the outputs are the right links but not the
-    same diagrams.  See the decisions ledger.
+    same diagrams.  See the README's "intentionally red" paragraph.
     """
     cur = chain_link(ChainSpec(4))
     ok = True
@@ -141,7 +141,7 @@ def test_acceptance_3b_k0_outputs_match_generator():
         if not diagram_isomorphic(cur, chain_link(ChainSpec(4 + n))):
             ok = False
             break
-    print(f"\nACCEPTANCE 3b: {'PASS' if ok else 'FAIL (expected; see decisions ledger)'}")
+    print(f"\nACCEPTANCE 3b: {'PASS' if ok else 'FAIL (expected; see README)'}")
     assert ok, "k=0 chain-move outputs are not drawn as the generator's chains"
 
 
@@ -197,12 +197,12 @@ def test_acceptance_5b_minus3_closure_accepted():
     Unattainable together with 5a: any template wiring that draws this
     closure alternating necessarily draws the [0] closure as the
     alternating 3-chain, which criterion 5a requires to be the refused
-    non-alternating chain.  The exhaustive
-    wiring search and the soundness analysis are in the decisions ledger.
+    non-alternating chain.  See the README's "intentionally red"
+    paragraph.
     """
     verdict = menasco_certify(tk_closure([-3], 0))
     ok = not isinstance(verdict, Refusal)
-    print(f"\nACCEPTANCE 5b: {'PASS' if ok else 'FAIL (expected; see decisions ledger)'}")
+    print(f"\nACCEPTANCE 5b: {'PASS' if ok else 'FAIL (expected; see README)'}")
     assert ok, f"[-3] closure refused: {verdict}"
 
 

@@ -58,6 +58,18 @@ def test_certify_refusal():
     assert code == REFUSED and out.startswith("REFUSED:") and "TwoBraid" in out
 
 
+def test_certify_and_verify_past_a_thousand_crossings():
+    """The 2-braid test and the replayed-subject check run in constant
+    stack depth: a 1001-crossing (2, n) torus link is refused and a
+    1002-crossing chain certified and verified, without a traceback."""
+    _, braid = run(["gen", "rational", "--seq", "1001"])
+    assert run(["certify"], stdin_text=braid) == (REFUSED, "REFUSED: TwoBraid\n")
+    _, chain = run(["gen", "chain", "--n", "501"])
+    code, cert = run(["certify"], stdin_text=chain)
+    assert code == OK
+    assert run(["verify"], stdin_text=cert) == (OK, "certificate 0: VALID\n")
+
+
 def test_convert_round_trip():
     _, pd = run(["gen", "chain", "--n", "3"])
     code, gauss = run(["convert", "--to", "gauss"], stdin_text=pd)
@@ -143,6 +155,27 @@ def test_pipeline_aborts_on_refusal(tmp_path):
     code, out = run(["pipeline", str(script)])
     assert code == REFUSED
     assert "REFUSED" in out and "$ fraction" not in out
+
+
+def test_pipeline_that_runs_itself_exits_2(tmp_path):
+    """A script started again while it runs, directly or through another
+    script, is malformed input; nesting without a cycle still runs."""
+    scripts = {
+        "self": "gen chain --n 2\npipeline {self}\n",
+        "a": "pipeline {b}\n",
+        "b": "fraction --seq 1\npipeline {a}\n",
+        "outer": "pipeline {inner}\npipeline {inner}\n",
+        "inner": "gen chain --n 2\n",
+    }
+    paths = {name: str(tmp_path / f"{name}.hf") for name in scripts}
+    for name, text in scripts.items():
+        Path(paths[name]).write_text(text.format_map(paths))
+    for name in ("self", "a"):
+        code, out = run(["pipeline", paths[name]])
+        assert code == MALFORMED, out
+        assert "ERROR: pipeline script" in out and "is already running" in out
+    code, out = run(["pipeline", paths["outer"]])
+    assert code == OK and out.count("[exit 0]") == 4
 
 
 def test_verify_multiple_jobs(tmp_path):
@@ -366,6 +399,8 @@ def test_verify_malformed_certificates_exit_2():
         _glue_nest(400),
         _glue_nest(150),
     ]
+    manifold = json.loads(_glue_nest(0))
+    probes += [_mutated(manifold, ("base_manifold", "hyperbolic"), v) for v in ("no", "false")]
     for text in probes:
         code, out = _verify_contract(text)
         assert code == MALFORMED, out

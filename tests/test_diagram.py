@@ -36,11 +36,17 @@ from hyperforge.diagram import (
     two_edge_cuts,
     validate,
 )
+from hyperforge.diagram import _renormalize
 from hyperforge.classifier import exceptional_links
 from hyperforge.errors import FormatError, InvalidDiagramError, SiteError
 from hyperforge.generators import ChainSpec, chain_link, rational_link, tk_closure
 
-from oracles import gauss_linking_oracle, two_edge_cuts_oracle, union_find_component_count
+from oracles import (
+    diagram_isomorphic_oracle,
+    gauss_linking_oracle,
+    two_edge_cuts_oracle,
+    union_find_component_count,
+)
 
 HOPF = "X(3,2,4,1) X(1,4,2,3)"
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
@@ -225,12 +231,9 @@ _CUT_BASES = st.one_of(
 )
 
 
-@settings(max_examples=80, deadline=None)
-@given(_CUT_BASES, st.data())
-def test_two_edge_cuts_match_oracle(d, data):
-    """The face-pair reading returns the per-pair union-find's exact tuple,
-    also after random kinks (which add cuts) and R2 bigons."""
-    assert two_edge_cuts(d) == two_edge_cuts_oracle(d)
+def r_moves(d, data):
+    """d, then d after each of up to three random kinks and R2 bigons."""
+    yield d
     for _ in range(data.draw(st.integers(0, 3))):
         if not d.crossings or data.draw(st.booleans()):
             arc = data.draw(st.sampled_from(d.arcs)) if d.arcs else None
@@ -241,6 +244,15 @@ def test_two_edge_cuts_match_oracle(d, data):
                 continue
             a, b = data.draw(st.permutations(uniq))[:2]
             d = reidemeister2(d, (a, b), data.draw(st.sampled_from(("first_over", "second_over"))))
+        yield d
+
+
+@settings(max_examples=80, deadline=None)
+@given(_CUT_BASES, st.data())
+def test_two_edge_cuts_match_oracle(d, data):
+    """The face-pair reading returns the per-pair union-find's exact tuple,
+    also after random kinks (which add cuts) and R2 bigons."""
+    for d in r_moves(d, data):
         assert two_edge_cuts(d) == two_edge_cuts_oracle(d)
 
 
@@ -341,6 +353,75 @@ def test_chains_not_isomorphic():
 
 def test_loops_counted():
     assert not diagram_isomorphic(LinkDiagram((), loops=1), LinkDiagram((), loops=2))
+
+
+def disjoint_union(d, e):
+    """d and e side by side, e's arcs shifted past d's."""
+    shift = max(d.arcs, default=0)
+    return LinkDiagram(d.crossings + relabeled(e, shift).crossings, loops=d.loops + e.loops)
+
+
+def mirrored(d):
+    return _renormalize([x.rotated(1) for x in d.crossings], d.loops, frozen=set())
+
+
+def test_components_matched_one_to_one(trefoil):
+    """Components pair off by isomorphism, and a component that covers a
+    smaller one twice (the 6-crossing twist region wraps twice round the
+    3-crossing one) is not matched to it."""
+    three = braid2_template(3)
+    assert not diagram_isomorphic(braid2_template(6), disjoint_union(three, three))
+    assert not diagram_isomorphic_oracle(braid2_template(6), disjoint_union(three, three))
+    left = braid2_template(3, mirror=True)
+    assert diagram_isomorphic(disjoint_union(trefoil, left), disjoint_union(left, trefoil))
+    assert not diagram_isomorphic(disjoint_union(trefoil, left), two_trefoils())
+    assert not diagram_isomorphic(two_trefoils(), disjoint_union(left, left))
+
+
+def scrambled(d, data):
+    """d with its arcs relabelled, its crossings reordered and turned by 0
+    or 2, and the orientation convention applied afresh."""
+    arcs = d.arcs
+    label = dict(zip(arcs, data.draw(st.permutations([a + 7 for a in arcs]))))
+    order = data.draw(st.permutations(range(len(d.crossings))))
+    turns = data.draw(st.lists(st.sampled_from((0, 2)), min_size=len(order), max_size=len(order)))
+    crossings = [
+        Crossing(tuple(label[a] for a in d.crossings[ci].slots)).rotated(r)
+        for ci, r in zip(order, turns)
+    ]
+    return _renormalize(crossings, d.loops, frozen=set())
+
+
+# One graph component each (and loops): the oracle backtracks through the
+# symmetries of every matched component when a later one fails, which is
+# exponential in the number of components.
+_ISO_BASES = st.tuples(_CUT_BASES.filter(lambda d: not is_split(d)), st.integers(0, 2)).map(
+    lambda dk: LinkDiagram(dk[0].crossings, loops=dk[0].loops + dk[1])
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ISO_BASES, st.data())
+def test_isomorphism_matches_oracle(d, data):
+    """The rooted walk answers as the backtracking search does, on
+    relabelled, reordered, mirrored, R1/R2-moved and loop-added copies,
+    and on diagrams of two graph components."""
+    *_, e = r_moves(d, data)
+    *_, f = r_moves(d, data)
+    pairs = [
+        (d, scrambled(d, data)),
+        (d, mirrored(d)),
+        (d, LinkDiagram(d.crossings, loops=d.loops + 1)),
+        (e, scrambled(e, data)),
+        (e, mirrored(scrambled(e, data))),
+        (e, f),
+        (disjoint_union(d, e), scrambled(disjoint_union(e, d), data)),
+        (disjoint_union(d, mirrored(d)), disjoint_union(d, d)),
+    ]
+    for a, b in pairs:
+        assert diagram_isomorphic(a, b) == diagram_isomorphic_oracle(a, b)
+        assert diagram_isomorphic(b, a) == diagram_isomorphic_oracle(b, a)
+    assert diagram_isomorphic(d, scrambled(d, data))
 
 
 # Gauss codes ------------------------------------------------------------------
