@@ -76,7 +76,6 @@ _EXPORTS = {
         "exception_base_set",
         "menasco_certify",
         "augmented_alternating_certify",
-        "exceptional_links",
     ),
     "certificate": (
         "ExteriorEvidence",
@@ -96,7 +95,8 @@ _EXPORTS = {
         "serialize",
         "deserialize",
     ),
-    "generators": ("ChainSpec", "chain_link", "twisted_5chain", "rational_link", "tk_closure"),
+    "generators": ("ChainSpec", "chain_link", "twisted_5chain", "rational_link", "tk_closure",
+                   "exceptional_links"),
     "errors": (
         "HyperforgeError",
         "FormatError",

@@ -20,6 +20,7 @@ from typing import ClassVar, Optional, Union
 from . import classifier as _cls
 from . import moves as _moves
 from .classifier import (
+    Certificate,
     DeclaredNonRational,
     ExteriorEvidence,
     Rational,
@@ -118,20 +119,6 @@ class GlueStep:
 
 
 Step = Union[ChainStep, SwitchStep, HalfTwistStep, GlueStep]
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """base + steps + subject; replaying the steps from the base must
-    reproduce the subject."""
-
-    base: str  # MenascoAlternating | AugmentedAlternating | ExternallyAsserted
-    subject: Union[LinkDiagram, AbstractManifold]
-    base_diagram: Optional[LinkDiagram] = None
-    base_manifold: Optional[AbstractManifold] = None
-    augmenting: tuple[int, ...] = ()
-    description: str = ""
-    steps: tuple[Step, ...] = ()
 
 
 @dataclass(frozen=True)

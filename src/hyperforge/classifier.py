@@ -1,5 +1,6 @@
-"""Exceptional-exterior classifier and the base-case hyperbolicity
-certifiers (alternating and augmented alternating).
+"""Exceptional-exterior classifier, the base-case hyperbolicity
+certifiers (alternating and augmented alternating), and the records they
+hand out: the exterior evidence and the `Certificate`.
 
 The chain move is admissible unless the rational tangle outside the ball
 is one of four excluded values; shifted by the template's k twists those
@@ -17,7 +18,8 @@ from typing import TYPE_CHECKING, Optional, Union
 from .errors import SiteError
 from .tangle import ConwaySequence, Fraction, fraction
 
-if TYPE_CHECKING:  # diagram is imported by the certifiers that use it
+if TYPE_CHECKING:  # annotations only; the certifiers import diagram when called
+    from .certificate import AbstractManifold, Step
     from .diagram import LinkDiagram
 
 
@@ -83,6 +85,20 @@ class Unchecked:
 
 
 ExteriorEvidence = Union[Rational, DeclaredNonRational, Unchecked]
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """base + steps + subject; replaying the steps from the base must
+    reproduce the subject."""
+
+    base: str  # MenascoAlternating | AugmentedAlternating | ExternallyAsserted
+    subject: Union[LinkDiagram, AbstractManifold]
+    base_diagram: Optional[LinkDiagram] = None
+    base_manifold: Optional[AbstractManifold] = None
+    augmenting: tuple[int, ...] = ()
+    description: str = ""
+    steps: tuple[Step, ...] = ()
 
 
 # -- the classifier ----------------------------------------------------------------
@@ -155,8 +171,6 @@ def menasco_certify(d: LinkDiagram, budget: Optional[int] = None):
         return Refusal(RefusalReason.NotAlternating)
     if _dg._is_braid2_form(reduced):
         return Refusal(RefusalReason.TwoBraid)
-    from .certificate import Certificate  # deferred: certificate imports moves
-
     return Certificate(base="MenascoAlternating", base_diagram=d, subject=d)
 
 
@@ -173,35 +187,24 @@ def augmented_alternating_certify(
     augmenting = frozenset(augmenting)
     if not augmenting:
         return menasco_certify(d, budget)
-    from .moves import _disk_runs, remove_component  # deferred: moves imports us
+    from . import diagram as _dg
 
     for comp in sorted(augmenting):
         try:
-            _disk_runs(d, comp)
+            _dg._disk_runs(d, comp)
         except SiteError as err:
             return Refusal(
                 RefusalReason.BadAugmenting, witness=(comp,), detail=str(err)
             )
     rest = d
     for comp in sorted(augmenting, reverse=True):
-        rest = remove_component(rest, comp)
+        rest = _dg.remove_component(rest, comp)
     inner = menasco_certify(rest, budget)
     if isinstance(inner, Refusal):
         return Refusal(inner.reason, witness=inner.witness, detail="base link refused")
-    from .certificate import Certificate
-
     return Certificate(
         base="AugmentedAlternating",
         base_diagram=d,
         subject=d,
         augmenting=tuple(sorted(augmenting)),
-    )
-
-
-def exceptional_links() -> tuple[LinkDiagram, ...]:
-    """The four exceptional closures: exteriors inf, 0, -1, and -2 0 at k = 0."""
-    from .generators import tk_closure  # deferred: generators imports moves
-
-    return tuple(
-        tk_closure(s, 0) for s in ([0, 0], [0], [-1], [-2, 0])
     )

@@ -91,9 +91,9 @@ class ComponentPartition:
         return len(self.cycles) + self.loops
 
     def arcs_of(self, comp: int) -> tuple[int, ...]:
-        if comp < len(self.cycles):
+        if 0 <= comp < len(self.cycles):
             return self.cycles[comp]
-        if comp < self.count:
+        if 0 <= comp < self.count:
             return ()
         raise SiteError(f"no component {comp}")
 
@@ -571,6 +571,121 @@ def _drop_crossings(d: LinkDiagram, removed: set[int], joins) -> LinkDiagram:
     return LinkDiagram(tuple(crossings), loops=loops, ambient=d.ambient)
 
 
+# -- component rings, twice-punctured disks, component removal -----------------------
+
+
+def _passages(d: LinkDiagram, comp: int) -> list[tuple[int, int]]:
+    """(crossing, slot) passages of a component with crossings, in traversal order."""
+    return [(ci, si) for _, (ci, si) in d._analysis.steps[comp]]
+
+
+def _other_strand_arcs(d: LinkDiagram, ci: int, si: int) -> tuple[int, int]:
+    """The two arcs of the strand crossing ``comp``'s passage (ci, si)."""
+    x = d.crossings[ci]
+    return x.over() if si % 2 == 0 else x.under()
+
+
+def _ring_fault(d: LinkDiagram, part: ComponentPartition, comp: int) -> Optional[str]:
+    """Why ``comp`` is not a ring that other strands cross four times, or None."""
+    if comp < 0:
+        return f"no component {comp}"
+    if comp >= len(part.cycles):
+        return f"component {comp} has no crossings"
+    pas = _passages(d, comp)
+    if len(pas) != 4:
+        return f"component {comp} crosses {len(pas)} times; the pattern needs 4"
+    comp_arcs = set(part.arcs_of(comp))
+    if any(set(_other_strand_arcs(d, ci, si)) & comp_arcs for ci, si in pas):
+        return f"component {comp} crosses itself"
+    return None
+
+
+def _disk_runs(d: LinkDiagram, comp: int):
+    """Pattern scan for a twice-punctured-disk boundary component.
+
+    Returns (passage pairs, run1 arcs, run2 arcs) where each run is the
+    chain of strand arcs through the disk between a clasp pair (possibly
+    through twist crossings inserted by earlier half-twists).
+    """
+    part = components(d)
+    fault = _ring_fault(d, part, comp)
+    if fault:
+        raise SiteError(fault)
+    pas = _passages(d, comp)
+    c_crossings = {ci for ci, _ in pas}
+
+    def inner_run(ca: int, sa: int, cb: int) -> Optional[set[int]]:
+        # follow the other strand from crossing ca to the first return to C;
+        # the inner side is the shortest walk that lands on the pair partner
+        candidates = []
+        for start in _other_strand_arcs(d, ca, sa):
+            run = {start}
+            occs = [o for o in d._analysis.occ[start] if o[0] != ca]
+            if not occs:
+                continue  # both ends at ca
+            cur = occs[0]
+            for _ in range(4 * len(d.crossings) + 1):  # a longer walk is dead
+                if cur[0] in c_crossings:
+                    if cur[0] == cb:
+                        candidates.append(run)
+                    break
+                out = (cur[0], (cur[1] + 2) % 4)
+                nxt_arc = d.crossings[out[0]].slots[out[1]]
+                run.add(nxt_arc)
+                a, b = d._analysis.occ[nxt_arc]
+                cur = b if a == out else a
+        if not candidates:
+            return None
+        return min(candidates, key=len)
+
+    # adjacent pairings are clasps (equal signs = genuinely linked); the
+    # diagonal pairing appears after a half twist rotates the punctures.
+    # Among valid pairings the one with the shortest runs is the disk
+    # interior (outer detours around the rest of the link are longer).
+    candidates = [
+        (((pas[0], pas[1]), (pas[2], pas[3])), True),
+        (((pas[1], pas[2]), (pas[3], pas[0])), True),
+        (((pas[0], pas[2]), (pas[1], pas[3])), False),
+    ]
+    found = []
+    for pairs, check_signs in candidates:
+        if check_signs and any(d.sign(pa[0]) != d.sign(pb[0]) for pa, pb in pairs):
+            continue
+        runs = []
+        for (ca, sa), (cb, sb) in pairs:
+            run = inner_run(ca, sa, cb)
+            if run is None:
+                break
+            runs.append(run)
+        if len(runs) == 2 and not (runs[0] & runs[1]):
+            found.append((len(runs[0]) + len(runs[1]), len(found), pairs, runs))
+    if not found:
+        raise SiteError(f"component {comp} does not bound a recognizable disk")
+    _, _, pairs, runs = min(found)
+    return pairs, runs[0], runs[1]
+
+
+def remove_component(d: LinkDiagram, comp: int) -> LinkDiagram:
+    """Delete a component; strands that crossed it continue straight."""
+    part = components(d)
+    if not 0 <= comp < part.count:
+        raise SiteError(f"no component {comp}")
+    if comp >= len(part.cycles):
+        return LinkDiagram(d.crossings, loops=d.loops - 1, ambient=d.ambient)
+    comp_arcs = set(part.arcs_of(comp))
+    removed = {ci for ci, _ in _passages(d, comp)}
+    # the strands that crossed the component continue straight
+    joins = [
+        pair
+        for ci in removed
+        for pair in (d.crossings[ci].under(), d.crossings[ci].over())
+        if pair[0] not in comp_arcs and pair[1] not in comp_arcs
+    ]
+    out = _drop_crossings(d, removed, joins)
+    out.require_valid()
+    return out
+
+
 # -- fragment builder --------------------------------------------------------------
 
 
@@ -818,6 +933,19 @@ def splice(
 # -- Reidemeister moves --------------------------------------------------------
 
 
+def _require_co_face(d: LinkDiagram, a: int, b: int, equal: str) -> None:
+    """Raise SiteError unless ``a`` and ``b`` are two arcs of ``d`` on one
+    face; ``equal`` is the message when they are the same arc."""
+    d.require_valid()
+    if a == b:
+        raise SiteError(equal)
+    for arc in (a, b):
+        if arc not in d._analysis.occ:
+            raise SiteError(f"no arc {arc}")
+    if not any(a in fa and b in fa for fa in d._analysis.face_arcs):
+        raise SiteError(f"arcs {a} and {b} do not share a face")
+
+
 def reidemeister1(d: LinkDiagram, arc: Optional[int], handedness: int) -> LinkDiagram:
     """Add a kink on ``arc`` (or on a crossing-free loop when arc is None)."""
     if handedness not in (+1, -1):
@@ -867,14 +995,7 @@ def reidemeister2(
 ) -> LinkDiagram:
     """Push arc_pair[0] across arc_pair[1] through a face they share."""
     a, b = arc_pair
-    d.require_valid()
-    if a == b:
-        raise SiteError("R2 needs two distinct arcs")
-    for arc in (a, b):
-        if arc not in d._analysis.occ:
-            raise SiteError(f"no arc {arc}")
-    if not any(a in fa and b in fa for fa in d._analysis.face_arcs):
-        raise SiteError(f"arcs {a} and {b} do not share a face")
+    _require_co_face(d, a, b, "R2 needs two distinct arcs")
     if layering not in ("first_over", "second_over"):
         raise SiteError("layering must be first_over or second_over")
     over, under = (a, b) if layering == "first_over" else (b, a)

@@ -1,5 +1,6 @@
 """Constructors for the link families used as bases and fixtures: closed
-chain links (with per-gap twists), rational links, and Tk closures.
+chain links (with per-gap twists), rational links, Tk closures, and the
+four exceptional closures.
 """
 
 from __future__ import annotations
@@ -101,3 +102,8 @@ def tk_closure(s, k: int, extra_twists: int = 0) -> LinkDiagram:
     d = bld.build()
     d.require_valid()
     return d
+
+
+def exceptional_links() -> tuple[LinkDiagram, ...]:
+    """The four exceptional closures: exteriors inf, 0, -1, and -2 0 at k = 0."""
+    return tuple(tk_closure(s, 0) for s in ([0, 0], [0], [-1], [-2, 0]))

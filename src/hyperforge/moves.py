@@ -1,6 +1,8 @@
 """The diagram rewrites: chain move, augmented chain move, switch move,
-half-twist on a twice-punctured disk, plus site scanning and the Tk
-template.
+half-twist on a twice-punctured disk, plus chain-site scanning and the Tk
+template.  The ring and disk patterns they read off a component, and
+component removal, are in ``diagram``, where the augmented certifier
+uses them too.
 
 A chain site is a trivial component C with exactly four crossings, two
 with each of two strands passing through its disk.  Both clasp phases
@@ -26,14 +28,18 @@ import enum
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import tangle as _tangle
 from .classifier import ExteriorEvidence, Rational, excluded_exterior
 from .diagram import (
     DiagramBuilder,
     LinkDiagram,
-    _drop_crossings,
+    _disk_runs,
+    _other_strand_arcs,
+    _passages,
+    _require_co_face,
+    _ring_fault,
     components,
     flip_wirings,
     splice,
@@ -142,32 +148,6 @@ _TK_PORTS = itemgetter("NW", "NE", "SE", "SW")
 # -- site scanning ----------------------------------------------------------------
 
 
-def _passages(d: LinkDiagram, comp: int) -> list[tuple[int, int]]:
-    """(crossing, slot) passages of a component with crossings, in traversal order."""
-    return [(ci, si) for _, (ci, si) in d._analysis.steps[comp]]
-
-
-def _other_strand_arcs(d: LinkDiagram, ci: int, si: int) -> tuple[int, int]:
-    """The two arcs of the strand crossing ``comp``'s passage (ci, si)."""
-    x = d.crossings[ci]
-    if si % 2 == 0:
-        return (x.slots[1], x.slots[3])
-    return (x.slots[0], x.slots[2])
-
-
-def _ring_fault(d: LinkDiagram, part, comp: int) -> Optional[str]:
-    """Why ``comp`` is not a ring that other strands cross four times, or None."""
-    if comp >= len(part.cycles):
-        return f"component {comp} has no crossings"
-    pas = _passages(d, comp)
-    if len(pas) != 4:
-        return f"component {comp} crosses {len(pas)} times; the pattern needs 4"
-    comp_arcs = set(part.arcs_of(comp))
-    if any(set(_other_strand_arcs(d, ci, si)) & comp_arcs for ci, si in pas):
-        return f"component {comp} crosses itself"
-    return None
-
-
 def _clasp(d: LinkDiagram, pa, pb) -> Optional[tuple[int, int, int]]:
     """(inner arc, outer arc at pa, outer arc at pb) when C's passages pa and
     pb clasp one strand: equal signs and one strand arc running between them."""
@@ -176,50 +156,51 @@ def _clasp(d: LinkDiagram, pa, pb) -> Optional[tuple[int, int, int]]:
         return None
     arcs_a = set(_other_strand_arcs(d, ca, sa))
     arcs_b = set(_other_strand_arcs(d, cb, sb))
-    shared = {x for x in arcs_a & arcs_b if {o[0] for o in d._analysis.occ[x]} == {ca, cb}}
+    shared = {x for x in arcs_a & arcs_b if {o[0] for o in d.occurrences(x)} == {ca, cb}}
     if len(shared) != 1:
         return None
     inner = shared.pop()
     return inner, (arcs_a - {inner} or {inner}).pop(), (arcs_b - {inner} or {inner}).pop()
 
 
+def _sites_at(d: LinkDiagram, part, comp: int) -> Iterator[ChainSite]:
+    """The chain sites of one component, in scan order, repeats included."""
+    if _ring_fault(d, part, comp):
+        return
+    pas = _passages(d, comp)
+    word = [si % 2 for _, si in pas]
+    alternating = all(word[i] != word[(i + 1) % 4] for i in range(4))
+    pattern = "alternating" if alternating else "parallel"
+    for shift in (0, 1):
+        order = [pas[(shift + j) % 4] for j in range(4)]
+        first, second = _clasp(d, order[0], order[1]), _clasp(d, order[2], order[3])
+        if first is None or second is None or first[0] == second[0]:
+            continue
+        yield ChainSite(
+            trivial_component=comp,
+            strand1=first[0],
+            strand2=second[0],
+            crossings=tuple(ci for ci, _ in order),
+            stubs=first[1:] + second[1:],
+            pattern=pattern,
+        )
+
+
 def find_chain_sites(d: LinkDiagram) -> tuple[ChainSite, ...]:
     """All components matching the chain-site pattern (either clasp phase)."""
-    d.require_valid()
     part = components(d)
-    sites: list[ChainSite] = []
-    for comp in range(len(part.cycles)):
-        if _ring_fault(d, part, comp):
-            continue
-        pas = _passages(d, comp)
-        word = [si % 2 for _, si in pas]
-        alternating = all(word[i] != word[(i + 1) % 4] for i in range(4))
-        pattern = "alternating" if alternating else "parallel"
-        for shift in (0, 1):
-            order = [pas[(shift + j) % 4] for j in range(4)]
-            first, second = _clasp(d, order[0], order[1]), _clasp(d, order[2], order[3])
-            if first is None or second is None or first[0] == second[0]:
-                continue
-            sites.append(
-                ChainSite(
-                    trivial_component=comp,
-                    strand1=first[0],
-                    strand2=second[0],
-                    crossings=tuple(ci for ci, _ in order),
-                    stubs=first[1:] + second[1:],
-                    pattern=pattern,
-                )
-            )
     uniq: dict[tuple, ChainSite] = {}
-    for s in sites:
-        uniq.setdefault((s.trivial_component, frozenset((s.strand1, s.strand2))), s)
+    for comp in range(len(part.cycles)):
+        for s in _sites_at(d, part, comp):
+            uniq.setdefault((s.trivial_component, frozenset((s.strand1, s.strand2))), s)
     return tuple(sorted(uniq.values(), key=lambda s: s.key()))
 
 
 def chain_site(d: LinkDiagram, component: int, strands) -> ChainSite:
-    """The chain site of ``d`` at ``component`` clasping ``strands`` (either order)."""
-    for site in find_chain_sites(d):
-        if site.trivial_component == component and {site.strand1, site.strand2} == set(strands):
+    """The chain site of ``d`` at ``component`` clasping ``strands`` (either order),
+    found by scanning that component alone."""
+    for site in _sites_at(d, components(d), component):
+        if {site.strand1, site.strand2} == set(strands):
             return site
     raise SiteError(f"no chain site at component {component} strands {tuple(strands)}")
 
@@ -287,15 +268,8 @@ def switch_move(d: LinkDiagram, site: SwitchSite, h: Handedness) -> LinkDiagram:
     keeps the new strands parallel inside the ball; PositiveSkew applies
     one positive half-twist along C's disk.
     """
-    d.require_valid()
     g, u = site.arc_g, site.arc_g2
-    if g == u:
-        raise SiteError("switch move needs two distinct arcs")
-    for arc in (g, u):
-        if arc not in d._analysis.occ:
-            raise SiteError(f"no arc {arc}")
-    if not any(g in fa and u in fa for fa in d._analysis.face_arcs):
-        raise SiteError(f"arcs {g} and {u} do not share a face")
+    _require_co_face(d, g, u, "switch move needs two distinct arcs")
     n_old = len(d.crossings)
     result = _insert_clasped_ring(d, g, u, switched=True)
     if h is Handedness.PositiveSkew:
@@ -337,72 +311,6 @@ def _insert_clasped_ring(d: LinkDiagram, g: int, u: int, switched: bool) -> Link
     )
 
 
-def _disk_runs(d: LinkDiagram, comp: int):
-    """Pattern scan for a twice-punctured-disk boundary component.
-
-    Returns (passage pairs, run1 arcs, run2 arcs) where each run is the
-    chain of strand arcs through the disk between a clasp pair (possibly
-    through twist crossings inserted by earlier half-twists).
-    """
-    d.require_valid()
-    part = components(d)
-    fault = _ring_fault(d, part, comp)
-    if fault:
-        raise SiteError(fault)
-    pas = _passages(d, comp)
-    c_crossings = {ci for ci, _ in pas}
-
-    def inner_run(ca: int, sa: int, cb: int) -> Optional[set[int]]:
-        # follow the other strand from crossing ca to the first return to C;
-        # the inner side is the shortest walk that lands on the pair partner
-        candidates = []
-        for start in _other_strand_arcs(d, ca, sa):
-            run = {start}
-            occs = [o for o in d._analysis.occ[start] if o[0] != ca]
-            if not occs:
-                continue  # both ends at ca
-            cur = occs[0]
-            for _ in range(4 * len(d.crossings) + 1):  # a longer walk is dead
-                if cur[0] in c_crossings:
-                    if cur[0] == cb:
-                        candidates.append(run)
-                    break
-                out = (cur[0], (cur[1] + 2) % 4)
-                nxt_arc = d.crossings[out[0]].slots[out[1]]
-                run.add(nxt_arc)
-                a, b = d._analysis.occ[nxt_arc]
-                cur = b if a == out else a
-        if not candidates:
-            return None
-        return min(candidates, key=len)
-
-    # adjacent pairings are clasps (equal signs = genuinely linked); the
-    # diagonal pairing appears after a half twist rotates the punctures.
-    # Among valid pairings the one with the shortest runs is the disk
-    # interior (outer detours around the rest of the link are longer).
-    candidates = [
-        (((pas[0], pas[1]), (pas[2], pas[3])), True),
-        (((pas[1], pas[2]), (pas[3], pas[0])), True),
-        (((pas[0], pas[2]), (pas[1], pas[3])), False),
-    ]
-    found = []
-    for pairs, check_signs in candidates:
-        if check_signs and any(d.sign(pa[0]) != d.sign(pb[0]) for pa, pb in pairs):
-            continue
-        runs = []
-        for (ca, sa), (cb, sb) in pairs:
-            run = inner_run(ca, sa, cb)
-            if run is None:
-                break
-            runs.append(run)
-        if len(runs) == 2 and not (runs[0] & runs[1]):
-            found.append((len(runs[0]) + len(runs[1]), len(found), pairs, runs))
-    if not found:
-        raise SiteError(f"component {comp} does not bound a recognizable disk")
-    _, _, pairs, runs = min(found)
-    return pairs, runs[0], runs[1]
-
-
 # Half-twist wirings of the cut ends (alpha tail, alpha head, beta tail,
 # beta head) onto the new crossing's ports: the canonical cross-join
 # (alpha tail, beta tail, beta head, alpha head) first, then every other
@@ -426,11 +334,12 @@ def half_twist(d: LinkDiagram, c: int, direction: int) -> LinkDiagram:
     if direction not in (+1, -1):
         raise SiteError("direction must be +1 or -1")
     pairs, run1, run2 = _disk_runs(d, c)
+    face_arcs = d.face_arcs()
 
     def spots():
         # (run1 arc, run2 arc) flanking an arc of c in a face, least c arc first
         for e in sorted(components(d).arcs_of(c)):
-            for arcs in d._analysis.face_arcs:
+            for arcs in face_arcs:
                 k = len(arcs)
                 for i in range(k):
                     if arcs[i] != e:
@@ -465,31 +374,5 @@ def augmenting_circle(d: LinkDiagram, arc_a: int, arc_b: int) -> LinkDiagram:
     This is the switch move's ring insertion alone; useful for building
     augmented alternating diagrams.
     """
-    d.require_valid()
-    if arc_a == arc_b:
-        raise SiteError("need two distinct arcs")
-    if not any(arc_a in fa and arc_b in fa for fa in d._analysis.face_arcs):
-        raise SiteError(f"arcs {arc_a} and {arc_b} do not share a face")
+    _require_co_face(d, arc_a, arc_b, "need two distinct arcs")
     return _insert_clasped_ring(d, arc_a, arc_b, switched=False)
-
-
-def remove_component(d: LinkDiagram, comp: int) -> LinkDiagram:
-    """Delete a component; strands that crossed it continue straight."""
-    d.require_valid()
-    part = components(d)
-    if comp >= len(part.cycles):
-        if comp >= part.count:
-            raise SiteError(f"no component {comp}")
-        return LinkDiagram(d.crossings, loops=d.loops - 1, ambient=d.ambient)
-    comp_arcs = set(part.arcs_of(comp))
-    removed = {ci for ci, _ in _passages(d, comp)}
-    # the strands that crossed the component continue straight
-    joins = [
-        pair
-        for ci in removed
-        for pair in (d.crossings[ci].under(), d.crossings[ci].over())
-        if pair[0] not in comp_arcs and pair[1] not in comp_arcs
-    ]
-    out = _drop_crossings(d, removed, joins)
-    out.require_valid()
-    return out

@@ -27,7 +27,6 @@ from hyperforge.classifier import (
     Rational,
     Refusal,
     exception_base_set,
-    exceptional_links,
     excluded_exterior,
     menasco_certify,
 )
@@ -40,7 +39,7 @@ from hyperforge.diagram import (
     validate,
 )
 from hyperforge.errors import ExcludedExteriorError
-from hyperforge.generators import ChainSpec, chain_link, tk_closure
+from hyperforge.generators import ChainSpec, chain_link, exceptional_links, tk_closure
 from hyperforge.moves import (
     Handedness,
     SwitchSite,

@@ -10,7 +10,6 @@ from hyperforge.classifier import (
     RefusalReason,
     augmented_alternating_certify,
     exception_base_set,
-    exceptional_links,
     excluded_exterior,
     menasco_certify,
     minus_two_minus_k,
@@ -22,7 +21,7 @@ from hyperforge.diagram import (
     reidemeister1,
     validate,
 )
-from hyperforge.generators import ChainSpec, chain_link, rational_link, tk_closure
+from hyperforge.generators import ChainSpec, chain_link, exceptional_links, rational_link, tk_closure
 from hyperforge.moves import augmenting_circle, _new_ring_component
 from hyperforge.tangle import Fraction, fraction
 

@@ -291,6 +291,23 @@ def test_apply_switch_and_halftwist():
     assert code == OK and out2.count("X(") == 9
 
 
+def test_negative_component_indices_exit_cleanly():
+    """A negative component is a missing one, never the last one counted backwards."""
+    _, pd = run(["gen", "chain", "--n", "4"])
+    probes = [
+        (["apply", "--move", "halftwist", "--component", "-5", "--direction", "1"],
+         MALFORMED, "ERROR: no component -5\n"),
+        (["apply", "--move", "halftwist", "--component", "-1", "--direction", "1"],
+         MALFORMED, "ERROR: no component -1\n"),
+        (["certify", "--base", "augmented", "--augmenting=-7"],
+         REFUSED, "REFUSED: BadAugmenting (-7,) no component -7\n"),
+    ]
+    for argv, code, out in probes:
+        proc = _cli_process(argv, input=pd)
+        assert (proc.returncode, proc.stdout) == (code, out)
+        assert "Traceback" not in proc.stderr
+
+
 def test_fraction_starts_without_the_diagram_modules():
     # `python -m hyperforge.cli fraction` imports only what the command uses
     script = (
@@ -416,7 +433,7 @@ def test_verify_contract_on_mutated_certificates():
     for path in _paths(doc):
         if path[0] == "premises" and len(path) > 1:
             continue  # a summary that loading ignores: only the replay would run
-        texts = [_mutated(doc, path, v) for v in (None, True, "x", -1, {})]
+        texts = [_mutated(doc, path, v) for v in (None, True, "x", -1, -1000, {})]
         if isinstance(path[-1], str):
             texts.append(_mutated(doc, path, None, drop=True))
         if path[-1] == "kind":

@@ -37,9 +37,8 @@ from hyperforge.diagram import (
     validate,
 )
 from hyperforge.diagram import _renormalize
-from hyperforge.classifier import exceptional_links
 from hyperforge.errors import FormatError, InvalidDiagramError, SiteError
-from hyperforge.generators import ChainSpec, chain_link, rational_link, tk_closure
+from hyperforge.generators import ChainSpec, chain_link, exceptional_links, rational_link, tk_closure
 
 from oracles import (
     diagram_isomorphic_oracle,

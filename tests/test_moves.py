@@ -12,6 +12,7 @@ from hyperforge.diagram import (
     diagram_isomorphic,
     linking_number,
     reduce_diagram,
+    remove_component,
     splice,
     validate,
     _renormalize,
@@ -25,9 +26,9 @@ from hyperforge.moves import (
     augmented_chain_move,
     augmenting_circle,
     chain_move,
+    chain_site,
     find_chain_sites,
     half_twist,
-    remove_component,
     switch_move,
     _new_ring_component,
 )
@@ -79,6 +80,31 @@ def test_twisted_ring_not_a_site():
 def test_site_patterns_recorded():
     for s in find_chain_sites(chain_link(ChainSpec(4))):
         assert s.pattern in ("alternating", "parallel")
+
+
+def test_chain_site_matches_the_full_scan():
+    # chain_site scans one component; it returns the site find_chain_sites
+    # keeps for that component and strand pair, in either strand order
+    d4 = chain_link(ChainSpec(4))
+    site = find_chain_sites(d4)[0]
+    diagrams = [
+        d4,
+        chain_link(ChainSpec(4, (1, 0, 0, 0))),
+        chain_link(ChainSpec(3, alternating=False)),
+        tk_closure([1], 0),
+        chain_move(d4, site, 2, EVIDENCE),
+        augmented_chain_move(d4, site, -1, EVIDENCE),
+    ]
+    for d in diagrams:
+        sites = find_chain_sites(d)
+        assert sites
+        for s in sites:
+            assert chain_site(d, s.trivial_component, (s.strand1, s.strand2)) == s
+            assert chain_site(d, s.trivial_component, (s.strand2, s.strand1)) == s
+        for comp in range(-1, components(d).count + 1):
+            if all(s.trivial_component != comp for s in sites):
+                with pytest.raises(SiteError, match=f"^no chain site at component {comp} "):
+                    chain_site(d, comp, sites[0].key()[1:])
 
 
 # Tk template -----------------------------------------------------------------
@@ -396,6 +422,23 @@ def test_augmenting_circle_and_removal():
 def test_remove_loop_component():
     d = LinkDiagram((), loops=2)
     assert remove_component(d, 1).loops == 1
+
+
+def test_augmenting_circle_rejects_a_missing_arc():
+    d4 = chain_link(ChainSpec(4))
+    with pytest.raises(SiteError, match="^no arc 999$"):
+        augmenting_circle(d4, 999, d4.arcs[0])
+
+
+def test_negative_component_index_is_missing():
+    d4 = chain_link(ChainSpec(4))
+    for call in (
+        lambda: remove_component(d4, -1),
+        lambda: half_twist(d4, -1, +1),
+        lambda: components(d4).arcs_of(-1),
+    ):
+        with pytest.raises(SiteError, match="^no component -1$"):
+            call()
 
 
 def test_switch_move_same_component():

@@ -1,5 +1,7 @@
-"""The package namespace: every public name resolves, submodules load lazily."""
+"""The package namespace: every public name resolves, submodules load lazily,
+and the submodules import one another one way only."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -41,3 +43,47 @@ def test_import_is_lazy_until_first_name():
     assert before == "[]"
     assert after == str([f"hyperforge.{m}" for m in sorted(
         ("certificate", "classifier", "diagram", "errors", "generators", "moves", "tangle"))])
+
+
+def _relative_imports(path):
+    """(target module, inside a function) for each relative import in a
+    source file, leaving out `if TYPE_CHECKING:` blocks."""
+    found = []
+
+    def visit(node, in_function):
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            for child in node.orelse:
+                visit(child, in_function)
+            return
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            targets = [node.module] if node.module else [a.name for a in node.names]
+            found.extend((t.split(".")[0], in_function) for t in targets)
+        in_function = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), False)
+    return found
+
+
+def test_import_graph_is_one_way():
+    package = Path(hyperforge.__file__).parent
+    edges = {path.stem: _relative_imports(path) for path in sorted(package.glob("*.py"))}
+    deferred = {(module, target) for module, found in edges.items()
+                for target, in_function in found if in_function and module != "cli"}
+    assert deferred <= {("classifier", "diagram"), ("tangle", "diagram")}
+    # depth-first search for a cycle among the relative imports
+    done, stack = set(), []
+
+    def visit(module):
+        assert module not in stack, " -> ".join(stack[stack.index(module):] + [module])
+        if module in done:
+            return
+        stack.append(module)
+        for target, _ in edges.get(module, ()):
+            visit(target)
+        stack.pop()
+        done.add(module)
+
+    for module in edges:
+        visit(module)

@@ -19,6 +19,7 @@ from hyperforge.diagram import (
     reduce_diagram,
     reidemeister1,
     reidemeister2,
+    remove_component,
 )
 from hyperforge.errors import HyperforgeError
 from hyperforge.generators import ChainSpec, chain_link, rational_link
@@ -30,7 +31,6 @@ from hyperforge.moves import (
     chain_move,
     find_chain_sites,
     half_twist,
-    remove_component,
     switch_move,
 )
 
