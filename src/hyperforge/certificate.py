@@ -145,9 +145,12 @@ def _exterior_has_closed_component(d: LinkDiagram, site: ChainSite) -> bool:
     return part.count > len(involved)
 
 
-def _apply_step(d: LinkDiagram, step: Step) -> LinkDiagram:
+def _apply_step(d: LinkDiagram, step: Step, site: Optional[ChainSite] = None) -> LinkDiagram:
+    """Apply ``step`` to ``d``; a chain step uses ``site`` when its caller
+    has already looked it up."""
     if isinstance(step, ChainStep):
-        site = chain_site(d, step.trivial_component, step.strands)
+        if site is None:
+            site = chain_site(d, step.trivial_component, step.strands)
         return getattr(_moves, step.move)(d, site, step.k, step.evidence)
     if isinstance(step, SwitchStep):
         return _moves.switch_move(d, SwitchSite(step.arc_g, step.arc_g2), step.handedness)
@@ -208,6 +211,7 @@ def verify(cert: Certificate) -> Verdict:
     current = cert.base_diagram
     saw_admissible_chain = False
     for i, step in enumerate(cert.steps):
+        site = None
         if isinstance(step, ChainStep):
             ev = step.evidence
             if isinstance(ev, Unchecked):
@@ -249,7 +253,7 @@ def verify(cert: Certificate) -> Verdict:
             )
         try:
             before = components(current).count
-            current = _apply_step(current, step)
+            current = _apply_step(current, step, site)
             after = components(current).count
         except (SiteError, ExcludedExteriorError, CertificateError) as err:
             return refuse(i, f"replay failed: {err}")
@@ -542,12 +546,16 @@ def _cert_from(doc: dict, depth: int = 0) -> Certificate:
     if base_diagram is None and isinstance(subject, LinkDiagram):
         raise CertificateError("a diagram certificate needs its base_diagram")
     base_manifold = _field(doc, "base_manifold", dict, None)
+    base = _field(doc, "base", str)
+    augmenting = tuple(_field(doc, "augmenting", list, [], of=int))
+    if augmenting and base != "AugmentedAlternating":
+        raise CertificateError(f"a {base} certificate has no augmenting components")
     return Certificate(
-        base=_field(doc, "base", str),
+        base=base,
         subject=subject,
         base_diagram=parse_pd(base_diagram) if base_diagram is not None else None,
         base_manifold=_manifold_from(base_manifold) if base_manifold is not None else None,
-        augmenting=tuple(_field(doc, "augmenting", list, [], of=int)),
+        augmenting=augmenting,
         description=_field(doc, "description", str, ""),
         steps=tuple(_step_from(s, depth) for s in _field(doc, "steps", list, [])),
     )

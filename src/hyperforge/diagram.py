@@ -22,7 +22,8 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import FormatError, InvalidDiagramError, SiteError, WiringError
 
@@ -104,37 +105,80 @@ class ComponentPartition:
         raise SiteError(f"arc {arc} not in any component")
 
 
+class _Strands(NamedTuple):
+    """The strand trace: each component walked along its orientation."""
+
+    steps: list[list[tuple[int, Slot]]]  # per component: (arc, head), least arc first
+    cycles: list[tuple[int, ...]]
+    head: dict[int, Slot]
+    signs: dict[int, int]
+    problems: tuple[str, ...]
+
+
+class _Embedding(NamedTuple):
+    """The faces of the crossing graph and its per-component Euler check."""
+
+    faces: list[tuple[Slot, ...]]
+    face_arcs: list[tuple[int, ...]]
+    graph_comp_of: dict[int, int]
+    n_graph_comps: int
+    problems: tuple[str, ...]
+
+
 class _Analysis:
-    """One-pass derivation of everything validate/components/signs need."""
+    """Everything validate/components/signs need, in stages computed on first use.
+
+    Arc occurrences are indexed when the analysis is made.  The strand trace
+    (orientation, signs) and the faces with the Euler check each run at most
+    once, when something first reads them, and only when every arc occurs
+    twice.  A stage returns its own problems instead of adding to a shared
+    list, so `report` lists them in the order occurrences, trace, faces
+    whichever stage ran first, and a stage that two threads both compute
+    cannot repeat a line.
+    """
 
     def __init__(self, diagram: "LinkDiagram"):
         self.d = diagram
-        self.problems: list[str] = []
-        self.occ: dict[int, list[Slot]] = {}
-        self.steps: list[list[tuple[int, Slot]]] = []  # per component: (arc, head)
-        self.cycles: list[tuple[int, ...]] = []
-        self.head: dict[int, Slot] = {}
-        self.signs: dict[int, int] = {}
-        self.faces: list[tuple[Slot, ...]] = []
-        self.face_arcs: list[tuple[int, ...]] = []
-        self.graph_comp_of: dict[int, int] = {}
-        self.n_graph_comps = 0
-        self.double_ok = self._index_occurrences()
-        self.consistent = self.double_ok and self._trace()
-        self.planar_ok = self.double_ok and self._faces_and_euler()
+        self.occ, self.occ_problems = self._index_occurrences()
+        self.double_ok = not self.occ_problems
+
+    @cached_property
+    def _strands(self) -> _Strands:
+        return self._trace() if self.double_ok else _Strands([], [], {}, {}, ())
+
+    @cached_property
+    def _embedding(self) -> _Embedding:
+        return self._faces_and_euler() if self.double_ok else _Embedding([], [], {}, 0, ())
+
+    steps = property(attrgetter("_strands.steps"))
+    cycles = property(attrgetter("_strands.cycles"))
+    head = property(attrgetter("_strands.head"))
+    signs = property(attrgetter("_strands.signs"))
+    faces = property(attrgetter("_embedding.faces"))
+    face_arcs = property(attrgetter("_embedding.face_arcs"))
+    graph_comp_of = property(attrgetter("_embedding.graph_comp_of"))
+    n_graph_comps = property(attrgetter("_embedding.n_graph_comps"))
+
+    @property
+    def consistent(self) -> bool:
+        return self.double_ok and not self._strands.problems
+
+    @property
+    def planar_ok(self) -> bool:
+        return self.double_ok and not self._embedding.problems
 
     # stage 1: occurrences
 
-    def _index_occurrences(self) -> bool:
-        ok = True
+    def _index_occurrences(self) -> tuple[dict[int, list[Slot]], tuple[str, ...]]:
+        occ: dict[int, list[Slot]] = {}
         for ci, x in enumerate(self.d.crossings):
             for si, arc in enumerate(x.slots):
-                self.occ.setdefault(arc, []).append((ci, si))
-        for arc, places in sorted(self.occ.items()):
-            if len(places) != 2:
-                self.problems.append(f"arc {arc} used {len(places)} times (need 2)")
-                ok = False
-        return ok
+                occ.setdefault(arc, []).append((ci, si))
+        return occ, tuple(
+            f"arc {arc} used {len(places)} times (need 2)"
+            for arc, places in sorted(occ.items())
+            if len(places) != 2
+        )
 
     # stage 2: strand tracing and orientation
 
@@ -180,106 +224,108 @@ class _Analysis:
                 return rev, False
         return fwd, False
 
-    def _trace(self) -> bool:
+    def _trace(self) -> _Strands:
+        problems: list[str] = []
         seen: set[int] = set()
-        ok = True
+        all_steps: list[list[tuple[int, Slot]]] = []
+        head: dict[int, Slot] = {}
+        signs: dict[int, int] = {}
         frozen = set(range(len(self.d.crossings)))
         for arc in sorted(self.occ):
             if arc in seen:
                 continue
             steps, conflict = self._choose_direction(arc, frozen)
             if conflict:
-                self.problems.append(
+                problems.append(
                     f"component of arc {arc} has conflicting under-strand directions"
                 )
-                ok = False
             arcs = [a for a, _ in steps]
             i = arcs.index(min(arcs))
             steps = steps[i:] + steps[:i]
-            for a, head in steps:
+            for a, h in steps:
                 seen.add(a)
-                self.head[a] = head
-            self.steps.append(steps)
+                head[a] = h
+            all_steps.append(steps)
             for a, (ci, si) in steps:
                 if si == 1:
-                    self.signs[ci] = -1
+                    signs[ci] = -1
                 elif si == 3:
-                    self.signs[ci] = +1
-        self.steps.sort(key=lambda st: st[0][0])
-        self.cycles = [tuple(a for a, _ in st) for st in self.steps]
-        if ok:
-            for ci in range(len(self.d.crossings)):
-                if ci not in self.signs:
-                    self.problems.append(f"crossing {ci} never traversed as over-strand")
-                    ok = False
-        return ok
+                    signs[ci] = +1
+        all_steps.sort(key=lambda st: st[0][0])
+        cycles = [tuple(a for a, _ in st) for st in all_steps]
+        if not problems:
+            problems = [
+                f"crossing {ci} never traversed as over-strand"
+                for ci in range(len(self.d.crossings))
+                if ci not in signs
+            ]
+        return _Strands(all_steps, cycles, head, signs, tuple(problems))
 
     # stage 3: faces and the Euler check
 
-    def _faces_and_euler(self) -> bool:
-        d = self.d
-        n = len(d.crossings)
-        parent = list(range(n))
+    def _faces_and_euler(self) -> _Embedding:
+        n = len(self.d.crossings)
+        # corner 4 * ci + si is slot si of crossing ci; across[k] is the
+        # corner at the other end of the arc at corner k
+        corner = [(ci, si) for ci in range(n) for si in range(4)]
+        arc_at = [a for x in self.d.crossings for a in x.slots]
+        across = [0] * (4 * n)
+        for (c1, s1), (c2, s2) in self.occ.values():
+            across[4 * c1 + s1] = 4 * c2 + s2
+            across[4 * c2 + s2] = 4 * c1 + s1
 
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
+        # graph components, numbered in the order of their least crossings
+        comp = [-1] * n
+        n_graph_comps = 0
+        for root in range(n):
+            if comp[root] >= 0:
+                continue
+            comp[root] = n_graph_comps
+            stack = [root]
+            while stack:
+                k = 4 * stack.pop()
+                for far in (across[k] >> 2, across[k + 1] >> 2, across[k + 2] >> 2,
+                            across[k + 3] >> 2):
+                    if comp[far] < 0:
+                        comp[far] = n_graph_comps
+                        stack.append(far)
+            n_graph_comps += 1
 
-        for places in self.occ.values():
-            (c1, _), (c2, _) = places
-            r1, r2 = find(c1), find(c2)
-            if r1 != r2:
-                parent[r1] = r2
-        comp_ids: dict[int, int] = {}
-        for ci in range(n):
-            comp_ids.setdefault(find(ci), len(comp_ids))
-        self.graph_comp_of = {ci: comp_ids[find(ci)] for ci in range(n)}
-        self.n_graph_comps = len(comp_ids)
-
-        # darts: (arc, head occurrence index); face turn: arrive at (ci, si),
-        # leave along the arc at slot (si + 1) % 4
-        visited: set[tuple[int, int]] = set()
+        # a face turn: arrive at corner (ci, si), leave along the arc at
+        # slot (si + 1) % 4 and arrive at that arc's other end; faces start
+        # at each arc's occurrences in order, arcs ascending
+        faces: list[tuple[Slot, ...]] = []
+        face_arcs: list[tuple[int, ...]] = []
+        seen = bytearray(4 * n)
         for arc in sorted(self.occ):
-            for e in (0, 1):
-                if (arc, e) in visited:
+            for ci, si in self.occ[arc]:
+                k = 4 * ci + si
+                if seen[k]:
                     continue
                 corners: list[Slot] = []
                 arcs_here: list[int] = []
-                cur = (arc, e)
-                while cur not in visited:
-                    visited.add(cur)
-                    a, idx = cur
-                    arcs_here.append(a)
-                    ci, si = self.occ[a][idx]
-                    corners.append((ci, si))
-                    out = (si + 1) % 4
-                    nxt = self.d.crossings[ci].slots[out]
-                    o1, _ = self.occ[nxt]
-                    nxt_idx = 1 if o1 == (ci, out) else 0
-                    cur = (nxt, nxt_idx)
-                self.faces.append(tuple(corners))
-                self.face_arcs.append(tuple(arcs_here))
+                while not seen[k]:
+                    seen[k] = 1
+                    corners.append(corner[k])
+                    arcs_here.append(arc_at[k])
+                    k = across[k + 1 if k & 3 != 3 else k - 3]
+                faces.append(tuple(corners))
+                face_arcs.append(tuple(arcs_here))
 
-        ok = True
-        v = [0] * self.n_graph_comps
-        e = [0] * self.n_graph_comps
-        f = [0] * self.n_graph_comps
-        for ci in range(n):
-            v[self.graph_comp_of[ci]] += 1
-        for places in self.occ.values():
-            e[self.graph_comp_of[places[0][0]]] += 1
-        for face in self.faces:
-            f[self.graph_comp_of[face[0][0]]] += 1
-        for g in range(self.n_graph_comps):
-            if v[g] - e[g] + f[g] != 2:
-                self.problems.append(
-                    f"graph component {g} fails Euler check: "
-                    f"V={v[g]} E={e[g]} F={f[g]}"
-                )
-                ok = False
-        return ok
+        # V - E + F = 2 per component, with E = 2V: every crossing has four
+        # slots and every arc two ends
+        v = [0] * n_graph_comps
+        f = [0] * n_graph_comps
+        for g in comp:
+            v[g] += 1
+        for face in faces:
+            f[comp[face[0][0]]] += 1
+        problems = tuple(
+            f"graph component {g} fails Euler check: V={v[g]} E={2 * v[g]} F={f[g]}"
+            for g in range(n_graph_comps)
+            if f[g] - v[g] != 2
+        )
+        return _Embedding(faces, face_arcs, dict(enumerate(comp)), n_graph_comps, problems)
 
     def report(self) -> ValidityReport:
         n = len(self.d.crossings)
@@ -296,7 +342,7 @@ class _Analysis:
             edges=sum(len(p) for p in self.occ.values()) // 2,
             faces=f_total,
             graph_components=total_comps,
-            problems=tuple(self.problems),
+            problems=self.occ_problems + self._strands.problems + self._embedding.problems,
         )
 
     @cached_property
@@ -925,7 +971,9 @@ def splice(
             except (WiringError, InvalidDiagramError) as err:
                 last_err = err
                 continue
-            if validate(out).valid:
+            # planarity first: a non-planar output is refused before its
+            # strands are traced, and an accepted one keeps its faces
+            if out._analysis.planar_ok and validate(out).valid:
                 return out
     raise SiteError(f"{failure} ({last_err})")
 

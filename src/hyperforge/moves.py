@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -77,6 +77,9 @@ class ChainSite:
     inner arcs between each pair; ``stubs`` are the four outer strand arcs
     at q0..q3 (the ball boundary).  ``pattern`` records whether C's own
     over/under word alternates or not (both phases admit the move).
+    A site found by `chain_site` or `find_chain_sites` remembers the diagram
+    it was read off, so a move on that same diagram need not look it up
+    again; a site made by hand is always looked up.
     """
 
     trivial_component: int
@@ -85,6 +88,9 @@ class ChainSite:
     crossings: tuple[int, int, int, int]
     stubs: tuple[int, int, int, int]
     pattern: str
+    _read_off: Optional[LinkDiagram] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def key(self) -> tuple:
         return (self.trivial_component, self.strand1, self.strand2)
@@ -176,7 +182,7 @@ def _sites_at(d: LinkDiagram, part, comp: int) -> Iterator[ChainSite]:
         first, second = _clasp(d, order[0], order[1]), _clasp(d, order[2], order[3])
         if first is None or second is None or first[0] == second[0]:
             continue
-        yield ChainSite(
+        site = ChainSite(
             trivial_component=comp,
             strand1=first[0],
             strand2=second[0],
@@ -184,6 +190,8 @@ def _sites_at(d: LinkDiagram, part, comp: int) -> Iterator[ChainSite]:
             stubs=first[1:] + second[1:],
             pattern=pattern,
         )
+        object.__setattr__(site, "_read_off", d)
+        yield site
 
 
 def find_chain_sites(d: LinkDiagram) -> tuple[ChainSite, ...]:
@@ -205,6 +213,14 @@ def chain_site(d: LinkDiagram, component: int, strands) -> ChainSite:
     raise SiteError(f"no chain site at component {component} strands {tuple(strands)}")
 
 
+def _resolved(d: LinkDiagram, site: ChainSite) -> ChainSite:
+    """``site`` as it stands in ``d``: used as it is when it was read off
+    ``d`` itself, looked up by its component and strands otherwise."""
+    if site._read_off is d:
+        return site
+    return chain_site(d, site.trivial_component, (site.strand1, site.strand2))
+
+
 def _gate_evidence(evidence: ExteriorEvidence, k: int) -> None:
     if isinstance(evidence, Rational):
         f = _tangle.fraction(evidence.sequence)
@@ -220,7 +236,7 @@ def chain_move(
     d: LinkDiagram, site: ChainSite, k: int, evidence: ExteriorEvidence
 ) -> LinkDiagram:
     """Replace the trivial component C by the Tk template."""
-    site = chain_site(d, site.trivial_component, (site.strand1, site.strand2))
+    site = _resolved(d, site)
     _gate_evidence(evidence, k)
     # strand1's freed ends (stubs 0, 1) take the gamma1 boundary, strand2's
     # the gamma2/twist side; the stub cyclic order around the removed ball
@@ -236,7 +252,7 @@ def augmented_chain_move(
     d: LinkDiagram, site: ChainSite, k: int, evidence: ExteriorEvidence
 ) -> LinkDiagram:
     """Chain move that keeps C: splice Tk into the strands inside C's disk."""
-    site = chain_site(d, site.trivial_component, (site.strand1, site.strand2))
+    site = _resolved(d, site)
     _gate_evidence(evidence, k)
     q = site.crossings
     # ends: strand1 tail, head (0, 1), strand2 tail, head (2, 3); match

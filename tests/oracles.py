@@ -4,16 +4,19 @@ These deliberately avoid the library's own code paths: the continued
 fraction uses the stdlib Fraction type, the component counter is a plain
 union-find over the raw crossing tuples, the linking oracle reads
 signed Gauss entries, the 2-edge-cut oracle runs a union-find per
-pair of arcs instead of reading the faces, and the isomorphism oracle
+pair of arcs instead of reading the faces, the isomorphism oracle
 is a backtracking search over crossing assignments instead of a rooted
-walk.
+walk, and the splice oracle judges every candidate wiring by the full
+report of an analysis whose stages all ran up front instead of asking
+for planarity first.
 """
 
 import itertools
 from fractions import Fraction as QQ
-from typing import Iterable
+from typing import Iterable, Optional
 
-from hyperforge.diagram import LinkDiagram
+from hyperforge.diagram import DiagramBuilder, LinkDiagram, _Analysis
+from hyperforge.errors import InvalidDiagramError, SiteError, WiringError
 
 INF = "inf"
 
@@ -199,3 +202,35 @@ def diagram_isomorphic_oracle(d1: LinkDiagram, d2: LinkDiagram) -> bool:
         return False
 
     return backtrack(0)
+
+
+def eager_report(d: LinkDiagram):
+    """The validity report of a fresh analysis of ``d`` with every stage
+    computed before the report is read, faces before strands: the reverse
+    of the order the report lists their problems in."""
+    an = _Analysis(d)
+    an.planar_ok, an.consistent
+    return an.report()
+
+
+def splice_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), remove=(),
+                  passes=(False,)):
+    """`diagram.splice` before its analysis became lazy: the same candidates
+    in the same order, each output judged by `eager_report(out).valid`."""
+    last_err: Optional[Exception] = None
+    for allow_reorient in passes:
+        for wiring in wirings:
+            bld = DiagramBuilder(base=base, remove=remove)
+            ends = [end for arc in cut for end in bld.cut(arc)]
+            ports = emit(bld)
+            ends += [bld.stub(arc) for arc in stubs]
+            for port, end in zip(ports, wiring):
+                bld.weld(ends[end], port)
+            try:
+                out = bld.build(allow_reorient=allow_reorient)
+            except (WiringError, InvalidDiagramError) as err:
+                last_err = err
+                continue
+            if eager_report(out).valid:
+                return out
+    raise SiteError(f"{failure} ({last_err})")

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -70,6 +71,37 @@ def test_extend_then_verify_agree_over_pipeline():
         cur = extend(cur, first_chain_step(cur.subject, k))
     assert components(cur.subject).count == 7
     assert verify(cur).valid
+
+
+def test_verify_looks_each_chain_site_up_once():
+    """verify looks the site of a chain step up once, with declared or
+    rational evidence and for a plain or an augmented chain move: the move
+    uses the site it is handed."""
+    import hyperforge.certificate as certificate
+    import hyperforge.moves as moves
+
+    cert, _ = chain_cert()
+    plan = [
+        (ChainStep, 0, DeclaredNonRational("declared")),
+        (ChainStep, 0, Rational(ConwaySequence((2,)))),
+        (AugChainStep, 1, DeclaredNonRational("declared")),
+        (ChainStep, -1, DeclaredNonRational("declared")),
+    ]
+    for kind, k, evidence in plan:
+        site = find_chain_sites(cert.subject)[0]
+        cert = extend(cert, kind(site.trivial_component, (site.strand1, site.strand2), k,
+                                 evidence))
+    calls = []
+    real = moves.chain_site
+
+    def counted(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    with mock.patch.object(moves, "chain_site", counted), \
+            mock.patch.object(certificate, "chain_site", counted):
+        assert verify(cert).valid
+    assert calls == [(s.trivial_component, s.strands) for s in cert.steps]
 
 
 def test_extend_excluded_evidence():

@@ -418,6 +418,9 @@ def test_verify_malformed_certificates_exit_2():
     ]
     manifold = json.loads(_glue_nest(0))
     probes += [_mutated(manifold, ("base_manifold", "hyperbolic"), v) for v in ("no", "false")]
+    # only an AugmentedAlternating base reads "augmenting"
+    probes += [_mutated(doc, ("augmenting",), [-9]), _mutated(doc, ("augmenting",), [1]),
+               _mutated(manifold, ("augmenting",), [0])]
     for text in probes:
         code, out = _verify_contract(text)
         assert code == MALFORMED, out

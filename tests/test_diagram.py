@@ -3,6 +3,8 @@ isomorphism, Gauss codes, and the text formats."""
 
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,6 +44,7 @@ from hyperforge.generators import ChainSpec, chain_link, exceptional_links, rati
 
 from oracles import (
     diagram_isomorphic_oracle,
+    eager_report,
     gauss_linking_oracle,
     two_edge_cuts_oracle,
     union_find_component_count,
@@ -75,6 +78,88 @@ def test_hopf_template_valid():
 def test_single_occurrence_invalid():
     rep = validate(parse_pd("X(1,2,3,4)"))
     assert not rep.valid and not rep.double_occurrence
+
+
+# Malformed diagrams: a label used once or three times, a strand whose under-
+# passages disagree, a Gauss word with no planar realisation (X(3,2,4,1)
+# X(2,1,3,4) is "1: +1o, +2u, +1u, +2o"), and the two last combined.  The
+# summaries and counts are those of the one-pass analysis the lazy stages
+# replaced.
+MALFORMED = [
+    ("X(1,4,2,5) X(3,6,4,1) X(5,2,6,7)",
+     "arc 3 used 1 times (need 2); arc 7 used 1 times (need 2)", (3, 6, 0, 0)),
+    ("X(1,4,2,5) X(3,6,4,1) X(5,2,6,1) O(1)",
+     "arc 1 used 3 times (need 2); arc 3 used 1 times (need 2)", (3, 6, 2, 1)),
+    ("X(2,5,1,4) X(3,6,4,1) X(5,2,6,3)",
+     "component of arc 1 has conflicting under-strand directions", (3, 6, 5, 1)),
+    ("X(3,2,4,1) X(2,1,3,4)",
+     "graph component 0 fails Euler check: V=2 E=4 F=2", (2, 4, 2, 1)),
+    ("X(4,1,3,2) X(2,1,3,4)",
+     "component of arc 1 has conflicting under-strand directions; "
+     "graph component 0 fails Euler check: V=2 E=4 F=2", (2, 4, 2, 1)),
+    ("X(3,2,4,1) X(2,1,3,4) X(12,15,11,14) X(13,16,14,11) X(15,12,16,13)",
+     "component of arc 11 has conflicting under-strand directions; "
+     "graph component 0 fails Euler check: V=2 E=4 F=2", (5, 10, 6, 2)),
+]
+
+
+@pytest.mark.parametrize("pd,summary,counts", MALFORMED)
+def test_malformed_reports_match_eager_analysis(pd, summary, counts):
+    """The report lists problems in the order occurrences, trace, faces
+    whichever stage ran first: asked for directly, after the faces alone,
+    and from an analysis with every stage forced up front."""
+    faces_first = parse_pd(pd)
+    faces_first._analysis.planar_ok
+    for rep in (validate(parse_pd(pd)), validate(faces_first), eager_report(parse_pd(pd))):
+        assert not rep.valid
+        assert rep.summary() == summary
+        assert rep.problems == tuple(summary.split("; "))
+        assert (rep.vertices, rep.edges, rep.faces, rep.graph_components) == counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.integers(1, 2 * n + 1), min_size=4 * n, max_size=4 * n)
+), st.integers(0, 1), st.booleans())
+def test_random_pd_reports_match_eager_analysis(labels, loops, faces_first):
+    """Crossing tuples over a few labels: mostly labels used once or three
+    times, orientation conflicts and non-planar words, some valid."""
+    d = LinkDiagram(
+        tuple(Crossing(tuple(labels[i:i + 4])) for i in range(0, len(labels), 4)), loops=loops
+    )
+    if faces_first:
+        d._analysis.planar_ok
+    rep, eager = validate(d), eager_report(d)
+    assert rep == eager
+    assert rep.summary() == eager.summary()
+
+
+def test_threads_sharing_a_diagram_get_one_report():
+    """Threads that analyse one fresh diagram at once, some asking for the
+    faces first, all read the eager report, no problem line repeated."""
+    pd = MALFORMED[-1][0]
+    want = eager_report(parse_pd(pd))
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            d = parse_pd(pd)
+            reports = []
+
+            def read(faces_first):
+                if faces_first:
+                    d._analysis.planar_ok
+                reports.append(validate(d))
+
+            threads = [threading.Thread(target=read, args=(i % 2,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert reports == [want] * 8
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_trefoil_valid(trefoil):
