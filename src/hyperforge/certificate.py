@@ -514,9 +514,8 @@ def _cert_doc(cert: Certificate) -> dict:
         "steps": [_step_doc(s) for s in cert.steps],
         # derived summary of every recorded premise; the steps stay
         # authoritative on load
-        "premises": [],
+        "premises": _collect_premises(cert),
     }
-    doc["premises"] = _collect_premises(cert)
     if cert.base_diagram is not None:
         doc["base_diagram"] = format_pd(cert.base_diagram)
     if cert.base_manifold is not None:
@@ -586,8 +585,3 @@ def deserialize(text: str) -> Certificate:
         raise CertificateError("certificate document must be a JSON object")
     return _cert_from(doc)
 
-
-def hash_ok(text: str) -> bool:
-    doc = json.loads(text)
-    claimed = doc.pop("sha256", None)
-    return claimed == hashlib.sha256(canonical_json(doc).encode()).hexdigest()

@@ -334,20 +334,25 @@ _COMMANDS = {
 }
 
 
-_VALUE_FLAGS = {
-    "--fraction", "--seq", "--s1", "--s2", "--twists", "--k", "--strands",
-    "--arcs", "--direction", "--extra-twists", "--handedness", "--arc",
-    "--component", "--crossing", "--crossings", "--n", "--jobs", "--evidence",
-}
+def _value_flags(parser: argparse.ArgumentParser) -> set[str]:
+    """The option strings that take a value, in ``parser`` and its subcommands."""
+    flags: set[str] = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _value_flags(sub)
+        elif action.nargs != 0:
+            flags.update(action.option_strings)
+    return flags
 
 
-def _join_negative_values(argv):
+def _join_negative_values(argv, value_flags):
     """Let value flags accept arguments starting with '-' (e.g. -3/1)."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+        if tok in value_flags and i + 1 < len(argv) and argv[i + 1].startswith("-"):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -358,8 +363,9 @@ def _join_negative_values(argv):
 
 def _parse_args(argv):
     """(namespace, None), or (None, exit code) when argparse exits."""
+    parser = _build_parser()
     try:
-        return _build_parser().parse_args(_join_negative_values(list(argv))), None
+        return parser.parse_args(_join_negative_values(list(argv), _value_flags(parser))), None
     except SystemExit as exc:
         # argparse already printed to stderr; normalize the exit code
         return None, (MALFORMED if exc.code not in (0, None) else OK)

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import FormatError, InvalidDiagramError, SiteError, WiringError
 
@@ -131,10 +131,11 @@ class _Analysis:
     Arc occurrences are indexed when the analysis is made.  The strand trace
     (orientation, signs) and the faces with the Euler check each run at most
     once, when something first reads them, and only when every arc occurs
-    twice.  A stage returns its own problems instead of adding to a shared
-    list, so `report` lists them in the order occurrences, trace, faces
-    whichever stage ran first, and a stage that two threads both compute
-    cannot repeat a line.
+    twice.  The strand trace and `_renormalize` orient the strands by one
+    walk per component, `_oriented`.  A stage returns its own problems
+    instead of adding to a shared list, so `report` lists them in the order
+    occurrences, trace, faces whichever stage ran first, and a stage that
+    two threads both compute cannot repeat a line.
     """
 
     def __init__(self, diagram: "LinkDiagram"):
@@ -186,72 +187,63 @@ class _Analysis:
         a, b = self.occ[arc]
         return b if slot == a else a
 
-    def _walk(self, arc: int, head_index: int) -> list[tuple[int, Slot]]:
-        start = (arc, self.occ[arc][head_index])
+    def _walk(self, arc: int) -> list[tuple[int, Slot]]:
+        """The component of ``arc`` walked once, from ``arc`` into its
+        second occurrence."""
+        start = (arc, self.occ[arc][1])
         steps = [start]
-        cur = start
         while True:
-            ci, si = cur[1]
+            ci, si = steps[-1][1]
             out = (si + 2) % 4
             nxt_arc = self.d.crossings[ci].slots[out]
             nxt = (nxt_arc, self._other(nxt_arc, (ci, out)))
             if nxt == start:
                 return steps
             steps.append(nxt)
-            cur = nxt
             if len(steps) > 4 * len(self.d.crossings) + 4:
                 raise AssertionError("strand walk did not close")
 
-    def _choose_direction(
-        self, arc: int, frozen: set[int]
-    ) -> tuple[list[tuple[int, Slot]], bool]:
-        """Pick the traversal direction of arc's component.
+    def _oriented(self, frozen: Container[int]) -> Iterator[tuple[list[tuple[int, Slot]], bool]]:
+        """Each strand component, walked once, in the order of least arcs.
 
-        Frozen crossings vote through their under-slots; with no votes the
-        component is oriented from its least arc toward the smaller
-        neighbor.  Returns (steps, votes_conflict).
+        A component runs the way its first frozen under-passage along the
+        walk from its least arc enters, at slot 0; with no frozen
+        under-passage it runs from its least arc toward the smaller
+        neighbor.  Yields (steps, conflict): the steps start at the least
+        arc, and conflict says some frozen under-passage enters at slot 2.
         """
-        fwd = self._walk(arc, 1)
-        ups = any(si == 0 and ci in frozen for _, (ci, si) in fwd)
-        downs = any(si == 2 and ci in frozen for _, (ci, si) in fwd)
-        if ups and downs:
-            return fwd, True
-        if downs:
-            return self._walk(arc, 0), False
-        if not ups:
-            rev = self._walk(arc, 0)
-            if len(fwd) > 1 and rev[1][0] < fwd[1][0]:
-                return rev, False
-        return fwd, False
-
-    def _trace(self) -> _Strands:
-        problems: list[str] = []
         seen: set[int] = set()
-        all_steps: list[list[tuple[int, Slot]]] = []
-        head: dict[int, Slot] = {}
-        signs: dict[int, int] = {}
-        frozen = set(range(len(self.d.crossings)))
         for arc in sorted(self.occ):
             if arc in seen:
                 continue
-            steps, conflict = self._choose_direction(arc, frozen)
+            steps = self._walk(arc)
+            seen.update(a for a, _ in steps)
+            votes = [si for _, (ci, si) in steps if not si & 1 and ci in frozen]
+            if votes:
+                back = votes[0] == 2
+            else:
+                back = len(steps) > 1 and steps[-1][0] < steps[1][0]
+            if back:
+                # going backward, an arc's head is the slot opposite the
+                # forward head of the arc before it
+                arcs = [arc] + [a for a, _ in steps[:0:-1]]
+                steps = [(a, (ci, si ^ 2)) for a, (_, (ci, si)) in zip(arcs, steps[::-1])]
+            yield steps, 0 in votes and 2 in votes
+
+    def _trace(self) -> _Strands:
+        problems: list[str] = []
+        all_steps: list[list[tuple[int, Slot]]] = []
+        head: dict[int, Slot] = {}
+        signs: dict[int, int] = {}
+        for steps, conflict in self._oriented(range(len(self.d.crossings))):
             if conflict:
                 problems.append(
-                    f"component of arc {arc} has conflicting under-strand directions"
+                    f"component of arc {steps[0][0]} has conflicting under-strand directions"
                 )
-            arcs = [a for a, _ in steps]
-            i = arcs.index(min(arcs))
-            steps = steps[i:] + steps[:i]
-            for a, h in steps:
-                seen.add(a)
-                head[a] = h
+            head.update(steps)
             all_steps.append(steps)
-            for a, (ci, si) in steps:
-                if si == 1:
-                    signs[ci] = -1
-                elif si == 3:
-                    signs[ci] = +1
-        all_steps.sort(key=lambda st: st[0][0])
+            # the over-strand entering at slot 1 is sign -1, at slot 3 +1
+            signs.update((ci, si - 2) for _, (ci, si) in steps if si & 1)
         cycles = [tuple(a for a, _ in st) for st in all_steps]
         if not problems:
             problems = [
@@ -357,7 +349,6 @@ class LinkDiagram:
 
     crossings: tuple[Crossing, ...] = ()
     loops: int = 0
-    ambient: str = "S3"
 
     def __post_init__(self):
         object.__setattr__(self, "crossings", tuple(self.crossings))
@@ -527,50 +518,31 @@ def is_prime_diagram(d: LinkDiagram) -> bool:
 
 
 def _renormalize(
-    crossings: Sequence[Crossing],
-    loops: int,
-    frozen: set[int],
-    ambient: str = "S3",
-    allow_reorient: bool = False,
+    crossings: Sequence[Crossing], loops: int, frozen: Container[int], allow_reorient: bool = False
 ) -> LinkDiagram:
-    """Rotate non-frozen crossings by 2 where needed to meet the convention.
+    """Rotate crossings by 2 where needed to meet the convention.
 
-    Frozen crossings vote for strand directions through their under-slots;
-    non-frozen ones rotate so the incoming under-strand sits at slot 0.
-    CCW rotation and the under/over split are never changed.  With
-    ``allow_reorient`` a conflicted component (a move genuinely reversed a
-    strand segment, as a half twist on two strands of one component does)
-    takes the direction of its first frozen under-passage and the minority
-    frozen crossings rotate by 2 as well; arc labels never change.
+    Each component takes the direction of its first frozen under-passage
+    (see `_Analysis._oriented`), and every crossing it enters at slot 2
+    rotates so the incoming under-strand sits at slot 0.  CCW rotation and
+    the under/over split are never changed.  Frozen crossings that
+    disagree on a component's direction raise a WiringError, unless
+    ``allow_reorient``: a move genuinely reversed a strand segment, as a
+    half twist on two strands of one component does, and every frozen
+    crossing that disagrees with the first rotates by 2 as well; arc
+    labels never change.
     """
-    probe = LinkDiagram(tuple(crossings), loops=loops, ambient=ambient)
-    ana = probe._analysis
+    ana = LinkDiagram(tuple(crossings), loops=loops)._analysis
     if not ana.double_ok:
         raise InvalidDiagramError(ana.validity)
     out = list(crossings)
-    seen: set[int] = set()
-    for arc in sorted(ana.occ):
-        if arc in seen:
-            continue
-        steps, conflict = ana._choose_direction(arc, frozen)
-        if conflict:
-            if not allow_reorient:
-                raise WiringError("frozen crossings disagree on strand direction")
-            fwd = ana._walk(arc, 1)
-            first = next(
-                (si for _, (ci, si) in fwd if ci in frozen and si in (0, 2)), 0
-            )
-            steps = fwd if first == 0 else ana._walk(arc, 0)
-        for a, _ in steps:
-            seen.add(a)
-        for a, (ci, si) in steps:
+    for steps, conflict in ana._oriented(frozen):
+        if conflict and not allow_reorient:
+            raise WiringError("frozen crossings disagree on strand direction")
+        for _, (ci, si) in steps:
             if si == 2:
-                if ci in frozen and not allow_reorient:
-                    raise WiringError(
-                        "frozen crossing would need rotation; a move reversed a strand"
-                    )
                 out[ci] = out[ci].rotated(2)
-    return LinkDiagram(tuple(out), loops=loops, ambient=ambient)
+    return LinkDiagram(tuple(out), loops=loops)
 
 
 def _relabel_occurrence(crossings: list[Crossing], at: Slot, new_arc: int) -> None:
@@ -614,7 +586,7 @@ def _drop_crossings(d: LinkDiagram, removed: set[int], joins) -> LinkDiagram:
             continue
         for o in far:
             _relabel_occurrence(crossings, (remap[o[0]], o[1]), root)
-    return LinkDiagram(tuple(crossings), loops=loops, ambient=d.ambient)
+    return LinkDiagram(tuple(crossings), loops=loops)
 
 
 # -- component rings, twice-punctured disks, component removal -----------------------
@@ -717,7 +689,7 @@ def remove_component(d: LinkDiagram, comp: int) -> LinkDiagram:
     if not 0 <= comp < part.count:
         raise SiteError(f"no component {comp}")
     if comp >= len(part.cycles):
-        return LinkDiagram(d.crossings, loops=d.loops - 1, ambient=d.ambient)
+        return LinkDiagram(d.crossings, loops=d.loops - 1)
     comp_arcs = set(part.arcs_of(comp))
     removed = {ci for ci, _ in _passages(d, comp)}
     # the strands that crossed the component continue straight
@@ -758,7 +730,6 @@ class DiagramBuilder:
                     self.protos.append(list(x.slots))
         self.n_frozen = len(self.protos)
         self.loops = base.loops if base is not None else 0
-        self.ambient = base.ambient if base is not None else "S3"
         self.welds: dict = {}
         self.stub_labels: dict = {}
         self._terminal_count = 0
@@ -915,11 +886,7 @@ class DiagramBuilder:
                 raise AssertionError(f"stub {t} never reached from a crossing slot")
         crossings = [Crossing(tuple(p)) for p in self.protos]
         return _renormalize(
-            crossings,
-            loops,
-            frozen=set(range(self.n_frozen)),
-            ambient=self.ambient,
-            allow_reorient=allow_reorient,
+            crossings, loops, frozen=range(self.n_frozen), allow_reorient=allow_reorient
         )
 
 
@@ -1004,7 +971,7 @@ def reidemeister1(d: LinkDiagram, arc: Optional[int], handedness: int) -> LinkDi
             raise SiteError("no crossing-free loop to kink")
         m1, m2 = d.fresh_arc(), d.fresh_arc() + 1
         kink = Crossing((m1, m1, m2, m2)) if handedness > 0 else Crossing((m1, m2, m2, m1))
-        return LinkDiagram(d.crossings + (kink,), loops=d.loops - 1, ambient=d.ambient)
+        return LinkDiagram(d.crossings + (kink,), loops=d.loops - 1)
     if arc not in d._analysis.occ:
         raise SiteError(f"no arc {arc}")
     m1, m2 = d.fresh_arc(), d.fresh_arc() + 1
@@ -1012,9 +979,7 @@ def reidemeister1(d: LinkDiagram, arc: Optional[int], handedness: int) -> LinkDi
     _relabel_occurrence(crossings, d.head_of(arc), m2)
     kink = Crossing((arc, m2, m1, m1)) if handedness > 0 else Crossing((arc, m1, m1, m2))
     crossings.append(kink)
-    return _renormalize(
-        crossings, d.loops, frozen=set(range(len(d.crossings))), ambient=d.ambient
-    )
+    return _renormalize(crossings, d.loops, frozen=range(len(d.crossings)))
 
 
 def find_kinks(d: LinkDiagram) -> tuple[int, ...]:
@@ -1064,6 +1029,16 @@ def reidemeister2(
     )
 
 
+def _r2_strands(d: LinkDiagram, ci: int, cj: int) -> Optional[tuple[int, int]]:
+    """(arc over at both, arc under at both) of the arcs crossings ci and
+    cj share, or None when either is missing."""
+    occ = d._analysis.occ
+    shared = set(d.crossings[ci].slots) & set(d.crossings[cj].slots)
+    over = next((a for a in shared if all(o[1] % 2 == 1 for o in occ[a])), None)
+    under = next((a for a in shared if all(o[1] % 2 == 0 for o in occ[a])), None)
+    return None if over is None or under is None else (over, under)
+
+
 def find_r2_bigons(d: LinkDiagram) -> tuple[tuple[int, int], ...]:
     """Bigon faces where one strand is over at both crossings."""
     d.require_valid()
@@ -1072,13 +1047,9 @@ def find_r2_bigons(d: LinkDiagram) -> tuple[tuple[int, int], ...]:
         if len(face) != 2:
             continue
         (c1, _), (c2, _) = face
-        if c1 == c2:
-            continue
-        shared = set(d.crossings[c1].slots) & set(d.crossings[c2].slots)
-        over_both = [a for a in shared if all(o[1] % 2 == 1 for o in d._analysis.occ[a])]
-        under_both = [a for a in shared if all(o[1] % 2 == 0 for o in d._analysis.occ[a])]
-        if over_both and under_both:
-            out.add((min(c1, c2), max(c1, c2)))
+        pair = (min(c1, c2), max(c1, c2))
+        if c1 != c2 and _r2_strands(d, *pair):
+            out.add(pair)
     return tuple(sorted(out))
 
 
@@ -1086,11 +1057,8 @@ def reidemeister2_undo(d: LinkDiagram, pair: tuple[int, int]) -> LinkDiagram:
     ci, cj = min(pair), max(pair)
     if (ci, cj) not in find_r2_bigons(d):
         raise SiteError(f"crossings {pair} do not bound an R2 bigon")
-    occ = d._analysis.occ
     x1, x2 = d.crossings[ci], d.crossings[cj]
-    shared = set(x1.slots) & set(x2.slots)
-    ma = next(a for a in shared if all(o[1] % 2 == 1 for o in occ[a]))
-    mb = next(a for a in shared if all(o[1] % 2 == 0 for o in occ[a]))
+    ma, mb = _r2_strands(d, ci, cj)
 
     def outer(x: Crossing, inner: int, odd: bool) -> int:
         idxs = (1, 3) if odd else (0, 2)

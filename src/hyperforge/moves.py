@@ -98,11 +98,10 @@ class ChainSite:
 
 @dataclass(frozen=True)
 class SwitchSite:
-    """Two arcs g, g' to surger, plus the recorded geodesic premise."""
+    """Two arcs g, g' to surger."""
 
     arc_g: int
     arc_g2: int
-    geodesic_premise: bool = True
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,19 @@ union-find over the raw crossing tuples, the linking oracle reads
 signed Gauss entries, the 2-edge-cut oracle runs a union-find per
 pair of arcs instead of reading the faces, the isomorphism oracle
 is a backtracking search over crossing assignments instead of a rooted
-walk, and the splice oracle judges every candidate wiring by the full
+walk, the splice oracle judges every candidate wiring by the full
 report of an analysis whose stages all ran up front instead of asking
-for planarity first.
+for planarity first, and the orientation oracles walk a component a
+second time to go backward instead of reading the forward walk in
+reverse, and settle a builder's conflicted component in a branch of
+their own.
 """
 
 import itertools
 from fractions import Fraction as QQ
 from typing import Iterable, Optional
 
-from hyperforge.diagram import DiagramBuilder, LinkDiagram, _Analysis
+from hyperforge.diagram import DiagramBuilder, LinkDiagram, _Analysis, validate
 from hyperforge.errors import InvalidDiagramError, SiteError, WiringError
 
 INF = "inf"
@@ -234,3 +237,108 @@ def splice_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), remove=(),
             if eager_report(out).valid:
                 return out
     raise SiteError(f"{failure} ({last_err})")
+
+
+class _Walker:
+    """Strand walks over an occurrence index of its own."""
+
+    def __init__(self, crossings):
+        self.crossings = tuple(crossings)
+        self.occ = {}
+        for ci, x in enumerate(self.crossings):
+            for si, arc in enumerate(x.slots):
+                self.occ.setdefault(arc, []).append((ci, si))
+
+    def walk(self, arc, head_index):
+        """The component of ``arc``, entering occurrence ``head_index`` first."""
+        start = (arc, self.occ[arc][head_index])
+        steps = [start]
+        cur = start
+        while True:
+            ci, si = cur[1]
+            out = (si + 2) % 4
+            nxt_arc = self.crossings[ci].slots[out]
+            a, b = self.occ[nxt_arc]
+            nxt = (nxt_arc, b if a == (ci, out) else a)
+            if nxt == start:
+                return steps
+            steps.append(nxt)
+            cur = nxt
+
+    def choose_direction(self, arc, frozen):
+        """(steps, votes conflict): frozen crossings vote through their
+        under-slots; with no votes, from the least arc toward the smaller
+        neighbor."""
+        fwd = self.walk(arc, 1)
+        ups = any(si == 0 and ci in frozen for _, (ci, si) in fwd)
+        downs = any(si == 2 and ci in frozen for _, (ci, si) in fwd)
+        if ups and downs:
+            return fwd, True
+        if downs:
+            return self.walk(arc, 0), False
+        if not ups:
+            rev = self.walk(arc, 0)
+            if len(fwd) > 1 and rev[1][0] < fwd[1][0]:
+                return rev, False
+        return fwd, False
+
+
+def renormalize_oracle(crossings, loops, frozen, allow_reorient=False):
+    """`diagram._renormalize` with a vote count per component, a second
+    walk to go backward, and a third for a conflicted component."""
+    w = _Walker(crossings)
+    if any(len(places) != 2 for places in w.occ.values()):
+        raise InvalidDiagramError(validate(LinkDiagram(tuple(crossings), loops=loops)))
+    out = list(crossings)
+    seen = set()
+    for arc in sorted(w.occ):
+        if arc in seen:
+            continue
+        steps, conflict = w.choose_direction(arc, frozen)
+        if conflict:
+            if not allow_reorient:
+                raise WiringError("frozen crossings disagree on strand direction")
+            fwd = w.walk(arc, 1)
+            first = next((si for _, (ci, si) in fwd if ci in frozen and si in (0, 2)), 0)
+            steps = fwd if first == 0 else w.walk(arc, 0)
+        seen.update(a for a, _ in steps)
+        for a, (ci, si) in steps:
+            if si == 2:
+                if ci in frozen and not allow_reorient:
+                    raise WiringError(
+                        "frozen crossing would need rotation; a move reversed a strand"
+                    )
+                out[ci] = out[ci].rotated(2)
+    return LinkDiagram(tuple(out), loops=loops)
+
+
+def trace_oracle(d):
+    """(steps, cycles, head, signs, problems) of the strand trace of a
+    diagram whose arcs each occur twice: every component walked by
+    `_Walker.choose_direction` with every crossing voting, rotated to its
+    least arc, and the components sorted by least arc."""
+    w = _Walker(d.crossings)
+    n = len(d.crossings)
+    problems, all_steps, head, signs, seen = [], [], {}, {}, set()
+    for arc in sorted(w.occ):
+        if arc in seen:
+            continue
+        steps, conflict = w.choose_direction(arc, set(range(n)))
+        if conflict:
+            problems.append(f"component of arc {arc} has conflicting under-strand directions")
+        arcs = [a for a, _ in steps]
+        i = arcs.index(min(arcs))
+        steps = steps[i:] + steps[:i]
+        for a, h in steps:
+            seen.add(a)
+            head[a] = h
+        all_steps.append(steps)
+        for _, (ci, si) in steps:
+            if si % 2:
+                signs[ci] = -1 if si == 1 else +1
+    all_steps.sort(key=lambda st: st[0][0])
+    cycles = [tuple(a for a, _ in st) for st in all_steps]
+    if not problems:
+        problems = [f"crossing {ci} never traversed as over-strand"
+                    for ci in range(n) if ci not in signs]
+    return all_steps, cycles, head, signs, tuple(problems)

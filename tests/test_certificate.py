@@ -1,5 +1,6 @@
 """Certificates: extend, verify (replay), glue, and serialization."""
 
+import hashlib
 import json
 from dataclasses import replace
 from unittest import mock
@@ -15,10 +16,10 @@ from hyperforge.certificate import (
     HalfTwistStep,
     Premise,
     SwitchStep,
+    canonical_json,
     deserialize,
     extend,
     glue,
-    hash_ok,
     serialize,
     verify,
 )
@@ -189,7 +190,9 @@ def test_serialize_round_trip():
     cert, d4 = chain_cert()
     c5 = extend(cert, first_chain_step(d4))
     doc = serialize(c5)
-    assert hash_ok(doc)
+    body = json.loads(doc)
+    claimed = body.pop("sha256")
+    assert claimed == hashlib.sha256(canonical_json(body).encode()).hexdigest()
     c5b = deserialize(doc)
     assert verify(c5b).valid
     assert diagram_isomorphic(c5b.subject, c5.subject)

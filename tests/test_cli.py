@@ -308,6 +308,13 @@ def test_negative_component_indices_exit_cleanly():
         assert "Traceback" not in proc.stderr
 
 
+def test_a_dash_value_after_augmenting_is_its_value():
+    _, pd = run(["gen", "chain", "--n", "4"])
+    joined = run(["certify", "--base", "augmented", "--augmenting=-1,2"], stdin_text=pd)
+    split = run(["certify", "--base", "augmented", "--augmenting", "-1,2"], stdin_text=pd)
+    assert joined == split == (REFUSED, "REFUSED: BadAugmenting (-1,) no component -1\n")
+
+
 def test_fraction_starts_without_the_diagram_modules():
     # `python -m hyperforge.cli fraction` imports only what the command uses
     script = (

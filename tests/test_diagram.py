@@ -462,18 +462,21 @@ def test_components_matched_one_to_one(trefoil):
     assert not diagram_isomorphic(two_trefoils(), disjoint_union(left, left))
 
 
-def scrambled(d, data):
-    """d with its arcs relabelled, its crossings reordered and turned by 0
-    or 2, and the orientation convention applied afresh."""
+def scrambled_crossings(d, data):
+    """d's crossings with their arcs relabelled, reordered and turned by 0 or 2."""
     arcs = d.arcs
     label = dict(zip(arcs, data.draw(st.permutations([a + 7 for a in arcs]))))
     order = data.draw(st.permutations(range(len(d.crossings))))
     turns = data.draw(st.lists(st.sampled_from((0, 2)), min_size=len(order), max_size=len(order)))
-    crossings = [
+    return [
         Crossing(tuple(label[a] for a in d.crossings[ci].slots)).rotated(r)
         for ci, r in zip(order, turns)
     ]
-    return _renormalize(crossings, d.loops, frozen=set())
+
+
+def scrambled(d, data):
+    """d scrambled, with the orientation convention applied afresh."""
+    return _renormalize(scrambled_crossings(d, data), d.loops, frozen=set())
 
 
 # One graph component each (and loops): the oracle backtracks through the

@@ -1,5 +1,6 @@
 """The splice engine: the wiring moves against the try-every-wiring oracle,
-and the analysis work each candidate wiring costs."""
+the strand orientation against the two-walk oracle, and the analysis work
+each candidate wiring costs."""
 
 from unittest import mock
 
@@ -8,8 +9,16 @@ from hypothesis import given, settings, strategies as st
 import hyperforge.diagram as dg
 import hyperforge.moves as mv
 from hyperforge.classifier import DeclaredNonRational
-from hyperforge.diagram import components, format_pd, reidemeister2, validate
-from hyperforge.errors import SiteError
+from hyperforge.diagram import (
+    LinkDiagram,
+    _renormalize,
+    components,
+    format_pd,
+    reidemeister2,
+    to_gauss,
+    validate,
+)
+from hyperforge.errors import InvalidDiagramError, SiteError, WiringError
 from hyperforge.generators import ChainSpec, chain_link, rational_link, tk_closure
 from hyperforge.moves import (
     Handedness,
@@ -22,8 +31,8 @@ from hyperforge.moves import (
     switch_move,
 )
 
-from oracles import splice_oracle
-from test_diagram import r_moves
+from oracles import renormalize_oracle, splice_oracle, trace_oracle
+from test_diagram import r_moves, scrambled_crossings
 
 EVIDENCE = DeclaredNonRational("splice test")
 
@@ -86,6 +95,69 @@ def test_moves_match_the_splice_oracle(d, data):
     *_, d = r_moves(d, data)
     for move, *args in _moves(d, data):
         assert _outcome(move, *args) == _by_oracle(move, *args), move.__name__
+
+
+def _renormalized(renormalize, *args, allow_reorient):
+    """The diagram a renormalisation gives, or the text of its error."""
+    try:
+        return renormalize(*args, allow_reorient=allow_reorient)
+    except (WiringError, InvalidDiagramError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def _assert_trace_matches_oracle(d):
+    steps, cycles, head, signs, problems = trace_oracle(d)
+    assert validate(d).problems == problems
+    if not problems:
+        assert components(d).cycles == tuple(cycles)
+        assert all(d.head_of(a) == h for a, h in head.items())
+        assert to_gauss(d).components == tuple(
+            tuple((ci + 1, si % 2 == 1, signs[ci]) for _, (ci, si) in st) for st in steps
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_BASES, st.data())
+def test_orientation_matches_the_two_walk_oracle(d, data):
+    """One walk per component, one direction rule: the PD text or error
+    text of the builder's renormalisation, with a frozen prefix of any
+    length and either reorient setting, and the strand trace of the
+    scrambled crossings and of the output, are what walking twice gives."""
+    *_, d = r_moves(d, data)
+    crossings = scrambled_crossings(d, data)
+    args = (crossings, d.loops, range(data.draw(st.integers(0, len(crossings)))))
+    reorient = data.draw(st.booleans())
+    got = _renormalized(_renormalize, *args, allow_reorient=reorient)
+    want = _renormalized(renormalize_oracle, *args, allow_reorient=reorient)
+    if isinstance(want, str):
+        assert got == want
+        outputs = ()
+    else:
+        assert format_pd(got) == format_pd(want)
+        outputs = (got,)
+    for e in (LinkDiagram(tuple(crossings), loops=d.loops),) + outputs:
+        _assert_trace_matches_oracle(e)
+
+
+def _walks(run, *args):
+    """How many strand walks ``run(*args)`` makes."""
+    walk, calls = dg._Analysis._walk, []
+
+    def counted(an, *rest):
+        calls.append(an)
+        return walk(an, *rest)
+
+    with mock.patch.object(dg._Analysis, "_walk", counted):
+        run(*args)
+    return len(calls)
+
+
+def test_one_walk_per_component():
+    for d in (chain_link(ChainSpec(4)), rational_link([2, 2, 2]), tk_closure([2, 3], 1)):
+        n_comps = len(components(d).cycles)
+        assert _walks(validate, LinkDiagram(d.crossings, loops=d.loops)) == n_comps
+        turned = [x.rotated(1) for x in d.crossings]
+        assert _walks(_renormalize, turned, d.loops, set()) == n_comps
 
 
 class _StageLog:
