@@ -621,9 +621,9 @@ def _ring_fault(d: LinkDiagram, part: ComponentPartition, comp: int) -> Optional
 def _disk_runs(d: LinkDiagram, comp: int):
     """Pattern scan for a twice-punctured-disk boundary component.
 
-    Returns (passage pairs, run1 arcs, run2 arcs) where each run is the
-    chain of strand arcs through the disk between a clasp pair (possibly
-    through twist crossings inserted by earlier half-twists).
+    Returns (run1 arcs, run2 arcs) where each run is the chain of strand
+    arcs through the disk between a clasp pair (possibly through twist
+    crossings inserted by earlier half-twists).
     """
     part = components(d)
     fault = _ring_fault(d, part, comp)
@@ -676,11 +676,10 @@ def _disk_runs(d: LinkDiagram, comp: int):
                 break
             runs.append(run)
         if len(runs) == 2 and not (runs[0] & runs[1]):
-            found.append((len(runs[0]) + len(runs[1]), len(found), pairs, runs))
+            found.append((len(runs[0]) + len(runs[1]), len(found), tuple(runs)))
     if not found:
         raise SiteError(f"component {comp} does not bound a recognizable disk")
-    _, _, pairs, runs = min(found)
-    return pairs, runs[0], runs[1]
+    return min(found)[2]
 
 
 def remove_component(d: LinkDiagram, comp: int) -> LinkDiagram:
@@ -910,38 +909,37 @@ def splice(
     cut: Sequence[int] = (),
     stubs: Sequence[int] = (),
     remove: Iterable[int] = (),
-    passes: Sequence[bool] = (False,),
+    reorient: bool = False,
 ) -> LinkDiagram:
     """Weld a fragment into ``base`` by the first wiring that gives a valid diagram.
 
     Per candidate, a builder over ``base`` minus ``remove`` cuts the ``cut``
     arcs in order (ends: each arc's tail, then head), ``emit`` adds the
     fragment and returns its ports, the ``stubs`` arcs become further ends,
-    and port i is welded to end ``wiring[i]``.  The wirings are tried in
-    order, once per entry of ``passes`` (its ``allow_reorient``); that order
-    fixes the fresh arc labels and crossing indices.  A WiringError or an
-    invalid result moves on to the next candidate, while a builder fault
-    (an over-welded port, an unwelded slot) is a bug and propagates.  With
-    no candidate left: SiteError("<failure> (<last wiring error>)").
+    and port i is welded to end ``wiring[i]``; ``reorient`` is the build's
+    ``allow_reorient``.  The wirings are tried in order, which fixes the
+    fresh arc labels and crossing indices.  A WiringError or an invalid
+    result moves on to the next candidate, while a builder fault (an
+    over-welded port, an unwelded slot) is a bug and propagates.  With no
+    candidate left: SiteError("<failure> (<last wiring error>)").
     """
     last_err: Optional[Exception] = None
-    for allow_reorient in passes:
-        for wiring in wirings:
-            bld = DiagramBuilder(base=base, remove=remove)
-            ends = [end for arc in cut for end in bld.cut(arc)]
-            ports = emit(bld)
-            ends += [bld.stub(arc) for arc in stubs]
-            for port, end in zip(ports, wiring):
-                bld.weld(ends[end], port)
-            try:
-                out = bld.build(allow_reorient=allow_reorient)
-            except (WiringError, InvalidDiagramError) as err:
-                last_err = err
-                continue
-            # planarity first: a non-planar output is refused before its
-            # strands are traced, and an accepted one keeps its faces
-            if out._analysis.planar_ok and validate(out).valid:
-                return out
+    for wiring in wirings:
+        bld = DiagramBuilder(base=base, remove=remove)
+        ends = [end for arc in cut for end in bld.cut(arc)]
+        ports = emit(bld)
+        ends += [bld.stub(arc) for arc in stubs]
+        for port, end in zip(ports, wiring):
+            bld.weld(ends[end], port)
+        try:
+            out = bld.build(allow_reorient=reorient)
+        except (WiringError, InvalidDiagramError) as err:
+            last_err = err
+            continue
+        # planarity first: a non-planar output is refused before its
+        # strands are traced, and an accepted one keeps its faces
+        if out._analysis.planar_ok and validate(out).valid:
+            return out
     raise SiteError(f"{failure} ({last_err})")
 
 
@@ -1057,18 +1055,17 @@ def reidemeister2_undo(d: LinkDiagram, pair: tuple[int, int]) -> LinkDiagram:
     ci, cj = min(pair), max(pair)
     if (ci, cj) not in find_r2_bigons(d):
         raise SiteError(f"crossings {pair} do not bound an R2 bigon")
+    return _undo_bigon(d, ci, cj)
+
+
+def _undo_bigon(d: LinkDiagram, ci: int, cj: int) -> LinkDiagram:
+    """Remove the R2 bigon of crossings ci < cj, unchecked: the over strand
+    (odd slots) and the under strand (even slots) each join the arcs they
+    leave the bigon by."""
     x1, x2 = d.crossings[ci], d.crossings[cj]
-    ma, mb = _r2_strands(d, ci, cj)
-
-    def outer(x: Crossing, inner: int, odd: bool) -> int:
-        idxs = (1, 3) if odd else (0, 2)
-        vals = [x.slots[i] for i in idxs]
-        vals.remove(inner)
-        return vals[0]
-
     joins = [
-        (outer(x1, ma, True), outer(x2, ma, True)),
-        (outer(x1, mb, False), outer(x2, mb, False)),
+        tuple(x.slots[s + 2] if x.slots[s] == inner else x.slots[s] for x in (x1, x2))
+        for s, inner in zip((1, 0), _r2_strands(d, ci, cj))
     ]
     return _drop_crossings(d, {ci, cj}, joins)
 
@@ -1090,7 +1087,7 @@ def reduce_diagram(
             continue
         bigons = find_r2_bigons(cur)
         if bigons:
-            cur = reidemeister2_undo(cur, bigons[0])
+            cur = _undo_bigon(cur, *bigons[0])
             steps += 1
             continue
         return cur, steps, True

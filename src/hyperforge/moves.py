@@ -281,7 +281,9 @@ def switch_move(d: LinkDiagram, site: SwitchSite, h: Handedness) -> LinkDiagram:
 
     The two variants are the two half-twist parity classes: NegativeSkew
     keeps the new strands parallel inside the ball; PositiveSkew applies
-    one positive half-twist along C's disk.
+    one positive half-twist along C's disk.  It surgers only where a
+    switched wiring is planar with no frozen crossing turned; otherwise
+    the ring goes in unswitched, as in `augmenting_circle`.
     """
     g, u = site.arc_g, site.arc_g2
     _require_co_face(d, g, u, "switch move needs two distinct arcs")
@@ -308,7 +310,8 @@ def _insert_clasped_ring(d: LinkDiagram, g: int, u: int, switched: bool) -> Link
     With ``switched`` the surgered strands reconnect g-end to u-end where
     the face geometry allows it; the ring C rides between the two strand
     rails (zigzag, so the disk pattern stays recognizable).  The first
-    planar end-assignment in preference order wins.
+    end-assignment in preference order that is planar with no frozen
+    crossing turned wins, so a switched ring may go in unswitched.
     """
     xa, xb = SWITCH_CLASP_CHIRALITY
 
@@ -348,7 +351,7 @@ def half_twist(d: LinkDiagram, c: int, direction: int) -> LinkDiagram:
     """
     if direction not in (+1, -1):
         raise SiteError("direction must be +1 or -1")
-    pairs, run1, run2 = _disk_runs(d, c)
+    run1, run2 = _disk_runs(d, c)
     face_arcs = d.face_arcs()
 
     def spots():
@@ -374,12 +377,11 @@ def half_twist(d: LinkDiagram, c: int, direction: int) -> LinkDiagram:
     # strands exit, so the cut pieces cross-join through the new crossing
     # (legs interleave around the insertion face); opposite directions give
     # opposite crossing chirality, which is why a +1/-1 pair cancels by R2.
+    # The cross-join can genuinely reverse a strand segment of one
+    # component, so the frozen crossings along it may turn.
     return splice(
         d, lambda bld: _TWIST_PORTS(bld.twist_region(1, chi)), _HALF_TWIST_WIRINGS,
-        "half twist found no planar wiring", cut=(alpha, beta),
-        # strict pass first; the reorienting pass covers twists whose
-        # cross-join genuinely reverses a strand segment of one component
-        passes=(False, True),
+        "half twist found no planar wiring", cut=(alpha, beta), reorient=True,
     )
 
 

@@ -8,10 +8,11 @@ pair of arcs instead of reading the faces, the isomorphism oracle
 is a backtracking search over crossing assignments instead of a rooted
 walk, the splice oracle judges every candidate wiring by the full
 report of an analysis whose stages all ran up front instead of asking
-for planarity first, and the orientation oracles walk a component a
-second time to go backward instead of reading the forward walk in
-reverse, and settle a builder's conflicted component in a branch of
-their own.
+for planarity first, and tries a reorienting splice's wirings strictly
+before it lets frozen crossings turn, and the orientation oracles walk a
+component a second time to go backward instead of reading the forward
+walk in reverse, and settle a builder's conflicted component in a
+branch of their own.
 """
 
 import itertools
@@ -217,11 +218,14 @@ def eager_report(d: LinkDiagram):
 
 
 def splice_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), remove=(),
-                  passes=(False,)):
-    """`diagram.splice` before its analysis became lazy: the same candidates
-    in the same order, each output judged by `eager_report(out).valid`."""
+                  reorient=False):
+    """`diagram.splice` before its analysis became lazy and before a
+    reorienting splice became one pass: the same candidates in the same
+    order, each output judged by `eager_report(out).valid`; with
+    ``reorient``, every wiring is first tried strictly, and only then
+    again with frozen crossings free to turn."""
     last_err: Optional[Exception] = None
-    for allow_reorient in passes:
+    for allow_reorient in (False, True) if reorient else (False,):
         for wiring in wirings:
             bld = DiagramBuilder(base=base, remove=remove)
             ends = [end for arc in cut for end in bld.cut(arc)]

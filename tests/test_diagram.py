@@ -5,6 +5,7 @@ import itertools
 import random
 import sys
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +39,7 @@ from hyperforge.diagram import (
     two_edge_cuts,
     validate,
 )
+import hyperforge.diagram as dg
 from hyperforge.diagram import _renormalize
 from hyperforge.errors import FormatError, InvalidDiagramError, SiteError
 from hyperforge.generators import ChainSpec, chain_link, exceptional_links, rational_link, tk_closure
@@ -392,6 +394,24 @@ def test_r2_needs_shared_face():
     if not any(a in fa and far in fa for fa in d.face_arcs()):
         with pytest.raises(SiteError):
             reidemeister2(d, (a, far))
+
+
+def test_one_bigon_scan_per_r2_step():
+    # reduce_diagram undoes the bigon it found without scanning for it again
+    d = chain = chain_link(ChainSpec(4))
+    for _ in range(3):
+        d = reidemeister2(d, sorted(set(next(f for f in d.face_arcs() if len(set(f)) > 1)))[:2])
+    assert len(d.crossings) == 14
+    scans = []
+
+    def counted(x):
+        scans.append(x)
+        return find_r2_bigons(x)
+
+    with mock.patch.object(dg, "find_r2_bigons", counted):
+        red, steps, stable = reduce_diagram(d)
+    assert (steps, stable, len(scans)) == (3, True, 4)
+    assert diagram_isomorphic(red, chain)
 
 
 def test_reduce_budget():

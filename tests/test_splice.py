@@ -1,6 +1,6 @@
-"""The splice engine: the wiring moves against the try-every-wiring oracle,
-the strand orientation against the two-walk oracle, and the analysis work
-each candidate wiring costs."""
+"""The splice engine: the wiring moves and stacked half twists against the
+try-every-wiring oracle, the strand orientation against the two-walk
+oracle, and the analysis work and builds each move costs."""
 
 from unittest import mock
 
@@ -95,6 +95,83 @@ def test_moves_match_the_splice_oracle(d, data):
     *_, d = r_moves(d, data)
     for move, *args in _moves(d, data):
         assert _outcome(move, *args) == _by_oracle(move, *args), move.__name__
+
+
+def _strict_oracle(*args, reorient=False, **kwargs):
+    return splice_oracle(*args, **kwargs)
+
+
+def _twists_match_the_oracle(d, ring_arc, directions):
+    """Half-twist the component through ``ring_arc`` by each direction in
+    turn, until one is refused; each twist must give the PD text, or the
+    SiteError text, of the strict-then-reorienting oracle.  Returns the
+    (diagram, component, direction) of every twist made."""
+    made = []
+    for direction in directions:
+        c = components(d).component_of(ring_arc)
+        want = _by_oracle(half_twist, d, c, direction)
+        try:
+            out = half_twist(d, c, direction)
+        except SiteError as err:
+            assert f"SiteError: {err}" == want
+            break
+        assert format_pd(out) == want
+        made.append((d, c, direction))
+        d = out
+    return made
+
+
+def _switched(d, data):
+    """d after a switch move (either skew) or an augmenting circle at two
+    arcs of one face, or d itself when the face has a single arc."""
+    uniq = sorted(set(data.draw(st.sampled_from(d.face_arcs()))))
+    if len(uniq) < 2:
+        return d
+    a, b = data.draw(st.permutations(uniq))[:2]
+    h = data.draw(st.sampled_from(list(Handedness) + [None]))
+    return augmenting_circle(d, a, b) if h is None else switch_move(d, SwitchSite(a, b), h)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_BASES, st.data())
+def test_half_twist_stacks_match_the_two_pass_oracle(d, data):
+    """One to six half twists of either direction on one component,
+    preferably a ring, of chain, rational and Tk bases after R1/R2 moves,
+    or after a switch move or augmenting circle, give what trying every
+    wiring strictly and only then reorienting gives."""
+    *_, d = r_moves(d, data)
+    if data.draw(st.booleans()):
+        d = _switched(d, data)
+    part = components(d)
+    comps = range(len(part.cycles))
+    rings = [c for c in comps if not dg._ring_fault(d, part, c)]
+    ring_arc = part.arcs_of(data.draw(st.sampled_from(rings or comps)))[0]
+    directions = data.draw(st.lists(st.sampled_from((1, -1)), min_size=1, max_size=6))
+    _twists_match_the_oracle(d, ring_arc, directions)
+
+
+def test_half_twist_corpus_matches_the_two_pass_oracle():
+    """Fixed stacks, among them first twists a strict pass refuses and a
+    third twist that no wiring admits: 16 of the 17 twists are made."""
+    chain4 = chain_link(ChainSpec(4))
+    circled = augmenting_circle(chain4, *sorted(set(chain4.face_arcs()[0]))[:2])
+    corpus = [
+        (chain_link(ChainSpec(3)), 1, (1, -1)),
+        (chain4, 1, (1, 1, 1)),
+        (chain4, 2, (-1, -1, 1, 1)),
+        (tk_closure([2, 3], 1), 1, (1, -1, 1)),
+        (rational_link([2, 2, 2]), 0, (1,)),
+        (switch_move(chain4, SwitchSite(1, 4), Handedness.NegativeSkew), 3, (1, 1)),
+        (circled, 4, (-1, 1)),
+    ]
+    made = [
+        twist
+        for d, c, directions in corpus
+        for twist in _twists_match_the_oracle(d, components(d).arcs_of(c)[0], directions)
+    ]
+    with mock.patch.object(mv, "splice", _strict_oracle):
+        strict = [_outcome(half_twist, *twist) for twist in made]
+    assert (len(made), sum(text.startswith("SiteError") for text in strict)) == (16, 9)
 
 
 def _renormalized(renormalize, *args, allow_reorient):
@@ -217,9 +294,32 @@ def _guarded(move, d, *args):
 
 
 def test_work_per_candidate_half_twist():
-    # ring 1 of the 4-chain: 24 wirings, of which 17 build a non-planar diagram
+    # ring 1 of the 4-chain: the first wiring builds a non-planar diagram,
+    # the second is taken
     _guarded(half_twist, chain_link(ChainSpec(4)), 1, +1)
 
 
 def test_work_per_candidate_switch_move():
     _guarded(switch_move, chain_link(ChainSpec(3)), SwitchSite(1, 4), Handedness.PositiveSkew)
+
+
+def _builds(move, *args):
+    """How many diagrams ``move(*args)`` builds."""
+    build, calls = dg.DiagramBuilder.build, []
+
+    def counted(bld, *rest, **kwargs):
+        calls.append(bld)
+        return build(bld, *rest, **kwargs)
+
+    with mock.patch.object(dg.DiagramBuilder, "build", counted):
+        move(*args)
+    return len(calls)
+
+
+def test_builds_per_half_twist():
+    # one pass over the wirings, not a strict pass and then a reorienting
+    # one (26 builds); the switch move builds 3 ring insertion candidates
+    # and 2 for its half twist (29 with two passes)
+    assert _builds(half_twist, chain_link(ChainSpec(4)), 1, +1) == 2
+    assert _builds(switch_move, chain_link(ChainSpec(3)), SwitchSite(1, 4),
+                   Handedness.PositiveSkew) == 5
