@@ -10,6 +10,7 @@ reduction budget used by the certifiers.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -361,11 +362,20 @@ def _join_negative_values(argv, value_flags):
     return out
 
 
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, set[str]]:
+    """The parser and its value flags, built on first use and then reused:
+    parsing keeps no state in the parser, as every parse starts a fresh
+    namespace from the defaults."""
+    parser = _build_parser()
+    return parser, _value_flags(parser)
+
+
 def _parse_args(argv):
     """(namespace, None), or (None, exit code) when argparse exits."""
-    parser = _build_parser()
+    parser, value_flags = _parser()
     try:
-        return parser.parse_args(_join_negative_values(list(argv), _value_flags(parser))), None
+        return parser.parse_args(_join_negative_values(list(argv), value_flags)), None
     except SystemExit as exc:
         # argparse already printed to stderr; normalize the exit code
         return None, (MALFORMED if exc.code not in (0, None) else OK)

@@ -28,6 +28,7 @@ from typing import Callable, Container, Iterable, Iterator, NamedTuple, Optional
 from .errors import FormatError, InvalidDiagramError, SiteError, WiringError
 
 DEFAULT_STEP_BUDGET = 1000
+_DIRECTION_CONFLICT = "frozen crossings disagree on strand direction"
 
 Slot = tuple[int, int]  # (crossing index, slot index)
 
@@ -138,9 +139,14 @@ class _Analysis:
     two threads both compute cannot repeat a line.
     """
 
-    def __init__(self, diagram: "LinkDiagram"):
+    def __init__(self, diagram: "LinkDiagram", occ: Optional[dict[int, list[Slot]]] = None):
+        """``occ``, when given, is the diagram's occurrence index, every arc
+        occurring twice, as `_index_occurrences` would build it."""
         self.d = diagram
-        self.occ, self.occ_problems = self._index_occurrences()
+        if occ is None:
+            self.occ, self.occ_problems = self._index_occurrences()
+        else:
+            self.occ, self.occ_problems = occ, ()
         self.double_ok = not self.occ_problems
 
     @cached_property
@@ -530,19 +536,27 @@ def _renormalize(
     ``allow_reorient``: a move genuinely reversed a strand segment, as a
     half twist on two strands of one component does, and every frozen
     crossing that disagrees with the first rotates by 2 as well; arc
-    labels never change.
+    labels never change.  The output's occurrence index is the probe's
+    with each slot of a turned crossing moved by 2.
     """
     ana = LinkDiagram(tuple(crossings), loops=loops)._analysis
     if not ana.double_ok:
         raise InvalidDiagramError(ana.validity)
     out = list(crossings)
+    turned: set[int] = set()
     for steps, conflict in ana._oriented(frozen):
         if conflict and not allow_reorient:
-            raise WiringError("frozen crossings disagree on strand direction")
+            raise WiringError(_DIRECTION_CONFLICT)
         for _, (ci, si) in steps:
             if si == 2:
                 out[ci] = out[ci].rotated(2)
-    return LinkDiagram(tuple(out), loops=loops)
+                turned.add(ci)
+    occ = ana.occ
+    for arc in {arc for ci in turned for arc in out[ci].slots}:
+        occ[arc] = sorted((ci, (si + 2) & 3) if ci in turned else (ci, si) for ci, si in occ[arc])
+    d = LinkDiagram(tuple(out), loops=loops)
+    object.__setattr__(d, "_analysis", _Analysis(d, occ))
+    return d
 
 
 def _relabel_occurrence(crossings: list[Crossing], at: Slot, new_arc: int) -> None:
@@ -823,14 +837,25 @@ class DiagramBuilder:
     # build
 
     def _is_terminal(self, port) -> bool:
-        return isinstance(port, tuple) and len(port) == 3 and port[0] == "t"
+        return len(port) == 3  # a crossing slot is a pair
 
     def build(self, allow_reorient: bool = False) -> LinkDiagram:
+        loops = self._label()
+        crossings = [Crossing(tuple(p)) for p in self.protos]
+        return _renormalize(
+            crossings, loops, frozen=range(self.n_frozen), allow_reorient=allow_reorient
+        )
+
+    def _label(self) -> int:
+        """Label every open crossing slot through the welds, in place; returns
+        the loop count.  A slot that reaches a stub takes its label, and two
+        slots that reach each other share a fresh one."""
+        # the kept base crossings are labelled already
         open_slots = [
             (ci, si)
-            for ci, proto in enumerate(self.protos)
+            for ci in range(self.n_frozen, len(self.protos))
             for si in range(4)
-            if proto[si] is None
+            if self.protos[ci][si] is None
         ]
         for p in open_slots:
             if len(self.welds.get(p, [])) != 1:
@@ -862,8 +887,10 @@ class DiagramBuilder:
                 self.protos[start[0]][start[1]] = label
                 self.protos[cur[0]][cur[1]] = label
         # unconsumed plain terminals must form closed cycles: crossing-free loops
-        for t in sorted(self.welds, key=str):
-            if not self._is_terminal(t) or t in consumed or t in self.stub_labels:
+        loose = [t for t in self.welds
+                 if self._is_terminal(t) and t not in consumed and t not in self.stub_labels]
+        for t in sorted(loose, key=str):
+            if t in consumed:
                 continue
             cyc = [t]
             consumed.add(t)
@@ -883,10 +910,7 @@ class DiagramBuilder:
         for t in self.stub_labels:
             if t in self.welds and t not in consumed:
                 raise AssertionError(f"stub {t} never reached from a crossing slot")
-        crossings = [Crossing(tuple(p)) for p in self.protos]
-        return _renormalize(
-            crossings, loops, frozen=range(self.n_frozen), allow_reorient=allow_reorient
-        )
+        return loops
 
 
 # -- splicing --------------------------------------------------------------------
@@ -898,6 +922,248 @@ def flip_wirings(pairings) -> list[tuple[int, ...]]:
     return [
         pa + pb for a, b in pairings for pa in (a, a[::-1]) for pb in (b, b[::-1])
     ]
+
+
+class _Side(NamedTuple):
+    """One side of a splice seen from its open ends: the base minus the
+    removed crossings with the cut arcs opened, or the fragment.
+
+    Entering the side by its open end e, a face walk leaves it by end
+    ``face_next[e]`` and a strand walk by end ``strand_next[e]``.
+    ``vote[e]`` is None when that strand segment passes under no frozen
+    crossing, and otherwise says whether walking it from e follows the
+    base's orientation.  ``piece[e]`` numbers the connected part of the
+    side that e is on, and ``excess[p]`` is part p's faces that no walk from
+    an open end enters minus its crossings.
+    """
+
+    face_next: list[int]
+    strand_next: list[int]
+    vote: list[Optional[bool]]
+    piece: list[int]
+    excess: list[int]
+
+
+def _open_walk(slots: Sequence[Sequence[int]], occ: dict[int, list[Slot]],
+               open_at: dict[Slot, int], slot: Slot, turn: int) -> tuple[int, bool]:
+    """Walk in by open slot ``slot`` and on through the crossings, leaving
+    each by the slot ``turn`` places counterclockwise from the one entered
+    (1 follows a face, 2 a strand), until the walk leaves by an open slot.
+    Returns that slot's end and whether the walk entered an under-slot."""
+    ci, si = slot
+    under = False
+    while True:
+        under = under or not si & 1
+        out = (ci, (si + turn) & 3)
+        end = open_at.get(out)
+        if end is not None:
+            return end, under
+        a, b = occ[slots[ci][out[1]]]
+        ci, si = b if a == out else a
+
+
+def _pieces(slots: Sequence[Sequence[int]], occ: dict[int, list[Slot]],
+            open_at: dict[Slot, int], roots: Iterable[int]) -> dict[int, int]:
+    """The connected part of every crossing reachable from ``roots`` without
+    crossing an open slot, numbered in the order of the roots."""
+    piece: dict[int, int] = {}
+    count = 0
+    for root in roots:
+        if root in piece:
+            continue
+        p = piece[root] = count
+        count += 1
+        stack = [root]
+        while stack:
+            ci = stack.pop()
+            for si, arc in enumerate(slots[ci]):
+                if (ci, si) not in open_at:
+                    a, b = occ[arc]
+                    far = (b if a == (ci, si) else a)[0]
+                    if far not in piece:
+                        piece[far] = p
+                        stack.append(far)
+    return piece
+
+
+def _base_side(base: LinkDiagram, removed: frozenset[int], cut: Sequence[int],
+               stubs: Sequence[int], directed: bool) -> _Side:
+    """The base side of a splice, its ends numbered as the builder's: each
+    cut arc's tail and head, then each stub arc's kept occurrence.
+
+    A stub arc that meets no kept crossing is listed twice and passes
+    straight through from one of its ends to the other.  The strand walks
+    run only when ``directed``.  No face is traced: the base is valid, so
+    each part of it is planar on its own, V - E + F = 2.  A part with k
+    ends has E = 2V - k / 2, and its faces are the faces no walk enters and
+    one for each cycle the face walks close into, c in all; so its excess
+    is 2 - k / 2 - c.
+    """
+    an = base._analysis
+    occ, head = an.occ, an.head
+    slots = [x.slots for x in base.crossings]
+    ends: list[Optional[Slot]] = []
+    for arc in cut:
+        ends += [an._other(arc, head[arc]), head[arc]]
+    through: dict[int, list[int]] = {}  # stub arc -> its two ends, when it meets no kept crossing
+    for arc in stubs:
+        kept = [o for o in occ[arc] if o[0] not in removed]
+        if not kept:
+            through.setdefault(arc, []).append(len(ends))
+        ends.append(kept[0] if len(kept) == 1 else None)
+    open_at = {slot: e for e, slot in enumerate(ends) if slot is not None}
+    freed = {o for ci in removed for arc in slots[ci] for o in occ[arc] if o[0] not in removed}
+    if (len(open_at) + 2 * len(through) != len(ends)
+            or any(len(pair) != 2 for pair in through.values())
+            or any(ci in removed for ci, _ in open_at) or not freed <= open_at.keys()):
+        raise AssertionError("splice ends must free each end of an arc once")
+
+    n = len(ends)
+    face_next, strand_next = [0] * n, [0] * n
+    vote: list[Optional[bool]] = [None] * n
+    piece_of = _pieces(slots, occ, open_at, (ci for ci, _ in open_at))
+    piece = [0 if slot is None else piece_of[slot[0]] for slot in ends]
+    n_pieces = 1 + max((piece_of[ci] for ci, _ in open_at), default=-1)
+    for a, b in through.values():
+        face_next[a], face_next[b] = strand_next[a], strand_next[b] = b, a
+        piece[a] = piece[b] = n_pieces
+        n_pieces += 1
+    for slot, e in open_at.items():
+        face_next[e] = _open_walk(slots, occ, open_at, slot, 1)[0]
+    if directed:
+        walked: set[int] = set()
+        for slot, e in open_at.items():
+            if e in walked:
+                continue
+            far, under = _open_walk(slots, occ, open_at, slot, 2)
+            strand_next[e], strand_next[far] = far, e
+            walked.update((e, far))
+            if under:
+                inward = head[slots[slot[0]][slot[1]]] == slot
+                vote[e], vote[far] = inward, not inward
+    ends_in = [0] * n_pieces
+    for p in piece:
+        ends_in[p] += 1
+    excess = [2 - k // 2 for k in ends_in]
+    seen = [False] * n
+    for e in range(n):
+        if not seen[e]:
+            excess[piece[e]] -= 1
+            while not seen[e]:
+                seen[e] = True
+                e = face_next[e]
+    return _Side(face_next, strand_next, vote, piece, excess)
+
+
+def _fragment_side(emit: Callable[[DiagramBuilder], Sequence]) -> Optional[_Side]:
+    """The fragment side of a splice, its ends being ``emit``'s ports in
+    order, or None when a part of the fragment without ports fails the
+    Euler check, so that no wiring is planar.  The fragment is emitted into
+    a builder of its own, port i welded to a stub labelled -1 - i."""
+    bld = DiagramBuilder()
+    ports = emit(bld)
+    for i, port in enumerate(ports):
+        bld.weld(bld.stub(-1 - i), port)
+    bld._label()
+    slots = bld.protos
+    occ: dict[int, list[Slot]] = {}
+    for ci, labels in enumerate(slots):
+        for si, arc in enumerate(labels):
+            occ.setdefault(arc, []).append((ci, si))
+    port_slots = [occ[-1 - i][0] for i in range(len(ports))]
+    open_at = {slot: i for i, slot in enumerate(port_slots)}
+    piece_of = _pieces(slots, occ, open_at, [ci for ci, _ in port_slots] + list(range(len(slots))))
+    excess = [0] * (1 + max(piece_of.values(), default=-1))
+    for ci in range(len(slots)):
+        excess[piece_of[ci]] -= 1
+    # walk on from every corner, the way a face turns, until the walk
+    # leaves by a port or meets a corner already walked: a face no walk
+    # from a port enters is met again at its start
+    seen: set[Slot] = set()
+    for start in itertools.product(range(len(slots)), range(4)):
+        if start in seen:
+            continue
+        corner = start
+        while corner not in seen:
+            seen.add(corner)
+            out = (corner[0], (corner[1] + 1) & 3)
+            if out in open_at:
+                break
+            a, b = occ[slots[out[0]][out[1]]]
+            corner = b if a == out else a
+        else:
+            if corner == start:
+                excess[piece_of[start[0]]] += 1
+    with_ports = 1 + max((piece_of[ci] for ci, _ in port_slots), default=-1)
+    if any(x != 2 for x in excess[with_ports:]):
+        return None
+    return _Side(
+        [_open_walk(slots, occ, open_at, slot, 1)[0] for slot in port_slots],
+        [_open_walk(slots, occ, open_at, slot, 2)[0] for slot in port_slots],
+        [None] * len(ports),
+        [piece_of[ci] for ci, _ in port_slots],
+        excess[:with_ports],
+    )
+
+
+def _wiring_fault(near: _Side, far: _Side, wiring: Sequence[int], directed: bool) -> Optional[str]:
+    """Why welding port i of ``far`` to end ``wiring[i]`` of ``near`` gives
+    no valid diagram, or None when it gives one.
+
+    "direction": a strand component through the fragment would walk one
+    voting base segment forward and another backward, which is the
+    builder's WiringError (judged only when ``directed``).  "non-planar": a
+    graph component the wiring makes fails the Euler check.  A component's
+    faces minus its crossings are its parts' excesses plus the faces that
+    run through the fragment, each a cycle of entering ``near`` by an end,
+    leaving it by ``face_next``, entering ``far`` by the port welded there,
+    and so on.
+    """
+    n = len(near.face_next)
+    port_of = [-1] * n
+    for port, end in enumerate(wiring):
+        port_of[end] = port
+    if len(wiring) != n or len(far.face_next) != n or -1 in port_of:
+        raise AssertionError(f"over-welded end: wiring {tuple(wiring)} does not weld "
+                             f"each of {len(far.face_next)} ports to an end of its own")
+    if directed:
+        seen = [False] * n
+        for start in range(n):
+            ways: set[bool] = set()
+            end = start
+            while not seen[end]:
+                other = near.strand_next[end]
+                seen[end] = seen[other] = True
+                if near.vote[end] is not None:
+                    ways.add(near.vote[end])
+                end = wiring[far.strand_next[port_of[other]]]
+            if len(ways) == 2:
+                return "direction"
+
+    shift = len(near.excess)
+    root = list(range(shift + len(far.excess)))
+
+    def find(p: int) -> int:
+        while root[p] != p:
+            p = root[p]
+        return p
+
+    for port, end in enumerate(wiring):
+        root[find(near.piece[end])] = find(shift + far.piece[port])
+    euler = [0] * len(root)
+    for p, x in enumerate(near.excess + far.excess):
+        euler[find(p)] += x
+    seen = [False] * n
+    for start in range(n):
+        if not seen[start]:
+            euler[find(near.piece[start])] += 1
+            end = start
+            while not seen[end]:
+                seen[end] = True
+                end = wiring[far.face_next[port_of[near.face_next[end]]]]
+    if any(euler[p] != 2 for p in range(len(root)) if root[p] == p):
+        return "non-planar"
+    return None
 
 
 def splice(
@@ -913,34 +1179,50 @@ def splice(
 ) -> LinkDiagram:
     """Weld a fragment into ``base`` by the first wiring that gives a valid diagram.
 
-    Per candidate, a builder over ``base`` minus ``remove`` cuts the ``cut``
-    arcs in order (ends: each arc's tail, then head), ``emit`` adds the
-    fragment and returns its ports, the ``stubs`` arcs become further ends,
-    and port i is welded to end ``wiring[i]``; ``reorient`` is the build's
-    ``allow_reorient``.  The wirings are tried in order, which fixes the
-    fresh arc labels and crossing indices.  A WiringError or an invalid
-    result moves on to the next candidate, while a builder fault (an
-    over-welded port, an unwelded slot) is a bug and propagates.  With no
-    candidate left: SiteError("<failure> (<last wiring error>)").
+    A builder over ``base`` minus ``remove`` cuts the ``cut`` arcs in order
+    (ends: each arc's tail, then head), ``emit`` adds the fragment and
+    returns its ports, the ``stubs`` arcs become further ends, and port i is
+    welded to end ``wiring[i]``; ``reorient`` is the build's
+    ``allow_reorient``.
+
+    The wirings are judged in order without being built.  Each side is
+    walked once from its open ends (`_base_side`, `_fragment_side`), and
+    then each wiring costs a walk over the ends alone (`_wiring_fault`): it
+    is valid when no strand component through the fragment needs frozen
+    crossings turned (unless ``reorient``) and every graph component passes
+    the Euler check.  Only the first valid wiring is built, by a builder of
+    its own, so the fresh arc labels and crossing indices are those of
+    building it alone.  With no valid wiring: SiteError("<failure>
+    (<last wiring error>)"), that error being the strand-direction
+    WiringError when some wiring needed a frozen crossing turned, and None
+    otherwise.  A builder fault (an over-welded port, an unwelded slot) is
+    a bug and propagates, and so does a built wiring that is not valid.
     """
-    last_err: Optional[Exception] = None
+    removed = frozenset(remove)
+    base.require_valid()
+    near = _base_side(base, removed, cut, stubs, directed=not reorient)
+    far = _fragment_side(emit)
+    turned = False
     for wiring in wirings:
-        bld = DiagramBuilder(base=base, remove=remove)
-        ends = [end for arc in cut for end in bld.cut(arc)]
-        ports = emit(bld)
-        ends += [bld.stub(arc) for arc in stubs]
-        for port, end in zip(ports, wiring):
-            bld.weld(ends[end], port)
-        try:
-            out = bld.build(allow_reorient=reorient)
-        except (WiringError, InvalidDiagramError) as err:
-            last_err = err
-            continue
-        # planarity first: a non-planar output is refused before its
-        # strands are traced, and an accepted one keeps its faces
-        if out._analysis.planar_ok and validate(out).valid:
-            return out
-    raise SiteError(f"{failure} ({last_err})")
+        fault = "non-planar" if far is None else _wiring_fault(near, far, wiring, not reorient)
+        if fault is None:
+            break
+        turned = turned or fault == "direction"
+    else:
+        raise SiteError(f"{failure} ({WiringError(_DIRECTION_CONFLICT) if turned else None})")
+    bld = DiagramBuilder(base=base, remove=removed)
+    ends = [end for arc in cut for end in bld.cut(arc)]
+    ports = emit(bld)
+    ends += [bld.stub(arc) for arc in stubs]
+    for port, end in zip(ports, wiring):
+        bld.weld(ends[end], port)
+    try:
+        out = bld.build(allow_reorient=reorient)
+    except (WiringError, InvalidDiagramError) as err:
+        raise AssertionError(f"wiring {tuple(wiring)} was judged valid: {err}") from err
+    if not (out._analysis.planar_ok and validate(out).valid):
+        raise AssertionError(f"wiring {tuple(wiring)} was judged valid: {validate(out).summary()}")
+    return out
 
 
 # -- Reidemeister moves --------------------------------------------------------

@@ -26,8 +26,9 @@ class SiteError(HyperforgeError):
 
 
 class WiringError(HyperforgeError):
-    """A spliced wiring conflicts with the strand directions of the frozen
-    crossings; the splice tries its next candidate wiring."""
+    """A built wiring conflicts with the strand directions of the frozen
+    crossings; a splice judges this of each candidate wiring before it
+    builds one, and moves on to the next."""
 
 
 class MixedSignError(FormatError):

@@ -16,10 +16,11 @@ half twist that genuinely reverses a strand segment, which re-expresses
 the under-crossings along that segment (slot rotation by two; labels
 still unchanged).
 
-Every move welds its fragment in through ``diagram.splice``, which tries
-a fixed table of candidate wirings and keeps the first planar one.  Ring
-insertions and half twists often have several planar wirings that give
-different diagrams, so the order of each table is part of the output.
+Every move welds its fragment in through ``diagram.splice``, which
+judges a fixed table of candidate wirings in order, without building
+them, and builds the first valid one.  Ring insertions and half twists
+often have several valid wirings that give different diagrams, so the
+order of each table is part of the output.
 """
 
 from __future__ import annotations

@@ -9,7 +9,9 @@ is a backtracking search over crossing assignments instead of a rooted
 walk, the splice oracle judges every candidate wiring by the full
 report of an analysis whose stages all ran up front instead of asking
 for planarity first, and tries a reorienting splice's wirings strictly
-before it lets frozen crossings turn, and the orientation oracles walk a
+before it lets frozen crossings turn, the wiring-loop oracle builds every
+candidate wiring in turn instead of judging them from the two sides'
+walks, and the orientation oracles walk a
 component a second time to go backward instead of reading the forward
 walk in reverse, and settle a builder's conflicted component in a
 branch of their own.
@@ -240,6 +242,30 @@ def splice_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), remove=(),
                 continue
             if eager_report(out).valid:
                 return out
+    raise SiteError(f"{failure} ({last_err})")
+
+
+def wiring_loop_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), remove=(),
+                       reorient=False):
+    """`diagram.splice` before it judged the wirings without building them:
+    one builder per candidate in table order, each build free to turn
+    frozen crossings when ``reorient``, and the first planar and valid
+    output kept."""
+    last_err: Optional[Exception] = None
+    for wiring in wirings:
+        bld = DiagramBuilder(base=base, remove=remove)
+        ends = [end for arc in cut for end in bld.cut(arc)]
+        ports = emit(bld)
+        ends += [bld.stub(arc) for arc in stubs]
+        for port, end in zip(ports, wiring):
+            bld.weld(ends[end], port)
+        try:
+            out = bld.build(allow_reorient=reorient)
+        except (WiringError, InvalidDiagramError) as err:
+            last_err = err
+            continue
+        if out._analysis.planar_ok and validate(out).valid:
+            return out
     raise SiteError(f"{failure} ({last_err})")
 
 

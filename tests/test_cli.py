@@ -5,10 +5,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hyperforge.cli as cli
 from hyperforge.cli import MALFORMED, OK, REFUSED, run
 
 
@@ -143,6 +145,33 @@ def test_pipeline(tmp_path):
     assert "VALID" in out and out.count("$ ") == 3
     # byte-deterministic
     assert run(["pipeline", str(script)]) == (code, out)
+
+
+def test_parser_is_built_once(tmp_path):
+    """The argparse tree is built on first use, then every run and every
+    pipeline line reuses it."""
+    script = tmp_path / "p.hf"
+    script.write_text("A = fraction --seq 2\nfraction --seq 3\ngen chain --n 2\n")
+    cli._parser.cache_clear()
+    with mock.patch.object(cli, "_build_parser", wraps=cli._build_parser) as built:
+        assert run(["fraction", "--seq", "2 3"]) == (OK, "7/2\n")
+        assert run(["pipeline", str(script)])[0] == OK
+        assert run(["bogus"]) == (MALFORMED, "")
+        assert run(["fraction", "--seq", "2"]) == (OK, "2\n")
+    assert built.call_count == 1
+
+
+def test_reused_parser_keeps_no_state():
+    """A flag or a failed parse leaves nothing behind for the next parse."""
+    alternating = run(["gen", "chain", "--n", "3"])
+    non_alternating = run(["gen", "chain", "--n", "3", "--non-alternating"])
+    assert non_alternating[0] == OK and non_alternating != alternating
+    assert cli._parse_args(["gen", "chain", "--n", "3"])[0].alternating is True
+    assert run(["gen", "chain", "--n", "3"]) == alternating
+    for argv in ([], ["gen"], ["fraction"], ["fraction", "--seq"], ["apply", "--move", "bogus"],
+                 ["gen", "chain", "--n", "x"], ["verify", "--jobs", "many"]):
+        assert run(argv) == (MALFORMED, ""), argv
+    assert run(["fraction", "--seq", "2 3"]) == (OK, "7/2\n")
 
 
 def test_pipeline_aborts_on_refusal(tmp_path):

@@ -1,7 +1,10 @@
-"""The splice engine: the wiring moves and stacked half twists against the
-try-every-wiring oracle, the strand orientation against the two-walk
-oracle, and the analysis work and builds each move costs."""
+"""The splice engine: the wiring moves, stacked half twists and mixed
+derivations against the try-every-wiring oracles, any wiring table against
+the wiring loop, the strand orientation against the two-walk oracle, the
+output's occurrence index against a fresh one, and the analysis work and
+builds each move costs."""
 
+import itertools
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -31,16 +34,16 @@ from hyperforge.moves import (
     switch_move,
 )
 
-from oracles import renormalize_oracle, splice_oracle, trace_oracle
+from oracles import renormalize_oracle, splice_oracle, trace_oracle, wiring_loop_oracle
 from test_diagram import r_moves, scrambled_crossings
 
 EVIDENCE = DeclaredNonRational("splice test")
 
 
-def _outcome(move, *args):
+def _outcome(move, *args, **kwargs):
     """The PD text a move gives, or the text of its SiteError."""
     try:
-        return format_pd(move(*args))
+        return format_pd(move(*args, **kwargs))
     except SiteError as err:
         return f"SiteError: {err}"
 
@@ -80,6 +83,8 @@ def _moves(d, data):
         a, b = data.draw(st.permutations(uniq))[:2]
         calls += [(switch_move, d, SwitchSite(a, b), h) for h in Handedness]
         calls += [(augmenting_circle, d, a, b),
+                  (mv._insert_clasped_ring, d, a, b, True),
+                  (mv._insert_clasped_ring, d, a, b, False),
                   (reidemeister2, d, (a, b), data.draw(st.sampled_from(
                       ("first_over", "second_over"))))]
     return calls
@@ -274,33 +279,33 @@ class _StageLog:
         for p in self._patches:
             p.stop()
 
-    def count(self, runs, d):
-        return sum(1 for x in runs if x is d)
-
 
 def _guarded(move, d, *args):
+    """``move(d, *args)``, checking that only its splice outputs had their
+    strands and faces traced, each once; returns (output, splice outputs)."""
     validate(d), d.face_arcs()  # the input's stages run before the log starts
     with _StageLog() as log:
         out = move(d, *args)
     outputs = log.outputs
-    assert all(any(f is o for o in outputs) for f in log.faces), "faces traced on a probe"
-    assert all(log.count(log.faces, o) <= 1 for o in outputs)
-    non_planar = [o for o in outputs if not o._analysis.planar_ok]
-    assert non_planar, "the input should have a non-planar candidate"
-    assert all(log.count(log.strands, o) == 0 for o in non_planar)
-    assert all(any(s is o for o in outputs) for s in log.strands)
-    assert log.count(log.faces, out) == 1 and log.count(log.strands, out) == 1
-    return out
+    for traced in (log.strands, log.faces):
+        assert len(traced) == len(outputs) and all(t is o for t, o in zip(traced, outputs))
+    assert outputs[-1] is out
+    return out, outputs
 
 
 def test_work_per_candidate_half_twist():
-    # ring 1 of the 4-chain: the first wiring builds a non-planar diagram,
-    # the second is taken
-    _guarded(half_twist, chain_link(ChainSpec(4)), 1, +1)
+    # ring 1 of the 4-chain: the first wiring is non-planar and the second
+    # is taken; only the second is built
+    _, outputs = _guarded(half_twist, chain_link(ChainSpec(4)), 1, +1)
+    assert len(outputs) == 1
 
 
 def test_work_per_candidate_switch_move():
-    _guarded(switch_move, chain_link(ChainSpec(3)), SwitchSite(1, 4), Handedness.PositiveSkew)
+    # the ring insertion takes its third wiring, the half twist its second
+    _, outputs = _guarded(
+        switch_move, chain_link(ChainSpec(3)), SwitchSite(1, 4), Handedness.PositiveSkew
+    )
+    assert len(outputs) == 2
 
 
 def _builds(move, *args):
@@ -317,9 +322,131 @@ def _builds(move, *args):
 
 
 def test_builds_per_half_twist():
-    # one pass over the wirings, not a strict pass and then a reorienting
-    # one (26 builds); the switch move builds 3 ring insertion candidates
-    # and 2 for its half twist (29 with two passes)
-    assert _builds(half_twist, chain_link(ChainSpec(4)), 1, +1) == 2
+    # one build per splice: only the chosen wiring is built (the half twist
+    # built 2 candidates and the switch move 5 when every candidate was)
+    chain4 = chain_link(ChainSpec(4))
+    site = find_chain_sites(chain4)[1]
+    assert _builds(half_twist, chain4, 1, +1) == 1
     assert _builds(switch_move, chain_link(ChainSpec(3)), SwitchSite(1, 4),
-                   Handedness.PositiveSkew) == 5
+                   Handedness.PositiveSkew) == 2
+    assert _builds(switch_move, chain4, SwitchSite(1, 4), Handedness.NegativeSkew) == 1
+    assert _builds(chain_move, chain4, site, 1, EVIDENCE) == 1
+    assert _builds(augmented_chain_move, chain4, site, 1, EVIDENCE) == 1
+    assert _builds(reidemeister2, chain4, (1, 4)) == 1
+
+
+class _Spliced(Exception):
+    """Raised in place of a move's first splice, carrying its arguments."""
+
+
+def _first_splice(move, *args):
+    """(args, kwargs) of the first splice ``move(*args)`` makes, or None
+    when the move refuses before it splices."""
+
+    def capture(*splice_args, **kwargs):
+        raise _Spliced(splice_args, kwargs)
+
+    try:
+        with mock.patch.object(dg, "splice", capture), mock.patch.object(mv, "splice", capture):
+            move(*args)
+    except _Spliced as call:
+        return call.args
+    except SiteError:
+        return None
+    raise AssertionError(f"{move.__name__} made no splice")
+
+
+@settings(max_examples=40, deadline=None)
+@given(_BASES, st.data())
+def test_any_wiring_table_matches_the_wiring_loop(d, data):
+    """The first splice of every move, on tables of 1 to 8 wirings drawn
+    from all 24 orders of its ends: the PD text, or the refusal text with
+    either suffix, is what building every candidate in turn gives."""
+    *_, d = r_moves(d, data)
+    for move, *args in _moves(d, data):
+        call = _first_splice(move, *args)
+        if call is None:
+            continue
+        (base, emit, _, failure), kwargs = call
+        table = data.draw(st.lists(st.permutations(range(4)), min_size=1, max_size=8))
+        assert (_outcome(dg.splice, base, emit, table, failure, **kwargs)
+                == _outcome(wiring_loop_oracle, base, emit, table, failure, **kwargs)), move.__name__
+
+
+def test_refusal_texts_match_the_oracles():
+    """Tables of a ring insertion's wirings that only need frozen crossings
+    turned, or that are only non-planar, are refused with the strand
+    direction error, or with None, as building every candidate refuses."""
+    chain4 = chain_link(ChainSpec(4))
+    (base, emit, _, failure), kwargs = _first_splice(augmenting_circle, chain4, 1, 4)
+    alone = {w: _outcome(splice_oracle, base, emit, [w], failure, **kwargs)
+             for w in itertools.permutations(range(4))}
+    turning = [w for w, text in alone.items()
+               if text.endswith("(frozen crossings disagree on strand direction)")]
+    non_planar = [w for w, text in alone.items() if text.endswith("(None)")]
+    assert turning and non_planar
+    for table in (turning, non_planar, turning + non_planar, non_planar + turning):
+        want = _outcome(splice_oracle, base, emit, table, failure, **kwargs)
+        assert want.startswith("SiteError")
+        assert _outcome(dg.splice, base, emit, table, failure, **kwargs) == want
+        assert _outcome(wiring_loop_oracle, base, emit, table, failure, **kwargs) == want
+
+
+_REPLAY_BASES = [chain_link(ChainSpec(n)) for n in (3, 4, 5, 6)] + [
+    rational_link(entries)
+    for entries in ([2, 2, 2], [3, 3], [2, 3, 2], [3, 2, 3], [4, 4, 2], [2, 2, 2, 2, 2])
+]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(_REPLAY_BASES), st.data())
+def test_derivations_match_the_splice_oracle(d, data):
+    """Mixed derivations of 2 to 8 steps from the bases of the benchmark's
+    replays: every step gives the oracle's PD text, or its refusal text,
+    and the derivation goes on from each step's output."""
+    for _ in range(data.draw(st.integers(2, 8))):
+        move, *args = data.draw(st.sampled_from(_moves(d, data)))
+        want = _by_oracle(move, *args)
+        try:
+            out = move(*args)
+        except SiteError as err:
+            assert f"SiteError: {err}" == want, move.__name__
+            continue
+        assert format_pd(out) == want, move.__name__
+        d = out
+
+
+def _index_is_fresh(d):
+    return d._analysis.occ == dg._Analysis(LinkDiagram(d.crossings, loops=d.loops)).occ
+
+
+@settings(max_examples=40, deadline=None)
+@given(_BASES, st.data())
+def test_output_index_is_the_probes_turned(d, data):
+    """The occurrence index an output takes over from the builder's probe,
+    each slot of a turned crossing moved by 2, is the one that indexing the
+    output afresh builds, occurrences in the same order: after R1 and R2
+    moves and after every wiring move."""
+    *moved, d = r_moves(d, data)
+    assert all(_index_is_fresh(e) for e in moved + [d])
+    for move, *args in _moves(d, data):
+        try:
+            out = move(*args)
+        except SiteError:
+            continue
+        assert _index_is_fresh(out), move.__name__
+
+
+def test_output_index_after_reorienting_half_twists():
+    """Half twists that turn frozen crossings, which a strict splice
+    refuses: their outputs' indexes are fresh too."""
+    chain4 = chain_link(ChainSpec(4))
+    twists = [(chain_link(ChainSpec(3)), 1, 1), (chain4, 1, 1), (chain4, 2, -1),
+              (tk_closure([2, 3], 1), 1, 1), (rational_link([2, 2, 2]), 0, 1)]
+    turning = 0
+    for twist in twists:
+        with mock.patch.object(mv, "splice", _strict_oracle):
+            strict = _outcome(half_twist, *twist)
+        turning += strict.startswith("SiteError")
+        assert _index_is_fresh(half_twist(*twist))
+    assert turning
