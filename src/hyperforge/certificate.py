@@ -574,8 +574,11 @@ def serialize(cert: Certificate) -> str:
 def deserialize(text: str) -> Certificate:
     """Parse a certificate document.
 
-    A wrong self-hash does not reject the document; verify() re-derives
-    everything semantically anyway, which is what catches tampering.
+    A wrong self-hash does not reject the document; verify() replays the
+    derivation instead.  That catches tampering that changes the replay (a
+    step's k, direction, handedness or site, a dropped step, a swapped
+    subject or base), but not a changed `Rational` claim that is still
+    admissible, since the claim is not matched against the diagram.
     """
     try:
         doc = json.loads(text)

@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 domain refusal (line prefixed ``REFUSED:``, or
 ``EXCLUDED:`` from classify-exterior), 2 malformed input.  Output is
 byte-deterministic for identical inputs; timestamps are opt-in.  The
-environment variable HYPERFORGE_STEP_BUDGET overrides the R1/R2
-reduction budget used by the certifiers.
+environment variable HYPERFORGE_STEP_BUDGET, when set, overrides the R1/R2
+reduction budget used by the certifiers; a value that is not a nonnegative
+integer is malformed input.
 """
 
 from __future__ import annotations
@@ -27,10 +28,12 @@ OK, REFUSED, MALFORMED = 0, 1, 2
 def _budget() -> int:
     from . import diagram as dg
 
-    try:
-        return int(os.environ.get("HYPERFORGE_STEP_BUDGET", dg.DEFAULT_STEP_BUDGET))
-    except ValueError:
+    raw = os.environ.get("HYPERFORGE_STEP_BUDGET")
+    if raw is None:
         return dg.DEFAULT_STEP_BUDGET
+    if not raw.strip().isdecimal():
+        raise FormatError(f"HYPERFORGE_STEP_BUDGET must be a nonnegative integer, got {raw!r}")
+    return int(raw)
 
 
 def _read_input(args, stdin_text: str) -> str:

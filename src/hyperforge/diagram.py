@@ -1400,11 +1400,20 @@ def two_braid_status(d: LinkDiagram, budget: int = DEFAULT_STEP_BUDGET) -> str:
 
 
 def _is_braid2_form(reduced: LinkDiagram) -> bool:
-    """Whether a stable R1/R2 reduction is a (2, n) template of either hand."""
+    """Whether a stable R1/R2 reduction is a (2, n) template of either hand.
+
+    The template's faces are n bigons and two n-gons.  An isomorphism keeps
+    each crossing's counter-clockwise slot order, so it maps faces to faces
+    of the same size.  Any other face sizes answer "no" from the faces
+    alone; only a diagram that passes builds the two templates and runs
+    the rooted walk.
+    """
     n = len(reduced.crossings)
-    return n >= 2 and not reduced.loops and any(
-        diagram_isomorphic(reduced, braid2_template(n, m)) for m in (False, True)
-    )
+    if n < 2 or reduced.loops:
+        return False
+    if sorted(map(len, reduced._analysis.face_arcs)) != [2] * n + [n, n]:
+        return False
+    return any(diagram_isomorphic(reduced, braid2_template(n, m)) for m in (False, True))
 
 
 def is_2braid(d: LinkDiagram, budget: int = DEFAULT_STEP_BUDGET) -> bool:

@@ -6,7 +6,9 @@ union-find over the raw crossing tuples, the linking oracle reads
 signed Gauss entries, the 2-edge-cut oracle runs a union-find per
 pair of arcs instead of reading the faces, the isomorphism oracle
 is a backtracking search over crossing assignments instead of a rooted
-walk, the splice oracle judges every candidate wiring by the full
+walk, the 2-braid oracle builds both (2, n) templates and walks against
+each for every diagram instead of first comparing face sizes, the splice
+oracle judges every candidate wiring by the full
 report of an analysis whose stages all ran up front instead of asking
 for planarity first, and tries a reorienting splice's wirings strictly
 before it lets frozen crossings turn, the wiring-loop oracle builds every
@@ -21,7 +23,14 @@ import itertools
 from fractions import Fraction as QQ
 from typing import Iterable, Optional
 
-from hyperforge.diagram import DiagramBuilder, LinkDiagram, _Analysis, validate
+from hyperforge.diagram import (
+    DiagramBuilder,
+    LinkDiagram,
+    _Analysis,
+    braid2_template,
+    diagram_isomorphic,
+    validate,
+)
 from hyperforge.errors import InvalidDiagramError, SiteError, WiringError
 
 INF = "inf"
@@ -208,6 +217,14 @@ def diagram_isomorphic_oracle(d1: LinkDiagram, d2: LinkDiagram) -> bool:
         return False
 
     return backtrack(0)
+
+
+def is_braid2_form_oracle(reduced: LinkDiagram) -> bool:
+    """Whether a stable R1/R2 reduction is a (2, n) template of either hand."""
+    n = len(reduced.crossings)
+    return n >= 2 and not reduced.loops and any(
+        diagram_isomorphic(reduced, braid2_template(n, m)) for m in (False, True)
+    )
 
 
 def eager_report(d: LinkDiagram):

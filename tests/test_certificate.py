@@ -6,6 +6,7 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hyperforge.certificate import (
     AbstractManifold,
@@ -34,6 +35,7 @@ from hyperforge.errors import (
     CertificateError,
     ExcludedExteriorError,
     GlueError,
+    HyperforgeError,
     PremiseError,
 )
 from hyperforge.generators import ChainSpec, chain_link
@@ -334,3 +336,74 @@ def test_extend_augmented_base():
     assert v.valid
     doc = serialize(cur)
     assert verify(deserialize(doc)).valid
+
+
+# semantic tampering ----------------------------------------------------------------
+
+_TAMPER_BASES = [chain_link(ChainSpec(n)) for n in (3, 4, 5, 6)]
+_OTHER_HAND = {Handedness.PositiveSkew: Handedness.NegativeSkew,
+               Handedness.NegativeSkew: Handedness.PositiveSkew}
+
+
+def _drawn_step(data, d, kind, k):
+    """A step of ``kind`` on ``d`` with sites, evidence and arcs drawn, or None."""
+    if kind == "switch":
+        part = components(d)
+        pairs = sorted(
+            {(a, b) for arcs in d.face_arcs() for a in set(arcs) for b in set(arcs)
+             if a < b and part.component_of(a) != part.component_of(b)}
+        )
+        if not pairs:
+            return None
+        g, g2 = data.draw(st.sampled_from(pairs))
+        return SwitchStep(g, g2, data.draw(st.sampled_from(list(Handedness))),
+                          Premise("GeodesicArc", "assumed"))
+    sites = find_chain_sites(d)
+    if not sites:
+        return None
+    site = data.draw(st.sampled_from(sites))
+    if kind == "half":
+        return HalfTwistStep(site.trivial_component, data.draw(st.sampled_from((1, -1))))
+    # |k| + 2 is never an excluded exterior of the k-template
+    evidence = data.draw(st.sampled_from(
+        (DeclaredNonRational("declared"), Rational((abs(k) + 2,)))))
+    step_class = ChainStep if kind == "chain" else AugChainStep
+    return step_class(site.trivial_component, (site.strand1, site.strand2), k, evidence)
+
+
+def _mutants(steps):
+    """Each step changed in turn: k +- 1, the half-twist direction or the
+    switch handedness flipped, or the step dropped."""
+    for i, step in enumerate(steps):
+        yield steps[:i] + steps[i + 1:]
+        if isinstance(step, ChainStep):
+            changed = [replace(step, k=step.k + 1), replace(step, k=step.k - 1)]
+        elif isinstance(step, HalfTwistStep):
+            changed = [replace(step, direction=-step.direction)]
+        else:
+            changed = [replace(step, handedness=_OTHER_HAND[step.handedness])]
+        for other in changed:
+            yield steps[:i] + (other,) + steps[i + 1:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_TAMPER_BASES),
+       st.lists(st.tuples(st.sampled_from(("chain", "aug", "half", "switch")),
+                          st.integers(-2, 2)), min_size=2, max_size=4),
+       st.data())
+def test_semantic_tampering_never_verifies(base, plan, data):
+    """A short mixed derivation from a chain base verifies; every copy with
+    one step changed or dropped verifies INVALID."""
+    cert = menasco_certify(base)
+    for kind, k in plan:
+        step = _drawn_step(data, cert.subject, kind, k)
+        if step is None:
+            continue
+        try:
+            cert = extend(cert, step)
+        except HyperforgeError:
+            continue
+    assume(cert.steps)
+    assert verify(cert).valid
+    for steps in _mutants(cert.steps):
+        assert not verify(replace(cert, steps=steps)).valid, steps

@@ -60,6 +60,42 @@ def test_certify_refusal():
     assert code == REFUSED and out.startswith("REFUSED:") and "TwoBraid" in out
 
 
+@pytest.mark.parametrize("value", ["abc", "1e4", "-3"])
+def test_malformed_step_budget_is_malformed_input(monkeypatch, value):
+    _, pd = run(["gen", "chain", "--n", "4"])
+    monkeypatch.setenv("HYPERFORGE_STEP_BUDGET", value)
+    assert run(["certify"], stdin_text=pd) == (
+        MALFORMED,
+        f"ERROR: HYPERFORGE_STEP_BUDGET must be a nonnegative integer, got '{value}'\n",
+    )
+
+
+def test_step_budget_unset_keeps_the_default(monkeypatch):
+    """Unset, the budget is 1000: a kinked chain reduces, and the kink's two
+    arcs are refused as a 2-edge cut.  A budget of 0 cannot reduce the kink."""
+    from hyperforge.diagram import format_pd, parse_pd, reidemeister1
+
+    _, pd = run(["gen", "chain", "--n", "4"])
+    d = parse_pd(pd)
+    kinked = format_pd(reidemeister1(d, d.arcs[0], 1))
+    monkeypatch.delenv("HYPERFORGE_STEP_BUDGET", raising=False)
+    assert run(["certify"], stdin_text=pd)[0] == OK
+    code, out = run(["certify"], stdin_text=kinked)
+    assert code == REFUSED and out.startswith("REFUSED: NotPrime")
+    monkeypatch.setenv("HYPERFORGE_STEP_BUDGET", "0")
+    code, out = run(["certify"], stdin_text=kinked)
+    assert code == REFUSED and out.startswith("REFUSED: Unknown2Braid")
+
+
+def test_malformed_step_budget_prints_no_traceback():
+    _, pd = run(["gen", "chain", "--n", "4"])
+    proc = _cli_process(["certify"], input=pd,
+                        env_extra={"HYPERFORGE_STEP_BUDGET": "abc"})
+    assert proc.returncode == MALFORMED and proc.stderr == ""
+    assert proc.stdout == (
+        "ERROR: HYPERFORGE_STEP_BUDGET must be a nonnegative integer, got 'abc'\n")
+
+
 def test_certify_and_verify_past_a_thousand_crossings():
     """The 2-braid test and the replayed-subject check run in constant
     stack depth: a 1001-crossing (2, n) torus link is refused and a
@@ -218,10 +254,11 @@ def test_verify_multiple_jobs(tmp_path):
     assert code == OK and out.count("VALID") == 2
 
 
-def _cli_process(argv, **kwargs):
+def _cli_process(argv, env_extra=(), **kwargs):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "hyperforge.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=30, **kwargs)
 

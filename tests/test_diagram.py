@@ -48,6 +48,7 @@ from oracles import (
     diagram_isomorphic_oracle,
     eager_report,
     gauss_linking_oracle,
+    is_braid2_form_oracle,
     two_edge_cuts_oracle,
     union_find_component_count,
 )
@@ -437,6 +438,47 @@ def test_braid2_templates():
 def test_2braid_after_kinks(trefoil):
     d = reidemeister1(reidemeister1(trefoil, 2, 1), 3, -1)
     assert is_2braid(d)
+
+
+def _template_face_sizes(n):
+    return [2] * n + [n, n]
+
+
+def test_every_braid2_template_passes_the_face_check():
+    for n in range(2, 41):
+        for mirror in (False, True):
+            t = braid2_template(n, mirror)
+            assert sorted(map(len, t.face_arcs())) == _template_face_sizes(n)
+            assert dg._is_braid2_form(t)
+
+
+def test_braid2_face_sizes_alone_never_answer_yes():
+    """A template with one crossing's over and under exchanged has the
+    template's face sizes but is not alternating, so the rooted walk runs
+    against both hands and answers no."""
+    for n in range(2, 9):
+        crossings = list(braid2_template(n).crossings)
+        crossings[0] = crossings[0].rotated(1)
+        flipped = _renormalize(crossings, 0, frozen=set())
+        assert validate(flipped).valid and not is_alternating(flipped)
+        assert sorted(map(len, flipped.face_arcs())) == _template_face_sizes(n)
+        with mock.patch.object(dg, "diagram_isomorphic", wraps=dg.diagram_isomorphic) as walk:
+            assert not dg._is_braid2_form(flipped)
+        assert walk.call_count == 2
+        assert not is_braid2_form_oracle(flipped)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_CUT_BASES, st.builds(braid2_template, st.integers(2, 12), st.booleans())),
+       st.data())
+def test_braid2_form_matches_oracle(d, data):
+    """Filtering by face sizes first never changes the answer: on chain,
+    rational, Tk, exceptional and template diagrams, their R1/R2-moved
+    copies, and the stable reduction of each."""
+    for e in r_moves(d, data):
+        reduced, _, stable = reduce_diagram(e)
+        for x in (e, reduced) if stable else (e,):
+            assert dg._is_braid2_form(x) == is_braid2_form_oracle(x)
 
 
 # isomorphism -----------------------------------------------------------------
