@@ -36,6 +36,20 @@ def _budget() -> int:
     return int(raw)
 
 
+def _ints(flag: str, text: str, pair: bool = False) -> tuple[int, ...]:
+    """The integers of option ``flag``'s comma-separated value: exactly two
+    when ``pair``, otherwise any number, blank items skipped."""
+    items = text.split(",") if pair else [t for t in text.split(",") if t.strip()]
+    try:
+        values = tuple(int(t) for t in items)
+    except ValueError:
+        values = None
+    if values is None or pair and len(values) != 2:
+        want = "two integers" if pair else "comma-separated integers"
+        raise FormatError(f"{flag} wants {want}, got {text!r}")
+    return values
+
+
 def _read_input(args, stdin_text: str) -> str:
     if getattr(args, "infile", None):
         with open(args.infile, "r", encoding="utf-8") as fh:
@@ -182,7 +196,7 @@ def _cmd_gen(args, _):
     from . import generators as gen
 
     if args.family == "chain":
-        twists = tuple(int(t) for t in args.twists.split(",") if t.strip()) if args.twists else ()
+        twists = _ints("--twists", args.twists)
         d = gen.chain_link(gen.ChainSpec(args.n, twists, alternating=args.alternating))
     elif args.family == "rational":
         d = gen.rational_link(tg.ConwaySequence.parse(args.seq))
@@ -199,17 +213,14 @@ def _cmd_apply(args, stdin_text):
     if args.move in ("chain", "augchain"):
         if args.component is None or not args.strands:
             raise FormatError("chain moves need --component N --strands a1,a2")
-        strands = tuple(int(a) for a in args.strands.split(","))
-        if len(strands) != 2:
-            raise FormatError("--strands wants two arc labels")
-        site = mv.chain_site(d, args.component, strands)
+        site = mv.chain_site(d, args.component, _ints("--strands", args.strands, pair=True))
         ev = _parse_evidence(args.evidence)
         move = mv.chain_move if args.move == "chain" else mv.augmented_chain_move
         return OK, dg.format_pd(move(d, site, args.k, ev))
     if args.move == "switch":
         if not args.arcs or not args.skew:
             raise FormatError("switch needs --arcs g,g2 --skew pos|neg")
-        g1, g2 = (int(a) for a in args.arcs.split(","))
+        g1, g2 = _ints("--arcs", args.arcs, pair=True)
         h = mv.Handedness.PositiveSkew if args.skew == "pos" else mv.Handedness.NegativeSkew
         return OK, dg.format_pd(mv.switch_move(d, mv.SwitchSite(g1, g2), h))
     if args.move == "halftwist":
@@ -225,12 +236,12 @@ def _cmd_apply(args, stdin_text):
     if args.move == "r2":
         if not args.arcs:
             raise FormatError("r2 needs --arcs a,b")
-        a, b = (int(x) for x in args.arcs.split(","))
+        a, b = _ints("--arcs", args.arcs, pair=True)
         return OK, dg.format_pd(dg.reidemeister2(d, (a, b), args.layering))
     if args.move == "r2-undo":
         if not args.crossings:
             raise FormatError("r2-undo needs --crossings i,j")
-        i, j = (int(x) for x in args.crossings.split(","))
+        i, j = _ints("--crossings", args.crossings, pair=True)
         return OK, dg.format_pd(dg.reidemeister2_undo(d, (i, j)))
     raise FormatError(f"unknown move {args.move!r}")
 
@@ -244,7 +255,7 @@ def _cmd_certify(args, stdin_text):
     if args.base == "menasco":
         result = cls.menasco_certify(d, budget)
     else:
-        augmenting = frozenset(int(c) for c in args.augmenting.split(",") if c.strip())
+        augmenting = frozenset(_ints("--augmenting", args.augmenting))
         result = cls.augmented_alternating_certify(d, augmenting, budget)
     if isinstance(result, cls.Refusal):
         return REFUSED, f"REFUSED: {result}\n"

@@ -53,8 +53,10 @@ class Crossing:
         return (self.slots[1], self.slots[3])
 
     def rotated(self, r: int) -> "Crossing":
-        s = self.slots
-        return Crossing(tuple(s[(i + r) % 4] for i in range(4)))
+        r %= 4
+        x = object.__new__(Crossing)  # the labels are this crossing's: no second check
+        object.__setattr__(x, "slots", self.slots[r:] + self.slots[:r])
+        return x
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,17 @@ class _Strands(NamedTuple):
     signs: dict[int, int]
     problems: tuple[str, ...]
 
+    @classmethod
+    def of(cls, walks: list[list[tuple[int, Slot]]]) -> "_Strands":
+        """The trace, with no problems, of ``walks``: (arc, head) steps per component."""
+        head: dict[int, Slot] = {}
+        signs: dict[int, int] = {}
+        for steps in walks:
+            head.update(steps)
+            # the over-strand entering at slot 1 is sign -1, at slot 3 +1
+            signs.update((ci, si - 2) for _, (ci, si) in steps if si & 1)
+        return cls(walks, [tuple(a for a, _ in st) for st in walks], head, signs, ())
+
 
 class _Embedding(NamedTuple):
     """The faces of the crossing graph and its per-component Euler check."""
@@ -133,25 +146,31 @@ class _Analysis:
     (orientation, signs) and the faces with the Euler check each run at most
     once, when something first reads them, and only when every arc occurs
     twice.  The strand trace and `_renormalize` orient the strands by one
-    walk per component, `_oriented`.  A stage returns its own problems
-    instead of adding to a shared list, so `report` lists them in the order
-    occurrences, trace, faces whichever stage ran first, and a stage that
-    two threads both compute cannot repeat a line.
+    walk per component, `_oriented`, and a diagram `_renormalize` builds
+    arrives with its index and strand trace, leaving only its faces.  A
+    stage returns its own problems instead of adding to a shared list, so
+    `report` lists them in the order occurrences, trace, faces whichever
+    stage ran first, and a stage that two threads both compute cannot
+    repeat a line.
     """
 
-    def __init__(self, diagram: "LinkDiagram", occ: Optional[dict[int, list[Slot]]] = None):
+    def __init__(self, diagram: "LinkDiagram", occ: Optional[dict[int, list[Slot]]] = None,
+                 strands: Optional[_Strands] = None):
         """``occ``, when given, is the diagram's occurrence index, every arc
-        occurring twice, as `_index_occurrences` would build it."""
+        occurring twice, as `_index_occurrences` would build it, and
+        ``strands`` its strand trace, as `_trace` would give it."""
         self.d = diagram
         if occ is None:
             self.occ, self.occ_problems = self._index_occurrences()
         else:
             self.occ, self.occ_problems = occ, ()
         self.double_ok = not self.occ_problems
+        if strands is not None:
+            self._strands = strands
 
     @cached_property
     def _strands(self) -> _Strands:
-        return self._trace() if self.double_ok else _Strands([], [], {}, {}, ())
+        return self._trace() if self.double_ok else _Strands.of([])
 
     @cached_property
     def _embedding(self) -> _Embedding:
@@ -181,11 +200,9 @@ class _Analysis:
         for ci, x in enumerate(self.d.crossings):
             for si, arc in enumerate(x.slots):
                 occ.setdefault(arc, []).append((ci, si))
-        return occ, tuple(
-            f"arc {arc} used {len(places)} times (need 2)"
-            for arc, places in sorted(occ.items())
-            if len(places) != 2
-        )
+        # sorted only when some arc does not occur twice
+        bad = sorted((arc, len(places)) for arc, places in occ.items() if len(places) != 2)
+        return occ, tuple(f"arc {arc} used {n} times (need 2)" for arc, n in bad)
 
     # stage 2: strand tracing and orientation
 
@@ -238,26 +255,21 @@ class _Analysis:
 
     def _trace(self) -> _Strands:
         problems: list[str] = []
-        all_steps: list[list[tuple[int, Slot]]] = []
-        head: dict[int, Slot] = {}
-        signs: dict[int, int] = {}
+        walks: list[list[tuple[int, Slot]]] = []
         for steps, conflict in self._oriented(range(len(self.d.crossings))):
             if conflict:
                 problems.append(
                     f"component of arc {steps[0][0]} has conflicting under-strand directions"
                 )
-            head.update(steps)
-            all_steps.append(steps)
-            # the over-strand entering at slot 1 is sign -1, at slot 3 +1
-            signs.update((ci, si - 2) for _, (ci, si) in steps if si & 1)
-        cycles = [tuple(a for a, _ in st) for st in all_steps]
+            walks.append(steps)
+        strands = _Strands.of(walks)
         if not problems:
             problems = [
                 f"crossing {ci} never traversed as over-strand"
                 for ci in range(len(self.d.crossings))
-                if ci not in signs
+                if ci not in strands.signs
             ]
-        return _Strands(all_steps, cycles, head, signs, tuple(problems))
+        return strands._replace(problems=tuple(problems))
 
     # stage 3: faces and the Euler check
 
@@ -536,26 +548,26 @@ def _renormalize(
     ``allow_reorient``: a move genuinely reversed a strand segment, as a
     half twist on two strands of one component does, and every frozen
     crossing that disagrees with the first rotates by 2 as well; arc
-    labels never change.  The output's occurrence index is the probe's
-    with each slot of a turned crossing moved by 2.
+    labels never change.  The output arrives with its occurrence index and
+    strand trace: the probe's, each slot of a turned crossing moved by 2.
+    Every under-passage then enters at slot 0, so the output's own trace
+    would walk each component the same way, with no conflict.
     """
     ana = LinkDiagram(tuple(crossings), loops=loops)._analysis
     if not ana.double_ok:
         raise InvalidDiagramError(ana.validity)
-    out = list(crossings)
-    turned: set[int] = set()
-    for steps, conflict in ana._oriented(frozen):
-        if conflict and not allow_reorient:
-            raise WiringError(_DIRECTION_CONFLICT)
-        for _, (ci, si) in steps:
-            if si == 2:
-                out[ci] = out[ci].rotated(2)
-                turned.add(ci)
+    oriented = list(ana._oriented(frozen))
+    if not allow_reorient and any(conflict for _, conflict in oriented):
+        raise WiringError(_DIRECTION_CONFLICT)
+    turned = {ci for steps, _ in oriented for _, (ci, si) in steps if si == 2}
     occ = ana.occ
-    for arc in {arc for ci in turned for arc in out[ci].slots}:
-        occ[arc] = sorted((ci, (si + 2) & 3) if ci in turned else (ci, si) for ci, si in occ[arc])
+    for arc in {arc for ci in turned for arc in crossings[ci].slots}:
+        occ[arc] = sorted((ci, si ^ 2) if ci in turned else (ci, si) for ci, si in occ[arc])
+    walks = [[(a, (ci, si ^ 2) if ci in turned else (ci, si)) for a, (ci, si) in steps]
+             for steps, _ in oriented]
+    out = (x.rotated(2) if ci in turned else x for ci, x in enumerate(crossings))
     d = LinkDiagram(tuple(out), loops=loops)
-    object.__setattr__(d, "_analysis", _Analysis(d, occ))
+    object.__setattr__(d, "_analysis", _Analysis(d, occ, _Strands.of(walks)))
     return d
 
 
@@ -727,20 +739,22 @@ class DiagramBuilder:
     put the under-strand on slots {0, 2}; the final rotation by 2 (to put
     the *incoming* under-strand at slot 0) happens at build time.  When a
     base diagram is given, its kept crossings are frozen; ``stub`` and
-    ``cut`` wire new fragments onto its existing arcs.
+    ``cut`` wire new fragments onto its existing arcs.  A frozen crossing's
+    proto is the base's `Crossing` itself, replaced only when ``cut``
+    relabels it, so the build reuses every crossing that did not change.
     """
 
     def __init__(self, base: Optional[LinkDiagram] = None, remove: Iterable[int] = ()):
         self.base = base
         self.removed = frozenset(remove)
-        self.protos: list[list] = []
+        self.protos: list = []  # frozen crossings, then new crossings' slot lists
         self._old_to_new: dict[int, int] = {}
         if base is not None:
             base.require_valid()
             for ci, x in enumerate(base.crossings):
                 if ci not in self.removed:
                     self._old_to_new[ci] = len(self.protos)
-                    self.protos.append(list(x.slots))
+                    self.protos.append(x)
         self.n_frozen = len(self.protos)
         self.loops = base.loops if base is not None else 0
         self.welds: dict = {}
@@ -781,8 +795,7 @@ class DiagramBuilder:
         if head[0] in self.removed:
             raise AssertionError("cut arc ends at a removed crossing; use stub")
         fresh = self.fresh_label()
-        proto_at = (self._old_to_new[head[0]], head[1])
-        self.protos[proto_at[0]][proto_at[1]] = fresh
+        _relabel_occurrence(self.protos, (self._old_to_new[head[0]], head[1]), fresh)
         return self.stub(arc), self.stub(fresh)
 
     def weld(self, p, q) -> None:
@@ -841,72 +854,56 @@ class DiagramBuilder:
 
     def build(self, allow_reorient: bool = False) -> LinkDiagram:
         loops = self._label()
-        crossings = [Crossing(tuple(p)) for p in self.protos]
-        return _renormalize(
-            crossings, loops, frozen=range(self.n_frozen), allow_reorient=allow_reorient
-        )
+        n = self.n_frozen
+        crossings = self.protos[:n] + [Crossing(tuple(p)) for p in self.protos[n:]]
+        return _renormalize(crossings, loops, frozen=range(n), allow_reorient=allow_reorient)
+
+    def _trail(self, start, stops: Container) -> list:
+        """The plain terminals the welds pass from ``start`` (an open crossing slot
+        or a plain terminal) along its first weld, then the crossing slot or the
+        ``stops`` terminal they reach."""
+        if not self.welds.get(start):
+            raise AssertionError(f"unwelded crossing slot {start}")
+        trail = []
+        prev, cur = start, self.welds[start][0]
+        while self._is_terminal(cur) and cur not in stops:
+            trail.append(cur)
+            nbrs = self.welds[cur]
+            prev, cur = cur, nbrs[0] if nbrs[0] != prev else nbrs[1]
+        trail.append(cur)
+        return trail
 
     def _label(self) -> int:
         """Label every open crossing slot through the welds, in place; returns
         the loop count.  A slot that reaches a stub takes its label, and two
         slots that reach each other share a fresh one."""
-        # the kept base crossings are labelled already
-        open_slots = [
-            (ci, si)
-            for ci in range(self.n_frozen, len(self.protos))
-            for si in range(4)
-            if self.protos[ci][si] is None
-        ]
-        for p in open_slots:
-            if len(self.welds.get(p, [])) != 1:
-                raise AssertionError(f"unwelded crossing slot {p}")
         for t in self.welds:
             if self._is_terminal(t) and len(self.welds[t]) != self._capacity(t):
                 raise AssertionError(f"incomplete terminal {t}")
-
         consumed: set = set()
         loops = self.loops
-        for start in sorted(open_slots):
-            if self.protos[start[0]][start[1]] is not None:
-                continue
-            label = None
-            prev, cur = start, self.welds[start][0]
-            while self._is_terminal(cur):
-                consumed.add(cur)
-                if cur in self.stub_labels:
-                    label = self.stub_labels[cur]
-                    cur = None
-                    break
-                nbrs = self.welds[cur]
-                nxt = nbrs[0] if nbrs[0] != prev else nbrs[1]
-                prev, cur = cur, nxt
-            if cur is None:
-                self.protos[start[0]][start[1]] = label
-            else:
-                label = self.fresh_label()
-                self.protos[start[0]][start[1]] = label
-                self.protos[cur[0]][cur[1]] = label
+        # the kept base crossings are labelled already
+        for ci in range(self.n_frozen, len(self.protos)):
+            for si in range(4):
+                if self.protos[ci][si] is not None:
+                    continue
+                trail = self._trail((ci, si), self.stub_labels)
+                consumed.update(trail)
+                end = trail[-1]
+                if end in self.stub_labels:
+                    self.protos[ci][si] = self.stub_labels[end]
+                else:
+                    self.protos[ci][si] = self.protos[end[0]][end[1]] = self.fresh_label()
         # unconsumed plain terminals must form closed cycles: crossing-free loops
         loose = [t for t in self.welds
                  if self._is_terminal(t) and t not in consumed and t not in self.stub_labels]
         for t in sorted(loose, key=str):
-            if t in consumed:
-                continue
-            cyc = [t]
-            consumed.add(t)
-            prev, cur = t, self.welds[t][0]
-            closed = True
-            while cur != t:
-                if not self._is_terminal(cur) or cur in self.stub_labels:
-                    closed = False
-                    break
-                consumed.add(cur)
-                nbrs = self.welds[cur]
-                nxt = nbrs[0] if nbrs[0] != prev else nbrs[1]
-                prev, cur = cur, nxt
-            if not closed:
-                raise AssertionError("dangling terminal chain")
-            loops += 1
+            if t not in consumed:
+                trail = self._trail(t, {t, *self.stub_labels})
+                if trail[-1] != t:
+                    raise AssertionError("dangling terminal chain")
+                consumed.update(trail)
+                loops += 1
         for t in self.stub_labels:
             if t in self.welds and t not in consumed:
                 raise AssertionError(f"stub {t} never reached from a crossing slot")
@@ -944,12 +941,13 @@ class _Side(NamedTuple):
     excess: list[int]
 
 
-def _open_walk(slots: Sequence[Sequence[int]], occ: dict[int, list[Slot]],
-               open_at: dict[Slot, int], slot: Slot, turn: int) -> tuple[int, bool]:
+def _open_walk(across: dict[Slot, Slot], open_at: dict[Slot, int], slot: Slot,
+               turn: int) -> tuple[int, bool]:
     """Walk in by open slot ``slot`` and on through the crossings, leaving
     each by the slot ``turn`` places counterclockwise from the one entered
     (1 follows a face, 2 a strand), until the walk leaves by an open slot.
-    Returns that slot's end and whether the walk entered an under-slot."""
+    ``across`` maps each other slot to the far end of its arc.  Returns the
+    open slot's end and whether the walk entered an under-slot."""
     ci, si = slot
     under = False
     while True:
@@ -958,12 +956,11 @@ def _open_walk(slots: Sequence[Sequence[int]], occ: dict[int, list[Slot]],
         end = open_at.get(out)
         if end is not None:
             return end, under
-        a, b = occ[slots[ci][out[1]]]
-        ci, si = b if a == out else a
+        ci, si = across[out]
 
 
-def _pieces(slots: Sequence[Sequence[int]], occ: dict[int, list[Slot]],
-            open_at: dict[Slot, int], roots: Iterable[int]) -> dict[int, int]:
+def _pieces(across: dict[Slot, Slot], open_at: dict[Slot, int],
+            roots: Iterable[int]) -> dict[int, int]:
     """The connected part of every crossing reachable from ``roots`` without
     crossing an open slot, numbered in the order of the roots."""
     piece: dict[int, int] = {}
@@ -976,10 +973,9 @@ def _pieces(slots: Sequence[Sequence[int]], occ: dict[int, list[Slot]],
         stack = [root]
         while stack:
             ci = stack.pop()
-            for si, arc in enumerate(slots[ci]):
+            for si in range(4):
                 if (ci, si) not in open_at:
-                    a, b = occ[arc]
-                    far = (b if a == (ci, si) else a)[0]
+                    far = across[ci, si][0]
                     if far not in piece:
                         piece[far] = p
                         stack.append(far)
@@ -1002,6 +998,7 @@ def _base_side(base: LinkDiagram, removed: frozenset[int], cut: Sequence[int],
     an = base._analysis
     occ, head = an.occ, an.head
     slots = [x.slots for x in base.crossings]
+    across = {a: b for a, b in occ.values()} | {b: a for a, b in occ.values()}
     ends: list[Optional[Slot]] = []
     for arc in cut:
         ends += [an._other(arc, head[arc]), head[arc]]
@@ -1021,7 +1018,7 @@ def _base_side(base: LinkDiagram, removed: frozenset[int], cut: Sequence[int],
     n = len(ends)
     face_next, strand_next = [0] * n, [0] * n
     vote: list[Optional[bool]] = [None] * n
-    piece_of = _pieces(slots, occ, open_at, (ci for ci, _ in open_at))
+    piece_of = _pieces(across, open_at, (ci for ci, _ in open_at))
     piece = [0 if slot is None else piece_of[slot[0]] for slot in ends]
     n_pieces = 1 + max((piece_of[ci] for ci, _ in open_at), default=-1)
     for a, b in through.values():
@@ -1029,13 +1026,13 @@ def _base_side(base: LinkDiagram, removed: frozenset[int], cut: Sequence[int],
         piece[a] = piece[b] = n_pieces
         n_pieces += 1
     for slot, e in open_at.items():
-        face_next[e] = _open_walk(slots, occ, open_at, slot, 1)[0]
+        face_next[e] = _open_walk(across, open_at, slot, 1)[0]
     if directed:
         walked: set[int] = set()
         for slot, e in open_at.items():
             if e in walked:
                 continue
-            far, under = _open_walk(slots, occ, open_at, slot, 2)
+            far, under = _open_walk(across, open_at, slot, 2)
             strand_next[e], strand_next[far] = far, e
             walked.update((e, far))
             if under:
@@ -1055,32 +1052,33 @@ def _base_side(base: LinkDiagram, removed: frozenset[int], cut: Sequence[int],
     return _Side(face_next, strand_next, vote, piece, excess)
 
 
-def _fragment_side(emit: Callable[[DiagramBuilder], Sequence]) -> Optional[_Side]:
-    """The fragment side of a splice, its ends being ``emit``'s ports in
-    order, or None when a part of the fragment without ports fails the
-    Euler check, so that no wiring is planar.  The fragment is emitted into
-    a builder of its own, port i welded to a stub labelled -1 - i."""
-    bld = DiagramBuilder()
-    ports = emit(bld)
-    for i, port in enumerate(ports):
-        bld.weld(bld.stub(-1 - i), port)
-    bld._label()
-    slots = bld.protos
-    occ: dict[int, list[Slot]] = {}
-    for ci, labels in enumerate(slots):
-        for si, arc in enumerate(labels):
-            occ.setdefault(arc, []).append((ci, si))
-    port_slots = [occ[-1 - i][0] for i in range(len(ports))]
-    open_at = {slot: i for i, slot in enumerate(port_slots)}
-    piece_of = _pieces(slots, occ, open_at, [ci for ci, _ in port_slots] + list(range(len(slots))))
+def _fragment_side(bld: DiagramBuilder, ports: Sequence) -> Optional[_Side]:
+    """The fragment side of a splice, read off the welds of ``bld``, the
+    builder whose new crossings are the fragment, before any port is
+    welded; its ends are ``ports`` in order.  None when a part of the
+    fragment without ports fails the Euler check, so that no wiring is
+    planar.  Nothing is labelled: the build takes every fresh label."""
+    port_of = {port: i for i, port in enumerate(ports)}
+    new = range(bld.n_frozen, len(bld.protos))
+    open_at: dict[Slot, int] = {}  # the crossing slot port i's welds lead to -> i
+    across: dict[Slot, Slot] = {}
+    for slot in itertools.product(new, range(4)):
+        if slot not in across:
+            end = slot if slot in port_of else bld._trail(slot, port_of)[-1]
+            if end in port_of:
+                open_at[slot] = port_of[end]
+            else:
+                across[slot], across[end] = end, slot
+    port_slots = sorted(open_at, key=open_at.get)
+    piece_of = _pieces(across, open_at, [ci for ci, _ in port_slots] + list(new))
     excess = [0] * (1 + max(piece_of.values(), default=-1))
-    for ci in range(len(slots)):
+    for ci in new:
         excess[piece_of[ci]] -= 1
     # walk on from every corner, the way a face turns, until the walk
     # leaves by a port or meets a corner already walked: a face no walk
     # from a port enters is met again at its start
     seen: set[Slot] = set()
-    for start in itertools.product(range(len(slots)), range(4)):
+    for start in itertools.product(new, range(4)):
         if start in seen:
             continue
         corner = start
@@ -1089,8 +1087,7 @@ def _fragment_side(emit: Callable[[DiagramBuilder], Sequence]) -> Optional[_Side
             out = (corner[0], (corner[1] + 1) & 3)
             if out in open_at:
                 break
-            a, b = occ[slots[out[0]][out[1]]]
-            corner = b if a == out else a
+            corner = across[out]
         else:
             if corner == start:
                 excess[piece_of[start[0]]] += 1
@@ -1098,8 +1095,8 @@ def _fragment_side(emit: Callable[[DiagramBuilder], Sequence]) -> Optional[_Side
     if any(x != 2 for x in excess[with_ports:]):
         return None
     return _Side(
-        [_open_walk(slots, occ, open_at, slot, 1)[0] for slot in port_slots],
-        [_open_walk(slots, occ, open_at, slot, 2)[0] for slot in port_slots],
+        [_open_walk(across, open_at, slot, 1)[0] for slot in port_slots],
+        [_open_walk(across, open_at, slot, 2)[0] for slot in port_slots],
         [None] * len(ports),
         [piece_of[ci] for ci, _ in port_slots],
         excess[:with_ports],
@@ -1183,25 +1180,30 @@ def splice(
     (ends: each arc's tail, then head), ``emit`` adds the fragment and
     returns its ports, the ``stubs`` arcs become further ends, and port i is
     welded to end ``wiring[i]``; ``reorient`` is the build's
-    ``allow_reorient``.
+    ``allow_reorient``.  That is one builder and one emit per splice.
 
-    The wirings are judged in order without being built.  Each side is
+    The wirings are judged in order before any is welded.  Each side is
     walked once from its open ends (`_base_side`, `_fragment_side`), and
     then each wiring costs a walk over the ends alone (`_wiring_fault`): it
     is valid when no strand component through the fragment needs frozen
     crossings turned (unless ``reorient``) and every graph component passes
-    the Euler check.  Only the first valid wiring is built, by a builder of
-    its own, so the fresh arc labels and crossing indices are those of
-    building it alone.  With no valid wiring: SiteError("<failure>
-    (<last wiring error>)"), that error being the strand-direction
-    WiringError when some wiring needed a frozen crossing turned, and None
-    otherwise.  A builder fault (an over-welded port, an unwelded slot) is
-    a bug and propagates, and so does a built wiring that is not valid.
+    the Euler check.  Judging takes no fresh label, so the first valid
+    wiring is built with the labels and crossing indices of building it
+    alone, and its output arrives with its strand trace.  With no valid
+    wiring: SiteError("<failure> (<last wiring error>)"), that error
+    being the strand-direction WiringError when some wiring needed a frozen
+    crossing turned, and None otherwise.  A builder fault (an over-welded
+    port, an unwelded slot) is a bug and propagates, and so does a built
+    wiring that is not valid.
     """
     removed = frozenset(remove)
     base.require_valid()
     near = _base_side(base, removed, cut, stubs, directed=not reorient)
-    far = _fragment_side(emit)
+    bld = DiagramBuilder(base=base, remove=removed)
+    ends = [end for arc in cut for end in bld.cut(arc)]
+    ports = emit(bld)
+    ends += [bld.stub(arc) for arc in stubs]
+    far = _fragment_side(bld, ports)
     turned = False
     for wiring in wirings:
         fault = "non-planar" if far is None else _wiring_fault(near, far, wiring, not reorient)
@@ -1210,10 +1212,6 @@ def splice(
         turned = turned or fault == "direction"
     else:
         raise SiteError(f"{failure} ({WiringError(_DIRECTION_CONFLICT) if turned else None})")
-    bld = DiagramBuilder(base=base, remove=removed)
-    ends = [end for arc in cut for end in bld.cut(arc)]
-    ports = emit(bld)
-    ends += [bld.stub(arc) for arc in stubs]
     for port, end in zip(ports, wiring):
         bld.weld(ends[end], port)
     try:

@@ -13,7 +13,9 @@ report of an analysis whose stages all ran up front instead of asking
 for planarity first, and tries a reorienting splice's wirings strictly
 before it lets frozen crossings turn, the wiring-loop oracle builds every
 candidate wiring in turn instead of judging them from the two sides'
-walks, and the orientation oracles walk a
+walks, the fragment-side oracle emits a splice's fragment into a builder
+of its own and labels it there instead of reading the splice builder's
+welds, and the orientation oracles walk a
 component a second time to go backward instead of reading the forward
 walk in reverse, and settle a builder's conflicted component in a
 branch of their own.
@@ -27,6 +29,9 @@ from hyperforge.diagram import (
     DiagramBuilder,
     LinkDiagram,
     _Analysis,
+    _open_walk,
+    _pieces,
+    _Side,
     braid2_template,
     diagram_isomorphic,
     validate,
@@ -284,6 +289,61 @@ def wiring_loop_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), remove
         if out._analysis.planar_ok and validate(out).valid:
             return out
     raise SiteError(f"{failure} ({last_err})")
+
+
+def fragment_side_oracle(emit) -> Optional[_Side]:
+    """`diagram._fragment_side` before a splice emitted its fragment once:
+    the fragment is emitted into a builder of its own, port i welded to a
+    stub labelled -1 - i, and labelled there."""
+    bld = DiagramBuilder()
+    ports = emit(bld)
+    for i, port in enumerate(ports):
+        bld.weld(bld.stub(-1 - i), port)
+    bld._label()
+    slots = bld.protos
+    occ = {}
+    for ci, labels in enumerate(slots):
+        for si, arc in enumerate(labels):
+            occ.setdefault(arc, []).append((ci, si))
+    across = {}
+    for places in occ.values():
+        if len(places) == 2:
+            a, b = places
+            across[a], across[b] = b, a
+    port_slots = [occ[-1 - i][0] for i in range(len(ports))]
+    open_at = {slot: i for i, slot in enumerate(port_slots)}
+    piece_of = _pieces(across, open_at, [ci for ci, _ in port_slots] + list(range(len(slots))))
+    excess = [0] * (1 + max(piece_of.values(), default=-1))
+    for ci in range(len(slots)):
+        excess[piece_of[ci]] -= 1
+    # walk on from every corner, the way a face turns, until the walk
+    # leaves by a port or meets a corner already walked: a face no walk
+    # from a port enters is met again at its start
+    seen = set()
+    for start in itertools.product(range(len(slots)), range(4)):
+        if start in seen:
+            continue
+        corner = start
+        while corner not in seen:
+            seen.add(corner)
+            out = (corner[0], (corner[1] + 1) & 3)
+            if out in open_at:
+                break
+            a, b = occ[slots[out[0]][out[1]]]
+            corner = b if a == out else a
+        else:
+            if corner == start:
+                excess[piece_of[start[0]]] += 1
+    with_ports = 1 + max((piece_of[ci] for ci, _ in port_slots), default=-1)
+    if any(x != 2 for x in excess[with_ports:]):
+        return None
+    return _Side(
+        [_open_walk(across, open_at, slot, 1)[0] for slot in port_slots],
+        [_open_walk(across, open_at, slot, 2)[0] for slot in port_slots],
+        [None] * len(ports),
+        [piece_of[ci] for ci, _ in port_slots],
+        excess[:with_ports],
+    )
 
 
 class _Walker:

@@ -374,6 +374,49 @@ def test_negative_component_indices_exit_cleanly():
         assert "Traceback" not in proc.stderr
 
 
+def test_malformed_integer_options_exit_cleanly():
+    """--arcs, --crossings, --strands, --twists and --augmenting that are not
+    the integers they name: exit 2, a message naming the flag and the raw
+    value, no traceback."""
+    _, pd = run(["gen", "chain", "--n", "4"])
+    apply = ["apply", "--move"]
+    probes = [
+        (apply + ["r2", "--arcs", "1,2,3"], "--arcs wants two integers, got '1,2,3'"),
+        (apply + ["r2", "--arcs", "1"], "--arcs wants two integers, got '1'"),
+        (apply + ["r2", "--arcs", "1,"], "--arcs wants two integers, got '1,'"),
+        (apply + ["switch", "--arcs", "1,x", "--skew", "pos"],
+         "--arcs wants two integers, got '1,x'"),
+        (apply + ["r2-undo", "--crossings", "0,1,2"],
+         "--crossings wants two integers, got '0,1,2'"),
+        (apply + ["r2-undo", "--crossings", "a,b"], "--crossings wants two integers, got 'a,b'"),
+        (apply + ["chain", "--component", "0", "--strands", "1,x"],
+         "--strands wants two integers, got '1,x'"),
+        (apply + ["augchain", "--component", "0", "--strands", "4,8,9"],
+         "--strands wants two integers, got '4,8,9'"),
+        (["gen", "chain", "--n", "4", "--twists", "1,a"],
+         "--twists wants comma-separated integers, got '1,a'"),
+        (["certify", "--base", "augmented", "--augmenting", "1,x"],
+         "--augmenting wants comma-separated integers, got '1,x'"),
+    ]
+    for argv, message in probes:
+        assert run(argv, stdin_text=pd) == (MALFORMED, f"ERROR: {message}\n"), argv
+    proc = _cli_process(probes[0][0], input=pd)
+    assert (proc.returncode, proc.stdout) == (MALFORMED, f"ERROR: {probes[0][1]}\n")
+    assert "Traceback" not in proc.stderr
+
+
+def test_well_formed_integer_lists_keep_their_reading():
+    """Blank items of --twists and --augmenting are skipped, and spaces
+    around an integer are allowed, as before the options shared a parser."""
+    twisted = run(["gen", "chain", "--n", "4", "--twists", "1,0,2,0"])
+    assert twisted[0] == OK
+    assert run(["gen", "chain", "--n", "4", "--twists", "1,,0, 2,0,"]) == twisted
+    _, pd = run(["gen", "chain", "--n", "4"])
+    moved = run(["apply", "--move", "r2", "--arcs", "1,4"], stdin_text=pd)
+    assert moved[0] == OK
+    assert run(["apply", "--move", "r2", "--arcs", " 1, 4"], stdin_text=pd) == moved
+
+
 def test_a_dash_value_after_augmenting_is_its_value():
     _, pd = run(["gen", "chain", "--n", "4"])
     joined = run(["certify", "--base", "augmented", "--augmenting=-1,2"], stdin_text=pd)

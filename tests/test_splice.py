@@ -1,18 +1,21 @@
 """The splice engine: the wiring moves, stacked half twists and mixed
 derivations against the try-every-wiring oracles, any wiring table against
 the wiring loop, the strand orientation against the two-walk oracle, the
-output's occurrence index against a fresh one, and the analysis work and
-builds each move costs."""
+fragment side against emitting the fragment apart, the output's occurrence
+index and strand trace against fresh ones, and the analysis work, emits
+and builds each move costs."""
 
 import itertools
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import hyperforge.diagram as dg
 import hyperforge.moves as mv
 from hyperforge.classifier import DeclaredNonRational
 from hyperforge.diagram import (
+    DiagramBuilder,
     LinkDiagram,
     _renormalize,
     components,
@@ -34,7 +37,14 @@ from hyperforge.moves import (
     switch_move,
 )
 
-from oracles import renormalize_oracle, splice_oracle, trace_oracle, wiring_loop_oracle
+from oracles import (
+    eager_report,
+    fragment_side_oracle,
+    renormalize_oracle,
+    splice_oracle,
+    trace_oracle,
+    wiring_loop_oracle,
+)
 from test_diagram import r_moves, scrambled_crossings
 
 EVIDENCE = DeclaredNonRational("splice test")
@@ -244,14 +254,26 @@ def test_one_walk_per_component():
 
 class _StageLog:
     """Records which diagrams the analysis stages and the builder's
-    renormalisation ran on, while installed."""
+    renormalisation ran on, and how many times each splice ran its emit,
+    while installed."""
 
     def __init__(self):
-        self.strands, self.faces, self.outputs = [], [], []
+        self.strands, self.faces, self.outputs, self.emits = [], [], [], []
 
     def __enter__(self):
         trace, faces, renorm = dg._Analysis._trace, dg._Analysis._faces_and_euler, dg._renormalize
+        splice = dg.splice
         log = self
+
+        def counted_splice(base, emit, *args, **kwargs):
+            i = len(log.emits)
+            log.emits.append(0)
+
+            def counted_emit(bld):
+                log.emits[i] += 1
+                return emit(bld)
+
+            return splice(base, counted_emit, *args, **kwargs)
 
         def logged_trace(an):
             log.strands.append(an.d)
@@ -270,6 +292,8 @@ class _StageLog:
             mock.patch.object(dg._Analysis, "_trace", logged_trace),
             mock.patch.object(dg._Analysis, "_faces_and_euler", logged_faces),
             mock.patch.object(dg, "_renormalize", logged_renormalize),
+            mock.patch.object(dg, "splice", counted_splice),
+            mock.patch.object(mv, "splice", counted_splice),
         ]
         for p in self._patches:
             p.start()
@@ -281,14 +305,17 @@ class _StageLog:
 
 
 def _guarded(move, d, *args):
-    """``move(d, *args)``, checking that only its splice outputs had their
-    strands and faces traced, each once; returns (output, splice outputs)."""
+    """``move(d, *args)``, checking that each splice emitted its fragment
+    once, that no strands were traced (every output arrives with its
+    trace), and that only the splice outputs had their faces traced, each
+    once; returns (output, splice outputs)."""
     validate(d), d.face_arcs()  # the input's stages run before the log starts
     with _StageLog() as log:
         out = move(d, *args)
     outputs = log.outputs
-    for traced in (log.strands, log.faces):
-        assert len(traced) == len(outputs) and all(t is o for t, o in zip(traced, outputs))
+    assert log.emits == [1] * len(outputs)
+    assert log.strands == []
+    assert len(log.faces) == len(outputs) and all(t is o for t, o in zip(log.faces, outputs))
     assert outputs[-1] is out
     return out, outputs
 
@@ -437,16 +464,121 @@ def test_output_index_is_the_probes_turned(d, data):
         assert _index_is_fresh(out), move.__name__
 
 
+_CHAIN4 = chain_link(ChainSpec(4))
+_REORIENTING_TWISTS = [(chain_link(ChainSpec(3)), 1, 1), (_CHAIN4, 1, 1), (_CHAIN4, 2, -1),
+                       (tk_closure([2, 3], 1), 1, 1), (rational_link([2, 2, 2]), 0, 1)]
+
+
 def test_output_index_after_reorienting_half_twists():
     """Half twists that turn frozen crossings, which a strict splice
     refuses: their outputs' indexes are fresh too."""
-    chain4 = chain_link(ChainSpec(4))
-    twists = [(chain_link(ChainSpec(3)), 1, 1), (chain4, 1, 1), (chain4, 2, -1),
-              (tk_closure([2, 3], 1), 1, 1), (rational_link([2, 2, 2]), 0, 1)]
     turning = 0
-    for twist in twists:
+    for twist in _REORIENTING_TWISTS:
         with mock.patch.object(mv, "splice", _strict_oracle):
             strict = _outcome(half_twist, *twist)
         turning += strict.startswith("SiteError")
         assert _index_is_fresh(half_twist(*twist))
     assert turning
+
+
+# the fragment side and the output's strand trace ---------------------------------
+
+
+def _nonplanar_fragment(bld):
+    """A twist crossing for the ports, beside a portless crossing whose
+    opposite slots are welded: one face where the Euler check wants three."""
+    ci = bld.crossing()
+    bld.weld((ci, 0), (ci, 2))
+    bld.weld((ci, 1), (ci, 3))
+    x = bld.twist_region(1, +1)
+    return (x["in_l"], x["in_r"], x["out_r"], x["out_l"])
+
+
+def _fragments():
+    """(name, emit) of each move's fragment: Tk for k in -6..6, the clasped
+    ring, the half twist of either chirality, and a non-planar fragment."""
+    for k in range(-6, 7):
+        yield f"Tk({k})", lambda bld, k=k: mv._TK_PORTS(mv.TkTemplate(k).emit(bld))
+    (_, ring, *_), _ = _first_splice(augmenting_circle, _CHAIN4, 1, 4)
+    yield "clasped ring", ring
+    for direction in (1, -1):
+        (_, twist, *_), _ = _first_splice(half_twist, _CHAIN4, 1, direction)
+        yield f"half twist {direction:+d}", twist
+    yield "non-planar", _nonplanar_fragment
+
+
+@pytest.mark.parametrize("name,emit", list(_fragments()))
+def test_fragment_side_matches_emitting_it_apart(name, emit):
+    """The fragment side read off a builder's welds, alone or over a base
+    with two arcs cut, is the one emitting the fragment into a builder of
+    its own and labelling it there gives, and it takes no fresh label."""
+    want = fragment_side_oracle(emit)
+    assert (want is None) == (name == "non-planar")
+    for bld in (DiagramBuilder(), DiagramBuilder(base=_CHAIN4)):
+        if bld.base is not None:
+            bld.cut(1), bld.cut(4)
+        ports = emit(bld)
+        fresh = bld._next_arc
+        assert dg._fragment_side(bld, ports) == want, name
+        assert bld._next_arc == fresh
+
+
+def test_a_refused_splice_emits_once():
+    """A table of ring wirings that are all non-planar is refused after one
+    emit, and so is a non-planar fragment."""
+    (base, emit, _, failure), kwargs = _first_splice(augmenting_circle, _CHAIN4, 1, 4)
+    non_planar = [w for w in itertools.permutations(range(4))
+                  if _outcome(splice_oracle, base, emit, [w], failure, **kwargs).endswith("(None)")]
+    for fragment, table in ((emit, non_planar), (_nonplanar_fragment, [(0, 1, 2, 3)])):
+        calls = []
+        with pytest.raises(SiteError, match=r"\(None\)$"):
+            dg.splice(base, lambda bld: calls.append(bld) or fragment(bld), table, failure,
+                      **kwargs)
+        assert len(calls) == 1
+
+
+def _assert_trace_is_fresh(d, derived=True):
+    """d's strand trace, which arrived with d when ``derived``, is field by
+    field, in the same order, what tracing d afresh gives and what the
+    two-walk oracle gives; and d's report is the eager one."""
+    an = d._analysis
+    assert not derived or "_strands" in vars(an)
+    fresh = dg._Analysis(LinkDiagram(d.crossings, loops=d.loops))._trace()
+    for field in fresh._fields:
+        got, want = getattr(an._strands, field), getattr(fresh, field)
+        assert got == want, field
+        if isinstance(want, dict):
+            assert list(got.items()) == list(want.items()), field
+    steps, cycles, head, signs, problems = trace_oracle(d)
+    assert (an.steps, an.cycles, an.head, an.signs) == (steps, cycles, head, signs)
+    assert an._strands.problems == problems == ()
+    assert validate(d) == eager_report(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_BASES, st.data())
+def test_output_trace_is_a_fresh_trace(d, data):
+    """Every output of a splice or a renormalisation arrives with its
+    strand trace, and that trace is a fresh one: after R1 and R2 moves,
+    after every wiring move (half twists included, which may reorient), and
+    for scrambled crossings with a frozen prefix of any length."""
+    for d in r_moves(d, data):
+        _assert_trace_is_fresh(d, derived=False)
+    for move, *args in _moves(d, data):
+        try:
+            out = move(*args)
+        except SiteError:
+            continue
+        _assert_trace_is_fresh(out)
+    crossings = scrambled_crossings(d, data)
+    frozen = range(data.draw(st.integers(0, len(crossings))))
+    try:
+        out = _renormalize(crossings, d.loops, frozen, allow_reorient=data.draw(st.booleans()))
+    except WiringError:
+        return
+    _assert_trace_is_fresh(out)
+
+
+def test_output_trace_after_reorienting_half_twists():
+    for twist in _REORIENTING_TWISTS:
+        _assert_trace_is_fresh(half_twist(*twist))
