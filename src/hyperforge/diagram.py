@@ -922,16 +922,18 @@ def flip_wirings(pairings) -> list[tuple[int, ...]]:
 
 
 class _Side(NamedTuple):
-    """One side of a splice seen from its open ends: the base minus the
-    removed crossings with the cut arcs opened, or the fragment.
+    """One side of a splice seen from its open ends, as `_side` reads it:
+    the base minus the removed crossings with the cut arcs opened, or the
+    fragment.
 
     Entering the side by its open end e, a face walk leaves it by end
-    ``face_next[e]`` and a strand walk by end ``strand_next[e]``.
+    ``face_next[e]`` and a strand walk by end ``strand_next[e]`` (e itself
+    when the strands were not walked).
     ``vote[e]`` is None when that strand segment passes under no frozen
     crossing, and otherwise says whether walking it from e follows the
     base's orientation.  ``piece[e]`` numbers the connected part of the
     side that e is on, and ``excess[p]`` is part p's faces that no walk from
-    an open end enters minus its crossings.
+    an open end enters minus its crossings, by Euler's formula.
     """
 
     face_next: list[int]
@@ -950,22 +952,22 @@ def _open_walk(across: dict[Slot, Slot], open_at: dict[Slot, int], slot: Slot,
     open slot's end and whether the walk entered an under-slot."""
     ci, si = slot
     under = False
-    while True:
+    for _ in range(len(across) + 1):
         under = under or not si & 1
         out = (ci, (si + turn) & 3)
         end = open_at.get(out)
         if end is not None:
             return end, under
         ci, si = across[out]
+    raise AssertionError(f"{'face' if turn == 1 else 'strand'} walk from {slot} found no open slot")
 
 
-def _pieces(across: dict[Slot, Slot], open_at: dict[Slot, int],
-            roots: Iterable[int]) -> dict[int, int]:
-    """The connected part of every crossing reachable from ``roots`` without
-    crossing an open slot, numbered in the order of the roots."""
+def _pieces(across: dict[Slot, Slot], open_at: dict[Slot, int]) -> dict[int, int]:
+    """The connected part of every crossing reachable from an open slot
+    without crossing one, numbered in the order of the open slots' ends."""
     piece: dict[int, int] = {}
     count = 0
-    for root in roots:
+    for root, _ in sorted(open_at, key=open_at.get):
         if root in piece:
             continue
         p = piece[root] = count
@@ -982,6 +984,52 @@ def _pieces(across: dict[Slot, Slot], open_at: dict[Slot, int],
     return piece
 
 
+def _side(across: dict[Slot, Slot], open_at: dict[Slot, int], piece_of: dict[int, int],
+          through: Iterable[tuple[int, int]] = (), strands: bool = True,
+          inward: Optional[Callable[[Slot], bool]] = None) -> _Side:
+    """The side whose ends are the open slots ``open_at`` numbers and the
+    ``through`` pairs of ends that pass straight through to each other;
+    ``across`` and ``piece_of`` are as `_open_walk` and `_pieces` take and
+    give them.  Strands are walked only when ``strands``, and a segment
+    that passes under a crossing votes ``inward`` of its open slot there.
+
+    No face is traced: each part is taken to be planar.  With its k ends as
+    vertices of degree one, E = 2V + k / 2 and F is the faces no walk
+    enters plus the c cycles the face walks close into, so V + k - E + F
+    = 2 makes its excess 2 - k / 2 - c.
+    """
+    n = len(open_at) + 2 * len(through)
+    face_next, strand_next = [0] * n, list(range(n))
+    vote: list[Optional[bool]] = [None] * n
+    piece = [0] * n
+    n_pieces = 1 + max(piece_of.values(), default=-1)
+    for a, b in through:
+        face_next[a], face_next[b] = strand_next[a], strand_next[b] = b, a
+        piece[a] = piece[b] = n_pieces
+        n_pieces += 1
+    for slot, e in open_at.items():
+        piece[e] = piece_of[slot[0]]
+        face_next[e] = _open_walk(across, open_at, slot, 1)[0]
+        if strands and strand_next[e] == e:
+            far, under = _open_walk(across, open_at, slot, 2)
+            strand_next[e], strand_next[far] = far, e
+            if under and inward is not None:
+                vote[e] = inward(slot)
+                vote[far] = not vote[e]
+    ends_in = [0] * n_pieces
+    for p in piece:
+        ends_in[p] += 1
+    excess = [2 - k // 2 for k in ends_in]
+    seen = [False] * n
+    for e in range(n):
+        if not seen[e]:
+            excess[piece[e]] -= 1
+            while not seen[e]:
+                seen[e] = True
+                e = face_next[e]
+    return _Side(face_next, strand_next, vote, piece, excess)
+
+
 def _base_side(base: LinkDiagram, removed: frozenset[int], cut: Sequence[int],
                stubs: Sequence[int], directed: bool) -> _Side:
     """The base side of a splice, its ends numbered as the builder's: each
@@ -989,11 +1037,9 @@ def _base_side(base: LinkDiagram, removed: frozenset[int], cut: Sequence[int],
 
     A stub arc that meets no kept crossing is listed twice and passes
     straight through from one of its ends to the other.  The strand walks
-    run only when ``directed``.  No face is traced: the base is valid, so
-    each part of it is planar on its own, V - E + F = 2.  A part with k
-    ends has E = 2V - k / 2, and its faces are the faces no walk enters and
-    one for each cycle the face walks close into, c in all; so its excess
-    is 2 - k / 2 - c.
+    run only when ``directed``, and a segment votes for the way the base
+    runs along it.  The base is valid, so each part of it is planar, as
+    `_side` needs.
     """
     an = base._analysis
     occ, head = an.occ, an.head
@@ -1014,50 +1060,17 @@ def _base_side(base: LinkDiagram, removed: frozenset[int], cut: Sequence[int],
             or any(len(pair) != 2 for pair in through.values())
             or any(ci in removed for ci, _ in open_at) or not freed <= open_at.keys()):
         raise AssertionError("splice ends must free each end of an arc once")
-
-    n = len(ends)
-    face_next, strand_next = [0] * n, [0] * n
-    vote: list[Optional[bool]] = [None] * n
-    piece_of = _pieces(across, open_at, (ci for ci, _ in open_at))
-    piece = [0 if slot is None else piece_of[slot[0]] for slot in ends]
-    n_pieces = 1 + max((piece_of[ci] for ci, _ in open_at), default=-1)
-    for a, b in through.values():
-        face_next[a], face_next[b] = strand_next[a], strand_next[b] = b, a
-        piece[a] = piece[b] = n_pieces
-        n_pieces += 1
-    for slot, e in open_at.items():
-        face_next[e] = _open_walk(across, open_at, slot, 1)[0]
-    if directed:
-        walked: set[int] = set()
-        for slot, e in open_at.items():
-            if e in walked:
-                continue
-            far, under = _open_walk(across, open_at, slot, 2)
-            strand_next[e], strand_next[far] = far, e
-            walked.update((e, far))
-            if under:
-                inward = head[slots[slot[0]][slot[1]]] == slot
-                vote[e], vote[far] = inward, not inward
-    ends_in = [0] * n_pieces
-    for p in piece:
-        ends_in[p] += 1
-    excess = [2 - k // 2 for k in ends_in]
-    seen = [False] * n
-    for e in range(n):
-        if not seen[e]:
-            excess[piece[e]] -= 1
-            while not seen[e]:
-                seen[e] = True
-                e = face_next[e]
-    return _Side(face_next, strand_next, vote, piece, excess)
+    return _side(across, open_at, _pieces(across, open_at), through.values(), directed,
+                 lambda slot: head[slots[slot[0]][slot[1]]] == slot)
 
 
 def _fragment_side(bld: DiagramBuilder, ports: Sequence) -> Optional[_Side]:
     """The fragment side of a splice, read off the welds of ``bld``, the
     builder whose new crossings are the fragment, before any port is
-    welded; its ends are ``ports`` in order.  None when a part of the
-    fragment without ports fails the Euler check, so that no wiring is
-    planar.  Nothing is labelled: the build takes every fresh label."""
+    welded; its ends are ``ports`` in order.  None when a crossing is on
+    no part with a port, which no move emits.  A part with ports that is
+    not planar is a program fault, which the build's guard in `splice`
+    catches.  Nothing is labelled: the build takes every fresh label."""
     port_of = {port: i for i, port in enumerate(ports)}
     new = range(bld.n_frozen, len(bld.protos))
     open_at: dict[Slot, int] = {}  # the crossing slot port i's welds lead to -> i
@@ -1069,52 +1082,23 @@ def _fragment_side(bld: DiagramBuilder, ports: Sequence) -> Optional[_Side]:
                 open_at[slot] = port_of[end]
             else:
                 across[slot], across[end] = end, slot
-    port_slots = sorted(open_at, key=open_at.get)
-    piece_of = _pieces(across, open_at, [ci for ci, _ in port_slots] + list(new))
-    excess = [0] * (1 + max(piece_of.values(), default=-1))
-    for ci in new:
-        excess[piece_of[ci]] -= 1
-    # walk on from every corner, the way a face turns, until the walk
-    # leaves by a port or meets a corner already walked: a face no walk
-    # from a port enters is met again at its start
-    seen: set[Slot] = set()
-    for start in itertools.product(new, range(4)):
-        if start in seen:
-            continue
-        corner = start
-        while corner not in seen:
-            seen.add(corner)
-            out = (corner[0], (corner[1] + 1) & 3)
-            if out in open_at:
-                break
-            corner = across[out]
-        else:
-            if corner == start:
-                excess[piece_of[start[0]]] += 1
-    with_ports = 1 + max((piece_of[ci] for ci, _ in port_slots), default=-1)
-    if any(x != 2 for x in excess[with_ports:]):
-        return None
-    return _Side(
-        [_open_walk(across, open_at, slot, 1)[0] for slot in port_slots],
-        [_open_walk(across, open_at, slot, 2)[0] for slot in port_slots],
-        [None] * len(ports),
-        [piece_of[ci] for ci, _ in port_slots],
-        excess[:with_ports],
-    )
+    piece_of = _pieces(across, open_at)
+    return _side(across, open_at, piece_of) if len(piece_of) == len(new) else None
 
 
-def _wiring_fault(near: _Side, far: _Side, wiring: Sequence[int], directed: bool) -> Optional[str]:
+def _wiring_fault(near: _Side, far: _Side, wiring: Sequence[int]) -> Optional[str]:
     """Why welding port i of ``far`` to end ``wiring[i]`` of ``near`` gives
     no valid diagram, or None when it gives one.
 
     "direction": a strand component through the fragment would walk one
     voting base segment forward and another backward, which is the
-    builder's WiringError (judged only when ``directed``).  "non-planar": a
-    graph component the wiring makes fails the Euler check.  A component's
-    faces minus its crossings are its parts' excesses plus the faces that
-    run through the fragment, each a cycle of entering ``near`` by an end,
-    leaving it by ``face_next``, entering ``far`` by the port welded there,
-    and so on.
+    builder's WiringError; a side without votes shows none.  "non-planar":
+    a graph component the wiring makes fails the Euler check.  A
+    component's faces minus its crossings are its parts' excesses plus the
+    faces that run through the fragment, each a cycle of entering ``near``
+    by an end, leaving it by ``face_next``, entering ``far`` by the port
+    welded there, and so on.  Every graph component has F - V <= 2, so all
+    of them pass exactly when the total is twice their count.
     """
     n = len(near.face_next)
     port_of = [-1] * n
@@ -1123,19 +1107,18 @@ def _wiring_fault(near: _Side, far: _Side, wiring: Sequence[int], directed: bool
     if len(wiring) != n or len(far.face_next) != n or -1 in port_of:
         raise AssertionError(f"over-welded end: wiring {tuple(wiring)} does not weld "
                              f"each of {len(far.face_next)} ports to an end of its own")
-    if directed:
-        seen = [False] * n
-        for start in range(n):
-            ways: set[bool] = set()
-            end = start
-            while not seen[end]:
-                other = near.strand_next[end]
-                seen[end] = seen[other] = True
-                if near.vote[end] is not None:
-                    ways.add(near.vote[end])
-                end = wiring[far.strand_next[port_of[other]]]
-            if len(ways) == 2:
-                return "direction"
+    seen = [False] * n
+    for start in range(n):
+        ways: set[bool] = set()
+        end = start
+        while not seen[end]:
+            other = near.strand_next[end]
+            seen[end] = seen[other] = True
+            if near.vote[end] is not None:
+                ways.add(near.vote[end])
+            end = wiring[far.strand_next[port_of[other]]]
+        if len(ways) == 2:
+            return "direction"
 
     shift = len(near.excess)
     root = list(range(shift + len(far.excess)))
@@ -1147,18 +1130,16 @@ def _wiring_fault(near: _Side, far: _Side, wiring: Sequence[int], directed: bool
 
     for port, end in enumerate(wiring):
         root[find(near.piece[end])] = find(shift + far.piece[port])
-    euler = [0] * len(root)
-    for p, x in enumerate(near.excess + far.excess):
-        euler[find(p)] += x
+    euler = sum(near.excess) + sum(far.excess)
     seen = [False] * n
     for start in range(n):
         if not seen[start]:
-            euler[find(near.piece[start])] += 1
+            euler += 1
             end = start
             while not seen[end]:
                 seen[end] = True
                 end = wiring[far.face_next[port_of[near.face_next[end]]]]
-    if any(euler[p] != 2 for p in range(len(root)) if root[p] == p):
+    if euler != 2 * sum(p == r for p, r in enumerate(root)):
         return "non-planar"
     return None
 
@@ -1183,18 +1164,21 @@ def splice(
     ``allow_reorient``.  That is one builder and one emit per splice.
 
     The wirings are judged in order before any is welded.  Each side is
-    walked once from its open ends (`_base_side`, `_fragment_side`), and
-    then each wiring costs a walk over the ends alone (`_wiring_fault`): it
-    is valid when no strand component through the fragment needs frozen
-    crossings turned (unless ``reorient``) and every graph component passes
-    the Euler check.  Judging takes no fresh label, so the first valid
-    wiring is built with the labels and crossing indices of building it
-    alone, and its output arrives with its strand trace.  With no valid
-    wiring: SiteError("<failure> (<last wiring error>)"), that error
-    being the strand-direction WiringError when some wiring needed a frozen
-    crossing turned, and None otherwise.  A builder fault (an over-welded
-    port, an unwelded slot) is a bug and propagates, and so does a built
-    wiring that is not valid.
+    walked once from its open ends by one routine, `_side`, which
+    `_base_side` and `_fragment_side` hand their slot maps, and then each
+    wiring costs a walk over the ends alone (`_wiring_fault`): it is valid
+    when no strand component through the fragment needs frozen crossings
+    turned (unless ``reorient``) and every graph component passes the
+    Euler check, each part's excess taken from Euler's formula.  Judging
+    takes no fresh label, so the first valid wiring is built with the
+    labels and crossing indices of building it alone, and its output
+    arrives with its strand trace.  With no valid wiring, or a fragment
+    with a crossing on no part with a port: SiteError("<failure> (<last
+    wiring error>)"), that error being the strand-direction WiringError
+    when some wiring needed a frozen crossing turned, and None otherwise.
+    A builder fault (an over-welded port, an unwelded slot) is a bug and
+    propagates, and so does a built wiring that is not valid: the guard
+    that catches a fragment whose part with ports is not planar.
     """
     removed = frozenset(remove)
     base.require_valid()
@@ -1206,7 +1190,7 @@ def splice(
     far = _fragment_side(bld, ports)
     turned = False
     for wiring in wirings:
-        fault = "non-planar" if far is None else _wiring_fault(near, far, wiring, not reorient)
+        fault = "non-planar" if far is None else _wiring_fault(near, far, wiring)
         if fault is None:
             break
         turned = turned or fault == "direction"
@@ -1218,7 +1202,7 @@ def splice(
         out = bld.build(allow_reorient=reorient)
     except (WiringError, InvalidDiagramError) as err:
         raise AssertionError(f"wiring {tuple(wiring)} was judged valid: {err}") from err
-    if not (out._analysis.planar_ok and validate(out).valid):
+    if not validate(out).valid:
         raise AssertionError(f"wiring {tuple(wiring)} was judged valid: {validate(out).summary()}")
     return out
 

@@ -5,17 +5,22 @@ fraction uses the stdlib Fraction type, the component counter is a plain
 union-find over the raw crossing tuples, the linking oracle reads
 signed Gauss entries, the 2-edge-cut oracle runs a union-find per
 pair of arcs instead of reading the faces, the isomorphism oracle
-is a backtracking search over crossing assignments instead of a rooted
-walk, the 2-braid oracle builds both (2, n) templates and walks against
-each for every diagram instead of first comparing face sizes, the splice
+is a backtracking search over crossing assignments, one graph component
+at a time, instead of a rooted walk, the 2-braid oracle builds both
+(2, n) templates and walks against each for every diagram instead of
+first comparing face sizes, the splice
 oracle judges every candidate wiring by the full
 report of an analysis whose stages all ran up front instead of asking
 for planarity first, and tries a reorienting splice's wirings strictly
 before it lets frozen crossings turn, the wiring-loop oracle builds every
 candidate wiring in turn instead of judging them from the two sides'
-walks, the fragment-side oracle emits a splice's fragment into a builder
-of its own and labels it there instead of reading the splice builder's
-welds, and the orientation oracles walk a
+walks, the two splice-side oracles walk each side with walks of their
+own, trace its faces instead of counting them by the Euler formula and
+walk each end's strand on its own (the fragment-side oracle emits the
+fragment into a builder of its own and labels it there instead of
+reading the splice builder's welds; the base-side oracle reads the
+heads off `trace_oracle` and votes by the first under-slot a walk
+enters), and the orientation oracles walk a
 component a second time to go backward instead of reading the forward
 walk in reverse, and settle a builder's conflicted component in a
 branch of their own.
@@ -29,8 +34,6 @@ from hyperforge.diagram import (
     DiagramBuilder,
     LinkDiagram,
     _Analysis,
-    _open_walk,
-    _pieces,
     _Side,
     braid2_template,
     diagram_isomorphic,
@@ -144,7 +147,8 @@ def diagram_isomorphic_oracle(d1: LinkDiagram, d2: LinkDiagram) -> bool:
 
     Searches for a crossing bijection with per-crossing slot rotation by 0
     or 2 (preserving CCW rotation and over/under) that induces a consistent
-    arc bijection.  Mirrors are NOT identified.
+    arc bijection, one graph component of ``d1`` at a time.  Mirrors are
+    NOT identified.
     """
     d1.require_valid()
     d2.require_valid()
@@ -157,24 +161,28 @@ def diagram_isomorphic_oracle(d1: LinkDiagram, d2: LinkDiagram) -> bool:
     if len(occ1) != len(occ2):
         return False
 
-    adj: dict[int, set[int]] = {i: set() for i in range(n)}
-    for places in occ1.values():
-        (c1, _), (c2, _) = places
-        adj[c1].add(c2)
-        adj[c2].add(c1)
-    order: list[int] = []
-    seen: set[int] = set()
-    for start in range(n):
-        if start in seen:
-            continue
-        stack = [start]
-        while stack:
-            c = stack.pop()
-            if c in seen:
+    def graph_components(occ):
+        """Each graph component's crossings, in depth-first order."""
+        adj: dict[int, set[int]] = {i: set() for i in range(n)}
+        for (c1, _), (c2, _) in occ.values():
+            adj[c1].add(c2)
+            adj[c2].add(c1)
+        comps: list[list[int]] = []
+        seen: set[int] = set()
+        for start in range(n):
+            if start in seen:
                 continue
-            seen.add(c)
-            order.append(c)
-            stack.extend(nb for nb in sorted(adj[c], reverse=True) if nb not in seen)
+            order: list[int] = []
+            stack = [start]
+            while stack:
+                c = stack.pop()
+                if c in seen:
+                    continue
+                seen.add(c)
+                order.append(c)
+                stack.extend(nb for nb in sorted(adj[c], reverse=True) if nb not in seen)
+            comps.append(order)
+        return comps
 
     amap: dict[int, int] = {}
     amap_inv: dict[int, int] = {}
@@ -195,11 +203,13 @@ def diagram_isomorphic_oracle(d1: LinkDiagram, d2: LinkDiagram) -> bool:
                 undo.append((x, y))
         return True
 
-    def backtrack(pos: int) -> bool:
-        if pos == n:
+    def backtrack(order: list[int], pos: int, first: list[int]) -> bool:
+        """Map order[pos:] on, the first crossing to one of ``first``;
+        leaves every map as it found it when it fails."""
+        if pos == len(order):
             return True
         c1 = order[pos]
-        cands: Iterable[int] = range(n)
+        cands: Iterable[int] = first
         for s in range(4):
             x = d1.crossings[c1].slots[s]
             if x in amap:
@@ -213,7 +223,7 @@ def diagram_isomorphic_oracle(d1: LinkDiagram, d2: LinkDiagram) -> bool:
                 ok = try_assign(c1, c2, rot, undo)
                 if ok:
                     used.add(c2)
-                    if backtrack(pos + 1):
+                    if backtrack(order, pos + 1, first):
                         return True
                     used.discard(c2)
                 for x, y in undo:
@@ -221,7 +231,17 @@ def diagram_isomorphic_oracle(d1: LinkDiagram, d2: LinkDiagram) -> bool:
                     del amap_inv[y]
         return False
 
-    return backtrack(0)
+    # one component at a time: a component matched stays matched, since
+    # any other component it could take is isomorphic to the one it took
+    targets = graph_components(occ2)
+    for order in graph_components(occ1):
+        for target in targets:
+            if len(target) == len(order) and backtrack(order, 0, target):
+                targets.remove(target)
+                break
+        else:
+            return False
+    return True
 
 
 def is_braid2_form_oracle(reduced: LinkDiagram) -> bool:
@@ -291,59 +311,127 @@ def wiring_loop_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), remove
     raise SiteError(f"{failure} ({last_err})")
 
 
-def fragment_side_oracle(emit) -> Optional[_Side]:
-    """`diagram._fragment_side` before a splice emitted its fragment once:
-    the fragment is emitted into a builder of its own, port i welded to a
-    stub labelled -1 - i, and labelled there."""
-    bld = DiagramBuilder()
-    ports = emit(bld)
-    for i, port in enumerate(ports):
-        bld.weld(bld.stub(-1 - i), port)
-    bld._label()
-    slots = bld.protos
-    occ = {}
-    for ci, labels in enumerate(slots):
-        for si, arc in enumerate(labels):
-            occ.setdefault(arc, []).append((ci, si))
-    across = {}
-    for places in occ.values():
-        if len(places) == 2:
-            a, b = places
-            across[a], across[b] = b, a
-    port_slots = [occ[-1 - i][0] for i in range(len(ports))]
-    open_at = {slot: i for i, slot in enumerate(port_slots)}
-    piece_of = _pieces(across, open_at, [ci for ci, _ in port_slots] + list(range(len(slots))))
-    excess = [0] * (1 + max(piece_of.values(), default=-1))
-    for ci in range(len(slots)):
+def _side_walk(crossings, occ, open_at, slot, turn):
+    """(end, first under-slot entered, or None) of the walk in by open slot
+    ``slot``, turning ``turn`` slots counterclockwise at each crossing,
+    until it leaves by an open slot."""
+    ci, si = slot
+    first_under = None
+    while True:
+        if first_under is None and si % 2 == 0:
+            first_under = si
+        out = (ci, (si + turn) % 4)
+        if out in open_at:
+            return open_at[out], first_under
+        a, b = occ[crossings[ci][out[1]]]
+        ci, si = b if a == out else a
+
+
+def _traced_side(crossings, occ, ends, through=(), strands=True, votes=False):
+    """(side, crossings reached) of the crossings reachable from the open
+    slots ``ends`` (in end order) without crossing one, with the
+    ``through`` end pairs passing straight through: each part's excess is
+    counted by tracing its faces, and each end walks its own strand, which
+    with ``votes`` votes forward when the first under-slot it enters is
+    slot 0."""
+    open_at = {slot: e for e, slot in enumerate(ends) if slot is not None}
+    piece_of = {}
+    n_pieces = 0
+    for ci, _ in open_at:
+        if ci in piece_of:
+            continue
+        piece_of[ci] = n_pieces
+        stack = [ci]
+        while stack:
+            c = stack.pop()
+            for si in range(4):
+                if (c, si) not in open_at:
+                    a, b = occ[crossings[c][si]]
+                    far = (b if a == (c, si) else a)[0]
+                    if far not in piece_of:
+                        piece_of[far] = n_pieces
+                        stack.append(far)
+        n_pieces += 1
+    piece = [None if slot is None else piece_of[slot[0]] for slot in ends]
+    face_next, strand_next = [0] * len(ends), list(range(len(ends)))
+    vote = [None] * len(ends)
+    for a, b in through:
+        face_next[a], face_next[b] = strand_next[a], strand_next[b] = b, a
+        piece[a] = piece[b] = n_pieces
+        n_pieces += 1
+    excess = [0] * n_pieces
+    for ci in piece_of:
         excess[piece_of[ci]] -= 1
+    for slot, e in open_at.items():
+        face_next[e] = _side_walk(crossings, occ, open_at, slot, 1)[0]
+        if strands:
+            strand_next[e], first_under = _side_walk(crossings, occ, open_at, slot, 2)
+            if votes and first_under is not None:
+                vote[e] = first_under == 0
     # walk on from every corner, the way a face turns, until the walk
-    # leaves by a port or meets a corner already walked: a face no walk
-    # from a port enters is met again at its start
+    # leaves by an open slot or meets a corner already walked: a face no
+    # walk from an open slot enters is met again at its start
     seen = set()
-    for start in itertools.product(range(len(slots)), range(4)):
+    for start in itertools.product(sorted(piece_of), range(4)):
         if start in seen:
             continue
         corner = start
         while corner not in seen:
             seen.add(corner)
-            out = (corner[0], (corner[1] + 1) & 3)
+            out = (corner[0], (corner[1] + 1) % 4)
             if out in open_at:
                 break
-            a, b = occ[slots[out[0]][out[1]]]
+            a, b = occ[crossings[out[0]][out[1]]]
             corner = b if a == out else a
         else:
             if corner == start:
                 excess[piece_of[start[0]]] += 1
-    with_ports = 1 + max((piece_of[ci] for ci, _ in port_slots), default=-1)
-    if any(x != 2 for x in excess[with_ports:]):
-        return None
-    return _Side(
-        [_open_walk(across, open_at, slot, 1)[0] for slot in port_slots],
-        [_open_walk(across, open_at, slot, 2)[0] for slot in port_slots],
-        [None] * len(ports),
-        [piece_of[ci] for ci, _ in port_slots],
-        excess[:with_ports],
-    )
+    return _Side(face_next, strand_next, vote, piece, excess), len(piece_of)
+
+
+def fragment_side_oracle(emit) -> Optional[_Side]:
+    """`diagram._fragment_side` before a splice emitted its fragment once
+    and before the Euler formula gave each part's excess: the fragment is
+    emitted into a builder of its own, port i welded to a stub labelled
+    -1 - i, and labelled there; its faces are traced.  None when a crossing
+    is on no part with a port."""
+    bld = DiagramBuilder()
+    ports = emit(bld)
+    for i, port in enumerate(ports):
+        bld.weld(bld.stub(-1 - i), port)
+    bld._label()
+    occ = {}
+    for ci, labels in enumerate(bld.protos):
+        for si, arc in enumerate(labels):
+            occ.setdefault(arc, []).append((ci, si))
+    side, reached = _traced_side(bld.protos, occ, [occ[-1 - i][0] for i in range(len(ports))])
+    return side if reached == len(bld.protos) else None
+
+
+def base_side_oracle(base, remove, cut, stubs, directed) -> _Side:
+    """`diagram._base_side` with the faces traced instead of counted by
+    the Euler formula, the arcs' heads taken from `trace_oracle`, and each
+    end's vote from its own strand walk: forward when the first under-slot
+    it enters is slot 0."""
+    crossings = [x.slots for x in base.crossings]
+    removed = set(remove)
+    occ = {}
+    for ci, labels in enumerate(crossings):
+        for si, arc in enumerate(labels):
+            occ.setdefault(arc, []).append((ci, si))
+    head = trace_oracle(base)[2]
+    ends = []
+    for arc in cut:
+        ends += [next(o for o in occ[arc] if o != head[arc]), head[arc]]
+    through = {}
+    for arc in stubs:
+        kept = [o for o in occ[arc] if o[0] not in removed]
+        if kept:
+            ends.append(kept[0])
+        else:
+            through.setdefault(arc, []).append(len(ends))
+            ends.append(None)
+    return _traced_side(crossings, occ, ends, through.values(), directed, votes=True)[0]
 
 
 class _Walker:

@@ -1,6 +1,7 @@
 """PD-code core: validity, components, linking, predicates, R-moves,
 isomorphism, Gauss codes, and the text formats."""
 
+import functools
 import itertools
 import random
 import sys
@@ -541,12 +542,24 @@ def scrambled(d, data):
     return _renormalize(scrambled_crossings(d, data), d.loops, frozen=set())
 
 
-# One graph component each (and loops): the oracle backtracks through the
-# symmetries of every matched component when a later one fails, which is
-# exponential in the number of components.
+def unions(*parts):
+    """The disjoint union of ``parts``, in order."""
+    return functools.reduce(disjoint_union, parts)
+
+
+# One graph component each (and loops); the test unions up to four of them
 _ISO_BASES = st.tuples(_CUT_BASES.filter(lambda d: not is_split(d)), st.integers(0, 2)).map(
     lambda dk: LinkDiagram(dk[0].crossings, loops=dk[0].loops + dk[1])
 )
+_TREFOIL, _MIRROR, _CINQUEFOIL = (braid2_template(3), braid2_template(3, mirror=True),
+                                  braid2_template(5))
+# components that match until the last one fails: a search that backtracks
+# through the matched components' symmetries took 2 s on the last pair
+_MANY_COMPONENTS = [
+    (unions(*[_TREFOIL] * 4), unions(_TREFOIL, _TREFOIL, _MIRROR, _MIRROR)),
+    (unions(_TREFOIL, _TREFOIL, _MIRROR, _MIRROR), unions(_MIRROR, _TREFOIL, _MIRROR, _TREFOIL)),
+    (unions(*[_CINQUEFOIL] * 3, mirrored(_CINQUEFOIL)), unions(*[_CINQUEFOIL] * 4)),
+]
 
 
 @settings(max_examples=80, deadline=None)
@@ -554,7 +567,8 @@ _ISO_BASES = st.tuples(_CUT_BASES.filter(lambda d: not is_split(d)), st.integers
 def test_isomorphism_matches_oracle(d, data):
     """The rooted walk answers as the backtracking search does, on
     relabelled, reordered, mirrored, R1/R2-moved and loop-added copies,
-    and on diagrams of two graph components."""
+    and on diagrams of two to four graph components, some of which match
+    until the last component fails."""
     *_, e = r_moves(d, data)
     *_, f = r_moves(d, data)
     pairs = [
@@ -566,10 +580,14 @@ def test_isomorphism_matches_oracle(d, data):
         (e, f),
         (disjoint_union(d, e), scrambled(disjoint_union(e, d), data)),
         (disjoint_union(d, mirrored(d)), disjoint_union(d, d)),
-    ]
+        (unions(d, e, f), scrambled(unions(f, d, e), data)),
+        (unions(d, d, d, e), unions(d, e, d, mirrored(d))),
+        (unions(d, d, mirrored(d), e), unions(e, d, mirrored(d), d)),
+    ] + _MANY_COMPONENTS
     for a, b in pairs:
         assert diagram_isomorphic(a, b) == diagram_isomorphic_oracle(a, b)
         assert diagram_isomorphic(b, a) == diagram_isomorphic_oracle(b, a)
+    assert [diagram_isomorphic(a, b) for a, b in _MANY_COMPONENTS] == [False, True, False]
     assert diagram_isomorphic(d, scrambled(d, data))
 
 

@@ -1,11 +1,14 @@
 """The splice engine: the wiring moves, stacked half twists and mixed
 derivations against the try-every-wiring oracles, any wiring table against
 the wiring loop, the strand orientation against the two-walk oracle, the
-fragment side against emitting the fragment apart, the output's occurrence
+fragment side against emitting the fragment apart and the base side
+against tracing its faces, the refusal of fragments with a portless or a
+non-planar part, the bound on the open walks, the output's occurrence
 index and strand trace against fresh ones, and the analysis work, emits
 and builds each move costs."""
 
 import itertools
+import signal
 from unittest import mock
 
 import pytest
@@ -38,6 +41,7 @@ from hyperforge.moves import (
 )
 
 from oracles import (
+    base_side_oracle,
     eager_report,
     fragment_side_oracle,
     renormalize_oracle,
@@ -535,6 +539,106 @@ def test_a_refused_splice_emits_once():
             dg.splice(base, lambda bld: calls.append(bld) or fragment(bld), table, failure,
                       **kwargs)
         assert len(calls) == 1
+
+
+def _kinked_fragment(bld):
+    """A twist crossing for the ports, beside a portless crossing whose
+    neighbouring slots are welded: a planar kink on no part with a port."""
+    ci = bld.crossing()
+    bld.weld((ci, 0), (ci, 1))
+    bld.weld((ci, 2), (ci, 3))
+    x = bld.twist_region(1, +1)
+    return (x["in_l"], x["in_r"], x["out_r"], x["out_l"])
+
+
+def _toroidal_fragment(bld):
+    """Three crossings, all on the part with the four ports, that embed on
+    a torus and not in the plane: one face touches the ports and none is
+    inside, where a planar part would have two."""
+    c = [bld.crossing() for _ in range(3)]
+    for (a, s), (b, t) in (((0, 3), (1, 1)), ((1, 2), (2, 0)), ((1, 3), (2, 2)),
+                           ((2, 1), (2, 3))):
+        bld.weld((c[a], s), (c[b], t))
+    return ((c[0], 0), (c[0], 1), (c[0], 2), (c[1], 0))
+
+
+def _four_end_splices():
+    """(base, failure, keyword arguments) of the first splice of a ring
+    insertion, a half twist and a chain move on the 4-chain."""
+    for move, *args in ((augmenting_circle, _CHAIN4, 1, 4), (half_twist, _CHAIN4, 1, +1),
+                        (chain_move, _CHAIN4, find_chain_sites(_CHAIN4)[1], 1, EVIDENCE)):
+        (base, _, _, failure), kwargs = _first_splice(move, *args)
+        yield base, failure, kwargs
+
+
+def test_a_portless_fragment_part_is_refused():
+    """A fragment with a crossing on no part with a port is refused with
+    None for the error, by every table of wirings, even when that part is
+    planar: a half twist's table used to weld the kink in."""
+    bld = DiagramBuilder()
+    assert dg._fragment_side(bld, _kinked_fragment(bld)) is None
+    for base, failure, kwargs in _four_end_splices():
+        with pytest.raises(SiteError, match=r"\(None\)$"):
+            dg.splice(base, _kinked_fragment, list(itertools.permutations(range(4))), failure,
+                      **kwargs)
+
+
+def test_a_nonplanar_fragment_never_gives_a_diagram():
+    """The Euler formula takes a fragment's part with ports for planar, so
+    on a toroidal part it reads excess -1 where tracing the faces reads -3.
+    No wiring of it gives a diagram: the judge refuses it, or it passes
+    the judge and the build's guard refuses it as a program fault."""
+    bld = DiagramBuilder()
+    assert dg._fragment_side(bld, _toroidal_fragment(bld)).excess == [-1]
+    assert fragment_side_oracle(_toroidal_fragment).excess == [-3]
+    refused_by = set()
+    for base, failure, kwargs in _four_end_splices():
+        for wiring in itertools.permutations(range(4)):
+            with pytest.raises((SiteError, AssertionError)) as refusal:
+                dg.splice(base, _toroidal_fragment, [wiring], failure, **kwargs)
+            assert refusal.type is SiteError or "was judged valid" in str(refusal.value)
+            refused_by.add(refusal.type)
+    assert refused_by == {SiteError, AssertionError}
+
+
+@settings(max_examples=40, deadline=None)
+@given(_BASES, st.data())
+def test_base_side_matches_the_traced_oracle(d, data):
+    """The base side of the first splice of every move, with and without
+    its strand walks, is what tracing its faces, reading the heads off the
+    two-walk oracle and walking each end's strand on its own give: the
+    Euler formula's excess is the traced one on every part of a base."""
+    *_, d = r_moves(d, data)
+    for move, *args in _moves(d, data):
+        call = _first_splice(move, *args)
+        if call is None:
+            continue
+        (base, *_), kwargs = call
+        ends = (frozenset(kwargs.get("remove", ())), kwargs.get("cut", ()), kwargs.get("stubs", ()))
+        for directed in (True, False):
+            assert (dg._base_side(base, *ends, directed)
+                    == base_side_oracle(base, *ends, directed)), move.__name__
+
+
+def test_open_walk_is_bounded():
+    """A slot map whose walk closes into a cycle with no open slot on it
+    fails the walk by name instead of looping; an alarm fails a walk that
+    does not stop."""
+    across = {(0, 0): (0, 1), (0, 1): (0, 0), (0, 2): (0, 3), (0, 3): (0, 2)}
+
+    def hang(*_):
+        raise TimeoutError("the open walk did not stop")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        for turn, name in ((1, "face"), (2, "strand")):
+            with pytest.raises(AssertionError,
+                               match=rf"^{name} walk from \(0, 0\) found no open slot$"):
+                dg._open_walk(across, {}, (0, 0), turn)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _assert_trace_is_fresh(d, derived=True):
