@@ -139,15 +139,75 @@ class _Embedding(NamedTuple):
     problems: tuple[str, ...]
 
 
+def _walk_corners(across: Sequence[int], start: int, turn: int,
+                  open_at: Optional[Container[int]] = None) -> list[int]:
+    """The corners a walk enters from corner ``start`` on, ``start`` first.
+
+    Corner 4 * ci + si is slot si of crossing ci, and ``across`` maps each
+    corner to the corner at the far end of its arc.  At each crossing the
+    walk leaves by the slot ``turn`` places counterclockwise from the one
+    it entered (1 follows a face, 2 a strand) and enters that arc's far
+    end.  A closed walk, with no ``open_at``, stops before it enters
+    ``start`` again; an open walk stops when it leaves by a corner in
+    ``open_at``, which it lists last and whose far end it never reads, and
+    fails when it is back at its start first.
+    """
+    stops = () if open_at is None else open_at
+    corners, k = [start], start
+    for _ in range(len(across)):
+        out = k & ~3 | (k + turn) & 3
+        if out in stops:
+            corners.append(out)
+            return corners
+        k = across[out]
+        if k == start:
+            if open_at is None:
+                return corners
+            break
+        corners.append(k)
+    what = "face" if turn == 1 else "strand"
+    if open_at is None:
+        raise AssertionError(f"{what} walk did not close")
+    raise AssertionError(f"{what} walk from {divmod(start, 4)} found no open slot")
+
+
+def _parts(across: Sequence[int], roots: Iterable[int], open_at: Container[int] = ()) -> list[int]:
+    """The part of every crossing of the corner map ``across``, -1 for one
+    no root reaches: crossings joined by an arc at a corner not in
+    ``open_at`` share a part, and parts are numbered in the order of their
+    first crossing in ``roots``."""
+    part = [-1] * (len(across) >> 2)
+    count = 0
+    for root in roots:
+        if part[root] >= 0:
+            continue
+        part[root] = count
+        stack = [root]
+        while stack:
+            k = 4 * stack.pop()
+            for c in range(k, k + 4):
+                if c not in open_at:
+                    far = across[c] >> 2
+                    if part[far] < 0:
+                        part[far] = count
+                        stack.append(far)
+        count += 1
+    return part
+
+
 class _Analysis:
     """Everything validate/components/signs need, in stages computed on first use.
 
-    Arc occurrences are indexed when the analysis is made.  The strand trace
-    (orientation, signs) and the faces with the Euler check each run at most
-    once, when something first reads them, and only when every arc occurs
-    twice.  The strand trace and `_renormalize` orient the strands by one
-    walk per component, `_oriented`, and a diagram `_renormalize` builds
-    arrives with its index and strand trace, leaving only its faces.  A
+    Arc occurrences are indexed when the analysis is made.  The corner map
+    `across`, the strand trace (orientation, signs) and the faces with the
+    Euler check each run at most once, when something first reads them,
+    and only when every arc occurs twice.  Every walk over the diagram
+    reads that one corner map through `_walk_corners`: the strand trace,
+    the faces, the splice's base side, the disk-run scan and the
+    isomorphism test.  The strand trace and `_renormalize` orient the
+    strands by one walk per component, `_oriented`, and a diagram
+    `_renormalize` builds arrives with its index and strand trace, leaving
+    only its corner map, built from that index, and its faces.  A
     stage returns its own problems instead of adding to a shared list, so
     `report` lists them in the order occurrences, trace, faces whichever
     stage ran first, and a stage that two threads both compute cannot
@@ -204,27 +264,25 @@ class _Analysis:
         bad = sorted((arc, len(places)) for arc, places in occ.items() if len(places) != 2)
         return occ, tuple(f"arc {arc} used {n} times (need 2)" for arc, n in bad)
 
-    # stage 2: strand tracing and orientation
+    @cached_property
+    def across(self) -> list[int]:
+        """The corner map: corner 4 * ci + si maps to the corner at the far
+        end of its arc."""
+        across = [0] * (4 * len(self.d.crossings))
+        for (c1, s1), (c2, s2) in self.occ.values():
+            across[4 * c1 + s1] = 4 * c2 + s2
+            across[4 * c2 + s2] = 4 * c1 + s1
+        return across
 
-    def _other(self, arc: int, slot: Slot) -> Slot:
-        a, b = self.occ[arc]
-        return b if slot == a else a
+    # stage 2: strand tracing and orientation
 
     def _walk(self, arc: int) -> list[tuple[int, Slot]]:
         """The component of ``arc`` walked once, from ``arc`` into its
-        second occurrence."""
-        start = (arc, self.occ[arc][1])
-        steps = [start]
-        while True:
-            ci, si = steps[-1][1]
-            out = (si + 2) % 4
-            nxt_arc = self.d.crossings[ci].slots[out]
-            nxt = (nxt_arc, self._other(nxt_arc, (ci, out)))
-            if nxt == start:
-                return steps
-            steps.append(nxt)
-            if len(steps) > 4 * len(self.d.crossings) + 4:
-                raise AssertionError("strand walk did not close")
+        second occurrence: (arc, head) steps."""
+        ci, si = self.occ[arc][1]
+        x = self.d.crossings
+        return [(x[k >> 2].slots[k & 3], divmod(k, 4))
+                for k in _walk_corners(self.across, 4 * ci + si, 2)]
 
     def _oriented(self, frozen: Container[int]) -> Iterator[tuple[list[tuple[int, Slot]], bool]]:
         """Each strand component, walked once, in the order of least arcs.
@@ -275,52 +333,23 @@ class _Analysis:
 
     def _faces_and_euler(self) -> _Embedding:
         n = len(self.d.crossings)
-        # corner 4 * ci + si is slot si of crossing ci; across[k] is the
-        # corner at the other end of the arc at corner k
-        corner = [(ci, si) for ci in range(n) for si in range(4)]
+        across = self.across
         arc_at = [a for x in self.d.crossings for a in x.slots]
-        across = [0] * (4 * n)
-        for (c1, s1), (c2, s2) in self.occ.values():
-            across[4 * c1 + s1] = 4 * c2 + s2
-            across[4 * c2 + s2] = 4 * c1 + s1
-
         # graph components, numbered in the order of their least crossings
-        comp = [-1] * n
-        n_graph_comps = 0
-        for root in range(n):
-            if comp[root] >= 0:
-                continue
-            comp[root] = n_graph_comps
-            stack = [root]
-            while stack:
-                k = 4 * stack.pop()
-                for far in (across[k] >> 2, across[k + 1] >> 2, across[k + 2] >> 2,
-                            across[k + 3] >> 2):
-                    if comp[far] < 0:
-                        comp[far] = n_graph_comps
-                        stack.append(far)
-            n_graph_comps += 1
-
-        # a face turn: arrive at corner (ci, si), leave along the arc at
-        # slot (si + 1) % 4 and arrive at that arc's other end; faces start
-        # at each arc's occurrences in order, arcs ascending
+        comp = _parts(across, range(n))
+        n_graph_comps = 1 + max(comp, default=-1)
+        # faces start at each arc's occurrences in order, arcs ascending
         faces: list[tuple[Slot, ...]] = []
         face_arcs: list[tuple[int, ...]] = []
         seen = bytearray(4 * n)
         for arc in sorted(self.occ):
             for ci, si in self.occ[arc]:
-                k = 4 * ci + si
-                if seen[k]:
-                    continue
-                corners: list[Slot] = []
-                arcs_here: list[int] = []
-                while not seen[k]:
-                    seen[k] = 1
-                    corners.append(corner[k])
-                    arcs_here.append(arc_at[k])
-                    k = across[k + 1 if k & 3 != 3 else k - 3]
-                faces.append(tuple(corners))
-                face_arcs.append(tuple(arcs_here))
+                if not seen[4 * ci + si]:
+                    corners = _walk_corners(across, 4 * ci + si, 1)
+                    for k in corners:
+                        seen[k] = 1
+                    faces.append(tuple([divmod(k, 4) for k in corners]))
+                    face_arcs.append(tuple([arc_at[k] for k in corners]))
 
         # V - E + F = 2 per component, with E = 2V: every crossing has four
         # slots and every arc two ends
@@ -400,7 +429,8 @@ class LinkDiagram:
 
     def tail_of(self, arc: int) -> Slot:
         self.require_valid()
-        return self._analysis._other(arc, self._analysis.head[arc])
+        ci, si = self._analysis.head[arc]
+        return divmod(self._analysis.across[4 * ci + si], 4)
 
     def faces(self) -> tuple[tuple[Slot, ...], ...]:
         self.require_valid()
@@ -656,28 +686,20 @@ def _disk_runs(d: LinkDiagram, comp: int):
     if fault:
         raise SiteError(fault)
     pas = _passages(d, comp)
-    c_crossings = {ci for ci, _ in pas}
+    across = d._analysis.across
+    c_corners = {4 * ci + si for ci, _ in pas for si in range(4)}
 
     def inner_run(ca: int, sa: int, cb: int) -> Optional[set[int]]:
         # follow the other strand from crossing ca to the first return to C;
         # the inner side is the shortest walk that lands on the pair partner
         candidates = []
-        for start in _other_strand_arcs(d, ca, sa):
-            run = {start}
-            occs = [o for o in d._analysis.occ[start] if o[0] != ca]
-            if not occs:
+        first = 4 * ca + (sa + 1) % 2  # the other strand's slots at ca: 1 and 3, or 0 and 2
+        for out in (first, first + 2):
+            if across[out] >> 2 == ca:
                 continue  # both ends at ca
-            cur = occs[0]
-            for _ in range(4 * len(d.crossings) + 1):  # a longer walk is dead
-                if cur[0] in c_crossings:
-                    if cur[0] == cb:
-                        candidates.append(run)
-                    break
-                out = (cur[0], (cur[1] + 2) % 4)
-                nxt_arc = d.crossings[out[0]].slots[out[1]]
-                run.add(nxt_arc)
-                a, b = d._analysis.occ[nxt_arc]
-                cur = b if a == out else a
+            walk = _walk_corners(across, across[out], 2, c_corners)
+            if walk[-1] >> 2 == cb:
+                candidates.append({d.crossings[k >> 2].slots[k & 3] for k in walk[:-1]})
         if not candidates:
             return None
         return min(candidates, key=len)
@@ -943,55 +965,16 @@ class _Side(NamedTuple):
     excess: list[int]
 
 
-def _open_walk(across: dict[Slot, Slot], open_at: dict[Slot, int], slot: Slot,
-               turn: int) -> tuple[int, bool]:
-    """Walk in by open slot ``slot`` and on through the crossings, leaving
-    each by the slot ``turn`` places counterclockwise from the one entered
-    (1 follows a face, 2 a strand), until the walk leaves by an open slot.
-    ``across`` maps each other slot to the far end of its arc.  Returns the
-    open slot's end and whether the walk entered an under-slot."""
-    ci, si = slot
-    under = False
-    for _ in range(len(across) + 1):
-        under = under or not si & 1
-        out = (ci, (si + turn) & 3)
-        end = open_at.get(out)
-        if end is not None:
-            return end, under
-        ci, si = across[out]
-    raise AssertionError(f"{'face' if turn == 1 else 'strand'} walk from {slot} found no open slot")
-
-
-def _pieces(across: dict[Slot, Slot], open_at: dict[Slot, int]) -> dict[int, int]:
-    """The connected part of every crossing reachable from an open slot
-    without crossing one, numbered in the order of the open slots' ends."""
-    piece: dict[int, int] = {}
-    count = 0
-    for root, _ in sorted(open_at, key=open_at.get):
-        if root in piece:
-            continue
-        p = piece[root] = count
-        count += 1
-        stack = [root]
-        while stack:
-            ci = stack.pop()
-            for si in range(4):
-                if (ci, si) not in open_at:
-                    far = across[ci, si][0]
-                    if far not in piece:
-                        piece[far] = p
-                        stack.append(far)
-    return piece
-
-
-def _side(across: dict[Slot, Slot], open_at: dict[Slot, int], piece_of: dict[int, int],
+def _side(across: Sequence[int], open_at: dict[int, int], piece_of: Sequence[int],
           through: Iterable[tuple[int, int]] = (), strands: bool = True,
-          inward: Optional[Callable[[Slot], bool]] = None) -> _Side:
-    """The side whose ends are the open slots ``open_at`` numbers and the
+          inward: Optional[Callable[[int], bool]] = None) -> _Side:
+    """The side whose ends are the open corners ``open_at`` numbers and the
     ``through`` pairs of ends that pass straight through to each other;
-    ``across`` and ``piece_of`` are as `_open_walk` and `_pieces` take and
-    give them.  Strands are walked only when ``strands``, and a segment
-    that passes under a crossing votes ``inward`` of its open slot there.
+    ``across`` is its corner map, read only away from the open corners,
+    and ``piece_of`` its crossings' parts, as `_parts` numbers them from
+    the open corners in end order.  Strands are walked only when
+    ``strands``, and a segment that passes under a crossing votes
+    ``inward`` of its open corner there.
 
     No face is traced: each part is taken to be planar.  With its k ends as
     vertices of degree one, E = 2V + k / 2 and F is the faces no walk
@@ -1002,19 +985,20 @@ def _side(across: dict[Slot, Slot], open_at: dict[Slot, int], piece_of: dict[int
     face_next, strand_next = [0] * n, list(range(n))
     vote: list[Optional[bool]] = [None] * n
     piece = [0] * n
-    n_pieces = 1 + max(piece_of.values(), default=-1)
+    n_pieces = 1 + max(piece_of, default=-1)
     for a, b in through:
         face_next[a], face_next[b] = strand_next[a], strand_next[b] = b, a
         piece[a] = piece[b] = n_pieces
         n_pieces += 1
-    for slot, e in open_at.items():
-        piece[e] = piece_of[slot[0]]
-        face_next[e] = _open_walk(across, open_at, slot, 1)[0]
+    for k, e in open_at.items():
+        piece[e] = piece_of[k >> 2]
+        face_next[e] = open_at[_walk_corners(across, k, 1, open_at)[-1]]
         if strands and strand_next[e] == e:
-            far, under = _open_walk(across, open_at, slot, 2)
+            walk = _walk_corners(across, k, 2, open_at)
+            far = open_at[walk[-1]]
             strand_next[e], strand_next[far] = far, e
-            if under and inward is not None:
-                vote[e] = inward(slot)
+            if inward is not None and any(not c & 1 for c in walk):
+                vote[e] = inward(k)
                 vote[far] = not vote[e]
     ends_in = [0] * n_pieces
     for p in piece:
@@ -1042,26 +1026,26 @@ def _base_side(base: LinkDiagram, removed: frozenset[int], cut: Sequence[int],
     `_side` needs.
     """
     an = base._analysis
-    occ, head = an.occ, an.head
-    slots = [x.slots for x in base.crossings]
-    across = {a: b for a, b in occ.values()} | {b: a for a, b in occ.values()}
-    ends: list[Optional[Slot]] = []
+    occ, head, across = an.occ, an.head, an.across
+    ends: list[Optional[int]] = []
     for arc in cut:
-        ends += [an._other(arc, head[arc]), head[arc]]
+        ci, si = head[arc]
+        ends += [across[4 * ci + si], 4 * ci + si]
     through: dict[int, list[int]] = {}  # stub arc -> its two ends, when it meets no kept crossing
     for arc in stubs:
-        kept = [o for o in occ[arc] if o[0] not in removed]
+        kept = [4 * ci + si for ci, si in occ[arc] if ci not in removed]
         if not kept:
             through.setdefault(arc, []).append(len(ends))
         ends.append(kept[0] if len(kept) == 1 else None)
-    open_at = {slot: e for e, slot in enumerate(ends) if slot is not None}
-    freed = {o for ci in removed for arc in slots[ci] for o in occ[arc] if o[0] not in removed}
+    open_at = {k: e for e, k in enumerate(ends) if k is not None}
+    freed = {far for ci in removed for far in across[4 * ci:4 * ci + 4] if far >> 2 not in removed}
     if (len(open_at) + 2 * len(through) != len(ends)
             or any(len(pair) != 2 for pair in through.values())
-            or any(ci in removed for ci, _ in open_at) or not freed <= open_at.keys()):
+            or any(k >> 2 in removed for k in open_at) or not freed <= open_at.keys()):
         raise AssertionError("splice ends must free each end of an arc once")
-    return _side(across, open_at, _pieces(across, open_at), through.values(), directed,
-                 lambda slot: head[slots[slot[0]][slot[1]]] == slot)
+    return _side(across, open_at, _parts(across, [k >> 2 for k in open_at], open_at),
+                 through.values(), directed,
+                 lambda k: head[base.crossings[k >> 2].slots[k & 3]] == divmod(k, 4))
 
 
 def _fragment_side(bld: DiagramBuilder, ports: Sequence) -> Optional[_Side]:
@@ -1072,18 +1056,20 @@ def _fragment_side(bld: DiagramBuilder, ports: Sequence) -> Optional[_Side]:
     not planar is a program fault, which the build's guard in `splice`
     catches.  Nothing is labelled: the build takes every fresh label."""
     port_of = {port: i for i, port in enumerate(ports)}
-    new = range(bld.n_frozen, len(bld.protos))
-    open_at: dict[Slot, int] = {}  # the crossing slot port i's welds lead to -> i
-    across: dict[Slot, Slot] = {}
-    for slot in itertools.product(new, range(4)):
-        if slot not in across:
+    n0 = bld.n_frozen
+    across = [-1] * (4 * (len(bld.protos) - n0))  # corner 4 * (ci - n0) + si
+    open_at: dict[int, int] = {}  # the corner port i's welds lead to -> i
+    for k in range(len(across)):
+        if across[k] < 0:
+            slot = (n0 + (k >> 2), k & 3)
             end = slot if slot in port_of else bld._trail(slot, port_of)[-1]
             if end in port_of:
-                open_at[slot] = port_of[end]
+                open_at[k] = port_of[end]
             else:
-                across[slot], across[end] = end, slot
-    piece_of = _pieces(across, open_at)
-    return _side(across, open_at, piece_of) if len(piece_of) == len(new) else None
+                far = 4 * (end[0] - n0) + end[1]
+                across[k], across[far] = far, k
+    piece_of = _parts(across, [k >> 2 for k in sorted(open_at, key=open_at.get)], open_at)
+    return None if -1 in piece_of else _side(across, open_at, piece_of)
 
 
 def _wiring_fault(near: _Side, far: _Side, wiring: Sequence[int]) -> Optional[str]:
@@ -1165,11 +1151,12 @@ def splice(
 
     The wirings are judged in order before any is welded.  Each side is
     walked once from its open ends by one routine, `_side`, which
-    `_base_side` and `_fragment_side` hand their slot maps, and then each
-    wiring costs a walk over the ends alone (`_wiring_fault`): it is valid
-    when no strand component through the fragment needs frozen crossings
-    turned (unless ``reorient``) and every graph component passes the
-    Euler check, each part's excess taken from Euler's formula.  Judging
+    `_base_side` hands the base's own corner map and `_fragment_side` one
+    read off the builder's welds, and then each wiring costs a walk over
+    the ends alone (`_wiring_fault`): it is valid when no strand
+    component through the fragment needs frozen crossings turned (unless
+    ``reorient``) and every graph component passes the Euler check, each
+    part's excess taken from Euler's formula.  Judging
     takes no fresh label, so the first valid wiring is built with the
     labels and crossing indices of building it alone, and its output
     arrives with its strand trace.  With no valid wiring, or a fragment
@@ -1451,34 +1438,31 @@ def _walk_from(d1: LinkDiagram, d2: LinkDiagram, root: int, image: int, rot: int
     """Whether sending d1's crossing ``root`` to d2's ``image`` turned by
     ``rot`` slots extends over root's whole graph component.
 
-    The map spreads one arc at a time: slot s of a mapped crossing goes to
-    slot s + r of its image, so the arc's far end must go to the image
-    arc's far end, which fixes the far crossing's image and rotation, and
-    that rotation must be even.  A map that passes covers image's graph
-    component, each crossing of it the same number of times; the caller
-    compares the component sizes, so that number is one and the crossing
-    map, the slot map and the arc map are one-to-one.
+    The walk reads the two diagrams' corner maps alone, like every walk
+    over a diagram, and spreads one arc at a time: corner s of a mapped
+    crossing goes to corner s + r of its image, so the far corner of its
+    arc in d1 must go to the far corner of the image's arc in d2, which
+    fixes the far crossing's image and rotation, and that rotation must be
+    even.  A map that passes covers image's graph component, each crossing
+    of it the same number of times; the caller compares the component
+    sizes, so that number is one and the crossing map, the slot map and
+    the arc map are one-to-one.
     """
-    x1, x2 = d1.crossings, d2.crossings
-    occ1, occ2 = d1._analysis.occ, d2._analysis.occ
+    across1, across2 = d1._analysis.across, d2._analysis.across
     placed = {root: (image, rot)}  # d1 crossing -> (d2 crossing, rotation)
     work = [root]
     while work:
         c1 = work.pop()
         c2, r = placed[c1]
-        for s, arc in enumerate(x1[c1].slots):
-            t = (s + r) % 4
-            f1, g1 = occ1[arc]
-            far1 = g1 if f1 == (c1, s) else f1
-            f2, g2 = occ2[x2[c2].slots[t]]
-            far2 = g2 if f2 == (c2, t) else f2
-            want = (far2[0], (far2[1] - far1[1]) % 4)
-            got = placed.get(far1[0])
+        for s in range(4):
+            far1, far2 = across1[4 * c1 + s], across2[4 * c2 + (s + r) % 4]
+            want = (far2 >> 2, (far2 - far1) % 4)
+            got = placed.get(far1 >> 2)
             if got is None:
                 if want[1] % 2:
                     return False
-                placed[far1[0]] = want
-                work.append(far1[0])
+                placed[far1 >> 2] = want
+                work.append(far1 >> 2)
             elif got != want:
                 return False
     return True

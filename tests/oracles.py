@@ -23,7 +23,11 @@ heads off `trace_oracle` and votes by the first under-slot a walk
 enters), and the orientation oracles walk a
 component a second time to go backward instead of reading the forward
 walk in reverse, and settle a builder's conflicted component in a
-branch of their own.
+branch of their own.  The face and disk-run oracles are the library's
+face stage and disk-run scan as they were before every walk read one
+corner map: each builds its own corner map or reads the occurrence
+index, searches graph components and walks faces and runs with loops of
+its own.
 """
 
 import itertools
@@ -33,9 +37,15 @@ from typing import Iterable, Optional
 from hyperforge.diagram import (
     DiagramBuilder,
     LinkDiagram,
+    Slot,
     _Analysis,
+    _Embedding,
+    _other_strand_arcs,
+    _passages,
+    _ring_fault,
     _Side,
     braid2_template,
+    components,
     diagram_isomorphic,
     validate,
 )
@@ -537,3 +547,139 @@ def trace_oracle(d):
         problems = [f"crossing {ci} never traversed as over-strand"
                     for ci in range(n) if ci not in signs]
     return all_steps, cycles, head, signs, tuple(problems)
+
+
+def faces_oracle(d) -> _Embedding:
+    """`diagram._Analysis._faces_and_euler` before every walk read one
+    corner map: the corner map built here, its own graph-component search
+    and its own face loop, over an occurrence index of its own.  Every arc
+    of ``d`` occurs twice."""
+    occ = _Walker(d.crossings).occ
+    n = len(d.crossings)
+    # corner 4 * ci + si is slot si of crossing ci; across[k] is the
+    # corner at the other end of the arc at corner k
+    corner = [(ci, si) for ci in range(n) for si in range(4)]
+    arc_at = [a for x in d.crossings for a in x.slots]
+    across = [0] * (4 * n)
+    for (c1, s1), (c2, s2) in occ.values():
+        across[4 * c1 + s1] = 4 * c2 + s2
+        across[4 * c2 + s2] = 4 * c1 + s1
+
+    # graph components, numbered in the order of their least crossings
+    comp = [-1] * n
+    n_graph_comps = 0
+    for root in range(n):
+        if comp[root] >= 0:
+            continue
+        comp[root] = n_graph_comps
+        stack = [root]
+        while stack:
+            k = 4 * stack.pop()
+            for far in (across[k] >> 2, across[k + 1] >> 2, across[k + 2] >> 2,
+                        across[k + 3] >> 2):
+                if comp[far] < 0:
+                    comp[far] = n_graph_comps
+                    stack.append(far)
+        n_graph_comps += 1
+
+    # a face turn: arrive at corner (ci, si), leave along the arc at
+    # slot (si + 1) % 4 and arrive at that arc's other end; faces start
+    # at each arc's occurrences in order, arcs ascending
+    faces: list[tuple[Slot, ...]] = []
+    face_arcs: list[tuple[int, ...]] = []
+    seen = bytearray(4 * n)
+    for arc in sorted(occ):
+        for ci, si in occ[arc]:
+            k = 4 * ci + si
+            if seen[k]:
+                continue
+            corners: list[Slot] = []
+            arcs_here: list[int] = []
+            while not seen[k]:
+                seen[k] = 1
+                corners.append(corner[k])
+                arcs_here.append(arc_at[k])
+                k = across[k + 1 if k & 3 != 3 else k - 3]
+            faces.append(tuple(corners))
+            face_arcs.append(tuple(arcs_here))
+
+    # V - E + F = 2 per component, with E = 2V: every crossing has four
+    # slots and every arc two ends
+    v = [0] * n_graph_comps
+    f = [0] * n_graph_comps
+    for g in comp:
+        v[g] += 1
+    for face in faces:
+        f[comp[face[0][0]]] += 1
+    problems = tuple(
+        f"graph component {g} fails Euler check: V={v[g]} E={2 * v[g]} F={f[g]}"
+        for g in range(n_graph_comps)
+        if f[g] - v[g] != 2
+    )
+    return _Embedding(faces, face_arcs, dict(enumerate(comp)), n_graph_comps, problems)
+
+
+def disk_runs_oracle(d: LinkDiagram, comp: int):
+    """`diagram._disk_runs` before its runs were walked over the corner map.
+
+    Pattern scan for a twice-punctured-disk boundary component.
+
+    Returns (run1 arcs, run2 arcs) where each run is the chain of strand
+    arcs through the disk between a clasp pair (possibly through twist
+    crossings inserted by earlier half-twists).
+    """
+    part = components(d)
+    fault = _ring_fault(d, part, comp)
+    if fault:
+        raise SiteError(fault)
+    pas = _passages(d, comp)
+    c_crossings = {ci for ci, _ in pas}
+
+    def inner_run(ca: int, sa: int, cb: int) -> Optional[set[int]]:
+        # follow the other strand from crossing ca to the first return to C;
+        # the inner side is the shortest walk that lands on the pair partner
+        candidates = []
+        for start in _other_strand_arcs(d, ca, sa):
+            run = {start}
+            occs = [o for o in d._analysis.occ[start] if o[0] != ca]
+            if not occs:
+                continue  # both ends at ca
+            cur = occs[0]
+            for _ in range(4 * len(d.crossings) + 1):  # a longer walk is dead
+                if cur[0] in c_crossings:
+                    if cur[0] == cb:
+                        candidates.append(run)
+                    break
+                out = (cur[0], (cur[1] + 2) % 4)
+                nxt_arc = d.crossings[out[0]].slots[out[1]]
+                run.add(nxt_arc)
+                a, b = d._analysis.occ[nxt_arc]
+                cur = b if a == out else a
+        if not candidates:
+            return None
+        return min(candidates, key=len)
+
+    # adjacent pairings are clasps (equal signs = genuinely linked); the
+    # diagonal pairing appears after a half twist rotates the punctures.
+    # Among valid pairings the one with the shortest runs is the disk
+    # interior (outer detours around the rest of the link are longer).
+    candidates = [
+        (((pas[0], pas[1]), (pas[2], pas[3])), True),
+        (((pas[1], pas[2]), (pas[3], pas[0])), True),
+        (((pas[0], pas[2]), (pas[1], pas[3])), False),
+    ]
+    found = []
+    for pairs, check_signs in candidates:
+        if check_signs and any(d.sign(pa[0]) != d.sign(pb[0]) for pa, pb in pairs):
+            continue
+        runs = []
+        for (ca, sa), (cb, sb) in pairs:
+            run = inner_run(ca, sa, cb)
+            if run is None:
+                break
+            runs.append(run)
+        if len(runs) == 2 and not (runs[0] & runs[1]):
+            found.append((len(runs[0]) + len(runs[1]), len(found), tuple(runs)))
+    if not found:
+        raise SiteError(f"component {comp} does not bound a recognizable disk")
+    return min(found)[2]

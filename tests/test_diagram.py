@@ -48,6 +48,7 @@ from hyperforge.generators import ChainSpec, chain_link, exceptional_links, rati
 from oracles import (
     diagram_isomorphic_oracle,
     eager_report,
+    faces_oracle,
     gauss_linking_oracle,
     is_braid2_form_oracle,
     two_edge_cuts_oracle,
@@ -342,6 +343,47 @@ def test_two_edge_cuts_match_oracle(d, data):
     also after random kinks (which add cuts) and R2 bigons."""
     for d in r_moves(d, data):
         assert two_edge_cuts(d) == two_edge_cuts_oracle(d)
+
+
+def swapped(d, data):
+    """d's scrambled crossings, two neighbouring slots swapped at some of
+    them: every arc still occurs twice, but the rotation at a swapped
+    crossing is no longer the diagram's, so most fail the Euler check."""
+    crossings = scrambled_crossings(d, data)
+    for ci in data.draw(st.sets(st.sampled_from(range(len(crossings))), min_size=1)
+                        if crossings else st.just(())):
+        s = data.draw(st.integers(0, 3))
+        slots = list(crossings[ci].slots)
+        slots[s], slots[(s + 1) % 4] = slots[(s + 1) % 4], slots[s]
+        crossings[ci] = Crossing(tuple(slots))
+    return LinkDiagram(tuple(crossings), loops=d.loops)
+
+
+def _face_stages(d):
+    """The face stage of a fresh analysis of d, and the face oracle's."""
+    fresh = LinkDiagram(d.crossings, loops=d.loops)
+    return dg._Analysis(fresh)._faces_and_euler(), faces_oracle(fresh)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_CUT_BASES, st.data())
+def test_face_stage_matches_oracle(d, data):
+    """The faces, face arcs, graph components and Euler problems read over
+    the corner map are the oracle's, on valid diagrams after R1 and R2
+    moves and on crossings with neighbouring slots swapped."""
+    for e in (*r_moves(d, data), swapped(d, data)):
+        got, want = _face_stages(e)
+        assert got == want
+        assert list(got.graph_comp_of.items()) == list(want.graph_comp_of.items())
+
+
+@pytest.mark.parametrize("pd", [pd for pd, *_ in MALFORMED[2:]])
+def test_face_stage_matches_oracle_on_malformed(pd):
+    """Every arc occurs twice in these words, and all but the first fail
+    the Euler check."""
+    got, want = _face_stages(parse_pd(pd))
+    assert got == want
+    assert bool(got.problems) == (pd != MALFORMED[2][0])
 
 
 def test_connected_sum_not_prime(trefoil):

@@ -3,9 +3,10 @@ derivations against the try-every-wiring oracles, any wiring table against
 the wiring loop, the strand orientation against the two-walk oracle, the
 fragment side against emitting the fragment apart and the base side
 against tracing its faces, the refusal of fragments with a portless or a
-non-planar part, the bound on the open walks, the output's occurrence
-index and strand trace against fresh ones, and the analysis work, emits
-and builds each move costs."""
+non-planar part, the bound on the walks, the disk-run scan against its
+oracle, the output's occurrence index, corner map and strand trace
+against fresh ones, and the analysis work, emits and builds each move
+costs."""
 
 import itertools
 import signal
@@ -42,6 +43,7 @@ from hyperforge.moves import (
 
 from oracles import (
     base_side_oracle,
+    disk_runs_oracle,
     eager_report,
     fragment_side_oracle,
     renormalize_oracle,
@@ -485,6 +487,55 @@ def test_output_index_after_reorienting_half_twists():
     assert turning
 
 
+def _disk_scans(d):
+    """Per component of d, the disk-run scan's runs or its SiteError text:
+    the library's, then the oracle's."""
+
+    def scan(runs, c):
+        try:
+            return runs(d, c)
+        except SiteError as err:
+            return str(err)
+
+    n = components(d).count
+    return [scan(dg._disk_runs, c) for c in range(n)], [scan(disk_runs_oracle, c) for c in range(n)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_BASES, st.data())
+def test_disk_runs_match_the_oracle(d, data):
+    """The disk-run scan gives the oracle's runs, or its SiteError text,
+    for every component of chain, rational and Tk bases, of their outputs
+    after a switch move or augmenting circle, and of one to three half
+    twists stacked on one ring of those."""
+    ds = [d, _switched(d, data)]
+    e = ds[-1]
+    part = components(e)
+    rings = [c for c in range(len(part.cycles)) if not dg._ring_fault(e, part, c)]
+    if rings:
+        arc = part.arcs_of(data.draw(st.sampled_from(rings)))[0]
+        for direction in data.draw(st.lists(st.sampled_from((1, -1)), min_size=1, max_size=3)):
+            try:
+                e = half_twist(e, components(e).component_of(arc), direction)
+            except SiteError:
+                break
+            ds.append(e)
+    for e in ds:
+        got, want = _disk_scans(e)
+        assert got == want
+
+
+def test_disk_runs_corpus_matches_the_oracle():
+    """On the 4-chain and on half twists that turn frozen crossings, the
+    scan and the oracle agree, and both find runs and refuse components."""
+    kinds = set()
+    for d in [_CHAIN4] + [half_twist(*twist) for twist in _REORIENTING_TWISTS]:
+        got, want = _disk_scans(d)
+        assert got == want
+        kinds.update(type(x) for x in got)
+    assert kinds == {str, tuple}
+
+
 # the fragment side and the output's strand trace ---------------------------------
 
 
@@ -621,10 +672,11 @@ def test_base_side_matches_the_traced_oracle(d, data):
 
 
 def test_open_walk_is_bounded():
-    """A slot map whose walk closes into a cycle with no open slot on it
-    fails the walk by name instead of looping; an alarm fails a walk that
-    does not stop."""
-    across = {(0, 0): (0, 1), (0, 1): (0, 0), (0, 2): (0, 3), (0, 3): (0, 2)}
+    """A corner map whose open walk closes into a cycle with no open corner
+    on it fails the walk by name instead of looping, and so does a closed
+    walk over a map that never brings it back to its start; an alarm
+    fails a walk that does not stop."""
+    cyclic, trapping = [1, 0, 3, 2], [1, 1, 3, 2]  # corner 0 never entered again in the second
 
     def hang(*_):
         raise TimeoutError("the open walk did not stop")
@@ -635,7 +687,9 @@ def test_open_walk_is_bounded():
         for turn, name in ((1, "face"), (2, "strand")):
             with pytest.raises(AssertionError,
                                match=rf"^{name} walk from \(0, 0\) found no open slot$"):
-                dg._open_walk(across, {}, (0, 0), turn)
+                dg._walk_corners(cyclic, 0, turn, {})
+            with pytest.raises(AssertionError, match=rf"^{name} walk did not close$"):
+                dg._walk_corners(trapping, 0, turn)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -644,9 +698,14 @@ def test_open_walk_is_bounded():
 def _assert_trace_is_fresh(d, derived=True):
     """d's strand trace, which arrived with d when ``derived``, is field by
     field, in the same order, what tracing d afresh gives and what the
-    two-walk oracle gives; and d's report is the eager one."""
+    two-walk oracle gives; d's corner map, built from the index d arrived
+    with, is a fresh analysis's and a fixed-point-free involution; and d's
+    report is the eager one."""
     an = d._analysis
     assert not derived or "_strands" in vars(an)
+    across = an.across
+    assert across == dg._Analysis(LinkDiagram(d.crossings, loops=d.loops)).across
+    assert all(across[k] != k and across[across[k]] == k for k in range(len(across)))
     fresh = dg._Analysis(LinkDiagram(d.crossings, loops=d.loops))._trace()
     for field in fresh._fields:
         got, want = getattr(an._strands, field), getattr(fresh, field)
