@@ -121,12 +121,11 @@ class _Strands(NamedTuple):
     def of(cls, walks: list[list[tuple[int, Slot]]]) -> "_Strands":
         """The trace, with no problems, of ``walks``: (arc, head) steps per component."""
         head: dict[int, Slot] = {}
-        signs: dict[int, int] = {}
         for steps in walks:
             head.update(steps)
-            # the over-strand entering at slot 1 is sign -1, at slot 3 +1
-            signs.update((ci, si - 2) for _, (ci, si) in steps if si & 1)
-        return cls(walks, [tuple(a for a, _ in st) for st in walks], head, signs, ())
+        # the over-strand entering at slot 1 is sign -1, at slot 3 +1
+        signs = {ci: si - 2 for steps in walks for _, (ci, si) in steps if si & 1}
+        return cls(walks, [tuple([a for a, _ in st]) for st in walks], head, signs, ())
 
 
 class _Embedding(NamedTuple):
@@ -171,6 +170,14 @@ def _walk_corners(across: Sequence[int], start: int, turn: int,
     raise AssertionError(f"{what} walk from {divmod(start, 4)} found no open slot")
 
 
+def _backward(corners: list[int]) -> list[int]:
+    """The corners a closed strand walk entering ``corners`` enters when it
+    runs the other way: each crossing by the slot the forward walk leaves
+    it by, starting with the arc by which the forward walk enters its
+    first corner."""
+    return [c ^ 2 for c in reversed(corners)]
+
+
 def _parts(across: Sequence[int], roots: Iterable[int], open_at: Container[int] = ()) -> list[int]:
     """The part of every crossing of the corner map ``across``, -1 for one
     no root reaches: crossings joined by an arc at a corner not in
@@ -195,38 +202,71 @@ def _parts(across: Sequence[int], roots: Iterable[int], open_at: Container[int] 
     return part
 
 
+def _closed_faces(across: Sequence[int], starts: Iterable[int], seen: bytearray) -> Iterator[list[int]]:
+    """The face from each corner of ``starts`` that ``seen`` does not mark,
+    as the corners it enters, each marked as it is entered.
+
+    The one walk that does not run through `_walk_corners`: most faces
+    have two to four corners, so the faces of a whole diagram are read in
+    one pass over the corners, and a face ends where it meets a marked
+    corner.  That is its start when every corner it reads is paired by
+    ``across``, as in a diagram whose arcs each occur twice.
+    """
+    for k in starts:
+        if not seen[k]:
+            corners = []
+            while not seen[k]:
+                seen[k] = 1
+                corners.append(k)
+                k = across[k & ~3 | (k + 1) & 3]
+            yield corners
+
+
 class _Analysis:
     """Everything validate/components/signs need, in stages computed on first use.
 
     Arc occurrences are indexed when the analysis is made.  The corner map
-    `across`, the strand trace (orientation, signs) and the faces with the
-    Euler check each run at most once, when something first reads them,
-    and only when every arc occurs twice.  Every walk over the diagram
-    reads that one corner map through `_walk_corners`: the strand trace,
-    the faces, the splice's base side, the disk-run scan and the
-    isomorphism test.  The strand trace and `_renormalize` orient the
-    strands by one walk per component, `_oriented`, and a diagram
-    `_renormalize` builds arrives with its index and strand trace, leaving
-    only its corner map, built from that index, and its faces.  A
-    stage returns its own problems instead of adding to a shared list, so
-    `report` lists them in the order occurrences, trace, faces whichever
-    stage ran first, and a stage that two threads both compute cannot
-    repeat a line.
+    `across`, the strand trace (orientation, signs), the graph components
+    and the faces with the Euler check each run at most once, when
+    something first reads them, and only when every arc occurs twice.
+    Every walk over the diagram but the face stage's reads that one corner
+    map through `_walk_corners`: the strand trace, the splice's base side,
+    the disk-run scan and the isomorphism test; the faces are read in one
+    pass by `_closed_faces`.  The strand trace and `_renormalize` orient
+    the strands by one walk per component, `_oriented`.
+
+    A diagram a splice builds arrives analysed: its index, corner map and
+    strand trace are derived from its base's (`DiagramBuilder._derived`,
+    `_renormalize`), and it is known planar, since the splice's judge
+    checked the Euler formula over fragment parts its guard traced.  It
+    has no Euler check to run, and its report counts V + 2 faces per
+    graph component, so its faces are traced only when something reads
+    them.  A stage returns its own problems instead of adding to a shared
+    list, so `report` lists them in the order occurrences, trace, faces
+    whichever stage ran first, and a stage that two threads both compute
+    cannot repeat a line.
     """
 
     def __init__(self, diagram: "LinkDiagram", occ: Optional[dict[int, list[Slot]]] = None,
-                 strands: Optional[_Strands] = None):
+                 across: Optional[list[int]] = None, strands: Optional[_Strands] = None,
+                 planar: bool = False):
         """``occ``, when given, is the diagram's occurrence index, every arc
-        occurring twice, as `_index_occurrences` would build it, and
-        ``strands`` its strand trace, as `_trace` would give it."""
+        occurring twice, as `_index_occurrences` would build it; ``across``
+        its corner map and ``strands`` its strand trace, as the stages would
+        give them; ``planar`` says each graph component passes the Euler
+        check."""
         self.d = diagram
         if occ is None:
             self.occ, self.occ_problems = self._index_occurrences()
         else:
             self.occ, self.occ_problems = occ, ()
         self.double_ok = not self.occ_problems
+        if across is not None:
+            self.across = across
         if strands is not None:
             self._strands = strands
+        if planar:
+            self._euler_problems = ()
 
     @cached_property
     def _strands(self) -> _Strands:
@@ -236,14 +276,16 @@ class _Analysis:
     def _embedding(self) -> _Embedding:
         return self._faces_and_euler() if self.double_ok else _Embedding([], [], {}, 0, ())
 
+    @cached_property
+    def _euler_problems(self) -> tuple[str, ...]:
+        return self._embedding.problems
+
     steps = property(attrgetter("_strands.steps"))
     cycles = property(attrgetter("_strands.cycles"))
     head = property(attrgetter("_strands.head"))
     signs = property(attrgetter("_strands.signs"))
     faces = property(attrgetter("_embedding.faces"))
     face_arcs = property(attrgetter("_embedding.face_arcs"))
-    graph_comp_of = property(attrgetter("_embedding.graph_comp_of"))
-    n_graph_comps = property(attrgetter("_embedding.n_graph_comps"))
 
     @property
     def consistent(self) -> bool:
@@ -251,7 +293,7 @@ class _Analysis:
 
     @property
     def planar_ok(self) -> bool:
-        return self.double_ok and not self._embedding.problems
+        return self.double_ok and not self._euler_problems
 
     # stage 1: occurrences
 
@@ -276,45 +318,83 @@ class _Analysis:
 
     # stage 2: strand tracing and orientation
 
-    def _walk(self, arc: int) -> list[tuple[int, Slot]]:
-        """The component of ``arc`` walked once, from ``arc`` into its
-        second occurrence: (arc, head) steps."""
-        ci, si = self.occ[arc][1]
-        x = self.d.crossings
-        return [(x[k >> 2].slots[k & 3], divmod(k, 4))
-                for k in _walk_corners(self.across, 4 * ci + si, 2)]
+    def _label_at(self, corner: int) -> int:
+        return self.d.crossings[corner >> 2].slots[corner & 3]
 
-    def _oriented(self, frozen: Container[int]) -> Iterator[tuple[list[tuple[int, Slot]], bool]]:
-        """Each strand component, walked once, in the order of least arcs.
+    def _walk(self, arc: int) -> list[int]:
+        """The corners the component of ``arc`` enters, walked once from
+        ``arc`` into its second occurrence."""
+        ci, si = self.occ[arc][1]
+        return _walk_corners(self.across, 4 * ci + si, 2)
+
+    def _walks(self) -> Iterator[list[int]]:
+        """Every strand component walked once by `_walk` from its least arc,
+        in the order of least arcs."""
+        seen = bytearray(len(self.across))  # the corners a walk entered or left by
+        for arc in sorted(self.occ):
+            ci, si = self.occ[arc][1]
+            if not seen[4 * ci + si]:
+                corners = self._walk(arc)
+                for c in corners:
+                    seen[c] = seen[c ^ 2] = 1
+                yield corners
+
+    def _walks_through(self, starts: Iterable[int]) -> tuple[list[list[int]], set[int]]:
+        """The strand components that enter or leave a crossing by a corner
+        of ``starts``, each walked once from a start and turned into the
+        corners `_walk` gives from its least arc, and the arcs they pass."""
+        x = self.d.crossings
+        seen = bytearray(len(self.across))
+        walks, arcs = [], set()
+        for k in starts:
+            if seen[k]:
+                continue
+            corners = _walk_corners(self.across, k, 2)
+            labels = [x[c >> 2].slots[c & 3] for c in corners]
+            for c in corners:
+                seen[c] = seen[c ^ 2] = 1
+            arcs.update(labels)
+            ci, si = self.occ[min(labels)][1]
+            if 4 * ci + si not in corners:
+                corners = _backward(corners)
+            i = corners.index(4 * ci + si)
+            walks.append(corners[i:] + corners[:i])
+        return walks, arcs
+
+    def _oriented(self, frozen: Container[int], walks: Optional[Iterable[list[int]]] = None
+                  ) -> Iterator[tuple[list[int], bool]]:
+        """Each strand component of ``walks``, as `_walk` gives it, or of
+        `_walks` when None, oriented.
 
         A component runs the way its first frozen under-passage along the
         walk from its least arc enters, at slot 0; with no frozen
         under-passage it runs from its least arc toward the smaller
-        neighbor.  Yields (steps, conflict): the steps start at the least
-        arc, and conflict says some frozen under-passage enters at slot 2.
+        neighbor.  Yields (corners, conflict): the corners it enters, in
+        order, from its least arc on, and whether some frozen
+        under-passage enters at slot 2.
         """
-        seen: set[int] = set()
-        for arc in sorted(self.occ):
-            if arc in seen:
-                continue
-            steps = self._walk(arc)
-            seen.update(a for a, _ in steps)
-            votes = [si for _, (ci, si) in steps if not si & 1 and ci in frozen]
+        for corners in self._walks() if walks is None else walks:
+            votes = [c & 3 for c in corners if not c & 1 and c >> 2 in frozen]
             if votes:
                 back = votes[0] == 2
             else:
-                back = len(steps) > 1 and steps[-1][0] < steps[1][0]
-            if back:
-                # going backward, an arc's head is the slot opposite the
-                # forward head of the arc before it
-                arcs = [arc] + [a for a, _ in steps[:0:-1]]
-                steps = [(a, (ci, si ^ 2)) for a, (_, (ci, si)) in zip(arcs, steps[::-1])]
-            yield steps, 0 in votes and 2 in votes
+                back = len(corners) > 1 and self._label_at(corners[-1]) < self._label_at(corners[1])
+            yield _backward(corners) if back else corners, 0 in votes and 2 in votes
+
+    def _steps(self, corners: list[int], turned: Container[int] = ()) -> list[tuple[int, Slot]]:
+        """The (arc, head) steps of a walk entering ``corners``, each corner
+        of a crossing in ``turned`` moved by 2."""
+        x = self.d.crossings
+        if not turned:
+            return [(x[c >> 2].slots[c & 3], divmod(c, 4)) for c in corners]
+        return [(x[c >> 2].slots[c & 3], divmod(c ^ 2 if c >> 2 in turned else c, 4))
+                for c in corners]
 
     def _trace(self) -> _Strands:
         problems: list[str] = []
         walks: list[list[tuple[int, Slot]]] = []
-        for steps, conflict in self._oriented(range(len(self.d.crossings))):
+        for corners, conflict in self._oriented(range(len(self.d.crossings))):
+            steps = self._steps(corners)
             if conflict:
                 problems.append(
                     f"component of arc {steps[0][0]} has conflicting under-strand directions"
@@ -329,30 +409,40 @@ class _Analysis:
             ]
         return strands._replace(problems=tuple(problems))
 
-    # stage 3: faces and the Euler check
+    # stage 3: graph components
+
+    @cached_property
+    def _graph(self) -> list[int]:
+        """The graph component of each crossing, numbered in the order of
+        their least crossings."""
+        return _parts(self.across, range(len(self.d.crossings))) if self.double_ok else []
+
+    @cached_property
+    def n_graph_comps(self) -> int:
+        return 1 + max(self._graph, default=-1)
+
+    @property
+    def graph_comp_of(self) -> dict[int, int]:
+        return dict(enumerate(self._graph))
+
+    # stage 4: faces and the Euler check
 
     def _faces_and_euler(self) -> _Embedding:
         n = len(self.d.crossings)
-        across = self.across
         arc_at = [a for x in self.d.crossings for a in x.slots]
-        # graph components, numbered in the order of their least crossings
-        comp = _parts(across, range(n))
-        n_graph_comps = 1 + max(comp, default=-1)
+        comp = self._graph
         # faces start at each arc's occurrences in order, arcs ascending
         faces: list[tuple[Slot, ...]] = []
         face_arcs: list[tuple[int, ...]] = []
-        seen = bytearray(4 * n)
-        for arc in sorted(self.occ):
-            for ci, si in self.occ[arc]:
-                if not seen[4 * ci + si]:
-                    corners = _walk_corners(across, 4 * ci + si, 1)
-                    for k in corners:
-                        seen[k] = 1
-                    faces.append(tuple([divmod(k, 4) for k in corners]))
-                    face_arcs.append(tuple([arc_at[k] for k in corners]))
+        occ = self.occ
+        starts = (4 * ci + si for arc in sorted(occ) for ci, si in occ[arc])
+        for corners in _closed_faces(self.across, starts, bytearray(4 * n)):
+            faces.append(tuple([divmod(k, 4) for k in corners]))
+            face_arcs.append(tuple([arc_at[k] for k in corners]))
 
         # V - E + F = 2 per component, with E = 2V: every crossing has four
         # slots and every arc two ends
+        n_graph_comps = self.n_graph_comps
         v = [0] * n_graph_comps
         f = [0] * n_graph_comps
         for g in comp:
@@ -368,20 +458,24 @@ class _Analysis:
 
     def report(self) -> ValidityReport:
         n = len(self.d.crossings)
+        planar = self.planar_ok
         total_comps = self.n_graph_comps + self.d.loops
+        # a planar graph component of V crossings has V + 2 faces, so a
+        # planar diagram's faces are counted without tracing them
+        n_faces = n + 2 * self.n_graph_comps if planar else len(self.faces)
         # shared outer face across all pieces of the diagram
-        f_total = len(self.faces) + 2 * self.d.loops
+        f_total = n_faces + 2 * self.d.loops
         if total_comps > 1:
             f_total -= total_comps - 1
         return ValidityReport(
             double_occurrence=self.double_ok,
             component_consistent=self.consistent,
-            planar=self.planar_ok,
+            planar=planar,
             vertices=n,
-            edges=sum(len(p) for p in self.occ.values()) // 2,
+            edges=sum(map(len, self.occ.values())) // 2,
             faces=f_total,
             graph_components=total_comps,
-            problems=self.occ_problems + self._strands.problems + self._embedding.problems,
+            problems=self.occ_problems + self._strands.problems + self._euler_problems,
         )
 
     @cached_property
@@ -566,7 +660,8 @@ def is_prime_diagram(d: LinkDiagram) -> bool:
 
 
 def _renormalize(
-    crossings: Sequence[Crossing], loops: int, frozen: Container[int], allow_reorient: bool = False
+    crossings: Sequence[Crossing], loops: int, frozen: Container[int], allow_reorient: bool = False,
+    probe: Optional[tuple[_Analysis, list, list]] = None, planar: bool = False,
 ) -> LinkDiagram:
     """Rotate crossings by 2 where needed to meet the convention.
 
@@ -578,26 +673,53 @@ def _renormalize(
     ``allow_reorient``: a move genuinely reversed a strand segment, as a
     half twist on two strands of one component does, and every frozen
     crossing that disagrees with the first rotates by 2 as well; arc
-    labels never change.  The output arrives with its occurrence index and
-    strand trace: the probe's, each slot of a turned crossing moved by 2.
-    Every under-passage then enters at slot 0, so the output's own trace
-    would walk each component the same way, with no conflict.
+    labels never change.
+
+    The probe is a fresh analysis of ``crossings``, every component of it
+    walked, unless ``probe`` gives (analysis, walks, kept) as a splice's
+    build derives them from its base: an analysis with the index and
+    corner map of ``crossings``, the corners of the components it walked,
+    as `_Analysis._walk` gives them, and the oriented steps of the others,
+    which turn no crossing.  The output arrives with its occurrence index,
+    corner map and strand trace: the probe's, each slot of a turned
+    crossing moved by 2.  Every under-passage then enters at slot 0, so the
+    output's own trace would walk each component the same way, with no
+    conflict.  ``planar`` says the output is known to pass the Euler check
+    (see `_Analysis`).
     """
-    ana = LinkDiagram(tuple(crossings), loops=loops)._analysis
-    if not ana.double_ok:
-        raise InvalidDiagramError(ana.validity)
-    oriented = list(ana._oriented(frozen))
+    if probe is None:
+        ana = LinkDiagram(tuple(crossings), loops=loops)._analysis
+        if not ana.double_ok:
+            raise InvalidDiagramError(ana.validity)
+        walks, kept = None, []
+    else:
+        ana, walks, kept = probe
+    oriented = list(ana._oriented(frozen, walks))
     if not allow_reorient and any(conflict for _, conflict in oriented):
         raise WiringError(_DIRECTION_CONFLICT)
-    turned = {ci for steps, _ in oriented for _, (ci, si) in steps if si == 2}
-    occ = ana.occ
-    for arc in {arc for ci in turned for arc in crossings[ci].slots}:
-        occ[arc] = sorted((ci, si ^ 2) if ci in turned else (ci, si) for ci, si in occ[arc])
-    walks = [[(a, (ci, si ^ 2) if ci in turned else (ci, si)) for a, (ci, si) in steps]
-             for steps, _ in oriented]
-    out = (x.rotated(2) if ci in turned else x for ci, x in enumerate(crossings))
+    turned = {c >> 2 for corners, _ in oriented for c in corners if c & 3 == 2}
+    walks = [ana._steps(corners, turned) for corners, _ in oriented]
+    occ, across = ana.occ, ana.across
+    out = list(crossings)
+    if turned:
+        # corner k of a turned crossing becomes k ^ 2, at either end of its arc
+        moved = {}
+        for ci in turned:
+            out[ci] = out[ci].rotated(2)
+            for k in range(4 * ci, 4 * ci + 4):
+                far = across[k] ^ 2 if across[k] >> 2 in turned else across[k]
+                moved[k ^ 2], moved[far] = far, k ^ 2
+        for k, far in moved.items():
+            across[k] = far
+        for ci in turned:
+            for k, arc in enumerate(out[ci].slots, 4 * ci):
+                occ[arc] = [divmod(c, 4) for c in sorted((k, across[k]))]
+        if any(ci in frozen for ci in turned):
+            kept = [[(a, (ci, si ^ 2) if ci in turned else (ci, si)) for a, (ci, si) in steps]
+                    for steps in kept]
+    walks = sorted(walks + kept, key=lambda steps: steps[0][0])
     d = LinkDiagram(tuple(out), loops=loops)
-    object.__setattr__(d, "_analysis", _Analysis(d, occ, _Strands.of(walks)))
+    object.__setattr__(d, "_analysis", _Analysis(d, occ, across, _Strands.of(walks), planar))
     return d
 
 
@@ -781,6 +903,7 @@ class DiagramBuilder:
         self.loops = base.loops if base is not None else 0
         self.welds: dict = {}
         self.stub_labels: dict = {}
+        self._cuts: list[tuple[int, int, Slot]] = []  # (arc, fresh label, base head)
         self._terminal_count = 0
         self._next_arc = base.fresh_arc() if base is not None else 1
 
@@ -818,6 +941,7 @@ class DiagramBuilder:
             raise AssertionError("cut arc ends at a removed crossing; use stub")
         fresh = self.fresh_label()
         _relabel_occurrence(self.protos, (self._old_to_new[head[0]], head[1]), fresh)
+        self._cuts.append((arc, fresh, head))
         return self.stub(arc), self.stub(fresh)
 
     def weld(self, p, q) -> None:
@@ -874,11 +998,83 @@ class DiagramBuilder:
     def _is_terminal(self, port) -> bool:
         return len(port) == 3  # a crossing slot is a pair
 
-    def build(self, allow_reorient: bool = False) -> LinkDiagram:
+    def build(self, allow_reorient: bool = False, planar: bool = False) -> LinkDiagram:
+        """The diagram, renormalised with the kept base crossings frozen.
+
+        Over a base, its analysis is derived from the base's (`_derived`).
+        ``planar`` says the caller has proved the output passes the Euler
+        check, as a splice's judge does, so its analysis runs none.
+        """
         loops = self._label()
         n = self.n_frozen
         crossings = self.protos[:n] + [Crossing(tuple(p)) for p in self.protos[n:]]
-        return _renormalize(crossings, loops, frozen=range(n), allow_reorient=allow_reorient)
+        probe = None if self.base is None else self._derived(crossings, loops)
+        return _renormalize(crossings, loops, frozen=range(n), allow_reorient=allow_reorient,
+                            probe=probe, planar=planar)
+
+    def _derived(self, crossings: list[Crossing], loops: int
+                 ) -> Optional[tuple[_Analysis, list, list]]:
+        """The probe `_renormalize` takes for the built ``crossings``,
+        derived from the base's analysis, or None when some arc does not
+        occur twice.
+
+        The index and corner map are the base's patched: the removed
+        crossings' occurrences dropped and the kept ones renumbered (only
+        when crossings were removed), the cut arcs' heads relabelled and
+        the new crossings' slots added; every list stays in ascending
+        (ci, si) order, as indexing afresh gives it.  Only the strand
+        components through a new crossing are walked: every cut or stub
+        end leads into one.  Each other component's arcs and crossings are
+        the base's, so it keeps the base's steps, renumbered.
+        """
+        base = self.base._analysis
+        n0, new = self.n_frozen, self._old_to_new
+        touched: set[int] = set()  # the arcs whose occurrences changed
+        occ = dict(base.occ)  # the base's lists are shared, never changed
+        if self.removed:
+            renum = [new.get(ci, -1) for ci in range(len(self.base.crossings))]
+            first = min(self.removed)
+            for arc, places in base.occ.items():
+                if places[-1][0] >= first:  # below the first removed crossing, nothing moves
+                    left = [(renum[ci], si) for ci, si in places if renum[ci] >= 0]
+                    if len(left) < len(places):
+                        touched.add(arc)
+                        if not left:
+                            del occ[arc]
+                            continue
+                    occ[arc] = left
+            # a corner that led to a removed crossing is an end: it is set
+            # below, with the touched arcs
+            across = [4 * renum[k >> 2] | k & 3 for k in base.across]
+            for ci in sorted(self.removed, reverse=True):
+                del across[4 * ci:4 * ci + 4]
+        else:
+            across = list(base.across)
+        for arc, fresh, (ci, si) in self._cuts:
+            head = (new[ci], si)
+            occ[arc], occ[fresh] = [o for o in occ[arc] if o != head], [head]
+        added: dict[int, list[Slot]] = {}
+        for ci in range(n0, len(crossings)):
+            for si, arc in enumerate(crossings[ci].slots):
+                added.setdefault(arc, []).append((ci, si))
+        for arc, places in added.items():
+            occ[arc] = occ.get(arc, []) + places
+        touched.update(added, self.stub_labels.values())
+        across += [0] * (4 * (len(crossings) - n0))
+        for arc in touched:
+            places = occ.get(arc)
+            if places is None:
+                continue
+            if len(places) != 2:
+                return None
+            (c1, s1), (c2, s2) = places
+            across[4 * c1 + s1], across[4 * c2 + s2] = 4 * c2 + s2, 4 * c1 + s1
+        probe = _Analysis(LinkDiagram(tuple(crossings), loops=loops), occ, across)
+        walks, on_walks = probe._walks_through(range(4 * n0, len(across)))
+        kept = [steps for steps in base.steps if steps[0][0] in occ and steps[0][0] not in on_walks]
+        if self.removed:
+            kept = [[(arc, (renum[ci], si)) for arc, (ci, si) in steps] for steps in kept]
+        return probe, walks, kept
 
     def _trail(self, start, stops: Container) -> list:
         """The plain terminals the welds pass from ``start`` (an open crossing slot
@@ -1052,9 +1248,15 @@ def _fragment_side(bld: DiagramBuilder, ports: Sequence) -> Optional[_Side]:
     """The fragment side of a splice, read off the welds of ``bld``, the
     builder whose new crossings are the fragment, before any port is
     welded; its ends are ``ports`` in order.  None when a crossing is on
-    no part with a port, which no move emits.  A part with ports that is
-    not planar is a program fault, which the build's guard in `splice`
-    catches.  Nothing is labelled: the build takes every fresh label."""
+    no part with a port, which no move emits.  Nothing is labelled: the
+    build takes every fresh label.
+
+    This is where a splice's planarity guard sits.  The judge's Euler
+    check is exact when each part of both sides is planar; the base's are,
+    since the base is valid.  Each part's faces that no walk from an open
+    end enters are traced here, and a part with ports whose count is not
+    its crossings plus the excess Euler's formula gives is not planar: a
+    program fault, raised as an AssertionError."""
     port_of = {port: i for i, port in enumerate(ports)}
     n0 = bld.n_frozen
     across = [-1] * (4 * (len(bld.protos) - n0))  # corner 4 * (ci - n0) + si
@@ -1069,7 +1271,22 @@ def _fragment_side(bld: DiagramBuilder, ports: Sequence) -> Optional[_Side]:
                 far = 4 * (end[0] - n0) + end[1]
                 across[k], across[far] = far, k
     piece_of = _parts(across, [k >> 2 for k in sorted(open_at, key=open_at.get)], open_at)
-    return None if -1 in piece_of else _side(across, open_at, piece_of)
+    if -1 in piece_of:
+        return None
+    side = _side(across, open_at, piece_of)
+    seen = bytearray(len(across))
+    for k in open_at:
+        for c in _walk_corners(across, k, 1, open_at):
+            seen[c] = 1
+    excess = [0] * len(side.excess)
+    for p in piece_of:
+        excess[p] -= 1
+    for face in _closed_faces(across, range(len(across)), seen):
+        excess[piece_of[face[0] >> 2]] += 1
+    if excess != side.excess:
+        raise AssertionError(f"fragment part not planar: traced excess {excess}, "
+                             f"Euler's formula {side.excess}")
+    return side
 
 
 def _wiring_fault(near: _Side, far: _Side, wiring: Sequence[int]) -> Optional[str]:
@@ -1156,16 +1373,21 @@ def splice(
     the ends alone (`_wiring_fault`): it is valid when no strand
     component through the fragment needs frozen crossings turned (unless
     ``reorient``) and every graph component passes the Euler check, each
-    part's excess taken from Euler's formula.  Judging
-    takes no fresh label, so the first valid wiring is built with the
-    labels and crossing indices of building it alone, and its output
-    arrives with its strand trace.  With no valid wiring, or a fragment
-    with a crossing on no part with a port: SiteError("<failure> (<last
-    wiring error>)"), that error being the strand-direction WiringError
-    when some wiring needed a frozen crossing turned, and None otherwise.
-    A builder fault (an over-welded port, an unwelded slot) is a bug and
-    propagates, and so does a built wiring that is not valid: the guard
-    that catches a fragment whose part with ports is not planar.
+    part's excess taken from Euler's formula.  That check is exact: the
+    base is valid, and `_fragment_side`, the planarity guard, traces the
+    fragment parts' inner faces and raises an AssertionError for a part
+    that is not planar.  Judging takes no fresh label, so the first valid
+    wiring is built with the labels and crossing indices of building it
+    alone.  Its output arrives analysed (`DiagramBuilder._derived`): its
+    occurrence index, corner map and strand trace patched from the
+    base's, and known planar, so no face is traced until something reads
+    the faces.  With no valid wiring, or a fragment with a crossing on no
+    part with a port: SiteError("<failure> (<last wiring error>)"), that
+    error being the strand-direction WiringError when some wiring needed
+    a frozen crossing turned, and None otherwise.  A builder fault (an
+    over-welded port, an unwelded slot) is a bug and propagates, and so
+    does a built wiring whose arcs do not each occur twice or whose
+    strands need a frozen crossing turned.
     """
     removed = frozenset(remove)
     base.require_valid()
@@ -1186,12 +1408,9 @@ def splice(
     for port, end in zip(ports, wiring):
         bld.weld(ends[end], port)
     try:
-        out = bld.build(allow_reorient=reorient)
+        return bld.build(allow_reorient=reorient, planar=True)
     except (WiringError, InvalidDiagramError) as err:
         raise AssertionError(f"wiring {tuple(wiring)} was judged valid: {err}") from err
-    if not validate(out).valid:
-        raise AssertionError(f"wiring {tuple(wiring)} was judged valid: {validate(out).summary()}")
-    return out
 
 
 # -- Reidemeister moves --------------------------------------------------------

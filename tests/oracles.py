@@ -14,8 +14,10 @@ report of an analysis whose stages all ran up front instead of asking
 for planarity first, and tries a reorienting splice's wirings strictly
 before it lets frozen crossings turn, the wiring-loop oracle builds every
 candidate wiring in turn instead of judging them from the two sides'
-walks, the two splice-side oracles walk each side with walks of their
-own, trace its faces instead of counting them by the Euler formula and
+walks (both renormalise each candidate's crossings afresh instead of
+deriving its analysis from the base's), the two splice-side oracles
+walk each side with walks of their own, trace its faces instead of
+counting them by the Euler formula and
 walk each end's strand on its own (the fragment-side oracle emits the
 fragment into a builder of its own and labels it there instead of
 reading the splice builder's welds; the base-side oracle reads the
@@ -27,14 +29,21 @@ branch of their own.  The face and disk-run oracles are the library's
 face stage and disk-run scan as they were before every walk read one
 corner map: each builds its own corner map or reads the occurrence
 index, searches graph components and walks faces and runs with loops of
-its own.
+its own.  The guarded renormalisation oracle is a build's last step as
+it was before a splice's output arrived analysed: a fresh probe analysis
+and the output's full validation.  The replay oracle verifies a
+certificate with every splice run by the splice oracle.
 """
 
 import itertools
 from fractions import Fraction as QQ
 from typing import Iterable, Optional
+from unittest import mock
 
+import hyperforge.moves as moves
+from hyperforge.certificate import verify
 from hyperforge.diagram import (
+    Crossing,
     DiagramBuilder,
     LinkDiagram,
     Slot,
@@ -44,6 +53,7 @@ from hyperforge.diagram import (
     _passages,
     _ring_fault,
     _Side,
+    _Strands,
     braid2_template,
     components,
     diagram_isomorphic,
@@ -271,12 +281,22 @@ def eager_report(d: LinkDiagram):
     return an.report()
 
 
+def _built(bld, allow_reorient):
+    """What ``bld.build(allow_reorient=...)`` gives, renormalised by
+    `renormalize_oracle` from a fresh analysis of the built crossings
+    instead of one derived from the base's."""
+    loops = bld._label()
+    n = bld.n_frozen
+    crossings = bld.protos[:n] + [Crossing(tuple(p)) for p in bld.protos[n:]]
+    return renormalize_oracle(crossings, loops, range(n), allow_reorient)
+
+
 def splice_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), remove=(),
                   reorient=False):
     """`diagram.splice` before its analysis became lazy and before a
     reorienting splice became one pass: the same candidates in the same
-    order, each output judged by `eager_report(out).valid`; with
-    ``reorient``, every wiring is first tried strictly, and only then
+    order, each built by `_built` and judged by `eager_report(out).valid`;
+    with ``reorient``, every wiring is first tried strictly, and only then
     again with frozen crossings free to turn."""
     last_err: Optional[Exception] = None
     for allow_reorient in (False, True) if reorient else (False,):
@@ -288,7 +308,7 @@ def splice_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), remove=(),
             for port, end in zip(ports, wiring):
                 bld.weld(ends[end], port)
             try:
-                out = bld.build(allow_reorient=allow_reorient)
+                out = _built(bld, allow_reorient)
             except (WiringError, InvalidDiagramError) as err:
                 last_err = err
                 continue
@@ -300,9 +320,9 @@ def splice_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), remove=(),
 def wiring_loop_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), remove=(),
                        reorient=False):
     """`diagram.splice` before it judged the wirings without building them:
-    one builder per candidate in table order, each build free to turn
-    frozen crossings when ``reorient``, and the first planar and valid
-    output kept."""
+    one builder per candidate in table order, each built by `_built`, free
+    to turn frozen crossings when ``reorient``, and the first planar and
+    valid output kept."""
     last_err: Optional[Exception] = None
     for wiring in wirings:
         bld = DiagramBuilder(base=base, remove=remove)
@@ -312,7 +332,7 @@ def wiring_loop_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), remove
         for port, end in zip(ports, wiring):
             bld.weld(ends[end], port)
         try:
-            out = bld.build(allow_reorient=reorient)
+            out = _built(bld, reorient)
         except (WiringError, InvalidDiagramError) as err:
             last_err = err
             continue
@@ -515,6 +535,44 @@ def renormalize_oracle(crossings, loops, frozen, allow_reorient=False):
                     )
                 out[ci] = out[ci].rotated(2)
     return LinkDiagram(tuple(out), loops=loops)
+
+
+def renormalize_guarded_oracle(crossings, loops, frozen, allow_reorient=False, **_):
+    """`diagram._renormalize` and the check a splice ran after it before its
+    output arrived analysed: a fresh probe analysis of ``crossings`` with
+    every component walked (whatever probe a build offers is ignored), the
+    output given the probe's occurrence index and strand trace, each slot
+    of a turned crossing moved by 2, and then validated in full, its faces
+    traced: AssertionError unless it is valid."""
+    ana = LinkDiagram(tuple(crossings), loops=loops)._analysis
+    if not ana.double_ok:
+        raise InvalidDiagramError(ana.validity)
+    oriented = [(ana._steps(corners), conflict) for corners, conflict in ana._oriented(frozen)]
+    if not allow_reorient and any(conflict for _, conflict in oriented):
+        raise WiringError("frozen crossings disagree on strand direction")
+    turned = {ci for steps, _ in oriented for _, (ci, si) in steps if si == 2}
+    occ = ana.occ
+    for arc in {arc for ci in turned for arc in crossings[ci].slots}:
+        occ[arc] = sorted((ci, si ^ 2) if ci in turned else (ci, si) for ci, si in occ[arc])
+    walks = [[(a, (ci, si ^ 2) if ci in turned else (ci, si)) for a, (ci, si) in steps]
+             for steps, _ in oriented]
+    out = (x.rotated(2) if ci in turned else x for ci, x in enumerate(crossings))
+    d = LinkDiagram(tuple(out), loops=loops)
+    object.__setattr__(d, "_analysis", _Analysis(d, occ, strands=_Strands.of(walks)))
+    if not validate(d).valid:
+        raise AssertionError(f"built diagram is not valid: {validate(d).summary()}")
+    return d
+
+
+def replay_oracle(cert):
+    """(valid, failed step, reason) of `certificate.verify` replaying
+    ``cert`` with every move's splice run by `splice_oracle`: every
+    candidate wiring built afresh, by `renormalize_oracle`, and judged by
+    `eager_report`, so that no diagram of the replay is analysed from its
+    base's analysis or judged by the two sides' walks."""
+    with mock.patch.object(moves, "splice", splice_oracle):
+        verdict = verify(cert)
+    return verdict.valid, verdict.failed_step, verdict.reason
 
 
 def trace_oracle(d):

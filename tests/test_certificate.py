@@ -42,6 +42,8 @@ from hyperforge.generators import ChainSpec, chain_link
 from hyperforge.moves import Handedness, find_chain_sites
 from hyperforge.tangle import ConwaySequence
 
+from oracles import replay_oracle
+
 
 def chain_cert():
     d4 = chain_link(ChainSpec(4))
@@ -407,3 +409,28 @@ def test_semantic_tampering_never_verifies(base, plan, data):
     assert verify(cert).valid
     for steps in _mutants(cert.steps):
         assert not verify(replace(cert, steps=steps)).valid, steps
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_TAMPER_BASES),
+       st.lists(st.tuples(st.sampled_from(("chain", "aug", "half", "switch")),
+                          st.integers(-2, 2)), min_size=2, max_size=4),
+       st.data())
+def test_replay_matches_the_replay_oracle(base, plan, data):
+    """On the derivations the semantic-tampering test draws and on each of
+    their one-step mutants, verify gives the (valid, failed step, reason)
+    that replaying through the splice oracle gives."""
+    cert = menasco_certify(base)
+    for kind, k in plan:
+        step = _drawn_step(data, cert.subject, kind, k)
+        if step is None:
+            continue
+        try:
+            cert = extend(cert, step)
+        except HyperforgeError:
+            continue
+    assume(cert.steps)
+    for steps in (cert.steps, *_mutants(cert.steps)):
+        tampered = replace(cert, steps=steps)
+        verdict = verify(tampered)
+        assert (verdict.valid, verdict.failed_step, verdict.reason) == replay_oracle(tampered)

@@ -4,9 +4,10 @@ the wiring loop, the strand orientation against the two-walk oracle, the
 fragment side against emitting the fragment apart and the base side
 against tracing its faces, the refusal of fragments with a portless or a
 non-planar part, the bound on the walks, the disk-run scan against its
-oracle, the output's occurrence index, corner map and strand trace
-against fresh ones, and the analysis work, emits and builds each move
-costs."""
+oracle, every stage of the analysis an output arrives with (occurrence
+index, corner map, strand trace, report, graph components, faces)
+against a fresh analysis, the outputs against the old post-build path,
+and the analysis work, emits and builds each move costs."""
 
 import itertools
 import signal
@@ -45,7 +46,9 @@ from oracles import (
     base_side_oracle,
     disk_runs_oracle,
     eager_report,
+    faces_oracle,
     fragment_side_oracle,
+    renormalize_guarded_oracle,
     renormalize_oracle,
     splice_oracle,
     trace_oracle,
@@ -313,32 +316,38 @@ class _StageLog:
 def _guarded(move, d, *args):
     """``move(d, *args)``, checking that each splice emitted its fragment
     once, that no strands were traced (every output arrives with its
-    trace), and that only the splice outputs had their faces traced, each
-    once; returns (output, splice outputs)."""
+    trace), and that only splice outputs had their faces traced, each at
+    most once (an output arrives known planar, so its faces are traced
+    only when a later stage of the move reads them); returns (output,
+    splice outputs, outputs whose faces were traced)."""
     validate(d), d.face_arcs()  # the input's stages run before the log starts
     with _StageLog() as log:
         out = move(d, *args)
     outputs = log.outputs
     assert log.emits == [1] * len(outputs)
     assert log.strands == []
-    assert len(log.faces) == len(outputs) and all(t is o for t, o in zip(log.faces, outputs))
+    assert all(any(t is o for o in outputs) for t in log.faces)
+    assert len({id(t) for t in log.faces}) == len(log.faces)
     assert outputs[-1] is out
-    return out, outputs
+    return out, outputs, log.faces
 
 
 def test_work_per_candidate_half_twist():
     # ring 1 of the 4-chain: the first wiring is non-planar and the second
-    # is taken; only the second is built
-    _, outputs = _guarded(half_twist, chain_link(ChainSpec(4)), 1, +1)
+    # is taken; only the second is built, and no faces are traced
+    _, outputs, traced = _guarded(half_twist, chain_link(ChainSpec(4)), 1, +1)
     assert len(outputs) == 1
+    assert traced == []
 
 
 def test_work_per_candidate_switch_move():
-    # the ring insertion takes its third wiring, the half twist its second
-    _, outputs = _guarded(
+    # the ring insertion takes its third wiring, the half twist its second;
+    # the half twist reads the faces of the ring insertion's output
+    _, outputs, traced = _guarded(
         switch_move, chain_link(ChainSpec(3)), SwitchSite(1, 4), Handedness.PositiveSkew
     )
     assert len(outputs) == 2
+    assert len(traced) == 1 and traced[0] is outputs[0]
 
 
 def _builds(move, *args):
@@ -622,6 +631,20 @@ def _four_end_splices():
         yield base, failure, kwargs
 
 
+def test_a_build_with_an_arc_used_once_is_invalid():
+    """A build over a base that leaves a cut arc's two pieces unwelded has
+    two arcs that occur once: the index patched from the base's is not
+    used, and the build refuses the diagram with the report of analysing
+    its crossings afresh."""
+    bld = DiagramBuilder(base=_CHAIN4)
+    bld.cut(1)
+    crossings = tuple(bld.protos)  # the base's, one relabelled; no fragment
+    with pytest.raises(InvalidDiagramError) as refusal:
+        bld.build()
+    assert refusal.value.report == eager_report(LinkDiagram(crossings))
+    assert "used 1 times" in str(refusal.value)
+
+
 def test_a_portless_fragment_part_is_refused():
     """A fragment with a crossing on no part with a port is refused with
     None for the error, by every table of wirings, even when that part is
@@ -637,19 +660,22 @@ def test_a_portless_fragment_part_is_refused():
 def test_a_nonplanar_fragment_never_gives_a_diagram():
     """The Euler formula takes a fragment's part with ports for planar, so
     on a toroidal part it reads excess -1 where tracing the faces reads -3.
-    No wiring of it gives a diagram: the judge refuses it, or it passes
-    the judge and the build's guard refuses it as a program fault."""
+    No wiring of it gives a diagram: the fragment side's guard traces the
+    part's inner faces and refuses it by name, as a program fault, before
+    any wiring is judged."""
+    guard = r"^fragment part not planar: traced excess \[-3\], Euler's formula \[-1\]$"
     bld = DiagramBuilder()
-    assert dg._fragment_side(bld, _toroidal_fragment(bld)).excess == [-1]
+    with pytest.raises(AssertionError, match=guard):
+        dg._fragment_side(bld, _toroidal_fragment(bld))
     assert fragment_side_oracle(_toroidal_fragment).excess == [-3]
     refused_by = set()
     for base, failure, kwargs in _four_end_splices():
         for wiring in itertools.permutations(range(4)):
             with pytest.raises((SiteError, AssertionError)) as refusal:
                 dg.splice(base, _toroidal_fragment, [wiring], failure, **kwargs)
-            assert refusal.type is SiteError or "was judged valid" in str(refusal.value)
+            assert refusal.type is SiteError or refusal.match(guard)
             refused_by.add(refusal.type)
-    assert refused_by == {SiteError, AssertionError}
+    assert refused_by == {AssertionError}
 
 
 @settings(max_examples=40, deadline=None)
@@ -695,18 +721,27 @@ def test_open_walk_is_bounded():
         signal.signal(signal.SIGALRM, previous)
 
 
-def _assert_trace_is_fresh(d, derived=True):
-    """d's strand trace, which arrived with d when ``derived``, is field by
-    field, in the same order, what tracing d afresh gives and what the
-    two-walk oracle gives; d's corner map, built from the index d arrived
-    with, is a fresh analysis's and a fixed-point-free involution; and d's
-    report is the eager one."""
+def _assert_trace_is_fresh(d, derived=True, judged=False):
+    """Every stage of d's analysis is what analysing d afresh gives.
+
+    d arrived with its occurrence index, corner map and strand trace when
+    ``derived``, and also known planar when ``judged`` (a splice's output),
+    so that reading its report traces no face.  The index (each arc's
+    occurrences in the same order), the corner map (also a fixed-point-free
+    involution), the strand trace (field by field, in the same order, and
+    the two-walk oracle's), the report (the eager one), the graph
+    components and, read last, the faces (the face oracle's) are a fresh
+    analysis's."""
     an = d._analysis
-    assert not derived or "_strands" in vars(an)
+    arrived = set(vars(an))
+    assert not derived or {"across", "_strands"} <= arrived
+    assert not judged or "_euler_problems" in arrived and "_embedding" not in arrived
+    plain = LinkDiagram(d.crossings, loops=d.loops)
+    assert an.occ == dg._Analysis(plain).occ
     across = an.across
-    assert across == dg._Analysis(LinkDiagram(d.crossings, loops=d.loops)).across
+    assert across == dg._Analysis(plain).across
     assert all(across[k] != k and across[across[k]] == k for k in range(len(across)))
-    fresh = dg._Analysis(LinkDiagram(d.crossings, loops=d.loops))._trace()
+    fresh = dg._Analysis(plain)._trace()
     for field in fresh._fields:
         got, want = getattr(an._strands, field), getattr(fresh, field)
         assert got == want, field
@@ -716,15 +751,21 @@ def _assert_trace_is_fresh(d, derived=True):
     assert (an.steps, an.cycles, an.head, an.signs) == (steps, cycles, head, signs)
     assert an._strands.problems == problems == ()
     assert validate(d) == eager_report(d)
+    assert not judged or "_embedding" not in vars(an)
+    fresh = dg._Analysis(plain)
+    assert (an._graph, an.n_graph_comps) == (fresh._graph, fresh.n_graph_comps)
+    assert an._embedding == faces_oracle(plain)
 
 
 @settings(max_examples=40, deadline=None)
 @given(_BASES, st.data())
 def test_output_trace_is_a_fresh_trace(d, data):
     """Every output of a splice or a renormalisation arrives with its
-    strand trace, and that trace is a fresh one: after R1 and R2 moves,
-    after every wiring move (half twists included, which may reorient), and
-    for scrambled crossings with a frozen prefix of any length."""
+    occurrence index, corner map and strand trace, a splice's also known
+    planar, and every stage of its analysis, the faces read last, is a
+    fresh one: after R1 and R2 moves, after every wiring move (half twists
+    included, which may reorient), and for scrambled crossings with a
+    frozen prefix of any length."""
     for d in r_moves(d, data):
         _assert_trace_is_fresh(d, derived=False)
     for move, *args in _moves(d, data):
@@ -732,7 +773,7 @@ def test_output_trace_is_a_fresh_trace(d, data):
             out = move(*args)
         except SiteError:
             continue
-        _assert_trace_is_fresh(out)
+        _assert_trace_is_fresh(out, judged=True)
     crossings = scrambled_crossings(d, data)
     frozen = range(data.draw(st.integers(0, len(crossings))))
     try:
@@ -744,4 +785,35 @@ def test_output_trace_is_a_fresh_trace(d, data):
 
 def test_output_trace_after_reorienting_half_twists():
     for twist in _REORIENTING_TWISTS:
-        _assert_trace_is_fresh(half_twist(*twist))
+        _assert_trace_is_fresh(half_twist(*twist), judged=True)
+
+
+def _by_the_old_build(move, *args):
+    """What ``move(*args)`` gives, or its SiteError text, with every build
+    renormalised by the old post-build path instead of from its base."""
+    with mock.patch.object(dg, "_renormalize", renormalize_guarded_oracle):
+        try:
+            return move(*args)
+        except SiteError as err:
+            return f"SiteError: {err}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(_BASES, st.data())
+def test_outputs_match_the_old_post_build_path(d, data):
+    """Every wiring move gives the diagram, occurrence index and strand
+    trace, or the refusal text, that the old post-build path gives: a
+    fresh probe analysis of the built crossings and the output's full
+    validation, faces traced; after R1 and R2 moves, and for the
+    reorienting half twists."""
+    *_, d = r_moves(d, data)
+    for move, *args in _moves(d, data) + [(half_twist, *t) for t in _REORIENTING_TWISTS]:
+        want = _by_the_old_build(move, *args)
+        try:
+            got = move(*args)
+        except SiteError as err:
+            assert f"SiteError: {err}" == want, move.__name__
+            continue
+        assert format_pd(got) == format_pd(want), move.__name__
+        assert got._analysis.occ == want._analysis.occ
+        assert got._analysis._strands == want._analysis._strands
