@@ -235,16 +235,17 @@ class _Analysis:
     pass by `_closed_faces`.  The strand trace and `_renormalize` orient
     the strands by one walk per component, `_oriented`.
 
-    A diagram a splice builds arrives analysed: its index, corner map and
-    strand trace are derived from its base's (`DiagramBuilder._derived`,
-    `_renormalize`), and it is known planar, since the splice's judge
-    checked the Euler formula over fragment parts its guard traced.  It
-    has no Euler check to run, and its report counts V + 2 faces per
-    graph component, so its faces are traced only when something reads
-    them.  A stage returns its own problems instead of adding to a shared
-    list, so `report` lists them in the order occurrences, trace, faces
-    whichever stage ran first, and a stage that two threads both compute
-    cannot repeat a line.
+    A diagram a splice, an R1/R2 undo or a component removal builds
+    arrives analysed: its index, corner map and strand trace are derived
+    from its base's (`DiagramBuilder._derived`, `_renormalize`), and it is
+    known planar, since a splice's judge checked the Euler formula over
+    fragment parts its guard traced, and smoothing crossings out of a
+    plane diagram keeps it plane.  It has no Euler check to run, and its
+    report counts V + 2 faces per graph component, so its faces are traced
+    only when something reads them.  A stage returns its own problems
+    instead of adding to a shared list, so `report` lists them in the
+    order occurrences, trace, faces whichever stage ran first, and a stage
+    that two threads both compute cannot repeat a line.
     """
 
     def __init__(self, diagram: "LinkDiagram", occ: Optional[dict[int, list[Slot]]] = None,
@@ -316,55 +317,48 @@ class _Analysis:
             across[4 * c2 + s2] = 4 * c1 + s1
         return across
 
+    @cached_property
+    def arc_at(self) -> list[int]:
+        """The arc at each corner 4 * ci + si."""
+        return list(itertools.chain.from_iterable(map(attrgetter("slots"), self.d.crossings)))
+
     # stage 2: strand tracing and orientation
 
-    def _label_at(self, corner: int) -> int:
-        return self.d.crossings[corner >> 2].slots[corner & 3]
+    def _walk(self, k: int) -> list[int]:
+        """The corners the strand component through corner ``k`` enters, from ``k``."""
+        return _walk_corners(self.across, k, 2)
 
-    def _walk(self, arc: int) -> list[int]:
-        """The corners the component of ``arc`` enters, walked once from
-        ``arc`` into its second occurrence."""
-        ci, si = self.occ[arc][1]
-        return _walk_corners(self.across, 4 * ci + si, 2)
-
-    def _walks(self) -> Iterator[list[int]]:
-        """Every strand component walked once by `_walk` from its least arc,
-        in the order of least arcs."""
-        seen = bytearray(len(self.across))  # the corners a walk entered or left by
-        for arc in sorted(self.occ):
-            ci, si = self.occ[arc][1]
-            if not seen[4 * ci + si]:
-                corners = self._walk(arc)
-                for c in corners:
-                    seen[c] = seen[c ^ 2] = 1
-                yield corners
-
-    def _walks_through(self, starts: Iterable[int]) -> tuple[list[list[int]], set[int]]:
+    def _walks_through(self, starts: Optional[Iterable[int]] = None) -> list[list[int]]:
         """The strand components that enter or leave a crossing by a corner
-        of ``starts``, each walked once from a start and turned into the
-        corners `_walk` gives from its least arc, and the arcs they pass."""
-        x = self.d.crossings
-        seen = bytearray(len(self.across))
-        walks, arcs = [], set()
+        of ``starts``, each walked once by `_walk` from a start and turned to
+        run from its least arc into that arc's second occurrence.  With no
+        ``starts``, every component, walked from each arc's second
+        occurrence in arc order: in the order of least arcs, each needing
+        no turn."""
+        arc_at, occ = self.arc_at, self.occ
+        if starts is None:
+            starts = [4 * ci + si for _, (ci, si) in map(occ.__getitem__, sorted(occ))]
+        seen = bytearray(len(self.across))  # the corners a walk entered or left by
+        walks = []
         for k in starts:
             if seen[k]:
                 continue
-            corners = _walk_corners(self.across, k, 2)
-            labels = [x[c >> 2].slots[c & 3] for c in corners]
+            corners = self._walk(k)
             for c in corners:
                 seen[c] = seen[c ^ 2] = 1
-            arcs.update(labels)
-            ci, si = self.occ[min(labels)][1]
-            if 4 * ci + si not in corners:
-                corners = _backward(corners)
-            i = corners.index(4 * ci + si)
-            walks.append(corners[i:] + corners[:i])
-        return walks, arcs
+            ci, si = occ[min(map(arc_at.__getitem__, corners))][1]
+            if corners[0] != 4 * ci + si:
+                if 4 * ci + si not in corners:
+                    corners = _backward(corners)
+                i = corners.index(4 * ci + si)
+                corners = corners[i:] + corners[:i]
+            walks.append(corners)
+        return walks
 
     def _oriented(self, frozen: Container[int], walks: Optional[Iterable[list[int]]] = None
                   ) -> Iterator[tuple[list[int], bool]]:
-        """Each strand component of ``walks``, as `_walk` gives it, or of
-        `_walks` when None, oriented.
+        """Each strand component of ``walks``, as `_walks_through` gives it,
+        or of every component when None, oriented.
 
         A component runs the way its first frozen under-passage along the
         walk from its least arc enters, at slot 0; with no frozen
@@ -373,22 +367,21 @@ class _Analysis:
         order, from its least arc on, and whether some frozen
         under-passage enters at slot 2.
         """
-        for corners in self._walks() if walks is None else walks:
+        for corners in self._walks_through() if walks is None else walks:
             votes = [c & 3 for c in corners if not c & 1 and c >> 2 in frozen]
             if votes:
                 back = votes[0] == 2
             else:
-                back = len(corners) > 1 and self._label_at(corners[-1]) < self._label_at(corners[1])
+                back = len(corners) > 1 and self.arc_at[corners[-1]] < self.arc_at[corners[1]]
             yield _backward(corners) if back else corners, 0 in votes and 2 in votes
 
     def _steps(self, corners: list[int], turned: Container[int] = ()) -> list[tuple[int, Slot]]:
         """The (arc, head) steps of a walk entering ``corners``, each corner
         of a crossing in ``turned`` moved by 2."""
-        x = self.d.crossings
+        arc_at = self.arc_at
         if not turned:
-            return [(x[c >> 2].slots[c & 3], divmod(c, 4)) for c in corners]
-        return [(x[c >> 2].slots[c & 3], divmod(c ^ 2 if c >> 2 in turned else c, 4))
-                for c in corners]
+            return [(arc_at[c], divmod(c, 4)) for c in corners]
+        return [(arc_at[c], divmod(c ^ 2 if c >> 2 in turned else c, 4)) for c in corners]
 
     def _trace(self) -> _Strands:
         problems: list[str] = []
@@ -429,7 +422,7 @@ class _Analysis:
 
     def _faces_and_euler(self) -> _Embedding:
         n = len(self.d.crossings)
-        arc_at = [a for x in self.d.crossings for a in x.slots]
+        arc_at = self.arc_at
         comp = self._graph
         # faces start at each arc's occurrences in order, arcs ascending
         faces: list[tuple[Slot, ...]] = []
@@ -679,10 +672,10 @@ def _renormalize(
     walked, unless ``probe`` gives (analysis, walks, kept) as a splice's
     build derives them from its base: an analysis with the index and
     corner map of ``crossings``, the corners of the components it walked,
-    as `_Analysis._walk` gives them, and the oriented steps of the others,
-    which turn no crossing.  The output arrives with its occurrence index,
-    corner map and strand trace: the probe's, each slot of a turned
-    crossing moved by 2.  Every under-passage then enters at slot 0, so the
+    as `_Analysis._walks_through` gives them, and the oriented steps of
+    the others, which turn no crossing.  The output arrives with its
+    occurrence index, corner map and strand trace: the probe's, each slot
+    of a turned crossing moved by 2.  Every under-passage then enters at slot 0, so the
     output's own trace would walk each component the same way, with no
     conflict.  ``planar`` says the output is known to pass the Euler check
     (see `_Analysis`).
@@ -728,43 +721,6 @@ def _relabel_occurrence(crossings: list[Crossing], at: Slot, new_arc: int) -> No
     s = list(crossings[ci].slots)
     s[si] = new_arc
     crossings[ci] = Crossing(tuple(s))
-
-
-def _drop_crossings(d: LinkDiagram, removed: set[int], joins) -> LinkDiagram:
-    """Delete the ``removed`` crossings and merge each pair of arcs in
-    ``joins`` (the two sides of a strand through a deleted crossing).
-
-    A merged arc keeps its least label; one that meets no kept crossing
-    becomes a crossing-free loop.
-    """
-    parent: dict[int, int] = {}
-
-    def find(a):
-        parent.setdefault(a, a)
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in joins:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    keep_idx = [i for i in range(len(d.crossings)) if i not in removed]
-    remap = {old: new for new, old in enumerate(keep_idx)}
-    crossings = [d.crossings[i] for i in keep_idx]
-    loops = d.loops
-    groups: dict[int, set[int]] = {}
-    for a in parent:
-        groups.setdefault(find(a), set()).add(a)
-    for root, members in groups.items():
-        far = [o for a in members for o in d._analysis.occ[a] if o[0] not in removed]
-        if not far:
-            loops += 1
-            continue
-        for o in far:
-            _relabel_occurrence(crossings, (remap[o[0]], o[1]), root)
-    return LinkDiagram(tuple(crossings), loops=loops)
 
 
 # -- component rings, twice-punctured disks, component removal -----------------------
@@ -861,16 +817,13 @@ def remove_component(d: LinkDiagram, comp: int) -> LinkDiagram:
         return LinkDiagram(d.crossings, loops=d.loops - 1)
     comp_arcs = set(part.arcs_of(comp))
     removed = {ci for ci, _ in _passages(d, comp)}
+    bld = DiagramBuilder(d, remove=removed)
     # the strands that crossed the component continue straight
-    joins = [
-        pair
-        for ci in removed
-        for pair in (d.crossings[ci].under(), d.crossings[ci].over())
-        if pair[0] not in comp_arcs and pair[1] not in comp_arcs
-    ]
-    out = _drop_crossings(d, removed, joins)
-    out.require_valid()
-    return out
+    for ci in removed:
+        for a, b in (d.crossings[ci].under(), d.crossings[ci].over()):
+            if a not in comp_arcs and b not in comp_arcs:
+                bld.join(a, b)
+    return bld.build(planar=True)
 
 
 # -- fragment builder --------------------------------------------------------------
@@ -883,9 +836,11 @@ class DiagramBuilder:
     put the under-strand on slots {0, 2}; the final rotation by 2 (to put
     the *incoming* under-strand at slot 0) happens at build time.  When a
     base diagram is given, its kept crossings are frozen; ``stub`` and
-    ``cut`` wire new fragments onto its existing arcs.  A frozen crossing's
-    proto is the base's `Crossing` itself, replaced only when ``cut``
-    relabels it, so the build reuses every crossing that did not change.
+    ``cut`` wire new fragments onto its existing arcs, and ``join`` welds
+    two stubs, so that a strand through a removed crossing runs on.  A
+    frozen crossing's proto is the base's `Crossing` itself, replaced only
+    when ``cut`` or a join relabels it, so the build reuses every crossing
+    that did not change.
     """
 
     def __init__(self, base: Optional[LinkDiagram] = None, remove: Iterable[int] = ()):
@@ -904,6 +859,7 @@ class DiagramBuilder:
         self.welds: dict = {}
         self.stub_labels: dict = {}
         self._cuts: list[tuple[int, int, Slot]] = []  # (arc, fresh label, base head)
+        self._merged: dict[int, int] = {}  # joined arc -> the label of its run, set by `_label`
         self._terminal_count = 0
         self._next_arc = base.fresh_arc() if base is not None else 1
 
@@ -943,6 +899,10 @@ class DiagramBuilder:
         _relabel_occurrence(self.protos, (self._old_to_new[head[0]], head[1]), fresh)
         self._cuts.append((arc, fresh, head))
         return self.stub(arc), self.stub(fresh)
+
+    def join(self, a: int, b: int) -> None:
+        """Weld a stub of arc ``a`` to one of arc ``b``: a strand through a removed crossing."""
+        self.weld(self.stub(a), self.stub(b))
 
     def weld(self, p, q) -> None:
         for port in (p, q):
@@ -1003,7 +963,8 @@ class DiagramBuilder:
 
         Over a base, its analysis is derived from the base's (`_derived`).
         ``planar`` says the caller has proved the output passes the Euler
-        check, as a splice's judge does, so its analysis runs none.
+        check (a splice's judge proves it; removing crossings keeps it), so
+        its analysis runs none.
         """
         loops = self._label()
         n = self.n_frozen
@@ -1020,12 +981,13 @@ class DiagramBuilder:
 
         The index and corner map are the base's patched: the removed
         crossings' occurrences dropped and the kept ones renumbered (only
-        when crossings were removed), the cut arcs' heads relabelled and
-        the new crossings' slots added; every list stays in ascending
-        (ci, si) order, as indexing afresh gives it.  Only the strand
-        components through a new crossing are walked: every cut or stub
-        end leads into one.  Each other component's arcs and crossings are
-        the base's, so it keeps the base's steps, renumbered.
+        when crossings were removed), the cut arcs' heads relabelled, each
+        joined arc's kept occurrences moved to its run's label and the new
+        crossings' slots added; every list stays in ascending (ci, si)
+        order, as indexing afresh gives it.  Only the strand components
+        through an arc whose occurrences changed are walked: a cut, a stub,
+        a join or a new crossing's.  Each other component's arcs and
+        crossings are the base's, so it keeps the base's steps, renumbered.
         """
         base = self.base._analysis
         n0, new = self.n_frozen, self._old_to_new
@@ -1053,6 +1015,8 @@ class DiagramBuilder:
         for arc, fresh, (ci, si) in self._cuts:
             head = (new[ci], si)
             occ[arc], occ[fresh] = [o for o in occ[arc] if o != head], [head]
+        for arc, label in self._merged.items():
+            occ[label] = sorted(occ.pop(arc, []) + occ.get(label, []))
         added: dict[int, list[Slot]] = {}
         for ci in range(n0, len(crossings)):
             for si, arc in enumerate(crossings[ci].slots):
@@ -1061,6 +1025,7 @@ class DiagramBuilder:
             occ[arc] = occ.get(arc, []) + places
         touched.update(added, self.stub_labels.values())
         across += [0] * (4 * (len(crossings) - n0))
+        starts = []
         for arc in touched:
             places = occ.get(arc)
             if places is None:
@@ -1069,8 +1034,10 @@ class DiagramBuilder:
                 return None
             (c1, s1), (c2, s2) = places
             across[4 * c1 + s1], across[4 * c2 + s2] = 4 * c2 + s2, 4 * c1 + s1
+            starts.append(4 * c1 + s1)
         probe = _Analysis(LinkDiagram(tuple(crossings), loops=loops), occ, across)
-        walks, on_walks = probe._walks_through(range(4 * n0, len(across)))
+        walks = probe._walks_through(starts)
+        on_walks = set(map(probe.arc_at.__getitem__, itertools.chain.from_iterable(walks)))
         kept = [steps for steps in base.steps if steps[0][0] in occ and steps[0][0] not in on_walks]
         if self.removed:
             kept = [[(arc, (renum[ci], si)) for arc, (ci, si) in steps] for steps in kept]
@@ -1094,12 +1061,41 @@ class DiagramBuilder:
     def _label(self) -> int:
         """Label every open crossing slot through the welds, in place; returns
         the loop count.  A slot that reaches a stub takes its label, and two
-        slots that reach each other share a fresh one."""
+        slots that reach each other share a fresh one.  A run is the joined
+        stubs that joins and shared arcs chain: each is joined to one stub
+        and shares its arc with at most one, so a run is a path, which takes
+        the least label of its arcs (`_merged` relabels the others' kept
+        occurrences), or a cycle, a crossing-free loop."""
         for t in self.welds:
             if self._is_terminal(t) and len(self.welds[t]) != self._capacity(t):
                 raise AssertionError(f"incomplete terminal {t}")
-        consumed: set = set()
         loops = self.loops
+        stubs = [t for t in self.stub_labels if t in self.welds]
+        joined = {t: self.welds[t][0] for t in stubs if self.welds[t][0] in self.stub_labels}
+        ends_of: dict[int, list] = {}
+        for t in joined:
+            ends_of.setdefault(self.stub_labels[t], []).append(t)
+        twin = {t: ends[1 - i] for ends in ends_of.values() if len(ends) == 2
+                for i, t in enumerate(ends)}
+        consumed: set = set()
+        # path ends first, so that a stub not yet consumed after them is on a cycle
+        for start in [t for t in joined if t not in twin] + list(joined):
+            if start in consumed:
+                continue
+            run, hop = [start], joined
+            while run[-1] in hop and hop[run[-1]] != start:
+                run.append(hop[run[-1]])
+                hop = twin if hop is joined else joined
+            consumed.update(run)
+            if run[-1] in hop:  # back at its start
+                loops += 1
+                continue
+            arcs = sorted({self.stub_labels[t] for t in run})
+            self._merged.update(dict.fromkeys(arcs[1:], arcs[0]))
+        for a, m in self._merged.items():
+            for ci, si in self.base._analysis.occ[a]:
+                if ci not in self.removed:
+                    _relabel_occurrence(self.protos, (self._old_to_new[ci], si), m)
         # the kept base crossings are labelled already
         for ci in range(self.n_frozen, len(self.protos)):
             for si in range(4):
@@ -1468,7 +1464,9 @@ def reidemeister1_undo(d: LinkDiagram, ci: int) -> LinkDiagram:
     pair = next((s for s in range(4) if x.slots[s] == x.slots[(s + 1) % 4]), None)
     if pair is None:
         raise SiteError(f"crossing {ci} is not a kink")
-    return _drop_crossings(d, {ci}, [(x.slots[(pair + 2) % 4], x.slots[(pair + 3) % 4])])
+    bld = DiagramBuilder(d, remove={ci})
+    bld.join(x.slots[(pair + 2) % 4], x.slots[(pair + 3) % 4])
+    return bld.build(planar=True)
 
 
 def reidemeister2(
@@ -1532,12 +1530,11 @@ def _undo_bigon(d: LinkDiagram, ci: int, cj: int) -> LinkDiagram:
     """Remove the R2 bigon of crossings ci < cj, unchecked: the over strand
     (odd slots) and the under strand (even slots) each join the arcs they
     leave the bigon by."""
-    x1, x2 = d.crossings[ci], d.crossings[cj]
-    joins = [
-        tuple(x.slots[s + 2] if x.slots[s] == inner else x.slots[s] for x in (x1, x2))
-        for s, inner in zip((1, 0), _r2_strands(d, ci, cj))
-    ]
-    return _drop_crossings(d, {ci, cj}, joins)
+    bld = DiagramBuilder(d, remove={ci, cj})
+    for s, inner in zip((1, 0), _r2_strands(d, ci, cj)):
+        bld.join(*(x.slots[s + 2] if x.slots[s] == inner else x.slots[s]
+                   for x in (d.crossings[ci], d.crossings[cj])))
+    return bld.build(planar=True)
 
 
 def reduce_diagram(

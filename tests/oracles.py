@@ -32,7 +32,10 @@ index, searches graph components and walks faces and runs with loops of
 its own.  The guarded renormalisation oracle is a build's last step as
 it was before a splice's output arrived analysed: a fresh probe analysis
 and the output's full validation.  The replay oracle verifies a
-certificate with every splice run by the splice oracle.
+certificate with every splice run by the splice oracle.  The crossing-drop
+oracle is how R1/R2 undos and component removal built their output before
+they went through the builder: a union-find over the joined arcs and a
+bare diagram, analysed afresh.
 """
 
 import itertools
@@ -54,6 +57,7 @@ from hyperforge.diagram import (
     _ring_fault,
     _Side,
     _Strands,
+    _relabel_occurrence,
     braid2_template,
     components,
     diagram_isomorphic,
@@ -741,3 +745,58 @@ def disk_runs_oracle(d: LinkDiagram, comp: int):
     if not found:
         raise SiteError(f"component {comp} does not bound a recognizable disk")
     return min(found)[2]
+
+
+def drop_crossings_oracle(d: LinkDiagram, removed: set[int], joins) -> LinkDiagram:
+    """Delete the ``removed`` crossings and merge each pair of arcs in
+    ``joins`` (the two sides of a strand through a deleted crossing).
+
+    A merged arc keeps its least label; one that meets no kept crossing
+    becomes a crossing-free loop.
+    """
+    parent: dict[int, int] = {}
+
+    def find(a):
+        parent.setdefault(a, a)
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in joins:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    keep_idx = [i for i in range(len(d.crossings)) if i not in removed]
+    remap = {old: new for new, old in enumerate(keep_idx)}
+    crossings = [d.crossings[i] for i in keep_idx]
+    loops = d.loops
+    groups: dict[int, set[int]] = {}
+    for a in parent:
+        groups.setdefault(find(a), set()).add(a)
+    for root, members in groups.items():
+        far = [o for a in members for o in d._analysis.occ[a] if o[0] not in removed]
+        if not far:
+            loops += 1
+            continue
+        for o in far:
+            _relabel_occurrence(crossings, (remap[o[0]], o[1]), root)
+    return LinkDiagram(tuple(crossings), loops=loops)
+
+
+class DroppingBuilder:
+    """A stand-in for `DiagramBuilder` in the removals (R1 and R2 undo,
+    component removal): it records the crossings removed and the joins the
+    caller makes, and builds by `drop_crossings_oracle`, its output
+    validated in full."""
+
+    def __init__(self, base: LinkDiagram, remove: Iterable[int] = ()):
+        self.base, self.removed, self.joins = base, set(remove), []
+
+    def join(self, a: int, b: int) -> None:
+        self.joins.append((a, b))
+
+    def build(self, **_) -> LinkDiagram:
+        out = drop_crossings_oracle(self.base, self.removed, self.joins)
+        out.require_valid()
+        return out

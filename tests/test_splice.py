@@ -7,7 +7,9 @@ non-planar part, the bound on the walks, the disk-run scan against its
 oracle, every stage of the analysis an output arrives with (occurrence
 index, corner map, strand trace, report, graph components, faces)
 against a fresh analysis, the outputs against the old post-build path,
-and the analysis work, emits and builds each move costs."""
+the R1/R2 undos, component removal and the greedy reduction against the
+old crossing drop, and the analysis work, emits and builds each move
+costs."""
 
 import itertools
 import signal
@@ -20,12 +22,20 @@ import hyperforge.diagram as dg
 import hyperforge.moves as mv
 from hyperforge.classifier import DeclaredNonRational
 from hyperforge.diagram import (
+    DEFAULT_STEP_BUDGET,
     DiagramBuilder,
     LinkDiagram,
     _renormalize,
     components,
+    find_kinks,
+    find_r2_bigons,
     format_pd,
+    parse_pd,
+    reduce_diagram,
+    reidemeister1_undo,
     reidemeister2,
+    reidemeister2_undo,
+    remove_component,
     to_gauss,
     validate,
 )
@@ -43,6 +53,7 @@ from hyperforge.moves import (
 )
 
 from oracles import (
+    DroppingBuilder,
     base_side_oracle,
     disk_runs_oracle,
     eager_report,
@@ -817,3 +828,78 @@ def test_outputs_match_the_old_post_build_path(d, data):
         assert format_pd(got) == format_pd(want), move.__name__
         assert got._analysis.occ == want._analysis.occ
         assert got._analysis._strands == want._analysis._strands
+
+
+def _removals(d):
+    """(move, args) for the R1 undo of each kink of d, the R2 undo of each
+    bigon and the removal of each component with crossings."""
+    return ([(reidemeister1_undo, d, ci) for ci in find_kinks(d)]
+            + [(reidemeister2_undo, d, pair) for pair in find_r2_bigons(d)]
+            + [(remove_component, d, comp) for comp in range(len(components(d).cycles))])
+
+
+def _by_dropping(move, *args):
+    """What ``move(*args)`` gives with each removal built by the old crossing
+    drop: a union-find over the joined arcs and a bare diagram."""
+    with mock.patch.object(dg, "DiagramBuilder", DroppingBuilder):
+        return move(*args)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_BASES, st.data())
+def test_removal_outputs_arrive_analysed(d, data):
+    """The R1 undo of each kink, the R2 undo of each bigon and the removal
+    of each component with crossings arrive with their occurrence index,
+    corner map and strand trace, known planar, and every stage of their
+    analysis, the faces read last, is a fresh one: after R1 and R2 moves."""
+    for d in r_moves(d, data):
+        for move, *args in _removals(d):
+            _assert_trace_is_fresh(move(*args), judged=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_BASES, st.data())
+def test_removals_match_the_crossing_drop_oracle(d, data):
+    """Every removal gives the PD text and loop count of the old crossing
+    drop, and the greedy reduction its reduced diagram, step count and
+    stability, at a small budget and at the default one: after R1 and R2
+    moves."""
+    for d in r_moves(d, data):
+        for move, *args in _removals(d):
+            got, want = move(*args), _by_dropping(move, *args)
+            assert (format_pd(got), got.loops) == (format_pd(want), want.loops), move.__name__
+        for budget in (data.draw(st.integers(0, 3)), DEFAULT_STEP_BUDGET):
+            got, steps, stable = reduce_diagram(d, budget)
+            want, *rest = _by_dropping(reduce_diagram, d, budget)
+            assert (format_pd(got), steps, stable) == (format_pd(want), *rest)
+
+
+# rational_link([2, 2]) with an augmenting circle (crossings 4-7, arcs 11,
+# 12, 14 and 16) around its arcs 1 and 2: arc 1 runs on through crossing 5
+# as arc 13 and through crossing 4 as arc 9, and arc 2 through crossings 7
+# and 6 as arcs 15 and 10
+_RINGED = parse_pd("X(9,10,3,4) X(6,3,2,5) X(4,6,7,8) X(5,1,8,7) "
+                   "X(11,9,12,13) X(1,14,13,12) X(15,16,10,11) X(14,2,16,15)")
+
+
+def test_ring_removal_joins_through_an_arc_between_removed_crossings():
+    """Each strand through the ring crosses it twice in a row, so its run of
+    joins passes an arc between two removed crossings and takes the least
+    label of its three arcs, as the crossing drop's union-find does."""
+    assert {ci for ci, _ in dg._passages(_RINGED, 1)} == {4, 5, 6, 7}
+    assert _RINGED.occurrences(13) == ((4, 3), (5, 2))
+    out = remove_component(_RINGED, 1)
+    assert format_pd(out) == "X(1,2,3,4)\nX(6,3,2,5)\nX(4,6,7,8)\nX(5,1,8,7)\n"
+    assert format_pd(out) == format_pd(_by_dropping(remove_component, _RINGED, 1))
+    _assert_trace_is_fresh(out, judged=True)
+
+
+def test_a_kink_loop_arc_never_names_the_joined_arc():
+    """The kink's loop arc carries the least label, 1, but is no join's arc:
+    the strand through the kink runs on as the lesser of its two other
+    arcs, 9."""
+    kinked = parse_pd("X(10,2,3,4) X(6,3,2,5) X(4,6,7,8) X(5,9,8,7) X(9,10,1,1)")
+    out = reidemeister1_undo(kinked, 4)
+    assert format_pd(out) == "X(9,2,3,4)\nX(6,3,2,5)\nX(4,6,7,8)\nX(5,9,8,7)\n"
+    assert format_pd(out) == format_pd(_by_dropping(reidemeister1_undo, kinked, 4))
+    _assert_trace_is_fresh(out, judged=True)
