@@ -111,27 +111,30 @@ class ComponentPartition:
 class _Strands(NamedTuple):
     """The strand trace: each component walked along its orientation."""
 
-    steps: list[list[tuple[int, Slot]]]  # per component: (arc, head), least arc first
-    cycles: list[tuple[int, ...]]
-    head: dict[int, Slot]
+    steps: list[list[int]]  # per component: the corners it enters, least arc first
+    cycles: list[tuple[int, ...]]  # per component: the arcs of its steps
+    head: dict[int, int]  # arc -> the corner it enters
     signs: dict[int, int]
     problems: tuple[str, ...]
 
     @classmethod
-    def of(cls, walks: list[list[tuple[int, Slot]]]) -> "_Strands":
-        """The trace, with no problems, of ``walks``: (arc, head) steps per component."""
-        head: dict[int, Slot] = {}
-        for steps in walks:
-            head.update(steps)
+    def of(cls, walks: list[list[int]], arc_at: Sequence[int]) -> "_Strands":
+        """The trace, with no problems, of ``walks``: the corners each
+        component enters, from its least arc on, the components in any
+        order; ``arc_at`` gives the arc at each corner."""
+        walks = sorted(walks, key=lambda corners: arc_at[corners[0]])
+        cycles = [tuple(map(arc_at.__getitem__, corners)) for corners in walks]
+        chain = itertools.chain.from_iterable
+        head = dict(zip(chain(cycles), chain(walks)))
         # the over-strand entering at slot 1 is sign -1, at slot 3 +1
-        signs = {ci: si - 2 for steps in walks for _, (ci, si) in steps if si & 1}
-        return cls(walks, [tuple([a for a, _ in st]) for st in walks], head, signs, ())
+        signs = {c >> 2: (c & 3) - 2 for corners in walks for c in corners if c & 1}
+        return cls(walks, cycles, head, signs, ())
 
 
 class _Embedding(NamedTuple):
     """The faces of the crossing graph and its per-component Euler check."""
 
-    faces: list[tuple[Slot, ...]]
+    faces: list[list[int]]  # the corners each face enters
     face_arcs: list[tuple[int, ...]]
     graph_comp_of: dict[int, int]
     n_graph_comps: int
@@ -225,6 +228,10 @@ def _closed_faces(across: Sequence[int], starts: Iterable[int], seen: bytearray)
 class _Analysis:
     """Everything validate/components/signs need, in stages computed on first use.
 
+    Every stage names a place by its corner 4 * ci + si (slot si of
+    crossing ci): the occurrence index, the corner map, the strand trace
+    and the faces.  Only the public API and error texts give (ci, si) pairs.
+
     Arc occurrences are indexed when the analysis is made.  The corner map
     `across`, the strand trace (orientation, signs), the graph components
     and the faces with the Euler check each run at most once, when
@@ -244,18 +251,18 @@ class _Analysis:
     report counts V + 2 faces per graph component, so its faces are traced
     only when something reads them.  A stage returns its own problems
     instead of adding to a shared list, so `report` lists them in the
-    order occurrences, trace, faces whichever stage ran first, and a stage
-    that two threads both compute cannot repeat a line.
+    order occurrences, trace, faces whichever stage ran first.
     """
 
-    def __init__(self, diagram: "LinkDiagram", occ: Optional[dict[int, list[Slot]]] = None,
-                 across: Optional[list[int]] = None, strands: Optional[_Strands] = None,
+    def __init__(self, diagram: "LinkDiagram", occ: Optional[dict[int, list[int]]] = None,
+                 across: Optional[list[int]] = None, walks: Optional[list[list[int]]] = None,
                  planar: bool = False):
         """``occ``, when given, is the diagram's occurrence index, every arc
         occurring twice, as `_index_occurrences` would build it; ``across``
-        its corner map and ``strands`` its strand trace, as the stages would
-        give them; ``planar`` says each graph component passes the Euler
-        check."""
+        its corner map, as the stage would give it, and ``walks`` the
+        corners each strand component enters, from its least arc on, in
+        any order of components; ``planar`` says each graph component
+        passes the Euler check."""
         self.d = diagram
         if occ is None:
             self.occ, self.occ_problems = self._index_occurrences()
@@ -264,14 +271,14 @@ class _Analysis:
         self.double_ok = not self.occ_problems
         if across is not None:
             self.across = across
-        if strands is not None:
-            self._strands = strands
+        if walks is not None:
+            self._strands = _Strands.of(walks, self.arc_at)
         if planar:
             self._euler_problems = ()
 
     @cached_property
     def _strands(self) -> _Strands:
-        return self._trace() if self.double_ok else _Strands.of([])
+        return self._trace() if self.double_ok else _Strands.of([], ())
 
     @cached_property
     def _embedding(self) -> _Embedding:
@@ -298,11 +305,10 @@ class _Analysis:
 
     # stage 1: occurrences
 
-    def _index_occurrences(self) -> tuple[dict[int, list[Slot]], tuple[str, ...]]:
-        occ: dict[int, list[Slot]] = {}
-        for ci, x in enumerate(self.d.crossings):
-            for si, arc in enumerate(x.slots):
-                occ.setdefault(arc, []).append((ci, si))
+    def _index_occurrences(self) -> tuple[dict[int, list[int]], tuple[str, ...]]:
+        occ: dict[int, list[int]] = {}
+        for k, arc in enumerate(self.arc_at):
+            occ.setdefault(arc, []).append(k)
         # sorted only when some arc does not occur twice
         bad = sorted((arc, len(places)) for arc, places in occ.items() if len(places) != 2)
         return occ, tuple(f"arc {arc} used {n} times (need 2)" for arc, n in bad)
@@ -311,10 +317,9 @@ class _Analysis:
     def across(self) -> list[int]:
         """The corner map: corner 4 * ci + si maps to the corner at the far
         end of its arc."""
-        across = [0] * (4 * len(self.d.crossings))
-        for (c1, s1), (c2, s2) in self.occ.values():
-            across[4 * c1 + s1] = 4 * c2 + s2
-            across[4 * c2 + s2] = 4 * c1 + s1
+        across = [0] * len(self.arc_at)
+        for k1, k2 in self.occ.values():
+            across[k1], across[k2] = k2, k1
         return across
 
     @cached_property
@@ -333,11 +338,13 @@ class _Analysis:
         of ``starts``, each walked once by `_walk` from a start and turned to
         run from its least arc into that arc's second occurrence.  With no
         ``starts``, every component, walked from each arc's second
-        occurrence in arc order: in the order of least arcs, each needing
-        no turn."""
+        occurrence in arc order: in the order of least arcs, the first
+        start a component meets being its least arc's, so no walk is
+        turned."""
         arc_at, occ = self.arc_at, self.occ
-        if starts is None:
-            starts = [4 * ci + si for _, (ci, si) in map(occ.__getitem__, sorted(occ))]
+        fresh = starts is None
+        if fresh:
+            starts = [occ[arc][1] for arc in sorted(occ)]
         seen = bytearray(len(self.across))  # the corners a walk entered or left by
         walks = []
         for k in starts:
@@ -346,12 +353,13 @@ class _Analysis:
             corners = self._walk(k)
             for c in corners:
                 seen[c] = seen[c ^ 2] = 1
-            ci, si = occ[min(map(arc_at.__getitem__, corners))][1]
-            if corners[0] != 4 * ci + si:
-                if 4 * ci + si not in corners:
-                    corners = _backward(corners)
-                i = corners.index(4 * ci + si)
-                corners = corners[i:] + corners[:i]
+            if not fresh:
+                first = occ[min(map(arc_at.__getitem__, corners))][1]
+                if corners[0] != first:
+                    if first not in corners:
+                        corners = _backward(corners)
+                    i = corners.index(first)
+                    corners = corners[i:] + corners[:i]
             walks.append(corners)
         return walks
 
@@ -375,25 +383,15 @@ class _Analysis:
                 back = len(corners) > 1 and self.arc_at[corners[-1]] < self.arc_at[corners[1]]
             yield _backward(corners) if back else corners, 0 in votes and 2 in votes
 
-    def _steps(self, corners: list[int], turned: Container[int] = ()) -> list[tuple[int, Slot]]:
-        """The (arc, head) steps of a walk entering ``corners``, each corner
-        of a crossing in ``turned`` moved by 2."""
-        arc_at = self.arc_at
-        if not turned:
-            return [(arc_at[c], divmod(c, 4)) for c in corners]
-        return [(arc_at[c], divmod(c ^ 2 if c >> 2 in turned else c, 4)) for c in corners]
-
     def _trace(self) -> _Strands:
         problems: list[str] = []
-        walks: list[list[tuple[int, Slot]]] = []
+        walks: list[list[int]] = []
         for corners, conflict in self._oriented(range(len(self.d.crossings))):
-            steps = self._steps(corners)
             if conflict:
-                problems.append(
-                    f"component of arc {steps[0][0]} has conflicting under-strand directions"
-                )
-            walks.append(steps)
-        strands = _Strands.of(walks)
+                problems.append(f"component of arc {self.arc_at[corners[0]]} "
+                                "has conflicting under-strand directions")
+            walks.append(corners)
+        strands = _Strands.of(walks, self.arc_at)
         if not problems:
             problems = [
                 f"crossing {ci} never traversed as over-strand"
@@ -425,13 +423,9 @@ class _Analysis:
         arc_at = self.arc_at
         comp = self._graph
         # faces start at each arc's occurrences in order, arcs ascending
-        faces: list[tuple[Slot, ...]] = []
-        face_arcs: list[tuple[int, ...]] = []
-        occ = self.occ
-        starts = (4 * ci + si for arc in sorted(occ) for ci, si in occ[arc])
-        for corners in _closed_faces(self.across, starts, bytearray(4 * n)):
-            faces.append(tuple([divmod(k, 4) for k in corners]))
-            face_arcs.append(tuple([arc_at[k] for k in corners]))
+        starts = itertools.chain.from_iterable(map(self.occ.__getitem__, sorted(self.occ)))
+        faces = list(_closed_faces(self.across, starts, bytearray(4 * n)))
+        face_arcs = [tuple(map(arc_at.__getitem__, face)) for face in faces]
 
         # V - E + F = 2 per component, with E = 2V: every crossing has four
         # slots and every arc two ends
@@ -441,7 +435,7 @@ class _Analysis:
         for g in comp:
             v[g] += 1
         for face in faces:
-            f[comp[face[0][0]]] += 1
+            f[comp[face[0] >> 2]] += 1
         problems = tuple(
             f"graph component {g} fails Euler check: V={v[g]} E={2 * v[g]} F={f[g]}"
             for g in range(n_graph_comps)
@@ -498,7 +492,9 @@ class LinkDiagram:
         return tuple(sorted(self._analysis.occ))
 
     def occurrences(self, arc: int) -> tuple[Slot, ...]:
-        return tuple(self._analysis.occ[arc])
+        if arc not in self._analysis.occ:
+            raise SiteError(f"no arc {arc}")
+        return tuple([divmod(k, 4) for k in self._analysis.occ[arc]])
 
     def require_valid(self) -> None:
         rep = self._analysis.validity
@@ -509,19 +505,23 @@ class LinkDiagram:
         self.require_valid()
         return self._analysis.signs[ci]
 
-    def head_of(self, arc: int) -> Slot:
-        """The occurrence an arc flows into (per the assigned orientation)."""
+    def _head(self, arc: int) -> int:
+        """The corner an arc flows into."""
         self.require_valid()
+        if arc not in self._analysis.head:
+            raise SiteError(f"no arc {arc}")
         return self._analysis.head[arc]
 
+    def head_of(self, arc: int) -> Slot:
+        """The occurrence an arc flows into (per the assigned orientation)."""
+        return divmod(self._head(arc), 4)
+
     def tail_of(self, arc: int) -> Slot:
-        self.require_valid()
-        ci, si = self._analysis.head[arc]
-        return divmod(self._analysis.across[4 * ci + si], 4)
+        return divmod(self._analysis.across[self._head(arc)], 4)
 
     def faces(self) -> tuple[tuple[Slot, ...], ...]:
         self.require_valid()
-        return tuple(self._analysis.faces)
+        return tuple(tuple([divmod(k, 4) for k in face]) for face in self._analysis.faces)
 
     def face_arcs(self) -> tuple[tuple[int, ...], ...]:
         self.require_valid()
@@ -567,7 +567,7 @@ def linking_number(d: LinkDiagram, a: int, b: int) -> int:
 def is_alternating(d: LinkDiagram) -> bool:
     d.require_valid()
     for steps in d._analysis.steps:
-        word = [si % 2 for _, (_, si) in steps]
+        word = [c & 1 for c in steps]
         if not word:
             continue
         if len(word) % 2 == 1:
@@ -582,12 +582,8 @@ def nugatory_crossings(d: LinkDiagram) -> tuple[int, ...]:
     d.require_valid()
     out = set()
     for face in d._analysis.faces:
-        seen: dict[int, set[int]] = {}
-        for ci, k in face:
-            seen.setdefault(ci, set()).add(k)
-        for ci, ks in seen.items():
-            if any((k + 2) % 4 in ks for k in ks):
-                out.add(ci)
+        corners = set(face)
+        out.update(k >> 2 for k in face if k ^ 2 in corners)
     return tuple(sorted(out))
 
 
@@ -672,13 +668,13 @@ def _renormalize(
     walked, unless ``probe`` gives (analysis, walks, kept) as a splice's
     build derives them from its base: an analysis with the index and
     corner map of ``crossings``, the corners of the components it walked,
-    as `_Analysis._walks_through` gives them, and the oriented steps of
-    the others, which turn no crossing.  The output arrives with its
-    occurrence index, corner map and strand trace: the probe's, each slot
-    of a turned crossing moved by 2.  Every under-passage then enters at slot 0, so the
-    output's own trace would walk each component the same way, with no
-    conflict.  ``planar`` says the output is known to pass the Euler check
-    (see `_Analysis`).
+    as `_Analysis._walks_through` gives them, and the oriented corner lists
+    of the others, which turn no crossing.  The output arrives with its
+    occurrence index, corner map and strand trace: the probe's, each
+    corner k of a turned crossing moved to k ^ 2.  Every under-passage
+    then enters at slot 0, so the output's own trace would walk each
+    component the same way, with no conflict.  ``planar`` says the output
+    is known to pass the Euler check (see `_Analysis`).
     """
     if probe is None:
         ana = LinkDiagram(tuple(crossings), loops=loops)._analysis
@@ -690,8 +686,8 @@ def _renormalize(
     oriented = list(ana._oriented(frozen, walks))
     if not allow_reorient and any(conflict for _, conflict in oriented):
         raise WiringError(_DIRECTION_CONFLICT)
-    turned = {c >> 2 for corners, _ in oriented for c in corners if c & 3 == 2}
-    walks = [ana._steps(corners, turned) for corners, _ in oriented]
+    walks = [corners for corners, _ in oriented]
+    turned = {c >> 2 for corners in walks for c in corners if c & 3 == 2}
     occ, across = ana.occ, ana.across
     out = list(crossings)
     if turned:
@@ -706,35 +702,34 @@ def _renormalize(
             across[k] = far
         for ci in turned:
             for k, arc in enumerate(out[ci].slots, 4 * ci):
-                occ[arc] = [divmod(c, 4) for c in sorted((k, across[k]))]
-        if any(ci in frozen for ci in turned):
-            kept = [[(a, (ci, si ^ 2) if ci in turned else (ci, si)) for a, (ci, si) in steps]
-                    for steps in kept]
-    walks = sorted(walks + kept, key=lambda steps: steps[0][0])
+                occ[arc] = sorted((k, across[k]))
+        if any(ci in frozen for ci in turned):  # the kept walks pass frozen crossings alone
+            walks, kept = walks + kept, []
+        walks = [[c ^ 2 if c >> 2 in turned else c for c in corners] for corners in walks]
     d = LinkDiagram(tuple(out), loops=loops)
-    object.__setattr__(d, "_analysis", _Analysis(d, occ, across, _Strands.of(walks), planar))
+    object.__setattr__(d, "_analysis", _Analysis(d, occ, across, walks + kept, planar))
     return d
 
 
-def _relabel_occurrence(crossings: list[Crossing], at: Slot, new_arc: int) -> None:
-    ci, si = at
-    s = list(crossings[ci].slots)
-    s[si] = new_arc
-    crossings[ci] = Crossing(tuple(s))
+def _relabel_occurrence(crossings: list[Crossing], k: int, new_arc: int) -> None:
+    """Put ``new_arc`` at corner ``k`` of ``crossings``."""
+    s = list(crossings[k >> 2].slots)
+    s[k & 3] = new_arc
+    crossings[k >> 2] = Crossing(tuple(s))
 
 
 # -- component rings, twice-punctured disks, component removal -----------------------
 
 
-def _passages(d: LinkDiagram, comp: int) -> list[tuple[int, int]]:
-    """(crossing, slot) passages of a component with crossings, in traversal order."""
-    return [(ci, si) for _, (ci, si) in d._analysis.steps[comp]]
+def _passages(d: LinkDiagram, comp: int) -> list[int]:
+    """The corners a component with crossings enters, in traversal order."""
+    return d._analysis.steps[comp]
 
 
-def _other_strand_arcs(d: LinkDiagram, ci: int, si: int) -> tuple[int, int]:
-    """The two arcs of the strand crossing ``comp``'s passage (ci, si)."""
-    x = d.crossings[ci]
-    return x.over() if si % 2 == 0 else x.under()
+def _other_strand_arcs(d: LinkDiagram, c: int) -> tuple[int, int]:
+    """The two arcs of the strand crossing a component's passage at corner ``c``."""
+    x = d.crossings[c >> 2]
+    return x.under() if c & 1 else x.over()
 
 
 def _ring_fault(d: LinkDiagram, part: ComponentPartition, comp: int) -> Optional[str]:
@@ -747,7 +742,7 @@ def _ring_fault(d: LinkDiagram, part: ComponentPartition, comp: int) -> Optional
     if len(pas) != 4:
         return f"component {comp} crosses {len(pas)} times; the pattern needs 4"
     comp_arcs = set(part.arcs_of(comp))
-    if any(set(_other_strand_arcs(d, ci, si)) & comp_arcs for ci, si in pas):
+    if any(set(_other_strand_arcs(d, c)) & comp_arcs for c in pas):
         return f"component {comp} crosses itself"
     return None
 
@@ -764,20 +759,20 @@ def _disk_runs(d: LinkDiagram, comp: int):
     if fault:
         raise SiteError(fault)
     pas = _passages(d, comp)
-    across = d._analysis.across
-    c_corners = {4 * ci + si for ci, _ in pas for si in range(4)}
+    across, arc_at = d._analysis.across, d._analysis.arc_at
+    c_corners = {k for c in pas for k in range(c & ~3, (c & ~3) + 4)}
 
-    def inner_run(ca: int, sa: int, cb: int) -> Optional[set[int]]:
-        # follow the other strand from crossing ca to the first return to C;
-        # the inner side is the shortest walk that lands on the pair partner
+    def inner_run(pa: int, pb: int) -> Optional[set[int]]:
+        # follow the other strand from pa's crossing to the first return to
+        # C; the inner side is the shortest walk that lands on pb's crossing
         candidates = []
-        first = 4 * ca + (sa + 1) % 2  # the other strand's slots at ca: 1 and 3, or 0 and 2
+        first = pa & ~3 | ~pa & 1  # the other strand's corners at pa: 1 and 3, or 0 and 2
         for out in (first, first + 2):
-            if across[out] >> 2 == ca:
-                continue  # both ends at ca
+            if across[out] >> 2 == pa >> 2:
+                continue  # both ends at pa's crossing
             walk = _walk_corners(across, across[out], 2, c_corners)
-            if walk[-1] >> 2 == cb:
-                candidates.append({d.crossings[k >> 2].slots[k & 3] for k in walk[:-1]})
+            if walk[-1] >> 2 == pb >> 2:
+                candidates.append({arc_at[k] for k in walk[:-1]})
         if not candidates:
             return None
         return min(candidates, key=len)
@@ -793,11 +788,11 @@ def _disk_runs(d: LinkDiagram, comp: int):
     ]
     found = []
     for pairs, check_signs in candidates:
-        if check_signs and any(d.sign(pa[0]) != d.sign(pb[0]) for pa, pb in pairs):
+        if check_signs and any(d.sign(pa >> 2) != d.sign(pb >> 2) for pa, pb in pairs):
             continue
         runs = []
-        for (ca, sa), (cb, sb) in pairs:
-            run = inner_run(ca, sa, cb)
+        for pa, pb in pairs:
+            run = inner_run(pa, pb)
             if run is None:
                 break
             runs.append(run)
@@ -816,7 +811,7 @@ def remove_component(d: LinkDiagram, comp: int) -> LinkDiagram:
     if comp >= len(part.cycles):
         return LinkDiagram(d.crossings, loops=d.loops - 1)
     comp_arcs = set(part.arcs_of(comp))
-    removed = {ci for ci, _ in _passages(d, comp)}
+    removed = {c >> 2 for c in _passages(d, comp)}
     bld = DiagramBuilder(d, remove=removed)
     # the strands that crossed the component continue straight
     for ci in removed:
@@ -832,9 +827,10 @@ def remove_component(d: LinkDiagram, comp: int) -> LinkDiagram:
 class DiagramBuilder:
     """Assemble diagrams and spliced fragments from twist regions and welds.
 
-    Ports are (crossing index, slot) pairs or terminals.  Crossing protos
-    put the under-strand on slots {0, 2}; the final rotation by 2 (to put
-    the *incoming* under-strand at slot 0) happens at build time.  When a
+    Ports are crossing slots, as corners 4 * ci + si, or terminals, which
+    are tuples.  Crossing protos put the under-strand on slots {0, 2}; the
+    final rotation by 2 (to put the *incoming* under-strand at slot 0)
+    happens at build time.  When a
     base diagram is given, its kept crossings are frozen; ``stub`` and
     ``cut`` wire new fragments onto its existing arcs, and ``join`` welds
     two stubs, so that a strand through a removed crossing runs on.  A
@@ -847,18 +843,21 @@ class DiagramBuilder:
         self.base = base
         self.removed = frozenset(remove)
         self.protos: list = []  # frozen crossings, then new crossings' slot lists
-        self._old_to_new: dict[int, int] = {}
+        self._new_corner: list[int] = []  # base corner -> its corner here, -1 when removed
         if base is not None:
             base.require_valid()
             for ci, x in enumerate(base.crossings):
-                if ci not in self.removed:
-                    self._old_to_new[ci] = len(self.protos)
+                if ci in self.removed:
+                    self._new_corner += (-1, -1, -1, -1)
+                else:
+                    k = 4 * len(self.protos)
+                    self._new_corner += (k, k + 1, k + 2, k + 3)
                     self.protos.append(x)
         self.n_frozen = len(self.protos)
         self.loops = base.loops if base is not None else 0
         self.welds: dict = {}
         self.stub_labels: dict = {}
-        self._cuts: list[tuple[int, int, Slot]] = []  # (arc, fresh label, base head)
+        self._cuts: list[tuple[int, int, int]] = []  # (arc, fresh label, head corner here)
         self._merged: dict[int, int] = {}  # joined arc -> the label of its run, set by `_label`
         self._terminal_count = 0
         self._next_arc = base.fresh_arc() if base is not None else 1
@@ -892,11 +891,11 @@ class DiagramBuilder:
         """
         if self.base is None:
             raise AssertionError("cut needs a base diagram")
-        head = self.base.head_of(arc)
-        if head[0] in self.removed:
+        head = self.base._head(arc)
+        if head >> 2 in self.removed:
             raise AssertionError("cut arc ends at a removed crossing; use stub")
-        fresh = self.fresh_label()
-        _relabel_occurrence(self.protos, (self._old_to_new[head[0]], head[1]), fresh)
+        fresh, head = self.fresh_label(), self._new_corner[head]
+        _relabel_occurrence(self.protos, head, fresh)
         self._cuts.append((arc, fresh, head))
         return self.stub(arc), self.stub(fresh)
 
@@ -908,7 +907,8 @@ class DiagramBuilder:
         for port in (p, q):
             self.welds.setdefault(port, [])
             if len(self.welds[port]) >= self._capacity(port):
-                raise AssertionError(f"over-welded port {port}")
+                shown = port if self._is_terminal(port) else divmod(port, 4)
+                raise AssertionError(f"over-welded port {shown}")
         self.welds[p].append(q)
         self.welds[q].append(p)
 
@@ -925,12 +925,12 @@ class DiagramBuilder:
         chirality +1: the strand entering on the left rail goes over;
         chirality -1: the right one does.  Rails swap below the crossing.
         """
-        ci = self.crossing()
+        k = 4 * self.crossing()
         if chirality > 0:
             # under: in_r -> out_l; CCW from in_r: (in_r, in_l, out_l, out_r)
-            return {"in_r": (ci, 0), "in_l": (ci, 1), "out_l": (ci, 2), "out_r": (ci, 3)}
+            return {"in_r": k, "in_l": k + 1, "out_l": k + 2, "out_r": k + 3}
         # under: in_l -> out_r; CCW from in_l: (in_l, out_l, out_r, in_r)
-        return {"in_l": (ci, 0), "out_l": (ci, 1), "out_r": (ci, 2), "in_r": (ci, 3)}
+        return {"in_l": k, "out_l": k + 1, "out_r": k + 2, "in_r": k + 3}
 
     def twist_region(self, n: int, chirality: int) -> dict:
         """n same-handed crossings; for n = 0 the rails pass straight through."""
@@ -956,7 +956,7 @@ class DiagramBuilder:
     # build
 
     def _is_terminal(self, port) -> bool:
-        return len(port) == 3  # a crossing slot is a pair
+        return not isinstance(port, int)  # a crossing slot is its corner
 
     def build(self, allow_reorient: bool = False, planar: bool = False) -> LinkDiagram:
         """The diagram, renormalised with the kept base crossings frozen.
@@ -980,25 +980,24 @@ class DiagramBuilder:
         occur twice.
 
         The index and corner map are the base's patched: the removed
-        crossings' occurrences dropped and the kept ones renumbered (only
-        when crossings were removed), the cut arcs' heads relabelled, each
-        joined arc's kept occurrences moved to its run's label and the new
-        crossings' slots added; every list stays in ascending (ci, si)
-        order, as indexing afresh gives it.  Only the strand components
-        through an arc whose occurrences changed are walked: a cut, a stub,
-        a join or a new crossing's.  Each other component's arcs and
-        crossings are the base's, so it keeps the base's steps, renumbered.
+        crossings' corners dropped and the kept ones renumbered (only when
+        crossings were removed), the cut arcs' heads relabelled, each joined
+        arc's kept corners moved to its run's label and the new crossings'
+        corners added; every corner list stays ascending, as indexing afresh
+        gives it.  Only the strand components through an arc whose corners
+        changed are walked: a cut, a stub, a join or a new crossing's.  Each
+        other component's arcs and crossings are the base's, so it keeps the
+        base's corners, renumbered.
         """
         base = self.base._analysis
-        n0, new = self.n_frozen, self._old_to_new
-        touched: set[int] = set()  # the arcs whose occurrences changed
+        n0, new = self.n_frozen, self._new_corner
+        touched: set[int] = set()  # the arcs whose corners changed
         occ = dict(base.occ)  # the base's lists are shared, never changed
         if self.removed:
-            renum = [new.get(ci, -1) for ci in range(len(self.base.crossings))]
-            first = min(self.removed)
+            first = 4 * min(self.removed)
             for arc, places in base.occ.items():
-                if places[-1][0] >= first:  # below the first removed crossing, nothing moves
-                    left = [(renum[ci], si) for ci, si in places if renum[ci] >= 0]
+                if places[-1] >= first:  # below the first removed crossing, nothing moves
+                    left = [new[k] for k in places if new[k] >= 0]
                     if len(left) < len(places):
                         touched.add(arc)
                         if not left:
@@ -1007,20 +1006,19 @@ class DiagramBuilder:
                     occ[arc] = left
             # a corner that led to a removed crossing is an end: it is set
             # below, with the touched arcs
-            across = [4 * renum[k >> 2] | k & 3 for k in base.across]
+            across = list(map(new.__getitem__, base.across))
             for ci in sorted(self.removed, reverse=True):
                 del across[4 * ci:4 * ci + 4]
         else:
             across = list(base.across)
-        for arc, fresh, (ci, si) in self._cuts:
-            head = (new[ci], si)
+        for arc, fresh, head in self._cuts:
             occ[arc], occ[fresh] = [o for o in occ[arc] if o != head], [head]
         for arc, label in self._merged.items():
             occ[label] = sorted(occ.pop(arc, []) + occ.get(label, []))
-        added: dict[int, list[Slot]] = {}
+        added: dict[int, list[int]] = {}
         for ci in range(n0, len(crossings)):
-            for si, arc in enumerate(crossings[ci].slots):
-                added.setdefault(arc, []).append((ci, si))
+            for k, arc in enumerate(crossings[ci].slots, 4 * ci):
+                added.setdefault(arc, []).append(k)
         for arc, places in added.items():
             occ[arc] = occ.get(arc, []) + places
         touched.update(added, self.stub_labels.values())
@@ -1032,15 +1030,16 @@ class DiagramBuilder:
                 continue
             if len(places) != 2:
                 return None
-            (c1, s1), (c2, s2) = places
-            across[4 * c1 + s1], across[4 * c2 + s2] = 4 * c2 + s2, 4 * c1 + s1
-            starts.append(4 * c1 + s1)
+            k1, k2 = places
+            across[k1], across[k2] = k2, k1
+            starts.append(k1)
         probe = _Analysis(LinkDiagram(tuple(crossings), loops=loops), occ, across)
         walks = probe._walks_through(starts)
         on_walks = set(map(probe.arc_at.__getitem__, itertools.chain.from_iterable(walks)))
-        kept = [steps for steps in base.steps if steps[0][0] in occ and steps[0][0] not in on_walks]
+        kept = [steps for steps, arcs in zip(base.steps, base.cycles)
+                if arcs[0] in occ and arcs[0] not in on_walks]
         if self.removed:
-            kept = [[(arc, (renum[ci], si)) for arc, (ci, si) in steps] for steps in kept]
+            kept = [list(map(new.__getitem__, steps)) for steps in kept]
         return probe, walks, kept
 
     def _trail(self, start, stops: Container) -> list:
@@ -1048,7 +1047,7 @@ class DiagramBuilder:
         or a plain terminal) along its first weld, then the crossing slot or the
         ``stops`` terminal they reach."""
         if not self.welds.get(start):
-            raise AssertionError(f"unwelded crossing slot {start}")
+            raise AssertionError(f"unwelded crossing slot {divmod(start, 4)}")
         trail = []
         prev, cur = start, self.welds[start][0]
         while self._is_terminal(cur) and cur not in stops:
@@ -1093,21 +1092,21 @@ class DiagramBuilder:
             arcs = sorted({self.stub_labels[t] for t in run})
             self._merged.update(dict.fromkeys(arcs[1:], arcs[0]))
         for a, m in self._merged.items():
-            for ci, si in self.base._analysis.occ[a]:
-                if ci not in self.removed:
-                    _relabel_occurrence(self.protos, (self._old_to_new[ci], si), m)
+            for k in self.base._analysis.occ[a]:
+                if self._new_corner[k] >= 0:
+                    _relabel_occurrence(self.protos, self._new_corner[k], m)
         # the kept base crossings are labelled already
         for ci in range(self.n_frozen, len(self.protos)):
             for si in range(4):
                 if self.protos[ci][si] is not None:
                     continue
-                trail = self._trail((ci, si), self.stub_labels)
+                trail = self._trail(4 * ci + si, self.stub_labels)
                 consumed.update(trail)
                 end = trail[-1]
                 if end in self.stub_labels:
                     self.protos[ci][si] = self.stub_labels[end]
                 else:
-                    self.protos[ci][si] = self.protos[end[0]][end[1]] = self.fresh_label()
+                    self.protos[ci][si] = self.protos[end >> 2][end & 3] = self.fresh_label()
         # unconsumed plain terminals must form closed cycles: crossing-free loops
         loose = [t for t in self.welds
                  if self._is_terminal(t) and t not in consumed and t not in self.stub_labels]
@@ -1218,14 +1217,13 @@ def _base_side(base: LinkDiagram, removed: frozenset[int], cut: Sequence[int],
     `_side` needs.
     """
     an = base._analysis
-    occ, head, across = an.occ, an.head, an.across
+    occ, head, across, arc_at = an.occ, an.head, an.across, an.arc_at
     ends: list[Optional[int]] = []
     for arc in cut:
-        ci, si = head[arc]
-        ends += [across[4 * ci + si], 4 * ci + si]
+        ends += [across[head[arc]], head[arc]]
     through: dict[int, list[int]] = {}  # stub arc -> its two ends, when it meets no kept crossing
     for arc in stubs:
-        kept = [4 * ci + si for ci, si in occ[arc] if ci not in removed]
+        kept = [k for k in occ[arc] if k >> 2 not in removed]
         if not kept:
             through.setdefault(arc, []).append(len(ends))
         ends.append(kept[0] if len(kept) == 1 else None)
@@ -1237,7 +1235,7 @@ def _base_side(base: LinkDiagram, removed: frozenset[int], cut: Sequence[int],
         raise AssertionError("splice ends must free each end of an arc once")
     return _side(across, open_at, _parts(across, [k >> 2 for k in open_at], open_at),
                  through.values(), directed,
-                 lambda k: head[base.crossings[k >> 2].slots[k & 3]] == divmod(k, 4))
+                 lambda k: head[arc_at[k]] == k)
 
 
 def _fragment_side(bld: DiagramBuilder, ports: Sequence) -> Optional[_Side]:
@@ -1254,17 +1252,16 @@ def _fragment_side(bld: DiagramBuilder, ports: Sequence) -> Optional[_Side]:
     its crossings plus the excess Euler's formula gives is not planar: a
     program fault, raised as an AssertionError."""
     port_of = {port: i for i, port in enumerate(ports)}
-    n0 = bld.n_frozen
-    across = [-1] * (4 * (len(bld.protos) - n0))  # corner 4 * (ci - n0) + si
+    first = 4 * bld.n_frozen
+    across = [-1] * (4 * len(bld.protos) - first)  # corner k is the builder's first + k
     open_at: dict[int, int] = {}  # the corner port i's welds lead to -> i
     for k in range(len(across)):
         if across[k] < 0:
-            slot = (n0 + (k >> 2), k & 3)
-            end = slot if slot in port_of else bld._trail(slot, port_of)[-1]
+            end = first + k if first + k in port_of else bld._trail(first + k, port_of)[-1]
             if end in port_of:
                 open_at[k] = port_of[end]
             else:
-                far = 4 * (end[0] - n0) + end[1]
+                far = end - first
                 across[k], across[far] = far, k
     piece_of = _parts(across, [k >> 2 for k in sorted(open_at, key=open_at.get)], open_at)
     if -1 in piece_of:
@@ -1436,11 +1433,9 @@ def reidemeister1(d: LinkDiagram, arc: Optional[int], handedness: int) -> LinkDi
         m1, m2 = d.fresh_arc(), d.fresh_arc() + 1
         kink = Crossing((m1, m1, m2, m2)) if handedness > 0 else Crossing((m1, m2, m2, m1))
         return LinkDiagram(d.crossings + (kink,), loops=d.loops - 1)
-    if arc not in d._analysis.occ:
-        raise SiteError(f"no arc {arc}")
     m1, m2 = d.fresh_arc(), d.fresh_arc() + 1
     crossings = list(d.crossings)
-    _relabel_occurrence(crossings, d.head_of(arc), m2)
+    _relabel_occurrence(crossings, d._head(arc), m2)
     kink = Crossing((arc, m2, m1, m1)) if handedness > 0 else Crossing((arc, m1, m1, m2))
     crossings.append(kink)
     return _renormalize(crossings, d.loops, frozen=range(len(d.crossings)))
@@ -1500,8 +1495,8 @@ def _r2_strands(d: LinkDiagram, ci: int, cj: int) -> Optional[tuple[int, int]]:
     cj share, or None when either is missing."""
     occ = d._analysis.occ
     shared = set(d.crossings[ci].slots) & set(d.crossings[cj].slots)
-    over = next((a for a in shared if all(o[1] % 2 == 1 for o in occ[a])), None)
-    under = next((a for a in shared if all(o[1] % 2 == 0 for o in occ[a])), None)
+    over = next((a for a in shared if all(k & 1 for k in occ[a])), None)
+    under = next((a for a in shared if not any(k & 1 for k in occ[a])), None)
     return None if over is None or under is None else (over, under)
 
 
@@ -1512,7 +1507,7 @@ def find_r2_bigons(d: LinkDiagram) -> tuple[tuple[int, int], ...]:
     for face in d._analysis.faces:
         if len(face) != 2:
             continue
-        (c1, _), (c2, _) = face
+        c1, c2 = face[0] >> 2, face[1] >> 2
         pair = (min(c1, c2), max(c1, c2))
         if c1 != c2 and _r2_strands(d, *pair):
             out.add(pair)
@@ -1697,12 +1692,10 @@ class GaussCode:
 
 def to_gauss(d: LinkDiagram) -> GaussCode:
     d.require_valid()
-    comps = []
-    for steps in d._analysis.steps:
-        comps.append(
-            tuple((ci + 1, si % 2 == 1, d._analysis.signs[ci]) for _, (ci, si) in steps)
-        )
-    return GaussCode(components=tuple(comps), loops=d.loops)
+    signs = d._analysis.signs
+    comps = tuple(tuple(((c >> 2) + 1, c & 1 == 1, signs[c >> 2]) for c in steps)
+                  for steps in d._analysis.steps)
+    return GaussCode(components=comps, loops=d.loops)
 
 
 def from_gauss(g: GaussCode) -> LinkDiagram:

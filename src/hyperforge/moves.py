@@ -154,14 +154,14 @@ _TK_PORTS = itemgetter("NW", "NE", "SE", "SW")
 # -- site scanning ----------------------------------------------------------------
 
 
-def _clasp(d: LinkDiagram, pa, pb) -> Optional[tuple[int, int, int]]:
-    """(inner arc, outer arc at pa, outer arc at pb) when C's passages pa and
-    pb clasp one strand: equal signs and one strand arc running between them."""
-    (ca, sa), (cb, sb) = pa, pb
+def _clasp(d: LinkDiagram, pa: int, pb: int) -> Optional[tuple[int, int, int]]:
+    """(inner arc, outer arc at pa, outer arc at pb) when C's passages at corners
+    pa and pb clasp one strand: equal signs and one strand arc running between them."""
+    ca, cb = pa >> 2, pb >> 2
     if d.sign(ca) != d.sign(cb):
         return None
-    arcs_a = set(_other_strand_arcs(d, ca, sa))
-    arcs_b = set(_other_strand_arcs(d, cb, sb))
+    arcs_a = set(_other_strand_arcs(d, pa))
+    arcs_b = set(_other_strand_arcs(d, pb))
     shared = {x for x in arcs_a & arcs_b if {o[0] for o in d.occurrences(x)} == {ca, cb}}
     if len(shared) != 1:
         return None
@@ -174,7 +174,7 @@ def _sites_at(d: LinkDiagram, part, comp: int) -> Iterator[ChainSite]:
     if _ring_fault(d, part, comp):
         return
     pas = _passages(d, comp)
-    word = [si % 2 for _, si in pas]
+    word = [c & 1 for c in pas]
     alternating = all(word[i] != word[(i + 1) % 4] for i in range(4))
     pattern = "alternating" if alternating else "parallel"
     for shift in (0, 1):
@@ -186,7 +186,7 @@ def _sites_at(d: LinkDiagram, part, comp: int) -> Iterator[ChainSite]:
             trivial_component=comp,
             strand1=first[0],
             strand2=second[0],
-            crossings=tuple(ci for ci, _ in order),
+            crossings=tuple(c >> 2 for c in order),
             stubs=first[1:] + second[1:],
             pattern=pattern,
         )
@@ -272,7 +272,7 @@ def augmented_chain_move(
 def _new_ring_component(d: LinkDiagram, new: set[int]) -> int:
     part = components(d)
     for comp in range(len(part.cycles)):
-        if not _ring_fault(d, part, comp) and {ci for ci, _ in _passages(d, comp)} <= new:
+        if not _ring_fault(d, part, comp) and {c >> 2 for c in _passages(d, comp)} <= new:
             return comp
     raise AssertionError("inserted ring not found")
 

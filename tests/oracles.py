@@ -36,6 +36,10 @@ certificate with every splice run by the splice oracle.  The crossing-drop
 oracle is how R1/R2 undos and component removal built their output before
 they went through the builder: a union-find over the joined arcs and a
 bare diagram, analysed afresh.
+
+The oracles name a place by its (ci, si) slot.  The library's analysis
+names it by its corner 4 * ci + si; where an oracle reads or builds that
+analysis, it converts at that one point (`slot_occ`, `slot_faces`).
 """
 
 import itertools
@@ -56,7 +60,6 @@ from hyperforge.diagram import (
     _passages,
     _ring_fault,
     _Side,
-    _Strands,
     _relabel_occurrence,
     braid2_template,
     components,
@@ -66,6 +69,19 @@ from hyperforge.diagram import (
 from hyperforge.errors import InvalidDiagramError, SiteError, WiringError
 
 INF = "inf"
+
+
+def slot_occ(d: LinkDiagram) -> dict[int, list[Slot]]:
+    """The occurrence index of ``d``'s analysis, each corner 4 * ci + si
+    converted to its (ci, si) slot: the oracles' encoding of a place."""
+    return {arc: [divmod(k, 4) for k in places] for arc, places in d._analysis.occ.items()}
+
+
+def slot_faces(embedding: _Embedding) -> _Embedding:
+    """``embedding`` with each face's corners converted to (ci, si) slots,
+    as `faces_oracle` gives them."""
+    return embedding._replace(
+        faces=[tuple(divmod(k, 4) for k in face) for face in embedding.faces])
 
 
 def cf_oracle(entries):
@@ -142,7 +158,7 @@ def two_edge_cuts_oracle(d):
     n = len(d.crossings)
     if n < 2:
         return ()
-    occ = d._analysis.occ
+    occ = slot_occ(d)
     arcs = sorted(occ)
     cuts = []
     for e, f in itertools.combinations(arcs, 2):
@@ -181,7 +197,7 @@ def diagram_isomorphic_oracle(d1: LinkDiagram, d2: LinkDiagram) -> bool:
     n = len(d1.crossings)
     if n == 0:
         return True
-    occ1, occ2 = d1._analysis.occ, d2._analysis.occ
+    occ1, occ2 = slot_occ(d1), slot_occ(d2)
     if len(occ1) != len(occ2):
         return False
 
@@ -548,21 +564,26 @@ def renormalize_guarded_oracle(crossings, loops, frozen, allow_reorient=False, *
     output given the probe's occurrence index and strand trace, each slot
     of a turned crossing moved by 2, and then validated in full, its faces
     traced: AssertionError unless it is valid."""
-    ana = LinkDiagram(tuple(crossings), loops=loops)._analysis
+    probe = LinkDiagram(tuple(crossings), loops=loops)
+    ana = probe._analysis
     if not ana.double_ok:
         raise InvalidDiagramError(ana.validity)
-    oriented = [(ana._steps(corners), conflict) for corners, conflict in ana._oriented(frozen)]
+    oriented = [([(ana.arc_at[c], divmod(c, 4)) for c in corners], conflict)
+                for corners, conflict in ana._oriented(frozen)]
     if not allow_reorient and any(conflict for _, conflict in oriented):
         raise WiringError("frozen crossings disagree on strand direction")
     turned = {ci for steps, _ in oriented for _, (ci, si) in steps if si == 2}
-    occ = ana.occ
+    occ = slot_occ(probe)
     for arc in {arc for ci in turned for arc in crossings[ci].slots}:
         occ[arc] = sorted((ci, si ^ 2) if ci in turned else (ci, si) for ci, si in occ[arc])
     walks = [[(a, (ci, si ^ 2) if ci in turned else (ci, si)) for a, (ci, si) in steps]
              for steps, _ in oriented]
     out = (x.rotated(2) if ci in turned else x for ci, x in enumerate(crossings))
     d = LinkDiagram(tuple(out), loops=loops)
-    object.__setattr__(d, "_analysis", _Analysis(d, occ, strands=_Strands.of(walks)))
+    # the analysis holds corners: the slots converted at this one point
+    corner_occ = {arc: [4 * ci + si for ci, si in places] for arc, places in occ.items()}
+    corner_walks = [[4 * ci + si for _, (ci, si) in steps] for steps in walks]
+    object.__setattr__(d, "_analysis", _Analysis(d, corner_occ, walks=corner_walks))
     if not validate(d).valid:
         raise AssertionError(f"built diagram is not valid: {validate(d).summary()}")
     return d
@@ -694,16 +715,17 @@ def disk_runs_oracle(d: LinkDiagram, comp: int):
     fault = _ring_fault(d, part, comp)
     if fault:
         raise SiteError(fault)
-    pas = _passages(d, comp)
+    pas = [divmod(c, 4) for c in _passages(d, comp)]
+    occ = slot_occ(d)
     c_crossings = {ci for ci, _ in pas}
 
     def inner_run(ca: int, sa: int, cb: int) -> Optional[set[int]]:
         # follow the other strand from crossing ca to the first return to C;
         # the inner side is the shortest walk that lands on the pair partner
         candidates = []
-        for start in _other_strand_arcs(d, ca, sa):
+        for start in _other_strand_arcs(d, 4 * ca + sa):
             run = {start}
-            occs = [o for o in d._analysis.occ[start] if o[0] != ca]
+            occs = [o for o in occ[start] if o[0] != ca]
             if not occs:
                 continue  # both ends at ca
             cur = occs[0]
@@ -715,7 +737,7 @@ def disk_runs_oracle(d: LinkDiagram, comp: int):
                 out = (cur[0], (cur[1] + 2) % 4)
                 nxt_arc = d.crossings[out[0]].slots[out[1]]
                 run.add(nxt_arc)
-                a, b = d._analysis.occ[nxt_arc]
+                a, b = occ[nxt_arc]
                 cur = b if a == out else a
         if not candidates:
             return None
@@ -774,13 +796,14 @@ def drop_crossings_oracle(d: LinkDiagram, removed: set[int], joins) -> LinkDiagr
     groups: dict[int, set[int]] = {}
     for a in parent:
         groups.setdefault(find(a), set()).add(a)
+    occ = slot_occ(d)
     for root, members in groups.items():
-        far = [o for a in members for o in d._analysis.occ[a] if o[0] not in removed]
+        far = [o for a in members for o in occ[a] if o[0] not in removed]
         if not far:
             loops += 1
             continue
         for o in far:
-            _relabel_occurrence(crossings, (remap[o[0]], o[1]), root)
+            _relabel_occurrence(crossings, 4 * remap[o[0]] + o[1], root)
     return LinkDiagram(tuple(crossings), loops=loops)
 
 

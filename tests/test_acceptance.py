@@ -244,7 +244,7 @@ def test_acceptance_6_move_invariants():
                 c
                 for c in range(len(part.cycles))
                 if len(out._analysis.steps[c]) == 4
-                and all(s[1][0] in new_crossings for s in out._analysis.steps[c])
+                and all(s >> 2 in new_crossings for s in out._analysis.steps[c])
             ]
             if len(rings) == 2:
                 g1 = part.component_of(site.stubs[0])

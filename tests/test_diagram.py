@@ -51,6 +51,7 @@ from oracles import (
     faces_oracle,
     gauss_linking_oracle,
     is_braid2_form_oracle,
+    slot_faces,
     two_edge_cuts_oracle,
     union_find_component_count,
 )
@@ -165,6 +166,14 @@ def test_threads_sharing_a_diagram_get_one_report():
             assert reports == [want] * 8
     finally:
         sys.setswitchinterval(old)
+
+
+@pytest.mark.parametrize("query", ["occurrences", "head_of", "tail_of"])
+def test_an_arc_the_diagram_lacks_is_a_site_error(query):
+    """Asking for the places of an arc the diagram does not have names the
+    arc in a SiteError, as the moves' own arc checks do."""
+    with pytest.raises(SiteError, match=r"^no arc 999$"):
+        getattr(chain_link(ChainSpec(4)), query)(999)
 
 
 def test_trefoil_valid(trefoil):
@@ -362,7 +371,7 @@ def swapped(d, data):
 def _face_stages(d):
     """The face stage of a fresh analysis of d, and the face oracle's."""
     fresh = LinkDiagram(d.crossings, loops=d.loops)
-    return dg._Analysis(fresh)._faces_and_euler(), faces_oracle(fresh)
+    return slot_faces(dg._Analysis(fresh)._faces_and_euler()), faces_oracle(fresh)
 
 
 @settings(max_examples=80, deadline=None)

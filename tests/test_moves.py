@@ -201,8 +201,8 @@ def test_chain_move_linking_matrix():
         c
         for c in range(len(part.cycles))
         if len(d5._analysis.steps[c]) == 4
-        and {ci for ci, _ in ((s[1][0], s[1][1]) for s in d5._analysis.steps[c])}
-        and all(s[1][0] in new_crossings for s in d5._analysis.steps[c])
+        and {s >> 2 for s in d5._analysis.steps[c]}
+        and all(s >> 2 in new_crossings for s in d5._analysis.steps[c])
     ]
     assert len(rings) == 2
     g1 = part.component_of(site.stubs[0])

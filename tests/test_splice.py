@@ -54,6 +54,7 @@ from hyperforge.moves import (
 
 from oracles import (
     DroppingBuilder,
+    _Walker,
     base_side_oracle,
     disk_runs_oracle,
     eager_report,
@@ -61,6 +62,7 @@ from oracles import (
     fragment_side_oracle,
     renormalize_guarded_oracle,
     renormalize_oracle,
+    slot_faces,
     splice_oracle,
     trace_oracle,
     wiring_loop_oracle,
@@ -562,9 +564,9 @@ def test_disk_runs_corpus_matches_the_oracle():
 def _nonplanar_fragment(bld):
     """A twist crossing for the ports, beside a portless crossing whose
     opposite slots are welded: one face where the Euler check wants three."""
-    ci = bld.crossing()
-    bld.weld((ci, 0), (ci, 2))
-    bld.weld((ci, 1), (ci, 3))
+    k = 4 * bld.crossing()
+    bld.weld(k, k + 2)
+    bld.weld(k + 1, k + 3)
     x = bld.twist_region(1, +1)
     return (x["in_l"], x["in_r"], x["out_r"], x["out_l"])
 
@@ -615,9 +617,9 @@ def test_a_refused_splice_emits_once():
 def _kinked_fragment(bld):
     """A twist crossing for the ports, beside a portless crossing whose
     neighbouring slots are welded: a planar kink on no part with a port."""
-    ci = bld.crossing()
-    bld.weld((ci, 0), (ci, 1))
-    bld.weld((ci, 2), (ci, 3))
+    k = 4 * bld.crossing()
+    bld.weld(k, k + 1)
+    bld.weld(k + 2, k + 3)
     x = bld.twist_region(1, +1)
     return (x["in_l"], x["in_r"], x["out_r"], x["out_l"])
 
@@ -629,8 +631,8 @@ def _toroidal_fragment(bld):
     c = [bld.crossing() for _ in range(3)]
     for (a, s), (b, t) in (((0, 3), (1, 1)), ((1, 2), (2, 0)), ((1, 3), (2, 2)),
                            ((2, 1), (2, 3))):
-        bld.weld((c[a], s), (c[b], t))
-    return ((c[0], 0), (c[0], 1), (c[0], 2), (c[1], 0))
+        bld.weld(4 * c[a] + s, 4 * c[b] + t)
+    return (4 * c[0], 4 * c[0] + 1, 4 * c[0] + 2, 4 * c[1])
 
 
 def _four_end_splices():
@@ -742,12 +744,15 @@ def _assert_trace_is_fresh(d, derived=True, judged=False):
     involution), the strand trace (field by field, in the same order, and
     the two-walk oracle's), the report (the eager one), the graph
     components and, read last, the faces (the face oracle's) are a fresh
-    analysis's."""
+    analysis's.  Both analyses hold every place as a corner int; the
+    oracles' (ci, si) slots are compared after converting to them."""
     an = d._analysis
     arrived = set(vars(an))
     assert not derived or {"across", "_strands"} <= arrived
     assert not judged or "_euler_problems" in arrived and "_embedding" not in arrived
     plain = LinkDiagram(d.crossings, loops=d.loops)
+    _assert_corner_encoded(an)
+    _assert_corner_encoded(dg._Analysis(plain))
     assert an.occ == dg._Analysis(plain).occ
     across = an.across
     assert across == dg._Analysis(plain).across
@@ -759,13 +764,22 @@ def _assert_trace_is_fresh(d, derived=True, judged=False):
         if isinstance(want, dict):
             assert list(got.items()) == list(want.items()), field
     steps, cycles, head, signs, problems = trace_oracle(d)
-    assert (an.steps, an.cycles, an.head, an.signs) == (steps, cycles, head, signs)
+    got_steps = [[(an.arc_at[c], divmod(c, 4)) for c in corners] for corners in an.steps]
+    got_head = {arc: divmod(k, 4) for arc, k in an.head.items()}
+    assert (got_steps, an.cycles, got_head, an.signs) == (steps, cycles, head, signs)
     assert an._strands.problems == problems == ()
     assert validate(d) == eager_report(d)
     assert not judged or "_embedding" not in vars(an)
     fresh = dg._Analysis(plain)
     assert (an._graph, an.n_graph_comps) == (fresh._graph, fresh.n_graph_comps)
-    assert an._embedding == faces_oracle(plain)
+    assert slot_faces(an._embedding) == faces_oracle(plain)
+
+
+def _assert_corner_encoded(an):
+    """Every occurrence, strand corner and head of ``an`` is a corner int."""
+    assert all(type(k) is int for places in an.occ.values() for k in places)
+    assert all(type(c) is int for corners in an.steps for c in corners)
+    assert all(type(k) is int for k in an.head.values())
 
 
 @settings(max_examples=40, deadline=None)
@@ -874,6 +888,43 @@ def test_removals_match_the_crossing_drop_oracle(d, data):
             assert (format_pd(got), steps, stable) == (format_pd(want), *rest)
 
 
+def _assert_public_slots_match_the_oracles(d):
+    """The (ci, si) slots and arcs the public API gives for d are the ones
+    the oracles read off d's crossings with walks of their own."""
+    occ = _Walker(d.crossings).occ
+    steps, _, head, signs, _ = trace_oracle(d)
+    faces = faces_oracle(d)
+    for arc, places in occ.items():
+        assert d.occurrences(arc) == tuple(places)
+        assert d.head_of(arc) == head[arc]
+        assert d.tail_of(arc) == next(o for o in places if o != head[arc])
+    assert d.faces() == tuple(faces.faces)
+    assert d.face_arcs() == tuple(faces.face_arcs)
+    assert to_gauss(d).components == tuple(
+        tuple((ci + 1, si % 2 == 1, signs[ci]) for _, (ci, si) in st) for st in steps
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(_BASES, st.data())
+def test_public_slots_match_the_oracles(d, data):
+    """Occurrences, heads, tails, faces, face arcs and the Gauss code, the
+    places the analysis holds as corners given as (ci, si) slots, are the
+    oracles': on drawn bases after R1 and R2 moves, on their R1 and R2
+    undos and component removals, and on every wiring move's splice
+    output, all of which arrive analysed."""
+    for d in r_moves(d, data):
+        _assert_public_slots_match_the_oracles(d)
+        for move, *args in _removals(d):
+            _assert_public_slots_match_the_oracles(move(*args))
+    for move, *args in _moves(d, data):
+        try:
+            out = move(*args)
+        except SiteError:
+            continue
+        _assert_public_slots_match_the_oracles(out)
+
+
 # rational_link([2, 2]) with an augmenting circle (crossings 4-7, arcs 11,
 # 12, 14 and 16) around its arcs 1 and 2: arc 1 runs on through crossing 5
 # as arc 13 and through crossing 4 as arc 9, and arc 2 through crossings 7
@@ -886,7 +937,7 @@ def test_ring_removal_joins_through_an_arc_between_removed_crossings():
     """Each strand through the ring crosses it twice in a row, so its run of
     joins passes an arc between two removed crossings and takes the least
     label of its three arcs, as the crossing drop's union-find does."""
-    assert {ci for ci, _ in dg._passages(_RINGED, 1)} == {4, 5, 6, 7}
+    assert {c >> 2 for c in dg._passages(_RINGED, 1)} == {4, 5, 6, 7}
     assert _RINGED.occurrences(13) == ((4, 3), (5, 2))
     out = remove_component(_RINGED, 1)
     assert format_pd(out) == "X(1,2,3,4)\nX(6,3,2,5)\nX(4,6,7,8)\nX(5,1,8,7)\n"
