@@ -837,6 +837,13 @@ class DiagramBuilder:
     frozen crossing's proto is the base's `Crossing` itself, replaced only
     when ``cut`` or a join relabels it, so the build reuses every crossing
     that did not change.
+
+    Welds chain ports through plain terminals.  ``weld`` pairs the two
+    ends of each chain as it makes it: ``far`` maps each end (a crossing
+    slot, a stub or a plain terminal welded once) to the other, ``welds``
+    counts each port's welds, and a weld that closes a chain of plain
+    terminals adds a crossing-free loop to ``loops``.  No later pass walks
+    the welds.
     """
 
     def __init__(self, base: Optional[LinkDiagram] = None, remove: Iterable[int] = ()):
@@ -855,7 +862,8 @@ class DiagramBuilder:
                     self.protos.append(x)
         self.n_frozen = len(self.protos)
         self.loops = base.loops if base is not None else 0
-        self.welds: dict = {}
+        self.welds: dict = {}  # port -> its weld count
+        self.far: dict = {}  # weld chain end -> the chain's other end
         self.stub_labels: dict = {}
         self._cuts: list[tuple[int, int, int]] = []  # (arc, fresh label, head corner here)
         self._merged: dict[int, int] = {}  # joined arc -> the label of its run, set by `_label`
@@ -904,13 +912,26 @@ class DiagramBuilder:
         self.weld(self.stub(a), self.stub(b))
 
     def weld(self, p, q) -> None:
+        """Weld ports ``p`` and ``q``, joining the chains they end.  A crossing
+        slot or a stub takes one weld and a plain terminal two, counted one
+        at a time, so a self-weld counts twice."""
         for port in (p, q):
-            self.welds.setdefault(port, [])
-            if len(self.welds[port]) >= self._capacity(port):
+            count = self.welds.get(port, 0) + 1
+            if count > self._capacity(port):
                 shown = port if self._is_terminal(port) else divmod(port, 4)
                 raise AssertionError(f"over-welded port {shown}")
-        self.welds[p].append(q)
-        self.welds[q].append(p)
+            self.welds[port] = count
+        a, b = self.far.pop(p, p), self.far.pop(q, q)
+        if a == q:  # p and q end one chain, of plain terminals: it closes
+            self.loops += 1
+        else:
+            self.far[a], self.far[b] = b, a
+
+    def _far_end(self, k: int):
+        """The other end of the weld chain at crossing slot ``k``."""
+        if k not in self.far:
+            raise AssertionError(f"unwelded crossing slot {divmod(k, 4)}")
+        return self.far[k]
 
     def _capacity(self, port) -> int:
         if self._is_terminal(port):
@@ -1042,35 +1063,20 @@ class DiagramBuilder:
             kept = [list(map(new.__getitem__, steps)) for steps in kept]
         return probe, walks, kept
 
-    def _trail(self, start, stops: Container) -> list:
-        """The plain terminals the welds pass from ``start`` (an open crossing slot
-        or a plain terminal) along its first weld, then the crossing slot or the
-        ``stops`` terminal they reach."""
-        if not self.welds.get(start):
-            raise AssertionError(f"unwelded crossing slot {divmod(start, 4)}")
-        trail = []
-        prev, cur = start, self.welds[start][0]
-        while self._is_terminal(cur) and cur not in stops:
-            trail.append(cur)
-            nbrs = self.welds[cur]
-            prev, cur = cur, nbrs[0] if nbrs[0] != prev else nbrs[1]
-        trail.append(cur)
-        return trail
-
     def _label(self) -> int:
-        """Label every open crossing slot through the welds, in place; returns
-        the loop count.  A slot that reaches a stub takes its label, and two
-        slots that reach each other share a fresh one.  A run is the joined
-        stubs that joins and shared arcs chain: each is joined to one stub
-        and shares its arc with at most one, so a run is a path, which takes
-        the least label of its arcs (`_merged` relabels the others' kept
-        occurrences), or a cycle, a crossing-free loop."""
-        for t in self.welds:
-            if self._is_terminal(t) and len(self.welds[t]) != self._capacity(t):
+        """Label every open crossing slot from ``far``, in place; returns the
+        loop count.  A slot whose chain ends at a stub takes its label, and
+        the two slots that end one chain share a fresh one, taken in slot
+        order.  A run is the stubs that chains and shared arcs link: each
+        stub ends one chain and shares its arc with at most one other, so a
+        run is a path, which takes the least label of its arcs (`_merged`
+        relabels the others' kept occurrences), or a cycle, a crossing-free
+        loop."""
+        for t, count in self.welds.items():
+            if self._is_terminal(t) and count != self._capacity(t):
                 raise AssertionError(f"incomplete terminal {t}")
         loops = self.loops
-        stubs = [t for t in self.stub_labels if t in self.welds]
-        joined = {t: self.welds[t][0] for t in stubs if self.welds[t][0] in self.stub_labels}
+        joined = {t: self.far[t] for t in self.stub_labels if self.far.get(t) in self.stub_labels}
         ends_of: dict[int, list] = {}
         for t in joined:
             ends_of.setdefault(self.stub_labels[t], []).append(t)
@@ -1098,28 +1104,12 @@ class DiagramBuilder:
         # the kept base crossings are labelled already
         for ci in range(self.n_frozen, len(self.protos)):
             for si in range(4):
-                if self.protos[ci][si] is not None:
-                    continue
-                trail = self._trail(4 * ci + si, self.stub_labels)
-                consumed.update(trail)
-                end = trail[-1]
-                if end in self.stub_labels:
-                    self.protos[ci][si] = self.stub_labels[end]
-                else:
-                    self.protos[ci][si] = self.protos[end >> 2][end & 3] = self.fresh_label()
-        # unconsumed plain terminals must form closed cycles: crossing-free loops
-        loose = [t for t in self.welds
-                 if self._is_terminal(t) and t not in consumed and t not in self.stub_labels]
-        for t in sorted(loose, key=str):
-            if t not in consumed:
-                trail = self._trail(t, {t, *self.stub_labels})
-                if trail[-1] != t:
-                    raise AssertionError("dangling terminal chain")
-                consumed.update(trail)
-                loops += 1
-        for t in self.stub_labels:
-            if t in self.welds and t not in consumed:
-                raise AssertionError(f"stub {t} never reached from a crossing slot")
+                if self.protos[ci][si] is None:
+                    end = self._far_end(4 * ci + si)
+                    if end in self.stub_labels:
+                        self.protos[ci][si] = self.stub_labels[end]
+                    else:
+                        self.protos[ci][si] = self.protos[end >> 2][end & 3] = self.fresh_label()
         return loops
 
 
@@ -1239,11 +1229,12 @@ def _base_side(base: LinkDiagram, removed: frozenset[int], cut: Sequence[int],
 
 
 def _fragment_side(bld: DiagramBuilder, ports: Sequence) -> Optional[_Side]:
-    """The fragment side of a splice, read off the welds of ``bld``, the
-    builder whose new crossings are the fragment, before any port is
-    welded; its ends are ``ports`` in order.  None when a crossing is on
-    no part with a port, which no move emits.  Nothing is labelled: the
-    build takes every fresh label.
+    """The fragment side of a splice, read off ``bld.far``, the chain ends
+    of the builder whose new crossings are the fragment, before any port
+    is welded; its ends are ``ports`` in order.  A slot that is no port is
+    joined to the far end of its weld chain: a port, or another slot.
+    None when a crossing is on no part with a port, which no move emits.
+    Nothing is labelled: the build takes every fresh label.
 
     This is where a splice's planarity guard sits.  The judge's Euler
     check is exact when each part of both sides is planar; the base's are,
@@ -1254,10 +1245,10 @@ def _fragment_side(bld: DiagramBuilder, ports: Sequence) -> Optional[_Side]:
     port_of = {port: i for i, port in enumerate(ports)}
     first = 4 * bld.n_frozen
     across = [-1] * (4 * len(bld.protos) - first)  # corner k is the builder's first + k
-    open_at: dict[int, int] = {}  # the corner port i's welds lead to -> i
+    open_at: dict[int, int] = {}  # the corner port i's weld chain ends at -> i
     for k in range(len(across)):
         if across[k] < 0:
-            end = first + k if first + k in port_of else bld._trail(first + k, port_of)[-1]
+            end = first + k if first + k in port_of else bld._far_end(first + k)
             if end in port_of:
                 open_at[k] = port_of[end]
             else:
@@ -1362,10 +1353,11 @@ def splice(
     The wirings are judged in order before any is welded.  Each side is
     walked once from its open ends by one routine, `_side`, which
     `_base_side` hands the base's own corner map and `_fragment_side` one
-    read off the builder's welds, and then each wiring costs a walk over
-    the ends alone (`_wiring_fault`): it is valid when no strand
-    component through the fragment needs frozen crossings turned (unless
-    ``reorient``) and every graph component passes the Euler check, each
+    read off the chain ends the builder paired as ``emit`` welded, and
+    then each wiring costs a walk over the ends alone (`_wiring_fault`):
+    it is valid when no strand component through the fragment needs
+    frozen crossings turned (unless ``reorient``) and every graph
+    component passes the Euler check, each
     part's excess taken from Euler's formula.  That check is exact: the
     base is valid, and `_fragment_side`, the planarity guard, traces the
     fragment parts' inner faces and raises an AssertionError for a part

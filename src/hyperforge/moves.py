@@ -162,7 +162,7 @@ def _clasp(d: LinkDiagram, pa: int, pb: int) -> Optional[tuple[int, int, int]]:
         return None
     arcs_a = set(_other_strand_arcs(d, pa))
     arcs_b = set(_other_strand_arcs(d, pb))
-    shared = {x for x in arcs_a & arcs_b if {o[0] for o in d.occurrences(x)} == {ca, cb}}
+    shared = {x for x in arcs_a & arcs_b if {k >> 2 for k in d._analysis.occ[x]} == {ca, cb}}
     if len(shared) != 1:
         return None
     inner = shared.pop()
@@ -257,8 +257,9 @@ def augmented_chain_move(
     q = site.crossings
     # ends: strand1 tail, head (0, 1), strand2 tail, head (2, 3); match
     # them to C-cyclic crossings q0..q3 first, then flip each strand
-    x = (0, 1) if d.tail_of(site.strand1)[0] == q[0] else (1, 0)
-    y = (2, 3) if d.tail_of(site.strand2)[0] == q[2] else (3, 2)
+    across = d._analysis.across
+    x = (0, 1) if across[d._head(site.strand1)] >> 2 == q[0] else (1, 0)
+    y = (2, 3) if across[d._head(site.strand2)] >> 2 == q[2] else (3, 2)
     return splice(
         d, lambda bld: _TK_PORTS(TkTemplate(k).emit(bld)), flip_wirings([(x, y)]),
         "augmented chain splice found no planar wiring",

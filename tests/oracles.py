@@ -35,13 +35,17 @@ and the output's full validation.  The replay oracle verifies a
 certificate with every splice run by the splice oracle.  The crossing-drop
 oracle is how R1/R2 undos and component removal built their output before
 they went through the builder: a union-find over the joined arcs and a
-bare diagram, analysed afresh.
+bare diagram, analysed afresh.  The trail builder labels as the builder
+did before each weld paired its chain's ends: it keeps each port's welds
+and walks them from every open slot, then walks the plain terminals left
+over for crossing-free loops.
 
 The oracles name a place by its (ci, si) slot.  The library's analysis
 names it by its corner 4 * ci + si; where an oracle reads or builds that
 analysis, it converts at that one point (`slot_occ`, `slot_faces`).
 """
 
+import copy
 import itertools
 from fractions import Fraction as QQ
 from typing import Iterable, Optional
@@ -58,6 +62,7 @@ from hyperforge.diagram import (
     _Embedding,
     _other_strand_arcs,
     _passages,
+    _fragment_side,
     _ring_fault,
     _Side,
     _relabel_occurrence,
@@ -823,3 +828,106 @@ class DroppingBuilder:
         out = drop_crossings_oracle(self.base, self.removed, self.joins)
         out.require_valid()
         return out
+
+
+class TrailBuilder(DiagramBuilder):
+    """`DiagramBuilder` that also keeps each port's list of welds, and the
+    labeller as it was before each weld paired its chain's ends: `trail`
+    walks the welds from a slot, `label` trails from every open slot and
+    then walks the plain terminals left over for crossing-free loops, and
+    `fragment_side` is `diagram._fragment_side` with each slot's far end
+    read off its trail."""
+
+    def __init__(self, base: Optional[LinkDiagram] = None, remove: Iterable[int] = ()):
+        super().__init__(base, remove)
+        self.weld_lists: dict = {}
+
+    def weld(self, p, q) -> None:
+        super().weld(p, q)
+        self.weld_lists.setdefault(p, []).append(q)
+        self.weld_lists.setdefault(q, []).append(p)
+
+    def trail(self, start, stops) -> list:
+        """The plain terminals the welds pass from ``start`` (an open crossing slot
+        or a plain terminal) along its first weld, then the crossing slot or the
+        ``stops`` terminal they reach."""
+        if not self.weld_lists.get(start):
+            raise AssertionError(f"unwelded crossing slot {divmod(start, 4)}")
+        trail = []
+        prev, cur = start, self.weld_lists[start][0]
+        while self._is_terminal(cur) and cur not in stops:
+            trail.append(cur)
+            nbrs = self.weld_lists[cur]
+            prev, cur = cur, nbrs[0] if nbrs[0] != prev else nbrs[1]
+        trail.append(cur)
+        return trail
+
+    def label(self) -> int:
+        """What `_label` gives, by trailing from every open slot: labels
+        every open crossing slot in place and returns the loop count."""
+        welds, stub_labels = self.weld_lists, self.stub_labels
+        for t in welds:
+            if self._is_terminal(t) and len(welds[t]) != self._capacity(t):
+                raise AssertionError(f"incomplete terminal {t}")
+        loops = self.base.loops if self.base is not None else 0
+        stubs = [t for t in stub_labels if t in welds]
+        joined = {t: welds[t][0] for t in stubs if welds[t][0] in stub_labels}
+        ends_of: dict[int, list] = {}
+        for t in joined:
+            ends_of.setdefault(stub_labels[t], []).append(t)
+        twin = {t: ends[1 - i] for ends in ends_of.values() if len(ends) == 2
+                for i, t in enumerate(ends)}
+        consumed: set = set()
+        # path ends first, so that a stub not yet consumed after them is on a cycle
+        for start in [t for t in joined if t not in twin] + list(joined):
+            if start in consumed:
+                continue
+            run, hop = [start], joined
+            while run[-1] in hop and hop[run[-1]] != start:
+                run.append(hop[run[-1]])
+                hop = twin if hop is joined else joined
+            consumed.update(run)
+            if run[-1] in hop:  # back at its start
+                loops += 1
+                continue
+            arcs = sorted({stub_labels[t] for t in run})
+            self._merged.update(dict.fromkeys(arcs[1:], arcs[0]))
+        for a, m in self._merged.items():
+            for k in self.base._analysis.occ[a]:
+                if self._new_corner[k] >= 0:
+                    _relabel_occurrence(self.protos, self._new_corner[k], m)
+        # the kept base crossings are labelled already
+        for ci in range(self.n_frozen, len(self.protos)):
+            for si in range(4):
+                if self.protos[ci][si] is not None:
+                    continue
+                trail = self.trail(4 * ci + si, stub_labels)
+                consumed.update(trail)
+                end = trail[-1]
+                if end in stub_labels:
+                    self.protos[ci][si] = stub_labels[end]
+                else:
+                    self.protos[ci][si] = self.protos[end >> 2][end & 3] = self.fresh_label()
+        # unconsumed plain terminals must form closed cycles: crossing-free loops
+        loose = [t for t in welds
+                 if self._is_terminal(t) and t not in consumed and t not in stub_labels]
+        for t in sorted(loose, key=str):
+            if t not in consumed:
+                trail = self.trail(t, {t, *stub_labels})
+                if trail[-1] != t:
+                    raise AssertionError("dangling terminal chain")
+                consumed.update(trail)
+                loops += 1
+        for t in stub_labels:
+            if t in welds and t not in consumed:
+                raise AssertionError(f"stub {t} never reached from a crossing slot")
+        return loops
+
+    def fragment_side(self, ports) -> Optional[_Side]:
+        """`diagram._fragment_side` of this builder, each fragment slot that is
+        no port joined to the end of its trail instead of its ``far`` end."""
+        port_of = {port: i for i, port in enumerate(ports)}
+        twin = copy.copy(self)
+        twin.far = {k: self.trail(k, port_of)[-1]
+                    for k in range(4 * self.n_frozen, 4 * len(self.protos)) if k not in port_of}
+        return _fragment_side(twin, ports)

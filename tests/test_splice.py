@@ -8,10 +8,13 @@ oracle, every stage of the analysis an output arrives with (occurrence
 index, corner map, strand trace, report, graph components, faces)
 against a fresh analysis, the outputs against the old post-build path,
 the R1/R2 undos, component removal and the greedy reduction against the
-old crossing drop, and the analysis work, emits and builds each move
-costs."""
+old crossing drop, the analysis work, emits and builds each move costs,
+every build's labelling and every splice's fragment side against the
+old walk of the welds, and the builder's faults."""
 
+import copy
 import itertools
+import re
 import signal
 from unittest import mock
 
@@ -19,13 +22,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hyperforge.diagram as dg
+import hyperforge.generators as gen
 import hyperforge.moves as mv
 from hyperforge.classifier import DeclaredNonRational
 from hyperforge.diagram import (
     DEFAULT_STEP_BUDGET,
     DiagramBuilder,
     LinkDiagram,
+    _fragment_side,
     _renormalize,
+    braid2_template,
     components,
     find_kinks,
     find_r2_bigons,
@@ -51,9 +57,11 @@ from hyperforge.moves import (
     half_twist,
     switch_move,
 )
+from hyperforge.tangle import boundary_twists, numerator_closure, to_alternating_diagram
 
 from oracles import (
     DroppingBuilder,
+    TrailBuilder,
     _Walker,
     base_side_oracle,
     disk_runs_oracle,
@@ -586,7 +594,7 @@ def _fragments():
 
 @pytest.mark.parametrize("name,emit", list(_fragments()))
 def test_fragment_side_matches_emitting_it_apart(name, emit):
-    """The fragment side read off a builder's welds, alone or over a base
+    """The fragment side read off a builder's chain ends, alone or over a base
     with two arcs cut, is the one emitting the fragment into a builder of
     its own and labelling it there gives, and it takes no fresh label."""
     want = fragment_side_oracle(emit)
@@ -954,3 +962,154 @@ def test_a_kink_loop_arc_never_names_the_joined_arc():
     assert format_pd(out) == "X(9,2,3,4)\nX(6,3,2,5)\nX(4,6,7,8)\nX(5,9,8,7)\n"
     assert format_pd(out) == format_pd(_by_dropping(reidemeister1_undo, kinked, 4))
     _assert_trace_is_fresh(out, judged=True)
+
+
+# the builder's weld chains ------------------------------------------------------
+
+
+class _LabelledAsTheTrails(TrailBuilder):
+    """A builder whose labelling is checked against the trail oracle's on a
+    copy: the same protos, loop count, merged arcs and next fresh label."""
+
+    labelled: list = []
+
+    def _label(self) -> int:
+        twin = copy.copy(self)
+        twin.protos = [p if isinstance(p, dg.Crossing) else list(p) for p in self.protos]
+        twin._merged = {}
+        want = twin.label()
+        got = super()._label()
+        assert (self.protos, got, self._merged, self._next_arc) == (
+            twin.protos, want, twin._merged, twin._next_arc)
+        self.labelled.append(self.base is None)
+        return got
+
+
+def _side_as_the_trails(bld, ports):
+    side = _fragment_side(bld, ports)
+    assert side == bld.fragment_side(ports)
+    return side
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_builds_label_as_the_trail_oracle(data):
+    """Every build labels its slots, counts its loops and merges its joined
+    arcs as trailing the welds from every open slot does, and every
+    splice's fragment side is the one the trails give: the base-less
+    builds (chain, rational and Tk links, (2, n) templates, numerator
+    closures), the splice of every move on one of them after R1 and R2
+    moves, and its R1 and R2 undos and component removals."""
+    _LabelledAsTheTrails.labelled = labelled = []
+    with mock.patch.object(dg, "DiagramBuilder", _LabelledAsTheTrails), \
+            mock.patch.object(gen, "DiagramBuilder", _LabelledAsTheTrails), \
+            mock.patch.object(dg, "_fragment_side", _side_as_the_trails):
+        seq, twists = data.draw(_SEQS), data.draw(st.lists(st.integers(-1, 1), min_size=2,
+                                                           max_size=4))
+        bases = [chain_link(ChainSpec(len(twists), tuple(twists))), rational_link(seq),
+                 tk_closure(seq, data.draw(st.integers(-1, 1)))]
+        braid2_template(data.draw(st.integers(1, 4)), data.draw(st.booleans()))
+        numerator_closure(boundary_twists(to_alternating_diagram(seq),
+                                          data.draw(st.integers(-1, 1))))
+        assert labelled == [True] * 5
+        for d in r_moves(data.draw(st.sampled_from(bases)), data):
+            for move, *args in _removals(d):
+                move(*args)
+        for move, *args in _moves(d, data):
+            try:
+                move(*args)
+            except SiteError:
+                pass
+    assert False in labelled
+
+
+def _loop_of_terminals(bld, n):
+    """Weld n plain terminals of ``bld`` into a closed chain."""
+    ts = [bld.terminal() for _ in range(n)]
+    for i, t in enumerate(ts):
+        bld.weld(t, ts[(i + 1) % n])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_closed_chain_of_plain_terminals_is_one_loop(n):
+    """A plain terminal welded to itself, or two welded to each other twice,
+    close into one crossing-free loop, beside the loops of a base."""
+    bld = DiagramBuilder()
+    _loop_of_terminals(bld, n)
+    assert format_pd(bld.build()) == "O(1)\n"
+    bld = DiagramBuilder(base=rational_link([0]))
+    _loop_of_terminals(bld, n)
+    assert bld.build().loops == 3
+
+
+@pytest.mark.parametrize("kind", ["slot", "stub"])
+def test_a_self_weld_of_a_one_weld_port_is_over_welded(kind):
+    """A crossing slot or a stub welded to itself takes two welds where it
+    has room for one: the builder fault is raised at the weld."""
+    bld = DiagramBuilder(base=_CHAIN4)
+    port = 4 * bld.crossing() if kind == "slot" else bld.stub(1)
+    shown = re.escape(str(divmod(port, 4) if kind == "slot" else port))
+    with pytest.raises(AssertionError, match=rf"^over-welded port {shown}$"):
+        bld.weld(port, port)
+
+
+def test_a_third_weld_at_a_plain_terminal_is_over_welded():
+    """A plain terminal has room for two welds, one on each side."""
+    bld = DiagramBuilder()
+    k, t = 4 * bld.crossing(), bld.terminal()
+    bld.weld(k, t)
+    bld.weld(t, k + 1)
+    with pytest.raises(AssertionError, match=r"^over-welded port \('t', 1, 't'\)$"):
+        bld.weld(t, k + 2)
+
+
+def _once_welded_terminal(bld):
+    k = 4 * bld.crossing()
+    bld.weld(k, bld.terminal())
+    bld.weld(k + 1, k + 2)
+
+
+def _dangling_chain(bld):
+    bld.weld(bld.terminal(), bld.terminal())
+
+
+def _stub_to_lone_terminal(bld):
+    bld.weld(bld.stub(1), bld.terminal())
+
+
+@pytest.mark.parametrize("weld", [_once_welded_terminal, _dangling_chain, _stub_to_lone_terminal],
+                         ids=lambda weld: weld.__name__.strip("_"))
+def test_a_terminal_welded_once_is_incomplete(weld):
+    """A plain terminal that ends a chain, beside a crossing slot, beside
+    another plain terminal or beside a stub, is a builder fault."""
+    bld = DiagramBuilder(base=_CHAIN4)
+    weld(bld)
+    t = next(t for t in bld.welds if bld._is_terminal(t) and t not in bld.stub_labels)
+    with pytest.raises(AssertionError, match=rf"^incomplete terminal {re.escape(str(t))}$"):
+        bld.build()
+
+
+def test_an_unwelded_crossing_slot_is_a_builder_fault():
+    """A crossing slot no weld reaches is named both by the build and by
+    the fragment side, for which it is no port."""
+    bld = DiagramBuilder()
+    x = bld.twist_region(1, +1)
+    bld.weld(x["in_l"], x["out_l"])
+    with pytest.raises(AssertionError, match=r"^unwelded crossing slot \(0, 0\)$"):
+        dg._fragment_side(bld, (x["in_l"], x["out_l"]))
+    with pytest.raises(AssertionError, match=r"^unwelded crossing slot \(0, 0\)$"):
+        bld.build()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stubs_welded_through_plain_terminals_are_joined(n):
+    """Two stubs at the ends of a chain of plain terminals are joined, as
+    `join` joins them: the kink's strand runs on as one arc."""
+    kinked = parse_pd("X(10,2,3,4) X(6,3,2,5) X(4,6,7,8) X(5,9,8,7) X(9,10,1,1)")
+    want = DiagramBuilder(kinked, remove={4})
+    want.join(9, 10)
+    bld = DiagramBuilder(kinked, remove={4})
+    chain = [bld.stub(9)] + [bld.terminal() for _ in range(n)] + [bld.stub(10)]
+    for p, q in zip(chain, chain[1:]):
+        bld.weld(p, q)
+    assert format_pd(bld.build(planar=True)) == format_pd(want.build(planar=True))

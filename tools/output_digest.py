@@ -1,0 +1,93 @@
+"""Print one SHA-256 over what the builder, the verifier and the certifier
+give on the benchmark's seed 1-3 pools, with a count of each outcome.
+
+Usage: python tools/output_digest.py [SRC]
+
+SRC is the source directory whose hyperforge is digested (default: the
+``src`` directory of this checkout), so the same tool digests another
+checkout's code.  The pools are built by ``perfbench/workloads.py`` of
+this checkout, which the tool only reads.  The digest covers, in order:
+
+- every ``DiagramBuilder.build`` output made while the pools are built
+  and run: its PD text and loop count, or the error's type and text;
+- the verdict of every document of the seed 1-3 replay_verify pools:
+  ``valid``, ``failed_step``, ``reason``, ``step_reports`` and
+  ``trusted_premises``;
+- the outcome of every subject of the seed 1-3 certify_bases pools.
+
+Two versions of the code that print the same digest gave byte-identical
+outputs on these pools.  The pools are the benchmark's, so a change to
+the benchmark changes the digest too; nothing is gated on it.
+"""
+
+import collections
+import hashlib
+import itertools
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3)
+
+
+def digest(hf, workloads):
+    """(outcome counts, hex digest) of the pools of every seed."""
+    h = hashlib.sha256()
+    counts = collections.Counter()
+
+    def record(kind, text):
+        counts[kind] += 1
+        h.update(f"{kind}\t{text}\n".encode())
+
+    cls = hf.diagram.DiagramBuilder
+    build = cls.build
+
+    def recorded(self, *args, **kwargs):
+        try:
+            out = build(self, *args, **kwargs)
+        except Exception as err:
+            record("build error", f"{type(err).__name__}: {err}")
+            raise
+        record("build", f"{hf.format_pd(out)}loops {out.loops}")
+        return out
+
+    cls.build = recorded
+    try:
+        with tempfile.TemporaryDirectory() as workdir:
+            for seed in SEEDS:
+                pool = workloads.replay_verify_build(hf, seed, workdir)
+                for item in pool["items"]:
+                    v = hf.verify(hf.deserialize(item["doc"]))
+                    record("valid" if v.valid else "invalid",
+                           repr((v.valid, v.failed_step, v.reason, v.step_reports,
+                                 v.trusted_premises)))
+                pool = workloads.certify_bases_build(hf, seed, workdir)
+                for item in itertools.chain.from_iterable(pool["rounds"]):
+                    verdict, doc = workloads.certify_bases_execute(pool, item)
+                    record(f"certify {verdict}", f"{item['pd']}{doc}")
+    finally:
+        cls.build = build
+    return counts, h.hexdigest()
+
+
+def main(argv):
+    if len(argv) > 2:
+        print(__doc__.strip().splitlines()[3], file=sys.stderr)
+        return 2
+    src = Path(argv[1]).resolve() if len(argv) == 2 else ROOT / "src"
+    if not (src / "hyperforge" / "__init__.py").is_file():
+        print(f"error: no hyperforge sources under {src}", file=sys.stderr)
+        return 2
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    import hyperforge as hf
+    import workloads
+
+    counts, hexdigest = digest(hf, workloads)
+    print(", ".join(f"{kind} {n}" for kind, n in sorted(counts.items())))
+    print(f"sha256 {hexdigest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
