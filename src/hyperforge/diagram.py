@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -249,7 +249,9 @@ class _Analysis:
     fragment parts its guard traced, and smoothing crossings out of a
     plane diagram keeps it plane.  It has no Euler check to run, and its
     report counts V + 2 faces per graph component, so its faces are traced
-    only when something reads them.  A stage returns its own problems
+    only when something reads them.  An analysis keeps its diagram's
+    crossings and loops, not the diagram, which caches it: no reference
+    cycle.  A stage returns its own problems
     instead of adding to a shared list, so `report` lists them in the
     order occurrences, trace, faces whichever stage ran first.
     """
@@ -263,7 +265,7 @@ class _Analysis:
         corners each strand component enters, from its least arc on, in
         any order of components; ``planar`` says each graph component
         passes the Euler check."""
-        self.d = diagram
+        self.crossings, self.loops = diagram.crossings, diagram.loops
         if occ is None:
             self.occ, self.occ_problems = self._index_occurrences()
         else:
@@ -325,7 +327,7 @@ class _Analysis:
     @cached_property
     def arc_at(self) -> list[int]:
         """The arc at each corner 4 * ci + si."""
-        return list(itertools.chain.from_iterable(map(attrgetter("slots"), self.d.crossings)))
+        return list(itertools.chain.from_iterable(map(attrgetter("slots"), self.crossings)))
 
     # stage 2: strand tracing and orientation
 
@@ -386,7 +388,7 @@ class _Analysis:
     def _trace(self) -> _Strands:
         problems: list[str] = []
         walks: list[list[int]] = []
-        for corners, conflict in self._oriented(range(len(self.d.crossings))):
+        for corners, conflict in self._oriented(range(len(self.crossings))):
             if conflict:
                 problems.append(f"component of arc {self.arc_at[corners[0]]} "
                                 "has conflicting under-strand directions")
@@ -395,7 +397,7 @@ class _Analysis:
         if not problems:
             problems = [
                 f"crossing {ci} never traversed as over-strand"
-                for ci in range(len(self.d.crossings))
+                for ci in range(len(self.crossings))
                 if ci not in strands.signs
             ]
         return strands._replace(problems=tuple(problems))
@@ -406,7 +408,7 @@ class _Analysis:
     def _graph(self) -> list[int]:
         """The graph component of each crossing, numbered in the order of
         their least crossings."""
-        return _parts(self.across, range(len(self.d.crossings))) if self.double_ok else []
+        return _parts(self.across, range(len(self.crossings))) if self.double_ok else []
 
     @cached_property
     def n_graph_comps(self) -> int:
@@ -419,7 +421,7 @@ class _Analysis:
     # stage 4: faces and the Euler check
 
     def _faces_and_euler(self) -> _Embedding:
-        n = len(self.d.crossings)
+        n = len(self.crossings)
         arc_at = self.arc_at
         comp = self._graph
         # faces start at each arc's occurrences in order, arcs ascending
@@ -444,14 +446,14 @@ class _Analysis:
         return _Embedding(faces, face_arcs, dict(enumerate(comp)), n_graph_comps, problems)
 
     def report(self) -> ValidityReport:
-        n = len(self.d.crossings)
+        n = len(self.crossings)
         planar = self.planar_ok
-        total_comps = self.n_graph_comps + self.d.loops
+        total_comps = self.n_graph_comps + self.loops
         # a planar graph component of V crossings has V + 2 faces, so a
         # planar diagram's faces are counted without tracing them
         n_faces = n + 2 * self.n_graph_comps if planar else len(self.faces)
         # shared outer face across all pieces of the diagram
-        f_total = n_faces + 2 * self.d.loops
+        f_total = n_faces + 2 * self.loops
         if total_comps > 1:
             f_total -= total_comps - 1
         return ValidityReport(
@@ -467,7 +469,8 @@ class _Analysis:
 
     @cached_property
     def validity(self) -> ValidityReport:
-        """The report, built once: `require_valid` guards most queries."""
+        """The report, built once: for `validate`, or for `require_valid`
+        to refuse with; the flags alone say whether the diagram is valid."""
         return self.report()
 
 
@@ -497,9 +500,12 @@ class LinkDiagram:
         return tuple([divmod(k, 4) for k in self._analysis.occ[arc]])
 
     def require_valid(self) -> None:
-        rep = self._analysis.validity
-        if not rep.valid:
-            raise InvalidDiagramError(rep)
+        """Raise InvalidDiagramError with `validate`'s report unless valid,
+        read from the flags `ValidityReport.valid` reads: a valid diagram
+        builds no report and searches no graph component."""
+        an = self._analysis
+        if not (an.consistent and an.planar_ok):
+            raise InvalidDiagramError(an.validity)
 
     def sign(self, ci: int) -> int:
         self.require_valid()
@@ -974,6 +980,20 @@ class DiagramBuilder:
             "out_r": cur["out_r"],
         }
 
+    def stamp(self, stencil: "_Stencil") -> list:
+        """Add a `_stencil` fragment as its emit would, each weld made by
+        `weld` (chain ends paired, capacity checked); returns its ports."""
+        shift, count = 4 * len(self.protos), self._terminal_count
+        self.protos += [[None, None, None, None] for _ in range(stencil.crossings)]
+        self._terminal_count += stencil.terminals
+
+        def moved(port):
+            return port + shift if type(port) is int else ("t", port[1] + count, port[2])
+
+        for p, q in stencil.welds:
+            self.weld(moved(p), moved(q))
+        return list(map(moved, stencil.ports))
+
     # build
 
     def _is_terminal(self, port) -> bool:
@@ -1231,7 +1251,8 @@ def _base_side(base: LinkDiagram, removed: frozenset[int], cut: Sequence[int],
 def _fragment_side(bld: DiagramBuilder, ports: Sequence) -> Optional[_Side]:
     """The fragment side of a splice, read off ``bld.far``, the chain ends
     of the builder whose new crossings are the fragment, before any port
-    is welded; its ends are ``ports`` in order.  A slot that is no port is
+    is welded; its ends are ``ports`` in order (`_stencil` reads it once
+    per fragment, off an empty builder).  A slot that is no port is
     joined to the far end of its weld chain: a port, or another slot.
     None when a crossing is on no part with a port, which no move emits.
     Nothing is labelled: the build takes every fresh label.
@@ -1331,6 +1352,36 @@ def _wiring_fault(near: _Side, far: _Side, wiring: Sequence[int]) -> Optional[st
     return None
 
 
+class _Stencil(NamedTuple):
+    """What a fragment's emit adds to an empty builder, and its side."""
+
+    crossings: int
+    terminals: int
+    welds: tuple  # (port, port), in the order the emit welded them
+    ports: tuple
+    side: Optional[_Side]
+
+
+@lru_cache(maxsize=64)
+def _stencil(emit: Callable[[DiagramBuilder], Sequence]) -> _Stencil:
+    """``emit`` compiled on its first splice: emitted into an empty
+    builder, its welds recorded, its fragment side read (errors propagate,
+    uncached).  A move's fragments are hashable values; every splice of
+    one shares its stencil, which nothing writes to."""
+    bld = DiagramBuilder()
+    welds = []
+    weld = bld.weld
+
+    def recorded(p, q) -> None:
+        welds.append((p, q))
+        weld(p, q)
+
+    bld.weld = recorded
+    ports = tuple(emit(bld))
+    return _Stencil(len(bld.protos), bld._terminal_count, tuple(welds), ports,
+                    _fragment_side(bld, ports))
+
+
 def splice(
     base: LinkDiagram,
     emit: Callable[[DiagramBuilder], Sequence],
@@ -1345,15 +1396,20 @@ def splice(
     """Weld a fragment into ``base`` by the first wiring that gives a valid diagram.
 
     A builder over ``base`` minus ``remove`` cuts the ``cut`` arcs in order
-    (ends: each arc's tail, then head), ``emit`` adds the fragment and
-    returns its ports, the ``stubs`` arcs become further ends, and port i is
-    welded to end ``wiring[i]``; ``reorient`` is the build's
-    ``allow_reorient``.  That is one builder and one emit per splice.
+    (ends: each arc's tail, then head), the fragment ``emit`` adds is
+    stamped in and gives its ports, the ``stubs`` arcs become further
+    ends, and port i is welded to end ``wiring[i]``; ``reorient`` is the
+    build's ``allow_reorient``.  ``emit`` runs on its first splice (again
+    only if the bounded cache dropped it), so it must add the same
+    crossings, terminals and welds to any builder:
+    `_stencil` compiles it with its fragment side, and
+    `DiagramBuilder.stamp` replays its welds at the builder's offset, so
+    the output is what emitting into the builder gives.
 
     The wirings are judged in order before any is welded.  Each side is
     walked once from its open ends by one routine, `_side`, which
     `_base_side` hands the base's own corner map and `_fragment_side` one
-    read off the chain ends the builder paired as ``emit`` welded, and
+    read off the chain ends the fragment's welds paired, and
     then each wiring costs a walk over the ends alone (`_wiring_fault`):
     it is valid when no strand component through the fragment needs
     frozen crossings turned (unless ``reorient``) and every graph
@@ -1379,9 +1435,10 @@ def splice(
     near = _base_side(base, removed, cut, stubs, directed=not reorient)
     bld = DiagramBuilder(base=base, remove=removed)
     ends = [end for arc in cut for end in bld.cut(arc)]
-    ports = emit(bld)
+    stencil = _stencil(emit)
+    ports = bld.stamp(stencil)
     ends += [bld.stub(arc) for arc in stubs]
-    far = _fragment_side(bld, ports)
+    far = stencil.side
     turned = False
     for wiring in wirings:
         fault = "non-planar" if far is None else _wiring_fault(near, far, wiring)
@@ -1465,21 +1522,21 @@ def reidemeister2(
     if layering not in ("first_over", "second_over"):
         raise SiteError("layering must be first_over or second_over")
     over, under = (a, b) if layering == "first_over" else (b, a)
-
-    def emit(bld: DiagramBuilder) -> tuple:
-        # the over strand rides the left rail and stays on top: the
-        # second crossing flips chirality because the rails swap
-        c1 = bld.twist_crossing(+1)
-        c2 = bld.twist_crossing(-1)
-        bld.weld(c1["out_l"], c2["in_l"])
-        bld.weld(c1["out_r"], c2["in_r"])
-        return (c1["in_l"], c2["out_l"], c1["in_r"], c2["out_r"])
-
     # ends: over tail, over head, under tail, under head
     return splice(
-        d, emit, flip_wirings([((0, 1), (2, 3))]), "R2 site admits no planar wiring",
+        d, _r2_fragment, flip_wirings([((0, 1), (2, 3))]), "R2 site admits no planar wiring",
         cut=(over, under),
     )
+
+
+def _r2_fragment(bld: DiagramBuilder) -> tuple:
+    # the over strand rides the left rail and stays on top: the second
+    # crossing flips chirality because the rails swap
+    c1 = bld.twist_crossing(+1)
+    c2 = bld.twist_crossing(-1)
+    bld.weld(c1["out_l"], c2["in_l"])
+    bld.weld(c1["out_r"], c2["in_r"])
+    return (c1["in_l"], c2["out_l"], c1["in_r"], c2["out_r"])
 
 
 def _r2_strands(d: LinkDiagram, ci: int, cj: int) -> Optional[tuple[int, int]]:
@@ -1609,8 +1666,13 @@ def diagram_isomorphic(d1: LinkDiagram, d2: LinkDiagram) -> bool:
     same size; the first root that maps the whole component claims it.
     Claiming greedily is exact because isomorphism is an equivalence.
     O(n^2) in the crossing count n, O(n) per root.
+
+    Equal crossings and loops are the same diagram: once d1 is valid, d2
+    is accepted by the identity and never analysed.
     """
     d1.require_valid()
+    if d1.crossings == d2.crossings and d1.loops == d2.loops:
+        return True
     d2.require_valid()
     if len(d1.crossings) != len(d2.crossings) or d1.loops != d2.loops:
         return False
@@ -1734,9 +1796,7 @@ def from_gauss(g: GaussCode) -> LinkDiagram:
         raise FormatError("incomplete Gauss code")
     loops = g.loops + sum(1 for comp in g.components if not comp)
     d = LinkDiagram(tuple(Crossing(tuple(row)) for row in slots), loops=loops)
-    rep = validate(d)
-    if not rep.valid:
-        raise InvalidDiagramError(rep)
+    d.require_valid()
     return d
 
 

@@ -18,9 +18,11 @@ still unchanged).
 
 Every move welds its fragment in through ``diagram.splice``, which
 judges a fixed table of candidate wirings in order, without building
-them, and builds the first valid one.  Ring insertions and half twists
-often have several valid wirings that give different diagrams, so the
-order of each table is part of the output.
+them, and builds the first valid one.  Each fragment is a hashable value
+(a `TkTemplate`, the clasped ring, a `_HalfTwist` of either chirality),
+so the splice compiles it once and stamps it in after that.  Ring
+insertions and half twists often have several valid wirings that give
+different diagrams, so the order of each table is part of the output.
 """
 
 from __future__ import annotations
@@ -146,6 +148,11 @@ class TkTemplate:
             "SE": tw["out_r"],
         }
 
+    def __call__(self, bld: DiagramBuilder) -> tuple:
+        """The fragment a chain move splices: `emit`'s ports in the order
+        the chain moves' wirings index them."""
+        return _TK_PORTS(self.emit(bld))
+
 
 # the Tk boundary ports in the order the chain moves' wirings index them
 _TK_PORTS = itemgetter("NW", "NE", "SE", "SW")
@@ -242,7 +249,7 @@ def chain_move(
     # the gamma2/twist side; the stub cyclic order around the removed ball
     # can run either way, so both orientations are candidates
     return splice(
-        d, lambda bld: _TK_PORTS(TkTemplate(k).emit(bld)), ((1, 0, 3, 2), (0, 1, 2, 3)),
+        d, TkTemplate(k), ((1, 0, 3, 2), (0, 1, 2, 3)),
         "chain splice found no planar wiring",
         stubs=site.stubs, remove=set(site.crossings),
     )
@@ -261,7 +268,7 @@ def augmented_chain_move(
     x = (0, 1) if across[d._head(site.strand1)] >> 2 == q[0] else (1, 0)
     y = (2, 3) if across[d._head(site.strand2)] >> 2 == q[2] else (3, 2)
     return splice(
-        d, lambda bld: _TK_PORTS(TkTemplate(k).emit(bld)), flip_wirings([(x, y)]),
+        d, TkTemplate(k), flip_wirings([(x, y)]),
         "augmented chain splice found no planar wiring",
         cut=(site.strand1, site.strand2),
     )
@@ -315,20 +322,21 @@ def _insert_clasped_ring(d: LinkDiagram, g: int, u: int, switched: bool) -> Link
     end-assignment in preference order that is planar with no frozen
     crossing turned wins, so a switched ring may go in unswitched.
     """
-    xa, xb = SWITCH_CLASP_CHIRALITY
-
-    def emit(bld: DiagramBuilder) -> tuple:
-        ca = bld.twist_region(2, xa)
-        cb = bld.twist_region(2, xb)
-        bld.weld(ca["in_r"], cb["in_l"])
-        bld.weld(cb["out_l"], ca["out_r"])
-        return (ca["in_l"], ca["out_l"], cb["in_r"], cb["out_r"])
-
     order = (_SWITCHED_RING_WIRINGS + _UNSWITCHED_RING_WIRINGS if switched
              else _UNSWITCHED_RING_WIRINGS + _SWITCHED_RING_WIRINGS)
     return splice(
-        d, emit, order, f"no planar ring insertion for arcs {g}, {u}", cut=(g, u)
+        d, _clasped_ring, order, f"no planar ring insertion for arcs {g}, {u}", cut=(g, u)
     )
+
+
+def _clasped_ring(bld: DiagramBuilder) -> tuple:
+    """The ring fragment: two clasps whose inner rails close into the ring."""
+    xa, xb = SWITCH_CLASP_CHIRALITY
+    ca = bld.twist_region(2, xa)
+    cb = bld.twist_region(2, xb)
+    bld.weld(ca["in_r"], cb["in_l"])
+    bld.weld(cb["out_l"], ca["out_r"])
+    return (ca["in_l"], ca["out_l"], cb["in_r"], cb["out_r"])
 
 
 # Half-twist wirings of the cut ends (alpha tail, alpha head, beta tail,
@@ -339,6 +347,16 @@ _TWIST_PORTS = itemgetter("in_l", "in_r", "out_r", "out_l")
 _HALF_TWIST_WIRINGS = [(0, 2, 3, 1)] + [
     p for p in itertools.permutations(range(4)) if p != (0, 2, 3, 1)
 ]
+
+
+@dataclass(frozen=True)
+class _HalfTwist:
+    """The half twist's fragment: one crossing of the given chirality."""
+
+    chirality: int
+
+    def __call__(self, bld: DiagramBuilder) -> tuple:
+        return _TWIST_PORTS(bld.twist_region(1, self.chirality))
 
 
 def half_twist(d: LinkDiagram, c: int, direction: int) -> LinkDiagram:
@@ -382,7 +400,7 @@ def half_twist(d: LinkDiagram, c: int, direction: int) -> LinkDiagram:
     # The cross-join can genuinely reverse a strand segment of one
     # component, so the frozen crossings along it may turn.
     return splice(
-        d, lambda bld: _TWIST_PORTS(bld.twist_region(1, chi)), _HALF_TWIST_WIRINGS,
+        d, _HalfTwist(chi), _HALF_TWIST_WIRINGS,
         "half twist found no planar wiring", cut=(alpha, beta), reorient=True,
     )
 

@@ -15,7 +15,9 @@ for planarity first, and tries a reorienting splice's wirings strictly
 before it lets frozen crossings turn, the wiring-loop oracle builds every
 candidate wiring in turn instead of judging them from the two sides'
 walks (both renormalise each candidate's crossings afresh instead of
-deriving its analysis from the base's), the two splice-side oracles
+deriving its analysis from the base's), the emitting-splice oracle runs
+a fragment's emit at every splice, into the builder over the base,
+instead of stamping a fragment compiled once, the two splice-side oracles
 walk each side with walks of their own, trace its faces instead of
 counting them by the Euler formula and
 walk each end's strand on its own (the fragment-side oracle emits the
@@ -54,11 +56,13 @@ from unittest import mock
 import hyperforge.moves as moves
 from hyperforge.certificate import verify
 from hyperforge.diagram import (
+    _DIRECTION_CONFLICT,
     Crossing,
     DiagramBuilder,
     LinkDiagram,
     Slot,
     _Analysis,
+    _base_side,
     _Embedding,
     _other_strand_arcs,
     _passages,
@@ -66,6 +70,7 @@ from hyperforge.diagram import (
     _ring_fault,
     _Side,
     _relabel_occurrence,
+    _wiring_fault,
     braid2_template,
     components,
     diagram_isomorphic,
@@ -364,6 +369,36 @@ def wiring_loop_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), remove
         if out._analysis.planar_ok and validate(out).valid:
             return out
     raise SiteError(f"{failure} ({last_err})")
+
+
+def emitting_splice_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), remove=(),
+                           reorient=False):
+    """`diagram.splice` before it compiled each fragment once: ``emit``
+    runs at every splice, into the builder over the base, and the
+    fragment side is read off that builder's chain ends, the fragment's
+    corners and terminals numbered where the emit put them."""
+    removed = frozenset(remove)
+    base.require_valid()
+    near = _base_side(base, removed, cut, stubs, directed=not reorient)
+    bld = DiagramBuilder(base=base, remove=removed)
+    ends = [end for arc in cut for end in bld.cut(arc)]
+    ports = emit(bld)
+    ends += [bld.stub(arc) for arc in stubs]
+    far = _fragment_side(bld, ports)
+    turned = False
+    for wiring in wirings:
+        fault = "non-planar" if far is None else _wiring_fault(near, far, wiring)
+        if fault is None:
+            break
+        turned = turned or fault == "direction"
+    else:
+        raise SiteError(f"{failure} ({WiringError(_DIRECTION_CONFLICT) if turned else None})")
+    for port, end in zip(ports, wiring):
+        bld.weld(ends[end], port)
+    try:
+        return bld.build(allow_reorient=reorient, planar=True)
+    except (WiringError, InvalidDiagramError) as err:
+        raise AssertionError(f"wiring {tuple(wiring)} was judged valid: {err}") from err
 
 
 def _side_walk(crossings, occ, open_at, slot, turn):

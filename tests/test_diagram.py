@@ -113,10 +113,14 @@ MALFORMED = [
 def test_malformed_reports_match_eager_analysis(pd, summary, counts):
     """The report lists problems in the order occurrences, trace, faces
     whichever stage ran first: asked for directly, after the faces alone,
-    and from an analysis with every stage forced up front."""
+    from an analysis with every stage forced up front, and raised by
+    `require_valid`, which reads the flags first."""
     faces_first = parse_pd(pd)
     faces_first._analysis.planar_ok
-    for rep in (validate(parse_pd(pd)), validate(faces_first), eager_report(parse_pd(pd))):
+    with pytest.raises(InvalidDiagramError) as refusal:
+        parse_pd(pd).require_valid()
+    for rep in (validate(parse_pd(pd)), validate(faces_first), eager_report(parse_pd(pd)),
+                refusal.value.report):
         assert not rep.valid
         assert rep.summary() == summary
         assert rep.problems == tuple(summary.split("; "))

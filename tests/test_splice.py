@@ -10,12 +10,19 @@ against a fresh analysis, the outputs against the old post-build path,
 the R1/R2 undos, component removal and the greedy reduction against the
 old crossing drop, the analysis work, emits and builds each move costs,
 every build's labelling and every splice's fragment side against the
-old walk of the welds, and the builder's faults."""
+old walk of the welds, the builder's faults, every move's stamped
+fragment against emitting it into the splice's builder, and the work a
+replay skips: fragments compiled once into a bounded cache, validity
+read from the analysis' flags, an equal subject never analysed, and no
+reference cycle between a diagram and its analysis."""
 
 import copy
+import gc
 import itertools
+import random
 import re
 import signal
+import weakref
 from unittest import mock
 
 import pytest
@@ -24,7 +31,8 @@ from hypothesis import given, settings, strategies as st
 import hyperforge.diagram as dg
 import hyperforge.generators as gen
 import hyperforge.moves as mv
-from hyperforge.classifier import DeclaredNonRational
+from hyperforge.certificate import ChainStep, deserialize, extend, serialize, verify
+from hyperforge.classifier import DeclaredNonRational, menasco_certify
 from hyperforge.diagram import (
     DEFAULT_STEP_BUDGET,
     DiagramBuilder,
@@ -33,6 +41,7 @@ from hyperforge.diagram import (
     _renormalize,
     braid2_template,
     components,
+    diagram_isomorphic,
     find_kinks,
     find_r2_bigons,
     format_pd,
@@ -66,6 +75,7 @@ from oracles import (
     base_side_oracle,
     disk_runs_oracle,
     eager_report,
+    emitting_splice_oracle,
     faces_oracle,
     fragment_side_oracle,
     renormalize_guarded_oracle,
@@ -283,9 +293,9 @@ def test_one_walk_per_component():
 
 
 class _StageLog:
-    """Records which diagrams the analysis stages and the builder's
-    renormalisation ran on, and how many times each splice ran its emit,
-    while installed."""
+    """Records which analyses the analysis stages ran on, which diagrams
+    the builder's renormalisation made, and how many times each splice ran
+    its emit, while installed."""
 
     def __init__(self):
         self.strands, self.faces, self.outputs, self.emits = [], [], [], []
@@ -306,11 +316,11 @@ class _StageLog:
             return splice(base, counted_emit, *args, **kwargs)
 
         def logged_trace(an):
-            log.strands.append(an.d)
+            log.strands.append(an)
             return trace(an)
 
         def logged_faces(an):
-            log.faces.append(an.d)
+            log.faces.append(an)
             return faces(an)
 
         def logged_renormalize(*args, **kwargs):
@@ -340,14 +350,14 @@ def _guarded(move, d, *args):
     trace), and that only splice outputs had their faces traced, each at
     most once (an output arrives known planar, so its faces are traced
     only when a later stage of the move reads them); returns (output,
-    splice outputs, outputs whose faces were traced)."""
+    splice outputs, analyses whose faces were traced)."""
     validate(d), d.face_arcs()  # the input's stages run before the log starts
     with _StageLog() as log:
         out = move(d, *args)
     outputs = log.outputs
     assert log.emits == [1] * len(outputs)
     assert log.strands == []
-    assert all(any(t is o for o in outputs) for t in log.faces)
+    assert all(any(t is o._analysis for o in outputs) for t in log.faces)
     assert len({id(t) for t in log.faces}) == len(log.faces)
     assert outputs[-1] is out
     return out, outputs, log.faces
@@ -368,7 +378,7 @@ def test_work_per_candidate_switch_move():
         switch_move, chain_link(ChainSpec(3)), SwitchSite(1, 4), Handedness.PositiveSkew
     )
     assert len(outputs) == 2
-    assert len(traced) == 1 and traced[0] is outputs[0]
+    assert len(traced) == 1 and traced[0] is outputs[0]._analysis
 
 
 def _builds(move, *args):
@@ -479,6 +489,39 @@ def test_derivations_match_the_splice_oracle(d, data):
         d = out
 
 
+def _by_emitting(move, *args):
+    """What ``move(*args)`` gives, or its SiteError text, with every
+    splice emitting its fragment into the builder over its base."""
+    with mock.patch.object(dg, "splice", emitting_splice_oracle), \
+            mock.patch.object(mv, "splice", emitting_splice_oracle):
+        try:
+            return move(*args)
+        except SiteError as err:
+            return f"SiteError: {err}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(_BASES, st.data())
+def test_stamped_fragments_match_the_emitting_splice(d, data):
+    """Every move, its fragment stamped from a compile that earlier
+    splices may have made at another offset, gives the PD text and loop
+    count, or the refusal text, of emitting the fragment into the splice's
+    builder, and its output arrives with the same index and strand trace,
+    every stage of its analysis a fresh one: after R1 and R2 moves."""
+    *_, d = r_moves(d, data)
+    for move, *args in _moves(d, data):
+        want = _by_emitting(move, *args)
+        try:
+            got = move(*args)
+        except SiteError as err:
+            assert f"SiteError: {err}" == want, move.__name__
+            continue
+        assert (format_pd(got), got.loops) == (format_pd(want), want.loops), move.__name__
+        assert got._analysis.occ == want._analysis.occ
+        assert got._analysis._strands == want._analysis._strands
+        _assert_trace_is_fresh(got, judged=True)
+
+
 def _index_is_fresh(d):
     return d._analysis.occ == dg._Analysis(LinkDiagram(d.crossings, loops=d.loops)).occ
 
@@ -581,14 +624,20 @@ def _nonplanar_fragment(bld):
 
 def _fragments():
     """(name, emit) of each move's fragment: Tk for k in -6..6, the clasped
-    ring, the half twist of either chirality, and a non-planar fragment."""
+    ring, the half twist of either chirality, and a non-planar fragment.
+    Each move's fragment is called through a function of the test's own,
+    whose name keeps the test's id."""
     for k in range(-6, 7):
-        yield f"Tk({k})", lambda bld, k=k: mv._TK_PORTS(mv.TkTemplate(k).emit(bld))
+        yield f"Tk({k})", lambda bld, k=k: mv.TkTemplate(k)(bld)
     (_, ring, *_), _ = _first_splice(augmenting_circle, _CHAIN4, 1, 4)
-    yield "clasped ring", ring
+
+    def emit(bld):
+        return ring(bld)
+
+    yield "clasped ring", emit
     for direction in (1, -1):
         (_, twist, *_), _ = _first_splice(half_twist, _CHAIN4, 1, direction)
-        yield f"half twist {direction:+d}", twist
+        yield f"half twist {direction:+d}", lambda bld, twist=twist: twist(bld)
     yield "non-planar", _nonplanar_fragment
 
 
@@ -1001,6 +1050,8 @@ def test_builds_label_as_the_trail_oracle(data):
     closures), the splice of every move on one of them after R1 and R2
     moves, and its R1 and R2 undos and component removals."""
     _LabelledAsTheTrails.labelled = labelled = []
+    # every fragment compiles afresh, under the patched builder and side
+    dg._stencil.cache_clear()
     with mock.patch.object(dg, "DiagramBuilder", _LabelledAsTheTrails), \
             mock.patch.object(gen, "DiagramBuilder", _LabelledAsTheTrails), \
             mock.patch.object(dg, "_fragment_side", _side_as_the_trails):
@@ -1020,6 +1071,7 @@ def test_builds_label_as_the_trail_oracle(data):
                 move(*args)
             except SiteError:
                 pass
+    dg._stencil.cache_clear()
     assert False in labelled
 
 
@@ -1113,3 +1165,127 @@ def test_stubs_welded_through_plain_terminals_are_joined(n):
     for p, q in zip(chain, chain[1:]):
         bld.weld(p, q)
     assert format_pd(bld.build(planar=True)) == format_pd(want.build(planar=True))
+
+
+# the work a replay skips ----------------------------------------------------------
+
+
+def _chain_derivation(steps=12):
+    """Chain moves from the 4-chain, k = -1 and +1 in turn, at seeded
+    sites, with declared evidence: 8 + 3 * steps crossings."""
+    rng = random.Random(2024)
+    cert = menasco_certify(chain_link(ChainSpec(4)))
+    for i in range(steps):
+        site = rng.choice(find_chain_sites(cert.subject))
+        cert = extend(cert, ChainStep(site.trivial_component, (site.strand1, site.strand2),
+                                      1 if i % 2 else -1, EVIDENCE))
+    return cert
+
+
+def test_verify_builds_no_validity_report():
+    """Verifying a 12-step chain derivation read from its document builds
+    no report: each guard reads the analysis' flags.  The replay ends on
+    the subject's very crossings, so the subject is never analysed."""
+    cert = deserialize(serialize(_chain_derivation()))
+    report, reports = dg._Analysis.report, []
+
+    def counted(an):
+        reports.append(an)
+        return report(an)
+
+    with mock.patch.object(dg._Analysis, "report", counted):
+        verdict = verify(cert)
+    assert verdict.valid
+    assert reports == []
+    assert "_analysis" not in vars(cert.subject)
+
+
+def test_an_equal_diagram_is_never_analysed():
+    """An isomorphism test against a diagram of equal crossings and loops
+    answers from the equality, and one against a relabelled copy analyses
+    both diagrams."""
+    d = tk_closure([2, 3], 1)
+    same = LinkDiagram(d.crossings, loops=d.loops)
+    assert diagram_isomorphic(d, same)
+    assert "_analysis" not in vars(same)
+    relabelled = LinkDiagram(tuple(dg.Crossing(tuple(a + 1 for a in x.slots))
+                                   for x in d.crossings), loops=d.loops)
+    assert diagram_isomorphic(d, relabelled)
+    assert "_analysis" in vars(relabelled)
+
+
+def test_a_second_splice_of_a_fragment_emits_nothing():
+    """Each move's fragment is emitted on its first splice alone: a second
+    round of the same moves makes no twist crossing and gives the same
+    diagrams."""
+    site = find_chain_sites(_CHAIN4)[1]
+    calls = [(chain_move, _CHAIN4, site, 1, EVIDENCE),
+             (augmented_chain_move, _CHAIN4, site, -1, EVIDENCE),
+             (augmenting_circle, _CHAIN4, 1, 4), (half_twist, _CHAIN4, 1, +1),
+             (half_twist, _CHAIN4, 2, -1), (reidemeister2, _CHAIN4, (1, 4))]
+    twist, made = DiagramBuilder.twist_crossing, []
+
+    def counted(bld, chirality):
+        made.append(chirality)
+        return twist(bld, chirality)
+
+    dg._stencil.cache_clear()
+    rounds = []
+    with mock.patch.object(DiagramBuilder, "twist_crossing", counted):
+        for _ in range(2):
+            del made[:]
+            rounds.append(([format_pd(move(*args)) for move, *args in calls], len(made)))
+    (first, first_made), (second, second_made) = rounds
+    assert first == second
+    assert first_made > 0 and second_made == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(_BASES, st.data())
+def test_require_valid_refuses_with_the_report(d, data):
+    """`require_valid` on scrambled crossings that are not valid raises the
+    report `validate` gives, which is the eager one; it passes the valid
+    ones, reading the flags alone, with no report built."""
+    *_, d = r_moves(d, data)
+    crossings = tuple(scrambled_crossings(d, data))
+    want = validate(LinkDiagram(crossings, loops=d.loops))
+    checked = LinkDiagram(crossings, loops=d.loops)
+    if want.valid:
+        checked.require_valid()
+        assert "validity" not in vars(checked._analysis)
+        return
+    with pytest.raises(InvalidDiagramError) as refusal:
+        checked.require_valid()
+    assert refusal.value.report == want == eager_report(checked)
+
+
+def test_a_dropped_diagram_is_freed_without_the_collector():
+    """An analysed diagram is on no reference cycle: with the cyclic
+    collector off, a parsed and validated diagram and a splice output,
+    its faces read, each die at `del`."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        d = parse_pd(format_pd(_CHAIN4))
+        validate(d), d.face_arcs()
+        out = half_twist(d, 1, +1)
+        validate(out), out.face_arcs()
+        refs = [weakref.ref(d), weakref.ref(out)]
+        del d, out
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_the_stencil_cache_is_bounded():
+    """A chain step's k comes from a document, so a process may meet any
+    number of Tk fragments: after extending with 200 distinct k, the
+    cache holds no more than its maxsize."""
+    cert = menasco_certify(chain_link(ChainSpec(3)))
+    site = find_chain_sites(cert.subject)[0]
+    for k in range(-100, 100):
+        extend(cert, ChainStep(site.trivial_component, (site.strand1, site.strand2), k, EVIDENCE))
+    info = dg._stencil.cache_info()
+    assert info.maxsize is not None and info.maxsize < 200
+    assert info.currsize <= info.maxsize

@@ -13,7 +13,9 @@ this checkout, which the tool only reads.  The digest covers, in order:
 - the verdict of every document of the seed 1-3 replay_verify pools:
   ``valid``, ``failed_step``, ``reason``, ``step_reports`` and
   ``trusted_premises``;
-- the outcome of every subject of the seed 1-3 certify_bases pools.
+- the outcome of every subject of the seed 1-3 certify_bases pools;
+- the stdout of one pass of each seed 1-3 cli_pipeline session
+  (``workloads.session_digest``), which runs the CLI's ``verify`` too.
 
 Two versions of the code that print the same digest gave byte-identical
 outputs on these pools.  The pools are the benchmark's, so a change to
@@ -66,6 +68,9 @@ def digest(hf, workloads):
                 for item in itertools.chain.from_iterable(pool["rounds"]):
                     verdict, doc = workloads.certify_bases_execute(pool, item)
                     record(f"certify {verdict}", f"{item['pd']}{doc}")
+                session = Path(workdir) / f"cli-{seed}"
+                session.mkdir()
+                record("cli session", workloads.session_digest(hf, seed, str(session)))
     finally:
         cls.build = build
     return counts, h.hexdigest()
@@ -81,6 +86,7 @@ def main(argv):
         return 2
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     import hyperforge as hf
+    import hyperforge.cli  # noqa: F401  (the sessions run hf.cli.run)
     import workloads
 
     counts, hexdigest = digest(hf, workloads)
