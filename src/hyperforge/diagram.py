@@ -243,9 +243,10 @@ class _Analysis:
     the strands by one walk per component, `_oriented`.
 
     A diagram a splice, an R1/R2 undo or a component removal builds
-    arrives analysed: its index, corner map and strand trace are derived
-    from its base's (`DiagramBuilder._derived`, `_renormalize`), and it is
-    known planar, since a splice's judge checked the Euler formula over
+    arrives analysed (`DiagramBuilder.build`, `_renormalize`): it is
+    indexed afresh, its strand trace walks only the components through
+    the arcs the build changed and takes the others' from its base, and it
+    is known planar, since a splice's judge checked the Euler formula over
     fragment parts its guard traced, and smoothing crossings out of a
     plane diagram keeps it plane.  It has no Euler check to run, and its
     report counts V + 2 faces per graph component, so its faces are traced
@@ -656,7 +657,8 @@ def is_prime_diagram(d: LinkDiagram) -> bool:
 
 def _renormalize(
     crossings: Sequence[Crossing], loops: int, frozen: Container[int], allow_reorient: bool = False,
-    probe: Optional[tuple[_Analysis, list, list]] = None, planar: bool = False,
+    touched: Optional[Iterable[int]] = None, base_steps: Sequence[list[int]] = (),
+    planar: bool = False,
 ) -> LinkDiagram:
     """Rotate crossings by 2 where needed to meet the convention.
 
@@ -670,25 +672,30 @@ def _renormalize(
     crossing that disagrees with the first rotates by 2 as well; arc
     labels never change.
 
-    The probe is a fresh analysis of ``crossings``, every component of it
-    walked, unless ``probe`` gives (analysis, walks, kept) as a splice's
-    build derives them from its base: an analysis with the index and
-    corner map of ``crossings``, the corners of the components it walked,
-    as `_Analysis._walks_through` gives them, and the oriented corner lists
-    of the others, which turn no crossing.  The output arrives with its
-    occurrence index, corner map and strand trace: the probe's, each
-    corner k of a turned crossing moved to k ^ 2.  Every under-passage
-    then enters at slot 0, so the output's own trace would walk each
-    component the same way, with no conflict.  ``planar`` says the output
-    is known to pass the Euler check (see `_Analysis`).
+    The probe is a fresh analysis of ``crossings``: an InvalidDiagramError
+    unless every arc occurs twice.  With no ``touched``, every strand
+    component is walked.  A build over a base gives the arcs whose
+    corners changed as ``touched``, and the base's strand steps,
+    renumbered, as ``base_steps`` (a removed crossing's corners read -1):
+    only the components through a touched arc are walked, by
+    `_Analysis._walks_through`, and each other one is a base component
+    whose oriented steps it keeps, which turn no crossing.  The output
+    arrives with its occurrence index, corner map and strand trace: the
+    probe's, each corner k of a turned crossing moved to k ^ 2.  Every
+    under-passage then enters at slot 0, so the output's own trace would
+    walk each component the same way, with no conflict.  ``planar`` says
+    the output is known to pass the Euler check (see `_Analysis`).
     """
-    if probe is None:
-        ana = LinkDiagram(tuple(crossings), loops=loops)._analysis
-        if not ana.double_ok:
-            raise InvalidDiagramError(ana.validity)
-        walks, kept = None, []
-    else:
-        ana, walks, kept = probe
+    ana = LinkDiagram(tuple(crossings), loops=loops)._analysis
+    if not ana.double_ok:
+        raise InvalidDiagramError(ana.validity)
+    walks, kept = None, []
+    if touched is not None:
+        occ, arc_at = ana.occ, ana.arc_at
+        walks = ana._walks_through([occ[arc][0] for arc in touched if arc in occ])
+        on_walks = set(map(arc_at.__getitem__, itertools.chain.from_iterable(walks)))
+        kept = [steps for steps in base_steps
+                if steps[0] >= 0 and arc_at[steps[0]] not in on_walks]
     oriented = list(ana._oriented(frozen, walks))
     if not allow_reorient and any(conflict for _, conflict in oriented):
         raise WiringError(_DIRECTION_CONFLICT)
@@ -740,7 +747,7 @@ def _other_strand_arcs(d: LinkDiagram, c: int) -> tuple[int, int]:
 
 def _ring_fault(d: LinkDiagram, part: ComponentPartition, comp: int) -> Optional[str]:
     """Why ``comp`` is not a ring that other strands cross four times, or None."""
-    if comp < 0:
+    if not 0 <= comp < part.count:
         return f"no component {comp}"
     if comp >= len(part.cycles):
         return f"component {comp} has no crossings"
@@ -871,7 +878,6 @@ class DiagramBuilder:
         self.welds: dict = {}  # port -> its weld count
         self.far: dict = {}  # weld chain end -> the chain's other end
         self.stub_labels: dict = {}
-        self._cuts: list[tuple[int, int, int]] = []  # (arc, fresh label, head corner here)
         self._merged: dict[int, int] = {}  # joined arc -> the label of its run, set by `_label`
         self._terminal_count = 0
         self._next_arc = base.fresh_arc() if base is not None else 1
@@ -910,7 +916,6 @@ class DiagramBuilder:
             raise AssertionError("cut arc ends at a removed crossing; use stub")
         fresh, head = self.fresh_label(), self._new_corner[head]
         _relabel_occurrence(self.protos, head, fresh)
-        self._cuts.append((arc, fresh, head))
         return self.stub(arc), self.stub(fresh)
 
     def join(self, a: int, b: int) -> None:
@@ -1002,86 +1007,25 @@ class DiagramBuilder:
     def build(self, allow_reorient: bool = False, planar: bool = False) -> LinkDiagram:
         """The diagram, renormalised with the kept base crossings frozen.
 
-        Over a base, its analysis is derived from the base's (`_derived`).
-        ``planar`` says the caller has proved the output passes the Euler
-        check (a splice's judge proves it; removing crossings keeps it), so
-        its analysis runs none.
+        The output is indexed afresh.  Over a base, only the strand
+        components through an arc whose corners changed are walked: a
+        stub's arc or a new crossing's.  Every other component's arcs and
+        crossings are the base's, so it keeps the base's corners,
+        renumbered past the removed crossings.  ``planar`` says the caller
+        has proved the output passes the Euler check (a splice's judge
+        proves it; removing crossings keeps it), so its analysis runs none.
         """
         loops = self._label()
         n = self.n_frozen
         crossings = self.protos[:n] + [Crossing(tuple(p)) for p in self.protos[n:]]
-        probe = None if self.base is None else self._derived(crossings, loops)
+        touched, steps = None, ()
+        if self.base is not None:
+            touched = {*self.stub_labels.values(), *itertools.chain.from_iterable(self.protos[n:])}
+            steps = self.base._analysis.steps
+            if self.removed:
+                steps = [list(map(self._new_corner.__getitem__, corners)) for corners in steps]
         return _renormalize(crossings, loops, frozen=range(n), allow_reorient=allow_reorient,
-                            probe=probe, planar=planar)
-
-    def _derived(self, crossings: list[Crossing], loops: int
-                 ) -> Optional[tuple[_Analysis, list, list]]:
-        """The probe `_renormalize` takes for the built ``crossings``,
-        derived from the base's analysis, or None when some arc does not
-        occur twice.
-
-        The index and corner map are the base's patched: the removed
-        crossings' corners dropped and the kept ones renumbered (only when
-        crossings were removed), the cut arcs' heads relabelled, each joined
-        arc's kept corners moved to its run's label and the new crossings'
-        corners added; every corner list stays ascending, as indexing afresh
-        gives it.  Only the strand components through an arc whose corners
-        changed are walked: a cut, a stub, a join or a new crossing's.  Each
-        other component's arcs and crossings are the base's, so it keeps the
-        base's corners, renumbered.
-        """
-        base = self.base._analysis
-        n0, new = self.n_frozen, self._new_corner
-        touched: set[int] = set()  # the arcs whose corners changed
-        occ = dict(base.occ)  # the base's lists are shared, never changed
-        if self.removed:
-            first = 4 * min(self.removed)
-            for arc, places in base.occ.items():
-                if places[-1] >= first:  # below the first removed crossing, nothing moves
-                    left = [new[k] for k in places if new[k] >= 0]
-                    if len(left) < len(places):
-                        touched.add(arc)
-                        if not left:
-                            del occ[arc]
-                            continue
-                    occ[arc] = left
-            # a corner that led to a removed crossing is an end: it is set
-            # below, with the touched arcs
-            across = list(map(new.__getitem__, base.across))
-            for ci in sorted(self.removed, reverse=True):
-                del across[4 * ci:4 * ci + 4]
-        else:
-            across = list(base.across)
-        for arc, fresh, head in self._cuts:
-            occ[arc], occ[fresh] = [o for o in occ[arc] if o != head], [head]
-        for arc, label in self._merged.items():
-            occ[label] = sorted(occ.pop(arc, []) + occ.get(label, []))
-        added: dict[int, list[int]] = {}
-        for ci in range(n0, len(crossings)):
-            for k, arc in enumerate(crossings[ci].slots, 4 * ci):
-                added.setdefault(arc, []).append(k)
-        for arc, places in added.items():
-            occ[arc] = occ.get(arc, []) + places
-        touched.update(added, self.stub_labels.values())
-        across += [0] * (4 * (len(crossings) - n0))
-        starts = []
-        for arc in touched:
-            places = occ.get(arc)
-            if places is None:
-                continue
-            if len(places) != 2:
-                return None
-            k1, k2 = places
-            across[k1], across[k2] = k2, k1
-            starts.append(k1)
-        probe = _Analysis(LinkDiagram(tuple(crossings), loops=loops), occ, across)
-        walks = probe._walks_through(starts)
-        on_walks = set(map(probe.arc_at.__getitem__, itertools.chain.from_iterable(walks)))
-        kept = [steps for steps, arcs in zip(base.steps, base.cycles)
-                if arcs[0] in occ and arcs[0] not in on_walks]
-        if self.removed:
-            kept = [list(map(new.__getitem__, steps)) for steps in kept]
-        return probe, walks, kept
+                            touched=touched, base_steps=steps, planar=planar)
 
     def _label(self) -> int:
         """Label every open crossing slot from ``far``, in place; returns the
@@ -1419,10 +1363,11 @@ def splice(
     fragment parts' inner faces and raises an AssertionError for a part
     that is not planar.  Judging takes no fresh label, so the first valid
     wiring is built with the labels and crossing indices of building it
-    alone.  Its output arrives analysed (`DiagramBuilder._derived`): its
-    occurrence index, corner map and strand trace patched from the
-    base's, and known planar, so no face is traced until something reads
-    the faces.  With no valid wiring, or a fragment with a crossing on no
+    alone.  Its output arrives analysed (`DiagramBuilder.build`): indexed
+    afresh, with only the strand components through the fragment walked
+    and the others' steps taken from the base, and known planar, so no
+    face is traced until something reads the faces.  With no valid
+    wiring, or a fragment with a crossing on no
     part with a port: SiteError("<failure> (<last wiring error>)"), that
     error being the strand-direction WiringError when some wiring needed
     a frozen crossing turned, and None otherwise.  A builder fault (an
@@ -1802,29 +1747,31 @@ def from_gauss(g: GaussCode) -> LinkDiagram:
 
 # -- text formats -----------------------------------------------------------------
 
-_X_RE = re.compile(r"X\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
-_O_RE = re.compile(r"O\s*\(\s*(\d+)\s*\)")
+# one token at a time: a good crossing (groups 1-4), a good loop (5), a bad
+# crossing or loop token, whose parenthesised part may be missing (6, 7),
+# or any other character (8)
+_PD_TOKEN = re.compile(
+    r"X\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)|O\s*\(\s*(\d+)\s*\)"
+    r"|(X(?:\s*\([^)]*\))?)|(O(?:\s*\([^)]*\))?)|(\S)"
+)
 
 
 def parse_pd(text: str) -> LinkDiagram:
     """Parse PD text: X(a,b,c,d) and O(n) tokens, # comments."""
-    stripped = re.sub(r"#[^\n]*", "", text)
     crossings = []
     loops = 0
-    for m in re.finditer(r"X\s*\([^)]*\)|O\s*\([^)]*\)|\S", stripped):
-        tok = m.group(0)
-        if tok[0] == "X":
-            xm = _X_RE.fullmatch(tok)
-            if not xm:
-                raise FormatError(f"bad crossing token: {tok!r}")
-            crossings.append(Crossing(tuple(int(g) for g in xm.groups())))
-        elif tok[0] == "O":
-            om = _O_RE.fullmatch(tok)
-            if not om:
-                raise FormatError(f"bad loop token: {tok!r}")
-            loops += int(om.group(1))
+    for m in _PD_TOKEN.finditer(re.sub(r"#[^\n]*", "", text)):
+        a, b, c, d, loop, bad_crossing, bad_loop, other = m.groups()
+        if a is not None:
+            crossings.append(Crossing((int(a), int(b), int(c), int(d))))
+        elif loop is not None:
+            loops += int(loop)
+        elif bad_crossing is not None:
+            raise FormatError(f"bad crossing token: {bad_crossing!r}")
+        elif bad_loop is not None:
+            raise FormatError(f"bad loop token: {bad_loop!r}")
         else:
-            raise FormatError(f"unexpected token: {tok!r}")
+            raise FormatError(f"unexpected token: {other!r}")
     return LinkDiagram(tuple(crossings), loops=loops)
 
 

@@ -14,8 +14,9 @@ report of an analysis whose stages all ran up front instead of asking
 for planarity first, and tries a reorienting splice's wirings strictly
 before it lets frozen crossings turn, the wiring-loop oracle builds every
 candidate wiring in turn instead of judging them from the two sides'
-walks (both renormalise each candidate's crossings afresh instead of
-deriving its analysis from the base's), the emitting-splice oracle runs
+walks (both renormalise each candidate's crossings with every strand
+component walked instead of only those through the arcs the build
+changed), the emitting-splice oracle runs
 a fragment's emit at every splice, into the builder over the base,
 instead of stamping a fragment compiled once, the two splice-side oracles
 walk each side with walks of their own, trace its faces instead of
@@ -32,15 +33,18 @@ face stage and disk-run scan as they were before every walk read one
 corner map: each builds its own corner map or reads the occurrence
 index, searches graph components and walks faces and runs with loops of
 its own.  The guarded renormalisation oracle is a build's last step as
-it was before a splice's output arrived analysed: a fresh probe analysis
-and the output's full validation.  The replay oracle verifies a
-certificate with every splice run by the splice oracle.  The crossing-drop
+it was before a splice's output arrived analysed: a probe analysis with
+every strand component walked, and the output's full validation.  The
+replay oracle verifies a certificate with every splice run by the
+splice oracle.  The crossing-drop
 oracle is how R1/R2 undos and component removal built their output before
 they went through the builder: a union-find over the joined arcs and a
 bare diagram, analysed afresh.  The trail builder labels as the builder
 did before each weld paired its chain's ends: it keeps each port's welds
 and walks them from every open slot, then walks the plain terminals left
-over for crossing-free loops.
+over for crossing-free loops.  The PD parser oracle cuts the text into
+tokens in one pass and reads each token with a second regex, as
+`parse_pd` did before one regex read each token once.
 
 The oracles name a place by its (ci, si) slot.  The library's analysis
 names it by its corner 4 * ci + si; where an oracle reads or builds that
@@ -49,6 +53,7 @@ analysis, it converts at that one point (`slot_occ`, `slot_faces`).
 
 import copy
 import itertools
+import re
 from fractions import Fraction as QQ
 from typing import Iterable, Optional
 from unittest import mock
@@ -76,9 +81,32 @@ from hyperforge.diagram import (
     diagram_isomorphic,
     validate,
 )
-from hyperforge.errors import InvalidDiagramError, SiteError, WiringError
+from hyperforge.errors import FormatError, InvalidDiagramError, SiteError, WiringError
 
 INF = "inf"
+
+
+def parse_pd_oracle(text: str) -> LinkDiagram:
+    """`diagram.parse_pd` as it was before it read each token once: one
+    pass cuts the text into tokens, and a second regex reads each."""
+    stripped = re.sub(r"#[^\n]*", "", text)
+    crossings = []
+    loops = 0
+    for m in re.finditer(r"X\s*\([^)]*\)|O\s*\([^)]*\)|\S", stripped):
+        tok = m.group(0)
+        if tok[0] == "X":
+            xm = re.fullmatch(r"X\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)", tok)
+            if not xm:
+                raise FormatError(f"bad crossing token: {tok!r}")
+            crossings.append(Crossing(tuple(int(g) for g in xm.groups())))
+        elif tok[0] == "O":
+            om = re.fullmatch(r"O\s*\(\s*(\d+)\s*\)", tok)
+            if not om:
+                raise FormatError(f"bad loop token: {tok!r}")
+            loops += int(om.group(1))
+        else:
+            raise FormatError(f"unexpected token: {tok!r}")
+    return LinkDiagram(tuple(crossings), loops=loops)
 
 
 def slot_occ(d: LinkDiagram) -> dict[int, list[Slot]]:
@@ -313,8 +341,8 @@ def eager_report(d: LinkDiagram):
 
 def _built(bld, allow_reorient):
     """What ``bld.build(allow_reorient=...)`` gives, renormalised by
-    `renormalize_oracle` from a fresh analysis of the built crossings
-    instead of one derived from the base's."""
+    `renormalize_oracle`, every strand component of the built crossings
+    walked, instead of only those through the arcs the build changed."""
     loops = bld._label()
     n = bld.n_frozen
     crossings = bld.protos[:n] + [Crossing(tuple(p)) for p in bld.protos[n:]]
@@ -600,10 +628,11 @@ def renormalize_oracle(crossings, loops, frozen, allow_reorient=False):
 def renormalize_guarded_oracle(crossings, loops, frozen, allow_reorient=False, **_):
     """`diagram._renormalize` and the check a splice ran after it before its
     output arrived analysed: a fresh probe analysis of ``crossings`` with
-    every component walked (whatever probe a build offers is ignored), the
-    output given the probe's occurrence index and strand trace, each slot
-    of a turned crossing moved by 2, and then validated in full, its faces
-    traced: AssertionError unless it is valid."""
+    every component walked (the touched arcs and base steps a build
+    offers are ignored), the output given the probe's occurrence index
+    and strand trace, each slot of a turned crossing moved by 2, and then
+    validated in full, its faces traced: AssertionError unless it is
+    valid."""
     probe = LinkDiagram(tuple(crossings), loops=loops)
     ana = probe._analysis
     if not ana.double_ok:

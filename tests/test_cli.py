@@ -358,7 +358,8 @@ def test_apply_switch_and_halftwist():
 
 
 def test_negative_component_indices_exit_cleanly():
-    """A negative component is a missing one, never the last one counted backwards."""
+    """A negative component is a missing one, never the last one counted
+    backwards, and one past the count is missing, never a crossing-free one."""
     _, pd = run(["gen", "chain", "--n", "4"])
     probes = [
         (["apply", "--move", "halftwist", "--component", "-5", "--direction", "1"],
@@ -367,6 +368,10 @@ def test_negative_component_indices_exit_cleanly():
          MALFORMED, "ERROR: no component -1\n"),
         (["certify", "--base", "augmented", "--augmenting=-7"],
          REFUSED, "REFUSED: BadAugmenting (-7,) no component -7\n"),
+        (["apply", "--move", "halftwist", "--component", "99", "--direction", "1"],
+         MALFORMED, "ERROR: no component 99\n"),
+        (["certify", "--base", "augmented", "--augmenting", "99"],
+         REFUSED, "REFUSED: BadAugmenting (99,) no component 99\n"),
     ]
     for argv, code, out in probes:
         proc = _cli_process(argv, input=pd)

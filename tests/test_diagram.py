@@ -51,6 +51,7 @@ from oracles import (
     faces_oracle,
     gauss_linking_oracle,
     is_braid2_form_oracle,
+    parse_pd_oracle,
     slot_faces,
     two_edge_cuts_oracle,
     union_find_component_count,
@@ -707,6 +708,29 @@ def test_pd_loops():
 def test_pd_malformed(bad):
     with pytest.raises(FormatError):
         parse_pd(bad)
+
+
+def _parsed(parse, text):
+    """(crossings, loops) that ``parse`` reads from ``text``, or its FormatError text."""
+    try:
+        d = parse(text)
+    except FormatError as err:
+        return f"FormatError: {err}"
+    return d.crossings, d.loops
+
+
+_PD_PIECES = ["X", "O", "(", ")", ",", " ", "\n", "#", "0", "1", "12", "x", "-", "X(1,2,3,4)",
+              "O(2)", "X (1, 2,3 , 4 )"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from(_PD_PIECES), max_size=12).map("".join),
+                 st.text(max_size=20)))
+def test_parse_pd_matches_oracle_on_junk(text):
+    """Reading each token once gives the diagram, or the error text, of the
+    tokenizer pass and second match per token: bare X and O tokens, unclosed
+    parentheses, comments inside tokens, zero labels and any other text."""
+    assert _parsed(parse_pd, text) == _parsed(parse_pd_oracle, text)
 
 
 def test_gauss_malformed():

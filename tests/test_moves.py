@@ -441,6 +441,16 @@ def test_negative_component_index_is_missing():
             call()
 
 
+def test_a_component_past_the_count_is_missing():
+    """An index at or past the component count names no component; a
+    crossing-free loop is one, with no crossings to twist."""
+    d4 = chain_link(ChainSpec(4))
+    with pytest.raises(SiteError, match="^no component 99$"):
+        half_twist(d4, 99, 1)
+    with pytest.raises(SiteError, match="^component 4 has no crossings$"):
+        half_twist(LinkDiagram(d4.crossings, loops=1), 4, 1)
+
+
 def test_switch_move_same_component():
     # both arcs on one component (G = G') are allowed; the planar
     # reconnection may split the component, and C is always added

@@ -292,6 +292,21 @@ def test_one_walk_per_component():
         assert _walks(_renormalize, turned, d.loops, set()) == n_comps
 
 
+def test_a_splice_walks_only_the_strands_it_touched():
+    """A build over a base walks only the strand components through a
+    stub's arc or a new crossing's; every other component keeps the base's
+    steps.  Walking them all gives the same outputs, so only the count
+    shows it: it costs a 64-step verify about a fifth of its time."""
+    chain8 = chain_link(ChainSpec(8))
+    components(chain8)  # the base analysed
+    site = find_chain_sites(chain8)[0]
+    for move, args, walks, n_comps in ((chain_move, (chain8, site, 1, EVIDENCE), 4, 9),
+                                       (half_twist, (chain8, 0, 1), 1, 7)):
+        move(*args)  # the fragment compiled
+        assert _walks(move, *args) == walks
+        assert components(move(*args)).count == n_comps
+
+
 class _StageLog:
     """Records which analyses the analysis stages ran on, which diagrams
     the builder's renormalisation made, and how many times each splice ran
@@ -703,9 +718,9 @@ def _four_end_splices():
 
 def test_a_build_with_an_arc_used_once_is_invalid():
     """A build over a base that leaves a cut arc's two pieces unwelded has
-    two arcs that occur once: the index patched from the base's is not
-    used, and the build refuses the diagram with the report of analysing
-    its crossings afresh."""
+    two arcs that occur once: the build indexes its crossings afresh and
+    refuses the diagram with the report of that analysis, before it walks
+    any strand."""
     bld = DiagramBuilder(base=_CHAIN4)
     bld.cut(1)
     crossings = tuple(bld.protos)  # the base's, one relabelled; no fragment
