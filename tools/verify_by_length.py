@@ -1,11 +1,10 @@
 """Time `verify` on chain-move derivations of 8 to 64 steps under two source
 trees, run side by side in one process.
 
-Usage: python tools/verify_by_length.py [BASE_SRC] CHANGE_SRC [--rounds N]
+Usage: python tools/verify_by_length.py BASE_SRC CHANGE_SRC [--rounds N]
 
 BASE_SRC and CHANGE_SRC are source directories that hold a ``hyperforge``
-package (BASE_SRC defaults to the ``src`` directory of this checkout).  Each
-is imported under a package name of its own, which works because the
+package, both required, base first.  Each is imported under a package name of its own, which works because the
 package imports itself only by relative imports.  For each length, each
 tree builds ``perfbench/reanchor.chain_derivation`` (which the tool only
 reads) and serialises it.  Then, every round, each tree verifies a freshly
@@ -52,12 +51,13 @@ def verify_ms(hf, doc: str) -> float:
 
 def main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
-    parser.add_argument("trees", nargs="+", metavar="SRC", help="[BASE_SRC] CHANGE_SRC")
+    parser.add_argument("base_src", metavar="BASE_SRC", help="the base tree's source directory")
+    parser.add_argument("change_src", metavar="CHANGE_SRC", help="the change's source directory")
     parser.add_argument("--rounds", type=int, default=31, help="paired runs per length")
     args = parser.parse_args(argv[1:])
-    if len(args.trees) > 2 or args.rounds < 1:
-        parser.error("give [BASE_SRC] CHANGE_SRC and a positive --rounds")
-    trees = [ROOT / "src"] * (2 - len(args.trees)) + [Path(t).resolve() for t in args.trees]
+    if args.rounds < 1:
+        parser.error("--rounds must be positive")
+    trees = [Path(args.base_src).resolve(), Path(args.change_src).resolve()]
     for src in trees:
         if not (src / "hyperforge" / "__init__.py").is_file():
             print(f"error: no hyperforge sources under {src}", file=sys.stderr)
