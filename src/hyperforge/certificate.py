@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import ClassVar, Optional, Union
 
 from . import classifier as _cls
@@ -527,6 +528,14 @@ def _cert_doc(cert: Certificate) -> dict:
     return doc
 
 
+@lru_cache(maxsize=64)
+def _base_diagram(text: str) -> LinkDiagram:
+    """The diagram of a document's base PD text, parsed once per distinct
+    text: every document over one base shares one immutable diagram, and
+    with it its analysis.  A malformed text raises on every read."""
+    return parse_pd(text)
+
+
 def _cert_from(doc: dict, depth: int = 0) -> Certificate:
     if depth > _MAX_GLUE_DEPTH:
         raise CertificateError(f"glue steps nested more than {_MAX_GLUE_DEPTH} deep")
@@ -552,7 +561,7 @@ def _cert_from(doc: dict, depth: int = 0) -> Certificate:
     return Certificate(
         base=base,
         subject=subject,
-        base_diagram=parse_pd(base_diagram) if base_diagram is not None else None,
+        base_diagram=_base_diagram(base_diagram) if base_diagram is not None else None,
         base_manifold=_manifold_from(base_manifold) if base_manifold is not None else None,
         augmenting=augmenting,
         description=_field(doc, "description", str, ""),
@@ -579,6 +588,9 @@ def deserialize(text: str) -> Certificate:
     step's k, direction, handedness or site, a dropped step, a swapped
     subject or base), but not a changed `Rational` claim that is still
     admissible, since the claim is not matched against the diagram.
+
+    Documents over one base text share one base diagram object, parsed
+    once per process; the subject is parsed afresh for each document.
     """
     try:
         doc = json.loads(text)

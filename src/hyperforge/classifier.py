@@ -12,6 +12,7 @@ break the shift-consistency check loudly.
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -137,15 +138,47 @@ def exception_base_set() -> frozenset[Fraction]:
 # -- base certifiers ---------------------------------------------------------------
 
 
+# menasco_certify's decisions, keyed by the exact content of what it
+# decides on, (crossings, loops, budget): the Refusal, or None to accept.
+# Bounded; when full the oldest decision goes first.
+_DECISIONS_MAX = 256
+_decisions: dict[tuple, Optional[Refusal]] = {}
+_decisions_lock = threading.Lock()  # `verify --jobs` certifies from threads
+
+
 def menasco_certify(d: LinkDiagram, budget: Optional[int] = None):
     """Certificate for a reduced prime alternating non-split non-2-braid
     diagram of a nontrivial link; Refusal otherwise.  `budget` bounds the
-    R1/R2 reduction steps; None means diagram.DEFAULT_STEP_BUDGET."""
+    R1/R2 reduction steps; None means diagram.DEFAULT_STEP_BUDGET.
+
+    The decision is remembered per process by the diagram's exact
+    crossings and loops and the budget, so a repeated base is certified
+    once.  An invalid diagram raises on every call, and the certificate
+    is always about ``d`` itself."""
     from . import diagram as _dg
 
     if budget is None:
         budget = _dg.DEFAULT_STEP_BUDGET
     d.require_valid()
+    key = (d.crossings, d.loops, budget)
+    try:
+        refusal = _decisions[key]
+    except KeyError:
+        refusal = _menasco_refusal(d, budget)
+        with _decisions_lock:
+            if len(_decisions) >= _DECISIONS_MAX:
+                del _decisions[next(iter(_decisions))]
+            _decisions[key] = refusal
+    if refusal is not None:
+        return refusal
+    return Certificate(base="MenascoAlternating", base_diagram=d, subject=d)
+
+
+def _menasco_refusal(d: LinkDiagram, budget: int) -> Optional[Refusal]:
+    """Why Menasco's criterion does not certify the valid diagram ``d``, or
+    None when it does."""
+    from . import diagram as _dg
+
     if _dg.is_split(d):
         return Refusal(RefusalReason.Split)
     # conservative triviality check by budgeted R1/R2 reduction; on a
@@ -171,7 +204,7 @@ def menasco_certify(d: LinkDiagram, budget: Optional[int] = None):
         return Refusal(RefusalReason.NotAlternating)
     if _dg._is_braid2_form(reduced):
         return Refusal(RefusalReason.TwoBraid)
-    return Certificate(base="MenascoAlternating", base_diagram=d, subject=d)
+    return None
 
 
 def augmented_alternating_certify(

@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 domain refusal (line prefixed ``REFUSED:``, or
 ``EXCLUDED:`` from classify-exterior), 2 malformed input.  Output is
 byte-deterministic for identical inputs; timestamps are opt-in.  The
 environment variable HYPERFORGE_STEP_BUDGET, when set, overrides the R1/R2
-reduction budget used by the certifiers; a value that is not a nonnegative
-integer is malformed input.
+reduction budget of the `certify` command's certifier; a value that is not
+a nonnegative integer is malformed input.  `verify` certifies a
+certificate's base at the default budget whatever the variable says.
 """
 
 from __future__ import annotations

@@ -1440,7 +1440,8 @@ def find_kinks(d: LinkDiagram) -> tuple[int, ...]:
     d.require_valid()
     out = []
     for ci, x in enumerate(d.crossings):
-        if any(x.slots[s] == x.slots[(s + 1) % 4] for s in range(4)):
+        a, b, c, e = x.slots
+        if a == b or b == c or c == e or e == a:
             out.append(ci)
     return tuple(out)
 
@@ -1495,16 +1496,19 @@ def _r2_strands(d: LinkDiagram, ci: int, cj: int) -> Optional[tuple[int, int]]:
 
 
 def find_r2_bigons(d: LinkDiagram) -> tuple[tuple[int, int], ...]:
-    """Bigon faces where one strand is over at both crossings."""
+    """Bigon faces where one strand is over at both crossings, read off the
+    corner map with no face traced: a face entering corner k enters k2
+    next, and is a bigon when it then enters k again.  Its arcs run from
+    slot k + 1 to k2 and from slot k2 + 1 to k, so one is over at both
+    crossings and the other under at both when k and k2 differ in parity."""
     d.require_valid()
+    across = d._analysis.across
     out = set()
-    for face in d._analysis.faces:
-        if len(face) != 2:
-            continue
-        c1, c2 = face[0] >> 2, face[1] >> 2
-        pair = (min(c1, c2), max(c1, c2))
-        if c1 != c2 and _r2_strands(d, *pair):
-            out.add(pair)
+    for k in range(len(across)):
+        k2 = across[k & ~3 | (k + 1) & 3]
+        if k2 > k and (k ^ k2) & 1 and k >> 2 != k2 >> 2 \
+                and across[k2 & ~3 | (k2 + 1) & 3] == k:
+            out.add((k >> 2, k2 >> 2))
     return tuple(sorted(out))
 
 

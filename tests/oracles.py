@@ -44,7 +44,11 @@ did before each weld paired its chain's ends: it keeps each port's welds
 and walks them from every open slot, then walks the plain terminals left
 over for crossing-free loops.  The PD parser oracle cuts the text into
 tokens in one pass and reads each token with a second regex, as
-`parse_pd` did before one regex read each token once.
+`parse_pd` did before one regex read each token once.  The R1/R2 scan
+oracles are `find_kinks` and `find_r2_bigons` as they were before they
+read the slots and the corner map directly: the kink scan tries each pair
+of neighbouring slots in a generator, and the bigon scan traces the faces
+and asks each 2-face for the arcs its two crossings share.
 
 The oracles name a place by its (ci, si) slot.  The library's analysis
 names it by its corner 4 * ci + si; where an oracle reads or builds that
@@ -74,6 +78,7 @@ from hyperforge.diagram import (
     _fragment_side,
     _ring_fault,
     _Side,
+    _r2_strands,
     _relabel_occurrence,
     _wiring_fault,
     braid2_template,
@@ -328,6 +333,33 @@ def is_braid2_form_oracle(reduced: LinkDiagram) -> bool:
     return n >= 2 and not reduced.loops and any(
         diagram_isomorphic(reduced, braid2_template(n, m)) for m in (False, True)
     )
+
+
+def find_kinks_oracle(d: LinkDiagram) -> tuple[int, ...]:
+    """`diagram.find_kinks` as it was: each crossing's neighbouring slot
+    pairs compared in a generator."""
+    d.require_valid()
+    out = []
+    for ci, x in enumerate(d.crossings):
+        if any(x.slots[s] == x.slots[(s + 1) % 4] for s in range(4)):
+            out.append(ci)
+    return tuple(out)
+
+
+def find_r2_bigons_oracle(d: LinkDiagram) -> tuple[tuple[int, int], ...]:
+    """`diagram.find_r2_bigons` as it was: the traced faces of length two,
+    each kept when its two crossings share an arc over at both and an arc
+    under at both."""
+    d.require_valid()
+    out = set()
+    for face in d._analysis.faces:
+        if len(face) != 2:
+            continue
+        c1, c2 = face[0] >> 2, face[1] >> 2
+        pair = (min(c1, c2), max(c1, c2))
+        if c1 != c2 and _r2_strands(d, *pair):
+            out.add(pair)
+    return tuple(sorted(out))
 
 
 def eager_report(d: LinkDiagram):

@@ -3,11 +3,15 @@
 import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import hyperforge
+import hyperforge.certificate as certificate
+import hyperforge.classifier as classifier
 from hyperforge.certificate import (
     AbstractManifold,
     AugChainStep,
@@ -43,6 +47,17 @@ from hyperforge.moves import Handedness, find_chain_sites
 from hyperforge.tangle import ConwaySequence
 
 from oracles import replay_oracle
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def forget_memos():
+    """Empty the process-wide memos of base diagrams and certifier
+    decisions, so that the next document's base is parsed and certified
+    in full."""
+    certificate._base_diagram.cache_clear()
+    classifier._decisions.clear()
 
 
 def chain_cert():
@@ -201,6 +216,45 @@ def test_serialize_round_trip():
     assert verify(c5b).valid
     assert diagram_isomorphic(c5b.subject, c5.subject)
     assert serialize(c5b) == doc  # canonical form is stable
+
+
+def test_documents_over_one_base_share_its_diagram():
+    """Two documents over one base text read one base diagram object; each
+    subject is its own."""
+    cert, d4 = chain_cert()
+    one = deserialize(serialize(cert))
+    two = deserialize(serialize(extend(cert, first_chain_step(d4))))
+    assert one.base_diagram is two.base_diagram
+    assert one.subject is not one.base_diagram
+    assert verify(one).valid and verify(two).valid
+
+
+def test_a_malformed_base_raises_the_same_error_twice():
+    doc = json.loads(serialize(chain_cert()[0]))
+    doc["base_diagram"] = "X(1,2,3"
+    errors = []
+    for _ in range(2):
+        with pytest.raises(HyperforgeError) as err:
+            deserialize(json.dumps(doc))
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
+
+
+def test_warm_memos_give_the_cold_verdicts(monkeypatch, tmp_path):
+    """Every document of the benchmark's seed-1 replay pool, tampered ones
+    included, gets the same verdict with both memos emptied before it and
+    with them warm from the documents before it."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    items = workloads.replay_verify_build(hyperforge, 1, str(tmp_path))["items"]
+    cold = []
+    for item in items:
+        forget_memos()
+        cold.append(verify(deserialize(item["doc"])))
+    warm = [verify(deserialize(item["doc"])) for item in items]
+    assert warm == cold
+    assert len({v.valid for v in warm}) == 2
 
 
 def test_tampered_evidence_caught_at_step():

@@ -1,9 +1,15 @@
 """Exceptional-exterior classifier and the base certifiers."""
 
 import itertools
+import sys
+import threading
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import hyperforge.classifier as classifier
+import hyperforge.diagram as dg
 from hyperforge.classifier import (
     ExceptionKind,
     Refusal,
@@ -17,10 +23,13 @@ from hyperforge.classifier import (
 from hyperforge.diagram import (
     Crossing,
     LinkDiagram,
+    braid2_template,
     components,
+    parse_pd,
     reidemeister1,
     validate,
 )
+from hyperforge.errors import InvalidDiagramError
 from hyperforge.generators import ChainSpec, chain_link, exceptional_links, rational_link, tk_closure
 from hyperforge.moves import augmenting_circle, _new_ring_component
 from hyperforge.tangle import Fraction, fraction
@@ -30,6 +39,18 @@ from oracles import two_edge_cuts_oracle, union_find_component_count
 
 def is_cert(x):
     return not isinstance(x, Refusal)
+
+
+def forget_decisions():
+    """Empty menasco_certify's process-wide memo, so that its next call on
+    any diagram certifies in full."""
+    classifier._decisions.clear()
+
+
+def shifted(d, by):
+    """``d`` with every arc label raised by ``by``: a distinct content."""
+    return LinkDiagram(tuple(Crossing(tuple(a + by for a in x.slots)) for x in d.crossings),
+                       loops=d.loops)
 
 
 # excluded_exterior -----------------------------------------------------------
@@ -111,17 +132,129 @@ def test_menasco_refuses_nonalternating_3chain():
 
 
 def test_menasco_relabel_invariant():
-    d = chain_link(ChainSpec(4))
-    shifted = LinkDiagram(
-        tuple(Crossing(tuple(a + 50 for a in x.slots)) for x in d.crossings)
-    )
-    assert is_cert(menasco_certify(shifted))
+    assert is_cert(menasco_certify(shifted(chain_link(ChainSpec(4)), 50)))
 
 
 def test_menasco_budget_exhaustion_refuses():
     d = reidemeister1(chain_link(ChainSpec(3)), 1, +1)
     r = menasco_certify(d, budget=0)
     assert isinstance(r, Refusal) and r.reason is RefusalReason.Unknown2Braid
+
+
+# the decision memo -------------------------------------------------------------------
+
+
+_MEMO_BASES = st.one_of(
+    st.lists(st.integers(-1, 1), min_size=2, max_size=5)
+    .map(lambda tw: chain_link(ChainSpec(len(tw), tuple(tw)))),
+    st.integers(3, 5).map(lambda n: chain_link(ChainSpec(n, alternating=False))),
+    st.integers(2, 4).map(lambda n: LinkDiagram(chain_link(ChainSpec(n)).crossings, loops=1)),
+    st.builds(braid2_template, st.integers(2, 6), st.booleans()),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_MEMO_BASES, st.data())
+def test_a_remembered_decision_is_the_cold_one(d, data):
+    """Alternating, non-alternating, split and 2-braid diagrams, kinked or
+    not, certify alike from an emptied memo and from a warm one, on the
+    diagram itself and on an equal copy, at budgets 0, 1 and the default."""
+    if data.draw(st.booleans()):
+        d = reidemeister1(d, data.draw(st.sampled_from(d.arcs)), data.draw(st.sampled_from((1, -1))))
+    for budget in (0, 1, None):
+        forget_decisions()
+        cold = menasco_certify(d, budget)
+        assert len(classifier._decisions) == 1
+        for x in (d, LinkDiagram(d.crossings, loops=d.loops)):
+            assert menasco_certify(x, budget) == cold
+        assert len(classifier._decisions) == 1
+
+
+def test_a_repeated_diagram_is_certified_once():
+    """An equal diagram at the same budget reuses the decision; another
+    budget is another decision."""
+    forget_decisions()
+    d = chain_link(ChainSpec(4))
+    with mock.patch.object(dg, "reduce_diagram", wraps=dg.reduce_diagram) as reduce:
+        assert is_cert(menasco_certify(d))
+        assert is_cert(menasco_certify(LinkDiagram(d.crossings)))
+        assert reduce.call_count == 1
+        assert is_cert(menasco_certify(d, budget=0))
+        assert reduce.call_count == 2
+
+
+def test_the_budget_is_part_of_the_key():
+    """The kinked 4-chain is refused NotPrime at the default budget (it
+    reduces, and the kink's arcs are a 2-edge cut) and Unknown2Braid at
+    budget 0, whichever budget was asked for first."""
+    d = chain_link(ChainSpec(4))
+    kinked = reidemeister1(d, d.arcs[0], 1)
+    for budget, reason in ((None, RefusalReason.NotPrime), (0, RefusalReason.Unknown2Braid),
+                           (None, RefusalReason.NotPrime)):
+        assert menasco_certify(kinked, budget).reason is reason
+
+
+def test_an_invalid_diagram_raises_on_every_call():
+    forget_decisions()
+    bad = parse_pd("X(1,2,3,4)")
+    for _ in range(2):
+        with pytest.raises(InvalidDiagramError):
+            menasco_certify(bad)
+    assert classifier._decisions == {}
+
+
+def test_a_certificate_is_about_the_callers_diagram():
+    """Certified afresh or from the memo, the certificate's base diagram and
+    subject are the very diagram the caller passed."""
+    d = chain_link(ChainSpec(4))
+    aug, ring = _augmented_4chain()
+    for x in (d, LinkDiagram(d.crossings)):
+        cert = menasco_certify(x)
+        assert cert.base_diagram is x and cert.subject is x
+    for x in (aug, LinkDiagram(aug.crossings)):
+        cert = augmented_alternating_certify(x, {ring})
+        assert cert.base_diagram is x and cert.subject is x
+
+
+def test_the_memo_stays_bounded():
+    forget_decisions()
+    d = chain_link(ChainSpec(3))
+    assert classifier._DECISIONS_MAX < 300
+    for by in range(300):
+        menasco_certify(shifted(d, by))
+    assert len(classifier._decisions) == classifier._DECISIONS_MAX
+    last = shifted(d, 299)
+    assert (last.crossings, last.loops, dg.DEFAULT_STEP_BUDGET) in classifier._decisions
+
+
+def test_threads_certifying_at_once_keep_the_memo_bounded():
+    """Threads that certify one split diagram at once over overlapping runs
+    of budgets, each budget a decision of its own and the split test quick,
+    so that they fill the memo and evict from it together, each get every
+    decision, and the memo stays within its bound."""
+    split = LinkDiagram((), loops=2)
+    results = []
+
+    def certify(first):
+        for budget in range(first, first + 500):
+            results.append(menasco_certify(split, budget).reason)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            forget_decisions()
+            results.clear()
+            threads = [threading.Thread(target=certify, args=(250 * i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [RefusalReason.Split] * 4000
+            assert len(classifier._decisions) <= classifier._DECISIONS_MAX
+    finally:
+        sys.setswitchinterval(old)
 
 
 # augmented alternating -----------------------------------------------------------

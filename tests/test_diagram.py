@@ -49,6 +49,8 @@ from oracles import (
     diagram_isomorphic_oracle,
     eager_report,
     faces_oracle,
+    find_kinks_oracle,
+    find_r2_bigons_oracle,
     gauss_linking_oracle,
     is_braid2_form_oracle,
     parse_pd_oracle,
@@ -470,6 +472,36 @@ def test_one_bigon_scan_per_r2_step():
         red, steps, stable = reduce_diagram(d)
     assert (steps, stable, len(scans)) == (3, True, 4)
     assert diagram_isomorphic(red, chain)
+
+
+def _oracle_reduction(d):
+    """d and every intermediate of its greedy R1/R2 reduction, each step
+    chosen by the scan oracles."""
+    while True:
+        yield d
+        kinks = find_kinks_oracle(d)
+        if kinks:
+            d = reidemeister1_undo(d, kinks[0])
+            continue
+        bigons = find_r2_bigons_oracle(d)
+        if not bigons:
+            return
+        d = dg._undo_bigon(d, *bigons[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_CUT_BASES, st.just(parse_pd(HOPF))), st.data())
+def test_r1_r2_scans_match_oracle(d, data):
+    """The kink and bigon scans read off the slots and the corner map give
+    the old scans' exact tuples, on chain, rational, Tk, exceptional and
+    Hopf diagrams, after random R1 and R2 moves, and on every intermediate
+    of each one's reduction, which ends where `reduce_diagram` ends."""
+    for e in r_moves(d, data):
+        for x in _oracle_reduction(e):
+            assert find_kinks(x) == find_kinks_oracle(x)
+            assert find_r2_bigons(x) == find_r2_bigons_oracle(x)
+        reduced, _, stable = reduce_diagram(e)
+        assert stable and (reduced.crossings, reduced.loops) == (x.crossings, x.loops)
 
 
 def test_reduce_budget():

@@ -1,5 +1,5 @@
-"""Print one SHA-256 over what the builder, the verifier and the certifier
-give on the benchmark's seed 1-3 pools, with a count of each outcome.
+"""Print SHA-256 digests over what the builder, the verifier and the
+certifier give on the benchmark's seed 1-3 pools, with a count of each outcome.
 
 Usage: python tools/output_digest.py [SRC]
 
@@ -17,9 +17,15 @@ this checkout, which the tool only reads.  The digest covers, in order:
 - the stdout of one pass of each seed 1-3 cli_pipeline session
   (``workloads.session_digest``), which runs the CLI's ``verify`` too.
 
-Two versions of the code that print the same digest gave byte-identical
+A second line, ``distinct-builds sha256``, digests the same records but
+each distinct build record only at its first occurrence.  A change that
+only skips repeated work, such as a memo that certifies a repeated base
+once, builds some outputs fewer times: the first line changes, and the
+second does not as long as every output, verdict and session is the same.
+
+Two versions of the code that print the same digests gave byte-identical
 outputs on these pools.  The pools are the benchmark's, so a change to
-the benchmark changes the digest too; nothing is gated on it.
+the benchmark changes the digests too; nothing is gated on them.
 """
 
 import collections
@@ -34,13 +40,21 @@ SEEDS = (1, 2, 3)
 
 
 def digest(hf, workloads):
-    """(outcome counts, hex digest) of the pools of every seed."""
-    h = hashlib.sha256()
+    """(outcome counts, hex digest, hex digest of distinct builds) of the
+    pools of every seed."""
+    h, distinct = hashlib.sha256(), hashlib.sha256()
     counts = collections.Counter()
+    builds_seen = set()
 
     def record(kind, text):
         counts[kind] += 1
-        h.update(f"{kind}\t{text}\n".encode())
+        line = f"{kind}\t{text}\n".encode()
+        h.update(line)
+        if kind.startswith("build"):
+            if line in builds_seen:
+                return
+            builds_seen.add(line)
+        distinct.update(line)
 
     cls = hf.diagram.DiagramBuilder
     build = cls.build
@@ -73,7 +87,7 @@ def digest(hf, workloads):
                 record("cli session", workloads.session_digest(hf, seed, str(session)))
     finally:
         cls.build = build
-    return counts, h.hexdigest()
+    return counts, h.hexdigest(), distinct.hexdigest()
 
 
 def main(argv):
@@ -89,9 +103,10 @@ def main(argv):
     import hyperforge.cli  # noqa: F401  (the sessions run hf.cli.run)
     import workloads
 
-    counts, hexdigest = digest(hf, workloads)
+    counts, hexdigest, distinct = digest(hf, workloads)
     print(", ".join(f"{kind} {n}" for kind, n in sorted(counts.items())))
     print(f"sha256 {hexdigest}")
+    print(f"distinct-builds sha256 {distinct}")
     return 0
 
 
