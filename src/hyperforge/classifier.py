@@ -143,7 +143,7 @@ def exception_base_set() -> frozenset[Fraction]:
 # Bounded; when full the oldest decision goes first.
 _DECISIONS_MAX = 256
 _decisions: dict[tuple, Optional[Refusal]] = {}
-_decisions_lock = threading.Lock()  # `verify --jobs` certifies from threads
+_decisions_lock = threading.Lock()  # library callers may certify from several threads
 
 
 def menasco_certify(d: LinkDiagram, budget: Optional[int] = None):

@@ -10,8 +10,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import hyperforge
-import hyperforge.certificate as certificate
-import hyperforge.classifier as classifier
 from hyperforge.certificate import (
     AbstractManifold,
     AugChainStep,
@@ -46,18 +44,11 @@ from hyperforge.generators import ChainSpec, chain_link
 from hyperforge.moves import Handedness, find_chain_sites
 from hyperforge.tangle import ConwaySequence
 
+from memos import forget_memos
 from oracles import replay_oracle
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def forget_memos():
-    """Empty the process-wide memos of base diagrams and certifier
-    decisions, so that the next document's base is parsed and certified
-    in full."""
-    certificate._base_diagram.cache_clear()
-    classifier._decisions.clear()
 
 
 def chain_cert():

@@ -34,17 +34,12 @@ from hyperforge.generators import ChainSpec, chain_link, exceptional_links, rati
 from hyperforge.moves import augmenting_circle, _new_ring_component
 from hyperforge.tangle import Fraction, fraction
 
+from memos import forget_memos
 from oracles import two_edge_cuts_oracle, union_find_component_count
 
 
 def is_cert(x):
     return not isinstance(x, Refusal)
-
-
-def forget_decisions():
-    """Empty menasco_certify's process-wide memo, so that its next call on
-    any diagram certifies in full."""
-    classifier._decisions.clear()
 
 
 def shifted(d, by):
@@ -162,7 +157,7 @@ def test_a_remembered_decision_is_the_cold_one(d, data):
     if data.draw(st.booleans()):
         d = reidemeister1(d, data.draw(st.sampled_from(d.arcs)), data.draw(st.sampled_from((1, -1))))
     for budget in (0, 1, None):
-        forget_decisions()
+        forget_memos()
         cold = menasco_certify(d, budget)
         assert len(classifier._decisions) == 1
         for x in (d, LinkDiagram(d.crossings, loops=d.loops)):
@@ -173,7 +168,7 @@ def test_a_remembered_decision_is_the_cold_one(d, data):
 def test_a_repeated_diagram_is_certified_once():
     """An equal diagram at the same budget reuses the decision; another
     budget is another decision."""
-    forget_decisions()
+    forget_memos()
     d = chain_link(ChainSpec(4))
     with mock.patch.object(dg, "reduce_diagram", wraps=dg.reduce_diagram) as reduce:
         assert is_cert(menasco_certify(d))
@@ -195,7 +190,7 @@ def test_the_budget_is_part_of_the_key():
 
 
 def test_an_invalid_diagram_raises_on_every_call():
-    forget_decisions()
+    forget_memos()
     bad = parse_pd("X(1,2,3,4)")
     for _ in range(2):
         with pytest.raises(InvalidDiagramError):
@@ -217,7 +212,7 @@ def test_a_certificate_is_about_the_callers_diagram():
 
 
 def test_the_memo_stays_bounded():
-    forget_decisions()
+    forget_memos()
     d = chain_link(ChainSpec(3))
     assert classifier._DECISIONS_MAX < 300
     for by in range(300):
@@ -243,7 +238,7 @@ def test_threads_certifying_at_once_keep_the_memo_bounded():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
-            forget_decisions()
+            forget_memos()
             results.clear()
             threads = [threading.Thread(target=certify, args=(250 * i,)) for i in range(8)]
             for t in threads:
