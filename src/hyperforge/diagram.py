@@ -238,17 +238,17 @@ class _Analysis:
     something first reads them, and only when every arc occurs twice.
     Every walk over the diagram but the face stage's reads that one corner
     map through `_walk_corners`: the strand trace, the splice's base side,
-    the disk-run scan and the isomorphism test; the faces are read in one
-    pass by `_closed_faces`.  The strand trace and `_renormalize` orient
-    the strands by one walk per component, `_oriented`.
+    the co-face test, the disk-run scan and the isomorphism test; the faces
+    are read in one pass by `_closed_faces`.  The strand trace and
+    `_renormalize` orient the strands by one walk per component, `_oriented`.
 
     A diagram a splice, an R1/R2 undo or a component removal builds
     arrives analysed (`DiagramBuilder.build`, `_renormalize`): it is
     indexed afresh, its strand trace walks only the components through
     the arcs the build changed and takes the others' from its base, and it
     is known planar, since a splice's judge checked the Euler formula over
-    fragment parts its guard traced, and smoothing crossings out of a
-    plane diagram keeps it plane.  It has no Euler check to run, and its
+    face orbits, the parts under its face-orbit condition, and smoothing
+    crossings out of a plane diagram keeps it plane.  It has no Euler check to run, and its
     report counts V + 2 faces per graph component, so its faces are traced
     only when something reads them.  An analysis keeps its diagram's
     crossings and loops, not the diagram, which caches it: no reference
@@ -831,7 +831,7 @@ def remove_component(d: LinkDiagram, comp: int) -> LinkDiagram:
         for a, b in (d.crossings[ci].under(), d.crossings[ci].over()):
             if a not in comp_arcs and b not in comp_arcs:
                 bld.join(a, b)
-    return bld.build(planar=True)
+    return bld.build()
 
 
 # -- fragment builder --------------------------------------------------------------
@@ -1004,16 +1004,16 @@ class DiagramBuilder:
     def _is_terminal(self, port) -> bool:
         return not isinstance(port, int)  # a crossing slot is its corner
 
-    def build(self, allow_reorient: bool = False, planar: bool = False) -> LinkDiagram:
+    def build(self, allow_reorient: bool = False) -> LinkDiagram:
         """The diagram, renormalised with the kept base crossings frozen.
 
         The output is indexed afresh.  Over a base, only the strand
         components through an arc whose corners changed are walked: a
         stub's arc or a new crossing's.  Every other component's arcs and
         crossings are the base's, so it keeps the base's corners,
-        renumbered past the removed crossings.  ``planar`` says the caller
-        has proved the output passes the Euler check (a splice's judge
-        proves it; removing crossings keeps it), so its analysis runs none.
+        renumbered past the removed crossings.  A build over a base passes
+        the Euler check, so its analysis runs none: it is a splice, whose
+        judge proves it, or a removal, which keeps it.
         """
         loops = self._label()
         n = self.n_frozen
@@ -1025,7 +1025,7 @@ class DiagramBuilder:
             if self.removed:
                 steps = [list(map(self._new_corner.__getitem__, corners)) for corners in steps]
         return _renormalize(crossings, loops, frozen=range(n), allow_reorient=allow_reorient,
-                            touched=touched, base_steps=steps, planar=planar)
+                            touched=touched, base_steps=steps, planar=self.base is not None)
 
     def _label(self) -> int:
         """Label every open crossing slot from ``far``, in place; returns the
@@ -1098,45 +1098,37 @@ class _Side(NamedTuple):
     when the strands were not walked).
     ``vote[e]`` is None when that strand segment passes under no frozen
     crossing, and otherwise says whether walking it from e follows the
-    base's orientation.  ``piece[e]`` numbers the connected part of the
-    side that e is on, and ``excess[p]`` is part p's faces that no walk from
-    an open end enters minus its crossings, by Euler's formula.
+    base's orientation.  ``piece[e]`` numbers e's orbit of ``face_next``,
+    in end order: the connected part of the side that e is on, under the
+    face-orbit condition `splice` states.
     """
 
     face_next: list[int]
     strand_next: list[int]
     vote: list[Optional[bool]]
     piece: list[int]
-    excess: list[int]
 
 
-def _side(across: Sequence[int], open_at: dict[int, int], piece_of: Sequence[int],
+def _side(across: Sequence[int], open_at: dict[int, int],
           through: Iterable[tuple[int, int]] = (), strands: bool = True,
           inward: Optional[Callable[[int], bool]] = None) -> _Side:
     """The side whose ends are the open corners ``open_at`` numbers and the
     ``through`` pairs of ends that pass straight through to each other;
-    ``across`` is its corner map, read only away from the open corners,
-    and ``piece_of`` its crossings' parts, as `_parts` numbers them from
-    the open corners in end order.  Strands are walked only when
-    ``strands``, and a segment that passes under a crossing votes
-    ``inward`` of its open corner there.
+    ``across`` is its corner map, read only away from the open corners.
+    Strands are walked only when ``strands``, and a segment that passes
+    under a crossing votes ``inward`` of its open corner there.
 
-    No face is traced: each part is taken to be planar.  With its k ends as
-    vertices of degree one, E = 2V + k / 2 and F is the faces no walk
-    enters plus the c cycles the face walks close into, so V + k - E + F
-    = 2 makes its excess 2 - k / 2 - c.
+    No face is traced and no part searched for.  A planar part whose k
+    ends, as vertices of degree one, lie on one face, one piece, has
+    E = 2V + k / 2 and F = 1 + the faces no walk enters, its inner faces,
+    so V + k - E + F = 2 makes those V + 1 - k / 2.
     """
     n = len(open_at) + 2 * len(through)
     face_next, strand_next = [0] * n, list(range(n))
     vote: list[Optional[bool]] = [None] * n
-    piece = [0] * n
-    n_pieces = 1 + max(piece_of, default=-1)
     for a, b in through:
         face_next[a], face_next[b] = strand_next[a], strand_next[b] = b, a
-        piece[a] = piece[b] = n_pieces
-        n_pieces += 1
     for k, e in open_at.items():
-        piece[e] = piece_of[k >> 2]
         face_next[e] = open_at[_walk_corners(across, k, 1, open_at)[-1]]
         if strands and strand_next[e] == e:
             walk = _walk_corners(across, k, 2, open_at)
@@ -1145,18 +1137,13 @@ def _side(across: Sequence[int], open_at: dict[int, int], piece_of: Sequence[int
             if inward is not None and any(not c & 1 for c in walk):
                 vote[e] = inward(k)
                 vote[far] = not vote[e]
-    ends_in = [0] * n_pieces
-    for p in piece:
-        ends_in[p] += 1
-    excess = [2 - k // 2 for k in ends_in]
-    seen = [False] * n
+    piece, count = [-1] * n, 0
     for e in range(n):
-        if not seen[e]:
-            excess[piece[e]] -= 1
-            while not seen[e]:
-                seen[e] = True
-                e = face_next[e]
-    return _Side(face_next, strand_next, vote, piece, excess)
+        if piece[e] < 0:
+            while piece[e] < 0:
+                piece[e], e = count, face_next[e]
+            count += 1
+    return _Side(face_next, strand_next, vote, piece)
 
 
 def _base_side(base: LinkDiagram, removed: frozenset[int], cut: Sequence[int],
@@ -1167,8 +1154,8 @@ def _base_side(base: LinkDiagram, removed: frozenset[int], cut: Sequence[int],
     A stub arc that meets no kept crossing is listed twice and passes
     straight through from one of its ends to the other.  The strand walks
     run only when ``directed``, and a segment votes for the way the base
-    runs along it.  The base is valid, so each part of it is planar, as
-    `_side` needs.
+    runs along it.  The base is valid, so each part of it is planar, and
+    `splice`'s caller puts each part's ends on one face, as `_side` needs.
     """
     an = base._analysis
     occ, head, across, arc_at = an.occ, an.head, an.across, an.arc_at
@@ -1187,9 +1174,7 @@ def _base_side(base: LinkDiagram, removed: frozenset[int], cut: Sequence[int],
             or any(len(pair) != 2 for pair in through.values())
             or any(k >> 2 in removed for k in open_at) or not freed <= open_at.keys()):
         raise AssertionError("splice ends must free each end of an arc once")
-    return _side(across, open_at, _parts(across, [k >> 2 for k in open_at], open_at),
-                 through.values(), directed,
-                 lambda k: head[arc_at[k]] == k)
+    return _side(across, open_at, through.values(), directed, lambda k: head[arc_at[k]] == k)
 
 
 def _fragment_side(bld: DiagramBuilder, ports: Sequence) -> Optional[_Side]:
@@ -1201,12 +1186,13 @@ def _fragment_side(bld: DiagramBuilder, ports: Sequence) -> Optional[_Side]:
     None when a crossing is on no part with a port, which no move emits.
     Nothing is labelled: the build takes every fresh label.
 
-    This is where a splice's planarity guard sits.  The judge's Euler
-    check is exact when each part of both sides is planar; the base's are,
-    since the base is valid.  Each part's faces that no walk from an open
-    end enters are traced here, and a part with ports whose count is not
-    its crossings plus the excess Euler's formula gives is not planar: a
-    program fault, raised as an AssertionError."""
+    This is where a splice's planarity guard sits: the fragment must meet
+    the face-orbit condition.  Its inner faces (no walk from a port enters
+    them) are traced, and their count minus the crossings must be the face
+    orbits minus half the ports.  A part with ports on c face orbits and
+    genus g traces 2c - 2 + 2g fewer than its orbits give it, each term at
+    least 0, so the totals agree only when every part is planar with its
+    ports on one face; otherwise the fault is raised as an AssertionError."""
     port_of = {port: i for i, port in enumerate(ports)}
     first = 4 * bld.n_frozen
     across = [-1] * (4 * len(bld.protos) - first)  # corner k is the builder's first + k
@@ -1219,22 +1205,18 @@ def _fragment_side(bld: DiagramBuilder, ports: Sequence) -> Optional[_Side]:
             else:
                 far = end - first
                 across[k], across[far] = far, k
-    piece_of = _parts(across, [k >> 2 for k in sorted(open_at, key=open_at.get)], open_at)
-    if -1 in piece_of:
+    if -1 in _parts(across, [k >> 2 for k in open_at], open_at):
         return None
-    side = _side(across, open_at, piece_of)
+    side = _side(across, open_at)
     seen = bytearray(len(across))
     for k in open_at:
         for c in _walk_corners(across, k, 1, open_at):
             seen[c] = 1
-    excess = [0] * len(side.excess)
-    for p in piece_of:
-        excess[p] -= 1
-    for face in _closed_faces(across, range(len(across)), seen):
-        excess[piece_of[face[0] >> 2]] += 1
-    if excess != side.excess:
-        raise AssertionError(f"fragment part not planar: traced excess {excess}, "
-                             f"Euler's formula {side.excess}")
+    traced = sum(1 for _ in _closed_faces(across, range(len(across)), seen)) - len(across) // 4
+    orbits, n = 1 + max(side.piece, default=-1), len(side.piece)
+    if 2 * traced != 2 * orbits - n:
+        raise AssertionError(f"fragment fails the face-orbit condition: traced inner faces - "
+                             f"crossings = {traced}, face orbits - ports / 2 = {orbits - n // 2}")
     return side
 
 
@@ -1245,8 +1227,10 @@ def _wiring_fault(near: _Side, far: _Side, wiring: Sequence[int]) -> Optional[st
     "direction": a strand component through the fragment would walk one
     voting base segment forward and another backward, which is the
     builder's WiringError; a side without votes shows none.  "non-planar":
-    a graph component the wiring makes fails the Euler check.  A
-    component's faces minus its crossings are its parts' excesses plus the
+    a graph component the wiring makes fails the Euler check.  Both sides
+    meet the face-orbit condition, so a piece of k ends has 1 - k / 2 more
+    inner faces than crossings.  Over all components, faces minus
+    crossings are then the pieces of both sides minus the n ends plus the
     faces that run through the fragment, each a cycle of entering ``near``
     by an end, leaving it by ``face_next``, entering ``far`` by the port
     welded there, and so on.  Every graph component has F - V <= 2, so all
@@ -1272,8 +1256,8 @@ def _wiring_fault(near: _Side, far: _Side, wiring: Sequence[int]) -> Optional[st
         if len(ways) == 2:
             return "direction"
 
-    shift = len(near.excess)
-    root = list(range(shift + len(far.excess)))
+    shift = 1 + max(near.piece, default=-1)
+    root = list(range(shift + 1 + max(far.piece, default=-1)))
 
     def find(p: int) -> int:
         while root[p] != p:
@@ -1282,7 +1266,7 @@ def _wiring_fault(near: _Side, far: _Side, wiring: Sequence[int]) -> Optional[st
 
     for port, end in enumerate(wiring):
         root[find(near.piece[end])] = find(shift + far.piece[port])
-    euler = sum(near.excess) + sum(far.excess)
+    euler = len(root) - n
     seen = [False] * n
     for start in range(n):
         if not seen[start]:
@@ -1350,6 +1334,14 @@ def splice(
     `DiagramBuilder.stamp` replays its welds at the builder's offset, so
     the output is what emitting into the builder gives.
 
+    The caller meets the face-orbit condition: the removed crossings and
+    cut points lie in a disk meeting the base nowhere else, so each part
+    of the base minus them has its ends on one face, one orbit of
+    `_side`'s ``face_next``.  R2, ring insertion (`_require_co_face`) and
+    the augmented chain move check that their two cut arcs share a face;
+    a half twist cuts two arcs off one face; a chain move removes a ring's
+    four crossings, which its arcs join.
+
     The wirings are judged in order before any is welded.  Each side is
     walked once from its open ends by one routine, `_side`, which
     `_base_side` hands the base's own corner map and `_fragment_side` one
@@ -1357,11 +1349,11 @@ def splice(
     then each wiring costs a walk over the ends alone (`_wiring_fault`):
     it is valid when no strand component through the fragment needs
     frozen crossings turned (unless ``reorient``) and every graph
-    component passes the Euler check, each
-    part's excess taken from Euler's formula.  That check is exact: the
-    base is valid, and `_fragment_side`, the planarity guard, traces the
-    fragment parts' inner faces and raises an AssertionError for a part
-    that is not planar.  Judging takes no fresh label, so the first valid
+    component passes the Euler check, counted over face orbits.  That
+    check is exact: the base is valid and meets the condition, and
+    `_fragment_side`, the planarity guard, traces the fragment's inner
+    faces and raises an AssertionError for a fragment that does not meet
+    it.  Judging takes no fresh label, so the first valid
     wiring is built with the labels and crossing indices of building it
     alone.  Its output arrives analysed (`DiagramBuilder.build`): indexed
     afresh, with only the strand components through the fragment walked
@@ -1395,12 +1387,19 @@ def splice(
     for port, end in zip(ports, wiring):
         bld.weld(ends[end], port)
     try:
-        return bld.build(allow_reorient=reorient, planar=True)
+        return bld.build(allow_reorient=reorient)
     except (WiringError, InvalidDiagramError) as err:
         raise AssertionError(f"wiring {tuple(wiring)} was judged valid: {err}") from err
 
 
 # -- Reidemeister moves --------------------------------------------------------
+
+
+def _co_face(d: LinkDiagram, a: int, b: int) -> bool:
+    """Whether arc ``b`` of valid ``d`` is on one of the two faces beside
+    arc ``a``, the face walks from a's corners; no other face is walked."""
+    an = d._analysis
+    return any(an.arc_at[c] == b for k in an.occ[a] for c in _walk_corners(an.across, k, 1))
 
 
 def _require_co_face(d: LinkDiagram, a: int, b: int, equal: str) -> None:
@@ -1412,7 +1411,7 @@ def _require_co_face(d: LinkDiagram, a: int, b: int, equal: str) -> None:
     for arc in (a, b):
         if arc not in d._analysis.occ:
             raise SiteError(f"no arc {arc}")
-    if not any(a in fa and b in fa for fa in d._analysis.face_arcs):
+    if not _co_face(d, a, b):
         raise SiteError(f"arcs {a} and {b} do not share a face")
 
 
@@ -1456,7 +1455,7 @@ def reidemeister1_undo(d: LinkDiagram, ci: int) -> LinkDiagram:
         raise SiteError(f"crossing {ci} is not a kink")
     bld = DiagramBuilder(d, remove={ci})
     bld.join(x.slots[(pair + 2) % 4], x.slots[(pair + 3) % 4])
-    return bld.build(planar=True)
+    return bld.build()
 
 
 def reidemeister2(
@@ -1527,7 +1526,7 @@ def _undo_bigon(d: LinkDiagram, ci: int, cj: int) -> LinkDiagram:
     for s, inner in zip((1, 0), _r2_strands(d, ci, cj)):
         bld.join(*(x.slots[s + 2] if x.slots[s] == inner else x.slots[s]
                    for x in (d.crossings[ci], d.crossings[cj])))
-    return bld.build(planar=True)
+    return bld.build()
 
 
 def reduce_diagram(

@@ -38,6 +38,7 @@ from .classifier import ExteriorEvidence, Rational, excluded_exterior
 from .diagram import (
     DiagramBuilder,
     LinkDiagram,
+    _co_face,
     _disk_runs,
     _other_strand_arcs,
     _passages,
@@ -258,20 +259,28 @@ def chain_move(
 def augmented_chain_move(
     d: LinkDiagram, site: ChainSite, k: int, evidence: ExteriorEvidence
 ) -> LinkDiagram:
-    """Chain move that keeps C: splice Tk into the strands inside C's disk."""
+    """Chain move that keeps C: splice Tk into the strands inside C's disk.
+
+    The splice cuts the two strands, so they must share a face, the face
+    inside C's disk on a site whose strands both pass through it, for the
+    cut points to lie in one disk as `splice` requires.  A site whose
+    clasped strands lie on the two sides of C is refused with the text
+    every wiring's refusal gives: cutting two arcs with no face in common
+    and joining them through a connected fragment is never planar.
+    """
     site = _resolved(d, site)
     _gate_evidence(evidence, k)
+    failure = "augmented chain splice found no planar wiring"
+    if not _co_face(d, site.strand1, site.strand2):
+        raise SiteError(f"{failure} (None)")
     q = site.crossings
     # ends: strand1 tail, head (0, 1), strand2 tail, head (2, 3); match
     # them to C-cyclic crossings q0..q3 first, then flip each strand
     across = d._analysis.across
     x = (0, 1) if across[d._head(site.strand1)] >> 2 == q[0] else (1, 0)
     y = (2, 3) if across[d._head(site.strand2)] >> 2 == q[2] else (3, 2)
-    return splice(
-        d, TkTemplate(k), flip_wirings([(x, y)]),
-        "augmented chain splice found no planar wiring",
-        cut=(site.strand1, site.strand2),
-    )
+    return splice(d, TkTemplate(k), flip_wirings([(x, y)]), failure,
+                  cut=(site.strand1, site.strand2))
 
 
 # -- switch move and half-twist -------------------------------------------------------

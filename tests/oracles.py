@@ -19,8 +19,9 @@ component walked instead of only those through the arcs the build
 changed), the emitting-splice oracle runs
 a fragment's emit at every splice, into the builder over the base,
 instead of stamping a fragment compiled once, the two splice-side oracles
-walk each side with walks of their own, trace its faces instead of
-counting them by the Euler formula and
+walk each side with walks of their own, search its parts and trace their
+faces instead of taking its face orbits for its parts, assert that each
+part is planar with its ends on one face, and
 walk each end's strand on its own (the fragment-side oracle emits the
 fragment into a builder of its own and labels it there instead of
 reading the splice builder's welds; the base-side oracle reads the
@@ -456,7 +457,7 @@ def emitting_splice_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), re
     for port, end in zip(ports, wiring):
         bld.weld(ends[end], port)
     try:
-        return bld.build(allow_reorient=reorient, planar=True)
+        return bld.build(allow_reorient=reorient)
     except (WiringError, InvalidDiagramError) as err:
         raise AssertionError(f"wiring {tuple(wiring)} was judged valid: {err}") from err
 
@@ -480,10 +481,13 @@ def _side_walk(crossings, occ, open_at, slot, turn):
 def _traced_side(crossings, occ, ends, through=(), strands=True, votes=False):
     """(side, crossings reached) of the crossings reachable from the open
     slots ``ends`` (in end order) without crossing one, with the
-    ``through`` end pairs passing straight through: each part's excess is
-    counted by tracing its faces, and each end walks its own strand, which
-    with ``votes`` votes forward when the first under-slot it enters is
-    slot 0."""
+    ``through`` end pairs passing straight through: each part is searched
+    for and its inner faces traced, and each end walks its own strand,
+    which with ``votes`` votes forward when the first under-slot it enters
+    is slot 0.  Asserts the face-orbit condition: each part's k ends are
+    one orbit of the face walks from them, and it has 1 - k / 2 more
+    traced inner faces than crossings.  The parts are the side's pieces,
+    numbered in end order."""
     open_at = {slot: e for e, slot in enumerate(ends) if slot is not None}
     piece_of = {}
     n_pieces = 0
@@ -536,12 +540,23 @@ def _traced_side(crossings, occ, ends, through=(), strands=True, votes=False):
         else:
             if corner == start:
                 excess[piece_of[start[0]]] += 1
-    return _Side(face_next, strand_next, vote, piece, excess), len(piece_of)
+    for p in range(n_pieces):
+        mine = [e for e, q in enumerate(piece) if q == p]
+        orbit = [mine[0]]
+        while face_next[orbit[-1]] != mine[0]:
+            orbit.append(face_next[orbit[-1]])
+        if sorted(orbit) != mine or 2 * excess[p] != 2 - len(mine):
+            raise AssertionError(f"part {p} fails the face-orbit condition: ends {mine}, "
+                                 f"face orbit {orbit}, traced excess {excess[p]}")
+    number = {}
+    for p in piece:
+        number.setdefault(p, len(number))
+    return _Side(face_next, strand_next, vote, [number[p] for p in piece]), len(piece_of)
 
 
 def fragment_side_oracle(emit) -> Optional[_Side]:
     """`diagram._fragment_side` before a splice emitted its fragment once
-    and before the Euler formula gave each part's excess: the fragment is
+    and before it took the face orbits for the parts: the fragment is
     emitted into a builder of its own, port i welded to a stub labelled
     -1 - i, and labelled there; its faces are traced.  None when a crossing
     is on no part with a port."""
@@ -559,8 +574,9 @@ def fragment_side_oracle(emit) -> Optional[_Side]:
 
 
 def base_side_oracle(base, remove, cut, stubs, directed) -> _Side:
-    """`diagram._base_side` with the faces traced instead of counted by
-    the Euler formula, the arcs' heads taken from `trace_oracle`, and each
+    """`diagram._base_side` with the parts searched for and their faces
+    traced instead of taken as the face orbits, the arcs' heads taken from
+    `trace_oracle`, and each
     end's vote from its own strand walk: forward when the first under-slot
     it enters is slot 0."""
     crossings = [x.slots for x in base.crossings]

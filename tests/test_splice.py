@@ -3,7 +3,9 @@ derivations against the try-every-wiring oracles, any wiring table against
 the wiring loop, the strand orientation against the two-walk oracle, the
 fragment side against emitting the fragment apart and the base side
 against tracing its faces, the refusal of fragments with a portless or a
-non-planar part, the bound on the walks, the disk-run scan against its
+non-planar part or a part with ports on two faces, the augmented chain
+move's refusal of a site whose strands share no face, the bound on the
+walks, the disk-run scan against its
 oracle, every stage of the analysis an output arrives with (occurrence
 index, corner map, strand trace, report, graph components, faces)
 against a fresh analysis, the outputs against the old post-build path,
@@ -16,6 +18,7 @@ replay skips: fragments compiled once into a bounded cache, validity
 read from the analysis' flags, an equal subject never analysed, and no
 reference cycle between a diagram and its analysis."""
 
+import collections
 import copy
 import gc
 import itertools
@@ -481,6 +484,77 @@ def test_refusal_texts_match_the_oracles():
         assert _outcome(wiring_loop_oracle, base, emit, table, failure, **kwargs) == want
 
 
+def _open_chain(chirality):
+    """Rings D, A, C and B in an open chain D-A-C-B: three clasps of the
+    given chiralities stacked as the Tk template stacks them, D closing
+    the first clasp's north rail and B the last clasp's south rail."""
+    bld = DiagramBuilder()
+    clasps = [bld.twist_region(2, x) for x in chirality]
+    bld.weld(clasps[0]["in_r"], clasps[0]["out_r"])
+    for upper, lower in zip(clasps, clasps[1:]):
+        bld.weld(upper["in_l"], lower["in_r"])
+        bld.weld(upper["out_l"], lower["out_r"])
+    bld.weld(clasps[-1]["in_l"], clasps[-1]["out_l"])
+    return bld.build()
+
+
+def _kinked_leaf_sites():
+    """(diagram, site) of the chain sites an R1 kink of either hand on
+    either arc of a leaf ring (D or B) makes, on open chains of every
+    chirality at each clasp.  The kink leaves the leaf's other arc as the
+    one arc running straight between its two crossings with the ring it
+    clasps, which makes that ring a site.  Depending on which arc was
+    kinked, the two arcs the site clasps both pass through the ring's disk
+    or lie on its two sides."""
+    for chirality in itertools.product((1, -1), repeat=3):
+        d = _open_chain(chirality)
+        part = components(d)
+        for comp in range(part.count):
+            if len({k >> 2 for a in part.arcs_of(comp) for k in d._analysis.occ[a]}) != 2:
+                continue
+            for arc in part.arcs_of(comp):
+                for hand in (1, -1):
+                    kinked = dg.reidemeister1(d, arc, hand)
+                    for site in find_chain_sites(kinked):
+                        yield kinked, site
+
+
+_OPPOSITE = "SiteError: augmented chain splice found no planar wiring (None)"
+
+
+def test_augmented_chain_sites_need_co_facial_strands():
+    """`splice` requires its cut points to lie in one disk, and the
+    augmented chain move checks it: a site whose two strands share no face
+    is refused with the text building every wiring gives, since none is
+    planar.  On the 32 such sites of the kinked open chains, and the 32
+    whose strands share the face inside the ring, the augmented and the
+    plain chain move give what the try-every-wiring oracle gives.  Without
+    the check, the judge, whose face orbits are then no longer the base's
+    parts, flags a non-planar output valid."""
+    base = parse_pd("X(1,2,3,4) X(2,5,4,3) X(6,1,7,8) X(5,9,8,7) X(11,12,10,6) X(9,10,12,11)")
+    assert diagram_isomorphic(base, _open_chain((1, 1, 1)))
+    for hand in (1, -1):
+        kinked = dg.reidemeister1(base, 4, hand)
+        (site,) = find_chain_sites(kinked)
+        assert site.key() == (0, 2, 7)
+        assert _outcome(augmented_chain_move, kinked, site, 0, EVIDENCE) == _OPPOSITE
+        with mock.patch.object(mv, "_co_face", lambda *_: True):
+            unchecked = augmented_chain_move(kinked, site, 0, EVIDENCE)
+        assert validate(unchecked).valid
+        assert not validate(parse_pd(format_pd(unchecked))).valid
+    co_facial = collections.Counter()
+    for d, site in _kinked_leaf_sites():
+        shared = any(site.strand1 in arcs and site.strand2 in arcs for arcs in d.face_arcs())
+        co_facial[shared] += 1
+        for k in (0, 1):
+            want = _by_oracle(augmented_chain_move, d, site, k, EVIDENCE)
+            assert shared or want == _OPPOSITE
+            assert _outcome(augmented_chain_move, d, site, k, EVIDENCE) == want
+            assert (_outcome(chain_move, d, site, k, EVIDENCE)
+                    == _by_oracle(chain_move, d, site, k, EVIDENCE))
+    assert co_facial == {True: 32, False: 32}
+
+
 _REPLAY_BASES = [chain_link(ChainSpec(n)) for n in (3, 4, 5, 6)] + [
     rational_link(entries)
     for entries in ([2, 2, 2], [3, 3], [2, 3, 2], [3, 2, 3], [4, 4, 2], [2, 2, 2, 2, 2])
@@ -743,17 +817,25 @@ def test_a_portless_fragment_part_is_refused():
                       **kwargs)
 
 
+def _guard(traced, orbits):
+    return (r"^fragment fails the face-orbit condition: "
+            rf"traced inner faces - crossings = {traced}, face orbits - ports / 2 = {orbits}$")
+
+
 def test_a_nonplanar_fragment_never_gives_a_diagram():
-    """The Euler formula takes a fragment's part with ports for planar, so
-    on a toroidal part it reads excess -1 where tracing the faces reads -3.
-    No wiring of it gives a diagram: the fragment side's guard traces the
-    part's inner faces and refuses it by name, as a program fault, before
-    any wiring is judged."""
-    guard = r"^fragment part not planar: traced excess \[-3\], Euler's formula \[-1\]$"
+    """The face orbits take a fragment's part with ports for planar, so on
+    a toroidal part, whose ports are one face orbit, they read 1 - 4 / 2 =
+    -1 inner faces minus crossings where tracing the faces reads -3.  No
+    wiring of it gives a diagram: the fragment side's guard traces the
+    fragment's inner faces and refuses the total by name, as a program
+    fault, before any wiring is judged; the traced oracle refuses the
+    part."""
+    guard = _guard(-3, -1)
     bld = DiagramBuilder()
     with pytest.raises(AssertionError, match=guard):
         dg._fragment_side(bld, _toroidal_fragment(bld))
-    assert fragment_side_oracle(_toroidal_fragment).excess == [-3]
+    with pytest.raises(AssertionError, match=r"face orbit \[0, 1, 2, 3\], traced excess -3$"):
+        fragment_side_oracle(_toroidal_fragment)
     refused_by = set()
     for base, failure, kwargs in _four_end_splices():
         for wiring in itertools.permutations(range(4)):
@@ -764,13 +846,41 @@ def test_a_nonplanar_fragment_never_gives_a_diagram():
     assert refused_by == {AssertionError}
 
 
+def _two_face_fragment(bld):
+    """One crossing whose opposite slots 0 and 2 are welded into a loop, its
+    ports slots 1 and 3: a planar part with a port inside the loop and one
+    outside, on two faces."""
+    k = 4 * bld.crossing()
+    bld.weld(k, k + 2)
+    return (k + 1, k + 3)
+
+
+def test_a_fragment_with_ports_on_two_faces_is_refused():
+    """A planar fragment part with its ports on two faces traces -1 inner
+    faces minus crossings, as the Euler formula gives a planar part with
+    its ends on two face cycles (2 - 2 / 2 - 2), so a per-part excess
+    check passes it.  Taken as two face orbits, it would count 2 - 2 / 2 = 1:
+    the guard refuses it by name, and so does the traced oracle, and the
+    splice that cuts one arc for it raises the fault before judging any
+    wiring.  Welded in, the loop would be crossed once by a strand that
+    runs out of it and back in through the base."""
+    bld = DiagramBuilder()
+    with pytest.raises(AssertionError, match=_guard(-1, 1)):
+        dg._fragment_side(bld, _two_face_fragment(bld))
+    with pytest.raises(AssertionError, match=r"face orbit \[0\], traced excess -1$"):
+        fragment_side_oracle(_two_face_fragment)
+    with pytest.raises(AssertionError, match=_guard(-1, 1)):
+        dg.splice(_CHAIN4, _two_face_fragment, [(0, 1), (1, 0)], "no wiring", cut=(1,))
+
+
 @settings(max_examples=40, deadline=None)
 @given(_BASES, st.data())
 def test_base_side_matches_the_traced_oracle(d, data):
     """The base side of the first splice of every move, with and without
     its strand walks, is what tracing its faces, reading the heads off the
-    two-walk oracle and walking each end's strand on its own give: the
-    Euler formula's excess is the traced one on every part of a base."""
+    two-walk oracle and walking each end's strand on its own give: each
+    part of a base has its ends on one face orbit, whose count of inner
+    faces is the traced one, so the orbits are the parts."""
     *_, d = r_moves(d, data)
     for move, *args in _moves(d, data):
         call = _first_splice(move, *args)
@@ -1180,7 +1290,7 @@ def test_stubs_welded_through_plain_terminals_are_joined(n):
     chain = [bld.stub(9)] + [bld.terminal() for _ in range(n)] + [bld.stub(10)]
     for p, q in zip(chain, chain[1:]):
         bld.weld(p, q)
-    assert format_pd(bld.build(planar=True)) == format_pd(want.build(planar=True))
+    assert format_pd(bld.build()) == format_pd(want.build())
 
 
 # the work a replay skips ----------------------------------------------------------
