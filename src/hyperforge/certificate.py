@@ -252,6 +252,10 @@ def verify(cert: Certificate) -> Verdict:
                 f"step {i}: switch move; the geodesic hypothesis is recorded, "
                 "not checked (no finite certificate exists for it)"
             )
+        if isinstance(step, ChainStep) and abs(step.k) > len(cert.subject.crossings):
+            # no step removes crossings and this one adds at least 2 + |k|,
+            # so it can never replay to the subject: refuse it unbuilt
+            return refuse(i, f"k={step.k} adds more crossings than the subject has")
         try:
             before = components(current).count
             current = _apply_step(current, step, site)

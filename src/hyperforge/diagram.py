@@ -985,20 +985,6 @@ class DiagramBuilder:
             "out_r": cur["out_r"],
         }
 
-    def stamp(self, stencil: "_Stencil") -> list:
-        """Add a `_stencil` fragment as its emit would, each weld made by
-        `weld` (chain ends paired, capacity checked); returns its ports."""
-        shift, count = 4 * len(self.protos), self._terminal_count
-        self.protos += [[None, None, None, None] for _ in range(stencil.crossings)]
-        self._terminal_count += stencil.terminals
-
-        def moved(port):
-            return port + shift if type(port) is int else ("t", port[1] + count, port[2])
-
-        for p, q in stencil.welds:
-            self.weld(moved(p), moved(q))
-        return list(map(moved, stencil.ports))
-
     # build
 
     def _is_terminal(self, port) -> bool:
@@ -1180,8 +1166,8 @@ def _base_side(base: LinkDiagram, removed: frozenset[int], cut: Sequence[int],
 def _fragment_side(bld: DiagramBuilder, ports: Sequence) -> Optional[_Side]:
     """The fragment side of a splice, read off ``bld.far``, the chain ends
     of the builder whose new crossings are the fragment, before any port
-    is welded; its ends are ``ports`` in order (`_stencil` reads it once
-    per fragment, off an empty builder).  A slot that is no port is
+    is welded; its ends are ``ports`` in order (`_emitted_side` reads it
+    once per fragment, off an empty builder).  A slot that is no port is
     joined to the far end of its weld chain: a port, or another slot.
     None when a crossing is on no part with a port, which no move emits.
     Nothing is labelled: the build takes every fresh label.
@@ -1280,34 +1266,13 @@ def _wiring_fault(near: _Side, far: _Side, wiring: Sequence[int]) -> Optional[st
     return None
 
 
-class _Stencil(NamedTuple):
-    """What a fragment's emit adds to an empty builder, and its side."""
-
-    crossings: int
-    terminals: int
-    welds: tuple  # (port, port), in the order the emit welded them
-    ports: tuple
-    side: Optional[_Side]
-
-
 @lru_cache(maxsize=64)
-def _stencil(emit: Callable[[DiagramBuilder], Sequence]) -> _Stencil:
-    """``emit`` compiled on its first splice: emitted into an empty
-    builder, its welds recorded, its fragment side read (errors propagate,
-    uncached).  A move's fragments are hashable values; every splice of
-    one shares its stencil, which nothing writes to."""
+def _emitted_side(emit: Callable[[DiagramBuilder], Sequence]) -> Optional[_Side]:
+    """The fragment side of ``emit``, read off an empty builder on its first
+    splice (errors propagate, uncached).  A side is numbered by port, so
+    every splice of a fragment, at any offset, shares it."""
     bld = DiagramBuilder()
-    welds = []
-    weld = bld.weld
-
-    def recorded(p, q) -> None:
-        welds.append((p, q))
-        weld(p, q)
-
-    bld.weld = recorded
-    ports = tuple(emit(bld))
-    return _Stencil(len(bld.protos), bld._terminal_count, tuple(welds), ports,
-                    _fragment_side(bld, ports))
+    return _fragment_side(bld, emit(bld))
 
 
 def splice(
@@ -1324,15 +1289,13 @@ def splice(
     """Weld a fragment into ``base`` by the first wiring that gives a valid diagram.
 
     A builder over ``base`` minus ``remove`` cuts the ``cut`` arcs in order
-    (ends: each arc's tail, then head), the fragment ``emit`` adds is
-    stamped in and gives its ports, the ``stubs`` arcs become further
-    ends, and port i is welded to end ``wiring[i]``; ``reorient`` is the
-    build's ``allow_reorient``.  ``emit`` runs on its first splice (again
-    only if the bounded cache dropped it), so it must add the same
-    crossings, terminals and welds to any builder:
-    `_stencil` compiles it with its fragment side, and
-    `DiagramBuilder.stamp` replays its welds at the builder's offset, so
-    the output is what emitting into the builder gives.
+    (ends: each arc's tail, then head), ``emit`` adds the fragment and
+    gives its ports, the ``stubs`` arcs become further ends, and port i
+    is welded to end ``wiring[i]``; ``reorient`` is the build's
+    ``allow_reorient``.  ``emit`` is hashable and adds the same
+    crossings, terminals and welds to any builder.  Its fragment side is
+    numbered by port, so it is read once per process, off an empty
+    builder (`_emitted_side`, a bounded cache).
 
     The caller meets the face-orbit condition: the removed crossings and
     cut points lie in a disk meeting the base nowhere else, so each part
@@ -1372,10 +1335,9 @@ def splice(
     near = _base_side(base, removed, cut, stubs, directed=not reorient)
     bld = DiagramBuilder(base=base, remove=removed)
     ends = [end for arc in cut for end in bld.cut(arc)]
-    stencil = _stencil(emit)
-    ports = bld.stamp(stencil)
+    ports = emit(bld)
     ends += [bld.stub(arc) for arc in stubs]
-    far = stencil.side
+    far = _emitted_side(emit)
     turned = False
     for wiring in wirings:
         fault = "non-planar" if far is None else _wiring_fault(near, far, wiring)

@@ -16,9 +16,9 @@ before it lets frozen crossings turn, the wiring-loop oracle builds every
 candidate wiring in turn instead of judging them from the two sides'
 walks (both renormalise each candidate's crossings with every strand
 component walked instead of only those through the arcs the build
-changed), the emitting-splice oracle runs
-a fragment's emit at every splice, into the builder over the base,
-instead of stamping a fragment compiled once, the two splice-side oracles
+changed), the emitting-splice oracle reads
+a fragment's side at every splice, off the builder over the base,
+instead of once per process off an empty builder, the two splice-side oracles
 walk each side with walks of their own, search its parts and trace their
 faces instead of taking its face orbits for its parts, assert that each
 part is planar with its ends on one face, and
@@ -434,10 +434,10 @@ def wiring_loop_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), remove
 
 def emitting_splice_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), remove=(),
                            reorient=False):
-    """`diagram.splice` before it compiled each fragment once: ``emit``
-    runs at every splice, into the builder over the base, and the
-    fragment side is read off that builder's chain ends, the fragment's
-    corners and terminals numbered where the emit put them."""
+    """`diagram.splice` without its fragment-side cache: the fragment
+    side is read at every splice, off the chain ends of the splice's own
+    builder, the fragment's corners and terminals numbered where the emit
+    put them there."""
     removed = frozenset(remove)
     base.require_valid()
     near = _base_side(base, removed, cut, stubs, directed=not reorient)

@@ -258,6 +258,35 @@ def test_tampered_evidence_caught_at_step():
     assert not v.valid and v.failed_step == 0 and "MinusK" in v.reason
 
 
+def test_a_chain_step_past_the_subject_size_is_refused_unbuilt():
+    """No step removes crossings and a chain step adds 2 + |k|, so a step
+    whose |k| exceeds the subject's crossing count can never replay to the
+    subject: verify refuses it at its own index, with no Tk template
+    emitted, however large k is.  One |k| short of that it replays, and
+    the subject check refuses it as before."""
+    import hyperforge.moves as moves
+
+    cert, d4 = chain_cert()
+    c5 = extend(cert, first_chain_step(d4))
+    n = len(c5.subject.crossings)
+    emit, emitted = moves.TkTemplate.emit, []
+
+    def counted(template, bld):
+        emitted.append(template.k)
+        return emit(template, bld)
+
+    for k, failed, reason in ((10**9, 0, f"k={10**9} adds more crossings than the subject has"),
+                              (-n - 1, 0, f"k={-n - 1} adds more crossings than the subject has"),
+                              (n, 1, "final diagram does not match the subject")):
+        doc = json.loads(serialize(c5))
+        doc["steps"][0]["k"] = k
+        del emitted[:]
+        with mock.patch.object(moves.TkTemplate, "emit", counted):
+            v = verify(deserialize(json.dumps(doc)))
+        assert (v.valid, v.failed_step, v.reason) == (False, failed, reason)
+        assert set(emitted) == (set() if failed == 0 else {k})
+
+
 def test_truncated_document_rejected():
     cert, d4 = chain_cert()
     doc = serialize(extend(cert, first_chain_step(d4)))

@@ -547,6 +547,24 @@ def test_verify_malformed_certificates_exit_2():
         assert code == MALFORMED, out
 
 
+def test_verify_refuses_an_oversized_chain_step_unbuilt():
+    """A chain step whose |k| exceeds the subject's crossings exits 1 at its
+    own index, before any Tk template is emitted."""
+    import hyperforge.moves as moves
+
+    doc = json.loads(_derivation_document())
+    doc["steps"][0]["k"] = 10**9
+    emitted = []
+    emit = moves.TkTemplate.emit
+    with mock.patch.object(moves.TkTemplate, "emit",
+                           lambda template, bld: emitted.append(template) or emit(template, bld)):
+        code, out = run(["verify"], stdin_text=json.dumps(doc))
+    assert code == REFUSED
+    assert out.startswith(
+        f"certificate 0: INVALID at step 0: k={10**9} adds more crossings than the subject has\n")
+    assert emitted == []
+
+
 def test_verify_contract_on_mutated_certificates():
     """Every damaged document exits 0, 1 or 2, REFUSED: only with 1, and
     never raises: keys dropped, values retyped, step kinds swapped, arcs

@@ -12,9 +12,9 @@ against a fresh analysis, the outputs against the old post-build path,
 the R1/R2 undos, component removal and the greedy reduction against the
 old crossing drop, the analysis work, emits and builds each move costs,
 every build's labelling and every splice's fragment side against the
-old walk of the welds, the builder's faults, every move's stamped
-fragment against emitting it into the splice's builder, and the work a
-replay skips: fragments compiled once into a bounded cache, validity
+old walk of the welds, the builder's faults, every move's cached
+fragment side against reading it off the splice's builder, and the work
+a replay skips: fragment sides read once into a bounded cache, validity
 read from the analysis' flags, an equal subject never analysed, and no
 reference cycle between a diagram and its analysis."""
 
@@ -314,7 +314,8 @@ def test_a_splice_walks_only_the_strands_it_touched():
 class _StageLog:
     """Records which analyses the analysis stages ran on, which diagrams
     the builder's renormalisation made, and how many times each splice ran
-    its emit, while installed."""
+    its emit into its own builder, the one over its base, while installed
+    (the fragment side is read off an empty builder, once per fragment)."""
 
     def __init__(self):
         self.strands, self.faces, self.outputs, self.emits = [], [], [], []
@@ -329,7 +330,7 @@ class _StageLog:
             log.emits.append(0)
 
             def counted_emit(bld):
-                log.emits[i] += 1
+                log.emits[i] += bld.base is not None
                 return emit(bld)
 
             return splice(base, counted_emit, *args, **kwargs)
@@ -581,7 +582,7 @@ def test_derivations_match_the_splice_oracle(d, data):
 
 def _by_emitting(move, *args):
     """What ``move(*args)`` gives, or its SiteError text, with every
-    splice emitting its fragment into the builder over its base."""
+    splice reading its fragment side off the builder over its base."""
     with mock.patch.object(dg, "splice", emitting_splice_oracle), \
             mock.patch.object(mv, "splice", emitting_splice_oracle):
         try:
@@ -592,12 +593,13 @@ def _by_emitting(move, *args):
 
 @settings(max_examples=40, deadline=None)
 @given(_BASES, st.data())
-def test_stamped_fragments_match_the_emitting_splice(d, data):
-    """Every move, its fragment stamped from a compile that earlier
-    splices may have made at another offset, gives the PD text and loop
-    count, or the refusal text, of emitting the fragment into the splice's
-    builder, and its output arrives with the same index and strand trace,
-    every stage of its analysis a fresh one: after R1 and R2 moves."""
+def test_cached_fragment_sides_match_the_emitting_splice(d, data):
+    """Every move, its fragment side read off an empty builder by an
+    earlier splice, gives the PD text and loop count, or the refusal
+    text, of reading the side off the splice's own builder, where the
+    fragment sits at another offset, and its output arrives with the same
+    index and strand trace, every stage of its analysis a fresh one:
+    after R1 and R2 moves."""
     *_, d = r_moves(d, data)
     for move, *args in _moves(d, data):
         want = _by_emitting(move, *args)
@@ -749,7 +751,7 @@ def test_fragment_side_matches_emitting_it_apart(name, emit):
 
 def test_a_refused_splice_emits_once():
     """A table of ring wirings that are all non-planar is refused after one
-    emit, and so is a non-planar fragment."""
+    emit into the splice's builder, and so is a non-planar fragment."""
     (base, emit, _, failure), kwargs = _first_splice(augmenting_circle, _CHAIN4, 1, 4)
     non_planar = [w for w in itertools.permutations(range(4))
                   if _outcome(splice_oracle, base, emit, [w], failure, **kwargs).endswith("(None)")]
@@ -758,7 +760,7 @@ def test_a_refused_splice_emits_once():
         with pytest.raises(SiteError, match=r"\(None\)$"):
             dg.splice(base, lambda bld: calls.append(bld) or fragment(bld), table, failure,
                       **kwargs)
-        assert len(calls) == 1
+        assert [bld.base is not None for bld in calls].count(True) == 1
 
 
 def _kinked_fragment(bld):
@@ -1176,8 +1178,8 @@ def test_builds_label_as_the_trail_oracle(data):
     closures), the splice of every move on one of them after R1 and R2
     moves, and its R1 and R2 undos and component removals."""
     _LabelledAsTheTrails.labelled = labelled = []
-    # every fragment compiles afresh, under the patched builder and side
-    dg._stencil.cache_clear()
+    # every fragment side is read afresh, under the patched builder and side
+    dg._emitted_side.cache_clear()
     with mock.patch.object(dg, "DiagramBuilder", _LabelledAsTheTrails), \
             mock.patch.object(gen, "DiagramBuilder", _LabelledAsTheTrails), \
             mock.patch.object(dg, "_fragment_side", _side_as_the_trails):
@@ -1197,7 +1199,7 @@ def test_builds_label_as_the_trail_oracle(data):
                 move(*args)
             except SiteError:
                 pass
-    dg._stencil.cache_clear()
+    dg._emitted_side.cache_clear()
     assert False in labelled
 
 
@@ -1343,30 +1345,39 @@ def test_an_equal_diagram_is_never_analysed():
     assert "_analysis" in vars(relabelled)
 
 
-def test_a_second_splice_of_a_fragment_emits_nothing():
-    """Each move's fragment is emitted on its first splice alone: a second
-    round of the same moves makes no twist crossing and gives the same
-    diagrams."""
+def test_a_fragment_side_is_read_once_per_process():
+    """Each move's fragment side is read on its first splice alone: over
+    two rounds of the same moves, the first reads the side of each
+    fragment once, off an empty builder, and the second reads none and
+    gives the same diagrams."""
     site = find_chain_sites(_CHAIN4)[1]
     calls = [(chain_move, _CHAIN4, site, 1, EVIDENCE),
              (augmented_chain_move, _CHAIN4, site, -1, EVIDENCE),
              (augmenting_circle, _CHAIN4, 1, 4), (half_twist, _CHAIN4, 1, +1),
              (half_twist, _CHAIN4, 2, -1), (reidemeister2, _CHAIN4, (1, 4))]
-    twist, made = DiagramBuilder.twist_crossing, []
+    side, splice, read, spliced = dg._fragment_side, dg.splice, [], set()
 
-    def counted(bld, chirality):
-        made.append(chirality)
-        return twist(bld, chirality)
+    def counted_side(bld, ports):
+        read.append(bld.base is None)
+        return side(bld, ports)
 
-    dg._stencil.cache_clear()
+    def logged_splice(base, emit, *args, **kwargs):
+        spliced.add(emit)
+        return splice(base, emit, *args, **kwargs)
+
+    dg._emitted_side.cache_clear()
     rounds = []
-    with mock.patch.object(DiagramBuilder, "twist_crossing", counted):
+    with mock.patch.object(dg, "_fragment_side", counted_side), \
+            mock.patch.object(dg, "splice", logged_splice), \
+            mock.patch.object(mv, "splice", logged_splice):
         for _ in range(2):
-            del made[:]
-            rounds.append(([format_pd(move(*args)) for move, *args in calls], len(made)))
-    (first, first_made), (second, second_made) = rounds
+            del read[:]
+            rounds.append(([format_pd(move(*args)) for move, *args in calls], list(read)))
+    (first, first_read), (second, second_read) = rounds
     assert first == second
-    assert first_made > 0 and second_made == 0
+    assert len(spliced) == len(calls)  # each move splices a fragment of its own
+    assert first_read == [True] * len(calls)
+    assert second_read == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -1410,11 +1421,11 @@ def test_a_dropped_diagram_is_freed_without_the_collector():
 def test_the_stencil_cache_is_bounded():
     """A chain step's k comes from a document, so a process may meet any
     number of Tk fragments: after extending with 200 distinct k, the
-    cache holds no more than its maxsize."""
+    fragment-side cache holds no more than its maxsize."""
     cert = menasco_certify(chain_link(ChainSpec(3)))
     site = find_chain_sites(cert.subject)[0]
     for k in range(-100, 100):
         extend(cert, ChainStep(site.trivial_component, (site.strand1, site.strand2), k, EVIDENCE))
-    info = dg._stencil.cache_info()
+    info = dg._emitted_side.cache_info()
     assert info.maxsize is not None and info.maxsize < 200
     assert info.currsize <= info.maxsize

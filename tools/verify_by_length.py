@@ -71,7 +71,7 @@ def main(argv) -> int:
     for steps in LENGTHS:
         docs = [hf.serialize(reanchor.chain_derivation(hf, steps)) for hf in sides]
         for hf, doc in zip(sides, docs):
-            verify_ms(hf, doc)  # warm: the fragments compile on their first splice
+            verify_ms(hf, doc)  # warm: each fragment side is read on its first splice
         times: list[list[float]] = [[], []]
         for r in range(args.rounds):
             for i in (0, 1) if r % 2 == 0 else (1, 0):
