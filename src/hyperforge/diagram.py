@@ -863,16 +863,20 @@ class DiagramBuilder:
         self.base = base
         self.removed = frozenset(remove)
         self.protos: list = []  # frozen crossings, then new crossings' slot lists
-        self._new_corner: list[int] = []  # base corner -> its corner here, -1 when removed
+        self._new_corner: Sequence[int] = ()  # base corner -> its corner here, -1 when removed
         if base is not None:
             base.require_valid()
-            for ci, x in enumerate(base.crossings):
-                if ci in self.removed:
-                    self._new_corner += (-1, -1, -1, -1)
-                else:
-                    k = 4 * len(self.protos)
-                    self._new_corner += (k, k + 1, k + 2, k + 3)
-                    self.protos.append(x)
+            if not self.removed:  # every crossing kept: the corner map is the identity
+                self.protos, self._new_corner = list(base.crossings), range(4 * len(base.crossings))
+            else:
+                self._new_corner = []
+                for ci, x in enumerate(base.crossings):
+                    if ci in self.removed:
+                        self._new_corner += (-1, -1, -1, -1)
+                    else:
+                        k = 4 * len(self.protos)
+                        self._new_corner += (k, k + 1, k + 2, k + 3)
+                        self.protos.append(x)
         self.n_frozen = len(self.protos)
         self.loops = base.loops if base is not None else 0
         self.welds: dict = {}  # port -> its weld count
@@ -1066,12 +1070,12 @@ class DiagramBuilder:
 # -- splicing --------------------------------------------------------------------
 
 
-def flip_wirings(pairings) -> list[tuple[int, ...]]:
+def flip_wirings(pairings) -> tuple[tuple[int, ...], ...]:
     """Wirings from (first pair, second pair) options of ends, each pair as
     given and reversed, the second flipping faster: ab, ab', a'b, a'b'."""
-    return [
+    return tuple(
         pa + pb for a, b in pairings for pa in (a, a[::-1]) for pb in (b, b[::-1])
-    ]
+    )
 
 
 class _Side(NamedTuple):
@@ -1089,10 +1093,10 @@ class _Side(NamedTuple):
     face-orbit condition `splice` states.
     """
 
-    face_next: list[int]
-    strand_next: list[int]
-    vote: list[Optional[bool]]
-    piece: list[int]
+    face_next: tuple[int, ...]
+    strand_next: tuple[int, ...]
+    vote: tuple[Optional[bool], ...]
+    piece: tuple[int, ...]
 
 
 def _side(across: Sequence[int], open_at: dict[int, int],
@@ -1107,7 +1111,8 @@ def _side(across: Sequence[int], open_at: dict[int, int],
     No face is traced and no part searched for.  A planar part whose k
     ends, as vertices of degree one, lie on one face, one piece, has
     E = 2V + k / 2 and F = 1 + the faces no walk enters, its inner faces,
-    so V + k - E + F = 2 makes those V + 1 - k / 2.
+    so V + k - E + F = 2 makes those V + 1 - k / 2.  The side is made of
+    tuples, so sides of one shape are one key of `_judged`'s memo.
     """
     n = len(open_at) + 2 * len(through)
     face_next, strand_next = [0] * n, list(range(n))
@@ -1129,7 +1134,7 @@ def _side(across: Sequence[int], open_at: dict[int, int],
             while piece[e] < 0:
                 piece[e], e = count, face_next[e]
             count += 1
-    return _Side(face_next, strand_next, vote, piece)
+    return _Side(tuple(face_next), tuple(strand_next), tuple(vote), tuple(piece))
 
 
 def _base_side(base: LinkDiagram, removed: frozenset[int], cut: Sequence[int],
@@ -1275,6 +1280,24 @@ def _emitted_side(emit: Callable[[DiagramBuilder], Sequence]) -> Optional[_Side]
     return _fragment_side(bld, emit(bld))
 
 
+@lru_cache(maxsize=256)
+def _judged(near: _Side, emit: Callable[[DiagramBuilder], Sequence],
+            wirings: tuple[tuple[int, ...], ...]) -> tuple[Optional[tuple[int, ...]], bool]:
+    """(the first wiring of ``wirings`` that `_wiring_fault` passes, or None;
+    whether an earlier one needed a frozen crossing turned) for a splice of
+    ``emit`` onto base side ``near``.  Both sides are all the judge reads,
+    so the answer is kept per side shape, fragment and table (errors
+    propagate, uncached)."""
+    far = _emitted_side(emit)
+    turned = False
+    for wiring in wirings:
+        fault = "non-planar" if far is None else _wiring_fault(near, far, wiring)
+        if fault is None:
+            return wiring, turned
+        turned = turned or fault == "direction"
+    return None, turned
+
+
 def splice(
     base: LinkDiagram,
     emit: Callable[[DiagramBuilder], Sequence],
@@ -1308,27 +1331,28 @@ def splice(
     The wirings are judged in order before any is welded.  Each side is
     walked once from its open ends by one routine, `_side`, which
     `_base_side` hands the base's own corner map and `_fragment_side` one
-    read off the chain ends the fragment's welds paired, and
-    then each wiring costs a walk over the ends alone (`_wiring_fault`):
-    it is valid when no strand component through the fragment needs
-    frozen crossings turned (unless ``reorient``) and every graph
-    component passes the Euler check, counted over face orbits.  That
-    check is exact: the base is valid and meets the condition, and
+    read off the chain ends the fragment's welds paired, and then each
+    wiring costs a walk over the ends alone (`_wiring_fault`): it is
+    valid when no strand component through the fragment needs frozen
+    crossings turned (unless ``reorient``) and every graph component
+    passes the Euler check, counted over face orbits.  That check is
+    exact: the base is valid and meets the condition, and
     `_fragment_side`, the planarity guard, traces the fragment's inner
     faces and raises an AssertionError for a fragment that does not meet
-    it.  Judging takes no fresh label, so the first valid
-    wiring is built with the labels and crossing indices of building it
-    alone.  Its output arrives analysed (`DiagramBuilder.build`): indexed
-    afresh, with only the strand components through the fragment walked
-    and the others' steps taken from the base, and known planar, so no
-    face is traced until something reads the faces.  With no valid
-    wiring, or a fragment with a crossing on no
-    part with a port: SiteError("<failure> (<last wiring error>)"), that
-    error being the strand-direction WiringError when some wiring needed
-    a frozen crossing turned, and None otherwise.  A builder fault (an
-    over-welded port, an unwelded slot) is a bug and propagates, and so
-    does a built wiring whose arcs do not each occur twice or whose
-    strands need a frozen crossing turned.
+    it.  The judge's choice is memoised per base side shape, fragment and
+    wiring table, in a bounded per-process cache (`_judged`).  Judging
+    takes no fresh label, so the first valid wiring is built with the
+    labels and crossing indices of building it alone.  Its output arrives
+    analysed (`DiagramBuilder.build`): indexed afresh, with only the
+    strand components through the fragment walked and the others' steps
+    taken from the base, and known planar, so no face is traced until
+    something reads the faces.  With no valid wiring, or a fragment with
+    a crossing on no part with a port: SiteError("<failure> (<last wiring
+    error>)"), that error being the strand-direction WiringError when
+    some wiring needed a frozen crossing turned, and None otherwise.  A
+    builder fault (an over-welded port, an unwelded slot) is a bug and
+    propagates, and so does a built wiring whose arcs do not each occur
+    twice or whose strands need a frozen crossing turned.
     """
     removed = frozenset(remove)
     base.require_valid()
@@ -1337,14 +1361,8 @@ def splice(
     ends = [end for arc in cut for end in bld.cut(arc)]
     ports = emit(bld)
     ends += [bld.stub(arc) for arc in stubs]
-    far = _emitted_side(emit)
-    turned = False
-    for wiring in wirings:
-        fault = "non-planar" if far is None else _wiring_fault(near, far, wiring)
-        if fault is None:
-            break
-        turned = turned or fault == "direction"
-    else:
+    wiring, turned = _judged(near, emit, tuple(map(tuple, wirings)))
+    if wiring is None:
         raise SiteError(f"{failure} ({WiringError(_DIRECTION_CONFLICT) if turned else None})")
     for port, end in zip(ports, wiring):
         bld.weld(ends[end], port)

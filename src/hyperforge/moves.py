@@ -45,6 +45,7 @@ from .diagram import (
     _passages,
     _require_co_face,
     _ring_fault,
+    _walk_corners,
     components,
     flip_wirings,
     splice,
@@ -354,9 +355,48 @@ def _clasped_ring(bld: DiagramBuilder) -> tuple:
 # (alpha tail, beta tail, beta head, alpha head) first, then every other
 # permutation.
 _TWIST_PORTS = itemgetter("in_l", "in_r", "out_r", "out_l")
-_HALF_TWIST_WIRINGS = [(0, 2, 3, 1)] + [
+_HALF_TWIST_WIRINGS = ((0, 2, 3, 1),) + tuple(
     p for p in itertools.permutations(range(4)) if p != (0, 2, 3, 1)
-]
+)
+
+
+def _face_rank(an, k: int) -> tuple[int, int, int]:
+    """Where corner ``k`` comes in the faces `LinkDiagram.face_arcs` lists:
+    (the least (arc, corner) of its face, which orders the faces; its
+    position in the face, counted from that corner)."""
+    face = _walk_corners(an.across, k, 1)
+    first = min(range(len(face)), key=lambda i: (an.arc_at[face[i]], face[i]))
+    return an.arc_at[face[first]], face[first], -first % len(face)
+
+
+def _half_twist_spot(d: LinkDiagram, c: int) -> Optional[tuple[int, int]]:
+    """(run1 arc, run2 arc) of c's disk that flank an arc e of c in a
+    face, e least; None when no face has one.
+
+    Each corner k of e is entered by one face, where e's neighbours are
+    the arcs at the corner before k and the one after it, each read off
+    the corner map.  When both of e's corners qualify, the one first in
+    `LinkDiagram.face_arcs` order wins (`_face_rank`), so only those two
+    faces are traced.
+    """
+    run1, run2 = _disk_runs(d, c)
+    an = d._analysis
+    across, arc_at = an.across, an.arc_at
+    for e in sorted(components(d).arcs_of(c)):
+        found = []
+        for k in an.occ[e]:
+            b = across[k]
+            alpha = arc_at[b & ~3 | (b - 1) & 3]
+            beta = arc_at[across[k & ~3 | (k + 1) & 3]]
+            if alpha in run1 and beta in run2:
+                found.append((k, (alpha, beta)))
+            elif alpha in run2 and beta in run1:
+                found.append((k, (beta, alpha)))
+        if len(found) == 2:
+            found.sort(key=lambda f: _face_rank(an, f[0]))
+        if found:
+            return found[0][1]
+    return None
 
 
 @dataclass(frozen=True)
@@ -377,28 +417,13 @@ def half_twist(d: LinkDiagram, c: int, direction: int) -> LinkDiagram:
     the cross-joined reconnection, so the strands' component membership
     can change).  The crossing is placed flush against c's least-labeled
     arc whose face touches both strand runs, so repeated half-twists
-    stack and opposite pairs cancel by an R2 move.
+    stack and opposite pairs cancel by an R2 move.  That spot is found
+    from the two faces beside each arc of c (`_half_twist_spot`); no
+    face of the whole diagram is traced.
     """
     if direction not in (+1, -1):
         raise SiteError("direction must be +1 or -1")
-    run1, run2 = _disk_runs(d, c)
-    face_arcs = d.face_arcs()
-
-    def spots():
-        # (run1 arc, run2 arc) flanking an arc of c in a face, least c arc first
-        for e in sorted(components(d).arcs_of(c)):
-            for arcs in face_arcs:
-                k = len(arcs)
-                for i in range(k):
-                    if arcs[i] != e:
-                        continue
-                    alpha, beta = arcs[(i - 1) % k], arcs[(i + 1) % k]
-                    if alpha in run1 and beta in run2:
-                        yield alpha, beta
-                    elif alpha in run2 and beta in run1:
-                        yield beta, alpha
-
-    spot = next(spots(), None)
+    spot = _half_twist_spot(d, c)
     if spot is None:
         raise SiteError(f"no insertion face inside component {c}'s disk")
     alpha, beta = spot

@@ -18,7 +18,9 @@ walks (both renormalise each candidate's crossings with every strand
 component walked instead of only those through the arcs the build
 changed), the emitting-splice oracle reads
 a fragment's side at every splice, off the builder over the base,
-instead of once per process off an empty builder, the two splice-side oracles
+instead of once per process off an empty builder, and judges every
+splice's wirings afresh instead of asking a memo keyed by the base
+side's shape, the two splice-side oracles
 walk each side with walks of their own, search its parts and trace their
 faces instead of taking its face orbits for its parts, assert that each
 part is planar with its ends on one face, and
@@ -33,8 +35,11 @@ branch of their own.  The face and disk-run oracles are the library's
 face stage and disk-run scan as they were before every walk read one
 corner map: each builds its own corner map or reads the occurrence
 index, searches graph components and walks faces and runs with loops of
-its own.  The guarded renormalisation oracle is a build's last step as
-it was before a splice's output arrived analysed: a probe analysis with
+its own.  The half-twist spot oracle traces every face of the diagram
+and scans each for the arcs of the ring, where the library reads the two
+faces beside each arc off the corner map.  The guarded renormalisation
+oracle is a build's last step as it was before a splice's output arrived
+analysed: a probe analysis with
 every strand component walked, and the output's full validation.  The
 replay oracle verifies a certificate with every splice run by the
 splice oracle.  The crossing-drop
@@ -73,6 +78,7 @@ from hyperforge.diagram import (
     Slot,
     _Analysis,
     _base_side,
+    _disk_runs,
     _Embedding,
     _other_strand_arcs,
     _passages,
@@ -434,10 +440,11 @@ def wiring_loop_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), remove
 
 def emitting_splice_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), remove=(),
                            reorient=False):
-    """`diagram.splice` without its fragment-side cache: the fragment
-    side is read at every splice, off the chain ends of the splice's own
-    builder, the fragment's corners and terminals numbered where the emit
-    put them there."""
+    """`diagram.splice` without its fragment-side cache and its judge
+    memo: the fragment side is read at every splice, off the chain ends of
+    the splice's own builder, the fragment's corners and terminals
+    numbered where the emit put them there, and every wiring is judged
+    afresh."""
     removed = frozenset(remove)
     base.require_valid()
     near = _base_side(base, removed, cut, stubs, directed=not reorient)
@@ -551,7 +558,8 @@ def _traced_side(crossings, occ, ends, through=(), strands=True, votes=False):
     number = {}
     for p in piece:
         number.setdefault(p, len(number))
-    return _Side(face_next, strand_next, vote, [number[p] for p in piece]), len(piece_of)
+    return _Side(tuple(face_next), tuple(strand_next), tuple(vote),
+                 tuple(number[p] for p in piece)), len(piece_of)
 
 
 def fragment_side_oracle(emit) -> Optional[_Side]:
@@ -884,6 +892,26 @@ def disk_runs_oracle(d: LinkDiagram, comp: int):
     if not found:
         raise SiteError(f"component {comp} does not bound a recognizable disk")
     return min(found)[2]
+
+
+def half_twist_spot_oracle(d: LinkDiagram, c: int) -> Optional[tuple[int, int]]:
+    """`moves._half_twist_spot` before it read the two faces beside each arc
+    of c: every face of the diagram is traced, and each is scanned for c's
+    arcs, least first, flanked by an arc of each disk run."""
+    run1, run2 = _disk_runs(d, c)
+    face_arcs = d.face_arcs()
+    for e in sorted(components(d).arcs_of(c)):
+        for arcs in face_arcs:
+            k = len(arcs)
+            for i in range(k):
+                if arcs[i] != e:
+                    continue
+                alpha, beta = arcs[(i - 1) % k], arcs[(i + 1) % k]
+                if alpha in run1 and beta in run2:
+                    return alpha, beta
+                if alpha in run2 and beta in run1:
+                    return beta, alpha
+    return None
 
 
 def drop_crossings_oracle(d: LinkDiagram, removed: set[int], joins) -> LinkDiagram:

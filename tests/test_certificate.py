@@ -233,8 +233,9 @@ def test_a_malformed_base_raises_the_same_error_twice():
 
 def test_warm_memos_give_the_cold_verdicts(monkeypatch, tmp_path):
     """Every document of the benchmark's seed-1 replay pool, tampered ones
-    included, gets the same verdict with both memos emptied before it and
-    with them warm from the documents before it."""
+    included, gets the same verdict with the process memos (bases,
+    certifier decisions, fragment sides, judged wirings) emptied before it
+    and with them warm from the documents before it."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 

@@ -13,10 +13,13 @@ the R1/R2 undos, component removal and the greedy reduction against the
 old crossing drop, the analysis work, emits and builds each move costs,
 every build's labelling and every splice's fragment side against the
 old walk of the welds, the builder's faults, every move's cached
-fragment side against reading it off the splice's builder, and the work
-a replay skips: fragment sides read once into a bounded cache, validity
-read from the analysis' flags, an equal subject never analysed, and no
-reference cycle between a diagram and its analysis."""
+fragment side against reading it off the splice's builder, the judge
+memo, cold and warm, against judging every wiring afresh, the half
+twist's spot against scanning every face, and the work a replay skips:
+fragment sides read once into a bounded cache, no wiring judged twice
+for one side shape, no face traced by a half twist, validity read from
+the analysis' flags, an equal subject never analysed, and no reference
+cycle between a diagram and its analysis."""
 
 import collections
 import copy
@@ -34,7 +37,17 @@ from hypothesis import given, settings, strategies as st
 import hyperforge.diagram as dg
 import hyperforge.generators as gen
 import hyperforge.moves as mv
-from hyperforge.certificate import ChainStep, deserialize, extend, serialize, verify
+from hyperforge.certificate import (
+    AugChainStep,
+    ChainStep,
+    HalfTwistStep,
+    Premise,
+    SwitchStep,
+    deserialize,
+    extend,
+    serialize,
+    verify,
+)
 from hyperforge.classifier import DeclaredNonRational, menasco_certify
 from hyperforge.diagram import (
     DEFAULT_STEP_BUDGET,
@@ -82,6 +95,7 @@ from oracles import (
     emitting_splice_oracle,
     faces_oracle,
     fragment_side_oracle,
+    half_twist_spot_oracle,
     renormalize_guarded_oracle,
     renormalize_oracle,
     slot_faces,
@@ -393,12 +407,13 @@ def test_work_per_candidate_half_twist():
 
 def test_work_per_candidate_switch_move():
     # the ring insertion takes its third wiring, the half twist its second;
-    # the half twist reads the faces of the ring insertion's output
+    # the half twist finds its spot from the faces beside the ring's arcs,
+    # so no face of the ring insertion's output is traced
     _, outputs, traced = _guarded(
         switch_move, chain_link(ChainSpec(3)), SwitchSite(1, 4), Handedness.PositiveSkew
     )
     assert len(outputs) == 2
-    assert len(traced) == 1 and traced[0] is outputs[0]._analysis
+    assert traced == []
 
 
 def _builds(move, *args):
@@ -614,6 +629,32 @@ def test_cached_fragment_sides_match_the_emitting_splice(d, data):
         _assert_trace_is_fresh(got, judged=True)
 
 
+@settings(max_examples=40, deadline=None)
+@given(_BASES, st.data())
+def test_judged_wirings_match_cold_warm_and_the_emitting_splice(d, data):
+    """The first splice of every move, on its own wiring table and on one
+    of 1 to 8 wirings drawn from all 24 orders of its ends, gives the PD
+    text, or the refusal text, of the emitting splice, which judges every
+    wiring afresh, both with the judge memo emptied first and again with
+    it warm from that splice, when the memo answers: after R1 and R2
+    moves."""
+    *_, d = r_moves(d, data)
+    for move, *args in _moves(d, data):
+        call = _first_splice(move, *args)
+        if call is None:
+            continue
+        (base, emit, table, failure), kwargs = call
+        drawn = data.draw(st.lists(st.permutations(range(4)), min_size=1, max_size=8))
+        for wirings in (table, drawn):
+            want = _outcome(emitting_splice_oracle, base, emit, wirings, failure, **kwargs)
+            dg._judged.cache_clear()
+            cold = _outcome(dg.splice, base, emit, wirings, failure, **kwargs)
+            hits = dg._judged.cache_info().hits
+            warm = _outcome(dg.splice, base, emit, wirings, failure, **kwargs)
+            assert dg._judged.cache_info().hits == hits + 1
+            assert cold == warm == want, move.__name__
+
+
 def _index_is_fresh(d):
     return d._analysis.occ == dg._Analysis(LinkDiagram(d.crossings, loops=d.loops)).occ
 
@@ -652,18 +693,21 @@ def test_output_index_after_reorienting_half_twists():
     assert turning
 
 
-def _disk_scans(d):
-    """Per component of d, the disk-run scan's runs or its SiteError text:
-    the library's, then the oracle's."""
+def _scans(d, *finds):
+    """Per component of d, what each of ``finds`` gives, or its SiteError text."""
 
-    def scan(runs, c):
+    def scan(find, c):
         try:
-            return runs(d, c)
+            return find(d, c)
         except SiteError as err:
             return str(err)
 
-    n = components(d).count
-    return [scan(dg._disk_runs, c) for c in range(n)], [scan(disk_runs_oracle, c) for c in range(n)]
+    return [[scan(find, c) for c in range(components(d).count)] for find in finds]
+
+
+def _disk_scans(d):
+    """The disk-run scan's runs per component of d: the library's, then the oracle's."""
+    return _scans(d, dg._disk_runs, disk_runs_oracle)
 
 
 @settings(max_examples=30, deadline=None)
@@ -699,6 +743,75 @@ def test_disk_runs_corpus_matches_the_oracle():
         assert got == want
         kinds.update(type(x) for x in got)
     assert kinds == {str, tuple}
+
+
+def _spots(d):
+    """The half twist's spot per component of d: the library's, then the oracle's."""
+    return _scans(d, mv._half_twist_spot, half_twist_spot_oracle)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_REPLAY_BASES + [twist[0] for twist in _REORIENTING_TWISTS]), st.data())
+def test_half_twist_spots_match_the_oracle(d, data):
+    """The spot each half twist takes, read off the two faces beside each
+    arc of the ring, is the one scanning every face gives, or the same
+    refusal, for every component of each diagram of drawn derivations:
+    chain, switch and half-twist steps, runs of one to four half twists
+    on one ring, and the twists that turn frozen crossings."""
+    for _ in range(data.draw(st.integers(1, 4))):
+        got, want = _spots(d)
+        assert got == want
+        move, *args = data.draw(st.sampled_from(_moves(d, data)))
+        try:
+            d = move(*args)
+        except SiteError:
+            continue
+        part = components(d)
+        rings = [c for c in range(part.count) if not dg._ring_fault(d, part, c)]
+        arc = part.arcs_of(data.draw(st.sampled_from(rings)))[0] if rings else None
+        for direction in data.draw(st.lists(st.sampled_from((1, -1)), max_size=4)):
+            got, want = _spots(d)
+            assert got == want
+            ring = components(d).component_of(arc) if arc is not None else None
+            if ring is None or not isinstance(got[ring], tuple):
+                break
+            d = half_twist(d, ring, direction)
+    got, want = _spots(d)
+    assert got == want
+
+
+def test_half_twist_spot_corpus_matches_the_oracle():
+    """After the half twists that turn frozen crossings, and after stacks
+    of half twists on one ring of the 4-chain, in either direction and in
+    turn, the spots are the oracle's, and both find spots, find none on
+    a ring with no room left, and refuse components that are no ring."""
+    ds = [half_twist(*twist) for twist in _REORIENTING_TWISTS]
+    for directions in ((1, 1, 1), (-1, -1, -1), (1, -1, 1), (-1, 1, -1)):
+        d, arc = _CHAIN4, components(_CHAIN4).arcs_of(1)[0]
+        for direction in directions:
+            try:
+                d = half_twist(d, components(d).component_of(arc), direction)
+            except SiteError:
+                break
+            ds.append(d)
+    kinds = set()
+    for d in ds:
+        got, want = _spots(d)
+        assert got == want
+        kinds.update(type(x) for x in got)
+    assert kinds == {str, tuple, type(None)}
+
+
+def test_face_rank_orders_corners_as_the_faces_are_listed():
+    """Sorting the corners by `_face_rank`, the half twist's tie-break, lists
+    them face by face in the order the face stage gives, each face from its
+    first corner: on chain, Tk and rational links and a half twist's
+    output."""
+    for d in (_CHAIN4, tk_closure([2, 3], 1), rational_link([3, 2]),
+              half_twist(*_REORIENTING_TWISTS[0])):
+        an = d._analysis
+        corners = sorted(range(4 * len(d.crossings)), key=lambda k: mv._face_rank(an, k))
+        assert corners == list(itertools.chain.from_iterable(an.faces))
 
 
 # the fragment side and the output's strand trace ---------------------------------
@@ -1179,7 +1292,7 @@ def test_builds_label_as_the_trail_oracle(data):
     moves, and its R1 and R2 undos and component removals."""
     _LabelledAsTheTrails.labelled = labelled = []
     # every fragment side is read afresh, under the patched builder and side
-    dg._emitted_side.cache_clear()
+    forget_memos()
     with mock.patch.object(dg, "DiagramBuilder", _LabelledAsTheTrails), \
             mock.patch.object(gen, "DiagramBuilder", _LabelledAsTheTrails), \
             mock.patch.object(dg, "_fragment_side", _side_as_the_trails):
@@ -1199,7 +1312,7 @@ def test_builds_label_as_the_trail_oracle(data):
                 move(*args)
             except SiteError:
                 pass
-    dg._emitted_side.cache_clear()
+    forget_memos()
     assert False in labelled
 
 
@@ -1349,7 +1462,8 @@ def test_a_fragment_side_is_read_once_per_process():
     """Each move's fragment side is read on its first splice alone: over
     two rounds of the same moves, the first reads the side of each
     fragment once, off an empty builder, and the second reads none and
-    gives the same diagrams."""
+    gives the same diagrams.  The judge memo answers a repeated splice
+    before its side is read, so it is emptied too."""
     site = find_chain_sites(_CHAIN4)[1]
     calls = [(chain_move, _CHAIN4, site, 1, EVIDENCE),
              (augmented_chain_move, _CHAIN4, site, -1, EVIDENCE),
@@ -1365,7 +1479,7 @@ def test_a_fragment_side_is_read_once_per_process():
         spliced.add(emit)
         return splice(base, emit, *args, **kwargs)
 
-    dg._emitted_side.cache_clear()
+    forget_memos()
     rounds = []
     with mock.patch.object(dg, "_fragment_side", counted_side), \
             mock.patch.object(dg, "splice", logged_splice), \
@@ -1378,6 +1492,79 @@ def test_a_fragment_side_is_read_once_per_process():
     assert len(spliced) == len(calls)  # each move splices a fragment of its own
     assert first_read == [True] * len(calls)
     assert second_read == []
+
+
+_PLAN = (ChainStep, AugChainStep, ChainStep, SwitchStep, HalfTwistStep, HalfTwistStep,
+         SwitchStep, HalfTwistStep, SwitchStep, HalfTwistStep)
+
+
+def _mixed_derivation():
+    """A seeded derivation from the 4-chain through every kind of move in
+    `_PLAN`'s order: chain and augmented chain moves, switch moves of
+    either handedness and half twists, each step the first that applies
+    of candidates drawn from its subject."""
+    rng = random.Random(2025)
+    cert = menasco_certify(chain_link(ChainSpec(4)))
+    premise = Premise("GeodesicArc", "splice test")
+    for kind in _PLAN:
+        d = cert.subject
+        if kind is SwitchStep:
+            faces = [sorted(set(f))[:2] for f in d.face_arcs() if len(set(f)) > 1]
+            steps = [SwitchStep(*rng.choice(faces), rng.choice(list(Handedness)), premise)]
+        elif kind is HalfTwistStep:
+            steps = [HalfTwistStep(c, rng.choice((-1, 1))) for c in range(components(d).count)]
+        else:
+            steps = [kind(site.trivial_component, (site.strand1, site.strand2),
+                          rng.choice((-1, 1)), EVIDENCE) for site in find_chain_sites(d)]
+        rng.shuffle(steps)
+        for step in steps:
+            try:
+                cert = extend(cert, step)
+                break
+            except SiteError:
+                continue
+    assert len(cert.steps) == len(_PLAN)
+    return cert
+
+
+def test_a_warm_replay_judges_no_wiring_and_traces_no_face():
+    """Verifying a derivation of every move kind a second time judges no
+    wiring, since each splice's side shape was judged in the first, and,
+    as in the first, no half twist traces a face: the half twist reads
+    the two faces beside each arc of the ring.  Both give the same
+    verdict, valid."""
+    doc = serialize(_mixed_derivation())
+    forget_memos()
+    judge, faces, twist = dg._wiring_fault, dg._Analysis._faces_and_euler, mv.half_twist
+    passes = []
+    for _ in range(2):
+        log = collections.Counter()
+
+        def judged(*args):
+            log["judged"] += 1
+            return judge(*args)
+
+        def traced(an):
+            log["traced"] += 1
+            return faces(an)
+
+        def twisted(*args):
+            before = log["traced"]
+            log["twists"] += 1
+            out = twist(*args)
+            log["traced by twists"] += log["traced"] - before
+            return out
+
+        with mock.patch.object(dg, "_wiring_fault", judged), \
+                mock.patch.object(dg._Analysis, "_faces_and_euler", traced), \
+                mock.patch.object(mv, "half_twist", twisted):
+            verdict = verify(deserialize(doc))
+        passes.append((verdict, log))
+    (cold, cold_log), (warm, warm_log) = passes
+    assert cold.valid and warm == cold
+    assert cold_log["judged"] > 0 and cold_log["twists"] >= 4
+    assert warm_log["twists"] == cold_log["twists"]
+    assert warm_log["judged"] == warm_log["traced"] == cold_log["traced by twists"] == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -1420,12 +1607,14 @@ def test_a_dropped_diagram_is_freed_without_the_collector():
 
 def test_the_stencil_cache_is_bounded():
     """A chain step's k comes from a document, so a process may meet any
-    number of Tk fragments: after extending with 200 distinct k, the
-    fragment-side cache holds no more than its maxsize."""
+    number of Tk fragments: after extending with 300 distinct k, the
+    fragment-side cache and the judge memo each hold no more than their
+    maxsize."""
     cert = menasco_certify(chain_link(ChainSpec(3)))
     site = find_chain_sites(cert.subject)[0]
-    for k in range(-100, 100):
+    for k in range(-150, 150):
         extend(cert, ChainStep(site.trivial_component, (site.strand1, site.strand2), k, EVIDENCE))
-    info = dg._emitted_side.cache_info()
-    assert info.maxsize is not None and info.maxsize < 200
-    assert info.currsize <= info.maxsize
+    for memo in (dg._emitted_side, dg._judged):
+        info = memo.cache_info()
+        assert info.maxsize is not None and info.maxsize < 300
+        assert info.currsize <= info.maxsize
