@@ -1,13 +1,12 @@
 """Hyperbolicity certificates: derivation trees over moves with premises
 and exterior evidence, plus a verifier that re-plays derivations.
 
-A certificate is valid relative to its premises: DeclaredNonRational
-exterior evidence and GeodesicArc premises are trusted (and flagged in
-the verdict report); Rational evidence is machine-checked against the
-exceptional-exterior classifier; Unchecked evidence never validates.
-Where the verifier can independently confirm a DeclaredNonRational claim
-(the exterior contains a closed component, which no rational tangle
-allows), it marks the evidence machine-checked instead of trusted.
+A certificate is valid relative to its premises.  `moves.admit`, the one gate
+of the moves and the verifier, judges each chain step's evidence: a Rational
+claim by its declared fraction alone, not matched against the diagram;
+DeclaredNonRational evidence is machine-checked when a closed component lies
+outside the ball (no rational tangle has one), else trusted and flagged in
+the verdict report, as GeodesicArc premises are; Unchecked never validates.
 """
 
 from __future__ import annotations
@@ -26,18 +25,16 @@ from .classifier import (
     ExteriorEvidence,
     Rational,
     Unchecked,
-    excluded_exterior,
 )
 from .diagram import LinkDiagram, components, diagram_isomorphic, format_pd, parse_pd
 from .errors import (
     CertificateError,
-    ExcludedExteriorError,
     GlueError,
     PremiseError,
     SiteError,
 )
 from .moves import ChainSite, Handedness, SwitchSite, chain_site
-from .tangle import ConwaySequence, fraction
+from .tangle import ConwaySequence
 
 FORMAT_VERSION = 1
 
@@ -134,18 +131,6 @@ class Verdict:
         return self.valid
 
 
-def _exterior_has_closed_component(d: LinkDiagram, site: ChainSite) -> bool:
-    """True when some link component avoids the move's ball entirely; a
-    rational tangle exterior has no closed components."""
-    part = components(d)
-    involved = {
-        site.trivial_component,
-        part.component_of(site.strand1),
-        part.component_of(site.strand2),
-    }
-    return part.count > len(involved)
-
-
 def _apply_step(d: LinkDiagram, step: Step, site: Optional[ChainSite] = None) -> LinkDiagram:
     """Apply ``step`` to ``d``; a chain step uses ``site`` when its caller
     has already looked it up."""
@@ -163,10 +148,9 @@ def _apply_step(d: LinkDiagram, step: Step, site: Optional[ChainSite] = None) ->
 def extend(cert: Certificate, step: Step) -> Certificate:
     """Apply a move to the certificate's subject and record the step.
 
-    Evidence and premises are gated here: inadmissible rational evidence
-    raises ExcludedExteriorError; a SwitchStep without a GeodesicArc
-    premise raises PremiseError.  Unchecked evidence is allowed through
-    (the move itself is legal) but the certificate will never verify.
+    A SwitchStep without a GeodesicArc premise raises PremiseError.  The move
+    gates a chain step's evidence (`moves.admit`, a Rational claim by its declared
+    fraction alone); Unchecked evidence passes, but the certificate never verifies.
     """
     if isinstance(step, GlueStep):
         raise CertificateError("use glue() for gluing steps")
@@ -210,40 +194,20 @@ def verify(cert: Certificate) -> Verdict:
         return refuse(-1, f"unknown base {cert.base!r}")
 
     current = cert.base_diagram
-    saw_admissible_chain = False
+    admission = None  # once a chain step is admitted, a later one may inherit
     for i, step in enumerate(cert.steps):
-        site = None
+        site = missing = None
         if isinstance(step, ChainStep):
-            ev = step.evidence
-            if isinstance(ev, Unchecked):
-                return refuse(i, "unchecked exterior evidence never validates")
-            if isinstance(ev, Rational):
-                kind = excluded_exterior(fraction(ev.sequence), step.k)
-                if kind is not None:
-                    return refuse(i, f"excluded exterior: {kind.value}")
-                reports.append(f"step {i}: rational exterior admissible (k={step.k})")
-                saw_admissible_chain = True
-            else:
-                try:
-                    site = chain_site(current, step.trivial_component, step.strands)
-                    checked = _exterior_has_closed_component(current, site)
-                except SiteError:
-                    checked = False
-                if checked:
-                    reports.append(
-                        f"step {i}: non-rational exterior machine-checked "
-                        "(closed component outside the ball)"
-                    )
-                elif saw_admissible_chain:
-                    reports.append(
-                        f"step {i}: admissibility inherited from an earlier "
-                        "chain step (repeated application)"
-                    )
-                    trusted.append(f"step {i}: {ev.justification or 'declared non-rational'}")
-                else:
-                    trusted.append(f"step {i}: {ev.justification or 'declared non-rational'}")
-                    reports.append(f"step {i}: non-rational exterior (trusted)")
-                saw_admissible_chain = True
+            try:
+                site = chain_site(current, step.trivial_component, step.strands)
+            except SiteError as err:
+                missing = err
+            admission = _moves.admit(current, site, step.k, step.evidence, admission is not None)
+            if not admission.admitted:
+                return refuse(i, admission.verdict)
+            reports.append(f"step {i}: {admission.verdict}")
+            if admission.trusted is not None:
+                trusted.append(f"step {i}: {admission.trusted}")
         if isinstance(step, SwitchStep):
             if step.premise is None or step.premise.kind != "GeodesicArc":
                 return refuse(i, "switch step lacks its GeodesicArc premise")
@@ -257,10 +221,12 @@ def verify(cert: Certificate) -> Verdict:
             # so it can never replay to the subject: refuse it unbuilt
             return refuse(i, f"k={step.k} adds more crossings than the subject has")
         try:
+            if missing is not None:
+                raise missing  # the site lookup, made before the gate, failed
             before = components(current).count
             current = _apply_step(current, step, site)
             after = components(current).count
-        except (SiteError, ExcludedExteriorError, CertificateError) as err:
+        except (SiteError, CertificateError) as err:
             return refuse(i, f"replay failed: {err}")
         if isinstance(step, ChainStep) and after - before != step.added:
             return refuse(i, step.wrong_count)
@@ -471,9 +437,11 @@ _CHAIN_STEPS = {cls.kind: cls for cls in (ChainStep, AugChainStep)}
 def _step_from(doc: dict, depth: int) -> Step:
     kind = _field(doc, "kind", str, None)
     if kind in _CHAIN_STEPS:
+        if len(strands := _field(doc, "strands", list, of=int)) != 2:
+            raise CertificateError(f"a chain step names two strands, not {strands!r:.40}")
         return _CHAIN_STEPS[kind](
             _field(doc, "component", int),
-            tuple(_field(doc, "strands", list, of=int)),
+            tuple(strands),
             _field(doc, "k", int),
             _evidence_from(_field(doc, "evidence", dict)),
         )

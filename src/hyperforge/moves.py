@@ -1,8 +1,8 @@
 """The diagram rewrites: chain move, augmented chain move, switch move,
-half-twist on a twice-punctured disk, plus chain-site scanning and the Tk
-template.  The ring and disk patterns they read off a component, and
-component removal, are in ``diagram``, where the augmented certifier
-uses them too.
+half-twist on a twice-punctured disk, plus chain-site scanning, the Tk
+template and `admit`, the chain move's admissibility gate.  The ring and
+disk patterns they read off a component, and component removal, are in
+``diagram``, where the augmented certifier uses them too.
 
 A chain site is a trivial component C with exactly four crossings, two
 with each of two strands passing through its disk.  Both clasp phases
@@ -35,7 +35,7 @@ from operator import itemgetter
 from typing import Iterator, Optional
 
 from . import tangle as _tangle
-from .classifier import ExteriorEvidence, Rational, excluded_exterior
+from .classifier import ExteriorEvidence, Rational, Unchecked, excluded_exterior
 from .diagram import (
     DiagramBuilder,
     LinkDiagram,
@@ -215,10 +215,10 @@ def find_chain_sites(d: LinkDiagram) -> tuple[ChainSite, ...]:
 
 
 def chain_site(d: LinkDiagram, component: int, strands) -> ChainSite:
-    """The chain site of ``d`` at ``component`` clasping ``strands`` (either order),
-    found by scanning that component alone."""
+    """The chain site of ``d`` at ``component`` clasping the pair ``strands``
+    (either order), found by scanning that component alone."""
     for site in _sites_at(d, components(d), component):
-        if {site.strand1, site.strand2} == set(strands):
+        if tuple(strands) in ((site.strand1, site.strand2), (site.strand2, site.strand1)):
             return site
     raise SiteError(f"no chain site at component {component} strands {tuple(strands)}")
 
@@ -231,15 +231,44 @@ def _resolved(d: LinkDiagram, site: ChainSite) -> ChainSite:
     return chain_site(d, site.trivial_component, (site.strand1, site.strand2))
 
 
-def _gate_evidence(evidence: ExteriorEvidence, k: int) -> None:
+# -- the chain moves ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Admission:
+    """`admit`'s ruling: ``kind`` is excluded, rational-admissible, machine-checked,
+    inherited, trusted or unchecked; ``excluded`` is the error a move raises."""
+
+    admitted: bool
+    kind: str
+    verdict: str
+    trusted: Optional[str] = None
+    excluded: Optional[ExcludedExteriorError] = None
+
+
+def admit(d: LinkDiagram, site: Optional[ChainSite], k: int, evidence: ExteriorEvidence,
+          inherited: bool = False) -> Admission:
+    """The one gate of a chain step, shared by the moves and `verify`: a `Rational`
+    claim is judged by its declared fraction alone, not matched against ``d``; a
+    declared one is machine-checked when a component avoids ``site``'s ball."""
+    if isinstance(evidence, Unchecked):
+        return Admission(False, "unchecked", "unchecked exterior evidence never validates")
     if isinstance(evidence, Rational):
         f = _tangle.fraction(evidence.sequence)
-        kind = excluded_exterior(f, k)
-        if kind is not None:
-            raise ExcludedExteriorError(kind, f, k)
-
-
-# -- the chain moves ----------------------------------------------------------------
+        if (kind := excluded_exterior(f, k)) is not None:
+            return Admission(False, "excluded", f"excluded exterior: {kind.value}",
+                             excluded=ExcludedExteriorError(kind, f, k))
+        return Admission(True, "rational-admissible", f"rational exterior admissible (k={k})")
+    part = components(d)
+    if site is not None and part.count > len(
+        {site.trivial_component, part.component_of(site.strand1), part.component_of(site.strand2)}
+    ):
+        return Admission(True, "machine-checked", "non-rational exterior machine-checked "
+                         "(closed component outside the ball)")
+    verdict = ("admissibility inherited from an earlier chain step (repeated application)"
+               if inherited else "non-rational exterior (trusted)")
+    return Admission(True, "inherited" if inherited else "trusted", verdict,
+                     evidence.justification or "declared non-rational")
 
 
 def chain_move(
@@ -247,7 +276,8 @@ def chain_move(
 ) -> LinkDiagram:
     """Replace the trivial component C by the Tk template."""
     site = _resolved(d, site)
-    _gate_evidence(evidence, k)
+    if (excluded := admit(d, site, k, evidence).excluded) is not None:
+        raise excluded
     # strand1's freed ends (stubs 0, 1) take the gamma1 boundary, strand2's
     # the gamma2/twist side; the stub cyclic order around the removed ball
     # can run either way, so both orientations are candidates
@@ -271,7 +301,8 @@ def augmented_chain_move(
     and joining them through a connected fragment is never planar.
     """
     site = _resolved(d, site)
-    _gate_evidence(evidence, k)
+    if (excluded := admit(d, site, k, evidence).excluded) is not None:
+        raise excluded
     failure = "augmented chain splice found no planar wiring"
     if not _co_face(d, site.strand1, site.strand2):
         raise SiteError(f"{failure} (None)")

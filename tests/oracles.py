@@ -42,7 +42,10 @@ oracle is a build's last step as it was before a splice's output arrived
 analysed: a probe analysis with
 every strand component walked, and the output's full validation.  The
 replay oracle verifies a certificate with every splice run by the
-splice oracle.  The crossing-drop
+splice oracle.  The verify oracle is `certificate.verify` as it was before
+`moves.admit` became the gate it shares with the moves: it tests each chain
+step's evidence itself, with the fraction and component arithmetic of its
+own, and looks a site up only for declared evidence.  The crossing-drop
 oracle is how R1/R2 undos and component removal built their output before
 they went through the builder: a union-find over the joined arcs and a
 bare diagram, analysed afresh.  The trail builder labels as the builder
@@ -68,8 +71,17 @@ from fractions import Fraction as QQ
 from typing import Iterable, Optional
 from unittest import mock
 
+import hyperforge.classifier as cls
 import hyperforge.moves as moves
-from hyperforge.certificate import verify
+from hyperforge.certificate import (
+    AbstractManifold,
+    ChainStep,
+    SwitchStep,
+    Verdict,
+    _apply_step,
+    _verify_abstract,
+    verify,
+)
 from hyperforge.diagram import (
     _DIRECTION_CONFLICT,
     Crossing,
@@ -93,7 +105,15 @@ from hyperforge.diagram import (
     diagram_isomorphic,
     validate,
 )
-from hyperforge.errors import FormatError, InvalidDiagramError, SiteError, WiringError
+from hyperforge.errors import (
+    CertificateError,
+    ExcludedExteriorError,
+    FormatError,
+    InvalidDiagramError,
+    SiteError,
+    WiringError,
+)
+from hyperforge.tangle import fraction
 
 INF = "inf"
 
@@ -723,6 +743,109 @@ def replay_oracle(cert):
     with mock.patch.object(moves, "splice", splice_oracle):
         verdict = verify(cert)
     return verdict.valid, verdict.failed_step, verdict.reason
+
+
+def _exterior_has_closed_component(d: LinkDiagram, site) -> bool:
+    """True when some link component avoids the move's ball entirely; a
+    rational tangle exterior has no closed components."""
+    part = components(d)
+    involved = {
+        site.trivial_component,
+        part.component_of(site.strand1),
+        part.component_of(site.strand2),
+    }
+    return part.count > len(involved)
+
+
+def verify_oracle(cert) -> Verdict:
+    """The `Verdict` of `certificate.verify` with its own evidence gate: the
+    verifier as it was before it asked `moves.admit`.  An abstract-manifold
+    certificate goes to the library's `_verify_abstract`."""
+    if isinstance(cert.subject, AbstractManifold):
+        return _verify_abstract(cert)
+    reports: list[str] = []
+    trusted: list[str] = []
+
+    def refuse(step: int, reason: str) -> Verdict:
+        return Verdict(False, step, reason, tuple(reports), tuple(trusted))
+
+    if cert.base == "MenascoAlternating":
+        got = cls.menasco_certify(cert.base_diagram)
+        if isinstance(got, cls.Refusal):
+            return refuse(-1, f"base refused: {got}")
+        reports.append("base: MenascoAlternating accepted")
+    elif cert.base == "AugmentedAlternating":
+        got = cls.augmented_alternating_certify(
+            cert.base_diagram, frozenset(cert.augmenting)
+        )
+        if isinstance(got, cls.Refusal):
+            return refuse(-1, f"base refused: {got}")
+        reports.append(
+            f"base: AugmentedAlternating accepted (augmenting {cert.augmenting})"
+        )
+    elif cert.base == "ExternallyAsserted":
+        trusted.append(f"base asserted externally: {cert.description}")
+        reports.append("base: ExternallyAsserted (trusted)")
+    else:
+        return refuse(-1, f"unknown base {cert.base!r}")
+
+    current = cert.base_diagram
+    saw_admissible_chain = False
+    for i, step in enumerate(cert.steps):
+        site = None
+        if isinstance(step, ChainStep):
+            ev = step.evidence
+            if isinstance(ev, cls.Unchecked):
+                return refuse(i, "unchecked exterior evidence never validates")
+            if isinstance(ev, cls.Rational):
+                kind = cls.excluded_exterior(fraction(ev.sequence), step.k)
+                if kind is not None:
+                    return refuse(i, f"excluded exterior: {kind.value}")
+                reports.append(f"step {i}: rational exterior admissible (k={step.k})")
+                saw_admissible_chain = True
+            else:
+                try:
+                    site = moves.chain_site(current, step.trivial_component, step.strands)
+                    checked = _exterior_has_closed_component(current, site)
+                except SiteError:
+                    checked = False
+                if checked:
+                    reports.append(
+                        f"step {i}: non-rational exterior machine-checked "
+                        "(closed component outside the ball)"
+                    )
+                elif saw_admissible_chain:
+                    reports.append(
+                        f"step {i}: admissibility inherited from an earlier "
+                        "chain step (repeated application)"
+                    )
+                    trusted.append(f"step {i}: {ev.justification or 'declared non-rational'}")
+                else:
+                    trusted.append(f"step {i}: {ev.justification or 'declared non-rational'}")
+                    reports.append(f"step {i}: non-rational exterior (trusted)")
+                saw_admissible_chain = True
+        if isinstance(step, SwitchStep):
+            if step.premise is None or step.premise.kind != "GeodesicArc":
+                return refuse(i, "switch step lacks its GeodesicArc premise")
+            trusted.append(f"step {i}: geodesic arc ({step.premise.justification})")
+            reports.append(
+                f"step {i}: switch move; the geodesic hypothesis is recorded, "
+                "not checked (no finite certificate exists for it)"
+            )
+        if isinstance(step, ChainStep) and abs(step.k) > len(cert.subject.crossings):
+            return refuse(i, f"k={step.k} adds more crossings than the subject has")
+        try:
+            before = components(current).count
+            current = _apply_step(current, step, site)
+            after = components(current).count
+        except (SiteError, ExcludedExteriorError, CertificateError) as err:
+            return refuse(i, f"replay failed: {err}")
+        if isinstance(step, ChainStep) and after - before != step.added:
+            return refuse(i, step.wrong_count)
+    if not diagram_isomorphic(current, cert.subject):
+        return refuse(len(cert.steps), "final diagram does not match the subject")
+    reports.append("final diagram matches the subject")
+    return Verdict(True, None, "", tuple(reports), tuple(trusted))
 
 
 def trace_oracle(d):

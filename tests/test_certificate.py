@@ -19,6 +19,7 @@ from hyperforge.certificate import (
     HalfTwistStep,
     Premise,
     SwitchStep,
+    Verdict,
     canonical_json,
     deserialize,
     extend,
@@ -28,6 +29,7 @@ from hyperforge.certificate import (
 )
 from hyperforge.classifier import (
     DeclaredNonRational,
+    ExceptionKind,
     Rational,
     Unchecked,
     menasco_certify,
@@ -39,13 +41,14 @@ from hyperforge.errors import (
     GlueError,
     HyperforgeError,
     PremiseError,
+    SiteError,
 )
-from hyperforge.generators import ChainSpec, chain_link
-from hyperforge.moves import Handedness, find_chain_sites
+from hyperforge.generators import ChainSpec, chain_link, rational_link
+from hyperforge.moves import Handedness, admit, chain_move, chain_site, find_chain_sites
 from hyperforge.tangle import ConwaySequence
 
 from memos import forget_memos
-from oracles import replay_oracle
+from oracles import replay_oracle, verify_oracle
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -135,6 +138,147 @@ def test_switch_step_needs_premise():
     cert, d4 = chain_cert()
     with pytest.raises(PremiseError):
         extend(cert, SwitchStep(1, 2, Handedness.NegativeSkew, None))
+
+
+_BASE_REPORT = "base: MenascoAlternating accepted"
+_MATCHED = "final diagram matches the subject"
+
+
+def _first_site_step(subject, k, evidence, **changes):
+    """A chain step at ``subject``'s first chain site, with ``changes``."""
+    return replace(first_chain_step(subject, k, evidence), **changes)
+
+
+def _gate_case(base, *steps, extended=True):
+    """A certificate over ``base`` whose steps are made by ``steps``, each a
+    function of the subject so far; the steps are extended onto the
+    subject, or only recorded when ``extended`` is false."""
+    cert = menasco_certify(base)
+    for make in steps:
+        step = make(cert.subject)
+        cert = extend(cert, step) if extended else replace(cert, steps=cert.steps + (step,))
+    return cert
+
+
+_EXCLUDED = [  # (k, declared sequence, the exception kind it falls in)
+    (0, (0, 0), ExceptionKind.Infinity),
+    (1, (-1,), ExceptionKind.MinusK),
+    (1, (-2,), ExceptionKind.MinusKPlus1),
+    (2, (-2, -2), ExceptionKind.MinusTwoMinusK),
+]
+_GATE_CASES = {
+    "rational-admissible": (
+        lambda: _gate_case(chain_link(ChainSpec(4)),
+                           lambda d: _first_site_step(d, 0, Rational((1,)))),
+        Verdict(True, None, "", (_BASE_REPORT, "step 0: rational exterior admissible (k=0)",
+                                 _MATCHED), ()),
+    ),
+    **{
+        f"excluded-{kind.value}": (
+            lambda k=k, seq=seq: _gate_case(
+                chain_link(ChainSpec(4)), lambda d: _first_site_step(d, k, Rational(seq)),
+                extended=False),
+            Verdict(False, 0, f"excluded exterior: {kind.value}", (_BASE_REPORT,), ()),
+        )
+        for k, seq, kind in _EXCLUDED
+    },
+    "unchecked": (
+        lambda: _gate_case(chain_link(ChainSpec(4)),
+                           lambda d: _first_site_step(d, 0, Unchecked())),
+        Verdict(False, 0, "unchecked exterior evidence never validates", (_BASE_REPORT,), ()),
+    ),
+    "declared-machine-checked": (
+        lambda: _gate_case(chain_link(ChainSpec(4)),
+                           lambda d: _first_site_step(d, 0, DeclaredNonRational("declared"))),
+        Verdict(True, None, "", (
+            _BASE_REPORT,
+            "step 0: non-rational exterior machine-checked (closed component outside the ball)",
+            _MATCHED), ()),
+    ),
+    # the two-component rational link's site involves every component; after
+    # a chain step, the next one on a three-component subject still does
+    "declared-inherited": (
+        lambda: _gate_case(rational_link([2, 2, 2]),
+                           lambda d: _first_site_step(d, 0, Rational((2,))),
+                           lambda d: _first_site_step(d, -2, DeclaredNonRational("rest"))),
+        Verdict(True, None, "", (
+            _BASE_REPORT, "step 0: rational exterior admissible (k=0)",
+            "step 1: admissibility inherited from an earlier chain step (repeated application)",
+            _MATCHED), ("step 1: rest",)),
+    ),
+    "declared-trusted": (
+        lambda: _gate_case(rational_link([2, 2, 2]),
+                           lambda d: _first_site_step(d, 0, DeclaredNonRational("rest"))),
+        Verdict(True, None, "", (_BASE_REPORT, "step 0: non-rational exterior (trusted)",
+                                 _MATCHED), ("step 0: rest",)),
+    ),
+    "declared-missing-site": (
+        lambda: _gate_case(chain_link(ChainSpec(4)),
+                           lambda d: _first_site_step(d, 0, DeclaredNonRational(""),
+                                                      strands=(997, 998)),
+                           extended=False),
+        Verdict(False, 0, "replay failed: no chain site at component 0 strands (997, 998)",
+                (_BASE_REPORT, "step 0: non-rational exterior (trusted)"),
+                ("step 0: declared non-rational",)),
+    ),
+    "switch-without-premise": (
+        lambda: _gate_case(chain_link(ChainSpec(4)),
+                           lambda d: SwitchStep(1, 2, Handedness.NegativeSkew, None),
+                           extended=False),
+        Verdict(False, 0, "switch step lacks its GeodesicArc premise", (_BASE_REPORT,), ()),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_GATE_CASES))
+def test_every_gate_outcome_gives_its_whole_verdict(case):
+    """verify's `Verdict`, all five fields, for each outcome of the chain
+    step's gate and for a switch step without its premise; the verify
+    oracle, whose gate is its own, gives the same."""
+    make, expected = _GATE_CASES[case]
+    cert = make()
+    assert verify(cert) == expected
+    assert verify_oracle(cert) == expected
+
+
+@pytest.mark.parametrize("k, sequence, kind", _EXCLUDED)
+def test_the_moves_raise_from_the_gate(k, sequence, kind):
+    """`admit` refuses an excluded declared fraction with the error that
+    `chain_move` raises, and admits the same site on other evidence, so
+    the moves and `verify` share one gate."""
+    d4 = chain_link(ChainSpec(4))
+    site = find_chain_sites(d4)[0]
+    ruling = admit(d4, site, k, Rational(sequence))
+    assert (ruling.admitted, ruling.kind, ruling.verdict, ruling.trusted) == (
+        False, "excluded", f"excluded exterior: {kind.value}", None)
+    assert ruling.excluded.kind is kind
+    with pytest.raises(ExcludedExteriorError) as err:
+        chain_move(d4, site, k, Rational(sequence))
+    assert (err.value.kind, str(err.value)) == (kind, str(ruling.excluded))
+    assert [admit(d4, site, k, ev).kind for ev in (Unchecked(), DeclaredNonRational())] == [
+        "unchecked", "machine-checked"]
+    assert admit(d4, None, k, DeclaredNonRational(), inherited=True).kind == "inherited"
+    chain_move(d4, site, k, Unchecked())  # the move runs; the certificate never verifies
+
+
+def test_a_chain_step_names_exactly_two_strands():
+    """A chain step's strands are a pair: a document whose step repeats an
+    arc, or names one or none, is malformed, and `chain_site` finds no site
+    for anything but a pair."""
+    cert, d4 = chain_cert()
+    step = first_chain_step(d4)
+    doc = json.loads(serialize(extend(cert, step)))
+    a, b = step.strands
+    for strands in ([a, b, b], [b, a, a, b], [a], []):
+        doc["steps"][0]["strands"] = strands
+        with pytest.raises(CertificateError, match="two strands"):
+            deserialize(json.dumps(doc))
+        with pytest.raises(SiteError):
+            chain_site(d4, step.trivial_component, strands)
+    assert chain_site(d4, step.trivial_component, (b, a)).key() == find_chain_sites(d4)[0].key()
+    tampered = replace(cert, subject=extend(cert, step).subject,
+                       steps=(replace(step, strands=(a, b, b)),))
+    assert verify(tampered).reason.startswith("replay failed: no chain site")
 
 
 def test_switch_step_with_premise():
@@ -494,7 +638,8 @@ def test_semantic_tampering_never_verifies(base, plan, data):
 def test_replay_matches_the_replay_oracle(base, plan, data):
     """On the derivations the semantic-tampering test draws and on each of
     their one-step mutants, verify gives the (valid, failed step, reason)
-    that replaying through the splice oracle gives."""
+    that replaying through the splice oracle gives, and the whole `Verdict`
+    of the verify oracle, whose evidence gate is its own."""
     cert = menasco_certify(base)
     for kind, k in plan:
         step = _drawn_step(data, cert.subject, kind, k)
@@ -509,3 +654,4 @@ def test_replay_matches_the_replay_oracle(base, plan, data):
         tampered = replace(cert, steps=steps)
         verdict = verify(tampered)
         assert (verdict.valid, verdict.failed_step, verdict.reason) == replay_oracle(tampered)
+        assert verdict == verify_oracle(tampered)

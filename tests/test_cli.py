@@ -547,6 +547,28 @@ def test_verify_malformed_certificates_exit_2():
         assert code == MALFORMED, out
 
 
+def test_verify_exits_2_on_a_chain_step_naming_other_than_two_strands(tmp_path):
+    """A chain step whose strands repeat an arc of its pair, as [4, 8, 8] or
+    [8, 4, 4, 8] on the 4-chain, is a malformed document: exit 2, not VALID."""
+    from hyperforge.certificate import ChainStep, extend, serialize
+    from hyperforge.classifier import DeclaredNonRational, menasco_certify
+    from hyperforge.generators import ChainSpec, chain_link
+    from hyperforge.moves import find_chain_sites
+
+    cert = menasco_certify(chain_link(ChainSpec(4)))
+    s = find_chain_sites(cert.subject)[0]
+    doc = json.loads(serialize(extend(cert, ChainStep(
+        s.trivial_component, (s.strand1, s.strand2), 0, DeclaredNonRational("declared")))))
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", str(path)])[0] == OK
+    a, b = doc["steps"][0]["strands"]
+    for strands in ([a, b, b], [b, a, a, b]):
+        path.write_text(_mutated(doc, ("steps", 0, "strands"), strands))
+        code, out = run(["verify", str(path)])
+        assert code == MALFORMED and out.startswith("ERROR:") and "two strands" in out, out
+
+
 def test_verify_refuses_an_oversized_chain_step_unbuilt():
     """A chain step whose |k| exceeds the subject's crossings exits 1 at its
     own index, before any Tk template is emitted."""

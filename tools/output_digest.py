@@ -1,5 +1,5 @@
 """Print SHA-256 digests over what the builder, the verifier and the
-certifier give on the benchmark's seed 1-3 pools, with a count of each outcome.
+certifier give on the benchmark's seed 1-3 pools, with outcome counts.
 
 Usage: python tools/output_digest.py [SRC]
 
@@ -17,7 +17,13 @@ this checkout, which the tool only reads.  The digest covers, in order:
 - the stdout of one pass of each seed 1-3 cli_pipeline session
   (``workloads.session_digest``), which runs the CLI's ``verify`` too.
 
-A second line, ``distinct-builds sha256``, digests the same records but
+The ``chain steps`` line counts how the gate ruled on the chain steps of
+the seed 1-3 replay_verify verdicts: rational admissible, machine-checked,
+inherited, trusted, and refused (unchecked or excluded evidence).  It is
+read off each verdict's ``step_reports`` and refusal ``reason``, so it
+reads the same for any version of the code whose verdicts are the same.
+
+A second digest line, ``distinct-builds sha256``, digests the same records but
 each distinct build record only at its first occurrence.  A change that
 only skips repeated work, such as a memo that certifies a repeated base
 once, builds some outputs fewer times: the first line changes, and the
@@ -37,13 +43,30 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
+# each chain-step outcome, and the text its step report holds
+STEP_REPORTS = (
+    ("rational admissible", ": rational exterior admissible (k="),
+    ("machine-checked", ": non-rational exterior machine-checked "),
+    ("inherited", ": admissibility inherited from an earlier chain step"),
+    ("trusted", ": non-rational exterior (trusted)"),
+)
+# the refusals of the gate: unchecked evidence and an excluded exterior
+GATE_REFUSALS = ("unchecked exterior evidence never validates", "excluded exterior: ")
+
+
+def chain_step_outcomes(verdict):
+    """The outcome of each chain step the gate ruled on in ``verdict``."""
+    for line in verdict.step_reports:
+        yield from (name for name, text in STEP_REPORTS if text in line)
+    if verdict.reason.startswith(GATE_REFUSALS):
+        yield "refused"
 
 
 def digest(hf, workloads):
-    """(outcome counts, hex digest, hex digest of distinct builds) of the
-    pools of every seed."""
+    """(outcome counts, chain-step outcome counts, hex digest, hex digest
+    of distinct builds) of the pools of every seed."""
     h, distinct = hashlib.sha256(), hashlib.sha256()
-    counts = collections.Counter()
+    counts, steps = collections.Counter(), collections.Counter()
     builds_seen = set()
 
     def record(kind, text):
@@ -75,6 +98,7 @@ def digest(hf, workloads):
                 pool = workloads.replay_verify_build(hf, seed, workdir)
                 for item in pool["items"]:
                     v = hf.verify(hf.deserialize(item["doc"]))
+                    steps.update(chain_step_outcomes(v))
                     record("valid" if v.valid else "invalid",
                            repr((v.valid, v.failed_step, v.reason, v.step_reports,
                                  v.trusted_premises)))
@@ -87,7 +111,7 @@ def digest(hf, workloads):
                 record("cli session", workloads.session_digest(hf, seed, str(session)))
     finally:
         cls.build = build
-    return counts, h.hexdigest(), distinct.hexdigest()
+    return counts, steps, h.hexdigest(), distinct.hexdigest()
 
 
 def main(argv):
@@ -103,8 +127,10 @@ def main(argv):
     import hyperforge.cli  # noqa: F401  (the sessions run hf.cli.run)
     import workloads
 
-    counts, hexdigest, distinct = digest(hf, workloads)
+    counts, steps, hexdigest, distinct = digest(hf, workloads)
     print(", ".join(f"{kind} {n}" for kind, n in sorted(counts.items())))
+    outcomes = [name for name, _ in STEP_REPORTS] + ["refused"]
+    print("chain steps: " + ", ".join(f"{name} {steps[name]}" for name in outcomes))
     print(f"sha256 {hexdigest}")
     print(f"distinct-builds sha256 {distinct}")
     return 0
