@@ -29,6 +29,7 @@ from .classifier import (
 from .diagram import LinkDiagram, components, diagram_isomorphic, format_pd, parse_pd
 from .errors import (
     CertificateError,
+    FormatError,
     GlueError,
     PremiseError,
     SiteError,
@@ -353,10 +354,18 @@ def _field(doc, key: str, kind, default=_REQUIRED, of=None):
     return value
 
 
+def _read(make, *args):
+    """``make(*args)``, a FormatError or PremiseError raised as a CertificateError."""
+    try:
+        return make(*args)
+    except (FormatError, PremiseError) as err:
+        raise CertificateError(str(err)) from err
+
+
 def _evidence_from(doc: dict) -> ExteriorEvidence:
     kind = _field(doc, "kind", str, None)
     if kind == "Rational":
-        return Rational(ConwaySequence(tuple(_field(doc, "sequence", list, of=int))))
+        return Rational(_read(ConwaySequence, tuple(_field(doc, "sequence", list, of=int))))
     if kind == "DeclaredNonRational":
         return DeclaredNonRational(_field(doc, "justification", str, ""))
     if kind == "Unchecked":
@@ -369,7 +378,8 @@ def _premise_doc(p: Premise) -> dict:
 
 
 def _premise_from(doc: dict) -> Premise:
-    return Premise(
+    return _read(
+        Premise,
         _field(doc, "kind", str),
         _field(doc, "justification", str, ""),
         _field(doc, "trusted", bool, True),
@@ -500,6 +510,8 @@ def _cert_doc(cert: Certificate) -> dict:
     return doc
 
 
+# Pays on replay_verify (324 of 324 documents per seed-1 pass) and
+# cli_pipeline (60 of 60 per round); certify_bases reads no document.
 @lru_cache(maxsize=64)
 def _base_diagram(text: str) -> LinkDiagram:
     """The diagram of a document's base PD text, parsed once per distinct
@@ -517,7 +529,8 @@ def _cert_from(doc: dict, depth: int = 0) -> Certificate:
     if not isinstance(subject_doc, dict):
         raise CertificateError("certificate lacks a subject")
     if subject_doc.get("kind") == "diagram":
-        subject: Union[LinkDiagram, AbstractManifold] = parse_pd(_field(subject_doc, "pd", str))
+        subject: Union[LinkDiagram, AbstractManifold] = _read(
+            parse_pd, _field(subject_doc, "pd", str))
     elif subject_doc.get("kind") == "manifold":
         subject = _manifold_from(_field(subject_doc, "manifold", dict))
     else:
@@ -533,7 +546,7 @@ def _cert_from(doc: dict, depth: int = 0) -> Certificate:
     return Certificate(
         base=base,
         subject=subject,
-        base_diagram=_base_diagram(base_diagram) if base_diagram is not None else None,
+        base_diagram=_read(_base_diagram, base_diagram) if base_diagram is not None else None,
         base_manifold=_manifold_from(base_manifold) if base_manifold is not None else None,
         augmenting=augmenting,
         description=_field(doc, "description", str, ""),

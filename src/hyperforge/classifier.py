@@ -12,8 +12,8 @@ break the shift-consistency check loudly.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import SiteError
@@ -138,46 +138,37 @@ def exception_base_set() -> frozenset[Fraction]:
 # -- base certifiers ---------------------------------------------------------------
 
 
-# menasco_certify's decisions, keyed by the exact content of what it
-# decides on, (crossings, loops, budget): the Refusal, or None to accept.
-# Bounded; when full the oldest decision goes first.
-_DECISIONS_MAX = 256
-_decisions: dict[tuple, Optional[Refusal]] = {}
-_decisions_lock = threading.Lock()  # library callers may certify from several threads
-
-
 def menasco_certify(d: LinkDiagram, budget: Optional[int] = None):
     """Certificate for a reduced prime alternating non-split non-2-braid
     diagram of a nontrivial link; Refusal otherwise.  `budget` bounds the
     R1/R2 reduction steps; None means diagram.DEFAULT_STEP_BUDGET.
 
     The decision is remembered per process by the diagram's exact
-    crossings and loops and the budget, so a repeated base is certified
-    once.  An invalid diagram raises on every call, and the certificate
-    is always about ``d`` itself."""
+    crossings and loops and the budget (`_menasco_refusal`), so a repeated
+    base is certified once.  An invalid diagram raises on every call, and
+    the certificate is always about ``d`` itself."""
     from . import diagram as _dg
 
     if budget is None:
         budget = _dg.DEFAULT_STEP_BUDGET
-    d.require_valid()
-    key = (d.crossings, d.loops, budget)
-    try:
-        refusal = _decisions[key]
-    except KeyError:
-        refusal = _menasco_refusal(d, budget)
-        with _decisions_lock:
-            if len(_decisions) >= _DECISIONS_MAX:
-                del _decisions[next(iter(_decisions))]
-            _decisions[key] = refusal
+    refusal = _menasco_refusal(d.crossings, d.loops, budget)
     if refusal is not None:
         return refusal
     return Certificate(base="MenascoAlternating", base_diagram=d, subject=d)
 
 
-def _menasco_refusal(d: LinkDiagram, budget: int) -> Optional[Refusal]:
-    """Why Menasco's criterion does not certify the valid diagram ``d``, or
-    None when it does."""
+# Pays on replay_verify (324 of 324 per seed-1 pass) and cli_pipeline (108
+# of 110 per round; the other 2 are invalid diagrams, which raise), whose
+# documents repeat their bases; certify_bases' subjects are all distinct.
+@lru_cache(maxsize=256)
+def _menasco_refusal(crossings: tuple, loops: int, budget: int) -> Optional[Refusal]:
+    """Why Menasco's criterion does not certify the diagram of ``crossings``
+    and ``loops``, or None when it does.  An invalid diagram raises, so no
+    error is remembered; validity depends on nothing but the key."""
     from . import diagram as _dg
+
+    d = _dg.LinkDiagram(crossings, loops)
+    d.require_valid()
 
     if _dg.is_split(d):
         return Refusal(RefusalReason.Split)

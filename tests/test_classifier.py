@@ -159,10 +159,10 @@ def test_a_remembered_decision_is_the_cold_one(d, data):
     for budget in (0, 1, None):
         forget_memos()
         cold = menasco_certify(d, budget)
-        assert len(classifier._decisions) == 1
+        assert classifier._menasco_refusal.cache_info().currsize == 1
         for x in (d, LinkDiagram(d.crossings, loops=d.loops)):
             assert menasco_certify(x, budget) == cold
-        assert len(classifier._decisions) == 1
+        assert classifier._menasco_refusal.cache_info().currsize == 1
 
 
 def test_a_repeated_diagram_is_certified_once():
@@ -195,7 +195,7 @@ def test_an_invalid_diagram_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(InvalidDiagramError):
             menasco_certify(bad)
-    assert classifier._decisions == {}
+    assert classifier._menasco_refusal.cache_info().currsize == 0
 
 
 def test_a_certificate_is_about_the_callers_diagram():
@@ -212,14 +212,20 @@ def test_a_certificate_is_about_the_callers_diagram():
 
 
 def test_the_memo_stays_bounded():
+    """After 300 distinct diagrams the memo holds its bound, and the last
+    one is kept: certifying it again is a hit that reduces nothing."""
     forget_memos()
     d = chain_link(ChainSpec(3))
-    assert classifier._DECISIONS_MAX < 300
+    memo = classifier._menasco_refusal
+    assert memo.cache_info().maxsize < 300
     for by in range(300):
         menasco_certify(shifted(d, by))
-    assert len(classifier._decisions) == classifier._DECISIONS_MAX
-    last = shifted(d, 299)
-    assert (last.crossings, last.loops, dg.DEFAULT_STEP_BUDGET) in classifier._decisions
+    assert memo.cache_info().currsize == memo.cache_info().maxsize
+    hits = memo.cache_info().hits
+    with mock.patch.object(dg, "reduce_diagram", wraps=dg.reduce_diagram) as reduce:
+        assert is_cert(menasco_certify(shifted(d, 299)))
+    assert reduce.call_count == 0
+    assert memo.cache_info().hits == hits + 1
 
 
 def test_threads_certifying_at_once_keep_the_memo_bounded():
@@ -247,7 +253,8 @@ def test_threads_certifying_at_once_keep_the_memo_bounded():
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
             assert results == [RefusalReason.Split] * 4000
-            assert len(classifier._decisions) <= classifier._DECISIONS_MAX
+            info = classifier._menasco_refusal.cache_info()
+            assert info.currsize <= info.maxsize
     finally:
         sys.setswitchinterval(old)
 

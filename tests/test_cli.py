@@ -547,6 +547,22 @@ def test_verify_malformed_certificates_exit_2():
         assert code == MALFORMED, out
 
 
+def test_verify_reports_a_fault_of_a_field_in_its_own_words():
+    """A document whose Conway sequence, PD text or premise kind is malformed
+    exits 2 with the one ERROR line that names the fault itself."""
+    doc = json.loads(_derivation_document())
+    probes = [
+        (("steps", 0, "evidence", "sequence"), [], "Conway sequence must be nonempty"),
+        (("steps", 0, "evidence", "sequence"), [2, -3], "mixed-sign Conway sequence (2, -3)"),
+        (("base_diagram",), "X(1,2,3", "bad crossing token: 'X'"),
+        (("subject", "pd"), "X(1,2,3", "bad crossing token: 'X'"),
+        (("steps", 2, "premise", "kind"), "NoSuchPremise", "unknown premise kind 'NoSuchPremise'"),
+    ]
+    for path, value, text in probes:
+        assert run(["verify"], stdin_text=_mutated(doc, path, value)) == (
+            MALFORMED, f"ERROR: {text}\n"), path
+
+
 def test_verify_exits_2_on_a_chain_step_naming_other_than_two_strands(tmp_path):
     """A chain step whose strands repeat an arc of its pair, as [4, 8, 8] or
     [8, 4, 4, 8] on the 4-chain, is a malformed document: exit 2, not VALID."""

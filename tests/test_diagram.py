@@ -52,6 +52,7 @@ from oracles import (
     find_kinks_oracle,
     find_r2_bigons_oracle,
     gauss_linking_oracle,
+    graph_comps_oracle,
     is_braid2_form_oracle,
     parse_pd_oracle,
     slot_faces,
@@ -381,6 +382,12 @@ def _face_stages(d):
     return slot_faces(dg._Analysis(fresh)._faces_and_euler()), faces_oracle(fresh)
 
 
+def _graph_comps(d):
+    """The graph components of a fresh analysis of d, and the oracle's."""
+    fresh = LinkDiagram(d.crossings, loops=d.loops)
+    return dg._Analysis(fresh).graph_comp_of, dict(enumerate(graph_comps_oracle(fresh)))
+
+
 @settings(max_examples=80, deadline=None)
 @given(_CUT_BASES, st.data())
 def test_face_stage_matches_oracle(d, data):
@@ -390,7 +397,8 @@ def test_face_stage_matches_oracle(d, data):
     for e in (*r_moves(d, data), swapped(d, data)):
         got, want = _face_stages(e)
         assert got == want
-        assert list(got.graph_comp_of.items()) == list(want.graph_comp_of.items())
+        got, want = _graph_comps(e)
+        assert list(got.items()) == list(want.items())
 
 
 @pytest.mark.parametrize("pd", [pd for pd, *_ in MALFORMED[2:]])
@@ -400,6 +408,8 @@ def test_face_stage_matches_oracle_on_malformed(pd):
     got, want = _face_stages(parse_pd(pd))
     assert got == want
     assert bool(got.problems) == (pd != MALFORMED[2][0])
+    got, want = _graph_comps(parse_pd(pd))
+    assert list(got.items()) == list(want.items())
 
 
 def test_connected_sum_not_prime(trefoil):

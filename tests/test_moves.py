@@ -1,9 +1,11 @@
 """The rewrites: chain move, augmented chain move, switch move, half-twist,
-site scanning, and the Tk template (including its calibration pins)."""
+site scanning, the Tk template (including its calibration pins), and the
+crossings and components each move adds."""
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperforge.classifier import DeclaredNonRational, Rational, Unchecked
 from hyperforge.diagram import (
@@ -12,6 +14,7 @@ from hyperforge.diagram import (
     diagram_isomorphic,
     linking_number,
     reduce_diagram,
+    reidemeister2,
     remove_component,
     splice,
     validate,
@@ -368,6 +371,40 @@ def test_half_twist_bad_component():
 def test_half_twist_direction_required():
     with pytest.raises(SiteError):
         half_twist(chain_link(ChainSpec(4)), 0, 0)
+
+
+# what each move adds -------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 5), st.data())
+def test_each_move_adds_its_crossings_and_components(n, data):
+    """At sites drawn on an n-chain, n = 3 to 5, a chain move adds 2 + |k|
+    crossings and one component, an augmented chain move 6 + |k| and two,
+    a switch move 4 (NegativeSkew) or 5 (PositiveSkew), a half twist 1 and
+    R2 2.  `verify` refuses a chain step whose component count is wrong,
+    and one whose |k| exceeds the subject's crossings, on these counts."""
+    d = chain_link(ChainSpec(n))
+    site = data.draw(st.sampled_from(find_chain_sites(d)), label="chain site")
+    k = data.draw(st.integers(-3, 3), label="k")
+    face = data.draw(st.sampled_from([sorted(set(f)) for f in d.face_arcs() if len(set(f)) > 1]),
+                     label="face")
+    a, b = data.draw(st.permutations(face), label="arcs")[:2]
+    h = data.draw(st.sampled_from(list(Handedness)), label="handedness")
+    ring = data.draw(st.sampled_from([c for c in range(components(d).count)
+                                      if len(d._analysis.steps[c]) == 4]), label="ring")
+    direction = data.draw(st.sampled_from((1, -1)), label="direction")
+    outs = [
+        (chain_move(d, site, k, EVIDENCE), 2 + abs(k), 1),
+        (augmented_chain_move(d, site, k, EVIDENCE), 6 + abs(k), 2),
+        (switch_move(d, SwitchSite(a, b), h), 4 if h is Handedness.NegativeSkew else 5, None),
+        (half_twist(d, ring, direction), 1, None),
+        (reidemeister2(d, (a, b)), 2, None),
+    ]
+    for out, crossings, comps in outs:
+        assert len(out.crossings) - len(d.crossings) == crossings
+        if comps is not None:
+            assert components(out).count - components(d).count == comps
 
 
 # splicing ------------------------------------------------------------------------

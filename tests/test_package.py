@@ -1,8 +1,10 @@
 """The package namespace: every public name resolves, submodules load lazily,
-and the submodules import one another one way only."""
+the submodules import one another one way only, and the process-wide memos
+are the named ones."""
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -11,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import hyperforge
+
+from memos import forget_memos, memos
 
 
 def test_every_public_name_resolves():
@@ -87,3 +91,17 @@ def test_import_graph_is_one_way():
 
     for module in edges:
         visit(module)
+
+
+def test_the_memo_inventory():
+    """Every process-wide memo is a functools cache named here with its
+    bound, so a new memo fails until it is named, and `forget_memos`,
+    which finds them the same way, empties it."""
+    found = memos()
+    bounds = {name: memo.cache_info().maxsize for name, memo in found.items()}
+    assert bounds == {"certificate._base_diagram": 64, "classifier._menasco_refusal": 256,
+                      "diagram._judged": 256, "cli._parser": None}
+    assert not inspect.signature(found["cli._parser"]).parameters
+    found["cli._parser"]()
+    forget_memos()
+    assert all(memo.cache_info().currsize == 0 for memo in found.values())

@@ -16,7 +16,7 @@ old walk of the welds, the builder's faults, every move's cached
 fragment side against reading it off the splice's builder, the judge
 memo, cold and warm, against judging every wiring afresh, the half
 twist's spot against scanning every face, and the work a replay skips:
-fragment sides read once into a bounded cache, no wiring judged twice
+a fragment side read only when the judge misses, no wiring judged twice
 for one side shape, no face traced by a half twist, validity read from
 the analysis' flags, an equal subject never analysed, and no reference
 cycle between a diagram and its analysis."""
@@ -329,7 +329,7 @@ class _StageLog:
     """Records which analyses the analysis stages ran on, which diagrams
     the builder's renormalisation made, and how many times each splice ran
     its emit into its own builder, the one over its base, while installed
-    (the fragment side is read off an empty builder, once per fragment)."""
+    (the fragment side is read off an empty builder, on a judge miss)."""
 
     def __init__(self):
         self.strands, self.faces, self.outputs, self.emits = [], [], [], []
@@ -609,8 +609,8 @@ def _by_emitting(move, *args):
 @settings(max_examples=40, deadline=None)
 @given(_BASES, st.data())
 def test_cached_fragment_sides_match_the_emitting_splice(d, data):
-    """Every move, its fragment side read off an empty builder by an
-    earlier splice, gives the PD text and loop count, or the refusal
+    """Every move, its fragment side read off an empty builder by the
+    judge, gives the PD text and loop count, or the refusal
     text, of reading the side off the splice's own builder, where the
     fragment sits at another offset, and its output arrives with the same
     index and strand trace, every stage of its analysis a fresh one:
@@ -1458,12 +1458,12 @@ def test_an_equal_diagram_is_never_analysed():
     assert "_analysis" in vars(relabelled)
 
 
-def test_a_fragment_side_is_read_once_per_process():
-    """Each move's fragment side is read on its first splice alone: over
-    two rounds of the same moves, the first reads the side of each
-    fragment once, off an empty builder, and the second reads none and
-    gives the same diagrams.  The judge memo answers a repeated splice
-    before its side is read, so it is emptied too."""
+def test_a_fragment_side_is_read_only_on_a_judge_miss():
+    """A fragment side is read, off an empty builder, only when the judge
+    memo misses: over two rounds of the same moves, the first reads the
+    side of each fragment once and the second reads none and gives the
+    same diagrams; and one fragment, the R2 bigon, spliced onto two base
+    side shapes is judged twice and read twice."""
     site = find_chain_sites(_CHAIN4)[1]
     calls = [(chain_move, _CHAIN4, site, 1, EVIDENCE),
              (augmented_chain_move, _CHAIN4, site, -1, EVIDENCE),
@@ -1492,6 +1492,14 @@ def test_a_fragment_side_is_read_once_per_process():
     assert len(spliced) == len(calls)  # each move splices a fragment of its own
     assert first_read == [True] * len(calls)
     assert second_read == []
+
+    forget_memos()
+    del read[:]
+    with mock.patch.object(dg, "_fragment_side", counted_side):
+        for pair in ((1, 4), (1, 2)):
+            reidemeister2(_CHAIN4, pair)
+    assert dg._judged.cache_info().misses == 2
+    assert read == [True, True]
 
 
 _PLAN = (ChainStep, AugChainStep, ChainStep, SwitchStep, HalfTwistStep, HalfTwistStep,
@@ -1608,13 +1616,11 @@ def test_a_dropped_diagram_is_freed_without_the_collector():
 def test_the_stencil_cache_is_bounded():
     """A chain step's k comes from a document, so a process may meet any
     number of Tk fragments: after extending with 300 distinct k, the
-    fragment-side cache and the judge memo each hold no more than their
-    maxsize."""
+    judge memo holds no more than its maxsize."""
     cert = menasco_certify(chain_link(ChainSpec(3)))
     site = find_chain_sites(cert.subject)[0]
     for k in range(-150, 150):
         extend(cert, ChainStep(site.trivial_component, (site.strand1, site.strand2), k, EVIDENCE))
-    for memo in (dg._emitted_side, dg._judged):
-        info = memo.cache_info()
-        assert info.maxsize is not None and info.maxsize < 300
-        assert info.currsize <= info.maxsize
+    info = dg._judged.cache_info()
+    assert info.maxsize is not None and info.maxsize < 300
+    assert info.currsize <= info.maxsize
