@@ -79,9 +79,11 @@ class ChainStep:
     evidence: ExteriorEvidence
 
     # The variant: its JSON kind, the moves-module function that applies it
-    # (looked up by name at each call), and the components it adds.
+    # and that function past its gate (each looked up by name at each call),
+    # and the components it adds.
     kind: ClassVar[str] = "ChainStep"
     move: ClassVar[str] = "chain_move"
+    splice: ClassVar[str] = "_chain_splice"
     added: ClassVar[int] = 1
     wrong_count: ClassVar[str] = "chain step must add exactly one component"
 
@@ -91,6 +93,7 @@ class AugChainStep(ChainStep):
 
     kind = "AugChainStep"
     move = "augmented_chain_move"
+    splice = "_augmented_chain_splice"
     added = 2
     wrong_count = "augmented chain step must add exactly two components"
 
@@ -133,11 +136,12 @@ class Verdict:
 
 
 def _apply_step(d: LinkDiagram, step: Step, site: Optional[ChainSite] = None) -> LinkDiagram:
-    """Apply ``step`` to ``d``; a chain step uses ``site`` when its caller
-    has already looked it up."""
+    """Apply ``step`` to ``d``; a chain step at ``site``, which its caller
+    looked up and admitted (`moves.admit`), skips the move's gate."""
     if isinstance(step, ChainStep):
-        if site is None:
-            site = chain_site(d, step.trivial_component, step.strands)
+        if site is not None:
+            return getattr(_moves, step.splice)(d, site, step.k)
+        site = chain_site(d, step.trivial_component, step.strands)
         return getattr(_moves, step.move)(d, site, step.k, step.evidence)
     if isinstance(step, SwitchStep):
         return _moves.switch_move(d, SwitchSite(step.arc_g, step.arc_g2), step.handedness)

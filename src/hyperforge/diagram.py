@@ -54,9 +54,14 @@ class Crossing:
 
     def rotated(self, r: int) -> "Crossing":
         r %= 4
-        x = object.__new__(Crossing)  # the labels are this crossing's: no second check
-        object.__setattr__(x, "slots", self.slots[r:] + self.slots[:r])
-        return x
+        return _crossing(self.slots[r:] + self.slots[:r])
+
+
+def _crossing(slots: tuple[int, int, int, int]) -> Crossing:
+    """A crossing of labels the library chose itself: no second check."""
+    x = object.__new__(Crossing)
+    object.__setattr__(x, "slots", slots)
+    return x
 
 
 @dataclass(frozen=True)
@@ -241,41 +246,25 @@ class _Analysis:
     `_renormalize` orient the strands by one walk per component, `_oriented`.
 
     A diagram a splice, an R1/R2 undo or a component removal builds
-    arrives analysed (`DiagramBuilder.build`, `_renormalize`): it is
-    indexed afresh, its strand trace walks only the components through
-    the arcs the build changed and takes the others' from its base, and it
-    is known planar, since a splice's judge checked the Euler formula over
-    face orbits, the parts under its face-orbit condition, and smoothing
-    crossings out of a plane diagram keeps it plane.  It has no Euler check to run, and its
+    arrives analysed by the one analysis its build made
+    (`DiagramBuilder.build`, `_renormalize`): it is indexed afresh, its
+    strand trace walks only the components through the arcs the build
+    changed and takes the others' from its base, and it is known planar,
+    since a splice's judge checked the Euler formula over face orbits, the
+    parts under its face-orbit condition, and smoothing crossings out of a
+    plane diagram keeps it plane.  It has no Euler check to run, and its
     report counts V + 2 faces per graph component, so its faces are traced
     only when something reads them.  An analysis keeps its diagram's
     crossings and loops, not the diagram, which caches it: no reference
-    cycle.  A stage returns its own problems
-    instead of adding to a shared list, so `report` lists them in the
-    order occurrences, trace, faces whichever stage ran first.
+    cycle.  A stage returns its own problems instead of adding to a shared
+    list, so `report` lists them in the order occurrences, trace, faces
+    whichever stage ran first.
     """
 
-    def __init__(self, diagram: "LinkDiagram", occ: Optional[dict[int, list[int]]] = None,
-                 across: Optional[list[int]] = None, walks: Optional[list[list[int]]] = None,
-                 planar: bool = False):
-        """``occ``, when given, is the diagram's occurrence index, every arc
-        occurring twice, as `_index_occurrences` would build it; ``across``
-        its corner map, as the stage would give it, and ``walks`` the
-        corners each strand component enters, from its least arc on, in
-        any order of components; ``planar`` says each graph component
-        passes the Euler check."""
-        self.crossings, self.loops = diagram.crossings, diagram.loops
-        if occ is None:
-            self.occ, self.occ_problems = self._index_occurrences()
-        else:
-            self.occ, self.occ_problems = occ, ()
+    def __init__(self, crossings: tuple[Crossing, ...], loops: int):
+        self.crossings, self.loops = crossings, loops
+        self.occ, self.occ_problems = self._index_occurrences()
         self.double_ok = not self.occ_problems
-        if across is not None:
-            self.across = across
-        if walks is not None:
-            self._strands = _Strands.of(walks, self.arc_at)
-        if planar:
-            self._euler_problems = ()
 
     @cached_property
     def _strands(self) -> _Strands:
@@ -487,7 +476,7 @@ class LinkDiagram:
 
     @cached_property
     def _analysis(self) -> _Analysis:
-        return _Analysis(self)
+        return _Analysis(self.crossings, self.loops)
 
     @cached_property
     def arcs(self) -> tuple[int, ...]:
@@ -670,21 +659,21 @@ def _renormalize(
     crossing that disagrees with the first rotates by 2 as well; arc
     labels never change.
 
-    The probe is a fresh analysis of ``crossings``: an InvalidDiagramError
-    unless every arc occurs twice.  With no ``touched``, every strand
-    component is walked.  A build over a base gives the arcs whose
-    corners changed as ``touched``, and the base's strand steps,
+    The probe is a fresh analysis of ``crossings``, made with no diagram:
+    an InvalidDiagramError unless every arc occurs twice.  With no
+    ``touched``, every strand component is walked.  A build over a base
+    gives the arcs whose corners changed as ``touched``, and the base's strand steps,
     renumbered, as ``base_steps`` (a removed crossing's corners read -1):
     only the components through a touched arc are walked, by
     `_Analysis._walks_through`, and each other one is a base component
-    whose oriented steps it keeps, which turn no crossing.  The output
-    arrives with its occurrence index, corner map and strand trace: the
-    probe's, each corner k of a turned crossing moved to k ^ 2.  Every
-    under-passage then enters at slot 0, so the output's own trace would
-    walk each component the same way, with no conflict.  ``planar`` says
+    whose oriented steps it keeps, which turn no crossing.  The probe
+    becomes the output's analysis: in its occurrence index, corner map,
+    arcs and strand trace, each corner k of a turned crossing moves to
+    k ^ 2.  Every under-passage then enters at slot 0, so the output's own
+    trace would walk each component the same way, with no conflict.  ``planar`` says
     the output is known to pass the Euler check (see `_Analysis`).
     """
-    ana = LinkDiagram(tuple(crossings), loops=loops)._analysis
+    ana = _Analysis(tuple(crossings), loops)
     if not ana.double_ok:
         raise InvalidDiagramError(ana.validity)
     walks, kept = None, []
@@ -699,13 +688,14 @@ def _renormalize(
         raise WiringError(_DIRECTION_CONFLICT)
     walks = [corners for corners, _ in oriented]
     turned = {c >> 2 for corners in walks for c in corners if c & 3 == 2}
-    occ, across = ana.occ, ana.across
+    occ, across, arc_at = ana.occ, ana.across, ana.arc_at
     out = list(crossings)
     if turned:
         # corner k of a turned crossing becomes k ^ 2, at either end of its arc
         moved = {}
         for ci in turned:
             out[ci] = out[ci].rotated(2)
+            arc_at[4 * ci:4 * ci + 4] = out[ci].slots
             for k in range(4 * ci, 4 * ci + 4):
                 far = across[k] ^ 2 if across[k] >> 2 in turned else across[k]
                 moved[k ^ 2], moved[far] = far, k ^ 2
@@ -718,7 +708,10 @@ def _renormalize(
             walks, kept = walks + kept, []
         walks = [[c ^ 2 if c >> 2 in turned else c for c in corners] for corners in walks]
     d = LinkDiagram(tuple(out), loops=loops)
-    object.__setattr__(d, "_analysis", _Analysis(d, occ, across, walks + kept, planar))
+    ana.crossings, ana._strands = d.crossings, _Strands.of(walks + kept, arc_at)
+    if planar:
+        ana._euler_problems = ()
+    object.__setattr__(d, "_analysis", ana)
     return d
 
 
@@ -726,7 +719,7 @@ def _relabel_occurrence(crossings: list[Crossing], k: int, new_arc: int) -> None
     """Put ``new_arc`` at corner ``k`` of ``crossings``."""
     s = list(crossings[k >> 2].slots)
     s[k & 3] = new_arc
-    crossings[k >> 2] = Crossing(tuple(s))
+    crossings[k >> 2] = _crossing(tuple(s))
 
 
 # -- component rings, twice-punctured disks, component removal -----------------------
@@ -854,7 +847,8 @@ class DiagramBuilder:
     slot, a stub or a plain terminal welded once) to the other, ``welds``
     counts each port's welds, and a weld that closes a chain of plain
     terminals adds a crossing-free loop to ``loops``.  No later pass walks
-    the welds.
+    the welds.  A splice welds nothing: it ``place``s its fragment's
+    crossings labelled from the plan its judge read off an empty builder.
     """
 
     def __init__(self, base: Optional[LinkDiagram] = None, remove: Iterable[int] = ()):
@@ -904,6 +898,15 @@ class DiagramBuilder:
         label = self._next_arc
         self._next_arc += 1
         return label
+
+    def place(self, plan: tuple, labels: Sequence[int]) -> None:
+        """Append a fragment's crossings labelled from its `_plan`, with
+        no weld: port i takes ``labels[i]`` and inner arc j the next fresh
+        label + j; the loops the fragment closes are added."""
+        rows, inner, loops = plan
+        labels = [*labels, *(self.fresh_label() for _ in range(inner))]
+        self.protos += [[labels[s] for s in row] for row in rows]
+        self.loops += loops
 
     def cut(self, arc: int) -> tuple:
         """Cut a base arc; returns (tail-side stub, head-side stub).
@@ -1005,7 +1008,7 @@ class DiagramBuilder:
         """
         loops = self._label()
         n = self.n_frozen
-        crossings = self.protos[:n] + [Crossing(tuple(p)) for p in self.protos[n:]]
+        crossings = self.protos[:n] + [_crossing(tuple(p)) for p in self.protos[n:]]
         touched, steps = None, ()
         if self.base is not None:
             touched = {*self.stub_labels.values(), *itertools.chain.from_iterable(self.protos[n:])}
@@ -1023,7 +1026,7 @@ class DiagramBuilder:
         stub ends one chain and shares its arc with at most one other, so a
         run is a path, which takes the least label of its arcs (`_merged`
         relabels the others' kept occurrences), or a cycle, a crossing-free
-        loop."""
+        loop.  A placed fragment arrives labelled."""
         for t, count in self.welds.items():
             if self._is_terminal(t) and count != self._capacity(t):
                 raise AssertionError(f"incomplete terminal {t}")
@@ -1174,7 +1177,7 @@ def _fragment_side(bld: DiagramBuilder, ports: Sequence) -> Optional[_Side]:
     empty builder, on a miss alone).  A slot that is no port is
     joined to the far end of its weld chain: a port, or another slot.
     None when a crossing is on no part with a port, which no move emits.
-    Nothing is labelled: the build takes every fresh label.
+    Nothing is labelled: `_plan` labels the fragment afterwards.
 
     This is where a splice's planarity guard sits: the fragment must meet
     the face-orbit condition.  Its inner faces (no walk from a port enters
@@ -1270,26 +1273,45 @@ def _wiring_fault(near: _Side, far: _Side, wiring: Sequence[int]) -> Optional[st
     return None
 
 
-# Pays on replay_verify (1,423 of 1,423 splices per seed-1 pass) and
-# cli_pipeline (136 of 136 per round); certify_bases splices nothing.
+def _plan(bld: DiagramBuilder, ports: Sequence) -> tuple[tuple[tuple[int, ...], ...], int, int]:
+    """(each new crossing's slots as indexes into the port labels, then
+    the inner arcs; the inner arcs; the loops the fragment closes) of the
+    fragment of an empty builder, labelled as a splice's build labels it:
+    port i welded to a stub labelled -1 - i, and each inner arc numbered
+    in the order `_label` takes its fresh label."""
+    for i, port in enumerate(ports):
+        bld.weld(bld.stub(-1 - i), port)
+    loops = bld._label()
+    n = len(ports)
+    rows = tuple(tuple(-1 - a if a < 0 else n - 1 + a for a in p) for p in bld.protos)
+    return rows, bld._next_arc - 1, loops
+
+
+# Pays on replay_verify (1,423 of 1,423 splices per warm seed-1 pass, 121
+# keys) and cli_pipeline (136 of 136 per round, 67 keys); certify_bases
+# splices nothing.  A miss is the one place a fragment is emitted.
 @lru_cache(maxsize=256)
 def _judged(near: _Side, emit: Callable[[DiagramBuilder], Sequence],
-            wirings: tuple[tuple[int, ...], ...]) -> tuple[Optional[tuple[int, ...]], bool]:
+            wirings: tuple[tuple[int, ...], ...]
+            ) -> tuple[Optional[tuple[int, ...]], bool, Optional[tuple]]:
     """(the first wiring of ``wirings`` that `_wiring_fault` passes, or None;
-    whether an earlier one needed a frozen crossing turned) for a splice of
-    ``emit`` onto base side ``near``.  Both sides are all the judge reads,
+    whether an earlier one needed a frozen crossing turned; the fragment's
+    `_plan` when a wiring passes) for a splice of ``emit`` onto base side
+    ``near``.  Both sides are all the judge reads,
     so the answer is kept per side shape, fragment and table (errors
-    propagate, uncached).  A miss reads the fragment side off an empty
-    builder: a side is numbered by port, so any offset gives the same."""
+    propagate, uncached).  A miss emits the fragment into an empty
+    builder, the one emit a splice makes, and reads its side and its plan
+    there: both are numbered by port, so any offset gives the same."""
     bld = DiagramBuilder()
-    far = _fragment_side(bld, emit(bld))
+    ports = emit(bld)
+    far = _fragment_side(bld, ports)
     turned = False
     for wiring in wirings:
         fault = "non-planar" if far is None else _wiring_fault(near, far, wiring)
         if fault is None:
-            return wiring, turned
+            return wiring, turned, _plan(bld, ports)
         turned = turned or fault == "direction"
-    return None, turned
+    return None, turned, None
 
 
 def splice(
@@ -1303,16 +1325,16 @@ def splice(
     remove: Iterable[int] = (),
     reorient: bool = False,
 ) -> LinkDiagram:
-    """Weld a fragment into ``base`` by the first wiring that gives a valid diagram.
+    """Splice a fragment into ``base`` by the first wiring that gives a valid diagram.
 
     A builder over ``base`` minus ``remove`` cuts the ``cut`` arcs in order
-    (ends: each arc's tail, then head), ``emit`` adds the fragment and
-    gives its ports, the ``stubs`` arcs become further ends, and port i
-    is welded to end ``wiring[i]``; ``reorient`` is the build's
+    (ends: each arc's tail, then head), the ``stubs`` arcs become further
+    ends, and port i of the fragment ``emit`` adds and gives takes the
+    label of end ``wiring[i]``; ``reorient`` is the build's
     ``allow_reorient``.  ``emit`` is hashable and adds the same
-    crossings, terminals and welds to any builder.  Its fragment side is
-    numbered by port, so it is read off an empty builder, and only when
-    the judge memo (`_judged`) misses.
+    crossings, terminals and welds to any builder.  Its fragment side and
+    plan are numbered by port, so the fragment is emitted into an empty
+    builder, and only when the judge memo (`_judged`) misses.
 
     The caller meets the face-orbit condition: the removed crossings and
     cut points lie in a disk meeting the base nowhere else, so each part
@@ -1334,9 +1356,11 @@ def splice(
     `_fragment_side`, the planarity guard, traces the fragment's inner
     faces and raises an AssertionError for a fragment that does not meet
     it.  The judge's choice is memoised per base side shape, fragment and
-    wiring table, in a bounded per-process cache (`_judged`).  Judging
-    takes no fresh label, so the first valid wiring is built with the
-    labels and crossing indices of building it alone.  Its output arrives
+    wiring table, in a bounded per-process cache (`_judged`), with the
+    fragment's plan: the builder appends the fragment's crossings labelled
+    from it (`DiagramBuilder.place`), with no emit and no weld, and
+    builds, with the labels and crossing indices of emitting and welding
+    the first valid wiring alone.  Its output arrives
     analysed (`DiagramBuilder.build`): indexed afresh, with only the
     strand components through the fragment walked and the others' steps
     taken from the base, and known planar, so no face is traced until
@@ -1344,22 +1368,20 @@ def splice(
     a crossing on no part with a port: SiteError("<failure> (<last wiring
     error>)"), that error being the strand-direction WiringError when
     some wiring needed a frozen crossing turned, and None otherwise.  A
-    builder fault (an over-welded port, an unwelded slot) is a bug and
-    propagates, and so does a built wiring whose arcs do not each occur
-    twice or whose strands need a frozen crossing turned.
+    fragment fault (an over-welded port, an unwelded slot) is a bug and
+    propagates from the judge, and so does a built wiring whose arcs do
+    not each occur twice or whose strands need a frozen crossing turned.
     """
     removed = frozenset(remove)
     base.require_valid()
     near = _base_side(base, removed, cut, stubs, directed=not reorient)
-    bld = DiagramBuilder(base=base, remove=removed)
-    ends = [end for arc in cut for end in bld.cut(arc)]
-    ports = emit(bld)
-    ends += [bld.stub(arc) for arc in stubs]
-    wiring, turned = _judged(near, emit, tuple(map(tuple, wirings)))
+    wiring, turned, plan = _judged(near, emit, tuple(map(tuple, wirings)))
     if wiring is None:
         raise SiteError(f"{failure} ({WiringError(_DIRECTION_CONFLICT) if turned else None})")
-    for port, end in zip(ports, wiring):
-        bld.weld(ends[end], port)
+    bld = DiagramBuilder(base=base, remove=removed)
+    ends = [end for arc in cut for end in bld.cut(arc)]
+    ends += [bld.stub(arc) for arc in stubs]
+    bld.place(plan, [bld.stub_labels[ends[end]] for end in wiring])
     try:
         return bld.build(allow_reorient=reorient)
     except (WiringError, InvalidDiagramError) as err:

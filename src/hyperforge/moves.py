@@ -16,14 +16,17 @@ half twist that genuinely reverses a strand segment, which re-expresses
 the under-crossings along that segment (slot rotation by two; labels
 still unchanged).
 
-Every move welds its fragment in through ``diagram.splice``, which
+Every move splices its fragment in through ``diagram.splice``, which
 judges a fixed table of candidate wirings in order, without building
 them, and builds the first valid one.  Each fragment is a hashable value
 (a `TkTemplate`, the clasped ring, a `_HalfTwist` of either chirality).
-The splice emits it into its own builder, and reads its fragment side
-only when its judge memo misses.  Ring insertions and half twists often have several
-valid wirings that give different diagrams, so the order of each table
-is part of the output.
+The splice emits it only when its judge memo misses, into an empty
+builder whose fragment side and plan the memo keeps; its own builder
+takes the fragment's crossings labelled from that plan.  Each chain move
+is its gate, `admit`, then a private splice half, which `verify` calls
+for a step it has admitted itself.  Ring insertions and half twists
+often have several valid wirings that give different diagrams, so the
+order of each table is part of the output.
 """
 
 from __future__ import annotations
@@ -278,6 +281,11 @@ def chain_move(
     site = _resolved(d, site)
     if (excluded := admit(d, site, k, evidence).excluded) is not None:
         raise excluded
+    return _chain_splice(d, site, k)
+
+
+def _chain_splice(d: LinkDiagram, site: ChainSite, k: int) -> LinkDiagram:
+    """`chain_move` past its gate, at a site read off ``d``."""
     # strand1's freed ends (stubs 0, 1) take the gamma1 boundary, strand2's
     # the gamma2/twist side; the stub cyclic order around the removed ball
     # can run either way, so both orientations are candidates
@@ -303,6 +311,11 @@ def augmented_chain_move(
     site = _resolved(d, site)
     if (excluded := admit(d, site, k, evidence).excluded) is not None:
         raise excluded
+    return _augmented_chain_splice(d, site, k)
+
+
+def _augmented_chain_splice(d: LinkDiagram, site: ChainSite, k: int) -> LinkDiagram:
+    """`augmented_chain_move` past its gate, at a site read off ``d``."""
     failure = "augmented chain splice found no planar wiring"
     if not _co_face(d, site.strand1, site.strand2):
         raise SiteError(f"{failure} (None)")

@@ -20,7 +20,10 @@ changed), the emitting-splice oracle reads
 a fragment's side at every splice, off the builder over the base,
 instead of off an empty builder on a judge miss alone, and judges every
 splice's wirings afresh instead of asking a memo keyed by the base
-side's shape, the two splice-side oracles
+side's shape, the welded-splice oracle (and the emitting one) emits the
+fragment into the splice's own builder, welds its ports to their ends
+and labels its slots from the weld chains instead of placing its
+crossings labelled from the plan the judge memo keeps, the two splice-side oracles
 walk each side with walks of their own, search its parts and trace their
 faces instead of taking its face orbits for its parts, assert that each
 part is planar with its ends on one face, and
@@ -95,8 +98,10 @@ from hyperforge.diagram import (
     _other_strand_arcs,
     _passages,
     _fragment_side,
+    _judged,
     _ring_fault,
     _Side,
+    _Strands,
     _r2_strands,
     _relabel_occurrence,
     _wiring_fault,
@@ -393,7 +398,7 @@ def eager_report(d: LinkDiagram):
     """The validity report of a fresh analysis of ``d`` with every stage
     computed before the report is read, faces before strands: the reverse
     of the order the report lists their problems in."""
-    an = _Analysis(d)
+    an = _Analysis(d.crossings, d.loops)
     an.planar_ok, an.consistent
     return an.report()
 
@@ -458,13 +463,13 @@ def wiring_loop_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), remove
     raise SiteError(f"{failure} ({last_err})")
 
 
-def emitting_splice_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), remove=(),
-                           reorient=False):
-    """`diagram.splice` without its fragment-side cache and its judge
-    memo: the fragment side is read at every splice, off the chain ends of
-    the splice's own builder, the fragment's corners and terminals
-    numbered where the emit put them there, and every wiring is judged
-    afresh."""
+def _welding_splice(judge, base, emit, wirings, failure, *, cut=(), stubs=(), remove=(),
+                    reorient=False):
+    """`diagram.splice` as it was before it placed its fragment from the
+    judge's plan: the fragment is emitted into the splice's own builder,
+    the wiring ``judge(near, emit, bld, ports, wirings)`` gives as (wiring
+    or None, whether a wiring needed a frozen crossing turned) is welded,
+    and the build labels every slot from its weld chain."""
     removed = frozenset(remove)
     base.require_valid()
     near = _base_side(base, removed, cut, stubs, directed=not reorient)
@@ -472,14 +477,8 @@ def emitting_splice_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), re
     ends = [end for arc in cut for end in bld.cut(arc)]
     ports = emit(bld)
     ends += [bld.stub(arc) for arc in stubs]
-    far = _fragment_side(bld, ports)
-    turned = False
-    for wiring in wirings:
-        fault = "non-planar" if far is None else _wiring_fault(near, far, wiring)
-        if fault is None:
-            break
-        turned = turned or fault == "direction"
-    else:
+    wiring, turned = judge(near, emit, bld, ports, tuple(map(tuple, wirings)))
+    if wiring is None:
         raise SiteError(f"{failure} ({WiringError(_DIRECTION_CONFLICT) if turned else None})")
     for port, end in zip(ports, wiring):
         bld.weld(ends[end], port)
@@ -487,6 +486,37 @@ def emitting_splice_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), re
         return bld.build(allow_reorient=reorient)
     except (WiringError, InvalidDiagramError) as err:
         raise AssertionError(f"wiring {tuple(wiring)} was judged valid: {err}") from err
+
+
+def _judged_afresh(near, emit, bld, ports, wirings):
+    far = _fragment_side(bld, ports)
+    turned = False
+    for wiring in wirings:
+        fault = "non-planar" if far is None else _wiring_fault(near, far, wiring)
+        if fault is None:
+            return wiring, turned
+        turned = turned or fault == "direction"
+    return None, turned
+
+
+def emitting_splice_oracle(*args, **kwargs):
+    """`diagram.splice` without its judge memo and its plan: the fragment
+    side is read at every splice, off the chain ends of the splice's own
+    builder, the fragment's corners and terminals numbered where the emit
+    put them there, every wiring is judged afresh, and the chosen one is
+    welded and labelled there."""
+    return _welding_splice(_judged_afresh, *args, **kwargs)
+
+
+def _memo_wiring(near, emit, _bld, _ports, wirings):
+    return _judged(near, emit, wirings)[:2]
+
+
+def welded_splice_oracle(*args, **kwargs):
+    """`diagram.splice` without its plan: the wiring is the judge memo's
+    (`_judged`), and the fragment is emitted into the splice's own builder,
+    welded and labelled there, not placed from the memo's plan."""
+    return _welding_splice(_memo_wiring, *args, **kwargs)
 
 
 def _side_walk(crossings, occ, open_at, slot, turn):
@@ -728,7 +758,9 @@ def renormalize_guarded_oracle(crossings, loops, frozen, allow_reorient=False, *
     # the analysis holds corners: the slots converted at this one point
     corner_occ = {arc: [4 * ci + si for ci, si in places] for arc, places in occ.items()}
     corner_walks = [[4 * ci + si for _, (ci, si) in steps] for steps in walks]
-    object.__setattr__(d, "_analysis", _Analysis(d, corner_occ, walks=corner_walks))
+    an = _Analysis(d.crossings, loops)
+    an.occ, an._strands = corner_occ, _Strands.of(corner_walks, an.arc_at)
+    object.__setattr__(d, "_analysis", an)
     if not validate(d).valid:
         raise AssertionError(f"built diagram is not valid: {validate(d).summary()}")
     return d

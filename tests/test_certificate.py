@@ -119,6 +119,36 @@ def test_verify_looks_each_chain_site_up_once():
     assert calls == [(s.trivial_component, s.strands) for s in cert.steps]
 
 
+def test_verify_gates_each_chain_step_once():
+    """verify rules on each chain step through `moves.admit` and replays it
+    past the move's gate: a 3-chain-step certificate on the 4-chain asks
+    the gate 3 times, where asking the move's gate again made 6, and the
+    verdict is the one `verify_oracle` gives.  `extend` still gates."""
+    import hyperforge.moves as moves
+
+    cert, _ = chain_cert()
+    for kind, k, evidence in ((ChainStep, 0, DeclaredNonRational("declared")),
+                              (AugChainStep, 1, Rational(ConwaySequence((2,)))),
+                              (ChainStep, -1, DeclaredNonRational("declared"))):
+        site = find_chain_sites(cert.subject)[0]
+        cert = extend(cert, kind(site.trivial_component, (site.strand1, site.strand2), k,
+                                 evidence))
+    calls = []
+    real = moves.admit
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    with mock.patch.object(moves, "admit", counted):
+        verdict = verify(cert)
+        assert calls == [0, 1, -1]
+        assert verdict.valid and verdict == verify_oracle(cert)
+        del calls[:]
+        extend(cert, first_chain_step(cert.subject))
+    assert calls == [0]
+
+
 def test_extend_excluded_evidence():
     cert, d4 = chain_cert()
     with pytest.raises(ExcludedExteriorError) as err:

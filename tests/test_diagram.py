@@ -379,13 +379,13 @@ def swapped(d, data):
 def _face_stages(d):
     """The face stage of a fresh analysis of d, and the face oracle's."""
     fresh = LinkDiagram(d.crossings, loops=d.loops)
-    return slot_faces(dg._Analysis(fresh)._faces_and_euler()), faces_oracle(fresh)
+    return slot_faces(dg._Analysis(d.crossings, d.loops)._faces_and_euler()), faces_oracle(fresh)
 
 
 def _graph_comps(d):
     """The graph components of a fresh analysis of d, and the oracle's."""
     fresh = LinkDiagram(d.crossings, loops=d.loops)
-    return dg._Analysis(fresh).graph_comp_of, dict(enumerate(graph_comps_oracle(fresh)))
+    return dg._Analysis(d.crossings, d.loops).graph_comp_of, dict(enumerate(graph_comps_oracle(fresh)))
 
 
 @settings(max_examples=80, deadline=None)

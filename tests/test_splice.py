@@ -7,14 +7,18 @@ non-planar part or a part with ports on two faces, the augmented chain
 move's refusal of a site whose strands share no face, the bound on the
 walks, the disk-run scan against its
 oracle, every stage of the analysis an output arrives with (occurrence
-index, corner map, strand trace, report, graph components, faces)
+index, arcs, corner map, strand trace, report, graph components, faces)
 against a fresh analysis, the outputs against the old post-build path,
 the R1/R2 undos, component removal and the greedy reduction against the
-old crossing drop, the analysis work, emits and builds each move costs,
+old crossing drop, the analysis work, emits (none on a memo hit) and
+builds each move costs,
 every build's labelling and every splice's fragment side against the
 old walk of the welds, the builder's faults, every move's cached
 fragment side against reading it off the splice's builder, the judge
-memo, cold and warm, against judging every wiring afresh, the half
+memo, cold and warm, against judging every wiring afresh, every splice
+placed from the judge's plan, cold and warm, against emitting, welding
+and labelling its fragment in its own builder, the builder's unchecked
+crossings against the label check, the half
 twist's spot against scanning every face, and the work a replay skips:
 a fragment side read only when the judge misses, no wiring judged twice
 for one side shape, no face traced by a half twist, validity read from
@@ -70,7 +74,7 @@ from hyperforge.diagram import (
     to_gauss,
     validate,
 )
-from hyperforge.errors import InvalidDiagramError, SiteError, WiringError
+from hyperforge.errors import FormatError, InvalidDiagramError, SiteError, WiringError
 from hyperforge.generators import ChainSpec, chain_link, rational_link, tk_closure
 from hyperforge.moves import (
     Handedness,
@@ -101,6 +105,7 @@ from oracles import (
     slot_faces,
     splice_oracle,
     trace_oracle,
+    welded_splice_oracle,
     wiring_loop_oracle,
 )
 from test_diagram import r_moves, scrambled_crossings
@@ -327,11 +332,18 @@ def test_a_splice_walks_only_the_strands_it_touched():
 
 class _StageLog:
     """Records which analyses the analysis stages ran on, which diagrams
-    the builder's renormalisation made, and how many times each splice ran
-    its emit into its own builder, the one over its base, while installed
-    (the fragment side is read off an empty builder, on a judge miss)."""
+    the builder's renormalisation made, and, for each splice, whether each
+    builder it ran its emit into was empty, while installed: a splice
+    places its fragment from the judge's plan, so it emits only on a judge
+    miss, into the judge's empty builder, and never into its own.  Each
+    fragment is counted through one wrapper, so that the judge memo, keyed
+    by the fragment, answers a splice the log has seen."""
 
     def __init__(self):
+        self.fragments = {}  # fragment -> its counted wrapper
+        self.clear()
+
+    def clear(self):
         self.strands, self.faces, self.outputs, self.emits = [], [], [], []
 
     def __enter__(self):
@@ -340,14 +352,14 @@ class _StageLog:
         log = self
 
         def counted_splice(base, emit, *args, **kwargs):
-            i = len(log.emits)
-            log.emits.append(0)
+            log.emits.append([])
+            if emit not in log.fragments:
+                def counted_emit(bld, emit=emit):
+                    log.emits[-1].append(bld.base is None)
+                    return emit(bld)
 
-            def counted_emit(bld):
-                log.emits[i] += bld.base is not None
-                return emit(bld)
-
-            return splice(base, counted_emit, *args, **kwargs)
+                log.fragments[emit] = counted_emit
+            return splice(base, log.fragments[emit], *args, **kwargs)
 
         def logged_trace(an):
             log.strands.append(an)
@@ -379,21 +391,29 @@ class _StageLog:
 
 
 def _guarded(move, d, *args):
-    """``move(d, *args)``, checking that each splice emitted its fragment
-    once, that no strands were traced (every output arrives with its
-    trace), and that only splice outputs had their faces traced, each at
-    most once (an output arrives known planar, so its faces are traced
-    only when a later stage of the move reads them); returns (output,
-    splice outputs, analyses whose faces were traced)."""
+    """``move(d, *args)`` with the memos emptied, then again, checking
+    that each splice emitted its fragment once, into the judge's empty
+    builder, the first time and never the second, that no strands were
+    traced (every output arrives with its trace), and that only splice
+    outputs had their faces traced, each at most once (an output arrives
+    known planar, so its faces are traced only when a later stage of the
+    move reads them); returns (output, splice outputs, analyses whose
+    faces were traced) of the second run, whose output is the first's."""
     validate(d), d.face_arcs()  # the input's stages run before the log starts
+    forget_memos()
+    runs = []
     with _StageLog() as log:
-        out = move(d, *args)
-    outputs = log.outputs
-    assert log.emits == [1] * len(outputs)
-    assert log.strands == []
-    assert all(any(t is o._analysis for o in outputs) for t in log.faces)
-    assert len({id(t) for t in log.faces}) == len(log.faces)
-    assert outputs[-1] is out
+        for emits in ([True], []):
+            log.clear()
+            out = move(d, *args)
+            outputs = log.outputs
+            assert log.emits == [emits] * len(outputs)
+            assert log.strands == []
+            assert all(any(t is o._analysis for o in outputs) for t in log.faces)
+            assert len({id(t) for t in log.faces}) == len(log.faces)
+            assert outputs[-1] is out
+            runs.append(format_pd(out))
+    assert runs[0] == runs[1]
     return out, outputs, log.faces
 
 
@@ -655,8 +675,72 @@ def test_judged_wirings_match_cold_warm_and_the_emitting_splice(d, data):
             assert cold == warm == want, move.__name__
 
 
+def _spliced(splice, *args, **kwargs):
+    """The diagram a splice gives, or the text of its SiteError."""
+    try:
+        return splice(*args, **kwargs)
+    except SiteError as err:
+        return f"SiteError: {err}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(_BASES, st.data())
+def test_planned_splices_match_the_welded_splice(d, data):
+    """The first splice of every move, at sites drawn for each of the four
+    fragments (the Tk template of a chain or augmented chain move, the
+    clasped ring of a switch move, augmenting circle or ring insertion,
+    the half twist of either chirality, the R2 bigon), its fragment
+    placed from the judge's plan with the judge memo emptied first and
+    again warm, gives the PD text and loop count, or the refusal text, of
+    emitting, welding and labelling the fragment in the splice's own
+    builder, and an output whose occurrence index, arcs, corner map and
+    strand trace are that build's, every stage of its analysis a fresh
+    one: after R1 and R2 moves."""
+    *_, d = r_moves(d, data)
+    for move, *args in _moves(d, data):
+        call = _first_splice(move, *args)
+        if call is None:
+            continue
+        (base, emit, wirings, failure), kwargs = call
+        dg._judged.cache_clear()
+        cold = _spliced(dg.splice, base, emit, wirings, failure, **kwargs)
+        hits = dg._judged.cache_info().hits
+        warm = _spliced(dg.splice, base, emit, wirings, failure, **kwargs)
+        assert dg._judged.cache_info().hits == hits + 1
+        want = _spliced(welded_splice_oracle, base, emit, wirings, failure, **kwargs)
+        for got in (cold, warm):
+            if isinstance(want, str):
+                assert got == want, move.__name__
+                continue
+            assert (format_pd(got), got.loops) == (format_pd(want), want.loops), move.__name__
+            for stage in ("occ", "arc_at", "across", "_strands"):
+                assert getattr(got._analysis, stage) == getattr(want._analysis, stage), stage
+            _assert_trace_is_fresh(got, judged=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_BASES, st.data())
+def test_built_crossings_pass_the_label_check(d, data):
+    """The builder and the renormalisation make their crossings without
+    the label check, as `Crossing.rotated` does: every crossing of every
+    splice and removal output equals the checked `Crossing` of its slots,
+    a tuple; `Crossing` and `parse_pd` still refuse a label below 1."""
+    *_, d = r_moves(d, data)
+    outputs = [move(*args) for move, *args in _removals(d)]
+    for move, *args in _moves(d, data):
+        try:
+            outputs.append(move(*args))
+        except SiteError:
+            pass
+    for x in (x for out in outputs for x in out.crossings):
+        assert type(x.slots) is tuple and x == dg.Crossing(x.slots)
+    for refused in (lambda: dg.Crossing((0, 1, 2, 3)), lambda: parse_pd("X(0,1,2,3)")):
+        with pytest.raises(FormatError, match=r"^crossing needs 4 positive arc labels"):
+            refused()
+
+
 def _index_is_fresh(d):
-    return d._analysis.occ == dg._Analysis(LinkDiagram(d.crossings, loops=d.loops)).occ
+    return d._analysis.occ == dg._Analysis(d.crossings, d.loops).occ
 
 
 @settings(max_examples=40, deadline=None)
@@ -864,16 +948,22 @@ def test_fragment_side_matches_emitting_it_apart(name, emit):
 
 def test_a_refused_splice_emits_once():
     """A table of ring wirings that are all non-planar is refused after one
-    emit into the splice's builder, and so is a non-planar fragment."""
+    emit, into the judge's empty builder, and so is a non-planar fragment;
+    refused again, neither emits."""
     (base, emit, _, failure), kwargs = _first_splice(augmenting_circle, _CHAIN4, 1, 4)
     non_planar = [w for w in itertools.permutations(range(4))
                   if _outcome(splice_oracle, base, emit, [w], failure, **kwargs).endswith("(None)")]
     for fragment, table in ((emit, non_planar), (_nonplanar_fragment, [(0, 1, 2, 3)])):
         calls = []
-        with pytest.raises(SiteError, match=r"\(None\)$"):
-            dg.splice(base, lambda bld: calls.append(bld) or fragment(bld), table, failure,
-                      **kwargs)
-        assert [bld.base is not None for bld in calls].count(True) == 1
+
+        def counted(bld, fragment=fragment):
+            calls.append(bld.base is None)
+            return fragment(bld)
+
+        for _ in range(2):
+            with pytest.raises(SiteError, match=r"\(None\)$"):
+                dg.splice(base, counted, table, failure, **kwargs)
+        assert calls == [True]
 
 
 def _kinked_fragment(bld):
@@ -1038,7 +1128,7 @@ def _assert_trace_is_fresh(d, derived=True, judged=False):
     d arrived with its occurrence index, corner map and strand trace when
     ``derived``, and also known planar when ``judged`` (a splice's output),
     so that reading its report traces no face.  The index (each arc's
-    occurrences in the same order), the corner map (also a fixed-point-free
+    occurrences in the same order), the arc at each corner, the corner map (also a fixed-point-free
     involution), the strand trace (field by field, in the same order, and
     the two-walk oracle's), the report (the eager one), the graph
     components and, read last, the faces (the face oracle's) are a fresh
@@ -1049,15 +1139,16 @@ def _assert_trace_is_fresh(d, derived=True, judged=False):
     assert not derived or {"across", "_strands"} <= arrived
     assert not judged or "_euler_problems" in arrived and "_embedding" not in arrived
     plain = LinkDiagram(d.crossings, loops=d.loops)
+    fresh = dg._Analysis(d.crossings, d.loops)
     _assert_corner_encoded(an)
-    _assert_corner_encoded(dg._Analysis(plain))
-    assert an.occ == dg._Analysis(plain).occ
+    _assert_corner_encoded(fresh)
+    assert (an.occ, an.arc_at) == (fresh.occ, fresh.arc_at)
     across = an.across
-    assert across == dg._Analysis(plain).across
+    assert across == fresh.across
     assert all(across[k] != k and across[across[k]] == k for k in range(len(across)))
-    fresh = dg._Analysis(plain)._trace()
-    for field in fresh._fields:
-        got, want = getattr(an._strands, field), getattr(fresh, field)
+    trace = fresh._trace()
+    for field in trace._fields:
+        got, want = getattr(an._strands, field), getattr(trace, field)
         assert got == want, field
         if isinstance(want, dict):
             assert list(got.items()) == list(want.items()), field
@@ -1068,7 +1159,6 @@ def _assert_trace_is_fresh(d, derived=True, judged=False):
     assert an._strands.problems == problems == ()
     assert validate(d) == eager_report(d)
     assert not judged or "_embedding" not in vars(an)
-    fresh = dg._Analysis(plain)
     assert (an._graph, an.n_graph_comps) == (fresh._graph, fresh.n_graph_comps)
     assert slot_faces(an._embedding) == faces_oracle(plain)
 
@@ -1537,13 +1627,14 @@ def _mixed_derivation():
 
 def test_a_warm_replay_judges_no_wiring_and_traces_no_face():
     """Verifying a derivation of every move kind a second time judges no
-    wiring, since each splice's side shape was judged in the first, and,
-    as in the first, no half twist traces a face: the half twist reads
-    the two faces beside each arc of the ring.  Both give the same
-    verdict, valid."""
+    wiring and welds nothing, since each splice's side shape was judged
+    in the first, which kept the fragment's plan, and, as in the first, no
+    half twist traces a face: the half twist reads the two faces beside
+    each arc of the ring.  Both give the same verdict, valid."""
     doc = serialize(_mixed_derivation())
     forget_memos()
     judge, faces, twist = dg._wiring_fault, dg._Analysis._faces_and_euler, mv.half_twist
+    weld = dg.DiagramBuilder.weld
     passes = []
     for _ in range(2):
         log = collections.Counter()
@@ -1551,6 +1642,10 @@ def test_a_warm_replay_judges_no_wiring_and_traces_no_face():
         def judged(*args):
             log["judged"] += 1
             return judge(*args)
+
+        def welded(*args):
+            log["welded"] += 1
+            return weld(*args)
 
         def traced(an):
             log["traced"] += 1
@@ -1565,14 +1660,16 @@ def test_a_warm_replay_judges_no_wiring_and_traces_no_face():
 
         with mock.patch.object(dg, "_wiring_fault", judged), \
                 mock.patch.object(dg._Analysis, "_faces_and_euler", traced), \
-                mock.patch.object(mv, "half_twist", twisted):
+                mock.patch.object(mv, "half_twist", twisted), \
+                mock.patch.object(dg.DiagramBuilder, "weld", welded):
             verdict = verify(deserialize(doc))
         passes.append((verdict, log))
     (cold, cold_log), (warm, warm_log) = passes
     assert cold.valid and warm == cold
-    assert cold_log["judged"] > 0 and cold_log["twists"] >= 4
+    assert cold_log["judged"] > 0 and cold_log["welded"] > 0 and cold_log["twists"] >= 4
     assert warm_log["twists"] == cold_log["twists"]
     assert warm_log["judged"] == warm_log["traced"] == cold_log["traced by twists"] == 0
+    assert warm_log["welded"] == 0
 
 
 @settings(max_examples=60, deadline=None)

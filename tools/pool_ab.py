@@ -2,6 +2,7 @@
 run side by side in one process.
 
 Usage: python tools/pool_ab.py BASE_SRC CHANGE_SRC --workload NAME [--rounds N] [--seed S]
+                               [--cold]
 
 BASE_SRC and CHANGE_SRC are source directories that hold a ``hyperforge``
 package, both required, base first; each is imported under a package name
@@ -16,6 +17,13 @@ alternating from round to round.  A workload whose pool has a fixed number
 of rounds (certify_bases has 16, each of distinct subjects) stops early
 when either tree runs out, and the figures cover the pairs run.
 
+The program keeps per-process memos, and a pool's items repeat, so a pass
+times warm memos.  With ``--cold``, every module-level ``functools`` cache
+of a tree (anything with ``cache_clear`` defined in one of its modules) is
+emptied before each of its items, outside the timing, so every item pays
+for its memos' misses: a splice's judge, a certifier's decision, a parsed
+base.
+
 Prints each tree's median pass time in ms, the change/base ratio of the
 paired passes as a median with its quartiles, and each tree's count of
 items that raised or failed their known-answer check.  Nothing is gated on
@@ -24,6 +32,7 @@ the figures.
 
 import argparse
 import importlib
+import pkgutil
 import statistics
 import sys
 import tempfile
@@ -36,13 +45,28 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from verify_by_length import load  # noqa: E402
 
 
-def timed_pass(workload, state, items) -> tuple[float, int]:
+def memos(hf) -> list:
+    """Every module-level functools cache of the tree ``hf``, each of its
+    modules imported."""
+    found = []
+    for info in pkgutil.iter_modules(hf.__path__):
+        module = importlib.import_module(f"{hf.__name__}.{info.name}")
+        found += [value for value in vars(module).values()
+                  if getattr(value, "__module__", None) == module.__name__
+                  and hasattr(value, "cache_clear")]
+    return found
+
+
+def timed_pass(workload, state, items, forget=()) -> tuple[float, int]:
     """(the summed time of each item's program call in ms, the count of
-    items that raised or failed their check) of one pass over ``items``;
-    an item that raises is not timed."""
+    items that raised or failed their check) of one pass over ``items``,
+    each of the ``forget`` caches emptied before each item; an item that
+    raises is not timed."""
     _, _, execute, check, *_ = workload
     elapsed, failed = 0.0, 0
     for item in items:
+        for memo in forget:
+            memo.cache_clear()
         try:
             start = time.perf_counter()
             outcome = execute(state, item)
@@ -61,6 +85,8 @@ def main(argv) -> int:
     parser.add_argument("--workload", required=True, help="a workload of perfbench/workloads.py")
     parser.add_argument("--rounds", type=int, default=21, help="paired passes at most")
     parser.add_argument("--seed", type=int, default=1, help="the seed each pool is built from")
+    parser.add_argument("--cold", action="store_true",
+                        help="empty every memo of a tree before each of its items")
     args = parser.parse_args(argv[1:])
     if args.rounds < 1:
         parser.error("--rounds must be positive")
@@ -79,8 +105,11 @@ def main(argv) -> int:
     sides = [load(src, f"hyperforge_{side}") for src, side in zip(trees, ("base", "change"))]
     for hf in sides:
         importlib.import_module(f"{hf.__name__}.cli")  # cli_pipeline runs hf.cli.run
+    forget = [memos(hf) if args.cold else [] for hf in sides]
     print(f"base:   {trees[0]}\nchange: {trees[1]}\n"
-          f"workload: {args.workload}  seed: {args.seed}  rounds: {args.rounds}")
+          f"workload: {args.workload}  seed: {args.seed}  rounds: {args.rounds}"
+          + (f"  cold: {len(forget[0])} / {len(forget[1])} memos emptied per item"
+             if args.cold else ""))
     with tempfile.TemporaryDirectory() as workdir:
         states = [build(hf, args.seed, str(Path(workdir) / side))
                   for hf, side in zip(sides, ("base", "change"))]
@@ -89,11 +118,11 @@ def main(argv) -> int:
         failed = [0, 0]
         try:
             for i in (0, 1):  # warm-up, not counted
-                failed[i] += timed_pass(workload, states[i], next(passes[i]))[1]
+                failed[i] += timed_pass(workload, states[i], next(passes[i]), forget[i])[1]
             for r in range(args.rounds):
                 pair = [next(passes[i]) for i in (0, 1)]
                 for i in (0, 1) if r % 2 == 0 else (1, 0):
-                    ms, bad = timed_pass(workload, states[i], pair[i])
+                    ms, bad = timed_pass(workload, states[i], pair[i], forget[i])
                     times[i].append(ms)
                     failed[i] += bad
         except StopIteration:
