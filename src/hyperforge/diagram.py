@@ -645,7 +645,6 @@ def is_prime_diagram(d: LinkDiagram) -> bool:
 def _renormalize(
     crossings: Sequence[Crossing], loops: int, frozen: Container[int], allow_reorient: bool = False,
     touched: Optional[Iterable[int]] = None, base_steps: Sequence[list[int]] = (),
-    planar: bool = False,
 ) -> LinkDiagram:
     """Rotate crossings by 2 where needed to meet the convention.
 
@@ -670,8 +669,9 @@ def _renormalize(
     becomes the output's analysis: in its occurrence index, corner map,
     arcs and strand trace, each corner k of a turned crossing moves to
     k ^ 2.  Every under-passage then enters at slot 0, so the output's own
-    trace would walk each component the same way, with no conflict.  ``planar`` says
-    the output is known to pass the Euler check (see `_Analysis`).
+    trace would walk each component the same way, with no conflict.  A
+    build over a base passes the Euler check (see `_Analysis`), so with
+    ``touched`` the output is known planar.
     """
     ana = _Analysis(tuple(crossings), loops)
     if not ana.double_ok:
@@ -709,7 +709,7 @@ def _renormalize(
         walks = [[c ^ 2 if c >> 2 in turned else c for c in corners] for corners in walks]
     d = LinkDiagram(tuple(out), loops=loops)
     ana.crossings, ana._strands = d.crossings, _Strands.of(walks + kept, arc_at)
-    if planar:
+    if touched is not None:
         ana._euler_problems = ()
     object.__setattr__(d, "_analysis", ana)
     return d
@@ -834,21 +834,22 @@ class DiagramBuilder:
     Ports are crossing slots, as corners 4 * ci + si, or terminals, which
     are tuples.  Crossing protos put the under-strand on slots {0, 2}; the
     final rotation by 2 (to put the *incoming* under-strand at slot 0)
-    happens at build time.  When a
-    base diagram is given, its kept crossings are frozen; ``stub`` and
-    ``cut`` wire new fragments onto its existing arcs, and ``join`` welds
-    two stubs, so that a strand through a removed crossing runs on.  A
-    frozen crossing's proto is the base's `Crossing` itself, replaced only
-    when ``cut`` or a join relabels it, so the build reuses every crossing
-    that did not change.
+    happens at build time.  When a base diagram is given, its kept
+    crossings are frozen and edited by arc label: ``cut`` splits a base
+    arc into two labels, and ``join`` records two arcs that a strand
+    through a removed crossing runs on as one.  A frozen crossing's proto
+    is the base's `Crossing` itself, replaced only when ``cut`` or a join
+    relabels it, so the build reuses every crossing that did not change.
 
-    Welds chain ports through plain terminals.  ``weld`` pairs the two
-    ends of each chain as it makes it: ``far`` maps each end (a crossing
-    slot, a stub or a plain terminal welded once) to the other, ``welds``
-    counts each port's welds, and a weld that closes a chain of plain
-    terminals adds a crossing-free loop to ``loops``.  No later pass walks
-    the welds.  A splice welds nothing: it ``place``s its fragment's
-    crossings labelled from the plan its judge read off an empty builder.
+    Welds chain the ports of new crossings through plain terminals.
+    ``weld`` pairs the two ends of each chain as it makes it: ``far`` maps
+    each end (a crossing slot or a plain terminal welded once) to the
+    other, ``welds`` counts each port's welds, and a weld that closes a
+    chain of plain terminals adds a crossing-free loop to ``loops``.  No
+    later pass walks the welds.  ``port_labels`` gives some ports a label
+    of their own, as `_plan` gives a fragment's ports theirs.  A splice
+    welds nothing: it ``place``s its fragment's crossings labelled from
+    the plan its judge read off an empty builder.
     """
 
     def __init__(self, base: Optional[LinkDiagram] = None, remove: Iterable[int] = ()):
@@ -873,8 +874,8 @@ class DiagramBuilder:
         self.loops = base.loops if base is not None else 0
         self.welds: dict = {}  # port -> its weld count
         self.far: dict = {}  # weld chain end -> the chain's other end
-        self.stub_labels: dict = {}
-        self._merged: dict[int, int] = {}  # joined arc -> the label of its run, set by `_label`
+        self.port_labels: dict = {}  # port -> its label
+        self.joins: list[tuple[int, int]] = []  # arc pairs that run on as one
         self._terminal_count = 0
         self._next_arc = base.fresh_arc() if base is not None else 1
 
@@ -887,12 +888,6 @@ class DiagramBuilder:
     def terminal(self, name: str = "t"):
         self._terminal_count += 1
         return ("t", self._terminal_count, name)
-
-    def stub(self, arc: int):
-        """Terminal carrying the freed end of existing arc ``arc``."""
-        t = self.terminal(f"stub:{arc}")
-        self.stub_labels[t] = arc
-        return t
 
     def fresh_label(self) -> int:
         label = self._next_arc
@@ -908,8 +903,8 @@ class DiagramBuilder:
         self.protos += [[labels[s] for s in row] for row in rows]
         self.loops += loops
 
-    def cut(self, arc: int) -> tuple:
-        """Cut a base arc; returns (tail-side stub, head-side stub).
+    def cut(self, arc: int) -> tuple[int, int]:
+        """Cut a base arc; returns the labels of its (tail side, head side).
 
         The piece at the arc's tail keeps the label; the head occurrence is
         relabeled fresh.  Both pieces stay attached to their far crossings.
@@ -918,19 +913,20 @@ class DiagramBuilder:
             raise AssertionError("cut needs a base diagram")
         head = self.base._head(arc)
         if head >> 2 in self.removed:
-            raise AssertionError("cut arc ends at a removed crossing; use stub")
+            raise AssertionError("cut arc ends at a removed crossing; pass it to splice's stubs")
         fresh, head = self.fresh_label(), self._new_corner[head]
         _relabel_occurrence(self.protos, head, fresh)
-        return self.stub(arc), self.stub(fresh)
+        return arc, fresh
 
     def join(self, a: int, b: int) -> None:
-        """Weld a stub of arc ``a`` to one of arc ``b``: a strand through a removed crossing."""
-        self.weld(self.stub(a), self.stub(b))
+        """Record that base arcs ``a`` and ``b``, the two sides of a strand
+        through a removed crossing, run on as one."""
+        self.joins.append((a, b))
 
     def weld(self, p, q) -> None:
         """Weld ports ``p`` and ``q``, joining the chains they end.  A crossing
-        slot or a stub takes one weld and a plain terminal two, counted one
-        at a time, so a self-weld counts twice."""
+        slot takes one weld and a plain terminal two, counted one at a time,
+        so a self-weld counts twice."""
         for port in (p, q):
             count = self.welds.get(port, 0) + 1
             if count > self._capacity(port):
@@ -950,9 +946,7 @@ class DiagramBuilder:
         return self.far[k]
 
     def _capacity(self, port) -> int:
-        if self._is_terminal(port):
-            return 1 if port in self.stub_labels else 2
-        return 1
+        return 2 if self._is_terminal(port) else 1
 
     # twist unit
 
@@ -1000,7 +994,7 @@ class DiagramBuilder:
 
         The output is indexed afresh.  Over a base, only the strand
         components through an arc whose corners changed are walked: a
-        stub's arc or a new crossing's.  Every other component's arcs and
+        joined arc or a new crossing's.  Every other component's arcs and
         crossings are the base's, so it keeps the base's corners,
         renumbered past the removed crossings.  A build over a base passes
         the Euler check, so its analysis runs none: it is a splice, whose
@@ -1011,58 +1005,58 @@ class DiagramBuilder:
         crossings = self.protos[:n] + [_crossing(tuple(p)) for p in self.protos[n:]]
         touched, steps = None, ()
         if self.base is not None:
-            touched = {*self.stub_labels.values(), *itertools.chain.from_iterable(self.protos[n:])}
+            touched = {*itertools.chain.from_iterable(self.joins),
+                       *itertools.chain.from_iterable(self.protos[n:])}
             steps = self.base._analysis.steps
             if self.removed:
                 steps = [list(map(self._new_corner.__getitem__, corners)) for corners in steps]
         return _renormalize(crossings, loops, frozen=range(n), allow_reorient=allow_reorient,
-                            touched=touched, base_steps=steps, planar=self.base is not None)
+                            touched=touched, base_steps=steps)
 
     def _label(self) -> int:
         """Label every open crossing slot from ``far``, in place; returns the
-        loop count.  A slot whose chain ends at a stub takes its label, and
-        the two slots that end one chain share a fresh one, taken in slot
-        order.  A run is the stubs that chains and shared arcs link: each
-        stub ends one chain and shares its arc with at most one other, so a
-        run is a path, which takes the least label of its arcs (`_merged`
-        relabels the others' kept occurrences), or a cycle, a crossing-free
-        loop.  A placed fragment arrives labelled."""
+        loop count.  A slot at a port of ``port_labels``, or whose chain
+        ends at one, takes that port's label, and the two slots that end
+        one chain share a fresh one, taken in slot order; a terminal port
+        there is complete with one weld.  A placed fragment arrives
+        labelled.
+
+        The ``joins`` link base arcs into runs.  Each arc has two ends, so
+        a run is a path, which takes the least label of its arcs (its other
+        arcs' kept occurrences are relabelled), or a run whose every arc is
+        joined at both ends, a crossing-free loop; a self-join counts as
+        both ends."""
+        labels = self.port_labels
         for t, count in self.welds.items():
-            if self._is_terminal(t) and count != self._capacity(t):
+            if self._is_terminal(t) and count != self._capacity(t) - (t in labels):
                 raise AssertionError(f"incomplete terminal {t}")
         loops = self.loops
-        joined = {t: self.far[t] for t in self.stub_labels if self.far.get(t) in self.stub_labels}
-        ends_of: dict[int, list] = {}
-        for t in joined:
-            ends_of.setdefault(self.stub_labels[t], []).append(t)
-        twin = {t: ends[1 - i] for ends in ends_of.values() if len(ends) == 2
-                for i, t in enumerate(ends)}
-        consumed: set = set()
-        # path ends first, so that a stub not yet consumed after them is on a cycle
-        for start in [t for t in joined if t not in twin] + list(joined):
-            if start in consumed:
-                continue
-            run, hop = [start], joined
-            while run[-1] in hop and hop[run[-1]] != start:
-                run.append(hop[run[-1]])
-                hop = twin if hop is joined else joined
-            consumed.update(run)
-            if run[-1] in hop:  # back at its start
+        nbrs: dict[int, list[int]] = {}  # joined arc -> the arcs it is joined to
+        for a, b in self.joins:
+            nbrs.setdefault(a, []).append(b)
+            nbrs.setdefault(b, []).append(a)
+        while nbrs:
+            run, todo = {}, [next(iter(nbrs))]  # the run's arcs, each -> its joined arcs
+            while todo:
+                if (a := todo.pop()) in nbrs:
+                    run[a] = nbrs.pop(a)
+                    todo += run[a]
+            if all(len(joined) == 2 for joined in run.values()):
                 loops += 1
                 continue
-            arcs = sorted({self.stub_labels[t] for t in run})
-            self._merged.update(dict.fromkeys(arcs[1:], arcs[0]))
-        for a, m in self._merged.items():
-            for k in self.base._analysis.occ[a]:
-                if self._new_corner[k] >= 0:
-                    _relabel_occurrence(self.protos, self._new_corner[k], m)
+            least = min(run)
+            for a in run.keys() - {least}:
+                for k in self.base._analysis.occ[a]:
+                    if self._new_corner[k] >= 0:
+                        _relabel_occurrence(self.protos, self._new_corner[k], least)
         # the kept base crossings are labelled already
         for ci in range(self.n_frozen, len(self.protos)):
             for si in range(4):
                 if self.protos[ci][si] is None:
-                    end = self._far_end(4 * ci + si)
-                    if end in self.stub_labels:
-                        self.protos[ci][si] = self.stub_labels[end]
+                    k = 4 * ci + si
+                    end = k if k in labels else self._far_end(k)
+                    if end in labels:
+                        self.protos[ci][si] = labels[end]
                     else:
                         self.protos[ci][si] = self.protos[end >> 2][end & 3] = self.fresh_label()
         return loops
@@ -1277,10 +1271,9 @@ def _plan(bld: DiagramBuilder, ports: Sequence) -> tuple[tuple[tuple[int, ...], 
     """(each new crossing's slots as indexes into the port labels, then
     the inner arcs; the inner arcs; the loops the fragment closes) of the
     fragment of an empty builder, labelled as a splice's build labels it:
-    port i welded to a stub labelled -1 - i, and each inner arc numbered
+    port i labelled -1 - i by ``port_labels``, and each inner arc numbered
     in the order `_label` takes its fresh label."""
-    for i, port in enumerate(ports):
-        bld.weld(bld.stub(-1 - i), port)
+    bld.port_labels = {port: -1 - i for i, port in enumerate(ports)}
     loops = bld._label()
     n = len(ports)
     rows = tuple(tuple(-1 - a if a < 0 else n - 1 + a for a in p) for p in bld.protos)
@@ -1327,10 +1320,11 @@ def splice(
 ) -> LinkDiagram:
     """Splice a fragment into ``base`` by the first wiring that gives a valid diagram.
 
-    A builder over ``base`` minus ``remove`` cuts the ``cut`` arcs in order
-    (ends: each arc's tail, then head), the ``stubs`` arcs become further
-    ends, and port i of the fragment ``emit`` adds and gives takes the
-    label of end ``wiring[i]``; ``reorient`` is the build's
+    A builder over ``base`` minus ``remove`` cuts the ``cut`` arcs in order;
+    the ends are the labels each cut gives (the arc's tail side, then its
+    head side), then the ``stubs`` arcs themselves, and port i of the
+    fragment ``emit`` adds and gives takes the label of end ``wiring[i]``,
+    with no weld and no terminal; ``reorient`` is the build's
     ``allow_reorient``.  ``emit`` is hashable and adds the same
     crossings, terminals and welds to any builder.  Its fragment side and
     plan are numbered by port, so the fragment is emitted into an empty
@@ -1379,9 +1373,8 @@ def splice(
     if wiring is None:
         raise SiteError(f"{failure} ({WiringError(_DIRECTION_CONFLICT) if turned else None})")
     bld = DiagramBuilder(base=base, remove=removed)
-    ends = [end for arc in cut for end in bld.cut(arc)]
-    ends += [bld.stub(arc) for arc in stubs]
-    bld.place(plan, [bld.stub_labels[ends[end]] for end in wiring])
+    ends = [label for arc in cut for label in bld.cut(arc)] + list(stubs)
+    bld.place(plan, [ends[end] for end in wiring])
     try:
         return bld.build(allow_reorient=reorient)
     except (WiringError, InvalidDiagramError) as err:

@@ -23,8 +23,9 @@ them, and builds the first valid one.  Each fragment is a hashable value
 The splice emits it only when its judge memo misses, into an empty
 builder whose fragment side and plan the memo keeps; its own builder
 takes the fragment's crossings labelled from that plan.  Each chain move
-is its gate, `admit`, then a private splice half, which `verify` calls
-for a step it has admitted itself.  Ring insertions and half twists
+looks its site up in the diagram it is given (`chain_site`), passes its
+gate, `admit`, and runs a private splice half, which `verify` calls for
+a step it has admitted itself.  Ring insertions and half twists
 often have several valid wirings that give different diagrams, so the
 order of each table is part of the output.
 """
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -86,9 +87,8 @@ class ChainSite:
     inner arcs between each pair; ``stubs`` are the four outer strand arcs
     at q0..q3 (the ball boundary).  ``pattern`` records whether C's own
     over/under word alternates or not (both phases admit the move).
-    A site found by `chain_site` or `find_chain_sites` remembers the diagram
-    it was read off, so a move on that same diagram need not look it up
-    again; a site made by hand is always looked up.
+    A chain move looks its site up afresh by component and strands, so a
+    site found on another diagram, or made by hand, names the same one.
     """
 
     trivial_component: int
@@ -97,9 +97,6 @@ class ChainSite:
     crossings: tuple[int, int, int, int]
     stubs: tuple[int, int, int, int]
     pattern: str
-    _read_off: Optional[LinkDiagram] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def key(self) -> tuple:
         return (self.trivial_component, self.strand1, self.strand2)
@@ -195,7 +192,7 @@ def _sites_at(d: LinkDiagram, part, comp: int) -> Iterator[ChainSite]:
         first, second = _clasp(d, order[0], order[1]), _clasp(d, order[2], order[3])
         if first is None or second is None or first[0] == second[0]:
             continue
-        site = ChainSite(
+        yield ChainSite(
             trivial_component=comp,
             strand1=first[0],
             strand2=second[0],
@@ -203,8 +200,6 @@ def _sites_at(d: LinkDiagram, part, comp: int) -> Iterator[ChainSite]:
             stubs=first[1:] + second[1:],
             pattern=pattern,
         )
-        object.__setattr__(site, "_read_off", d)
-        yield site
 
 
 def find_chain_sites(d: LinkDiagram) -> tuple[ChainSite, ...]:
@@ -224,14 +219,6 @@ def chain_site(d: LinkDiagram, component: int, strands) -> ChainSite:
         if tuple(strands) in ((site.strand1, site.strand2), (site.strand2, site.strand1)):
             return site
     raise SiteError(f"no chain site at component {component} strands {tuple(strands)}")
-
-
-def _resolved(d: LinkDiagram, site: ChainSite) -> ChainSite:
-    """``site`` as it stands in ``d``: used as it is when it was read off
-    ``d`` itself, looked up by its component and strands otherwise."""
-    if site._read_off is d:
-        return site
-    return chain_site(d, site.trivial_component, (site.strand1, site.strand2))
 
 
 # -- the chain moves ----------------------------------------------------------------
@@ -278,7 +265,7 @@ def chain_move(
     d: LinkDiagram, site: ChainSite, k: int, evidence: ExteriorEvidence
 ) -> LinkDiagram:
     """Replace the trivial component C by the Tk template."""
-    site = _resolved(d, site)
+    site = chain_site(d, site.trivial_component, (site.strand1, site.strand2))
     if (excluded := admit(d, site, k, evidence).excluded) is not None:
         raise excluded
     return _chain_splice(d, site, k)
@@ -308,7 +295,7 @@ def augmented_chain_move(
     every wiring's refusal gives: cutting two arcs with no face in common
     and joining them through a connected fragment is never planar.
     """
-    site = _resolved(d, site)
+    site = chain_site(d, site.trivial_component, (site.strand1, site.strand2))
     if (excluded := admit(d, site, k, evidence).excluded) is not None:
         raise excluded
     return _augmented_chain_splice(d, site, k)

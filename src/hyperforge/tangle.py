@@ -199,8 +199,9 @@ class TangleDiagram:
         else:
             left, right = bld.terminal("v_left"), bld.terminal("v_right")
             ports = {"NW": left, "SW": left, "NE": right, "SE": right}
-        for i, c in enumerate(self.sequence, start=1):
-            east = (n - i) % 2 == 0
+        # the extra twists are one more east region, after the sequence's
+        regions = [(c, (n - i) % 2 == 0) for i, c in enumerate(self.sequence, start=1)]
+        for c, east in regions + [(self.extra_twists, True)]:
             if c == 0:
                 continue
             chi = (EAST_CHIRALITY_POS if east else BOTTOM_CHIRALITY_POS) * (
@@ -219,14 +220,6 @@ class TangleDiagram:
                 bld.weld(region["in_r"], ports["SE"])
                 ports["SW"] = region["out_l"]
                 ports["SE"] = region["out_r"]
-        if self.extra_twists:
-            e = self.extra_twists
-            chi = EAST_CHIRALITY_POS * (1 if e > 0 else -1)
-            region = bld.twist_region(abs(e), chi)
-            bld.weld(region["in_r"], ports["NE"])
-            bld.weld(region["in_l"], ports["SE"])
-            ports["NE"] = region["out_r"]
-            ports["SE"] = region["out_l"]
         return ports
 
 

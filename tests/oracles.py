@@ -21,9 +21,10 @@ a fragment's side at every splice, off the builder over the base,
 instead of off an empty builder on a judge miss alone, and judges every
 splice's wirings afresh instead of asking a memo keyed by the base
 side's shape, the welded-splice oracle (and the emitting one) emits the
-fragment into the splice's own builder, welds its ports to their ends
-and labels its slots from the weld chains instead of placing its
-crossings labelled from the plan the judge memo keeps, the two splice-side oracles
+fragment into the splice's own builder, gives its ports their ends'
+labels by the port map and labels its slots from the weld chains
+instead of placing its crossings labelled from the plan the judge memo
+keeps, the two splice-side oracles
 walk each side with walks of their own, search its parts and trace their
 faces instead of taking its face orbits for its parts, assert that each
 part is planar with its ends on one face, and
@@ -54,7 +55,7 @@ they went through the builder: a union-find over the joined arcs and a
 bare diagram, analysed afresh.  The trail builder labels as the builder
 did before each weld paired its chain's ends: it keeps each port's welds
 and walks them from every open slot, then walks the plain terminals left
-over for crossing-free loops.  The PD parser oracle cuts the text into
+over for crossing-free loops; it labels builds without joins.  The PD parser oracle cuts the text into
 tokens in one pass and reads each token with a second regex, as
 `parse_pd` did before one regex read each token once.  The R1/R2 scan
 oracles are `find_kinks` and `find_r2_bigons` as they were before they
@@ -424,11 +425,9 @@ def splice_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), remove=(),
     for allow_reorient in (False, True) if reorient else (False,):
         for wiring in wirings:
             bld = DiagramBuilder(base=base, remove=remove)
-            ends = [end for arc in cut for end in bld.cut(arc)]
+            ends = [label for arc in cut for label in bld.cut(arc)] + list(stubs)
             ports = emit(bld)
-            ends += [bld.stub(arc) for arc in stubs]
-            for port, end in zip(ports, wiring):
-                bld.weld(ends[end], port)
+            bld.port_labels = {port: ends[end] for port, end in zip(ports, wiring)}
             try:
                 out = _built(bld, allow_reorient)
             except (WiringError, InvalidDiagramError) as err:
@@ -448,11 +447,9 @@ def wiring_loop_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), remove
     last_err: Optional[Exception] = None
     for wiring in wirings:
         bld = DiagramBuilder(base=base, remove=remove)
-        ends = [end for arc in cut for end in bld.cut(arc)]
+        ends = [label for arc in cut for label in bld.cut(arc)] + list(stubs)
         ports = emit(bld)
-        ends += [bld.stub(arc) for arc in stubs]
-        for port, end in zip(ports, wiring):
-            bld.weld(ends[end], port)
+        bld.port_labels = {port: ends[end] for port, end in zip(ports, wiring)}
         try:
             out = _built(bld, reorient)
         except (WiringError, InvalidDiagramError) as err:
@@ -468,20 +465,19 @@ def _welding_splice(judge, base, emit, wirings, failure, *, cut=(), stubs=(), re
     """`diagram.splice` as it was before it placed its fragment from the
     judge's plan: the fragment is emitted into the splice's own builder,
     the wiring ``judge(near, emit, bld, ports, wirings)`` gives as (wiring
-    or None, whether a wiring needed a frozen crossing turned) is welded,
-    and the build labels every slot from its weld chain."""
+    or None, whether a wiring needed a frozen crossing turned) gives each
+    port its end's label by the port map, and the build labels every slot
+    from its weld chain."""
     removed = frozenset(remove)
     base.require_valid()
     near = _base_side(base, removed, cut, stubs, directed=not reorient)
     bld = DiagramBuilder(base=base, remove=removed)
-    ends = [end for arc in cut for end in bld.cut(arc)]
+    ends = [label for arc in cut for label in bld.cut(arc)] + list(stubs)
     ports = emit(bld)
-    ends += [bld.stub(arc) for arc in stubs]
     wiring, turned = judge(near, emit, bld, ports, tuple(map(tuple, wirings)))
     if wiring is None:
         raise SiteError(f"{failure} ({WiringError(_DIRECTION_CONFLICT) if turned else None})")
-    for port, end in zip(ports, wiring):
-        bld.weld(ends[end], port)
+    bld.port_labels = {port: ends[end] for port, end in zip(ports, wiring)}
     try:
         return bld.build(allow_reorient=reorient)
     except (WiringError, InvalidDiagramError) as err:
@@ -514,8 +510,8 @@ def _memo_wiring(near, emit, _bld, _ports, wirings):
 
 def welded_splice_oracle(*args, **kwargs):
     """`diagram.splice` without its plan: the wiring is the judge memo's
-    (`_judged`), and the fragment is emitted into the splice's own builder,
-    welded and labelled there, not placed from the memo's plan."""
+    (`_judged`), and the fragment is emitted into the splice's own builder
+    and labelled there, not placed from the memo's plan."""
     return _welding_splice(_memo_wiring, *args, **kwargs)
 
 
@@ -615,13 +611,12 @@ def _traced_side(crossings, occ, ends, through=(), strands=True, votes=False):
 def fragment_side_oracle(emit) -> Optional[_Side]:
     """`diagram._fragment_side` before a splice emitted its fragment once
     and before it took the face orbits for the parts: the fragment is
-    emitted into a builder of its own, port i welded to a stub labelled
-    -1 - i, and labelled there; its faces are traced.  None when a crossing
+    emitted into a builder of its own, port i labelled -1 - i by the port
+    map, and labelled there; its faces are traced.  None when a crossing
     is on no part with a port."""
     bld = DiagramBuilder()
     ports = emit(bld)
-    for i, port in enumerate(ports):
-        bld.weld(bld.stub(-1 - i), port)
+    bld.port_labels = {port: -1 - i for i, port in enumerate(ports)}
     bld._label()
     occ = {}
     for ci, labels in enumerate(bld.protos):
@@ -1173,64 +1168,43 @@ class TrailBuilder(DiagramBuilder):
         return trail
 
     def label(self) -> int:
-        """What `_label` gives, by trailing from every open slot: labels
-        every open crossing slot in place and returns the loop count."""
-        welds, stub_labels = self.weld_lists, self.stub_labels
+        """What `_label` gives on a build without joins, by trailing from
+        every open slot: labels every open crossing slot in place and
+        returns the loop count."""
+        welds, labels = self.weld_lists, self.port_labels
         for t in welds:
-            if self._is_terminal(t) and len(welds[t]) != self._capacity(t):
+            if self._is_terminal(t) and len(welds[t]) != self._capacity(t) - (t in labels):
                 raise AssertionError(f"incomplete terminal {t}")
         loops = self.base.loops if self.base is not None else 0
-        stubs = [t for t in stub_labels if t in welds]
-        joined = {t: welds[t][0] for t in stubs if welds[t][0] in stub_labels}
-        ends_of: dict[int, list] = {}
-        for t in joined:
-            ends_of.setdefault(stub_labels[t], []).append(t)
-        twin = {t: ends[1 - i] for ends in ends_of.values() if len(ends) == 2
-                for i, t in enumerate(ends)}
         consumed: set = set()
-        # path ends first, so that a stub not yet consumed after them is on a cycle
-        for start in [t for t in joined if t not in twin] + list(joined):
-            if start in consumed:
-                continue
-            run, hop = [start], joined
-            while run[-1] in hop and hop[run[-1]] != start:
-                run.append(hop[run[-1]])
-                hop = twin if hop is joined else joined
-            consumed.update(run)
-            if run[-1] in hop:  # back at its start
-                loops += 1
-                continue
-            arcs = sorted({stub_labels[t] for t in run})
-            self._merged.update(dict.fromkeys(arcs[1:], arcs[0]))
-        for a, m in self._merged.items():
-            for k in self.base._analysis.occ[a]:
-                if self._new_corner[k] >= 0:
-                    _relabel_occurrence(self.protos, self._new_corner[k], m)
         # the kept base crossings are labelled already
         for ci in range(self.n_frozen, len(self.protos)):
             for si in range(4):
                 if self.protos[ci][si] is not None:
                     continue
-                trail = self.trail(4 * ci + si, stub_labels)
+                if 4 * ci + si in labels:
+                    self.protos[ci][si] = labels[4 * ci + si]
+                    continue
+                trail = self.trail(4 * ci + si, labels)
                 consumed.update(trail)
                 end = trail[-1]
-                if end in stub_labels:
-                    self.protos[ci][si] = stub_labels[end]
+                if end in labels:
+                    self.protos[ci][si] = labels[end]
                 else:
                     self.protos[ci][si] = self.protos[end >> 2][end & 3] = self.fresh_label()
         # unconsumed plain terminals must form closed cycles: crossing-free loops
         loose = [t for t in welds
-                 if self._is_terminal(t) and t not in consumed and t not in stub_labels]
+                 if self._is_terminal(t) and t not in consumed and t not in labels]
         for t in sorted(loose, key=str):
             if t not in consumed:
-                trail = self.trail(t, {t, *stub_labels})
+                trail = self.trail(t, {t, *labels})
                 if trail[-1] != t:
                     raise AssertionError("dangling terminal chain")
                 consumed.update(trail)
                 loops += 1
-        for t in stub_labels:
+        for t in labels:
             if t in welds and t not in consumed:
-                raise AssertionError(f"stub {t} never reached from a crossing slot")
+                raise AssertionError(f"port {t} never reached from a crossing slot")
         return loops
 
     def fragment_side(self, ports) -> Optional[_Side]:

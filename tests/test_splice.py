@@ -317,7 +317,7 @@ def test_one_walk_per_component():
 
 def test_a_splice_walks_only_the_strands_it_touched():
     """A build over a base walks only the strand components through a
-    stub's arc or a new crossing's; every other component keeps the base's
+    joined arc or a new crossing's; every other component keeps the base's
     steps.  Walking them all gives the same outputs, so only the count
     shows it: it costs a 64-step verify about a fifth of its time."""
     chain8 = chain_link(ChainSpec(8))
@@ -1265,7 +1265,8 @@ def test_removals_match_the_crossing_drop_oracle(d, data):
     """Every removal gives the PD text and loop count of the old crossing
     drop, and the greedy reduction its reduced diagram, step count and
     stability, at a small budget and at the default one: after R1 and R2
-    moves."""
+    moves.  This is where the builder's joins are checked; the trail
+    oracle labels builds without joins alone."""
     for d in r_moves(d, data):
         for move, *args in _removals(d):
             got, want = move(*args), _by_dropping(move, *args)
@@ -1348,19 +1349,20 @@ def test_a_kink_loop_arc_never_names_the_joined_arc():
 
 
 class _LabelledAsTheTrails(TrailBuilder):
-    """A builder whose labelling is checked against the trail oracle's on a
-    copy: the same protos, loop count, merged arcs and next fresh label."""
+    """A builder whose labelling, on a build without joins, is checked
+    against the trail oracle's on a copy: the same protos, loop count and
+    next fresh label."""
 
     labelled: list = []
 
     def _label(self) -> int:
+        if self.joins:
+            return super()._label()
         twin = copy.copy(self)
         twin.protos = [p if isinstance(p, dg.Crossing) else list(p) for p in self.protos]
-        twin._merged = {}
         want = twin.label()
         got = super()._label()
-        assert (self.protos, got, self._merged, self._next_arc) == (
-            twin.protos, want, twin._merged, twin._next_arc)
+        assert (self.protos, got, self._next_arc) == (twin.protos, want, twin._next_arc)
         self.labelled.append(self.base is None)
         return got
 
@@ -1374,12 +1376,14 @@ def _side_as_the_trails(bld, ports):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_builds_label_as_the_trail_oracle(data):
-    """Every build labels its slots, counts its loops and merges its joined
-    arcs as trailing the welds from every open slot does, and every
-    splice's fragment side is the one the trails give: the base-less
-    builds (chain, rational and Tk links, (2, n) templates, numerator
-    closures), the splice of every move on one of them after R1 and R2
-    moves, and its R1 and R2 undos and component removals."""
+    """Every build without joins labels its slots and counts its loops as
+    trailing the welds from every open slot does, and every splice's
+    fragment side is the one the trails give: the base-less builds (chain,
+    rational and Tk links, (2, n) templates, numerator closures) and the
+    splice of every move on one of them after R1 and R2 moves.  Its R1 and
+    R2 undos and component removals are built too; their joins are
+    checked against the crossing drop instead
+    (`test_removals_match_the_crossing_drop_oracle`)."""
     _LabelledAsTheTrails.labelled = labelled = []
     # every fragment side is read afresh, under the patched builder and side
     forget_memos()
@@ -1425,14 +1429,13 @@ def test_a_closed_chain_of_plain_terminals_is_one_loop(n):
     assert bld.build().loops == 3
 
 
-@pytest.mark.parametrize("kind", ["slot", "stub"])
+@pytest.mark.parametrize("kind", ["slot"])
 def test_a_self_weld_of_a_one_weld_port_is_over_welded(kind):
-    """A crossing slot or a stub welded to itself takes two welds where it
-    has room for one: the builder fault is raised at the weld."""
+    """A crossing slot welded to itself takes two welds where it has room
+    for one: the builder fault is raised at the weld."""
     bld = DiagramBuilder(base=_CHAIN4)
-    port = 4 * bld.crossing() if kind == "slot" else bld.stub(1)
-    shown = re.escape(str(divmod(port, 4) if kind == "slot" else port))
-    with pytest.raises(AssertionError, match=rf"^over-welded port {shown}$"):
+    port = 4 * bld.crossing()
+    with pytest.raises(AssertionError, match=rf"^over-welded port {re.escape(str(divmod(port, 4)))}$"):
         bld.weld(port, port)
 
 
@@ -1456,18 +1459,22 @@ def _dangling_chain(bld):
     bld.weld(bld.terminal(), bld.terminal())
 
 
-def _stub_to_lone_terminal(bld):
-    bld.weld(bld.stub(1), bld.terminal())
+def _mapped_port_to_lone_terminal(bld):
+    port = bld.terminal()
+    bld.port_labels[port] = 1
+    bld.weld(port, bld.terminal())
 
 
-@pytest.mark.parametrize("weld", [_once_welded_terminal, _dangling_chain, _stub_to_lone_terminal],
+@pytest.mark.parametrize("weld", [_once_welded_terminal, _dangling_chain,
+                                  _mapped_port_to_lone_terminal],
                          ids=lambda weld: weld.__name__.strip("_"))
 def test_a_terminal_welded_once_is_incomplete(weld):
     """A plain terminal that ends a chain, beside a crossing slot, beside
-    another plain terminal or beside a stub, is a builder fault."""
+    another plain terminal or beside a terminal port of ``port_labels``,
+    which is complete with one weld, is a builder fault."""
     bld = DiagramBuilder(base=_CHAIN4)
     weld(bld)
-    t = next(t for t in bld.welds if bld._is_terminal(t) and t not in bld.stub_labels)
+    t = next(t for t in bld.welds if bld._is_terminal(t) and t not in bld.port_labels)
     with pytest.raises(AssertionError, match=rf"^incomplete terminal {re.escape(str(t))}$"):
         bld.build()
 
@@ -1485,17 +1492,37 @@ def test_an_unwelded_crossing_slot_is_a_builder_fault():
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_stubs_welded_through_plain_terminals_are_joined(n):
-    """Two stubs at the ends of a chain of plain terminals are joined, as
-    `join` joins them: the kink's strand runs on as one arc."""
-    kinked = parse_pd("X(10,2,3,4) X(6,3,2,5) X(4,6,7,8) X(5,9,8,7) X(9,10,1,1)")
-    want = DiagramBuilder(kinked, remove={4})
-    want.join(9, 10)
-    bld = DiagramBuilder(kinked, remove={4})
-    chain = [bld.stub(9)] + [bld.terminal() for _ in range(n)] + [bld.stub(10)]
+def test_a_mapped_terminal_port_labels_the_slot_through_plain_terminals(n):
+    """A terminal port of ``port_labels`` at one end of a chain of n
+    terminals, the rest plain, is complete with one weld and labels the
+    crossing slot at the chain's other end: with n = 1, the path
+    `TkTemplate(0)`'s pass-through ports take."""
+    bld = DiagramBuilder()
+    k = 4 * bld.crossing()
+    chain = [bld.terminal() for _ in range(n)] + [k]
     for p, q in zip(chain, chain[1:]):
         bld.weld(p, q)
-    assert format_pd(bld.build()) == format_pd(want.build())
+    bld.port_labels = {chain[0]: -1, k + 1: -2, k + 2: -3, k + 3: -4}
+    assert bld._label() == 0
+    assert bld.protos == [[-1, -2, -3, -4]]
+
+
+@pytest.mark.parametrize("move, d, arg, want", [
+    (reidemeister1_undo, "X(10,2,3,4) X(6,3,2,5) X(4,6,7,8) X(5,9,8,7) X(9,10,1,1)", 4,
+     "X(9,2,3,4)\nX(6,3,2,5)\nX(4,6,7,8)\nX(5,9,8,7)\n"),
+    (reidemeister1_undo, "X(1,1,2,2)", 0, "O(1)\n"),
+    (remove_component, "X(3,2,4,1) X(1,4,2,3)", 0, "O(1)\n"),
+    (remove_component, "X(3,2,4,1) X(1,4,2,3)", 1, "O(1)\n"),
+], ids=["path", "self-join", "two-arc-cycle-0", "two-arc-cycle-1"])
+def test_each_run_shape_of_joins_matches_the_crossing_drop(move, d, arg, want):
+    """Each shape a run of joined arcs takes builds as the crossing drop
+    builds it: a path takes its least label, and a self-join (a kinked
+    crossing-free loop) or a cycle of two arcs (the other component of a
+    Hopf link) is joined at both ends of every arc, a crossing-free
+    loop."""
+    d = parse_pd(d)
+    out = move(d, arg)
+    assert format_pd(out) == format_pd(_by_dropping(move, d, arg)) == want
 
 
 # the work a replay skips ----------------------------------------------------------
@@ -1627,7 +1654,7 @@ def _mixed_derivation():
 
 def test_a_warm_replay_judges_no_wiring_and_traces_no_face():
     """Verifying a derivation of every move kind a second time judges no
-    wiring and welds nothing, since each splice's side shape was judged
+    wiring, welds nothing and makes no terminal, since each splice's side shape was judged
     in the first, which kept the fragment's plan, and, as in the first, no
     half twist traces a face: the half twist reads the two faces beside
     each arc of the ring.  Both give the same verdict, valid."""
@@ -1635,9 +1662,14 @@ def test_a_warm_replay_judges_no_wiring_and_traces_no_face():
     forget_memos()
     judge, faces, twist = dg._wiring_fault, dg._Analysis._faces_and_euler, mv.half_twist
     weld = dg.DiagramBuilder.weld
+    terminal = dg.DiagramBuilder.terminal
     passes = []
     for _ in range(2):
         log = collections.Counter()
+
+        def made_terminal(*args):
+            log["terminals"] += 1
+            return terminal(*args)
 
         def judged(*args):
             log["judged"] += 1
@@ -1661,7 +1693,8 @@ def test_a_warm_replay_judges_no_wiring_and_traces_no_face():
         with mock.patch.object(dg, "_wiring_fault", judged), \
                 mock.patch.object(dg._Analysis, "_faces_and_euler", traced), \
                 mock.patch.object(mv, "half_twist", twisted), \
-                mock.patch.object(dg.DiagramBuilder, "weld", welded):
+                mock.patch.object(dg.DiagramBuilder, "weld", welded), \
+                mock.patch.object(dg.DiagramBuilder, "terminal", made_terminal):
             verdict = verify(deserialize(doc))
         passes.append((verdict, log))
     (cold, cold_log), (warm, warm_log) = passes
@@ -1669,7 +1702,7 @@ def test_a_warm_replay_judges_no_wiring_and_traces_no_face():
     assert cold_log["judged"] > 0 and cold_log["welded"] > 0 and cold_log["twists"] >= 4
     assert warm_log["twists"] == cold_log["twists"]
     assert warm_log["judged"] == warm_log["traced"] == cold_log["traced by twists"] == 0
-    assert warm_log["welded"] == 0
+    assert warm_log["welded"] == warm_log["terminals"] == 0
 
 
 @settings(max_examples=60, deadline=None)
