@@ -1182,10 +1182,8 @@ class TrailBuilder(DiagramBuilder):
             for si in range(4):
                 if self.protos[ci][si] is not None:
                     continue
-                if 4 * ci + si in labels:
-                    self.protos[ci][si] = labels[4 * ci + si]
-                    continue
-                trail = self.trail(4 * ci + si, labels)
+                k = 4 * ci + si
+                trail = [k] if k in labels else self.trail(k, labels)
                 consumed.update(trail)
                 end = trail[-1]
                 if end in labels:

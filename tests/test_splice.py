@@ -1380,10 +1380,10 @@ def test_builds_label_as_the_trail_oracle(data):
     trailing the welds from every open slot does, and every splice's
     fragment side is the one the trails give: the base-less builds (chain,
     rational and Tk links, (2, n) templates, numerator closures) and the
-    splice of every move on one of them after R1 and R2 moves.  Its R1 and
-    R2 undos and component removals are built too; their joins are
-    checked against the crossing drop instead
-    (`test_removals_match_the_crossing_drop_oracle`)."""
+    splice of every move on one of them after R1 and R2 moves, and of a
+    half twist on the 4-chain, which always splices.  Its R1 and R2 undos
+    and component removals are built too; their joins are checked against
+    the crossing drop instead (`test_removals_match_the_crossing_drop_oracle`)."""
     _LabelledAsTheTrails.labelled = labelled = []
     # every fragment side is read afresh, under the patched builder and side
     forget_memos()
@@ -1406,6 +1406,7 @@ def test_builds_label_as_the_trail_oracle(data):
                 move(*args)
             except SiteError:
                 pass
+        half_twist(*_REORIENTING_TWISTS[1])  # a splice over a base, whatever was drawn
     forget_memos()
     assert False in labelled
 
