@@ -18,6 +18,7 @@ Every value here is immutable and every operation is a pure function.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import re
 from dataclasses import dataclass
@@ -825,37 +826,86 @@ def remove_component(d: LinkDiagram, comp: int) -> LinkDiagram:
     return bld.build()
 
 
-# -- fragment builder --------------------------------------------------------------
+# -- open tangles and the builder --------------------------------------------------
+
+
+def twist_rows(chirality: int, left: Sequence, right: Sequence) -> list[tuple]:
+    """The crossings of a two-rail twist region as rows of arc labels, one
+    per crossing: the left rail runs on the labels ``left`` and the right
+    rail on ``right``, one more of each than there are crossings.
+
+    chirality +1: the strand entering on the left rail goes over;
+    chirality -1: the right one does.  The strand entering on one rail
+    leaves on the other.  Each row puts the under-strand on slots {0, 2};
+    the build turns a row whose under-strand enters at slot 2.
+    """
+    rails = zip(left, left[1:], right, right[1:])
+    if chirality > 0:  # under: right rail in -> left rail out
+        return [(r0, l0, l1, r1) for l0, l1, r0, r1 in rails]
+    return [(l0, l1, r1, r0) for l0, l1, r0, r1 in rails]  # under: left in -> right out
+
+
+def rail(start, tag, n: int) -> tuple:
+    """The labels a twist rail through n crossings runs on: ``start``, then
+    (tag, 0) .. (tag, n - 1).  A rail through no crossing ends where it
+    starts."""
+    return (start, *((tag, i) for i in range(n)))
+
+
+def open_tangle(rows: Iterable[Sequence], ports: Sequence = (), joins: Iterable[tuple] = ()
+                ) -> tuple[tuple[tuple[int, ...], ...], int, int]:
+    """(rows, inner arcs, loops): the open PD tangle of crossings given as
+    rows of hashable labels, one label per arc.
+
+    Each pair of ``joins`` makes its two labels one arc; a pair of one
+    label, an arc whose two ends are the ports it joins, closes a
+    crossing-free loop.  Then port i, the label ``ports[i]``, is labelled
+    -1 - i, and the inner arcs 1, 2, ... in order of first occurrence,
+    row by row: the numbering a build gives fresh labels in.  Pieces are
+    composed by sharing labels, so a fragment's ports are open ends and a
+    generator's tangle has none.
+    """
+    root, loops = {}, 0
+
+    def find(a):
+        while a in root:
+            a = root[a]
+        return a
+
+    for a, b in joins:
+        a, b = find(a), find(b)
+        if a == b:
+            loops += 1
+        else:
+            root[b] = a
+    n = len(ports)
+    number = {find(p): -1 - i for i, p in enumerate(ports)}
+    out = tuple(tuple(number.setdefault(find(a), len(number) + 1 - n) for a in row)
+                for row in rows)
+    return out, len(number) - n, loops
 
 
 class DiagramBuilder:
-    """Assemble diagrams and spliced fragments from twist regions and welds.
+    """Assemble a diagram from open tangles and the arcs of a base.
 
-    Ports are crossing slots, as corners 4 * ci + si, or terminals, which
-    are tuples.  Crossing protos put the under-strand on slots {0, 2}; the
-    final rotation by 2 (to put the *incoming* under-strand at slot 0)
-    happens at build time.  When a base diagram is given, its kept
-    crossings are frozen and edited by arc label: ``cut`` splits a base
-    arc into two labels, and ``join`` records two arcs that a strand
-    through a removed crossing runs on as one.  A frozen crossing's proto
-    is the base's `Crossing` itself, replaced only when ``cut`` or a join
-    relabels it, so the build reuses every crossing that did not change.
-
-    Welds chain the ports of new crossings through plain terminals.
-    ``weld`` pairs the two ends of each chain as it makes it: ``far`` maps
-    each end (a crossing slot or a plain terminal welded once) to the
-    other, ``welds`` counts each port's welds, and a weld that closes a
-    chain of plain terminals adds a crossing-free loop to ``loops``.  No
-    later pass walks the welds.  ``port_labels`` gives some ports a label
-    of their own, as `_plan` gives a fragment's ports theirs.  A splice
-    welds nothing: it ``place``s its fragment's crossings labelled from
-    the plan its judge read off an empty builder.
+    `place` appends an open tangle's crossings (see `open_tangle`), each
+    port labelled as its caller gives, each inner arc fresh.  Crossing
+    rows put the under-strand on slots {0, 2}; the final rotation by 2 (to
+    put the *incoming* under-strand at slot 0) happens at build time.
+    When a base diagram is given, its kept crossings are frozen and edited
+    by arc label: ``cut`` splits a base arc into two labels, and ``join``
+    records two arcs that a strand through a removed crossing runs on as
+    one.  A frozen crossing's row is the base's `Crossing` itself,
+    replaced only when ``cut`` or a join relabels it, so the build reuses
+    every crossing that did not change.  A generator places its closed
+    tangle into an empty builder; a splice places its fragment over its
+    base.
     """
 
     def __init__(self, base: Optional[LinkDiagram] = None, remove: Iterable[int] = ()):
         self.base = base
         self.removed = frozenset(remove)
-        self.protos: list = []  # frozen crossings, then new crossings' slot lists
+        self.protos: list = []  # frozen crossings, then new crossings' label lists
         self._new_corner: Sequence[int] = ()  # base corner -> its corner here, -1 when removed
         if base is not None:
             base.require_valid()
@@ -872,35 +922,22 @@ class DiagramBuilder:
                         self.protos.append(x)
         self.n_frozen = len(self.protos)
         self.loops = base.loops if base is not None else 0
-        self.welds: dict = {}  # port -> its weld count
-        self.far: dict = {}  # weld chain end -> the chain's other end
-        self.port_labels: dict = {}  # port -> its label
         self.joins: list[tuple[int, int]] = []  # arc pairs that run on as one
-        self._terminal_count = 0
         self._next_arc = base.fresh_arc() if base is not None else 1
-
-    # ports
-
-    def crossing(self) -> int:
-        self.protos.append([None, None, None, None])
-        return len(self.protos) - 1
-
-    def terminal(self, name: str = "t"):
-        self._terminal_count += 1
-        return ("t", self._terminal_count, name)
 
     def fresh_label(self) -> int:
         label = self._next_arc
         self._next_arc += 1
         return label
 
-    def place(self, plan: tuple, labels: Sequence[int]) -> None:
-        """Append a fragment's crossings labelled from its `_plan`, with
-        no weld: port i takes ``labels[i]`` and inner arc j the next fresh
-        label + j; the loops the fragment closes are added."""
-        rows, inner, loops = plan
-        labels = [*labels, *(self.fresh_label() for _ in range(inner))]
-        self.protos += [[labels[s] for s in row] for row in rows]
+    def place(self, tangle: tuple, ports: Sequence[int]) -> None:
+        """Append an open tangle's crossings: port i takes the label
+        ``ports[i]`` and inner arc j the next fresh label + j - 1; the
+        loops it closes are added."""
+        rows, inner, loops = tangle
+        first = self._next_arc - 1
+        self._next_arc += inner
+        self.protos += [[ports[-1 - a] if a < 0 else first + a for a in row] for row in rows]
         self.loops += loops
 
     def cut(self, arc: int) -> tuple[int, int]:
@@ -922,72 +959,6 @@ class DiagramBuilder:
         """Record that base arcs ``a`` and ``b``, the two sides of a strand
         through a removed crossing, run on as one."""
         self.joins.append((a, b))
-
-    def weld(self, p, q) -> None:
-        """Weld ports ``p`` and ``q``, joining the chains they end.  A crossing
-        slot takes one weld and a plain terminal two, counted one at a time,
-        so a self-weld counts twice."""
-        for port in (p, q):
-            count = self.welds.get(port, 0) + 1
-            if count > self._capacity(port):
-                shown = port if self._is_terminal(port) else divmod(port, 4)
-                raise AssertionError(f"over-welded port {shown}")
-            self.welds[port] = count
-        a, b = self.far.pop(p, p), self.far.pop(q, q)
-        if a == q:  # p and q end one chain, of plain terminals: it closes
-            self.loops += 1
-        else:
-            self.far[a], self.far[b] = b, a
-
-    def _far_end(self, k: int):
-        """The other end of the weld chain at crossing slot ``k``."""
-        if k not in self.far:
-            raise AssertionError(f"unwelded crossing slot {divmod(k, 4)}")
-        return self.far[k]
-
-    def _capacity(self, port) -> int:
-        return 2 if self._is_terminal(port) else 1
-
-    # twist unit
-
-    def twist_crossing(self, chirality: int) -> dict:
-        """One crossing of a two-rail twist region.
-
-        chirality +1: the strand entering on the left rail goes over;
-        chirality -1: the right one does.  Rails swap below the crossing.
-        """
-        k = 4 * self.crossing()
-        if chirality > 0:
-            # under: in_r -> out_l; CCW from in_r: (in_r, in_l, out_l, out_r)
-            return {"in_r": k, "in_l": k + 1, "out_l": k + 2, "out_r": k + 3}
-        # under: in_l -> out_r; CCW from in_l: (in_l, out_l, out_r, in_r)
-        return {"in_l": k, "out_l": k + 1, "out_r": k + 2, "in_r": k + 3}
-
-    def twist_region(self, n: int, chirality: int) -> dict:
-        """n same-handed crossings; for n = 0 the rails pass straight through."""
-        if n < 0:
-            raise AssertionError("twist_region wants a count, not a signed twist")
-        if n == 0:
-            t1, t2 = self.terminal("pass_l"), self.terminal("pass_r")
-            return {"in_l": t1, "out_l": t1, "in_r": t2, "out_r": t2}
-        first = self.twist_crossing(chirality)
-        cur = first
-        for _ in range(n - 1):
-            nxt = self.twist_crossing(chirality)
-            self.weld(cur["out_l"], nxt["in_l"])
-            self.weld(cur["out_r"], nxt["in_r"])
-            cur = nxt
-        return {
-            "in_l": first["in_l"],
-            "in_r": first["in_r"],
-            "out_l": cur["out_l"],
-            "out_r": cur["out_r"],
-        }
-
-    # build
-
-    def _is_terminal(self, port) -> bool:
-        return not isinstance(port, int)  # a crossing slot is its corner
 
     def build(self, allow_reorient: bool = False) -> LinkDiagram:
         """The diagram, renormalised with the kept base crossings frozen.
@@ -1014,22 +985,14 @@ class DiagramBuilder:
                             touched=touched, base_steps=steps)
 
     def _label(self) -> int:
-        """Label every open crossing slot from ``far``, in place; returns the
-        loop count.  A slot at a port of ``port_labels``, or whose chain
-        ends at one, takes that port's label, and the two slots that end
-        one chain share a fresh one, taken in slot order; a terminal port
-        there is complete with one weld.  A placed fragment arrives
-        labelled.
+        """Relabel the kept base crossings along the ``joins``, in place;
+        returns the loop count.  Placed crossings arrive labelled.
 
         The ``joins`` link base arcs into runs.  Each arc has two ends, so
         a run is a path, which takes the least label of its arcs (its other
         arcs' kept occurrences are relabelled), or a run whose every arc is
         joined at both ends, a crossing-free loop; a self-join counts as
         both ends."""
-        labels = self.port_labels
-        for t, count in self.welds.items():
-            if self._is_terminal(t) and count != self._capacity(t) - (t in labels):
-                raise AssertionError(f"incomplete terminal {t}")
         loops = self.loops
         nbrs: dict[int, list[int]] = {}  # joined arc -> the arcs it is joined to
         for a, b in self.joins:
@@ -1049,16 +1012,6 @@ class DiagramBuilder:
                 for k in self.base._analysis.occ[a]:
                     if self._new_corner[k] >= 0:
                         _relabel_occurrence(self.protos, self._new_corner[k], least)
-        # the kept base crossings are labelled already
-        for ci in range(self.n_frozen, len(self.protos)):
-            for si in range(4):
-                if self.protos[ci][si] is None:
-                    k = 4 * ci + si
-                    end = k if k in labels else self._far_end(k)
-                    if end in labels:
-                        self.protos[ci][si] = labels[end]
-                    else:
-                        self.protos[ci][si] = self.protos[end >> 2][end & 3] = self.fresh_label()
         return loops
 
 
@@ -1164,14 +1117,14 @@ def _base_side(base: LinkDiagram, removed: frozenset[int], cut: Sequence[int],
     return _side(across, open_at, through.values(), directed, lambda k: head[arc_at[k]] == k)
 
 
-def _fragment_side(bld: DiagramBuilder, ports: Sequence) -> Optional[_Side]:
-    """The fragment side of a splice, read off ``bld.far``, the chain ends
-    of the builder whose new crossings are the fragment, before any port
-    is welded; its ends are ``ports`` in order (`_judged` reads it off an
-    empty builder, on a miss alone).  A slot that is no port is
-    joined to the far end of its weld chain: a port, or another slot.
-    None when a crossing is on no part with a port, which no move emits.
-    Nothing is labelled: `_plan` labels the fragment afterwards.
+def _fragment_side(rows: Sequence[Sequence[int]]) -> Optional[_Side]:
+    """The fragment side of a splice, read off its open tangle's ``rows``
+    (see `open_tangle`): corner k is slot k & 3 of row k >> 2, port i's
+    label -1 - i is open end i, and an inner label joins its two corners
+    in the corner map.  `_judged` reads it on a miss alone.  None when a
+    crossing is on no part with a port, which no move places.  A label
+    that occurs other than twice, or a port that occurs other than once,
+    is a fault in the fragment, raised as an AssertionError.
 
     This is where a splice's planarity guard sits: the fragment must meet
     the face-orbit condition.  Its inner faces (no walk from a port enters
@@ -1180,18 +1133,21 @@ def _fragment_side(bld: DiagramBuilder, ports: Sequence) -> Optional[_Side]:
     genus g traces 2c - 2 + 2g fewer than its orbits give it, each term at
     least 0, so the totals agree only when every part is planar with its
     ports on one face; otherwise the fault is raised as an AssertionError."""
-    port_of = {port: i for i, port in enumerate(ports)}
-    first = 4 * bld.n_frozen
-    across = [-1] * (4 * len(bld.protos) - first)  # corner k is the builder's first + k
-    open_at: dict[int, int] = {}  # the corner port i's weld chain ends at -> i
-    for k in range(len(across)):
-        if across[k] < 0:
-            end = first + k if first + k in port_of else bld._far_end(first + k)
-            if end in port_of:
-                open_at[k] = port_of[end]
-            else:
-                far = end - first
-                across[k], across[far] = far, k
+    labels = list(itertools.chain.from_iterable(rows))
+    count = collections.Counter(labels)
+    n = sum(a < 0 for a in count)
+    if any(c != (2 if a > 0 else 1) for a, c in count.items()) or min(count, default=0) != -n:
+        raise AssertionError(f"fragment labels are not an open tangle: {tuple(map(tuple, rows))}")
+    across = [-1] * len(labels)
+    open_at: dict[int, int] = {}  # the corner port i is at -> i
+    first: dict[int, int] = {}  # inner label -> its first corner
+    for k, a in enumerate(labels):
+        if a < 0:
+            open_at[k] = -1 - a
+        elif a in first:
+            across[first[a]], across[k] = k, first[a]
+        else:
+            first[a] = k
     if -1 in _parts(across, [k >> 2 for k in open_at], open_at):
         return None
     side = _side(across, open_at)
@@ -1208,7 +1164,7 @@ def _fragment_side(bld: DiagramBuilder, ports: Sequence) -> Optional[_Side]:
 
 
 def _wiring_fault(near: _Side, far: _Side, wiring: Sequence[int]) -> Optional[str]:
-    """Why welding port i of ``far`` to end ``wiring[i]`` of ``near`` gives
+    """Why joining port i of ``far`` to end ``wiring[i]`` of ``near`` gives
     no valid diagram, or None when it gives one.
 
     "direction": a strand component through the fragment would walk one
@@ -1220,7 +1176,7 @@ def _wiring_fault(near: _Side, far: _Side, wiring: Sequence[int]) -> Optional[st
     crossings are then the pieces of both sides minus the n ends plus the
     faces that run through the fragment, each a cycle of entering ``near``
     by an end, leaving it by ``face_next``, entering ``far`` by the port
-    welded there, and so on.  Every graph component has F - V <= 2, so all
+    joined there, and so on.  Every graph component has F - V <= 2, so all
     of them pass exactly when the total is twice their count.
     """
     n = len(near.face_next)
@@ -1228,8 +1184,8 @@ def _wiring_fault(near: _Side, far: _Side, wiring: Sequence[int]) -> Optional[st
     for port, end in enumerate(wiring):
         port_of[end] = port
     if len(wiring) != n or len(far.face_next) != n or -1 in port_of:
-        raise AssertionError(f"over-welded end: wiring {tuple(wiring)} does not weld "
-                             f"each of {len(far.face_next)} ports to an end of its own")
+        raise AssertionError(f"over-welded end: wiring {tuple(wiring)} does not give "
+                             f"each of {len(far.face_next)} ports an end of its own")
     seen = [False] * n
     for start in range(n):
         ways: set[bool] = set()
@@ -1267,49 +1223,33 @@ def _wiring_fault(near: _Side, far: _Side, wiring: Sequence[int]) -> Optional[st
     return None
 
 
-def _plan(bld: DiagramBuilder, ports: Sequence) -> tuple[tuple[tuple[int, ...], ...], int, int]:
-    """(each new crossing's slots as indexes into the port labels, then
-    the inner arcs; the inner arcs; the loops the fragment closes) of the
-    fragment of an empty builder, labelled as a splice's build labels it:
-    port i labelled -1 - i by ``port_labels``, and each inner arc numbered
-    in the order `_label` takes its fresh label."""
-    bld.port_labels = {port: -1 - i for i, port in enumerate(ports)}
-    loops = bld._label()
-    n = len(ports)
-    rows = tuple(tuple(-1 - a if a < 0 else n - 1 + a for a in p) for p in bld.protos)
-    return rows, bld._next_arc - 1, loops
-
-
 # Pays on replay_verify (1,423 of 1,423 splices per warm seed-1 pass, 121
 # keys) and cli_pipeline (136 of 136 per round, 67 keys); certify_bases
-# splices nothing.  A miss is the one place a fragment is emitted.
+# splices nothing.  A miss is the one place a fragment's tangle is made.
 @lru_cache(maxsize=256)
-def _judged(near: _Side, emit: Callable[[DiagramBuilder], Sequence],
-            wirings: tuple[tuple[int, ...], ...]
+def _judged(near: _Side, fragment: Callable[[], tuple], wirings: tuple[tuple[int, ...], ...]
             ) -> tuple[Optional[tuple[int, ...]], bool, Optional[tuple]]:
     """(the first wiring of ``wirings`` that `_wiring_fault` passes, or None;
     whether an earlier one needed a frozen crossing turned; the fragment's
-    `_plan` when a wiring passes) for a splice of ``emit`` onto base side
-    ``near``.  Both sides are all the judge reads,
-    so the answer is kept per side shape, fragment and table (errors
-    propagate, uncached).  A miss emits the fragment into an empty
-    builder, the one emit a splice makes, and reads its side and its plan
-    there: both are numbered by port, so any offset gives the same."""
-    bld = DiagramBuilder()
-    ports = emit(bld)
-    far = _fragment_side(bld, ports)
+    open tangle when a wiring passes) for a splice of ``fragment`` onto
+    base side ``near``.  Both sides are all the judge reads, so the answer
+    is kept per side shape, fragment and table (errors propagate,
+    uncached).  A miss makes the tangle, ``fragment()``, the one a splice
+    makes, and reads its side there: both are numbered by port."""
+    tangle = fragment()
+    far = _fragment_side(tangle[0])
     turned = False
     for wiring in wirings:
         fault = "non-planar" if far is None else _wiring_fault(near, far, wiring)
         if fault is None:
-            return wiring, turned, _plan(bld, ports)
+            return wiring, turned, tangle
         turned = turned or fault == "direction"
     return None, turned, None
 
 
 def splice(
     base: LinkDiagram,
-    emit: Callable[[DiagramBuilder], Sequence],
+    fragment: Callable[[], tuple],
     wirings: Sequence[Sequence[int]],
     failure: str,
     *,
@@ -1323,12 +1263,11 @@ def splice(
     A builder over ``base`` minus ``remove`` cuts the ``cut`` arcs in order;
     the ends are the labels each cut gives (the arc's tail side, then its
     head side), then the ``stubs`` arcs themselves, and port i of the
-    fragment ``emit`` adds and gives takes the label of end ``wiring[i]``,
-    with no weld and no terminal; ``reorient`` is the build's
-    ``allow_reorient``.  ``emit`` is hashable and adds the same
-    crossings, terminals and welds to any builder.  Its fragment side and
-    plan are numbered by port, so the fragment is emitted into an empty
-    builder, and only when the judge memo (`_judged`) misses.
+    fragment's open tangle takes the label of end ``wiring[i]``;
+    ``reorient`` is the build's ``allow_reorient``.  ``fragment`` is
+    hashable, and ``fragment()`` gives the same open tangle (see
+    `open_tangle`) every time.  The tangle and its side are numbered by
+    port, so it is made only when the judge memo (`_judged`) misses.
 
     The caller meets the face-orbit condition: the removed crossings and
     cut points lie in a disk meeting the base nowhere else, so each part
@@ -1338,43 +1277,41 @@ def splice(
     a half twist cuts two arcs off one face; a chain move removes a ring's
     four crossings, which its arcs join.
 
-    The wirings are judged in order before any is welded.  Each side is
+    The wirings are judged in order before any is built.  Each side is
     walked once from its open ends by one routine, `_side`, which
     `_base_side` hands the base's own corner map and `_fragment_side` one
-    read off the chain ends the fragment's welds paired, and then each
-    wiring costs a walk over the ends alone (`_wiring_fault`): it is
-    valid when no strand component through the fragment needs frozen
-    crossings turned (unless ``reorient``) and every graph component
-    passes the Euler check, counted over face orbits.  That check is
-    exact: the base is valid and meets the condition, and
-    `_fragment_side`, the planarity guard, traces the fragment's inner
-    faces and raises an AssertionError for a fragment that does not meet
-    it.  The judge's choice is memoised per base side shape, fragment and
-    wiring table, in a bounded per-process cache (`_judged`), with the
-    fragment's plan: the builder appends the fragment's crossings labelled
-    from it (`DiagramBuilder.place`), with no emit and no weld, and
-    builds, with the labels and crossing indices of emitting and welding
-    the first valid wiring alone.  Its output arrives
-    analysed (`DiagramBuilder.build`): indexed afresh, with only the
-    strand components through the fragment walked and the others' steps
-    taken from the base, and known planar, so no face is traced until
-    something reads the faces.  With no valid wiring, or a fragment with
-    a crossing on no part with a port: SiteError("<failure> (<last wiring
-    error>)"), that error being the strand-direction WiringError when
-    some wiring needed a frozen crossing turned, and None otherwise.  A
-    fragment fault (an over-welded port, an unwelded slot) is a bug and
+    read off the tangle's labels, and then each wiring costs a walk over
+    the ends alone (`_wiring_fault`): it is valid when no strand component
+    through the fragment needs frozen crossings turned (unless
+    ``reorient``) and every graph component passes the Euler check,
+    counted over face orbits.  That check is exact: the base is valid and
+    meets the condition, and `_fragment_side`, the planarity guard, traces
+    the fragment's inner faces and raises an AssertionError for a fragment
+    that does not meet it.  The judge's choice is memoised per base side
+    shape, fragment and wiring table, in a bounded per-process cache
+    (`_judged`), with the fragment's tangle, whose crossings the builder
+    appends (`DiagramBuilder.place`) before it builds the first valid
+    wiring alone.  Its output arrives analysed (`DiagramBuilder.build`):
+    indexed afresh, with only the strand components through the fragment
+    walked and the others' steps taken from the base, and known planar, so
+    no face is traced until something reads the faces.  With no valid
+    wiring, or a fragment with a crossing on no part with a port:
+    SiteError("<failure> (<last wiring error>)"), that error being the
+    strand-direction WiringError when some wiring needed a frozen crossing
+    turned, and None otherwise.  A fragment fault (a label that is no open
+    tangle's, a wiring that gives one end two ports) is a bug and
     propagates from the judge, and so does a built wiring whose arcs do
     not each occur twice or whose strands need a frozen crossing turned.
     """
     removed = frozenset(remove)
     base.require_valid()
     near = _base_side(base, removed, cut, stubs, directed=not reorient)
-    wiring, turned, plan = _judged(near, emit, tuple(map(tuple, wirings)))
+    wiring, turned, tangle = _judged(near, fragment, tuple(map(tuple, wirings)))
     if wiring is None:
         raise SiteError(f"{failure} ({WiringError(_DIRECTION_CONFLICT) if turned else None})")
     bld = DiagramBuilder(base=base, remove=removed)
     ends = [label for arc in cut for label in bld.cut(arc)] + list(stubs)
-    bld.place(plan, [ends[end] for end in wiring])
+    bld.place(tangle, [ends[end] for end in wiring])
     try:
         return bld.build(allow_reorient=reorient)
     except (WiringError, InvalidDiagramError) as err:
@@ -1463,14 +1400,11 @@ def reidemeister2(
     )
 
 
-def _r2_fragment(bld: DiagramBuilder) -> tuple:
-    # the over strand rides the left rail and stays on top: the second
-    # crossing flips chirality because the rails swap
-    c1 = bld.twist_crossing(+1)
-    c2 = bld.twist_crossing(-1)
-    bld.weld(c1["out_l"], c2["in_l"])
-    bld.weld(c1["out_r"], c2["in_r"])
-    return (c1["in_l"], c2["out_l"], c1["in_r"], c2["out_r"])
+def _r2_fragment() -> tuple:
+    """The R2 bigon, ports (over in, over out, under in, under out): the over
+    strand rides the left rail and stays on top, so the second crossing
+    flips chirality because the rails swap."""
+    return open_tangle(twist_rows(+1, "ab", "cd") + twist_rows(-1, "be", "df"), "aecf")
 
 
 def _r2_strands(d: LinkDiagram, ci: int, cj: int) -> Optional[tuple[int, int]]:
@@ -1550,10 +1484,9 @@ def braid2_template(n: int, mirror: bool = False) -> LinkDiagram:
     """Standard diagram of the (2, n) torus link: an n-twist region closed up."""
     if n < 1:
         raise SiteError("template needs at least one crossing")
+    rails = [[(side, i % n) for i in range(n + 1)] for side in "lr"]  # each closes up
     bld = DiagramBuilder()
-    region = bld.twist_region(n, +1 if not mirror else -1)
-    bld.weld(region["out_l"], region["in_l"])
-    bld.weld(region["out_r"], region["in_r"])
+    bld.place(open_tangle(twist_rows(+1 if not mirror else -1, *rails)), ())
     return bld.build()
 
 

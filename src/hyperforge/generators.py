@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tangle as _tangle
-from .diagram import DiagramBuilder, LinkDiagram
+from .diagram import DiagramBuilder, LinkDiagram, open_tangle, twist_rows
 from .errors import FormatError
 from .moves import TWIST_CHIRALITY_POS, TkTemplate
 from .tangle import to_alternating_diagram
@@ -41,25 +41,20 @@ def chain_link(spec: ChainSpec) -> LinkDiagram:
     rail) to ring j+1 (right rail); ring i's gap twists sit between its
     west clasp and its east clasp.
     """
+    # gap i's left and right rails; with no twist, each is one arc from
+    # clasp i - 1 to clasp i
+    rails = [[[(side, i, j) for j in range(abs(t) + 1)] for side in "lr"]
+             for i, t in enumerate(spec.twists)]
+    rows: list[tuple] = []
+    for j in range(spec.n):  # clasp j: ring j on its left rail, ring j + 1 on its right
+        (left, right), (left_on, right_on) = rails[j], rails[(j + 1) % spec.n]
+        chi = CHAIN_CLASP_CHIRALITY * (-1 if not spec.alternating and j == 0 else 1)
+        rows += twist_rows(chi, (right[-1], ("c", j, 0), left[-1]),
+                           (right_on[0], ("c", j, 1), left_on[0]))
+    for (left, right), t in zip(rails, spec.twists):
+        rows += twist_rows(TWIST_CHIRALITY_POS * (1 if t >= 0 else -1), left, right)
     bld = DiagramBuilder()
-    n = spec.n
-    clasps = []
-    for j in range(n):
-        chi = CHAIN_CLASP_CHIRALITY
-        if not spec.alternating and j == 0:
-            chi = -chi
-        clasps.append(bld.twist_region(2, chi))
-    for i in range(n):
-        west = clasps[(i - 1) % n]  # ring i rides its right rail
-        east = clasps[i]            # ring i rides its left rail
-        gap = bld.twist_region(
-            abs(spec.twists[i]), TWIST_CHIRALITY_POS * (1 if spec.twists[i] >= 0 else -1)
-        )
-        # gap unit rotated 90 deg CCW between the clasps (in_r rides the top rail)
-        bld.weld(gap["in_r"], west["in_r"])
-        bld.weld(gap["in_l"], west["out_r"])
-        bld.weld(gap["out_r"], east["in_l"])
-        bld.weld(gap["out_l"], east["out_l"])
+    bld.place(open_tangle(rows), ())
     d = bld.build()
     d.require_valid()
     return d
@@ -92,13 +87,11 @@ def tk_closure(s, k: int, extra_twists: int = 0) -> LinkDiagram:
     t = to_alternating_diagram(s)
     if extra_twists:
         t = _tangle.boundary_twists(t, extra_twists)
+    rows, tk = TkTemplate(k).parts()
+    tangle_rows, r = t.parts()  # labels apart from the template's: int pairs
+    joins = ((tk["NW"], r["NW"]), (tk["NE"], r["SW"]), (tk["SW"], r["NE"]), (tk["SE"], r["SE"]))
     bld = DiagramBuilder()
-    tk_ports = TkTemplate(k).emit(bld)
-    r_ports = t.emit(bld)
-    bld.weld(tk_ports["NW"], r_ports["NW"])
-    bld.weld(tk_ports["NE"], r_ports["SW"])
-    bld.weld(tk_ports["SW"], r_ports["NE"])
-    bld.weld(tk_ports["SE"], r_ports["SE"])
+    bld.place(open_tangle(rows + tangle_rows, joins=joins), ())
     d = bld.build()
     d.require_valid()
     return d

@@ -19,10 +19,11 @@ still unchanged).
 Every move splices its fragment in through ``diagram.splice``, which
 judges a fixed table of candidate wirings in order, without building
 them, and builds the first valid one.  Each fragment is a hashable value
-(a `TkTemplate`, the clasped ring, a `_HalfTwist` of either chirality).
-The splice emits it only when its judge memo misses, into an empty
-builder whose fragment side and plan the memo keeps; its own builder
-takes the fragment's crossings labelled from that plan.  Each chain move
+(a `TkTemplate`, the clasped ring, a `_HalfTwist` of either chirality)
+whose call gives its open tangle: twist regions composed by sharing arc
+labels.  The splice makes the tangle only when its judge memo misses,
+and the memo keeps it with the judged wiring; the splice's builder
+places its crossings.  Each chain move
 looks its site up in the diagram it is given (`chain_site`), passes its
 gate, `admit`, and runs a private splice half, which `verify` calls for
 a step it has admitted itself.  Ring insertions and half twists
@@ -41,7 +42,6 @@ from typing import Iterator, Optional
 from . import tangle as _tangle
 from .classifier import ExteriorEvidence, Rational, Unchecked, excluded_exterior
 from .diagram import (
-    DiagramBuilder,
     LinkDiagram,
     _co_face,
     _disk_runs,
@@ -52,7 +52,10 @@ from .diagram import (
     _walk_corners,
     components,
     flip_wirings,
+    open_tangle,
+    rail,
     splice,
+    twist_rows,
 )
 from .errors import ExcludedExteriorError, SiteError
 
@@ -121,40 +124,31 @@ class TkTemplate:
     def crossing_count(self) -> int:
         return 6 + abs(self.k)
 
-    def emit(self, bld: DiagramBuilder) -> dict:
-        """Build the fragment; returns NW/NE/SW/SE boundary ports.
+    def parts(self) -> tuple[list[tuple], dict]:
+        """(rows, NW/NE/SW/SE boundary labels) of the template, its labels
+        letters and ("sw" or "se", i) pairs (see `twist_rows`, `rail`).
 
         gamma1 runs NW..NE along the top; gamma2 runs SW..SE along the
         bottom with the twist region between its legs at the boundary.
         """
         x1, x2, x3 = TK_CLASP_CHIRALITY
-        c1 = bld.twist_region(2, x1)
-        c2 = bld.twist_region(2, x2)
-        c3 = bld.twist_region(2, x3)
         chi = TWIST_CHIRALITY_POS * (1 if self.k >= 0 else -1)
-        tw = bld.twist_region(abs(self.k), chi)
-        # horizontal clasp regions stacked top to bottom; in the rotated
-        # frame the north rail is (in_r, out_r), the south rail (in_l, out_l).
-        # gamma1 rides c1's north rail; C1 = c1 south + c2 north;
-        # C2 = c2 south + c3 north; gamma2 rides c3's south rail with its
-        # legs dropping through the twist region to the SW/SE boundary.
-        bld.weld(c1["in_l"], c2["in_r"])
-        bld.weld(c1["out_l"], c2["out_r"])
-        bld.weld(c2["in_l"], c3["in_r"])
-        bld.weld(c2["out_l"], c3["out_r"])
-        bld.weld(c3["in_l"], tw["in_l"])
-        bld.weld(c3["out_l"], tw["in_r"])
-        return {
-            "NW": c1["in_r"],
-            "NE": c1["out_r"],
-            "SW": tw["out_l"],
-            "SE": tw["out_r"],
-        }
+        sw, se = rail("E", "sw", abs(self.k)), rail("F", "se", abs(self.k))
+        # horizontal clasp regions stacked top to bottom, each string a
+        # rail's labels; in the rotated frame the north rail is the right
+        # one.  gamma1 rides c1's north rail; C1 = c1 south (A..B) + c2
+        # north; C2 = c2 south (C..D) + c3 north; gamma2 rides c3's south
+        # rail (E..F) with its legs dropping through the twist region to
+        # the SW/SE boundary.
+        rows = (twist_rows(x1, "AaB", ("NW", "n", "NE")) + twist_rows(x2, "CcD", "AbB")
+                + twist_rows(x3, "EeF", "CdD") + twist_rows(chi, sw, se))
+        return rows, {"NW": "NW", "NE": "NE", "SW": sw[-1], "SE": se[-1]}
 
-    def __call__(self, bld: DiagramBuilder) -> tuple:
-        """The fragment a chain move splices: `emit`'s ports in the order
-        the chain moves' wirings index them."""
-        return _TK_PORTS(self.emit(bld))
+    def __call__(self) -> tuple:
+        """The fragment a chain move splices: the open tangle of `parts`,
+        its ports in the order the chain moves' wirings index them."""
+        rows, ports = self.parts()
+        return open_tangle(rows, _TK_PORTS(ports))
 
 
 # the Tk boundary ports in the order the chain moves' wirings index them
@@ -347,7 +341,7 @@ def switch_move(d: LinkDiagram, site: SwitchSite, h: Handedness) -> LinkDiagram:
 
 
 # Ring insertion wirings of the cut ends (g tail, g head, u tail, u head)
-# onto the clasp ports (ca in_l, ca out_l, cb in_r, cb out_r); 'switched'
+# onto the clasp ports (g, h, u, v of `_clasped_ring`); 'switched'
 # pairings route one g-end and one u-end through each clasp.
 _SWITCHED_RING_WIRINGS = flip_wirings(
     [((0, 3), (2, 1)), ((0, 2), (3, 1)), ((1, 2), (3, 0)), ((1, 3), (2, 0))]
@@ -371,21 +365,18 @@ def _insert_clasped_ring(d: LinkDiagram, g: int, u: int, switched: bool) -> Link
     )
 
 
-def _clasped_ring(bld: DiagramBuilder) -> tuple:
-    """The ring fragment: two clasps whose inner rails close into the ring."""
+def _clasped_ring() -> tuple:
+    """The ring fragment: two clasps whose inner rails (x..y) close into
+    the ring; ports g..h on the first clasp's outer rail, u..v on the
+    second's."""
     xa, xb = SWITCH_CLASP_CHIRALITY
-    ca = bld.twist_region(2, xa)
-    cb = bld.twist_region(2, xb)
-    bld.weld(ca["in_r"], cb["in_l"])
-    bld.weld(cb["out_l"], ca["out_r"])
-    return (ca["in_l"], ca["out_l"], cb["in_r"], cb["out_r"])
+    return open_tangle(twist_rows(xa, "gah", "xby") + twist_rows(xb, "xcy", "udv"), "ghuv")
 
 
 # Half-twist wirings of the cut ends (alpha tail, alpha head, beta tail,
-# beta head) onto the new crossing's ports: the canonical cross-join
-# (alpha tail, beta tail, beta head, alpha head) first, then every other
-# permutation.
-_TWIST_PORTS = itemgetter("in_l", "in_r", "out_r", "out_l")
+# beta head) onto the new crossing's ports (left in, right in, right out,
+# left out): the canonical cross-join (alpha tail, beta tail, beta head,
+# alpha head) first, then every other permutation.
 _HALF_TWIST_WIRINGS = ((0, 2, 3, 1),) + tuple(
     p for p in itertools.permutations(range(4)) if p != (0, 2, 3, 1)
 )
@@ -436,8 +427,8 @@ class _HalfTwist:
 
     chirality: int
 
-    def __call__(self, bld: DiagramBuilder) -> tuple:
-        return _TWIST_PORTS(bld.twist_region(1, self.chirality))
+    def __call__(self) -> tuple:
+        return open_tangle(twist_rows(self.chirality, "ab", "cd"), "acdb")
 
 
 def half_twist(d: LinkDiagram, c: int, direction: int) -> LinkDiagram:

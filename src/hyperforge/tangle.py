@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 from .errors import FormatError, MixedSignError
 
 if TYPE_CHECKING:  # diagram is imported where a diagram is built
-    from .diagram import DiagramBuilder, LinkDiagram
+    from .diagram import LinkDiagram
 
 # Crossing chirality per twist-region flavor for positive entries; negative
 # entries use the mirror.  Pinned by the alternation of sign-homogeneous
@@ -180,7 +180,9 @@ class TangleDiagram:
     ``extra_twists`` are appended to the outermost (east) region without
     touching the sequence; they keep their own crossings even when they
     would cancel arithmetically, which is exactly what the Tk closure
-    identity needs.
+    identity needs.  `parts` gives its crossings as rows of arc labels,
+    each region a twist region whose rails run on from the ports before
+    it, which a closure joins.
     """
 
     sequence: ConwaySequence
@@ -190,37 +192,33 @@ class TangleDiagram:
     def crossing_count(self) -> int:
         return sum(abs(c) for c in self.sequence) + abs(self.extra_twists)
 
-    def emit(self, bld: DiagramBuilder) -> dict:
-        """Build the fragment into ``bld``; returns NW/NE/SW/SE ports."""
+    def parts(self) -> tuple[list[tuple], dict]:
+        """(rows, NW/NE/SW/SE boundary labels) of the fragment, its labels
+        pairs of ints (see ``diagram.twist_rows`` and ``diagram.rail``)."""
+        from .diagram import rail, twist_rows
+
         n = len(self.sequence)
-        if n % 2 == 1:
-            top, bottom = bld.terminal("h_top"), bld.terminal("h_bot")
-            ports = {"NW": top, "NE": top, "SW": bottom, "SE": bottom}
-        else:
-            left, right = bld.terminal("v_left"), bld.terminal("v_right")
-            ports = {"NW": left, "SW": left, "NE": right, "SE": right}
+        if n % 2 == 1:  # two horizontal strands
+            ports = {"NW": (0, 0), "NE": (0, 0), "SW": (0, 1), "SE": (0, 1)}
+        else:  # two vertical strands
+            ports = {"NW": (0, 0), "SW": (0, 0), "NE": (0, 1), "SE": (0, 1)}
+        rows: list[tuple] = []
         # the extra twists are one more east region, after the sequence's
         regions = [(c, (n - i) % 2 == 0) for i, c in enumerate(self.sequence, start=1)]
-        for c, east in regions + [(self.extra_twists, True)]:
+        for i, (c, east) in enumerate(regions + [(self.extra_twists, True)], start=1):
             if c == 0:
                 continue
             chi = (EAST_CHIRALITY_POS if east else BOTTOM_CHIRALITY_POS) * (
                 1 if c > 0 else -1
             )
-            region = bld.twist_region(abs(c), chi)
-            if east:
-                # unit rotated 90 deg CCW: west-side in-ports are (in_r top,
-                # in_l bottom)
-                bld.weld(region["in_r"], ports["NE"])
-                bld.weld(region["in_l"], ports["SE"])
-                ports["NE"] = region["out_r"]
-                ports["SE"] = region["out_l"]
-            else:
-                bld.weld(region["in_l"], ports["SW"])
-                bld.weld(region["in_r"], ports["SE"])
-                ports["SW"] = region["out_l"]
-                ports["SE"] = region["out_r"]
-        return ports
+            # an east region is the unit rotated 90 deg CCW: its left rail
+            # runs on from SE and its right rail from NE; a bottom region's
+            # run on from SW and SE
+            a, b = ("SE", "NE") if east else ("SW", "SE")
+            left, right = rail(ports[a], 2 * i, abs(c)), rail(ports[b], 2 * i + 1, abs(c))
+            rows += twist_rows(chi, left, right)
+            ports[a], ports[b] = left[-1], right[-1]
+        return rows, ports
 
 
 def to_alternating_diagram(s) -> TangleDiagram:
@@ -235,10 +233,9 @@ def boundary_twists(t: TangleDiagram, n: int) -> TangleDiagram:
 
 def numerator_closure(t: TangleDiagram) -> LinkDiagram:
     """Join NW-NE and SW-SE."""
-    from .diagram import DiagramBuilder
+    from .diagram import DiagramBuilder, open_tangle
 
+    rows, ports = t.parts()
     bld = DiagramBuilder()
-    ports = t.emit(bld)
-    bld.weld(ports["NW"], ports["NE"])
-    bld.weld(ports["SW"], ports["SE"])
+    bld.place(open_tangle(rows, joins=((ports["NW"], ports["NE"]), (ports["SW"], ports["SE"]))), ())
     return bld.build()

@@ -17,20 +17,20 @@ candidate wiring in turn instead of judging them from the two sides'
 walks (both renormalise each candidate's crossings with every strand
 component walked instead of only those through the arcs the build
 changed), the emitting-splice oracle reads
-a fragment's side at every splice, off the builder over the base,
-instead of off an empty builder on a judge miss alone, and judges every
-splice's wirings afresh instead of asking a memo keyed by the base
-side's shape, the welded-splice oracle (and the emitting one) emits the
-fragment into the splice's own builder, gives its ports their ends'
-labels by the port map and labels its slots from the weld chains
-instead of placing its crossings labelled from the plan the judge memo
-keeps, the two splice-side oracles
+a fragment's side at every splice, off the weld chains of the builder
+over the base, instead of off the fragment's open tangle on a judge miss
+alone, and judges every splice's wirings afresh instead of asking a
+memo keyed by the base side's shape, the welded-splice oracle (and the
+emitting one) emits the fragment's weld program into the splice's own
+builder, gives its ports their ends' labels by the port map and labels
+its slots from the weld chains instead of placing the open tangle the
+judge memo keeps, the two splice-side oracles
 walk each side with walks of their own, search its parts and trace their
 faces instead of taking its face orbits for its parts, assert that each
 part is planar with its ends on one face, and
 walk each end's strand on its own (the fragment-side oracle emits the
-fragment into a builder of its own and labels it there instead of
-reading the splice builder's welds; the base-side oracle reads the
+fragment's weld program into a builder of its own and labels it there
+instead of reading the tangle's labels; the base-side oracle reads the
 heads off `trace_oracle` and votes by the first under-slot a walk
 enters), and the orientation oracles walk a
 component a second time to go backward instead of reading the forward
@@ -52,10 +52,17 @@ step's evidence itself, with the fraction and component arithmetic of its
 own, and looks a site up only for declared evidence.  The crossing-drop
 oracle is how R1/R2 undos and component removal built their output before
 they went through the builder: a union-find over the joined arcs and a
-bare diagram, analysed afresh.  The trail builder labels as the builder
-did before each weld paired its chain's ends: it keeps each port's welds
-and walks them from every open slot, then walks the plain terminals left
-over for crossing-free loops; it labels builds without joins.  The PD parser oracle cuts the text into
+bare diagram, analysed afresh.  The weld builder is the builder's weld
+half as it was before fragments and generators became open tangles: it
+makes crossings and terminals, welds them into chains whose ends it
+pairs, and labels each open slot by its chain's far end; with the
+weld-written fragments and generators beside it, and `tangle_of`, which
+reads a weld program's tangle as the builder's plan did, it is the
+reference the open tangles are checked against.  The trail builder
+labels as the weld builder did before each weld paired its chain's ends:
+it keeps each port's welds and walks them from every open slot, then
+walks the plain terminals left over for crossing-free loops; it labels
+builds without joins.  The PD parser oracle cuts the text into
 tokens in one pass and reads each token with a second regex, as
 `parse_pd` did before one regex read each token once.  The R1/R2 scan
 oracles are `find_kinks` and `find_r2_bigons` as they were before they
@@ -69,6 +76,7 @@ analysis, it converts at that one point (`slot_occ`, `slot_faces`).
 """
 
 import copy
+import functools
 import itertools
 import re
 from fractions import Fraction as QQ
@@ -76,7 +84,9 @@ from typing import Iterable, Optional
 from unittest import mock
 
 import hyperforge.classifier as cls
+import hyperforge.generators as generators
 import hyperforge.moves as moves
+import hyperforge.tangle as tangle
 from hyperforge.certificate import (
     AbstractManifold,
     ChainStep,
@@ -100,6 +110,7 @@ from hyperforge.diagram import (
     _passages,
     _fragment_side,
     _judged,
+    _r2_fragment,
     _ring_fault,
     _Side,
     _Strands,
@@ -418,15 +429,16 @@ def splice_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), remove=(),
                   reorient=False):
     """`diagram.splice` before its analysis became lazy and before a
     reorienting splice became one pass: the same candidates in the same
-    order, each built by `_built` and judged by `eager_report(out).valid`;
-    with ``reorient``, every wiring is first tried strictly, and only then
-    again with frozen crossings free to turn."""
+    order, each welded from the fragment's weld program, built by `_built`
+    and judged by `eager_report(out).valid`; with ``reorient``, every
+    wiring is first tried strictly, and only then again with frozen
+    crossings free to turn."""
     last_err: Optional[Exception] = None
     for allow_reorient in (False, True) if reorient else (False,):
         for wiring in wirings:
-            bld = DiagramBuilder(base=base, remove=remove)
+            bld = WeldBuilder(base=base, remove=remove)
             ends = [label for arc in cut for label in bld.cut(arc)] + list(stubs)
-            ports = emit(bld)
+            ports = weld_program(emit)(bld)
             bld.port_labels = {port: ends[end] for port, end in zip(ports, wiring)}
             try:
                 out = _built(bld, allow_reorient)
@@ -441,14 +453,15 @@ def splice_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), remove=(),
 def wiring_loop_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), remove=(),
                        reorient=False):
     """`diagram.splice` before it judged the wirings without building them:
-    one builder per candidate in table order, each built by `_built`, free
-    to turn frozen crossings when ``reorient``, and the first planar and
-    valid output kept."""
+    one weld builder per candidate in table order, each welded from the
+    fragment's weld program and built by `_built`, free to turn frozen
+    crossings when ``reorient``, and the first planar and valid output
+    kept."""
     last_err: Optional[Exception] = None
     for wiring in wirings:
-        bld = DiagramBuilder(base=base, remove=remove)
+        bld = WeldBuilder(base=base, remove=remove)
         ends = [label for arc in cut for label in bld.cut(arc)] + list(stubs)
-        ports = emit(bld)
+        ports = weld_program(emit)(bld)
         bld.port_labels = {port: ends[end] for port, end in zip(ports, wiring)}
         try:
             out = _built(bld, reorient)
@@ -463,7 +476,8 @@ def wiring_loop_oracle(base, emit, wirings, failure, *, cut=(), stubs=(), remove
 def _welding_splice(judge, base, emit, wirings, failure, *, cut=(), stubs=(), remove=(),
                     reorient=False):
     """`diagram.splice` as it was before it placed its fragment from the
-    judge's plan: the fragment is emitted into the splice's own builder,
+    judge's plan: the fragment's weld program is emitted into the splice's
+    own weld builder,
     the wiring ``judge(near, emit, bld, ports, wirings)`` gives as (wiring
     or None, whether a wiring needed a frozen crossing turned) gives each
     port its end's label by the port map, and the build labels every slot
@@ -471,9 +485,9 @@ def _welding_splice(judge, base, emit, wirings, failure, *, cut=(), stubs=(), re
     removed = frozenset(remove)
     base.require_valid()
     near = _base_side(base, removed, cut, stubs, directed=not reorient)
-    bld = DiagramBuilder(base=base, remove=removed)
+    bld = WeldBuilder(base=base, remove=removed)
     ends = [label for arc in cut for label in bld.cut(arc)] + list(stubs)
-    ports = emit(bld)
+    ports = weld_program(emit)(bld)
     wiring, turned = judge(near, emit, bld, ports, tuple(map(tuple, wirings)))
     if wiring is None:
         raise SiteError(f"{failure} ({WiringError(_DIRECTION_CONFLICT) if turned else None})")
@@ -485,7 +499,7 @@ def _welding_splice(judge, base, emit, wirings, failure, *, cut=(), stubs=(), re
 
 
 def _judged_afresh(near, emit, bld, ports, wirings):
-    far = _fragment_side(bld, ports)
+    far = bld.fragment_side(ports)
     turned = False
     for wiring in wirings:
         fault = "non-planar" if far is None else _wiring_fault(near, far, wiring)
@@ -496,11 +510,11 @@ def _judged_afresh(near, emit, bld, ports, wirings):
 
 
 def emitting_splice_oracle(*args, **kwargs):
-    """`diagram.splice` without its judge memo and its plan: the fragment
-    side is read at every splice, off the chain ends of the splice's own
-    builder, the fragment's corners and terminals numbered where the emit
-    put them there, every wiring is judged afresh, and the chosen one is
-    welded and labelled there."""
+    """`diagram.splice` without its judge memo and its open tangle: the
+    fragment side is read at every splice, off the chain ends of the
+    splice's own weld builder, the fragment's corners and terminals
+    numbered where its weld program put them there, every wiring is judged
+    afresh, and the chosen one is welded and labelled there."""
     return _welding_splice(_judged_afresh, *args, **kwargs)
 
 
@@ -509,9 +523,10 @@ def _memo_wiring(near, emit, _bld, _ports, wirings):
 
 
 def welded_splice_oracle(*args, **kwargs):
-    """`diagram.splice` without its plan: the wiring is the judge memo's
-    (`_judged`), and the fragment is emitted into the splice's own builder
-    and labelled there, not placed from the memo's plan."""
+    """`diagram.splice` without its open tangle: the wiring is the judge
+    memo's (`_judged`), and the fragment's weld program is emitted into the
+    splice's own weld builder and labelled there, not placed from the
+    tangle the memo keeps."""
     return _welding_splice(_memo_wiring, *args, **kwargs)
 
 
@@ -609,13 +624,13 @@ def _traced_side(crossings, occ, ends, through=(), strands=True, votes=False):
 
 
 def fragment_side_oracle(emit) -> Optional[_Side]:
-    """`diagram._fragment_side` before a splice emitted its fragment once
-    and before it took the face orbits for the parts: the fragment is
-    emitted into a builder of its own, port i labelled -1 - i by the port
-    map, and labelled there; its faces are traced.  None when a crossing
-    is on no part with a port."""
-    bld = DiagramBuilder()
-    ports = emit(bld)
+    """`diagram._fragment_side` before a fragment was an open tangle and
+    before it took the face orbits for the parts: the fragment's weld
+    program is emitted into a weld builder of its own, port i labelled
+    -1 - i by the port map, and labelled there; its faces are traced.
+    None when a crossing is on no part with a port."""
+    bld = WeldBuilder()
+    ports = weld_program(emit)(bld)
     bld.port_labels = {port: -1 - i for i, port in enumerate(ports)}
     bld._label()
     occ = {}
@@ -1135,12 +1150,303 @@ class DroppingBuilder:
         return out
 
 
-class TrailBuilder(DiagramBuilder):
-    """`DiagramBuilder` that also keeps each port's list of welds, and the
+class WeldBuilder(DiagramBuilder):
+    """`DiagramBuilder` with the weld half it had before fragments and
+    generators became open tangles: the reference the tangle form is
+    checked against.
+
+    Ports are crossing slots, as corners 4 * ci + si, or terminals, which
+    are tuples.  Welds chain the ports of new crossings through plain
+    terminals.  ``weld`` pairs the two ends of each chain as it makes it:
+    ``far`` maps each end (a crossing slot or a plain terminal welded once)
+    to the other, ``welds`` counts each port's welds, and a weld that
+    closes a chain of plain terminals adds a crossing-free loop to
+    ``loops``.  ``port_labels`` gives some ports a label of their own, as
+    `tangle_of` gives a fragment's ports theirs.  The build labels each
+    open slot by its chain's far end."""
+
+    def __init__(self, base: Optional[LinkDiagram] = None, remove: Iterable[int] = ()):
+        super().__init__(base, remove)
+        self.welds: dict = {}  # port -> its weld count
+        self.far: dict = {}  # weld chain end -> the chain's other end
+        self.port_labels: dict = {}  # port -> its label
+        self._terminal_count = 0
+
+    def crossing(self) -> int:
+        self.protos.append([None, None, None, None])
+        return len(self.protos) - 1
+
+    def terminal(self, name: str = "t"):
+        self._terminal_count += 1
+        return ("t", self._terminal_count, name)
+
+    def weld(self, p, q) -> None:
+        """Weld ports ``p`` and ``q``, joining the chains they end.  A crossing
+        slot takes one weld and a plain terminal two, counted one at a time,
+        so a self-weld counts twice."""
+        for port in (p, q):
+            count = self.welds.get(port, 0) + 1
+            if count > self._capacity(port):
+                shown = port if self._is_terminal(port) else divmod(port, 4)
+                raise AssertionError(f"over-welded port {shown}")
+            self.welds[port] = count
+        a, b = self.far.pop(p, p), self.far.pop(q, q)
+        if a == q:  # p and q end one chain, of plain terminals: it closes
+            self.loops += 1
+        else:
+            self.far[a], self.far[b] = b, a
+
+    def _far_end(self, k: int):
+        """The other end of the weld chain at crossing slot ``k``."""
+        if k not in self.far:
+            raise AssertionError(f"unwelded crossing slot {divmod(k, 4)}")
+        return self.far[k]
+
+    def _capacity(self, port) -> int:
+        return 2 if self._is_terminal(port) else 1
+
+    def _is_terminal(self, port) -> bool:
+        return not isinstance(port, int)  # a crossing slot is its corner
+
+    def twist_crossing(self, chirality: int) -> dict:
+        """One crossing of a two-rail twist region.
+
+        chirality +1: the strand entering on the left rail goes over;
+        chirality -1: the right one does.  Rails swap below the crossing.
+        """
+        k = 4 * self.crossing()
+        if chirality > 0:
+            # under: in_r -> out_l; CCW from in_r: (in_r, in_l, out_l, out_r)
+            return {"in_r": k, "in_l": k + 1, "out_l": k + 2, "out_r": k + 3}
+        # under: in_l -> out_r; CCW from in_l: (in_l, out_l, out_r, in_r)
+        return {"in_l": k, "out_l": k + 1, "out_r": k + 2, "in_r": k + 3}
+
+    def twist_region(self, n: int, chirality: int) -> dict:
+        """n same-handed crossings; for n = 0 the rails pass straight through."""
+        if n < 0:
+            raise AssertionError("twist_region wants a count, not a signed twist")
+        if n == 0:
+            t1, t2 = self.terminal("pass_l"), self.terminal("pass_r")
+            return {"in_l": t1, "out_l": t1, "in_r": t2, "out_r": t2}
+        first = self.twist_crossing(chirality)
+        cur = first
+        for _ in range(n - 1):
+            nxt = self.twist_crossing(chirality)
+            self.weld(cur["out_l"], nxt["in_l"])
+            self.weld(cur["out_r"], nxt["in_r"])
+            cur = nxt
+        return {"in_l": first["in_l"], "in_r": first["in_r"],
+                "out_l": cur["out_l"], "out_r": cur["out_r"]}
+
+    def _label(self) -> int:
+        """Label every open crossing slot from ``far``, in place, after the
+        joins; returns the loop count.  A slot at a port of
+        ``port_labels``, or whose chain ends at one, takes that port's
+        label, and the two slots that end one chain share a fresh one,
+        taken in slot order; a terminal port there is complete with one
+        weld."""
+        labels = self.port_labels
+        for t, count in self.welds.items():
+            if self._is_terminal(t) and count != self._capacity(t) - (t in labels):
+                raise AssertionError(f"incomplete terminal {t}")
+        loops = super()._label()
+        # the kept base crossings are labelled already
+        for ci in range(self.n_frozen, len(self.protos)):
+            for si in range(4):
+                if self.protos[ci][si] is None:
+                    k = 4 * ci + si
+                    end = k if k in labels else self._far_end(k)
+                    if end in labels:
+                        self.protos[ci][si] = labels[end]
+                    else:
+                        self.protos[ci][si] = self.protos[end >> 2][end & 3] = self.fresh_label()
+        return loops
+
+    def fragment_side(self, ports) -> Optional[_Side]:
+        """`diagram._fragment_side` of the fragment this builder's new
+        crossings make, its ends ``ports`` in order, read off the chain
+        ends before any port is welded: a slot at port i, or whose chain
+        ends there, is labelled -1 - i, and the two slots that end one
+        chain share a label; nothing is labelled in the builder."""
+        port_of = {port: i for i, port in enumerate(ports)}
+        first = 4 * self.n_frozen
+
+        def label(k):
+            end = k if k in port_of else self._far_end(k)
+            return -1 - port_of[end] if end in port_of else 1 + min(k, end) - first
+
+        return _fragment_side([[label(4 * ci + si) for si in range(4)]
+                               for ci in range(self.n_frozen, len(self.protos))])
+
+
+def tangle_of(program) -> tuple:
+    """The open tangle of a weld program (``program(bld)`` adds crossings,
+    terminals and welds to ``bld`` and gives its ports): `diagram._plan` as
+    it was, port i labelled -1 - i by the port map and each inner arc
+    numbered in the order the weld labeller takes its fresh label."""
+    bld = WeldBuilder()
+    ports = program(bld)
+    bld.port_labels = {port: -1 - i for i, port in enumerate(ports)}
+    loops = bld._label()
+    return tuple(map(tuple, bld.protos)), bld._next_arc - 1, loops
+
+
+def welded(program):
+    """A splice fragment made from a weld program: its call gives
+    `tangle_of(program)`, and `weld_program` gives the program back."""
+
+    @functools.wraps(program)
+    def fragment():
+        return tangle_of(program)
+
+    fragment.program = program
+    return fragment
+
+
+# the weld-written fragments and generators, as the library wrote them
+# before they became open tangles
+
+
+def weld_tk_template(k: int, bld) -> dict:
+    """`TkTemplate(k)`'s NW/NE/SW/SE ports, welded into ``bld``."""
+    x1, x2, x3 = moves.TK_CLASP_CHIRALITY
+    c1 = bld.twist_region(2, x1)
+    c2 = bld.twist_region(2, x2)
+    c3 = bld.twist_region(2, x3)
+    chi = moves.TWIST_CHIRALITY_POS * (1 if k >= 0 else -1)
+    tw = bld.twist_region(abs(k), chi)
+    bld.weld(c1["in_l"], c2["in_r"])
+    bld.weld(c1["out_l"], c2["out_r"])
+    bld.weld(c2["in_l"], c3["in_r"])
+    bld.weld(c2["out_l"], c3["out_r"])
+    bld.weld(c3["in_l"], tw["in_l"])
+    bld.weld(c3["out_l"], tw["in_r"])
+    return {"NW": c1["in_r"], "NE": c1["out_r"], "SW": tw["out_l"], "SE": tw["out_r"]}
+
+
+def weld_clasped_ring(bld) -> tuple:
+    xa, xb = moves.SWITCH_CLASP_CHIRALITY
+    ca = bld.twist_region(2, xa)
+    cb = bld.twist_region(2, xb)
+    bld.weld(ca["in_r"], cb["in_l"])
+    bld.weld(cb["out_l"], ca["out_r"])
+    return (ca["in_l"], ca["out_l"], cb["in_r"], cb["out_r"])
+
+
+def weld_half_twist(chirality: int, bld) -> tuple:
+    x = bld.twist_region(1, chirality)
+    return (x["in_l"], x["in_r"], x["out_r"], x["out_l"])
+
+
+def weld_r2_fragment(bld) -> tuple:
+    c1 = bld.twist_crossing(+1)
+    c2 = bld.twist_crossing(-1)
+    bld.weld(c1["out_l"], c2["in_l"])
+    bld.weld(c1["out_r"], c2["in_r"])
+    return (c1["in_l"], c2["out_l"], c1["in_r"], c2["out_r"])
+
+
+def weld_tangle(t, bld) -> dict:
+    """`TangleDiagram` ``t``'s NW/NE/SW/SE ports, welded into ``bld``."""
+    n = len(t.sequence)
+    if n % 2 == 1:
+        top, bottom = bld.terminal("h_top"), bld.terminal("h_bot")
+        ports = {"NW": top, "NE": top, "SW": bottom, "SE": bottom}
+    else:
+        left, right = bld.terminal("v_left"), bld.terminal("v_right")
+        ports = {"NW": left, "SW": left, "NE": right, "SE": right}
+    regions = [(c, (n - i) % 2 == 0) for i, c in enumerate(t.sequence, start=1)]
+    for c, east in regions + [(t.extra_twists, True)]:
+        if c == 0:
+            continue
+        chi = (tangle.EAST_CHIRALITY_POS if east else tangle.BOTTOM_CHIRALITY_POS) * (
+            1 if c > 0 else -1)
+        region = bld.twist_region(abs(c), chi)
+        if east:
+            bld.weld(region["in_r"], ports["NE"])
+            bld.weld(region["in_l"], ports["SE"])
+            ports["NE"] = region["out_r"]
+            ports["SE"] = region["out_l"]
+        else:
+            bld.weld(region["in_l"], ports["SW"])
+            bld.weld(region["in_r"], ports["SE"])
+            ports["SW"] = region["out_l"]
+            ports["SE"] = region["out_r"]
+    return ports
+
+
+def weld_program(fragment):
+    """The weld-written emitter of a splice fragment: ``fragment.program``
+    when it has one (`welded`), and otherwise the weld form of the
+    library's fragment, its ports in the fragment's order."""
+    if hasattr(fragment, "program"):
+        return fragment.program
+    if isinstance(fragment, moves.TkTemplate):
+        return lambda bld: moves._TK_PORTS(weld_tk_template(fragment.k, bld))
+    if isinstance(fragment, moves._HalfTwist):
+        return functools.partial(weld_half_twist, fragment.chirality)
+    return {moves._clasped_ring: weld_clasped_ring, _r2_fragment: weld_r2_fragment}[fragment]
+
+
+def weld_chain_link(spec) -> LinkDiagram:
+    """`generators.chain_link`, welded."""
+    bld = WeldBuilder()
+    n = spec.n
+    clasps = []
+    for j in range(n):
+        chi = generators.CHAIN_CLASP_CHIRALITY
+        if not spec.alternating and j == 0:
+            chi = -chi
+        clasps.append(bld.twist_region(2, chi))
+    for i in range(n):
+        west = clasps[(i - 1) % n]
+        east = clasps[i]
+        gap = bld.twist_region(abs(spec.twists[i]),
+                               moves.TWIST_CHIRALITY_POS * (1 if spec.twists[i] >= 0 else -1))
+        bld.weld(gap["in_r"], west["in_r"])
+        bld.weld(gap["in_l"], west["out_r"])
+        bld.weld(gap["out_r"], east["in_l"])
+        bld.weld(gap["out_l"], east["out_l"])
+    return bld.build()
+
+
+def weld_tk_closure(s, k: int, extra_twists: int = 0) -> LinkDiagram:
+    """`generators.tk_closure`, welded."""
+    t = tangle.boundary_twists(tangle.to_alternating_diagram(s), extra_twists)
+    bld = WeldBuilder()
+    tk_ports = weld_tk_template(k, bld)
+    r_ports = weld_tangle(t, bld)
+    bld.weld(tk_ports["NW"], r_ports["NW"])
+    bld.weld(tk_ports["NE"], r_ports["SW"])
+    bld.weld(tk_ports["SW"], r_ports["NE"])
+    bld.weld(tk_ports["SE"], r_ports["SE"])
+    return bld.build()
+
+
+def weld_numerator_closure(t) -> LinkDiagram:
+    """`tangle.numerator_closure`, welded."""
+    bld = WeldBuilder()
+    ports = weld_tangle(t, bld)
+    bld.weld(ports["NW"], ports["NE"])
+    bld.weld(ports["SW"], ports["SE"])
+    return bld.build()
+
+
+def weld_braid2_template(n: int, mirror: bool = False) -> LinkDiagram:
+    """`diagram.braid2_template`, welded."""
+    bld = WeldBuilder()
+    region = bld.twist_region(n, +1 if not mirror else -1)
+    bld.weld(region["out_l"], region["in_l"])
+    bld.weld(region["out_r"], region["in_r"])
+    return bld.build()
+
+
+class TrailBuilder(WeldBuilder):
+    """`WeldBuilder` that also keeps each port's list of welds, and the
     labeller as it was before each weld paired its chain's ends: `trail`
     walks the welds from a slot, `label` trails from every open slot and
     then walks the plain terminals left over for crossing-free loops, and
-    `fragment_side` is `diagram._fragment_side` with each slot's far end
+    `fragment_side` is `WeldBuilder.fragment_side` with each slot's far end
     read off its trail."""
 
     def __init__(self, base: Optional[LinkDiagram] = None, remove: Iterable[int] = ()):
@@ -1206,10 +1512,10 @@ class TrailBuilder(DiagramBuilder):
         return loops
 
     def fragment_side(self, ports) -> Optional[_Side]:
-        """`diagram._fragment_side` of this builder, each fragment slot that is
-        no port joined to the end of its trail instead of its ``far`` end."""
+        """`WeldBuilder.fragment_side` of this builder, each fragment slot that
+        is no port joined to the end of its trail instead of its ``far`` end."""
         port_of = {port: i for i, port in enumerate(ports)}
         twin = copy.copy(self)
         twin.far = {k: self.trail(k, port_of)[-1]
                     for k in range(4 * self.n_frozen, 4 * len(self.protos)) if k not in port_of}
-        return _fragment_side(twin, ports)
+        return super(TrailBuilder, twin).fragment_side(ports)

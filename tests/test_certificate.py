@@ -438,18 +438,18 @@ def test_a_chain_step_past_the_subject_size_is_refused_unbuilt():
     """No step removes crossings and a chain step adds 2 + |k|, so a step
     whose |k| exceeds the subject's crossing count can never replay to the
     subject: verify refuses it at its own index, with no Tk template
-    emitted, however large k is.  One |k| short of that it replays, and
+    made, however large k is.  One |k| short of that it replays, and
     the subject check refuses it as before."""
     import hyperforge.moves as moves
 
     cert, d4 = chain_cert()
     c5 = extend(cert, first_chain_step(d4))
     n = len(c5.subject.crossings)
-    emit, emitted = moves.TkTemplate.emit, []
+    parts, emitted = moves.TkTemplate.parts, []
 
-    def counted(template, bld):
+    def counted(template):
         emitted.append(template.k)
-        return emit(template, bld)
+        return parts(template)
 
     for k, failed, reason in ((10**9, 0, f"k={10**9} adds more crossings than the subject has"),
                               (-n - 1, 0, f"k={-n - 1} adds more crossings than the subject has"),
@@ -457,7 +457,7 @@ def test_a_chain_step_past_the_subject_size_is_refused_unbuilt():
         doc = json.loads(serialize(c5))
         doc["steps"][0]["k"] = k
         del emitted[:]
-        with mock.patch.object(moves.TkTemplate, "emit", counted):
+        with mock.patch.object(moves.TkTemplate, "parts", counted):
             v = verify(deserialize(json.dumps(doc)))
         assert (v.valid, v.failed_step, v.reason) == (False, failed, reason)
         assert set(emitted) == (set() if failed == 0 else {k})
@@ -563,6 +563,68 @@ def test_glue_round_trip():
     g = glue(c1, c2, "T1", "S1", GEO)
     doc = serialize(g)
     assert verify(deserialize(doc)).valid
+
+
+def _verdict(cert):
+    v = verify(cert)
+    return v.valid, v.failed_step, v.reason
+
+
+def test_an_augmented_base_whose_ring_bounds_no_disk_is_refused():
+    """An AugmentedAlternating base whose augmenting component bounds no
+    twice-punctured disk (the trefoil's one component crosses six times)
+    is refused at the base, with the certifier's refusal."""
+    d = rational_link([3])
+    cert = Certificate(base="AugmentedAlternating", subject=d, base_diagram=d, augmenting=(0,))
+    assert _verdict(cert) == (
+        False, -1, "base refused: BadAugmenting (0,) component 0 crosses 6 times; "
+        "the pattern needs 4")
+
+
+def test_an_externally_asserted_diagram_base_is_a_trusted_premise():
+    """An ExternallyAsserted base over a diagram is not checked: the
+    certificate verifies, and the assertion is recorded as a trusted
+    premise."""
+    d4 = chain_link(ChainSpec(4))
+    cert = Certificate(base="ExternallyAsserted", subject=d4, base_diagram=d4,
+                       description="census manifold")
+    v = verify(cert)
+    assert (v.valid, v.failed_step, v.reason) == (True, None, "")
+    assert v.trusted_premises == ("base asserted externally: census manifold",)
+    assert v.step_reports[0] == "base: ExternallyAsserted (trusted)"
+
+
+def _glued(step):
+    """A census certificate of M1 (tori T1, T2), its subject M1 itself,
+    with ``step`` as its one step."""
+    c1 = census("M1", (("T1", "torus"), ("T2", "torus")))
+    return replace(c1, steps=(step,))
+
+
+@pytest.mark.parametrize("step, failed, reason", [
+    (HalfTwistStep(0, 1), 0, "abstract certificates admit only glue steps"),
+    (GlueStep(Certificate(base="ExternallyAsserted",
+                          subject=AbstractManifold("N", (("S1", "torus"),)),
+                          base_manifold=AbstractManifold("N", (("S1", "torus"),))),
+              "T1", "S1", GEO),
+     0, "glued certificate invalid: base manifold is not asserted hyperbolic"),
+    (GlueStep(menasco_certify(chain_link(ChainSpec(4))), "T1", "S1", GEO),
+     0, "glue step needs an abstract-manifold certificate"),
+    (GlueStep(census("M2", (("S1", "torus"),)), "T9", "S1", GEO),
+     0, "manifold M1 has no boundary 'T9'"),
+    (GlueStep(census("K2", (("B2", "klein"),)), "T1", "B2", GEO),
+     0, "boundary mismatch: torus glued to klein"),
+    (GlueStep(census("M2", (("S1", "torus"),)), "T1", "S1", GEO),
+     1, "glued manifold does not match the subject"),
+], ids=["non-glue-step", "invalid-glued", "diagram-glued", "no-boundary", "kind-mismatch",
+        "wrong-subject"])
+def test_abstract_refusals(step, failed, reason):
+    """Each refusal of an abstract-manifold certificate's replay: a step
+    that is no glue step, a glued certificate that does not verify, one
+    about a diagram, a boundary the manifold does not have, a torus glued
+    to a Klein bottle, and a glue whose result is not the subject (the
+    subject here is the base manifold itself)."""
+    assert _verdict(_glued(step)) == (False, failed, reason)
 
 
 def test_mixed_step_pipeline_verifies():

@@ -587,15 +587,15 @@ def test_verify_exits_2_on_a_chain_step_naming_other_than_two_strands(tmp_path):
 
 def test_verify_refuses_an_oversized_chain_step_unbuilt():
     """A chain step whose |k| exceeds the subject's crossings exits 1 at its
-    own index, before any Tk template is emitted."""
+    own index, before any Tk template is made."""
     import hyperforge.moves as moves
 
     doc = json.loads(_derivation_document())
     doc["steps"][0]["k"] = 10**9
     emitted = []
-    emit = moves.TkTemplate.emit
-    with mock.patch.object(moves.TkTemplate, "emit",
-                           lambda template, bld: emitted.append(template) or emit(template, bld)):
+    parts = moves.TkTemplate.parts
+    with mock.patch.object(moves.TkTemplate, "parts",
+                           lambda template: emitted.append(template) or parts(template)):
         code, out = run(["verify"], stdin_text=json.dumps(doc))
     assert code == REFUSED
     assert out.startswith(

@@ -780,3 +780,12 @@ def test_gauss_malformed():
         parse_gauss("1: +1x")
     with pytest.raises(FormatError):
         parse_gauss("no colon here at all +1o")
+
+
+def test_two_braid_status_is_unknown_when_the_budget_runs_out():
+    """A kinked (2, 3) template reduces to the template in one R1 step: with
+    no step left in the budget the reduction is not stable, and the answer
+    is "unknown"; with the default budget it is "yes"."""
+    kinked = reidemeister1(braid2_template(3), 1, +1)
+    assert two_braid_status(kinked, budget=0) == "unknown"
+    assert two_braid_status(kinked) == "yes"

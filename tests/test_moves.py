@@ -37,6 +37,8 @@ from hyperforge.moves import (
 )
 from hyperforge.tangle import ConwaySequence
 
+from oracles import welded
+
 EVIDENCE = DeclaredNonRational("test fixture")
 
 
@@ -410,6 +412,7 @@ def test_each_move_adds_its_crossings_and_components(n, data):
 # splicing ------------------------------------------------------------------------
 
 
+@welded
 def one_crossing(bld):
     x = bld.twist_region(1, +1)
     return (x["in_l"], x["in_r"], x["out_r"], x["out_l"])

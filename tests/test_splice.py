@@ -10,14 +10,15 @@ oracle, every stage of the analysis an output arrives with (occurrence
 index, arcs, corner map, strand trace, report, graph components, faces)
 against a fresh analysis, the outputs against the old post-build path,
 the R1/R2 undos, component removal and the greedy reduction against the
-old crossing drop, the analysis work, emits (none on a memo hit) and
-builds each move costs,
-every build's labelling and every splice's fragment side against the
-old walk of the welds, the builder's faults, every move's cached
-fragment side against reading it off the splice's builder, the judge
-memo, cold and warm, against judging every wiring afresh, every splice
-placed from the judge's plan, cold and warm, against emitting, welding
-and labelling its fragment in its own builder, the builder's unchecked
+old crossing drop, the analysis work, tangles made (none on a memo hit)
+and builds each move costs, every fragment's open tangle and every
+generator's output against the weld reference, the faults of a
+fragment's labels, the weld reference's labelling and fragment sides
+against the old walk of the welds, and its faults, every move's cached
+fragment side against reading it off the splice's weld builder, the
+judge memo, cold and warm, against judging every wiring afresh, every
+splice placed from the judge's tangle, cold and warm, against emitting,
+welding and labelling its fragment in its own builder, the builder's unchecked
 crossings against the label check, the half
 twist's spot against scanning every face, and the work a replay skips:
 a fragment side read only when the judge misses, no wiring judged twice
@@ -29,6 +30,7 @@ import collections
 import copy
 import gc
 import itertools
+import operator
 import random
 import re
 import signal
@@ -39,7 +41,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hyperforge.diagram as dg
-import hyperforge.generators as gen
 import hyperforge.moves as mv
 from hyperforge.certificate import (
     AugChainStep,
@@ -57,7 +58,6 @@ from hyperforge.diagram import (
     DEFAULT_STEP_BUDGET,
     DiagramBuilder,
     LinkDiagram,
-    _fragment_side,
     _renormalize,
     braid2_template,
     components,
@@ -88,10 +88,12 @@ from hyperforge.moves import (
 )
 from hyperforge.tangle import boundary_twists, numerator_closure, to_alternating_diagram
 
+import oracles
 from memos import forget_memos
 from oracles import (
     DroppingBuilder,
     TrailBuilder,
+    WeldBuilder,
     _Walker,
     base_side_oracle,
     disk_runs_oracle,
@@ -104,7 +106,10 @@ from oracles import (
     renormalize_oracle,
     slot_faces,
     splice_oracle,
+    tangle_of,
     trace_oracle,
+    weld_program,
+    welded,
     welded_splice_oracle,
     wiring_loop_oracle,
 )
@@ -332,10 +337,9 @@ def test_a_splice_walks_only_the_strands_it_touched():
 
 class _StageLog:
     """Records which analyses the analysis stages ran on, which diagrams
-    the builder's renormalisation made, and, for each splice, whether each
-    builder it ran its emit into was empty, while installed: a splice
-    places its fragment from the judge's plan, so it emits only on a judge
-    miss, into the judge's empty builder, and never into its own.  Each
+    the builder's renormalisation made, and, for each splice, each time
+    its fragment's tangle was made, while installed: a splice places the
+    tangle the judge memo keeps, so it makes it only on a judge miss.  Each
     fragment is counted through one wrapper, so that the judge memo, keyed
     by the fragment, answers a splice the log has seen."""
 
@@ -351,15 +355,15 @@ class _StageLog:
         splice = dg.splice
         log = self
 
-        def counted_splice(base, emit, *args, **kwargs):
+        def counted_splice(base, fragment, *args, **kwargs):
             log.emits.append([])
-            if emit not in log.fragments:
-                def counted_emit(bld, emit=emit):
-                    log.emits[-1].append(bld.base is None)
-                    return emit(bld)
+            if fragment not in log.fragments:
+                def counted_fragment(fragment=fragment):
+                    log.emits[-1].append(True)
+                    return fragment()
 
-                log.fragments[emit] = counted_emit
-            return splice(base, log.fragments[emit], *args, **kwargs)
+                log.fragments[fragment] = counted_fragment
+            return splice(base, log.fragments[fragment], *args, **kwargs)
 
         def logged_trace(an):
             log.strands.append(an)
@@ -392,8 +396,8 @@ class _StageLog:
 
 def _guarded(move, d, *args):
     """``move(d, *args)`` with the memos emptied, then again, checking
-    that each splice emitted its fragment once, into the judge's empty
-    builder, the first time and never the second, that no strands were
+    that each splice made its fragment's tangle once, on the judge's miss,
+    the first time and never the second, that no strands were
     traced (every output arrives with its trace), and that only splice
     outputs had their faces traced, each at most once (an output arrives
     known planar, so its faces are traced only when a later stage of the
@@ -523,8 +527,9 @@ def test_refusal_texts_match_the_oracles():
 def _open_chain(chirality):
     """Rings D, A, C and B in an open chain D-A-C-B: three clasps of the
     given chiralities stacked as the Tk template stacks them, D closing
-    the first clasp's north rail and B the last clasp's south rail."""
-    bld = DiagramBuilder()
+    the first clasp's north rail and B the last clasp's south rail, welded
+    by the oracle's weld builder."""
+    bld = WeldBuilder()
     clasps = [bld.twist_region(2, x) for x in chirality]
     bld.weld(clasps[0]["in_r"], clasps[0]["out_r"])
     for upper, lower in zip(clasps, clasps[1:]):
@@ -629,10 +634,10 @@ def _by_emitting(move, *args):
 @settings(max_examples=40, deadline=None)
 @given(_BASES, st.data())
 def test_cached_fragment_sides_match_the_emitting_splice(d, data):
-    """Every move, its fragment side read off an empty builder by the
-    judge, gives the PD text and loop count, or the refusal
-    text, of reading the side off the splice's own builder, where the
-    fragment sits at another offset, and its output arrives with the same
+    """Every move, its fragment side read off the fragment's open tangle
+    by the judge, gives the PD text and loop count, or the refusal
+    text, of reading the side off the weld chains of the splice's own
+    weld builder, where the fragment sits at another offset, and its output arrives with the same
     index and strand trace, every stage of its analysis a fresh one:
     after R1 and R2 moves."""
     *_, d = r_moves(d, data)
@@ -689,10 +694,10 @@ def test_planned_splices_match_the_welded_splice(d, data):
     """The first splice of every move, at sites drawn for each of the four
     fragments (the Tk template of a chain or augmented chain move, the
     clasped ring of a switch move, augmenting circle or ring insertion,
-    the half twist of either chirality, the R2 bigon), its fragment
-    placed from the judge's plan with the judge memo emptied first and
-    again warm, gives the PD text and loop count, or the refusal text, of
-    emitting, welding and labelling the fragment in the splice's own
+    the half twist of either chirality, the R2 bigon), its fragment's open
+    tangle placed from the judge memo, emptied first and again warm, gives
+    the PD text and loop count, or the refusal text, of emitting, welding
+    and labelling the fragment's weld program in the splice's own weld
     builder, and an output whose occurrence index, arcs, corner map and
     strand trace are that build's, every stage of its analysis a fresh
     one: after R1 and R2 moves."""
@@ -898,9 +903,79 @@ def test_face_rank_orders_corners_as_the_faces_are_listed():
         assert corners == list(itertools.chain.from_iterable(an.faces))
 
 
+# the open tangles against the weld reference -------------------------------------
+
+
+_TANGLE_PORTS = operator.itemgetter("NW", "NE", "SW", "SE")
+
+
+@pytest.mark.parametrize("fragment", [mv.TkTemplate(k) for k in range(-4, 5)]
+                         + [mv._HalfTwist(1), mv._HalfTwist(-1), mv._clasped_ring,
+                            dg._r2_fragment],
+                         ids=lambda fragment: getattr(fragment, "__name__", repr(fragment)))
+def test_fragment_tangles_are_the_weld_plans(fragment):
+    """Each move's fragment, as an open tangle, is the plan the weld
+    reference reads off its weld program: the same rows, port for port
+    and in crossing order, the inner arcs numbered as the weld labeller
+    takes their fresh labels, and the same loops."""
+    assert fragment() == tangle_of(weld_program(fragment))
+
+
+_SIGNED_SEQS = st.tuples(
+    st.sampled_from((1, -1)), st.lists(st.integers(0, 3), min_size=1, max_size=4)
+).map(lambda sc: [sc[0] * c for c in sc[1]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SEQS, st.integers(-2, 2))
+def test_tangle_diagrams_are_the_weld_plans(seq, extra):
+    """A rational tangle's diagram, as an open tangle with its ports in
+    NW, NE, SW, SE order, is the weld reference's plan of it."""
+    t = boundary_twists(to_alternating_diagram(seq), extra)
+    rows, ports = t.parts()
+    assert dg.open_tangle(rows, _TANGLE_PORTS(ports)) == tangle_of(
+        lambda bld: _TANGLE_PORTS(oracles.weld_tangle(t, bld)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SIGNED_SEQS, st.integers(-3, 3), st.integers(-3, 3),
+       st.lists(st.integers(-2, 2), min_size=2, max_size=6), st.booleans(),
+       st.integers(1, 8))
+def test_generators_match_the_weld_reference(seq, k, extra, twists, alternating, n):
+    """Chain links, Tk closures, numerator closures (zero entries, whose
+    strands pass straight through and close into loops, included) and
+    (2, n) templates give the PD text and loop count of the weld-built
+    reference."""
+    t = boundary_twists(to_alternating_diagram(seq), extra)
+    spec = ChainSpec(len(twists), tuple(twists), alternating)
+    for got, want in ((chain_link(spec), oracles.weld_chain_link(spec)),
+                      (tk_closure(seq, k, extra), oracles.weld_tk_closure(seq, k, extra)),
+                      (numerator_closure(t), oracles.weld_numerator_closure(t)),
+                      (braid2_template(n, alternating), oracles.weld_braid2_template(n, alternating))):
+        assert (format_pd(got), got.loops) == (format_pd(want), want.loops)
+
+
+@pytest.mark.parametrize("rows", [
+    ((-1, 1, -2, 2),),  # inner arcs 1 and 2 occur once
+    ((-1, 1, 1, 1), (-2, 1, -3, -4)),  # inner arc 1 occurs four times
+    ((-1, -1, 1, 1),),  # port -1 occurs twice
+    ((-1, 1, 1, -3),),  # port -2 never occurs
+], ids=["once", "four-times", "port-twice", "port-missing"])
+def test_a_label_off_an_open_tangle_is_a_fragment_fault(rows):
+    """A fragment whose inner label occurs other than twice, or whose port
+    occurs other than once, is no open tangle: its side refuses it by name,
+    and a splice raises the fault rather than refusing the site."""
+    fault = r"^fragment labels are not an open tangle: "
+    with pytest.raises(AssertionError, match=fault):
+        dg._fragment_side(rows)
+    with pytest.raises(AssertionError, match=fault):
+        dg.splice(_CHAIN4, lambda: (rows, 1, 0), [(0, 1, 2, 3)], "no wiring", cut=(1, 4))
+
+
 # the fragment side and the output's strand trace ---------------------------------
 
 
+@welded
 def _nonplanar_fragment(bld):
     """A twist crossing for the ports, beside a portless crossing whose
     opposite slots are welded: one face where the Euler check wants three."""
@@ -912,53 +987,62 @@ def _nonplanar_fragment(bld):
 
 
 def _fragments():
-    """(name, emit) of each move's fragment: Tk for k in -6..6, the clasped
-    ring, the half twist of either chirality, and a non-planar fragment.
-    Each move's fragment is called through a function of the test's own,
-    whose name keeps the test's id."""
+    """(name, fragment) of each move's fragment: Tk for k in -6..6, the
+    clasped ring, the half twist of either chirality, and a non-planar
+    fragment.  Each move's fragment is called through a function of the
+    test's own, whose name keeps the test's id and whose ``program`` is
+    the fragment's weld program."""
+
+    def through(fragment, call):
+        call.program = weld_program(fragment)
+        return call
+
     for k in range(-6, 7):
-        yield f"Tk({k})", lambda bld, k=k: mv.TkTemplate(k)(bld)
+        yield f"Tk({k})", through(mv.TkTemplate(k), lambda k=k: mv.TkTemplate(k)())
     (_, ring, *_), _ = _first_splice(augmenting_circle, _CHAIN4, 1, 4)
 
-    def emit(bld):
-        return ring(bld)
+    def emit():
+        return ring()
 
-    yield "clasped ring", emit
+    yield "clasped ring", through(ring, emit)
     for direction in (1, -1):
         (_, twist, *_), _ = _first_splice(half_twist, _CHAIN4, 1, direction)
-        yield f"half twist {direction:+d}", lambda bld, twist=twist: twist(bld)
+        yield f"half twist {direction:+d}", through(twist, lambda twist=twist: twist())
     yield "non-planar", _nonplanar_fragment
 
 
 @pytest.mark.parametrize("name,emit", list(_fragments()))
 def test_fragment_side_matches_emitting_it_apart(name, emit):
-    """The fragment side read off a builder's chain ends, alone or over a base
-    with two arcs cut, is the one emitting the fragment into a builder of
-    its own and labelling it there gives, and it takes no fresh label."""
+    """The fragment side read off a fragment's open tangle, and the one
+    the weld builder reads off its weld program's chain ends, alone or
+    over a base with two arcs cut, are the one emitting the weld program
+    into a builder of its own, labelling it there and tracing its faces
+    gives; the weld builder's takes no fresh label."""
     want = fragment_side_oracle(emit)
     assert (want is None) == (name == "non-planar")
-    for bld in (DiagramBuilder(), DiagramBuilder(base=_CHAIN4)):
+    assert dg._fragment_side(emit()[0]) == want, name
+    for bld in (WeldBuilder(), WeldBuilder(base=_CHAIN4)):
         if bld.base is not None:
             bld.cut(1), bld.cut(4)
-        ports = emit(bld)
+        ports = weld_program(emit)(bld)
         fresh = bld._next_arc
-        assert dg._fragment_side(bld, ports) == want, name
+        assert bld.fragment_side(ports) == want, name
         assert bld._next_arc == fresh
 
 
 def test_a_refused_splice_emits_once():
-    """A table of ring wirings that are all non-planar is refused after one
-    emit, into the judge's empty builder, and so is a non-planar fragment;
-    refused again, neither emits."""
+    """A table of ring wirings that are all non-planar is refused after the
+    fragment's tangle is made once, on the judge's miss, and so is a
+    non-planar fragment; refused again, neither is made."""
     (base, emit, _, failure), kwargs = _first_splice(augmenting_circle, _CHAIN4, 1, 4)
     non_planar = [w for w in itertools.permutations(range(4))
                   if _outcome(splice_oracle, base, emit, [w], failure, **kwargs).endswith("(None)")]
     for fragment, table in ((emit, non_planar), (_nonplanar_fragment, [(0, 1, 2, 3)])):
         calls = []
 
-        def counted(bld, fragment=fragment):
-            calls.append(bld.base is None)
-            return fragment(bld)
+        def counted(fragment=fragment):
+            calls.append(True)
+            return fragment()
 
         for _ in range(2):
             with pytest.raises(SiteError, match=r"\(None\)$"):
@@ -966,6 +1050,7 @@ def test_a_refused_splice_emits_once():
         assert calls == [True]
 
 
+@welded
 def _kinked_fragment(bld):
     """A twist crossing for the ports, beside a portless crossing whose
     neighbouring slots are welded: a planar kink on no part with a port."""
@@ -976,6 +1061,7 @@ def _kinked_fragment(bld):
     return (x["in_l"], x["in_r"], x["out_r"], x["out_l"])
 
 
+@welded
 def _toroidal_fragment(bld):
     """Three crossings, all on the part with the four ports, that embed on
     a torus and not in the plane: one face touches the ports and none is
@@ -1014,8 +1100,7 @@ def test_a_portless_fragment_part_is_refused():
     """A fragment with a crossing on no part with a port is refused with
     None for the error, by every table of wirings, even when that part is
     planar: a half twist's table used to weld the kink in."""
-    bld = DiagramBuilder()
-    assert dg._fragment_side(bld, _kinked_fragment(bld)) is None
+    assert dg._fragment_side(_kinked_fragment()[0]) is None
     for base, failure, kwargs in _four_end_splices():
         with pytest.raises(SiteError, match=r"\(None\)$"):
             dg.splice(base, _kinked_fragment, list(itertools.permutations(range(4))), failure,
@@ -1036,9 +1121,8 @@ def test_a_nonplanar_fragment_never_gives_a_diagram():
     fault, before any wiring is judged; the traced oracle refuses the
     part."""
     guard = _guard(-3, -1)
-    bld = DiagramBuilder()
     with pytest.raises(AssertionError, match=guard):
-        dg._fragment_side(bld, _toroidal_fragment(bld))
+        dg._fragment_side(_toroidal_fragment()[0])
     with pytest.raises(AssertionError, match=r"face orbit \[0, 1, 2, 3\], traced excess -3$"):
         fragment_side_oracle(_toroidal_fragment)
     refused_by = set()
@@ -1051,6 +1135,7 @@ def test_a_nonplanar_fragment_never_gives_a_diagram():
     assert refused_by == {AssertionError}
 
 
+@welded
 def _two_face_fragment(bld):
     """One crossing whose opposite slots 0 and 2 are welded into a loop, its
     ports slots 1 and 3: a planar part with a port inside the loop and one
@@ -1069,9 +1154,8 @@ def test_a_fragment_with_ports_on_two_faces_is_refused():
     splice that cuts one arc for it raises the fault before judging any
     wiring.  Welded in, the loop would be crossed once by a strand that
     runs out of it and back in through the base."""
-    bld = DiagramBuilder()
     with pytest.raises(AssertionError, match=_guard(-1, 1)):
-        dg._fragment_side(bld, _two_face_fragment(bld))
+        dg._fragment_side(_two_face_fragment()[0])
     with pytest.raises(AssertionError, match=r"face orbit \[0\], traced excess -1$"):
         fragment_side_oracle(_two_face_fragment)
     with pytest.raises(AssertionError, match=_guard(-1, 1)):
@@ -1345,13 +1429,14 @@ def test_a_kink_loop_arc_never_names_the_joined_arc():
     _assert_trace_is_fresh(out, judged=True)
 
 
-# the builder's weld chains ------------------------------------------------------
+# the weld reference's chains ---------------------------------------------------
 
 
 class _LabelledAsTheTrails(TrailBuilder):
-    """A builder whose labelling, on a build without joins, is checked
-    against the trail oracle's on a copy: the same protos, loop count and
-    next fresh label."""
+    """A weld builder whose labelling, on a build without joins, is checked
+    against the trail oracle's on a copy (the same protos, loop count and
+    next fresh label), and whose fragment side is checked against the one
+    the trails give."""
 
     labelled: list = []
 
@@ -1366,48 +1451,45 @@ class _LabelledAsTheTrails(TrailBuilder):
         self.labelled.append(self.base is None)
         return got
 
-
-def _side_as_the_trails(bld, ports):
-    side = _fragment_side(bld, ports)
-    assert side == bld.fragment_side(ports)
-    return side
+    def fragment_side(self, ports):
+        side = WeldBuilder.fragment_side(self, ports)
+        assert side == super().fragment_side(ports)
+        return side
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_builds_label_as_the_trail_oracle(data):
-    """Every build without joins labels its slots and counts its loops as
-    trailing the welds from every open slot does, and every splice's
-    fragment side is the one the trails give: the base-less builds (chain,
-    rational and Tk links, (2, n) templates, numerator closures) and the
-    splice of every move on one of them after R1 and R2 moves, and of a
-    half twist on the 4-chain, which always splices.  Its R1 and R2 undos
-    and component removals are built too; their joins are checked against
+    """Every weld-reference build labels its slots and counts its loops as
+    trailing the welds from every open slot does, and every weld-reference
+    splice's fragment side is the one the trails give: the base-less
+    builds (chain, rational and Tk links, (2, n) templates, numerator
+    closures) and the emitting splice of every move on one of them after
+    R1 and R2 moves, and of a half twist on the 4-chain, which always
+    splices.  The library builds no weld; its joins are checked against
     the crossing drop instead (`test_removals_match_the_crossing_drop_oracle`)."""
     _LabelledAsTheTrails.labelled = labelled = []
-    # every fragment side is read afresh, under the patched builder and side
-    forget_memos()
-    with mock.patch.object(dg, "DiagramBuilder", _LabelledAsTheTrails), \
-            mock.patch.object(gen, "DiagramBuilder", _LabelledAsTheTrails), \
-            mock.patch.object(dg, "_fragment_side", _side_as_the_trails):
+    with mock.patch.object(oracles, "WeldBuilder", _LabelledAsTheTrails), \
+            mock.patch.object(dg, "splice", emitting_splice_oracle), \
+            mock.patch.object(mv, "splice", emitting_splice_oracle):
         seq, twists = data.draw(_SEQS), data.draw(st.lists(st.integers(-1, 1), min_size=2,
                                                            max_size=4))
-        bases = [chain_link(ChainSpec(len(twists), tuple(twists))), rational_link(seq),
-                 tk_closure(seq, data.draw(st.integers(-1, 1)))]
-        braid2_template(data.draw(st.integers(1, 4)), data.draw(st.booleans()))
-        numerator_closure(boundary_twists(to_alternating_diagram(seq),
-                                          data.draw(st.integers(-1, 1))))
+        spec, k = ChainSpec(len(twists), tuple(twists)), data.draw(st.integers(-1, 1))
+        oracles.weld_chain_link(spec)
+        oracles.weld_numerator_closure(to_alternating_diagram(seq))
+        oracles.weld_tk_closure(seq, k)
+        oracles.weld_braid2_template(data.draw(st.integers(1, 4)), data.draw(st.booleans()))
+        oracles.weld_numerator_closure(boundary_twists(to_alternating_diagram(seq),
+                                                       data.draw(st.integers(-1, 1))))
         assert labelled == [True] * 5
-        for d in r_moves(data.draw(st.sampled_from(bases)), data):
-            for move, *args in _removals(d):
-                move(*args)
+        bases = [chain_link(spec), rational_link(seq), tk_closure(seq, k)]
+        *_, d = r_moves(data.draw(st.sampled_from(bases)), data)
         for move, *args in _moves(d, data):
             try:
                 move(*args)
             except SiteError:
                 pass
         half_twist(*_REORIENTING_TWISTS[1])  # a splice over a base, whatever was drawn
-    forget_memos()
     assert False in labelled
 
 
@@ -1420,12 +1502,13 @@ def _loop_of_terminals(bld, n):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_a_closed_chain_of_plain_terminals_is_one_loop(n):
-    """A plain terminal welded to itself, or two welded to each other twice,
-    close into one crossing-free loop, beside the loops of a base."""
-    bld = DiagramBuilder()
+    """In the weld reference, a plain terminal welded to itself, or two
+    welded to each other twice, close into one crossing-free loop, beside
+    the loops of a base."""
+    bld = WeldBuilder()
     _loop_of_terminals(bld, n)
     assert format_pd(bld.build()) == "O(1)\n"
-    bld = DiagramBuilder(base=rational_link([0]))
+    bld = WeldBuilder(base=rational_link([0]))
     _loop_of_terminals(bld, n)
     assert bld.build().loops == 3
 
@@ -1433,16 +1516,17 @@ def test_a_closed_chain_of_plain_terminals_is_one_loop(n):
 @pytest.mark.parametrize("kind", ["slot"])
 def test_a_self_weld_of_a_one_weld_port_is_over_welded(kind):
     """A crossing slot welded to itself takes two welds where it has room
-    for one: the builder fault is raised at the weld."""
-    bld = DiagramBuilder(base=_CHAIN4)
+    for one: the weld reference raises the builder fault at the weld."""
+    bld = WeldBuilder(base=_CHAIN4)
     port = 4 * bld.crossing()
     with pytest.raises(AssertionError, match=rf"^over-welded port {re.escape(str(divmod(port, 4)))}$"):
         bld.weld(port, port)
 
 
 def test_a_third_weld_at_a_plain_terminal_is_over_welded():
-    """A plain terminal has room for two welds, one on each side."""
-    bld = DiagramBuilder()
+    """A plain terminal of the weld reference has room for two welds, one
+    on each side."""
+    bld = WeldBuilder()
     k, t = 4 * bld.crossing(), bld.terminal()
     bld.weld(k, t)
     bld.weld(t, k + 1)
@@ -1472,8 +1556,8 @@ def _mapped_port_to_lone_terminal(bld):
 def test_a_terminal_welded_once_is_incomplete(weld):
     """A plain terminal that ends a chain, beside a crossing slot, beside
     another plain terminal or beside a terminal port of ``port_labels``,
-    which is complete with one weld, is a builder fault."""
-    bld = DiagramBuilder(base=_CHAIN4)
+    which is complete with one weld, is a fault of the weld reference."""
+    bld = WeldBuilder(base=_CHAIN4)
     weld(bld)
     t = next(t for t in bld.welds if bld._is_terminal(t) and t not in bld.port_labels)
     with pytest.raises(AssertionError, match=rf"^incomplete terminal {re.escape(str(t))}$"):
@@ -1481,24 +1565,24 @@ def test_a_terminal_welded_once_is_incomplete(weld):
 
 
 def test_an_unwelded_crossing_slot_is_a_builder_fault():
-    """A crossing slot no weld reaches is named both by the build and by
-    the fragment side, for which it is no port."""
-    bld = DiagramBuilder()
+    """A crossing slot no weld reaches is named both by the weld
+    reference's build and by its fragment side, for which it is no port."""
+    bld = WeldBuilder()
     x = bld.twist_region(1, +1)
     bld.weld(x["in_l"], x["out_l"])
     with pytest.raises(AssertionError, match=r"^unwelded crossing slot \(0, 0\)$"):
-        dg._fragment_side(bld, (x["in_l"], x["out_l"]))
+        bld.fragment_side((x["in_l"], x["out_l"]))
     with pytest.raises(AssertionError, match=r"^unwelded crossing slot \(0, 0\)$"):
         bld.build()
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_a_mapped_terminal_port_labels_the_slot_through_plain_terminals(n):
-    """A terminal port of ``port_labels`` at one end of a chain of n
-    terminals, the rest plain, is complete with one weld and labels the
-    crossing slot at the chain's other end: with n = 1, the path
-    `TkTemplate(0)`'s pass-through ports take."""
-    bld = DiagramBuilder()
+    """In the weld reference, a terminal port of ``port_labels`` at one end
+    of a chain of n terminals, the rest plain, is complete with one weld
+    and labels the crossing slot at the chain's other end: with n = 1, the
+    path the weld-written `TkTemplate(0)`'s pass-through ports take."""
+    bld = WeldBuilder()
     k = 4 * bld.crossing()
     chain = [bld.terminal() for _ in range(n)] + [k]
     for p, q in zip(chain, chain[1:]):
@@ -1577,8 +1661,8 @@ def test_an_equal_diagram_is_never_analysed():
 
 
 def test_a_fragment_side_is_read_only_on_a_judge_miss():
-    """A fragment side is read, off an empty builder, only when the judge
-    memo misses: over two rounds of the same moves, the first reads the
+    """A fragment side is read, off the fragment's tangle, only when the
+    judge memo misses: over two rounds of the same moves, the first reads the
     side of each fragment once and the second reads none and gives the
     same diagrams; and one fragment, the R2 bigon, spliced onto two base
     side shapes is judged twice and read twice."""
@@ -1589,9 +1673,9 @@ def test_a_fragment_side_is_read_only_on_a_judge_miss():
              (half_twist, _CHAIN4, 2, -1), (reidemeister2, _CHAIN4, (1, 4))]
     side, splice, read, spliced = dg._fragment_side, dg.splice, [], set()
 
-    def counted_side(bld, ports):
-        read.append(bld.base is None)
-        return side(bld, ports)
+    def counted_side(rows):
+        read.append(True)
+        return side(rows)
 
     def logged_splice(base, emit, *args, **kwargs):
         spliced.add(emit)
@@ -1655,30 +1739,25 @@ def _mixed_derivation():
 
 def test_a_warm_replay_judges_no_wiring_and_traces_no_face():
     """Verifying a derivation of every move kind a second time judges no
-    wiring, welds nothing and makes no terminal, since each splice's side shape was judged
-    in the first, which kept the fragment's plan, and, as in the first, no
+    wiring and makes no fragment tangle, since each splice's side shape
+    was judged in the first, which kept the fragment's tangle, and, as in the first, no
     half twist traces a face: the half twist reads the two faces beside
     each arc of the ring.  Both give the same verdict, valid."""
     doc = serialize(_mixed_derivation())
     forget_memos()
     judge, faces, twist = dg._wiring_fault, dg._Analysis._faces_and_euler, mv.half_twist
-    weld = dg.DiagramBuilder.weld
-    terminal = dg.DiagramBuilder.terminal
+    made = dg.open_tangle
     passes = []
     for _ in range(2):
         log = collections.Counter()
 
-        def made_terminal(*args):
-            log["terminals"] += 1
-            return terminal(*args)
+        def made_tangle(*args, **kwargs):
+            log["tangles"] += 1
+            return made(*args, **kwargs)
 
         def judged(*args):
             log["judged"] += 1
             return judge(*args)
-
-        def welded(*args):
-            log["welded"] += 1
-            return weld(*args)
 
         def traced(an):
             log["traced"] += 1
@@ -1694,16 +1773,16 @@ def test_a_warm_replay_judges_no_wiring_and_traces_no_face():
         with mock.patch.object(dg, "_wiring_fault", judged), \
                 mock.patch.object(dg._Analysis, "_faces_and_euler", traced), \
                 mock.patch.object(mv, "half_twist", twisted), \
-                mock.patch.object(dg.DiagramBuilder, "weld", welded), \
-                mock.patch.object(dg.DiagramBuilder, "terminal", made_terminal):
+                mock.patch.object(dg, "open_tangle", made_tangle), \
+                mock.patch.object(mv, "open_tangle", made_tangle):
             verdict = verify(deserialize(doc))
         passes.append((verdict, log))
     (cold, cold_log), (warm, warm_log) = passes
     assert cold.valid and warm == cold
-    assert cold_log["judged"] > 0 and cold_log["welded"] > 0 and cold_log["twists"] >= 4
+    assert cold_log["judged"] > 0 and cold_log["tangles"] > 0 and cold_log["twists"] >= 4
     assert warm_log["twists"] == cold_log["twists"]
     assert warm_log["judged"] == warm_log["traced"] == cold_log["traced by twists"] == 0
-    assert warm_log["welded"] == warm_log["terminals"] == 0
+    assert warm_log["tangles"] == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -1744,7 +1823,7 @@ def test_a_dropped_diagram_is_freed_without_the_collector():
             gc.enable()
 
 
-def test_the_stencil_cache_is_bounded():
+def test_the_judge_memo_is_bounded():
     """A chain step's k comes from a document, so a process may meet any
     number of Tk fragments: after extending with 300 distinct k, the
     judge memo holds no more than its maxsize."""
