@@ -33,7 +33,6 @@ class ExceptionKind(enum.Enum):
 
 class RefusalReason(enum.Enum):
     NotAlternating = "NotAlternating"
-    NotReduced = "NotReduced"
     NotPrime = "NotPrime"
     Split = "Split"
     TwoBraid = "TwoBraid"
@@ -142,6 +141,8 @@ def menasco_certify(d: LinkDiagram, budget: Optional[int] = None):
     """Certificate for a reduced prime alternating non-split non-2-braid
     diagram of a nontrivial link; Refusal otherwise.  `budget` bounds the
     R1/R2 reduction steps; None means diagram.DEFAULT_STEP_BUDGET.
+    A nugatory crossing is refused as NotPrime, since primality implies
+    reducedness on every diagram that reaches the check.
 
     The decision is remembered per process by the diagram's exact
     crossings and loops and the budget (`_menasco_refusal`), so a repeated
@@ -188,9 +189,6 @@ def _menasco_refusal(crossings: tuple, loops: int, budget: int) -> Optional[Refu
     cuts = _dg.two_edge_cuts(d)
     if cuts:
         return Refusal(RefusalReason.NotPrime, witness=cuts[0])
-    nug = _dg.nugatory_crossings(d)
-    if nug:
-        return Refusal(RefusalReason.NotReduced, witness=nug)
     if not _dg.is_alternating(d):
         return Refusal(RefusalReason.NotAlternating)
     if _dg._is_braid2_form(reduced):

@@ -239,12 +239,11 @@ def _cmd_apply(args, stdin_text):
             raise FormatError("r2 needs --arcs a,b")
         a, b = _ints("--arcs", args.arcs, pair=True)
         return OK, dg.format_pd(dg.reidemeister2(d, (a, b), args.layering))
-    if args.move == "r2-undo":
-        if not args.crossings:
-            raise FormatError("r2-undo needs --crossings i,j")
-        i, j = _ints("--crossings", args.crossings, pair=True)
-        return OK, dg.format_pd(dg.reidemeister2_undo(d, (i, j)))
-    raise FormatError(f"unknown move {args.move!r}")
+    # r2-undo, the one move left: argparse's choices refuse any other
+    if not args.crossings:
+        raise FormatError("r2-undo needs --crossings i,j")
+    i, j = _ints("--crossings", args.crossings, pair=True)
+    return OK, dg.format_pd(dg.reidemeister2_undo(d, (i, j)))
 
 
 def _cmd_certify(args, stdin_text):

@@ -382,14 +382,7 @@ class _Analysis:
                 problems.append(f"component of arc {self.arc_at[corners[0]]} "
                                 "has conflicting under-strand directions")
             walks.append(corners)
-        strands = _Strands.of(walks, self.arc_at)
-        if not problems:
-            problems = [
-                f"crossing {ci} never traversed as over-strand"
-                for ci in range(len(self.crossings))
-                if ci not in strands.signs
-            ]
-        return strands._replace(problems=tuple(problems))
+        return _Strands.of(walks, self.arc_at)._replace(problems=tuple(problems))
 
     # stage 3: graph components
 
@@ -563,10 +556,6 @@ def is_alternating(d: LinkDiagram) -> bool:
     d.require_valid()
     for steps in d._analysis.steps:
         word = [c & 1 for c in steps]
-        if not word:
-            continue
-        if len(word) % 2 == 1:
-            return False
         if any(word[i] == word[(i + 1) % len(word)] for i in range(len(word))):
             return False
     return True
@@ -635,8 +624,6 @@ def is_prime_diagram(d: LinkDiagram) -> bool:
     """No 2-edge cut of the plane graph separating crossings on both sides."""
     if is_split(d):
         return False
-    if len(d.crossings) < 2:
-        return True
     return not two_edge_cuts(d)
 
 
@@ -1297,7 +1284,7 @@ def splice(
     no face is traced until something reads the faces.  With no valid
     wiring, or a fragment with a crossing on no part with a port:
     SiteError("<failure> (<last wiring error>)"), that error being the
-    strand-direction WiringError when some wiring needed a frozen crossing
+    strand-direction conflict text when some wiring needed a frozen crossing
     turned, and None otherwise.  A fragment fault (a label that is no open
     tangle's, a wiring that gives one end two ports) is a bug and
     propagates from the judge, and so does a built wiring whose arcs do
@@ -1308,7 +1295,7 @@ def splice(
     near = _base_side(base, removed, cut, stubs, directed=not reorient)
     wiring, turned, tangle = _judged(near, fragment, tuple(map(tuple, wirings)))
     if wiring is None:
-        raise SiteError(f"{failure} ({WiringError(_DIRECTION_CONFLICT) if turned else None})")
+        raise SiteError(f"{failure} ({_DIRECTION_CONFLICT if turned else None})")
     bld = DiagramBuilder(base=base, remove=removed)
     ends = [label for arc in cut for label in bld.cut(arc)] + list(stubs)
     bld.place(tangle, [ends[end] for end in wiring])
@@ -1545,8 +1532,6 @@ def diagram_isomorphic(d1: LinkDiagram, d2: LinkDiagram) -> bool:
         return True
     d2.require_valid()
     if len(d1.crossings) != len(d2.crossings) or d1.loops != d2.loops:
-        return False
-    if len(d1._analysis.occ) != len(d2._analysis.occ):
         return False
     comps1: dict[int, list[int]] = {}  # graph component -> its crossings, ascending
     comps2: dict[int, list[int]] = {}

@@ -126,15 +126,6 @@ class ConwaySequence:
     def __len__(self):
         return len(self.entries)
 
-    def sign(self) -> int:
-        for e in self.entries:
-            if e:
-                return 1 if e > 0 else -1
-        return 0
-
-    def __str__(self) -> str:
-        return " ".join(str(e) for e in self.entries)
-
     @staticmethod
     def parse(text: str) -> "ConwaySequence":
         parts = text.replace(",", " ").split()

@@ -343,6 +343,7 @@ def test_unchecked_evidence_never_valid():
     c = extend(cert, first_chain_step(d4, 0, Unchecked()))
     v = verify(c)
     assert not v.valid and v.failed_step == 0
+    assert bool(v) is False
 
 
 def test_aug_chain_step_counts():
@@ -463,6 +464,24 @@ def test_a_chain_step_past_the_subject_size_is_refused_unbuilt():
         assert set(emitted) == (set() if failed == 0 else {k})
 
 
+@pytest.mark.parametrize("kind, splice, reason", [
+    (ChainStep, "_chain_splice", "chain step must add exactly one component"),
+    (AugChainStep, "_augmented_chain_splice",
+     "augmented chain step must add exactly two components"),
+])
+def test_a_chain_step_that_adds_the_wrong_count_is_refused(monkeypatch, kind, splice, reason):
+    """verify looks each splice half up by name at every call, so a
+    splice that returns its diagram unchanged adds no component: the
+    admitted step is refused at its own index with its variant's text."""
+    import hyperforge.moves as moves
+
+    cert, d4 = chain_cert()
+    step = first_chain_step(d4)
+    c = extend(cert, kind(step.trivial_component, step.strands, step.k, step.evidence))
+    monkeypatch.setattr(moves, splice, lambda d, site, k: d)
+    assert _verdict(c) == (False, 0, reason)
+
+
 _SWITCH_WITH_PREMISE = {"kind": "SwitchStep", "arc_g": 1, "arc_g2": 2, "handedness": "neg",
                         "premise": {"kind": "NoSuchPremise"}}
 
@@ -506,6 +525,7 @@ def test_half_twist_step_replay():
     cert, d4 = chain_cert()
     c = extend(cert, HalfTwistStep(0, +1))
     assert verify(c).valid
+    assert bool(verify(c)) is True
 
 
 # gluing -------------------------------------------------------------------------
@@ -625,6 +645,25 @@ def test_abstract_refusals(step, failed, reason):
     to a Klein bottle, and a glue whose result is not the subject (the
     subject here is the base manifold itself)."""
     assert _verdict(_glued(step)) == (False, failed, reason)
+
+
+_M1 = AbstractManifold("M1", (("T1", "torus"),), (), True)
+
+
+@pytest.mark.parametrize("cert, failed, reason", [
+    (Certificate(base="MenascoAlternating", subject=_M1, base_manifold=_M1),
+     -1, "abstract certificates need an externally asserted base manifold"),
+    (Certificate(base="ExternallyAsserted", subject=_M1),
+     -1, "abstract certificates need an externally asserted base manifold"),
+    (deserialize(serialize(replace(menasco_certify(chain_link(ChainSpec(4))), steps=(
+        GlueStep(census("M2", (("S1", "torus"),)), "T1", "S1", GEO),)))),
+     0, "replay failed: cannot apply GlueStep to a diagram"),
+], ids=["manifold-over-menasco", "manifold-without-base", "glue-in-diagram-document"])
+def test_diagrams_and_manifolds_do_not_mix(cert, failed, reason):
+    """A manifold subject replays only from an externally asserted base
+    manifold, and a diagram replays no glue step, though its document
+    holds one."""
+    assert _verdict(cert) == (False, failed, reason)
 
 
 def test_mixed_step_pipeline_verifies():

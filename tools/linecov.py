@@ -12,13 +12,18 @@ terminal summary gives the count of unrun body lines, then each one as
 ``path:line``.  A body line is a line of a function's (or lambda's or
 comprehension's) code other than its first line; module and class bodies
 run at import, before the plugin is installed, and are not counted.
-Code that only a spawned process runs (the CLI's ``--jobs`` workers and
-subprocess tests) is never seen, so it is listed as unrun.
+Code that only a spawned process runs (the subprocess tests) is never
+seen, so it is listed as unrun.
 
-The trace slows the run several times over; it gates nothing.
+The summary ends with ``linecov: N unrun refusal lines`` and each of
+them: the unrun body lines whose text holds one of `REFUSALS`, the
+places where a certifier, a gate or `verify` says no.  The plugin itself
+gates nothing; CI fails the run when N is not 0.  The trace slows the
+run several times over.
 """
 
 import inspect
+import linecache
 import sys
 import threading
 import types
@@ -27,6 +32,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hyperforge"
 _PREFIX = str(PACKAGE) + "/"
 _ran: set = set()  # (file name, line) of every line run in the package
+REFUSALS = ("refuse(", "Refusal(", "Admission(False")
 
 
 def _lines(frame, event, arg):
@@ -64,4 +70,10 @@ def pytest_terminal_summary(terminalreporter):
                    for line in body_lines(path) if (str(path), line) not in _ran)
     terminalreporter.write_line(f"linecov: {len(unrun)} body lines of src/hyperforge never ran")
     for path, line in unrun:
+        terminalreporter.write_line(f"{path}:{line}")
+    refusals = [(path, line) for path, line in unrun
+                if any(mark in linecache.getline(str(PACKAGE.parents[1] / path), line)
+                       for mark in REFUSALS)]
+    terminalreporter.write_line(f"linecov: {len(refusals)} unrun refusal lines")
+    for path, line in refusals:
         terminalreporter.write_line(f"{path}:{line}")
