@@ -26,7 +26,14 @@ from .classifier import (
     Rational,
     Unchecked,
 )
-from .diagram import LinkDiagram, components, diagram_isomorphic, format_pd, parse_pd
+from .diagram import (
+    DiagramBuilder,
+    LinkDiagram,
+    components,
+    diagram_isomorphic,
+    format_pd,
+    parse_pd,
+)
 from .errors import (
     CertificateError,
     FormatError,
@@ -136,8 +143,10 @@ class Verdict:
 
 
 def _apply_step(d: LinkDiagram, step: Step, site: Optional[ChainSite] = None) -> LinkDiagram:
-    """Apply ``step`` to ``d``; a chain step at ``site``, which its caller
-    looked up and admitted (`moves.admit`), skips the move's gate."""
+    """Apply ``step`` to ``d``, a diagram, or `verify`'s replay state, which
+    the move edits in place and returns; a chain step at ``site``, which
+    its caller looked up and admitted (`moves.admit`), skips the move's
+    gate."""
     if isinstance(step, ChainStep):
         if site is not None:
             return getattr(_moves, step.splice)(d, site, step.k)
@@ -169,7 +178,15 @@ def extend(cert: Certificate, step: Step) -> Certificate:
 
 
 def verify(cert: Certificate) -> Verdict:
-    """Re-play the derivation from the base and re-check every gate."""
+    """Re-play the derivation from the base and re-check every gate.
+
+    At the first step that edits the diagram, the base's arrays are copied
+    into one replay state (`DiagramBuilder`), which that step and every
+    later one edit in place, so a step costs its ball and the strands it
+    touches, not the diagram; a base, shared by every document over it, is
+    never changed.  The state is frozen into a diagram at most once: for
+    the final isomorphism test, unless it holds the subject's own crossings
+    and loops."""
     if isinstance(cert.subject, AbstractManifold):
         return _verify_abstract(cert)
     reports: list[str] = []
@@ -198,7 +215,7 @@ def verify(cert: Certificate) -> Verdict:
     else:
         return refuse(-1, f"unknown base {cert.base!r}")
 
-    current = cert.base_diagram
+    current, bld = cert.base_diagram, None  # bld: the replay state's, made at the first edit
     admission = None  # once a chain step is admitted, a later one may inherit
     for i, step in enumerate(cert.steps):
         site = missing = None
@@ -228,14 +245,19 @@ def verify(cert: Certificate) -> Verdict:
         try:
             if missing is not None:
                 raise missing  # the site lookup, made before the gate, failed
+            if bld is None:
+                bld = DiagramBuilder(current)
+                current = bld.state
             before = components(current).count
-            current = _apply_step(current, step, site)
+            _apply_step(current, step, site)
             after = components(current).count
         except (SiteError, CertificateError) as err:
             return refuse(i, f"replay failed: {err}")
         if isinstance(step, ChainStep) and after - before != step.added:
             return refuse(i, step.wrong_count)
-    if not diagram_isomorphic(current, cert.subject):
+    if bld is not None and current.holds(cert.subject):
+        pass  # the subject's own crossings and loops: no freeze, no isomorphism test
+    elif not diagram_isomorphic(current if bld is None else bld.build(), cert.subject):
         return refuse(len(cert.steps), "final diagram does not match the subject")
     reports.append("final diagram matches the subject")
     return Verdict(True, None, "", tuple(reports), tuple(trusted))

@@ -13,7 +13,11 @@ Conventions (fixed once, used by the text format and every move):
 * Crossing-free unknot components cannot be expressed by crossing
   tuples; they are stored as a count (``loops``).
 
-Every value here is immutable and every operation is a pure function.
+Every public value here is immutable and every public operation a pure
+function.  The one mutable value, the replay state `_Replay`, is private
+and never escapes: a move on a diagram edits a state of it and freezes
+that into a new diagram, and `certificate.verify` replays a derivation
+into one state, freezing it at most once.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import FormatError, InvalidDiagramError, SiteError, WiringError
@@ -124,12 +128,15 @@ class _Strands(NamedTuple):
     problems: tuple[str, ...]
 
     @classmethod
-    def of(cls, walks: list[list[int]], arc_at: Sequence[int]) -> "_Strands":
+    def of(cls, walks: list[list[int]], arc_at: Sequence[int],
+           cycles: Optional[list[tuple[int, ...]]] = None) -> "_Strands":
         """The trace, with no problems, of ``walks``: the corners each
         component enters, from its least arc on, the components in any
-        order; ``arc_at`` gives the arc at each corner."""
-        walks = sorted(walks, key=lambda corners: arc_at[corners[0]])
-        cycles = [tuple(map(arc_at.__getitem__, corners)) for corners in walks]
+        order, or in least-arc order with their arcs given as ``cycles``;
+        ``arc_at`` gives the arc at each corner."""
+        if cycles is None:
+            walks = sorted(walks, key=lambda corners: arc_at[corners[0]])
+            cycles = [tuple(map(arc_at.__getitem__, corners)) for corners in walks]
         chain = itertools.chain.from_iterable
         head = dict(zip(chain(cycles), chain(walks)))
         # the over-strand entering at slot 1 is sign -1, at slot 3 +1
@@ -236,35 +243,39 @@ class _Analysis:
     crossing ci): the occurrence index, the corner map, the strand trace
     and the faces.  Only the public API and error texts give (ci, si) pairs.
 
-    Arc occurrences are indexed when the analysis is made.  The corner map
+    Arc occurrences are indexed when the analysis is made, unless a frozen
+    replay state gives its own index, renumbered.  The corner map
     `across`, the strand trace (orientation, signs), the graph components
     and the faces with the Euler check each run at most once, when
     something first reads them, and only when every arc occurs twice.
     Every walk over the diagram but the face stage's reads that one corner
     map through `_walk_corners`: the strand trace, the splice's base side,
     the co-face test, the disk-run scan and the isomorphism test; the faces
-    are read in one pass by `_closed_faces`.  The strand trace and
-    `_renormalize` orient the strands by one walk per component, `_oriented`.
+    are read in one pass by `_closed_faces`.  The strand trace and a replay
+    state's `_Replay.settle` orient the strands by one walk per component,
+    `_oriented`.
 
-    A diagram a splice, an R1/R2 undo or a component removal builds
-    arrives analysed by the one analysis its build made
-    (`DiagramBuilder.build`, `_renormalize`): it is indexed afresh, its
-    strand trace walks only the components through the arcs the build
-    changed and takes the others' from its base, and it is known planar,
-    since a splice's judge checked the Euler formula over face orbits, the
-    parts under its face-orbit condition, and smoothing crossings out of a
-    plane diagram keeps it plane.  It has no Euler check to run, and its
-    report counts V + 2 faces per graph component, so its faces are traced
-    only when something reads them.  An analysis keeps its diagram's
-    crossings and loops, not the diagram, which caches it: no reference
-    cycle.  A stage returns its own problems instead of adding to a shared
-    list, so `report` lists them in the order occurrences, trace, faces
-    whichever stage ran first.
+    A replay state is an analysis whose stages it edits in place.  A
+    diagram a splice, an R1 undo or add, an R2 undo or a component removal
+    builds is a state of its base, edited and frozen (`_Replay.freeze`):
+    it arrives analysed, with the state's index, corner map and strand
+    steps renumbered past the removed crossings, only the components
+    through the arcs the edit changed having been walked, and it is known
+    planar, since a splice's judge checked the Euler formula over face
+    orbits, the parts under its face-orbit condition, and smoothing
+    crossings out of a plane diagram keeps it plane.  It has no Euler check
+    to run, and its report counts V + 2 faces per graph component, so its
+    faces are traced only when something reads them.  An analysis keeps
+    its diagram's crossings and loops, not the diagram, which caches it: no
+    reference cycle.  A stage returns its own problems instead of adding to
+    a shared list, so `report` lists them in the order occurrences, trace,
+    faces whichever stage ran first.
     """
 
-    def __init__(self, crossings: tuple[Crossing, ...], loops: int):
+    def __init__(self, crossings: tuple[Crossing, ...], loops: int,
+                 occ: Optional[dict[int, list[int]]] = None):
         self.crossings, self.loops = crossings, loops
-        self.occ, self.occ_problems = self._index_occurrences()
+        self.occ, self.occ_problems = self._index_occurrences() if occ is None else (occ, ())
         self.double_ok = not self.occ_problems
 
     @cached_property
@@ -627,80 +638,7 @@ def is_prime_diagram(d: LinkDiagram) -> bool:
     return not two_edge_cuts(d)
 
 
-# -- normalization helper --------------------------------------------------------
-
-
-def _renormalize(
-    crossings: Sequence[Crossing], loops: int, frozen: Container[int], allow_reorient: bool = False,
-    touched: Optional[Iterable[int]] = None, base_steps: Sequence[list[int]] = (),
-) -> LinkDiagram:
-    """Rotate crossings by 2 where needed to meet the convention.
-
-    Each component takes the direction of its first frozen under-passage
-    (see `_Analysis._oriented`), and every crossing it enters at slot 2
-    rotates so the incoming under-strand sits at slot 0.  CCW rotation and
-    the under/over split are never changed.  Frozen crossings that
-    disagree on a component's direction raise a WiringError, unless
-    ``allow_reorient``: a move genuinely reversed a strand segment, as a
-    half twist on two strands of one component does, and every frozen
-    crossing that disagrees with the first rotates by 2 as well; arc
-    labels never change.
-
-    The probe is a fresh analysis of ``crossings``, made with no diagram:
-    an InvalidDiagramError unless every arc occurs twice.  With no
-    ``touched``, every strand component is walked.  A build over a base
-    gives the arcs whose corners changed as ``touched``, and the base's strand steps,
-    renumbered, as ``base_steps`` (a removed crossing's corners read -1):
-    only the components through a touched arc are walked, by
-    `_Analysis._walks_through`, and each other one is a base component
-    whose oriented steps it keeps, which turn no crossing.  The probe
-    becomes the output's analysis: in its occurrence index, corner map,
-    arcs and strand trace, each corner k of a turned crossing moves to
-    k ^ 2.  Every under-passage then enters at slot 0, so the output's own
-    trace would walk each component the same way, with no conflict.  A
-    build over a base passes the Euler check (see `_Analysis`), so with
-    ``touched`` the output is known planar.
-    """
-    ana = _Analysis(tuple(crossings), loops)
-    if not ana.double_ok:
-        raise InvalidDiagramError(ana.validity)
-    walks, kept = None, []
-    if touched is not None:
-        occ, arc_at = ana.occ, ana.arc_at
-        walks = ana._walks_through([occ[arc][0] for arc in touched if arc in occ])
-        on_walks = set(map(arc_at.__getitem__, itertools.chain.from_iterable(walks)))
-        kept = [steps for steps in base_steps
-                if steps[0] >= 0 and arc_at[steps[0]] not in on_walks]
-    oriented = list(ana._oriented(frozen, walks))
-    if not allow_reorient and any(conflict for _, conflict in oriented):
-        raise WiringError(_DIRECTION_CONFLICT)
-    walks = [corners for corners, _ in oriented]
-    turned = {c >> 2 for corners in walks for c in corners if c & 3 == 2}
-    occ, across, arc_at = ana.occ, ana.across, ana.arc_at
-    out = list(crossings)
-    if turned:
-        # corner k of a turned crossing becomes k ^ 2, at either end of its arc
-        moved = {}
-        for ci in turned:
-            out[ci] = out[ci].rotated(2)
-            arc_at[4 * ci:4 * ci + 4] = out[ci].slots
-            for k in range(4 * ci, 4 * ci + 4):
-                far = across[k] ^ 2 if across[k] >> 2 in turned else across[k]
-                moved[k ^ 2], moved[far] = far, k ^ 2
-        for k, far in moved.items():
-            across[k] = far
-        for ci in turned:
-            for k, arc in enumerate(out[ci].slots, 4 * ci):
-                occ[arc] = sorted((k, across[k]))
-        if any(ci in frozen for ci in turned):  # the kept walks pass frozen crossings alone
-            walks, kept = walks + kept, []
-        walks = [[c ^ 2 if c >> 2 in turned else c for c in corners] for corners in walks]
-    d = LinkDiagram(tuple(out), loops=loops)
-    ana.crossings, ana._strands = d.crossings, _Strands.of(walks + kept, arc_at)
-    if touched is not None:
-        ana._euler_problems = ()
-    object.__setattr__(d, "_analysis", ana)
-    return d
+# -- the replay state ------------------------------------------------------------
 
 
 def _relabel_occurrence(crossings: list[Crossing], k: int, new_arc: int) -> None:
@@ -708,6 +646,233 @@ def _relabel_occurrence(crossings: list[Crossing], k: int, new_arc: int) -> None
     s = list(crossings[k >> 2].slots)
     s[k & 3] = new_arc
     crossings[k >> 2] = _crossing(tuple(s))
+
+
+class _Replay(_Analysis):
+    """A diagram under edit: the one mutable value of this module, which
+    never leaves it and `certificate.verify`.
+
+    It starts as a copy of a valid diagram's arrays: the crossings, where a
+    removed crossing leaves a hole (None); the arc at each corner (0 at a
+    hole's), the corner map and the occurrence index; each component's
+    strand steps and arcs, and the head map, which gives the signs; the
+    loop count and the next fresh label.  A base's own lists are shared,
+    never changed: an edit replaces a list.  The edits (`cut`, `remove`,
+    `place`, `append`) rewrite the corners of their ball alone, and
+    `settle` re-traces only the strands through the arcs they changed.  New
+    crossings are appended after every slot, so the corners are a monotone
+    image of the compact numbering: every order a move reads (ascending
+    occurrences, `find_kinks`, `_face_rank`, components by least arc) is
+    the one a frozen diagram gives, and so is every label.  A move reads
+    the state as a diagram: its ``_analysis`` is the state itself.
+    `freeze` compacts the holes into a `LinkDiagram` that arrives
+    analysed; the state stays usable.
+    """
+
+    def __init__(self, d: LinkDiagram):
+        d.require_valid()
+        an = d._analysis
+        self.crossings: list[Optional[Crossing]] = list(d.crossings)
+        self.loops = d.loops
+        self.occ, self.occ_problems, self.double_ok = dict(an.occ), (), True
+        self.arc_at, self.across = list(an.arc_at), list(an.across)
+        s = an._strands
+        self._strands = _Strands(list(s.steps), list(s.cycles), dict(s.head), None, ())
+        self._next = d.fresh_arc()
+        self._changed: set[int] = set()  # the arcs whose corners an unsettled edit changed
+        self._settled = len(self.crossings)  # the crossings made before the unsettled edits
+
+    _analysis = property(lambda self: self)
+    _head = LinkDiagram._head
+
+    def require_valid(self) -> None:
+        """Nothing to check: the state was a valid diagram, and every edit
+        since was judged (`splice`) or keeps it valid (a removal)."""
+
+    def sign(self, ci: int) -> int:
+        # the over-strand entering at slot 1 is sign -1, at slot 3 +1
+        return -1 if self.head[self.arc_at[4 * ci + 1]] == 4 * ci + 1 else 1
+
+    def holds(self, d: LinkDiagram) -> bool:
+        """Whether the state holds the crossings of ``d``, holes aside, and
+        its loops: ``d`` itself."""
+        return self.loops == d.loops and list(filter(None, self.arc_at)) == list(
+            itertools.chain.from_iterable(map(attrgetter("slots"), d.crossings)))
+
+    def fresh_label(self) -> int:
+        label = self._next
+        self._next += 1
+        return label
+
+    def _put(self, k: int, arc: int) -> None:
+        _relabel_occurrence(self.crossings, k, arc)
+        self.arc_at[k] = arc
+        self._changed.add(arc)
+
+    def cut(self, arc: int) -> tuple[int, int]:
+        """Cut ``arc``; returns the labels of its (tail side, head side).
+
+        The piece at the arc's tail keeps the label; the head occurrence is
+        relabeled fresh.  Both pieces stay attached to their far crossings.
+        """
+        head = self._head(arc)
+        fresh = self.fresh_label()
+        self._put(head, fresh)
+        self.occ[arc], self.occ[fresh] = [self.across[head]], [head]
+        self._changed.add(arc)
+        return arc, fresh
+
+    def remove(self, crossings: Iterable[int], joins: Iterable[tuple[int, int]] = ()) -> None:
+        """Punch ``crossings`` out, and run on as one the two arcs of each
+        pair of ``joins``, the two sides of a strand through one of them.
+
+        The joins link arcs into runs.  Each arc has two ends, so a run is
+        a path, whose kept occurrences take the least label of its arcs, or
+        a run whose every arc is joined at both ends, a crossing-free loop;
+        a self-join counts as both ends."""
+        occ, arc_at = self.occ, self.arc_at
+        for ci in crossings:
+            self.crossings[ci] = None
+            for k in range(4 * ci, 4 * ci + 4):
+                places = occ.pop(arc_at[k], ())
+                if len(places) == 2:  # the arc's other occurrence stays
+                    occ[arc_at[k]] = [places[places[0] == k]]
+            self._changed.update(arc_at[4 * ci:4 * ci + 4])
+            arc_at[4 * ci:4 * ci + 4] = (0, 0, 0, 0)
+            self.across[4 * ci:4 * ci + 4] = range(4 * ci, 4 * ci + 4)
+        nbrs: dict[int, list[int]] = {}  # joined arc -> the arcs it is joined to
+        for a, b in joins:
+            nbrs.setdefault(a, []).append(b)
+            nbrs.setdefault(b, []).append(a)
+        while nbrs:
+            run, todo = {}, [next(iter(nbrs))]  # the run's arcs, each -> its joined arcs
+            while todo:
+                if (a := todo.pop()) in nbrs:
+                    run[a] = nbrs.pop(a)
+                    todo += run[a]
+            self._changed.update(run)
+            if all(len(joined) == 2 for joined in run.values()):
+                self.loops += 1
+                continue
+            least = min(run)
+            occ[least] = sorted(k for a in run for k in occ.pop(a, ()))
+            for k in occ[least]:
+                self._put(k, least)
+
+    def place(self, tangle: tuple, ports: Sequence[int]) -> None:
+        """Append an open tangle's crossings (see `open_tangle`): port i
+        takes the label ``ports[i]`` and inner arc j the next fresh label
+        + j - 1; the loops it closes are added."""
+        rows, inner, loops = tangle
+        first = self._next - 1
+        self._next += inner
+        self.append([ports[-1 - a] if a < 0 else first + a for row in rows for a in row])
+        self.loops += loops
+
+    def append(self, labels: list[int]) -> None:
+        """Append a crossing of each four ``labels``, its under-strand on
+        slots {0, 2}; `settle` turns it when its under-strand enters at
+        slot 2."""
+        k, occ = len(self.arc_at), self.occ
+        self.crossings += map(_crossing, zip(*[iter(labels)] * 4))
+        self.arc_at += labels
+        self.across += range(k, k + len(labels))  # paired by `settle`
+        for c, arc in enumerate(labels, k):
+            occ[arc] = occ[arc] + [c] if arc in occ else [c]
+        self._changed.update(labels)
+
+    def settle(self, frozen: Optional[Container[int]] = None, reorient: bool = False) -> None:
+        """Pair the corners of the arcs the edits changed (an
+        InvalidDiagramError, with a fresh analysis' report, unless each
+        occurs twice or not at all), walk only the strand components
+        through them (`_Analysis._walks_through`), and turn by 2 each
+        crossing one enters at slot 2, its corners k moving to k ^ 2.
+
+        Each walked component runs the way its first under-passage of a
+        ``frozen`` crossing, by default one made before the edits, enters
+        (`_Analysis._oriented`); every other keeps its steps.  Frozen
+        crossings that disagree on a component's direction raise a
+        WiringError, unless ``reorient``: a move genuinely reversed a strand
+        segment, as a half twist on two strands of one component does, and
+        they turn too.  Arc labels never change."""
+        changed, self._changed = self._changed, set()
+        occ, across, arc_at, head = self.occ, self.across, self.arc_at, self.head
+        starts = []
+        for arc in changed:
+            if (places := occ.get(arc)) is None:
+                head.pop(arc, None)  # gone with its crossings, or run on as another arc
+            elif len(places) != 2:
+                crossings = tuple(x for x in self.crossings if x is not None)
+                raise InvalidDiagramError(_Analysis(crossings, self.loops).validity)
+            else:
+                k1, k2 = places
+                across[k1], across[k2] = k2, k1
+                starts.append(k1)
+        walks = self._walks_through(starts)
+        # a component is walked again, or gone, when its least arc changed
+        # or is on a walk: the arcs of every other one are as they were
+        redone = changed.union(map(arc_at.__getitem__, itertools.chain.from_iterable(walks)))
+        kept = [(cycle[0], corners, cycle) for corners, cycle in zip(self.steps, self.cycles)
+                if cycle[0] not in redone]
+        oriented = list(self._oriented(range(self._settled) if frozen is None else frozen, walks))
+        if not reorient and any(conflict for _, conflict in oriented):
+            raise WiringError(_DIRECTION_CONFLICT)
+        walks = [corners for corners, _ in oriented]
+        turned = {c >> 2 for corners in walks for c in corners if c & 3 == 2}
+        if turned:
+            for ci in turned:
+                x = self.crossings[ci] = self.crossings[ci].rotated(2)
+                arc_at[4 * ci:4 * ci + 4] = x.slots
+            # corner k of a turned crossing becomes k ^ 2, at either end of its arc
+            ends = [k for ci in turned for k in range(4 * ci, 4 * ci + 4)]
+            for k, far in zip(ends, [across[k] for k in ends]):
+                k ^= 2
+                if far >> 2 in turned:
+                    far ^= 2
+                across[k], across[far] = far, k
+                occ[arc_at[k]] = [k, far] if k < far else [far, k]
+            # so is a kept component through a turned crossing made before
+            # the edits (a new one carries walked components alone)
+            if old := {k for k in ends if k >> 2 < self._settled}:
+                through = [not old.isdisjoint(comp[1]) for comp in kept]
+                walks += [comp[1] for comp, hit in zip(kept, through) if hit]
+                kept = [comp for comp, hit in zip(kept, through) if not hit]
+            walks = [[c ^ 2 if c >> 2 in turned else c for c in corners] for corners in walks]
+        for corners in walks:
+            cycle = tuple(map(arc_at.__getitem__, corners))
+            kept.append((cycle[0], corners, cycle))
+            head.update(zip(cycle, corners))
+        kept.sort()  # by least arc, each component's own
+        self.steps[:] = map(itemgetter(1), kept)
+        self.cycles[:] = map(itemgetter(2), kept)
+        self._settled = len(self.crossings)
+        while self._next > 1 and self._next - 1 not in occ:  # the next label is the least unused
+            self._next -= 1
+
+    def freeze(self, planar: bool = True) -> LinkDiagram:
+        """The diagram the state holds, its holes compacted, arriving with
+        the analysis a fresh one would build: the state's index, corner map
+        and strand steps, renumbered, which give the head and sign maps in
+        the order the trace gives them.  Known ``planar`` (see `_Analysis`)
+        unless the crossings were placed by a generator, whose analysis
+        runs the Euler check."""
+        d = LinkDiagram(tuple(filter(None, self.crossings)), loops=self.loops)
+        if len(d.crossings) == len(self.crossings):
+            occ, across, steps = dict(self.occ), list(self.across), list(self.steps)
+        else:
+            # the compact corner of each live corner: a hole's corners read arc 0
+            live = itertools.compress(range(len(self.arc_at)), self.arc_at)
+            new = dict(zip(live, itertools.count()))
+            occ = {arc: [new[k1], new[k2]] for arc, (k1, k2) in self.occ.items()}
+            across = list(map(new.__getitem__, itertools.compress(self.across, self.arc_at)))
+            steps = [list(map(new.__getitem__, corners)) for corners in self.steps]
+        an = _Analysis(d.crossings, d.loops, occ)
+        an.arc_at, an.across = list(filter(None, self.arc_at)), across
+        an._strands = _Strands.of(steps, an.arc_at, list(self.cycles))
+        if planar:
+            an._euler_problems = ()
+        object.__setattr__(d, "_analysis", an)
+        return d
 
 
 # -- component rings, twice-punctured disks, component removal -----------------------
@@ -804,13 +969,10 @@ def remove_component(d: LinkDiagram, comp: int) -> LinkDiagram:
         return LinkDiagram(d.crossings, loops=d.loops - 1)
     comp_arcs = set(part.arcs_of(comp))
     removed = {c >> 2 for c in _passages(d, comp)}
-    bld = DiagramBuilder(d, remove=removed)
     # the strands that crossed the component continue straight
-    for ci in removed:
-        for a, b in (d.crossings[ci].under(), d.crossings[ci].over()):
-            if a not in comp_arcs and b not in comp_arcs:
-                bld.join(a, b)
-    return bld.build()
+    joins = [(a, b) for ci in removed for a, b in (d.crossings[ci].under(), d.crossings[ci].over())
+             if a not in comp_arcs and b not in comp_arcs]
+    return _edited(d, lambda state: state.remove(removed, joins))
 
 
 # -- open tangles and the builder --------------------------------------------------
@@ -873,133 +1035,45 @@ def open_tangle(rows: Iterable[Sequence], ports: Sequence = (), joins: Iterable[
 
 
 class DiagramBuilder:
-    """Assemble a diagram from open tangles and the arcs of a base.
+    """Make a diagram by editing a replay state (`_Replay`) and freezing it.
 
-    `place` appends an open tangle's crossings (see `open_tangle`), each
-    port labelled as its caller gives, each inner arc fresh.  Crossing
-    rows put the under-strand on slots {0, 2}; the final rotation by 2 (to
-    put the *incoming* under-strand at slot 0) happens at build time.
-    When a base diagram is given, its kept crossings are frozen and edited
-    by arc label: ``cut`` splits a base arc into two labels, and ``join``
-    records two arcs that a strand through a removed crossing runs on as
-    one.  A frozen crossing's row is the base's `Crossing` itself,
-    replaced only when ``cut`` or a join relabels it, so the build reuses
-    every crossing that did not change.  A generator places its closed
-    tangle into an empty builder; a splice places its fragment over its
-    base.
+    Over a base diagram, the state is a copy of the base's arrays, edited
+    by `_edited` for a splice, an R1 undo or add, an R2 undo or a component
+    removal, and `build` freezes it known planar: a splice's judge proves
+    it, and the rest keep it.  With no base, the state is empty, and a
+    generator places its closed tangle into it (`place`, see
+    `open_tangle`), each row putting the under-strand on slots {0, 2};
+    `build` orients it and its analysis runs the Euler check.  `verify`
+    replays a whole derivation into one builder's state and builds at most
+    once.
     """
 
-    def __init__(self, base: Optional[LinkDiagram] = None, remove: Iterable[int] = ()):
-        self.base = base
-        self.removed = frozenset(remove)
-        self.protos: list = []  # frozen crossings, then new crossings' label lists
-        self._new_corner: Sequence[int] = ()  # base corner -> its corner here, -1 when removed
-        if base is not None:
-            base.require_valid()
-            if not self.removed:  # every crossing kept: the corner map is the identity
-                self.protos, self._new_corner = list(base.crossings), range(4 * len(base.crossings))
-            else:
-                self._new_corner = []
-                for ci, x in enumerate(base.crossings):
-                    if ci in self.removed:
-                        self._new_corner += (-1, -1, -1, -1)
-                    else:
-                        k = 4 * len(self.protos)
-                        self._new_corner += (k, k + 1, k + 2, k + 3)
-                        self.protos.append(x)
-        self.n_frozen = len(self.protos)
-        self.loops = base.loops if base is not None else 0
-        self.joins: list[tuple[int, int]] = []  # arc pairs that run on as one
-        self._next_arc = base.fresh_arc() if base is not None else 1
-
-    def fresh_label(self) -> int:
-        label = self._next_arc
-        self._next_arc += 1
-        return label
+    def __init__(self, base: Optional[LinkDiagram] = None):
+        self.planar = base is not None
+        self.state = _Replay(base if base is not None else _EMPTY)
 
     def place(self, tangle: tuple, ports: Sequence[int]) -> None:
-        """Append an open tangle's crossings: port i takes the label
-        ``ports[i]`` and inner arc j the next fresh label + j - 1; the
-        loops it closes are added."""
-        rows, inner, loops = tangle
-        first = self._next_arc - 1
-        self._next_arc += inner
-        self.protos += [[ports[-1 - a] if a < 0 else first + a for a in row] for row in rows]
-        self.loops += loops
-
-    def cut(self, arc: int) -> tuple[int, int]:
-        """Cut a base arc; returns the labels of its (tail side, head side).
-
-        The piece at the arc's tail keeps the label; the head occurrence is
-        relabeled fresh.  Both pieces stay attached to their far crossings.
-        """
-        if self.base is None:
-            raise AssertionError("cut needs a base diagram")
-        head = self.base._head(arc)
-        if head >> 2 in self.removed:
-            raise AssertionError("cut arc ends at a removed crossing; pass it to splice's stubs")
-        fresh, head = self.fresh_label(), self._new_corner[head]
-        _relabel_occurrence(self.protos, head, fresh)
-        return arc, fresh
-
-    def join(self, a: int, b: int) -> None:
-        """Record that base arcs ``a`` and ``b``, the two sides of a strand
-        through a removed crossing, run on as one."""
-        self.joins.append((a, b))
+        self.state.place(tangle, ports)
 
     def build(self, allow_reorient: bool = False) -> LinkDiagram:
-        """The diagram, renormalised with the kept base crossings frozen.
+        """The state, settled (see `_Replay.settle`) and frozen."""
+        self.state.settle(reorient=allow_reorient)
+        return self.state.freeze(self.planar)
 
-        The output is indexed afresh.  Over a base, only the strand
-        components through an arc whose corners changed are walked: a
-        joined arc or a new crossing's.  Every other component's arcs and
-        crossings are the base's, so it keeps the base's corners,
-        renumbered past the removed crossings.  A build over a base passes
-        the Euler check, so its analysis runs none: it is a splice, whose
-        judge proves it, or a removal, which keeps it.
-        """
-        loops = self._label()
-        n = self.n_frozen
-        crossings = self.protos[:n] + [_crossing(tuple(p)) for p in self.protos[n:]]
-        touched, steps = None, ()
-        if self.base is not None:
-            touched = {*itertools.chain.from_iterable(self.joins),
-                       *itertools.chain.from_iterable(self.protos[n:])}
-            steps = self.base._analysis.steps
-            if self.removed:
-                steps = [list(map(self._new_corner.__getitem__, corners)) for corners in steps]
-        return _renormalize(crossings, loops, frozen=range(n), allow_reorient=allow_reorient,
-                            touched=touched, base_steps=steps)
 
-    def _label(self) -> int:
-        """Relabel the kept base crossings along the ``joins``, in place;
-        returns the loop count.  Placed crossings arrive labelled.
+_EMPTY = LinkDiagram()  # a generator's builder starts from it
 
-        The ``joins`` link base arcs into runs.  Each arc has two ends, so
-        a run is a path, which takes the least label of its arcs (its other
-        arcs' kept occurrences are relabelled), or a run whose every arc is
-        joined at both ends, a crossing-free loop; a self-join counts as
-        both ends."""
-        loops = self.loops
-        nbrs: dict[int, list[int]] = {}  # joined arc -> the arcs it is joined to
-        for a, b in self.joins:
-            nbrs.setdefault(a, []).append(b)
-            nbrs.setdefault(b, []).append(a)
-        while nbrs:
-            run, todo = {}, [next(iter(nbrs))]  # the run's arcs, each -> its joined arcs
-            while todo:
-                if (a := todo.pop()) in nbrs:
-                    run[a] = nbrs.pop(a)
-                    todo += run[a]
-            if all(len(joined) == 2 for joined in run.values()):
-                loops += 1
-                continue
-            least = min(run)
-            for a in run.keys() - {least}:
-                for k in self.base._analysis.occ[a]:
-                    if self._new_corner[k] >= 0:
-                        _relabel_occurrence(self.protos, self._new_corner[k], least)
-        return loops
+
+def _edited(d, edit: Callable[[_Replay], None], reorient: bool = False):
+    """``d`` after ``edit``: a replay state edited and settled in place, or
+    a diagram whose state a builder edits and builds."""
+    if isinstance(d, _Replay):
+        edit(d)
+        d.settle(reorient=reorient)
+        return d
+    bld = DiagramBuilder(d)
+    edit(bld.state)
+    return bld.build(reorient)
 
 
 # -- splicing --------------------------------------------------------------------
@@ -1247,11 +1321,13 @@ def splice(
 ) -> LinkDiagram:
     """Splice a fragment into ``base`` by the first wiring that gives a valid diagram.
 
-    A builder over ``base`` minus ``remove`` cuts the ``cut`` arcs in order;
-    the ends are the labels each cut gives (the arc's tail side, then its
-    head side), then the ``stubs`` arcs themselves, and port i of the
-    fragment's open tangle takes the label of end ``wiring[i]``;
-    ``reorient`` is the build's ``allow_reorient``.  ``fragment`` is
+    ``base`` is a diagram, or a replay state (`_Replay`) that the splice
+    edits in place and returns.  Its state cuts the ``cut`` arcs in order
+    and punches ``remove`` out; the ends are the labels each cut gives (the
+    arc's tail side, then its head side), then the ``stubs`` arcs
+    themselves, and port i of the fragment's open tangle takes the label
+    of end ``wiring[i]``; ``reorient`` lets the settling of the state turn
+    frozen crossings (`_Replay.settle`).  ``fragment`` is
     hashable, and ``fragment()`` gives the same open tangle (see
     `open_tangle`) every time.  The tangle and its side are numbered by
     port, so it is made only when the judge memo (`_judged`) misses.
@@ -1276,12 +1352,12 @@ def splice(
     the fragment's inner faces and raises an AssertionError for a fragment
     that does not meet it.  The judge's choice is memoised per base side
     shape, fragment and wiring table, in a bounded per-process cache
-    (`_judged`), with the fragment's tangle, whose crossings the builder
-    appends (`DiagramBuilder.place`) before it builds the first valid
-    wiring alone.  Its output arrives analysed (`DiagramBuilder.build`):
-    indexed afresh, with only the strand components through the fragment
-    walked and the others' steps taken from the base, and known planar, so
-    no face is traced until something reads the faces.  With no valid
+    (`_judged`), with the fragment's tangle, whose crossings the state
+    appends (`_Replay.place`) for the first valid wiring alone.  Only the
+    strand components through the fragment are walked, the others keeping
+    their steps, and the output, a state or a diagram frozen from one
+    (`DiagramBuilder.build`), is known planar, so no face is traced until
+    something reads the faces.  With no valid
     wiring, or a fragment with a crossing on no part with a port:
     SiteError("<failure> (<last wiring error>)"), that error being the
     strand-direction conflict text when some wiring needed a frozen crossing
@@ -1296,11 +1372,14 @@ def splice(
     wiring, turned, tangle = _judged(near, fragment, tuple(map(tuple, wirings)))
     if wiring is None:
         raise SiteError(f"{failure} ({_DIRECTION_CONFLICT if turned else None})")
-    bld = DiagramBuilder(base=base, remove=removed)
-    ends = [label for arc in cut for label in bld.cut(arc)] + list(stubs)
-    bld.place(tangle, [ends[end] for end in wiring])
+
+    def edit(state: _Replay) -> None:
+        ends = [label for arc in cut for label in state.cut(arc)] + list(stubs)
+        state.remove(removed)
+        state.place(tangle, [ends[end] for end in wiring])
+
     try:
-        return bld.build(allow_reorient=reorient)
+        return _edited(base, edit, reorient)
     except (WiringError, InvalidDiagramError) as err:
         raise AssertionError(f"wiring {tuple(wiring)} was judged valid: {err}") from err
 
@@ -1339,12 +1418,14 @@ def reidemeister1(d: LinkDiagram, arc: Optional[int], handedness: int) -> LinkDi
         m1, m2 = d.fresh_arc(), d.fresh_arc() + 1
         kink = Crossing((m1, m1, m2, m2)) if handedness > 0 else Crossing((m1, m2, m2, m1))
         return LinkDiagram(d.crossings + (kink,), loops=d.loops - 1)
-    m1, m2 = d.fresh_arc(), d.fresh_arc() + 1
-    crossings = list(d.crossings)
-    _relabel_occurrence(crossings, d._head(arc), m2)
-    kink = Crossing((arc, m2, m1, m1)) if handedness > 0 else Crossing((arc, m1, m1, m2))
-    crossings.append(kink)
-    return _renormalize(crossings, d.loops, frozen=range(len(d.crossings)))
+    d._head(arc)  # a SiteError before any edit when there is no such arc
+
+    def edit(state: _Replay) -> None:
+        m1 = state.fresh_label()
+        _, m2 = state.cut(arc)
+        state.append([arc, m2, m1, m1] if handedness > 0 else [arc, m1, m1, m2])
+
+    return _edited(d, edit)
 
 
 def find_kinks(d: LinkDiagram) -> tuple[int, ...]:
@@ -1352,6 +1433,8 @@ def find_kinks(d: LinkDiagram) -> tuple[int, ...]:
     d.require_valid()
     out = []
     for ci, x in enumerate(d.crossings):
+        if x is None:  # a replay state's hole
+            continue
         a, b, c, e = x.slots
         if a == b or b == c or c == e or e == a:
             out.append(ci)
@@ -1360,15 +1443,14 @@ def find_kinks(d: LinkDiagram) -> tuple[int, ...]:
 
 def reidemeister1_undo(d: LinkDiagram, ci: int) -> LinkDiagram:
     d.require_valid()
-    if not 0 <= ci < len(d.crossings):
+    x = d.crossings[ci] if 0 <= ci < len(d.crossings) else None
+    if x is None:
         raise SiteError(f"no crossing {ci}")
-    x = d.crossings[ci]
     pair = next((s for s in range(4) if x.slots[s] == x.slots[(s + 1) % 4]), None)
     if pair is None:
         raise SiteError(f"crossing {ci} is not a kink")
-    bld = DiagramBuilder(d, remove={ci})
-    bld.join(x.slots[(pair + 2) % 4], x.slots[(pair + 3) % 4])
-    return bld.build()
+    return _edited(d, lambda state: state.remove(
+        {ci}, [(x.slots[(pair + 2) % 4], x.slots[(pair + 3) % 4])]))
 
 
 def reidemeister2(
@@ -1432,11 +1514,10 @@ def _undo_bigon(d: LinkDiagram, ci: int, cj: int) -> LinkDiagram:
     """Remove the R2 bigon of crossings ci < cj, unchecked: the over strand
     (odd slots) and the under strand (even slots) each join the arcs they
     leave the bigon by."""
-    bld = DiagramBuilder(d, remove={ci, cj})
-    for s, inner in zip((1, 0), _r2_strands(d, ci, cj)):
-        bld.join(*(x.slots[s + 2] if x.slots[s] == inner else x.slots[s]
-                   for x in (d.crossings[ci], d.crossings[cj])))
-    return bld.build()
+    joins = [tuple(x.slots[s + 2] if x.slots[s] == inner else x.slots[s]
+                   for x in (d.crossings[ci], d.crossings[cj]))
+             for s, inner in zip((1, 0), _r2_strands(d, ci, cj))]
+    return _edited(d, lambda state: state.remove((ci, cj), joins))
 
 
 def reduce_diagram(

@@ -22,8 +22,10 @@ them, and builds the first valid one.  Each fragment is a hashable value
 (a `TkTemplate`, the clasped ring, a `_HalfTwist` of either chirality)
 whose call gives its open tangle: twist regions composed by sharing arc
 labels.  The splice makes the tangle only when its judge memo misses,
-and the memo keeps it with the judged wiring; the splice's builder
-places its crossings.  Each chain move
+and the memo keeps it with the judged wiring; the splice's replay state
+places its crossings.  A move reads a diagram, or `verify`'s replay
+state, which it then edits in place, through the same accessors; either
+way a move has one version.  Each chain move
 looks its site up in the diagram it is given (`chain_site`), passes its
 gate, `admit`, and runs a private splice half, which `verify` calls for
 a step it has admitted itself.  Ring insertions and half twists

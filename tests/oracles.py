@@ -45,11 +45,18 @@ faces beside each arc off the corner map.  The guarded renormalisation
 oracle is a build's last step as it was before a splice's output arrived
 analysed: a probe analysis with
 every strand component walked, and the output's full validation.  The
-replay oracle verifies a certificate with every splice run by the
-splice oracle.  The verify oracle is `certificate.verify` as it was before
-`moves.admit` became the gate it shares with the moves: it tests each chain
-step's evidence itself, with the fraction and component arithmetic of its
-own, and looks a site up only for declared evidence.  The crossing-drop
+rebuilding builder, its renormalisation and the rebuilt splice are the
+build path as it was before a replay state kept one diagram through a
+replay: each build copies every kept crossing of its base and indexes the
+built crossings afresh in a probe analysis; they are the reference a
+replay state is checked against.  The verify oracle is
+`certificate.verify` as it was before `moves.admit` became the gate it
+shares with the moves, and before it kept one replay state: it tests each
+chain step's evidence itself, with the fraction and component arithmetic
+of its own, looks a site up only for declared evidence, and applies each
+step to the diagram the last one built, by the rebuilt splice.  The
+replay oracle is the verify oracle with every splice run by the splice
+oracle.  The crossing-drop
 oracle is how R1/R2 undos and component removal built their output before
 they went through the builder: a union-find over the joined arcs and a
 bare diagram, analysed afresh.  The weld builder is the builder's weld
@@ -80,7 +87,7 @@ import functools
 import itertools
 import re
 from fractions import Fraction as QQ
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 from unittest import mock
 
 import hyperforge.classifier as cls
@@ -94,12 +101,10 @@ from hyperforge.certificate import (
     Verdict,
     _apply_step,
     _verify_abstract,
-    verify,
 )
 from hyperforge.diagram import (
     _DIRECTION_CONFLICT,
     Crossing,
-    DiagramBuilder,
     LinkDiagram,
     Slot,
     _Analysis,
@@ -404,6 +409,235 @@ def find_r2_bigons_oracle(d: LinkDiagram) -> tuple[tuple[int, int], ...]:
         if c1 != c2 and _r2_strands(d, *pair):
             out.add(pair)
     return tuple(sorted(out))
+
+
+def renormalize_probe_oracle(crossings, loops, frozen, allow_reorient=False, touched=None,
+                             base_steps=()) -> LinkDiagram:
+    """`diagram._renormalize` as it was before a replay state kept one
+    diagram through a replay: each build's crossings indexed afresh by a
+    probe analysis.  Rotate crossings by 2 where needed to meet the
+    convention.
+
+    Each component takes the direction of its first frozen under-passage
+    (see `_Analysis._oriented`), and every crossing it enters at slot 2
+    rotates so the incoming under-strand sits at slot 0.  CCW rotation and
+    the under/over split are never changed.  Frozen crossings that
+    disagree on a component's direction raise a WiringError, unless
+    ``allow_reorient``: a move genuinely reversed a strand segment, as a
+    half twist on two strands of one component does, and every frozen
+    crossing that disagrees with the first rotates by 2 as well; arc
+    labels never change.
+
+    The probe is a fresh analysis of ``crossings``, made with no diagram:
+    an InvalidDiagramError unless every arc occurs twice.  With no
+    ``touched``, every strand component is walked.  A build over a base
+    gives the arcs whose corners changed as ``touched``, and the base's strand steps,
+    renumbered, as ``base_steps`` (a removed crossing's corners read -1):
+    only the components through a touched arc are walked, by
+    `_Analysis._walks_through`, and each other one is a base component
+    whose oriented steps it keeps, which turn no crossing.  The probe
+    becomes the output's analysis: in its occurrence index, corner map,
+    arcs and strand trace, each corner k of a turned crossing moves to
+    k ^ 2.  Every under-passage then enters at slot 0, so the output's own
+    trace would walk each component the same way, with no conflict.  A
+    build over a base passes the Euler check (see `_Analysis`), so with
+    ``touched`` the output is known planar.
+    """
+    ana = _Analysis(tuple(crossings), loops)
+    if not ana.double_ok:
+        raise InvalidDiagramError(ana.validity)
+    walks, kept = None, []
+    if touched is not None:
+        occ, arc_at = ana.occ, ana.arc_at
+        walks = ana._walks_through([occ[arc][0] for arc in touched if arc in occ])
+        on_walks = set(map(arc_at.__getitem__, itertools.chain.from_iterable(walks)))
+        kept = [steps for steps in base_steps
+                if steps[0] >= 0 and arc_at[steps[0]] not in on_walks]
+    oriented = list(ana._oriented(frozen, walks))
+    if not allow_reorient and any(conflict for _, conflict in oriented):
+        raise WiringError(_DIRECTION_CONFLICT)
+    walks = [corners for corners, _ in oriented]
+    turned = {c >> 2 for corners in walks for c in corners if c & 3 == 2}
+    occ, across, arc_at = ana.occ, ana.across, ana.arc_at
+    out = list(crossings)
+    if turned:
+        # corner k of a turned crossing becomes k ^ 2, at either end of its arc
+        moved = {}
+        for ci in turned:
+            out[ci] = out[ci].rotated(2)
+            arc_at[4 * ci:4 * ci + 4] = out[ci].slots
+            for k in range(4 * ci, 4 * ci + 4):
+                far = across[k] ^ 2 if across[k] >> 2 in turned else across[k]
+                moved[k ^ 2], moved[far] = far, k ^ 2
+        for k, far in moved.items():
+            across[k] = far
+        for ci in turned:
+            for k, arc in enumerate(out[ci].slots, 4 * ci):
+                occ[arc] = sorted((k, across[k]))
+        if any(ci in frozen for ci in turned):  # the kept walks pass frozen crossings alone
+            walks, kept = walks + kept, []
+        walks = [[c ^ 2 if c >> 2 in turned else c for c in corners] for corners in walks]
+    d = LinkDiagram(tuple(out), loops=loops)
+    ana.crossings, ana._strands = d.crossings, _Strands.of(walks + kept, arc_at)
+    if touched is not None:
+        ana._euler_problems = ()
+    object.__setattr__(d, "_analysis", ana)
+    return d
+
+
+class RebuildingBuilder:
+    """`diagram.DiagramBuilder` as it was before a replay state kept one
+    diagram through a replay: it assembles a diagram from open tangles and
+    the arcs of a base, copying every kept crossing, and builds it by
+    `renormalize_probe_oracle`.
+
+    `place` appends an open tangle's crossings (see `open_tangle`), each
+    port labelled as its caller gives, each inner arc fresh.  Crossing
+    rows put the under-strand on slots {0, 2}; the final rotation by 2 (to
+    put the *incoming* under-strand at slot 0) happens at build time.
+    When a base diagram is given, its kept crossings are frozen and edited
+    by arc label: ``cut`` splits a base arc into two labels, and ``join``
+    records two arcs that a strand through a removed crossing runs on as
+    one.  A frozen crossing's row is the base's `Crossing` itself,
+    replaced only when ``cut`` or a join relabels it, so the build reuses
+    every crossing that did not change.  A generator places its closed
+    tangle into an empty builder; a splice places its fragment over its
+    base.
+    """
+
+    def __init__(self, base: Optional[LinkDiagram] = None, remove: Iterable[int] = ()):
+        self.base = base
+        self.removed = frozenset(remove)
+        self.protos: list = []  # frozen crossings, then new crossings' label lists
+        self._new_corner: Sequence[int] = ()  # base corner -> its corner here, -1 when removed
+        if base is not None:
+            base.require_valid()
+            if not self.removed:  # every crossing kept: the corner map is the identity
+                self.protos, self._new_corner = list(base.crossings), range(4 * len(base.crossings))
+            else:
+                self._new_corner = []
+                for ci, x in enumerate(base.crossings):
+                    if ci in self.removed:
+                        self._new_corner += (-1, -1, -1, -1)
+                    else:
+                        k = 4 * len(self.protos)
+                        self._new_corner += (k, k + 1, k + 2, k + 3)
+                        self.protos.append(x)
+        self.n_frozen = len(self.protos)
+        self.loops = base.loops if base is not None else 0
+        self.joins: list[tuple[int, int]] = []  # arc pairs that run on as one
+        self._next_arc = base.fresh_arc() if base is not None else 1
+
+    def fresh_label(self) -> int:
+        label = self._next_arc
+        self._next_arc += 1
+        return label
+
+    def place(self, tangle: tuple, ports: Sequence[int]) -> None:
+        """Append an open tangle's crossings: port i takes the label
+        ``ports[i]`` and inner arc j the next fresh label + j - 1; the
+        loops it closes are added."""
+        rows, inner, loops = tangle
+        first = self._next_arc - 1
+        self._next_arc += inner
+        self.protos += [[ports[-1 - a] if a < 0 else first + a for a in row] for row in rows]
+        self.loops += loops
+
+    def cut(self, arc: int) -> tuple[int, int]:
+        """Cut a base arc; returns the labels of its (tail side, head side).
+
+        The piece at the arc's tail keeps the label; the head occurrence is
+        relabeled fresh.  Both pieces stay attached to their far crossings.
+        """
+        if self.base is None:
+            raise AssertionError("cut needs a base diagram")
+        head = self.base._head(arc)
+        if head >> 2 in self.removed:
+            raise AssertionError("cut arc ends at a removed crossing; pass it to splice's stubs")
+        fresh, head = self.fresh_label(), self._new_corner[head]
+        _relabel_occurrence(self.protos, head, fresh)
+        return arc, fresh
+
+    def join(self, a: int, b: int) -> None:
+        """Record that base arcs ``a`` and ``b``, the two sides of a strand
+        through a removed crossing, run on as one."""
+        self.joins.append((a, b))
+
+    def build(self, allow_reorient: bool = False) -> LinkDiagram:
+        """The diagram, renormalised with the kept base crossings frozen.
+
+        The output is indexed afresh.  Over a base, only the strand
+        components through an arc whose corners changed are walked: a
+        joined arc or a new crossing's.  Every other component's arcs and
+        crossings are the base's, so it keeps the base's corners,
+        renumbered past the removed crossings.  A build over a base passes
+        the Euler check, so its analysis runs none: it is a splice, whose
+        judge proves it, or a removal, which keeps it.
+        """
+        loops = self._label()
+        n = self.n_frozen
+        crossings = self.protos[:n] + [Crossing(tuple(p)) for p in self.protos[n:]]
+        touched, steps = None, ()
+        if self.base is not None:
+            touched = {*itertools.chain.from_iterable(self.joins),
+                       *itertools.chain.from_iterable(self.protos[n:])}
+            steps = self.base._analysis.steps
+            if self.removed:
+                steps = [list(map(self._new_corner.__getitem__, corners)) for corners in steps]
+        return renormalize_probe_oracle(crossings, loops, frozen=range(n),
+                                        allow_reorient=allow_reorient, touched=touched,
+                                        base_steps=steps)
+
+    def _label(self) -> int:
+        """Relabel the kept base crossings along the ``joins``, in place;
+        returns the loop count.  Placed crossings arrive labelled.
+
+        The ``joins`` link base arcs into runs.  Each arc has two ends, so
+        a run is a path, which takes the least label of its arcs (its other
+        arcs' kept occurrences are relabelled), or a run whose every arc is
+        joined at both ends, a crossing-free loop; a self-join counts as
+        both ends."""
+        loops = self.loops
+        nbrs: dict[int, list[int]] = {}  # joined arc -> the arcs it is joined to
+        for a, b in self.joins:
+            nbrs.setdefault(a, []).append(b)
+            nbrs.setdefault(b, []).append(a)
+        while nbrs:
+            run, todo = {}, [next(iter(nbrs))]  # the run's arcs, each -> its joined arcs
+            while todo:
+                if (a := todo.pop()) in nbrs:
+                    run[a] = nbrs.pop(a)
+                    todo += run[a]
+            if all(len(joined) == 2 for joined in run.values()):
+                loops += 1
+                continue
+            least = min(run)
+            for a in run.keys() - {least}:
+                for k in self.base._analysis.occ[a]:
+                    if self._new_corner[k] >= 0:
+                        _relabel_occurrence(self.protos, self._new_corner[k], least)
+        return loops
+
+
+def rebuilt_splice_oracle(base, fragment, wirings, failure, *, cut=(), stubs=(), remove=(),
+                          reorient=False):
+    """`diagram.splice` as it was before a replay state kept one diagram
+    through a replay: the judge's wiring built by a `RebuildingBuilder`
+    over ``base``, which copies every kept crossing and indexes the built
+    crossings afresh."""
+    removed = frozenset(remove)
+    base.require_valid()
+    near = _base_side(base, removed, cut, stubs, directed=not reorient)
+    wiring, turned, tangle = _judged(near, fragment, tuple(map(tuple, wirings)))
+    if wiring is None:
+        raise SiteError(f"{failure} ({_DIRECTION_CONFLICT if turned else None})")
+    bld = RebuildingBuilder(base=base, remove=removed)
+    ends = [label for arc in cut for label in bld.cut(arc)] + list(stubs)
+    bld.place(tangle, [ends[end] for end in wiring])
+    try:
+        return bld.build(allow_reorient=reorient)
+    except (WiringError, InvalidDiagramError) as err:
+        raise AssertionError(f"wiring {tuple(wiring)} was judged valid: {err}") from err
 
 
 def eager_report(d: LinkDiagram):
@@ -713,7 +947,7 @@ class _Walker:
 
 
 def renormalize_oracle(crossings, loops, frozen, allow_reorient=False):
-    """`diagram._renormalize` with a vote count per component, a second
+    """`renormalize_probe_oracle` with a vote count per component, a second
     walk to go backward, and a third for a conflicted component."""
     w = _Walker(crossings)
     if any(len(places) != 2 for places in w.occ.values()):
@@ -742,7 +976,7 @@ def renormalize_oracle(crossings, loops, frozen, allow_reorient=False):
 
 
 def renormalize_guarded_oracle(crossings, loops, frozen, allow_reorient=False, **_):
-    """`diagram._renormalize` and the check a splice ran after it before its
+    """`renormalize_probe_oracle` and the check a splice ran after it before its
     output arrived analysed: a fresh probe analysis of ``crossings`` with
     every component walked (the touched arcs and base steps a build
     offers are ignored), the output given the probe's occurrence index
@@ -777,13 +1011,12 @@ def renormalize_guarded_oracle(crossings, loops, frozen, allow_reorient=False, *
 
 
 def replay_oracle(cert):
-    """(valid, failed step, reason) of `certificate.verify` replaying
-    ``cert`` with every move's splice run by `splice_oracle`: every
-    candidate wiring built afresh, by `renormalize_oracle`, and judged by
-    `eager_report`, so that no diagram of the replay is analysed from its
-    base's analysis or judged by the two sides' walks."""
-    with mock.patch.object(moves, "splice", splice_oracle):
-        verdict = verify(cert)
+    """(valid, failed step, reason) of `verify_oracle` replaying ``cert``
+    with every move's splice run by `splice_oracle`: every candidate wiring
+    built afresh, by `renormalize_oracle`, and judged by `eager_report`, so
+    that no diagram of the replay is analysed from its base's analysis,
+    judged by the two sides' walks or edited in a replay state."""
+    verdict = verify_oracle(cert, splice_oracle)
     return verdict.valid, verdict.failed_step, verdict.reason
 
 
@@ -799,10 +1032,18 @@ def _exterior_has_closed_component(d: LinkDiagram, site) -> bool:
     return part.count > len(involved)
 
 
-def verify_oracle(cert) -> Verdict:
+def verify_oracle(cert, splice=None) -> Verdict:
     """The `Verdict` of `certificate.verify` with its own evidence gate: the
-    verifier as it was before it asked `moves.admit`.  An abstract-manifold
-    certificate goes to the library's `_verify_abstract`."""
+    verifier as it was before it asked `moves.admit`, and before it kept
+    one replay state through the derivation: each step is applied to the
+    diagram the last one gave, its splice made by ``splice``, by default
+    `rebuilt_splice_oracle`, the build path of that time.  An
+    abstract-manifold certificate goes to the library's `_verify_abstract`."""
+    with mock.patch.object(moves, "splice", splice or rebuilt_splice_oracle):
+        return _verify_by_steps(cert)
+
+
+def _verify_by_steps(cert) -> Verdict:
     if isinstance(cert.subject, AbstractManifold):
         return _verify_abstract(cert)
     reports: list[str] = []
@@ -1134,24 +1375,26 @@ def drop_crossings_oracle(d: LinkDiagram, removed: set[int], joins) -> LinkDiagr
 
 class DroppingBuilder:
     """A stand-in for `DiagramBuilder` in the removals (R1 and R2 undo,
-    component removal): it records the crossings removed and the joins the
-    caller makes, and builds by `drop_crossings_oracle`, its output
-    validated in full."""
+    component removal), and for the replay state it edits: it records the
+    crossings the caller removes and the joins it makes, and builds by
+    `drop_crossings_oracle`, its output validated in full."""
 
-    def __init__(self, base: LinkDiagram, remove: Iterable[int] = ()):
-        self.base, self.removed, self.joins = base, set(remove), []
+    def __init__(self, base: LinkDiagram):
+        self.base, self.removed, self.joins = base, set(), []
+        self.state = self
 
-    def join(self, a: int, b: int) -> None:
-        self.joins.append((a, b))
+    def remove(self, crossings: Iterable[int], joins=()) -> None:
+        self.removed.update(crossings)
+        self.joins += joins
 
-    def build(self, **_) -> LinkDiagram:
+    def build(self, *_) -> LinkDiagram:
         out = drop_crossings_oracle(self.base, self.removed, self.joins)
         out.require_valid()
         return out
 
 
-class WeldBuilder(DiagramBuilder):
-    """`DiagramBuilder` with the weld half it had before fragments and
+class WeldBuilder(RebuildingBuilder):
+    """`RebuildingBuilder` with the weld half it had before fragments and
     generators became open tangles: the reference the tangle form is
     checked against.
 

@@ -34,13 +34,14 @@ from hyperforge.classifier import (
     Unchecked,
     menasco_certify,
 )
-from hyperforge.diagram import components, diagram_isomorphic
+from hyperforge.diagram import Crossing, LinkDiagram, components, diagram_isomorphic
 from hyperforge.errors import (
     CertificateError,
     ExcludedExteriorError,
     FormatError,
     GlueError,
     HyperforgeError,
+    InvalidDiagramError,
     PremiseError,
     SiteError,
 )
@@ -521,6 +522,33 @@ def test_truncated_document_rejected():
         deserialize(json.dumps({"version": 99}))
 
 
+def test_a_document_that_is_no_object_is_refused():
+    """A JSON document that is not an object is a malformed certificate:
+    `deserialize` says so, and the CLI's `verify` exits 2 with that text."""
+    from hyperforge.cli import MALFORMED, run
+
+    with pytest.raises(CertificateError) as err:
+        deserialize("[]")
+    assert str(err.value) == "certificate document must be a JSON object"
+    assert run(["verify"], stdin_text="[]") == (
+        MALFORMED, "ERROR: certificate document must be a JSON object\n")
+
+
+def test_unchecked_evidence_round_trips_and_never_verifies():
+    """A chain step with `Unchecked` evidence is extended (the move's gate
+    passes it), written as ``{"kind": "Unchecked"}``, read back as
+    `Unchecked()` with the same document again, and refused by `verify` at
+    its own step."""
+    cert, d4 = chain_cert()
+    c = extend(cert, first_chain_step(d4, evidence=Unchecked()))
+    doc = serialize(c)
+    assert json.loads(doc)["steps"][0]["evidence"] == {"kind": "Unchecked"}
+    back = deserialize(doc)
+    assert back.steps[0].evidence == Unchecked()
+    assert serialize(back) == doc
+    assert _verdict(back) == (False, 0, "unchecked exterior evidence never validates")
+
+
 def test_half_twist_step_replay():
     cert, d4 = chain_cert()
     c = extend(cert, HalfTwistStep(0, +1))
@@ -612,6 +640,20 @@ def test_an_externally_asserted_diagram_base_is_a_trusted_premise():
     assert (v.valid, v.failed_step, v.reason) == (True, None, "")
     assert v.trusted_premises == ("base asserted externally: census manifold",)
     assert v.step_reports[0] == "base: ExternallyAsserted (trusted)"
+
+
+def test_a_step_refused_before_any_edit_never_reads_the_base_diagram():
+    """The replay state is made at the first step that edits the diagram:
+    a switch step without its premise is refused at step 0 over an
+    ExternallyAsserted base that is no valid diagram, and a step that
+    edits that base raises the diagram's InvalidDiagramError."""
+    bad = LinkDiagram((Crossing((1, 2, 3, 4)),))
+    cert = Certificate(base="ExternallyAsserted", subject=chain_link(ChainSpec(4)),
+                       base_diagram=bad,
+                       steps=(SwitchStep(1, 2, Handedness.NegativeSkew, None),))
+    assert _verdict(cert) == (False, 0, "switch step lacks its GeodesicArc premise")
+    with pytest.raises(InvalidDiagramError):
+        verify(replace(cert, steps=(HalfTwistStep(0, +1),)))
 
 
 def _glued(step):

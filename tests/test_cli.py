@@ -149,6 +149,45 @@ def test_apply_r1():
     assert code == OK and out.count("X(") == 4
 
 
+@pytest.mark.parametrize("move, given, message", [
+    ("chain", ["--strands", "4,8"], "chain moves need --component N --strands a1,a2"),
+    ("augchain", ["--component", "0"], "chain moves need --component N --strands a1,a2"),
+    ("switch", ["--arcs", "1,4"], "switch needs --arcs g,g2 --skew pos|neg"),
+    ("halftwist", ["--component", "0"], "halftwist needs --component N --direction +1|-1"),
+    ("r1-undo", [], "r1-undo needs --crossing N"),
+    ("r2", [], "r2 needs --arcs a,b"),
+    ("r2-undo", [], "r2-undo needs --crossings i,j"),
+])
+def test_apply_refuses_a_move_missing_its_options(move, given, message):
+    """Each move `apply` runs names the options it needs when one is
+    missing: exit 2 and that text, in process."""
+    _, pd = run(["gen", "chain", "--n", "4"])
+    assert run(["apply", "--move", move, *given], stdin_text=pd) == (MALFORMED,
+                                                                     f"ERROR: {message}\n")
+
+
+def test_apply_undoes_a_kink_and_a_bigon():
+    """`apply` undoes an R1 kink and an R2 bigon as the library does: the
+    removals edit a replay state of the parsed diagram and freeze it."""
+    from hyperforge.diagram import (find_kinks, find_r2_bigons, format_pd, parse_pd,
+                                    reidemeister1_undo, reidemeister2_undo)
+
+    _, pd = run(["gen", "chain", "--n", "4"])
+    _, kinked = run(["apply", "--move", "r1", "--arc", "1", "--handedness", "-1"], stdin_text=pd)
+    d = parse_pd(kinked)
+    (ci,) = find_kinks(d)
+    code, out = run(["apply", "--move", "r1-undo", "--crossing", str(ci)], stdin_text=kinked)
+    assert (code, out) == (OK, format_pd(reidemeister1_undo(d, ci)))
+    assert out.count("X(") == 8
+    _, pushed = run(["apply", "--move", "r2", "--arcs", "1,4"], stdin_text=pd)
+    d = parse_pd(pushed)
+    pair = find_r2_bigons(d)[-1]
+    code, out = run(["apply", "--move", "r2-undo", "--crossings", "%d,%d" % pair],
+                    stdin_text=pushed)
+    assert (code, out) == (OK, format_pd(reidemeister2_undo(d, pair)))
+    assert out.count("X(") == 8
+
+
 def test_malformed_inputs_exit_2():
     for text in ("X(1,2,3)", "garbage", "X(1,1,2,3)"):
         code, _ = run(["validate"], stdin_text=text)

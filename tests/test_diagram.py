@@ -41,7 +41,6 @@ from hyperforge.diagram import (
     validate,
 )
 import hyperforge.diagram as dg
-from hyperforge.diagram import _renormalize
 from hyperforge.errors import FormatError, InvalidDiagramError, SiteError
 from hyperforge.generators import ChainSpec, chain_link, exceptional_links, rational_link, tk_closure
 
@@ -565,7 +564,7 @@ def test_braid2_face_sizes_alone_never_answer_yes():
     for n in range(2, 9):
         crossings = list(braid2_template(n).crossings)
         crossings[0] = crossings[0].rotated(1)
-        flipped = _renormalize(crossings, 0, frozen=set())
+        flipped = renormalized(crossings, 0)
         assert validate(flipped).valid and not is_alternating(flipped)
         assert sorted(map(len, flipped.face_arcs())) == _template_face_sizes(n)
         with mock.patch.object(dg, "diagram_isomorphic", wraps=dg.diagram_isomorphic) as walk:
@@ -614,7 +613,7 @@ def disjoint_union(d, e):
 
 
 def mirrored(d):
-    return _renormalize([x.rotated(1) for x in d.crossings], d.loops, frozen=set())
+    return renormalized([x.rotated(1) for x in d.crossings], d.loops)
 
 
 def test_components_matched_one_to_one(trefoil):
@@ -642,9 +641,21 @@ def scrambled_crossings(d, data):
     ]
 
 
+def renormalized(crossings, loops, frozen=(), allow_reorient=False):
+    """``crossings`` and ``loops`` as a build orients them: placed into an
+    empty builder's replay state, which `_Replay.settle` orients with the
+    ``frozen`` crossings voting (turning a frozen crossing only when
+    ``allow_reorient``) before the build freezes it."""
+    bld = dg.DiagramBuilder()
+    labels = max((a for x in crossings for a in x.slots), default=0)
+    bld.place((tuple(x.slots for x in crossings), labels, loops), ())
+    bld.state.settle(frozen, allow_reorient)
+    return bld.build()
+
+
 def scrambled(d, data):
     """d scrambled, with the orientation convention applied afresh."""
-    return _renormalize(scrambled_crossings(d, data), d.loops, frozen=set())
+    return renormalized(scrambled_crossings(d, data), d.loops)
 
 
 def unions(*parts):

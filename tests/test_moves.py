@@ -18,7 +18,6 @@ from hyperforge.diagram import (
     remove_component,
     splice,
     validate,
-    _renormalize,
 )
 from hyperforge.errors import ExcludedExteriorError, SiteError, WiringError
 from hyperforge.generators import ChainSpec, chain_link, tk_closure
@@ -38,12 +37,13 @@ from hyperforge.moves import (
 from hyperforge.tangle import ConwaySequence
 
 from oracles import welded
+from test_diagram import renormalized
 
 EVIDENCE = DeclaredNonRational("test fixture")
 
 
 def mirror_diagram(d):
-    return _renormalize([x.rotated(1) for x in d.crossings], d.loops, frozen=set())
+    return renormalized([x.rotated(1) for x in d.crossings], d.loops)
 
 
 def cross_component_face_pair(d):
@@ -422,7 +422,7 @@ def test_direction_conflict_raises_wiring_error(trefoil):
     turned = list(trefoil.crossings)
     turned[0] = turned[0].rotated(2)
     with pytest.raises(WiringError, match="disagree on strand direction"):
-        _renormalize(turned, 0, frozen={0, 1, 2})
+        renormalized(turned, 0, frozen={0, 1, 2})
 
 
 def test_splice_skips_a_conflicting_wiring(trefoil):

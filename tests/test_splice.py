@@ -1,5 +1,7 @@
 """The splice engine: the wiring moves, stacked half twists and mixed
-derivations against the try-every-wiring oracles, any wiring table against
+derivations against the try-every-wiring oracles, mixed derivations made
+in place on one replay state, frozen after every step, against building
+each step afresh by the old builder, any wiring table against
 the wiring loop, the strand orientation against the two-walk oracle, the
 fragment side against emitting the fragment apart and the base side
 against tracing its faces, the refusal of fragments with a portless or a
@@ -58,7 +60,6 @@ from hyperforge.diagram import (
     DEFAULT_STEP_BUDGET,
     DiagramBuilder,
     LinkDiagram,
-    _renormalize,
     braid2_template,
     components,
     diagram_isomorphic,
@@ -102,6 +103,7 @@ from oracles import (
     faces_oracle,
     fragment_side_oracle,
     half_twist_spot_oracle,
+    rebuilt_splice_oracle,
     renormalize_guarded_oracle,
     renormalize_oracle,
     slot_faces,
@@ -113,7 +115,7 @@ from oracles import (
     welded_splice_oracle,
     wiring_loop_oracle,
 )
-from test_diagram import r_moves, scrambled_crossings
+from test_diagram import r_moves, renormalized, scrambled_crossings
 
 EVIDENCE = DeclaredNonRational("splice test")
 
@@ -287,7 +289,7 @@ def test_orientation_matches_the_two_walk_oracle(d, data):
     crossings = scrambled_crossings(d, data)
     args = (crossings, d.loops, range(data.draw(st.integers(0, len(crossings)))))
     reorient = data.draw(st.booleans())
-    got = _renormalized(_renormalize, *args, allow_reorient=reorient)
+    got = _renormalized(renormalized, *args, allow_reorient=reorient)
     want = _renormalized(renormalize_oracle, *args, allow_reorient=reorient)
     if isinstance(want, str):
         assert got == want
@@ -317,7 +319,7 @@ def test_one_walk_per_component():
         n_comps = len(components(d).cycles)
         assert _walks(validate, LinkDiagram(d.crossings, loops=d.loops)) == n_comps
         turned = [x.rotated(1) for x in d.crossings]
-        assert _walks(_renormalize, turned, d.loops, set()) == n_comps
+        assert _walks(renormalized, turned, d.loops) == n_comps
 
 
 def test_a_splice_walks_only_the_strands_it_touched():
@@ -337,7 +339,7 @@ def test_a_splice_walks_only_the_strands_it_touched():
 
 class _StageLog:
     """Records which analyses the analysis stages ran on, which diagrams
-    the builder's renormalisation made, and, for each splice, each time
+    the builder built, and, for each splice, each time
     its fragment's tangle was made, while installed: a splice places the
     tangle the judge memo keeps, so it makes it only on a judge miss.  Each
     fragment is counted through one wrapper, so that the judge memo, keyed
@@ -351,7 +353,8 @@ class _StageLog:
         self.strands, self.faces, self.outputs, self.emits = [], [], [], []
 
     def __enter__(self):
-        trace, faces, renorm = dg._Analysis._trace, dg._Analysis._faces_and_euler, dg._renormalize
+        trace, faces = dg._Analysis._trace, dg._Analysis._faces_and_euler
+        build = dg.DiagramBuilder.build
         splice = dg.splice
         log = self
 
@@ -373,15 +376,15 @@ class _StageLog:
             log.faces.append(an)
             return faces(an)
 
-        def logged_renormalize(*args, **kwargs):
-            out = renorm(*args, **kwargs)
+        def logged_build(bld, *args, **kwargs):
+            out = build(bld, *args, **kwargs)
             log.outputs.append(out)
             return out
 
         self._patches = [
             mock.patch.object(dg._Analysis, "_trace", logged_trace),
             mock.patch.object(dg._Analysis, "_faces_and_euler", logged_faces),
-            mock.patch.object(dg, "_renormalize", logged_renormalize),
+            mock.patch.object(dg.DiagramBuilder, "build", logged_build),
             mock.patch.object(dg, "splice", counted_splice),
             mock.patch.object(mv, "splice", counted_splice),
         ]
@@ -618,6 +621,76 @@ def test_derivations_match_the_splice_oracle(d, data):
             continue
         assert format_pd(out) == want, move.__name__
         d = out
+
+
+def _by_rebuilding(move, *args):
+    """What ``move(*args)`` gives, or its SiteError text, built step by step
+    as before a replay state: each splice over a builder copy of its base
+    (`rebuilt_splice_oracle`) and each removal by the crossing drop."""
+    with mock.patch.object(dg, "splice", rebuilt_splice_oracle), \
+            mock.patch.object(mv, "splice", rebuilt_splice_oracle), \
+            mock.patch.object(dg, "DiagramBuilder", DroppingBuilder):
+        try:
+            return move(*args)
+        except SiteError as err:
+            return f"SiteError: {err}"
+
+
+def _on_state(state, move, d, *args):
+    """``move(d, *args)`` made on the replay ``state`` of d instead: the
+    crossings an undo names are taken to their slots in the state, whose
+    kinks and bigons, found among its holes, are d's in the same order."""
+    slots = [ci for ci, x in enumerate(state.crossings) if x is not None]
+    assert [slots.index(ci) for ci in find_kinks(state)] == list(find_kinks(d))
+    assert [tuple(map(slots.index, pair)) for pair in find_r2_bigons(state)] == list(
+        find_r2_bigons(d))
+    if move is reidemeister1_undo:
+        args = (slots[args[0]],)
+    elif move is reidemeister2_undo:
+        args = (tuple(slots[ci] for ci in args[0]),)
+    return move(state, *args)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(_REPLAY_BASES), st.data())
+def test_a_replay_state_matches_the_rebuilding_path_at_every_step(d, data):
+    """A derivation of 2 to 8 steps from a base after R1 and R2 moves, each
+    step a chain or augmented chain move, switch move, half twist, ring
+    insertion, R2 move, or R1 or R2 undo, made in place on one replay
+    state: its kinks and bigons are the diagram's, in order, and frozen
+    after every step, it gives the PD text and loops of building each
+    step's diagram afresh from the last, and the occurrences, corner map,
+    steps, cycles, heads and signs (in the trace's order) and report of
+    its analysis, every stage a fresh one's, still after the later steps; a
+    refused step gives the same text and leaves the state as it was, but
+    for a switch move, whose half twist may refuse after its ring went
+    in."""
+    *_, d = r_moves(d, data)
+    state, frozen = DiagramBuilder(d).state, []
+    for _ in range(data.draw(st.integers(2, 8))):
+        undos = [call for call in _removals(d) if call[0] is not remove_component]
+        move, *args = data.draw(st.sampled_from(_moves(d, data) + undos))
+        want = _by_rebuilding(move, *args)
+        try:
+            _on_state(state, move, *args)
+        except SiteError as err:
+            assert f"SiteError: {err}" == want, move.__name__
+            if move is not switch_move:
+                assert format_pd(state.freeze()) == format_pd(d)
+            state = DiagramBuilder(d).state
+            continue
+        got = state.freeze()
+        assert (format_pd(got), got.loops) == (format_pd(want), want.loops), move.__name__
+        for stage in ("occ", "across", "steps", "cycles", "head", "signs"):
+            got_stage, want_stage = getattr(got._analysis, stage), getattr(want._analysis, stage)
+            assert got_stage == want_stage, stage
+            if stage in ("head", "signs"):
+                assert list(got_stage.items()) == list(want_stage.items()), stage
+        assert validate(got) == validate(want)
+        frozen.append(got)
+        d = want
+    for got in frozen:  # the state's later edits left each frozen diagram as it was
+        _assert_trace_is_fresh(got, judged=True)
 
 
 def _by_emitting(move, *args):
@@ -1084,12 +1157,11 @@ def _four_end_splices():
 
 def test_a_build_with_an_arc_used_once_is_invalid():
     """A build over a base that leaves a cut arc's two pieces unwelded has
-    two arcs that occur once: the build indexes its crossings afresh and
-    refuses the diagram with the report of that analysis, before it walks
-    any strand."""
+    two arcs that occur once: the build refuses the diagram with the report
+    of a fresh analysis of its crossings, before it walks any strand."""
     bld = DiagramBuilder(base=_CHAIN4)
-    bld.cut(1)
-    crossings = tuple(bld.protos)  # the base's, one relabelled; no fragment
+    bld.state.cut(1)
+    crossings = tuple(bld.state.crossings)  # the base's, one relabelled; no fragment
     with pytest.raises(InvalidDiagramError) as refusal:
         bld.build()
     assert refusal.value.report == eager_report(LinkDiagram(crossings))
@@ -1274,7 +1346,7 @@ def test_output_trace_is_a_fresh_trace(d, data):
     crossings = scrambled_crossings(d, data)
     frozen = range(data.draw(st.integers(0, len(crossings))))
     try:
-        out = _renormalize(crossings, d.loops, frozen, allow_reorient=data.draw(st.booleans()))
+        out = renormalized(crossings, d.loops, frozen, allow_reorient=data.draw(st.booleans()))
     except WiringError:
         return
     _assert_trace_is_fresh(out)
@@ -1286,9 +1358,13 @@ def test_output_trace_after_reorienting_half_twists():
 
 
 def _by_the_old_build(move, *args):
-    """What ``move(*args)`` gives, or its SiteError text, with every build
-    renormalised by the old post-build path instead of from its base."""
-    with mock.patch.object(dg, "_renormalize", renormalize_guarded_oracle):
+    """What ``move(*args)`` gives, or its SiteError text, with every splice
+    built by the old post-build path instead of in a replay state of its
+    base: a builder copy of the base, renormalised by a fresh probe and
+    validated in full."""
+    with mock.patch.object(dg, "splice", rebuilt_splice_oracle), \
+            mock.patch.object(mv, "splice", rebuilt_splice_oracle), \
+            mock.patch.object(oracles, "renormalize_probe_oracle", renormalize_guarded_oracle):
         try:
             return move(*args)
         except SiteError as err:

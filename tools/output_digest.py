@@ -1,4 +1,4 @@
-"""Print SHA-256 digests over what the builder, the verifier and the
+"""Print SHA-256 digests over what the moves, the verifier and the
 certifier give on the benchmark's seed 1-3 pools, with outcome counts.
 
 Usage: python tools/output_digest.py [SRC]
@@ -8,11 +8,11 @@ SRC is the source directory whose hyperforge is digested (default: the
 checkout's code.  The pools are built by ``perfbench/workloads.py`` of
 this checkout, which the tool only reads.  The digest covers, in order:
 
-- every ``DiagramBuilder.build`` output made while the pools are built
-  and run: its PD text and loop count, or the error's type and text;
 - the verdict of every document of the seed 1-3 replay_verify pools:
   ``valid``, ``failed_step``, ``reason``, ``step_reports`` and
-  ``trusted_premises``;
+  ``trusted_premises``, and for an honest one the subject after each of
+  its steps, re-derived from its base by ``extend``: its PD text and loop
+  count;
 - the outcome of every subject of the seed 1-3 certify_bases pools;
 - the stdout of one pass of each seed 1-3 cli_pipeline session
   (``workloads.session_digest``), which runs the CLI's ``verify`` too.
@@ -23,18 +23,20 @@ inherited, trusted, and refused (unchecked or excluded evidence).  It is
 read off each verdict's ``step_reports`` and refusal ``reason``, so it
 reads the same for any version of the code whose verdicts are the same.
 
-A second digest line, ``distinct-builds sha256``, digests the same records but
-each distinct build record only at its first occurrence.  A change that
-only skips repeated work, such as a memo that certifies a repeated base
-once, builds some outputs fewer times: the first line changes, and the
-second does not as long as every output, verdict and session is the same.
+A second digest line, ``distinct-subjects sha256``, digests the same records
+but each distinct step subject only at its first occurrence: the documents
+of one derivation after 2, 4 and 6 steps share their first subjects.
 
-Two versions of the code that print the same digests gave byte-identical
-outputs on these pools.  The pools are the benchmark's, so a change to
-the benchmark changes the digests too; nothing is gated on them.
+Every record is read at the public boundary (`deserialize`, `extend`,
+`verify`, `format_pd`, the CLI), so two versions of the code that build
+their diagrams differently digest alike, and two that print the same
+digests gave byte-identical outputs on these pools.  The pools are the
+benchmark's, so a change to the benchmark changes the digests too;
+nothing is gated on them.
 """
 
 import collections
+import dataclasses
 import hashlib
 import itertools
 import sys
@@ -64,53 +66,44 @@ def chain_step_outcomes(verdict):
 
 def digest(hf, workloads):
     """(outcome counts, chain-step outcome counts, hex digest, hex digest
-    of distinct builds) of the pools of every seed."""
+    of distinct step subjects) of the pools of every seed."""
     h, distinct = hashlib.sha256(), hashlib.sha256()
     counts, steps = collections.Counter(), collections.Counter()
-    builds_seen = set()
+    subjects_seen = set()
 
     def record(kind, text):
         counts[kind] += 1
         line = f"{kind}\t{text}\n".encode()
         h.update(line)
-        if kind.startswith("build"):
-            if line in builds_seen:
+        if kind == "step":
+            if line in subjects_seen:
                 return
-            builds_seen.add(line)
+            subjects_seen.add(line)
         distinct.update(line)
 
-    cls = hf.diagram.DiagramBuilder
-    build = cls.build
-
-    def recorded(self, *args, **kwargs):
-        try:
-            out = build(self, *args, **kwargs)
-        except Exception as err:
-            record("build error", f"{type(err).__name__}: {err}")
-            raise
-        record("build", f"{hf.format_pd(out)}loops {out.loops}")
-        return out
-
-    cls.build = recorded
-    try:
-        with tempfile.TemporaryDirectory() as workdir:
-            for seed in SEEDS:
-                pool = workloads.replay_verify_build(hf, seed, workdir)
-                for item in pool["items"]:
-                    v = hf.verify(hf.deserialize(item["doc"]))
-                    steps.update(chain_step_outcomes(v))
-                    record("valid" if v.valid else "invalid",
-                           repr((v.valid, v.failed_step, v.reason, v.step_reports,
-                                 v.trusted_premises)))
-                pool = workloads.certify_bases_build(hf, seed, workdir)
-                for item in itertools.chain.from_iterable(pool["rounds"]):
-                    verdict, doc = workloads.certify_bases_execute(pool, item)
-                    record(f"certify {verdict}", f"{item['pd']}{doc}")
-                session = Path(workdir) / f"cli-{seed}"
-                session.mkdir()
-                record("cli session", workloads.session_digest(hf, seed, str(session)))
-    finally:
-        cls.build = build
+    with tempfile.TemporaryDirectory() as workdir:
+        for seed in SEEDS:
+            pool = workloads.replay_verify_build(hf, seed, workdir)
+            for item in pool["items"]:
+                cert = hf.deserialize(item["doc"])
+                v = hf.verify(cert)
+                steps.update(chain_step_outcomes(v))
+                record("valid" if v.valid else "invalid",
+                       repr((v.valid, v.failed_step, v.reason, v.step_reports,
+                             v.trusted_premises)))
+                if item["kind"] == "honest":
+                    derived = dataclasses.replace(cert, subject=cert.base_diagram, steps=())
+                    for step in cert.steps:
+                        derived = hf.extend(derived, step)
+                        record("step", f"{hf.format_pd(derived.subject)}loops "
+                                       f"{derived.subject.loops}")
+            pool = workloads.certify_bases_build(hf, seed, workdir)
+            for item in itertools.chain.from_iterable(pool["rounds"]):
+                verdict, doc = workloads.certify_bases_execute(pool, item)
+                record(f"certify {verdict}", f"{item['pd']}{doc}")
+            session = Path(workdir) / f"cli-{seed}"
+            session.mkdir()
+            record("cli session", workloads.session_digest(hf, seed, str(session)))
     return counts, steps, h.hexdigest(), distinct.hexdigest()
 
 
@@ -132,7 +125,7 @@ def main(argv):
     outcomes = [name for name, _ in STEP_REPORTS] + ["refused"]
     print("chain steps: " + ", ".join(f"{name} {steps[name]}" for name in outcomes))
     print(f"sha256 {hexdigest}")
-    print(f"distinct-builds sha256 {distinct}")
+    print(f"distinct-subjects sha256 {distinct}")
     return 0
 
 
