@@ -181,12 +181,12 @@ def verify(cert: Certificate) -> Verdict:
     """Re-play the derivation from the base and re-check every gate.
 
     At the first step that edits the diagram, the base's arrays are copied
-    into one replay state (`DiagramBuilder`), which that step and every
-    later one edit in place, so a step costs its ball and the strands it
-    touches, not the diagram; a base, shared by every document over it, is
-    never changed.  The state is frozen into a diagram at most once: for
-    the final isomorphism test, unless it holds the subject's own crossings
-    and loops."""
+    into one `DiagramBuilder`, which that step and every later one edit in
+    place, so a step costs its ball and the strands it touches, not the
+    diagram; a base, shared by every document over it, is never changed.
+    The builder is built into a diagram at most once: for the final
+    isomorphism test, unless it holds the subject's own crossings and
+    loops."""
     if isinstance(cert.subject, AbstractManifold):
         return _verify_abstract(cert)
     reports: list[str] = []
@@ -215,7 +215,7 @@ def verify(cert: Certificate) -> Verdict:
     else:
         return refuse(-1, f"unknown base {cert.base!r}")
 
-    current, bld = cert.base_diagram, None  # bld: the replay state's, made at the first edit
+    current, bld = cert.base_diagram, None  # bld: the builder, made at the first edit
     admission = None  # once a chain step is admitted, a later one may inherit
     for i, step in enumerate(cert.steps):
         site = missing = None
@@ -246,8 +246,7 @@ def verify(cert: Certificate) -> Verdict:
             if missing is not None:
                 raise missing  # the site lookup, made before the gate, failed
             if bld is None:
-                bld = DiagramBuilder(current)
-                current = bld.state
+                current = bld = DiagramBuilder(current)
             before = components(current).count
             _apply_step(current, step, site)
             after = components(current).count

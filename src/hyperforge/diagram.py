@@ -14,10 +14,12 @@ Conventions (fixed once, used by the text format and every move):
   tuples; they are stored as a count (``loops``).
 
 Every public value here is immutable and every public operation a pure
-function.  The one mutable value, the replay state `_Replay`, is private
-and never escapes: a move on a diagram edits a state of it and freezes
-that into a new diagram, and `certificate.verify` replays a derivation
-into one state, freezing it at most once.
+function.  The one mutable value, a `DiagramBuilder`, builds the
+diagrams of the generators and the moves and never escapes: a move on a
+diagram edits a builder of it and freezes that into a new diagram, a
+generator builds its closed tangle in an empty one (`closed`), and
+`certificate.verify` replays a derivation into one builder, freezing it
+at most once.
 """
 
 from __future__ import annotations
@@ -124,7 +126,6 @@ class _Strands(NamedTuple):
     steps: list[list[int]]  # per component: the corners it enters, least arc first
     cycles: list[tuple[int, ...]]  # per component: the arcs of its steps
     head: dict[int, int]  # arc -> the corner it enters
-    signs: dict[int, int]
     problems: tuple[str, ...]
 
     @classmethod
@@ -138,10 +139,7 @@ class _Strands(NamedTuple):
             walks = sorted(walks, key=lambda corners: arc_at[corners[0]])
             cycles = [tuple(map(arc_at.__getitem__, corners)) for corners in walks]
         chain = itertools.chain.from_iterable
-        head = dict(zip(chain(cycles), chain(walks)))
-        # the over-strand entering at slot 1 is sign -1, at slot 3 +1
-        signs = {c >> 2: (c & 3) - 2 for corners in walks for c in corners if c & 1}
-        return cls(walks, cycles, head, signs, ())
+        return cls(walks, cycles, dict(zip(chain(cycles), chain(walks))), ())
 
 
 class _Embedding(NamedTuple):
@@ -244,32 +242,33 @@ class _Analysis:
     and the faces.  Only the public API and error texts give (ci, si) pairs.
 
     Arc occurrences are indexed when the analysis is made, unless a frozen
-    replay state gives its own index, renumbered.  The corner map
-    `across`, the strand trace (orientation, signs), the graph components
-    and the faces with the Euler check each run at most once, when
-    something first reads them, and only when every arc occurs twice.
-    Every walk over the diagram but the face stage's reads that one corner
-    map through `_walk_corners`: the strand trace, the splice's base side,
-    the co-face test, the disk-run scan and the isomorphism test; the faces
-    are read in one pass by `_closed_faces`.  The strand trace and a replay
-    state's `_Replay.settle` orient the strands by one walk per component,
+    builder gives its own index, renumbered.  The corner map `across`, the
+    strand trace (orientation, and so the signs), the graph components and
+    the faces with the Euler check each run at most once, when something
+    first reads them, and only when every arc occurs twice.  Every walk
+    over the diagram but the face stage's reads that one corner map
+    through `_walk_corners`: the strand trace, the splice's base side, the
+    co-face test, the disk-run scan and the isomorphism test; the faces
+    are read in one pass by `_closed_faces`.  The strand trace and
+    `DiagramBuilder.settle` orient the strands by one walk per component,
     `_oriented`.
 
-    A replay state is an analysis whose stages it edits in place.  A
+    A `DiagramBuilder` is an analysis whose stages it edits in place.  A
     diagram a splice, an R1 undo or add, an R2 undo or a component removal
-    builds is a state of its base, edited and frozen (`_Replay.freeze`):
-    it arrives analysed, with the state's index, corner map and strand
-    steps renumbered past the removed crossings, only the components
-    through the arcs the edit changed having been walked, and it is known
-    planar, since a splice's judge checked the Euler formula over face
-    orbits, the parts under its face-orbit condition, and smoothing
-    crossings out of a plane diagram keeps it plane.  It has no Euler check
-    to run, and its report counts V + 2 faces per graph component, so its
-    faces are traced only when something reads them.  An analysis keeps
-    its diagram's crossings and loops, not the diagram, which caches it: no
-    reference cycle.  A stage returns its own problems instead of adding to
-    a shared list, so `report` lists them in the order occurrences, trace,
-    faces whichever stage ran first.
+    makes is a builder of its base, edited and frozen
+    (`DiagramBuilder.freeze`): it arrives analysed, with the builder's
+    index, corner map and strand steps renumbered past the removed
+    crossings, only the components through the arcs the edit changed
+    having been walked, and it is known planar, since a splice's judge
+    checked the Euler formula over face orbits, the parts under its
+    face-orbit condition, and smoothing crossings out of a plane diagram
+    keeps it plane.  It has no Euler check to run, and its report counts
+    V + 2 faces per graph component, so its faces are traced only when
+    something reads them.  A generator's diagram, built from no base, runs
+    the Euler check.  An analysis keeps its diagram's crossings and loops,
+    not the diagram, which caches it: no reference cycle.  A stage returns
+    its own problems instead of adding to a shared list, so `report` lists
+    them in the order occurrences, trace, faces whichever stage ran first.
     """
 
     def __init__(self, crossings: tuple[Crossing, ...], loops: int,
@@ -293,7 +292,6 @@ class _Analysis:
     steps = property(attrgetter("_strands.steps"))
     cycles = property(attrgetter("_strands.cycles"))
     head = property(attrgetter("_strands.head"))
-    signs = property(attrgetter("_strands.signs"))
     faces = property(attrgetter("_embedding.faces"))
     face_arcs = property(attrgetter("_embedding.face_arcs"))
 
@@ -394,6 +392,10 @@ class _Analysis:
                                 "has conflicting under-strand directions")
             walks.append(corners)
         return _Strands.of(walks, self.arc_at)._replace(problems=tuple(problems))
+
+    def sign(self, ci: int) -> int:
+        # the over-strand entering at slot 1 is sign -1, at slot 3 +1
+        return -1 if self.head[self.arc_at[4 * ci + 1]] == 4 * ci + 1 else 1
 
     # stage 3: graph components
 
@@ -502,7 +504,9 @@ class LinkDiagram:
 
     def sign(self, ci: int) -> int:
         self.require_valid()
-        return self._analysis.signs[ci]
+        if not 0 <= ci < len(self.crossings):
+            raise SiteError(f"no crossing {ci}")
+        return self._analysis.sign(ci)
 
     def _head(self, arc: int) -> int:
         """The corner an arc flows into."""
@@ -638,7 +642,7 @@ def is_prime_diagram(d: LinkDiagram) -> bool:
     return not two_edge_cuts(d)
 
 
-# -- the replay state ------------------------------------------------------------
+# -- the builder -----------------------------------------------------------------
 
 
 def _relabel_occurrence(crossings: list[Crossing], k: int, new_arc: int) -> None:
@@ -648,53 +652,54 @@ def _relabel_occurrence(crossings: list[Crossing], k: int, new_arc: int) -> None
     crossings[k >> 2] = _crossing(tuple(s))
 
 
-class _Replay(_Analysis):
-    """A diagram under edit: the one mutable value of this module, which
-    never leaves it and `certificate.verify`.
+class DiagramBuilder(_Analysis):
+    """A diagram under edit, the replay state: the one mutable value of
+    this module, which builds the diagrams of the generators and the moves
+    and never leaves it and `certificate.verify`.
 
-    It starts as a copy of a valid diagram's arrays: the crossings, where a
-    removed crossing leaves a hole (None); the arc at each corner (0 at a
-    hole's), the corner map and the occurrence index; each component's
-    strand steps and arcs, and the head map, which gives the signs; the
-    loop count and the next fresh label.  A base's own lists are shared,
-    never changed: an edit replaces a list.  The edits (`cut`, `remove`,
-    `place`, `append`) rewrite the corners of their ball alone, and
-    `settle` re-traces only the strands through the arcs they changed.  New
-    crossings are appended after every slot, so the corners are a monotone
-    image of the compact numbering: every order a move reads (ascending
-    occurrences, `find_kinks`, `_face_rank`, components by least arc) is
-    the one a frozen diagram gives, and so is every label.  A move reads
-    the state as a diagram: its ``_analysis`` is the state itself.
-    `freeze` compacts the holes into a `LinkDiagram` that arrives
-    analysed; the state stays usable.
+    Over a base diagram it starts as a copy of the base's arrays: the
+    crossings, where a removed crossing leaves a hole (None); the arc at
+    each corner (0 at a hole's), the corner map and the occurrence index;
+    each component's strand steps and arcs, and the head map, which gives
+    the signs; the loop count and the next fresh label.  With no base it
+    starts empty, and a generator places its closed tangle into it
+    (`closed`).  A base's own lists are shared, never changed: an edit
+    replaces a list.  The edits (`cut`, `remove`, `place`, `append`)
+    rewrite the corners of their ball alone, and `settle` re-traces only
+    the strands through the arcs they changed.  New crossings are appended
+    after every slot, so the corners are a monotone image of the compact
+    numbering: every order a move reads (ascending occurrences,
+    `find_kinks`, components by least arc) is the one a frozen diagram
+    gives, and so is every label.  A move reads the builder as a diagram:
+    its ``_analysis`` is the builder itself.  `build` settles it and
+    freezes it into a `LinkDiagram` that arrives analysed; the builder
+    stays usable.
     """
 
-    def __init__(self, d: LinkDiagram):
-        d.require_valid()
-        an = d._analysis
-        self.crossings: list[Optional[Crossing]] = list(d.crossings)
-        self.loops = d.loops
+    def __init__(self, base: Optional[LinkDiagram] = None):
+        if base is not None:
+            base.require_valid()
+        an = _Analysis((), 0) if base is None else base._analysis
+        self.crossings: list[Optional[Crossing]] = list(an.crossings)
+        self.loops = an.loops
         self.occ, self.occ_problems, self.double_ok = dict(an.occ), (), True
         self.arc_at, self.across = list(an.arc_at), list(an.across)
         s = an._strands
-        self._strands = _Strands(list(s.steps), list(s.cycles), dict(s.head), None, ())
-        self._next = d.fresh_arc()
+        self._strands = _Strands(list(s.steps), list(s.cycles), dict(s.head), ())
+        self._next = max(an.occ, default=0) + 1
         self._changed: set[int] = set()  # the arcs whose corners an unsettled edit changed
         self._settled = len(self.crossings)  # the crossings made before the unsettled edits
+        self._planar = base is not None  # a generator's diagram runs the Euler check
 
     _analysis = property(lambda self: self)
     _head = LinkDiagram._head
 
     def require_valid(self) -> None:
-        """Nothing to check: the state was a valid diagram, and every edit
+        """Nothing to check: the builder's base was valid, and every edit
         since was judged (`splice`) or keeps it valid (a removal)."""
 
-    def sign(self, ci: int) -> int:
-        # the over-strand entering at slot 1 is sign -1, at slot 3 +1
-        return -1 if self.head[self.arc_at[4 * ci + 1]] == 4 * ci + 1 else 1
-
     def holds(self, d: LinkDiagram) -> bool:
-        """Whether the state holds the crossings of ``d``, holes aside, and
+        """Whether the builder holds the crossings of ``d``, holes aside, and
         its loops: ``d`` itself."""
         return self.loops == d.loops and list(filter(None, self.arc_at)) == list(
             itertools.chain.from_iterable(map(attrgetter("slots"), d.crossings)))
@@ -849,13 +854,19 @@ class _Replay(_Analysis):
         while self._next > 1 and self._next - 1 not in occ:  # the next label is the least unused
             self._next -= 1
 
-    def freeze(self, planar: bool = True) -> LinkDiagram:
-        """The diagram the state holds, its holes compacted, arriving with
-        the analysis a fresh one would build: the state's index, corner map
-        and strand steps, renumbered, which give the head and sign maps in
-        the order the trace gives them.  Known ``planar`` (see `_Analysis`)
-        unless the crossings were placed by a generator, whose analysis
-        runs the Euler check."""
+    def build(self, allow_reorient: bool = False) -> LinkDiagram:
+        """The builder, settled (`settle`, which turns frozen crossings
+        when ``allow_reorient``) and frozen (`freeze`)."""
+        self.settle(reorient=allow_reorient)
+        return self.freeze()
+
+    def freeze(self) -> LinkDiagram:
+        """The diagram the builder holds, its holes compacted, arriving with
+        the analysis a fresh one would build: the builder's index, corner
+        map and strand steps, renumbered, which give the head map in the
+        order the trace gives it.  Known planar (see `_Analysis`) unless
+        the builder had no base, so a generator's analysis runs the Euler
+        check."""
         d = LinkDiagram(tuple(filter(None, self.crossings)), loops=self.loops)
         if len(d.crossings) == len(self.crossings):
             occ, across, steps = dict(self.occ), list(self.across), list(self.steps)
@@ -869,7 +880,7 @@ class _Replay(_Analysis):
         an = _Analysis(d.crossings, d.loops, occ)
         an.arc_at, an.across = list(filter(None, self.arc_at)), across
         an._strands = _Strands.of(steps, an.arc_at, list(self.cycles))
-        if planar:
+        if self._planar:
             an._euler_problems = ()
         object.__setattr__(d, "_analysis", an)
         return d
@@ -925,8 +936,6 @@ def _disk_runs(d: LinkDiagram, comp: int):
         candidates = []
         first = pa & ~3 | ~pa & 1  # the other strand's corners at pa: 1 and 3, or 0 and 2
         for out in (first, first + 2):
-            if across[out] >> 2 == pa >> 2:
-                continue  # both ends at pa's crossing
             walk = _walk_corners(across, across[out], 2, c_corners)
             if walk[-1] >> 2 == pb >> 2:
                 candidates.append({arc_at[k] for k in walk[:-1]})
@@ -972,10 +981,10 @@ def remove_component(d: LinkDiagram, comp: int) -> LinkDiagram:
     # the strands that crossed the component continue straight
     joins = [(a, b) for ci in removed for a, b in (d.crossings[ci].under(), d.crossings[ci].over())
              if a not in comp_arcs and b not in comp_arcs]
-    return _edited(d, lambda state: state.remove(removed, joins))
+    return _edited(d, lambda bld: bld.remove(removed, joins))
 
 
-# -- open tangles and the builder --------------------------------------------------
+# -- open tangles and closed diagrams ---------------------------------------------
 
 
 def twist_rows(chirality: int, left: Sequence, right: Sequence) -> list[tuple]:
@@ -1034,45 +1043,28 @@ def open_tangle(rows: Iterable[Sequence], ports: Sequence = (), joins: Iterable[
     return out, len(number) - n, loops
 
 
-class DiagramBuilder:
-    """Make a diagram by editing a replay state (`_Replay`) and freezing it.
-
-    Over a base diagram, the state is a copy of the base's arrays, edited
-    by `_edited` for a splice, an R1 undo or add, an R2 undo or a component
-    removal, and `build` freezes it known planar: a splice's judge proves
-    it, and the rest keep it.  With no base, the state is empty, and a
-    generator places its closed tangle into it (`place`, see
-    `open_tangle`), each row putting the under-strand on slots {0, 2};
-    `build` orients it and its analysis runs the Euler check.  `verify`
-    replays a whole derivation into one builder's state and builds at most
-    once.
-    """
-
-    def __init__(self, base: Optional[LinkDiagram] = None):
-        self.planar = base is not None
-        self.state = _Replay(base if base is not None else _EMPTY)
-
-    def place(self, tangle: tuple, ports: Sequence[int]) -> None:
-        self.state.place(tangle, ports)
-
-    def build(self, allow_reorient: bool = False) -> LinkDiagram:
-        """The state, settled (see `_Replay.settle`) and frozen."""
-        self.state.settle(reorient=allow_reorient)
-        return self.state.freeze(self.planar)
+def closed(rows: Iterable[Sequence], joins: Iterable[tuple] = ()) -> LinkDiagram:
+    """The diagram of a closed tangle, its crossings given as ``rows`` and
+    its glued labels as ``joins`` (see `open_tangle`): placed into an empty
+    builder, each row's under-strand on slots {0, 2}, built, which orients
+    it and turns a row whose under-strand enters at slot 2, and checked
+    valid."""
+    bld = DiagramBuilder()
+    bld.place(open_tangle(rows, joins=joins), ())
+    d = bld.build()
+    d.require_valid()
+    return d
 
 
-_EMPTY = LinkDiagram()  # a generator's builder starts from it
-
-
-def _edited(d, edit: Callable[[_Replay], None], reorient: bool = False):
-    """``d`` after ``edit``: a replay state edited and settled in place, or
-    a diagram whose state a builder edits and builds."""
-    if isinstance(d, _Replay):
+def _edited(d, edit: Callable[[DiagramBuilder], None], reorient: bool = False):
+    """``d`` after ``edit``: a builder edited and settled in place, or a
+    diagram whose builder is edited and built."""
+    if isinstance(d, DiagramBuilder):
         edit(d)
         d.settle(reorient=reorient)
         return d
     bld = DiagramBuilder(d)
-    edit(bld.state)
+    edit(bld)
     return bld.build(reorient)
 
 
@@ -1321,16 +1313,16 @@ def splice(
 ) -> LinkDiagram:
     """Splice a fragment into ``base`` by the first wiring that gives a valid diagram.
 
-    ``base`` is a diagram, or a replay state (`_Replay`) that the splice
-    edits in place and returns.  Its state cuts the ``cut`` arcs in order
-    and punches ``remove`` out; the ends are the labels each cut gives (the
+    ``base`` is a diagram, or a `DiagramBuilder` that the splice edits in
+    place and returns.  Its builder cuts the ``cut`` arcs in order and
+    punches ``remove`` out; the ends are the labels each cut gives (the
     arc's tail side, then its head side), then the ``stubs`` arcs
     themselves, and port i of the fragment's open tangle takes the label
-    of end ``wiring[i]``; ``reorient`` lets the settling of the state turn
-    frozen crossings (`_Replay.settle`).  ``fragment`` is
-    hashable, and ``fragment()`` gives the same open tangle (see
-    `open_tangle`) every time.  The tangle and its side are numbered by
-    port, so it is made only when the judge memo (`_judged`) misses.
+    of end ``wiring[i]``; ``reorient`` lets the builder's settling turn
+    frozen crossings (`DiagramBuilder.settle`).  ``fragment`` is hashable,
+    and ``fragment()`` gives the same open tangle (see `open_tangle`)
+    every time.  The tangle and its side are numbered by port, so it is
+    made only when the judge memo (`_judged`) misses.
 
     The caller meets the face-orbit condition: the removed crossings and
     cut points lie in a disk meeting the base nowhere else, so each part
@@ -1352,16 +1344,16 @@ def splice(
     the fragment's inner faces and raises an AssertionError for a fragment
     that does not meet it.  The judge's choice is memoised per base side
     shape, fragment and wiring table, in a bounded per-process cache
-    (`_judged`), with the fragment's tangle, whose crossings the state
-    appends (`_Replay.place`) for the first valid wiring alone.  Only the
-    strand components through the fragment are walked, the others keeping
-    their steps, and the output, a state or a diagram frozen from one
-    (`DiagramBuilder.build`), is known planar, so no face is traced until
-    something reads the faces.  With no valid
-    wiring, or a fragment with a crossing on no part with a port:
-    SiteError("<failure> (<last wiring error>)"), that error being the
-    strand-direction conflict text when some wiring needed a frozen crossing
-    turned, and None otherwise.  A fragment fault (a label that is no open
+    (`_judged`), with the fragment's tangle, whose crossings the builder
+    appends (`DiagramBuilder.place`) for the first valid wiring alone.
+    Only the strand components through the fragment are walked, the
+    others keeping their steps, and the output, a builder or a diagram
+    built from one (`DiagramBuilder.build`), is known planar, so no face
+    is traced until something reads the faces.  With no valid wiring, or a
+    fragment with a crossing on no part with a port: SiteError("<failure>
+    (<last wiring error>)"), that error being the strand-direction
+    conflict text when some wiring needed a frozen crossing turned, and
+    None otherwise.  A fragment fault (a label that is no open
     tangle's, a wiring that gives one end two ports) is a bug and
     propagates from the judge, and so does a built wiring whose arcs do
     not each occur twice or whose strands need a frozen crossing turned.
@@ -1373,10 +1365,10 @@ def splice(
     if wiring is None:
         raise SiteError(f"{failure} ({_DIRECTION_CONFLICT if turned else None})")
 
-    def edit(state: _Replay) -> None:
-        ends = [label for arc in cut for label in state.cut(arc)] + list(stubs)
-        state.remove(removed)
-        state.place(tangle, [ends[end] for end in wiring])
+    def edit(bld: DiagramBuilder) -> None:
+        ends = [label for arc in cut for label in bld.cut(arc)] + list(stubs)
+        bld.remove(removed)
+        bld.place(tangle, [ends[end] for end in wiring])
 
     try:
         return _edited(base, edit, reorient)
@@ -1420,10 +1412,10 @@ def reidemeister1(d: LinkDiagram, arc: Optional[int], handedness: int) -> LinkDi
         return LinkDiagram(d.crossings + (kink,), loops=d.loops - 1)
     d._head(arc)  # a SiteError before any edit when there is no such arc
 
-    def edit(state: _Replay) -> None:
-        m1 = state.fresh_label()
-        _, m2 = state.cut(arc)
-        state.append([arc, m2, m1, m1] if handedness > 0 else [arc, m1, m1, m2])
+    def edit(bld: DiagramBuilder) -> None:
+        m1 = bld.fresh_label()
+        _, m2 = bld.cut(arc)
+        bld.append([arc, m2, m1, m1] if handedness > 0 else [arc, m1, m1, m2])
 
     return _edited(d, edit)
 
@@ -1433,7 +1425,7 @@ def find_kinks(d: LinkDiagram) -> tuple[int, ...]:
     d.require_valid()
     out = []
     for ci, x in enumerate(d.crossings):
-        if x is None:  # a replay state's hole
+        if x is None:  # a builder's hole
             continue
         a, b, c, e = x.slots
         if a == b or b == c or c == e or e == a:
@@ -1449,7 +1441,7 @@ def reidemeister1_undo(d: LinkDiagram, ci: int) -> LinkDiagram:
     pair = next((s for s in range(4) if x.slots[s] == x.slots[(s + 1) % 4]), None)
     if pair is None:
         raise SiteError(f"crossing {ci} is not a kink")
-    return _edited(d, lambda state: state.remove(
+    return _edited(d, lambda bld: bld.remove(
         {ci}, [(x.slots[(pair + 2) % 4], x.slots[(pair + 3) % 4])]))
 
 
@@ -1517,7 +1509,7 @@ def _undo_bigon(d: LinkDiagram, ci: int, cj: int) -> LinkDiagram:
     joins = [tuple(x.slots[s + 2] if x.slots[s] == inner else x.slots[s]
                    for x in (d.crossings[ci], d.crossings[cj]))
              for s, inner in zip((1, 0), _r2_strands(d, ci, cj))]
-    return _edited(d, lambda state: state.remove((ci, cj), joins))
+    return _edited(d, lambda bld: bld.remove((ci, cj), joins))
 
 
 def reduce_diagram(
@@ -1553,9 +1545,7 @@ def braid2_template(n: int, mirror: bool = False) -> LinkDiagram:
     if n < 1:
         raise SiteError("template needs at least one crossing")
     rails = [[(side, i % n) for i in range(n + 1)] for side in "lr"]  # each closes up
-    bld = DiagramBuilder()
-    bld.place(open_tangle(twist_rows(+1 if not mirror else -1, *rails)), ())
-    return bld.build()
+    return closed(twist_rows(+1 if not mirror else -1, *rails))
 
 
 def two_braid_status(d: LinkDiagram, budget: int = DEFAULT_STEP_BUDGET) -> str:
@@ -1682,9 +1672,9 @@ class GaussCode:
 
 def to_gauss(d: LinkDiagram) -> GaussCode:
     d.require_valid()
-    signs = d._analysis.signs
-    comps = tuple(tuple(((c >> 2) + 1, c & 1 == 1, signs[c >> 2]) for c in steps)
-                  for steps in d._analysis.steps)
+    an = d._analysis
+    comps = tuple(tuple(((c >> 2) + 1, c & 1 == 1, an.sign(c >> 2)) for c in steps)
+                  for steps in an.steps)
     return GaussCode(components=comps, loops=d.loops)
 
 
@@ -1728,8 +1718,6 @@ def from_gauss(g: GaussCode) -> LinkDiagram:
             else:
                 slots[ci][1] = in_arc
                 slots[ci][3] = out_arc
-    if any(s is None for row in slots for s in row):
-        raise FormatError("incomplete Gauss code")
     loops = g.loops + sum(1 for comp in g.components if not comp)
     d = LinkDiagram(tuple(Crossing(tuple(row)) for row in slots), loops=loops)
     d.require_valid()

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tangle as _tangle
-from .diagram import DiagramBuilder, LinkDiagram, open_tangle, twist_rows
+from .diagram import LinkDiagram, closed, twist_rows
 from .errors import FormatError
 from .moves import TWIST_CHIRALITY_POS, TkTemplate
 from .tangle import to_alternating_diagram
@@ -53,11 +53,7 @@ def chain_link(spec: ChainSpec) -> LinkDiagram:
                            (right_on[0], ("c", j, 1), left_on[0]))
     for (left, right), t in zip(rails, spec.twists):
         rows += twist_rows(TWIST_CHIRALITY_POS * (1 if t >= 0 else -1), left, right)
-    bld = DiagramBuilder()
-    bld.place(open_tangle(rows), ())
-    d = bld.build()
-    d.require_valid()
-    return d
+    return closed(rows)
 
 
 def twisted_5chain() -> LinkDiagram:
@@ -90,11 +86,7 @@ def tk_closure(s, k: int, extra_twists: int = 0) -> LinkDiagram:
     rows, tk = TkTemplate(k).parts()
     tangle_rows, r = t.parts()  # labels apart from the template's: int pairs
     joins = ((tk["NW"], r["NW"]), (tk["NE"], r["SW"]), (tk["SW"], r["NE"]), (tk["SE"], r["SE"]))
-    bld = DiagramBuilder()
-    bld.place(open_tangle(rows + tangle_rows, joins=joins), ())
-    d = bld.build()
-    d.require_valid()
-    return d
+    return closed(rows + tangle_rows, joins)
 
 
 def exceptional_links() -> tuple[LinkDiagram, ...]:

@@ -51,7 +51,6 @@ from .diagram import (
     _passages,
     _require_co_face,
     _ring_fault,
-    _walk_corners,
     components,
     flip_wirings,
     open_tangle,
@@ -384,42 +383,30 @@ _HALF_TWIST_WIRINGS = ((0, 2, 3, 1),) + tuple(
 )
 
 
-def _face_rank(an, k: int) -> tuple[int, int, int]:
-    """Where corner ``k`` comes in the faces `LinkDiagram.face_arcs` lists:
-    (the least (arc, corner) of its face, which orders the faces; its
-    position in the face, counted from that corner)."""
-    face = _walk_corners(an.across, k, 1)
-    first = min(range(len(face)), key=lambda i: (an.arc_at[face[i]], face[i]))
-    return an.arc_at[face[first]], face[first], -first % len(face)
-
-
 def _half_twist_spot(d: LinkDiagram, c: int) -> Optional[tuple[int, int]]:
     """(run1 arc, run2 arc) of c's disk that flank an arc e of c in a
     face, e least; None when no face has one.
 
     Each corner k of e is entered by one face, where e's neighbours are
     the arcs at the corner before k and the one after it, each read off
-    the corner map.  When both of e's corners qualify, the one first in
-    `LinkDiagram.face_arcs` order wins (`_face_rank`), so only those two
-    faces are traced.
+    the corner map, so no face is walked.  At most one of e's corners
+    qualifies: the two faces beside e hold, at each end crossing of e, the
+    two arcs of the strand crossing c there, and a run holds at most one
+    of them, since a run meets c only at its two end crossings, one arc at
+    each, and the two runs end at four different crossings.
     """
     run1, run2 = _disk_runs(d, c)
     an = d._analysis
     across, arc_at = an.across, an.arc_at
     for e in sorted(components(d).arcs_of(c)):
-        found = []
         for k in an.occ[e]:
             b = across[k]
             alpha = arc_at[b & ~3 | (b - 1) & 3]
             beta = arc_at[across[k & ~3 | (k + 1) & 3]]
             if alpha in run1 and beta in run2:
-                found.append((k, (alpha, beta)))
-            elif alpha in run2 and beta in run1:
-                found.append((k, (beta, alpha)))
-        if len(found) == 2:
-            found.sort(key=lambda f: _face_rank(an, f[0]))
-        if found:
-            return found[0][1]
+                return alpha, beta
+            if alpha in run2 and beta in run1:
+                return beta, alpha
     return None
 
 

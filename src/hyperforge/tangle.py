@@ -224,9 +224,7 @@ def boundary_twists(t: TangleDiagram, n: int) -> TangleDiagram:
 
 def numerator_closure(t: TangleDiagram) -> LinkDiagram:
     """Join NW-NE and SW-SE."""
-    from .diagram import DiagramBuilder, open_tangle
+    from .diagram import closed
 
     rows, ports = t.parts()
-    bld = DiagramBuilder()
-    bld.place(open_tangle(rows, joins=((ports["NW"], ports["NE"]), (ports["SW"], ports["SE"]))), ())
-    return bld.build()
+    return closed(rows, ((ports["NW"], ports["NE"]), (ports["SW"], ports["SE"])))

@@ -1375,13 +1375,12 @@ def drop_crossings_oracle(d: LinkDiagram, removed: set[int], joins) -> LinkDiagr
 
 class DroppingBuilder:
     """A stand-in for `DiagramBuilder` in the removals (R1 and R2 undo,
-    component removal), and for the replay state it edits: it records the
-    crossings the caller removes and the joins it makes, and builds by
-    `drop_crossings_oracle`, its output validated in full."""
+    component removal): it records the crossings the caller removes and
+    the joins it makes, and builds by `drop_crossings_oracle`, its output
+    validated in full."""
 
     def __init__(self, base: LinkDiagram):
         self.base, self.removed, self.joins = base, set(), []
-        self.state = self
 
     def remove(self, crossings: Iterable[int], joins=()) -> None:
         self.removed.update(crossings)

@@ -708,6 +708,43 @@ def test_diagrams_and_manifolds_do_not_mix(cert, failed, reason):
     assert _verdict(cert) == (False, failed, reason)
 
 
+class _Foreign:
+    """A step the certificate layer does not know."""
+
+
+def _with_boundaries(boundaries):
+    """The document of a census certificate, its base manifold's
+    boundaries replaced by ``boundaries``."""
+    doc = json.loads(serialize(census("M1", (("T1", "torus"),))))
+    doc["base_manifold"]["boundaries"] = boundaries
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: extend(chain_cert()[0], GlueStep(census("M2", (("S1", "torus"),)), "T1", "S1", GEO)),
+     CertificateError, "use glue() for gluing steps"),
+    (lambda: extend(census("M1", (("T1", "torus"),)), HalfTwistStep(0, 1)),
+     CertificateError, "cannot extend an abstract-manifold certificate"),
+    (lambda: glue(chain_cert()[0], census("M2", (("S1", "torus"),)), "T1", "S1", GEO),
+     GlueError, "glue operates on abstract-manifold certificates"),
+    (lambda: deserialize(_with_boundaries([[1, "torus"]])),
+     CertificateError, "manifold boundaries must be [label, kind] string pairs"),
+    (lambda: deserialize(_with_boundaries([["T1"]])),
+     CertificateError, "manifold boundaries must be [label, kind] string pairs"),
+    (lambda: serialize(replace(census("M1", (("T1", "torus"),)), steps=(_Foreign(),))),
+     CertificateError, "unknown step _Foreign"),
+], ids=["extend-glue-step", "extend-manifold", "glue-diagram", "boundary-not-strings",
+        "boundary-not-a-pair", "serialize-foreign-step"])
+def test_certificate_input_refusals(call, error, text):
+    """Each refusal of an input the certificate layer cannot take, with
+    its text: a glue step given to `extend`, `extend` on an abstract
+    manifold, `glue` of a diagram certificate, a manifold boundary that is
+    no pair of strings, and a step `serialize` does not know."""
+    with pytest.raises(error) as refusal:
+        call()
+    assert str(refusal.value) == text
+
+
 def test_mixed_step_pipeline_verifies():
     cert, d4 = chain_cert()
     cur = extend(cert, first_chain_step(d4, 1))

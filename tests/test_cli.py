@@ -249,6 +249,21 @@ def test_reused_parser_keeps_no_state():
     assert run(["fraction", "--seq", "2 3"]) == (OK, "7/2\n")
 
 
+def test_a_bad_evidence_flag_exits_2():
+    _, pd = run(["gen", "chain", "--n", "4"])
+    assert run(["apply", "--move", "chain", "--component", "0", "--strands", "4,8",
+                "--k", "1", "--evidence", "proof:none"], stdin_text=pd) == (
+        MALFORMED,
+        "ERROR: evidence must be rational:SEQ, nonrational:TEXT, or unchecked, got 'proof:none'\n")
+
+
+def test_a_pipeline_naming_an_unknown_slot_exits_2(tmp_path):
+    script = tmp_path / "p.hf"
+    script.write_text("A = gen chain --n 4\nverify @B\n")
+    assert run(["pipeline", str(script)]) == (
+        MALFORMED, "ERROR: pipeline references unknown slot @B\n")
+
+
 def test_pipeline_aborts_on_refusal(tmp_path):
     script = tmp_path / "p.hf"
     script.write_text(

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from hyperforge.diagram import (
     Crossing,
+    GaussCode,
     LinkDiagram,
     braid2_template,
     components,
@@ -643,13 +644,13 @@ def scrambled_crossings(d, data):
 
 def renormalized(crossings, loops, frozen=(), allow_reorient=False):
     """``crossings`` and ``loops`` as a build orients them: placed into an
-    empty builder's replay state, which `_Replay.settle` orients with the
+    empty builder, which `DiagramBuilder.settle` orients with the
     ``frozen`` crossings voting (turning a frozen crossing only when
     ``allow_reorient``) before the build freezes it."""
     bld = dg.DiagramBuilder()
     labels = max((a for x in crossings for a in x.slots), default=0)
     bld.place((tuple(x.slots for x in crossings), labels, loops), ())
-    bld.state.settle(frozen, allow_reorient)
+    bld.settle(frozen, allow_reorient)
     return bld.build()
 
 
@@ -798,6 +799,56 @@ def test_gauss_malformed():
         parse_gauss("1: +1x")
     with pytest.raises(FormatError):
         parse_gauss("no colon here at all +1o")
+
+
+def test_a_gauss_document_with_a_loop_line_round_trips():
+    """A comment, a blank line and a component line with no entries (a
+    crossing-free loop) are read, the loop written back last, and the
+    diagram keeps the loop; so does an empty component of a code."""
+    g = parse_gauss("# a Hopf link and an unknot\n\n1: -2u, -1o\n2:\n3: -1u, -2o\n")
+    assert format_gauss(g) == "1: -2u, -1o\n2: -1u, -2o\n3:\n"
+    d = from_gauss(g)
+    assert (format_pd(d), format_gauss(to_gauss(d))) == (
+        "X(3,2,4,1)\nX(1,4,2,3)\nO(1)\n", format_gauss(g))
+    assert from_gauss(GaussCode(((),))).loops == 1
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: components(parse_pd(HOPF)).component_of(9), SiteError, "arc 9 not in any component"),
+    (lambda: LinkDiagram((), loops=-1), FormatError, "loop count must be nonnegative"),
+    (lambda: reidemeister1(parse_pd(TREFOIL), 1, 0), SiteError, "handedness must be +1 or -1"),
+    (lambda: reidemeister1(parse_pd(TREFOIL), None, 1), SiteError,
+     "no crossing-free loop to kink"),
+    (lambda: parse_pd(TREFOIL).sign(3), SiteError, "no crossing 3"),
+    (lambda: parse_pd(TREFOIL).sign(-1), SiteError, "no crossing -1"),
+    (lambda: reidemeister1_undo(parse_pd(TREFOIL), 3), SiteError, "no crossing 3"),
+    (lambda: reidemeister1_undo(parse_pd(TREFOIL), 0), SiteError, "crossing 0 is not a kink"),
+    (lambda: reidemeister2(parse_pd(TREFOIL), (1, 4), "sideways"), SiteError,
+     "layering must be first_over or second_over"),
+    (lambda: reidemeister2_undo(parse_pd(TREFOIL), (0, 1)), SiteError,
+     "crossings (0, 1) do not bound an R2 bigon"),
+    (lambda: braid2_template(0), SiteError, "template needs at least one crossing"),
+    (lambda: from_gauss(GaussCode((((1, True, 0), (1, False, 0)),))), FormatError,
+     "crossing 1: sign must be +1 or -1"),
+    (lambda: from_gauss(parse_gauss("1: +1o, -1u")), FormatError,
+     "crossing 1: inconsistent signs"),
+    (lambda: from_gauss(parse_gauss("1: +1o, +1o")), FormatError,
+     "crossing 1: duplicate over passage"),
+    (lambda: from_gauss(parse_gauss("1: +2o, +2u")), FormatError, "crossing ids must be 1..n"),
+    (lambda: from_gauss(parse_gauss("1: +1o")), FormatError,
+     "crossing 1: needs one over and one under passage"),
+], ids=["unknown-arc", "negative-loops", "bad-handedness", "no-loop-to-kink",
+        "no-crossing-to-sign", "negative-crossing-to-sign", "no-crossing-to-unkink", "not-a-kink", "bad-layering", "no-bigon", "empty-template",
+        "gauss-sign", "gauss-signs-disagree", "gauss-duplicate", "gauss-ids", "gauss-one-passage"])
+def test_input_refusals(call, error, text):
+    """Each refusal of an input the diagram layer cannot take, with its
+    text: an arc in no component, a negative loop count, a kink of no
+    handedness or on no loop, the sign of no crossing, an R1 undo of no
+    crossing or of one that is no kink, an R2 layering that is neither, an R2 undo with no bigon, an
+    empty (2, n) template, and each fault of a Gauss code."""
+    with pytest.raises(error) as refusal:
+        call()
+    assert str(refusal.value) == text
 
 
 def test_two_braid_status_is_unknown_when_the_budget_runs_out():

@@ -17,9 +17,11 @@ seen, so it is listed as unrun.
 
 The summary ends with ``linecov: N unrun refusal lines`` and each of
 them: the unrun body lines whose text holds one of `REFUSALS`, the
-places where a certifier, a gate or `verify` says no.  The plugin itself
-gates nothing; CI fails the run when N is not 0.  The trace slows the
-run several times over.
+places where a certifier, a gate or `verify` says no, and where the
+library raises one of its input errors (`SiteError`, `FormatError`,
+`CertificateError`, `GlueError`, `PremiseError`) at the line that names
+it.  The plugin itself gates nothing; CI fails the run when N is not 0.
+The trace slows the run several times over.
 """
 
 import inspect
@@ -32,7 +34,8 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hyperforge"
 _PREFIX = str(PACKAGE) + "/"
 _ran: set = set()  # (file name, line) of every line run in the package
-REFUSALS = ("refuse(", "Refusal(", "Admission(False")
+REFUSALS = ("refuse(", "Refusal(", "Admission(False", "raise SiteError(", "raise FormatError(",
+            "raise CertificateError(", "raise GlueError(", "raise PremiseError(")
 
 
 def _lines(frame, event, arg):
