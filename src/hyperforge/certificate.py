@@ -255,7 +255,7 @@ def verify(cert: Certificate) -> Verdict:
         if isinstance(step, ChainStep) and after - before != step.added:
             return refuse(i, step.wrong_count)
     if bld is not None and current.holds(cert.subject):
-        pass  # the subject's own crossings and loops: no freeze, no isomorphism test
+        pass  # the subject's own crossings and loops: no build, no isomorphism test
     elif not diagram_isomorphic(current if bld is None else bld.build(), cert.subject):
         return refuse(len(cert.steps), "final diagram does not match the subject")
     reports.append("final diagram matches the subject")
@@ -548,8 +548,9 @@ def _base_diagram(text: str) -> LinkDiagram:
 def _cert_from(doc: dict, depth: int = 0) -> Certificate:
     if depth > _MAX_GLUE_DEPTH:
         raise CertificateError(f"glue steps nested more than {_MAX_GLUE_DEPTH} deep")
-    if doc.get("version") != FORMAT_VERSION:
-        raise CertificateError(f"unsupported certificate version {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:  # true == 1 == 1.0
+        raise CertificateError(f"unsupported certificate version {version!r}")
     subject_doc = doc.get("subject")
     if not isinstance(subject_doc, dict):
         raise CertificateError("certificate lacks a subject")

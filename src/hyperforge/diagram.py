@@ -14,12 +14,11 @@ Conventions (fixed once, used by the text format and every move):
   tuples; they are stored as a count (``loops``).
 
 Every public value here is immutable and every public operation a pure
-function.  The one mutable value, a `DiagramBuilder`, builds the
-diagrams of the generators and the moves and never escapes: a move on a
-diagram edits a builder of it and freezes that into a new diagram, a
-generator builds its closed tangle in an empty one (`closed`), and
-`certificate.verify` replays a derivation into one builder, freezing it
-at most once.
+function.  The one mutable value, a `DiagramBuilder`, a copy of a valid
+diagram under edit, never escapes: a move on a diagram edits a builder
+of it and builds that into a new diagram, `reduce_diagram` and
+`certificate.verify` edit one across their steps and build it at most
+once, and a generator's closed tangle needs none (`closed`).
 """
 
 from __future__ import annotations
@@ -254,9 +253,9 @@ class _Analysis:
     `_oriented`.
 
     A `DiagramBuilder` is an analysis whose stages it edits in place.  A
-    diagram a splice, an R1 undo or add, an R2 undo or a component removal
-    makes is a builder of its base, edited and frozen
-    (`DiagramBuilder.freeze`): it arrives analysed, with the builder's
+    diagram a splice, an R1 undo or add, an R2 undo, a reduction or a
+    component removal makes is a builder of its base, edited and built
+    (`DiagramBuilder.build`): it arrives analysed, with the builder's
     index, corner map and strand steps renumbered past the removed
     crossings, only the components through the arcs the edit changed
     having been walked, and it is known planar, since a splice's judge
@@ -264,8 +263,8 @@ class _Analysis:
     face-orbit condition, and smoothing crossings out of a plane diagram
     keeps it plane.  It has no Euler check to run, and its report counts
     V + 2 faces per graph component, so its faces are traced only when
-    something reads them.  A generator's diagram, built from no base, runs
-    the Euler check.  An analysis keeps its diagram's crossings and loops,
+    something reads them.  A generator's diagram (`closed`) runs the Euler
+    check.  An analysis keeps its diagram's crossings and loops,
     not the diagram, which caches it: no reference cycle.  A stage returns
     its own problems instead of adding to a shared list, so `report` lists
     them in the order occurrences, trace, faces whichever stage ran first.
@@ -654,32 +653,29 @@ def _relabel_occurrence(crossings: list[Crossing], k: int, new_arc: int) -> None
 
 class DiagramBuilder(_Analysis):
     """A diagram under edit, the replay state: the one mutable value of
-    this module, which builds the diagrams of the generators and the moves
-    and never leaves it and `certificate.verify`.
+    this module, which builds the diagrams of the moves and never leaves
+    it and `certificate.verify`.
 
-    Over a base diagram it starts as a copy of the base's arrays: the
-    crossings, where a removed crossing leaves a hole (None); the arc at
-    each corner (0 at a hole's), the corner map and the occurrence index;
-    each component's strand steps and arcs, and the head map, which gives
-    the signs; the loop count and the next fresh label.  With no base it
-    starts empty, and a generator places its closed tangle into it
-    (`closed`).  A base's own lists are shared, never changed: an edit
-    replaces a list.  The edits (`cut`, `remove`, `place`, `append`)
-    rewrite the corners of their ball alone, and `settle` re-traces only
-    the strands through the arcs they changed.  New crossings are appended
-    after every slot, so the corners are a monotone image of the compact
-    numbering: every order a move reads (ascending occurrences,
-    `find_kinks`, components by least arc) is the one a frozen diagram
-    gives, and so is every label.  A move reads the builder as a diagram:
-    its ``_analysis`` is the builder itself.  `build` settles it and
-    freezes it into a `LinkDiagram` that arrives analysed; the builder
-    stays usable.
+    It starts as a copy of a valid base diagram's arrays: the crossings,
+    where a removed crossing leaves a hole (None); the arc at each corner
+    (0 at a hole's), the corner map and the occurrence index; each
+    component's strand steps and arcs, and the head map, which gives the
+    signs; the loop count and the next fresh label.  A base's own lists
+    are shared, never changed: an edit replaces a list.  The edits (`cut`,
+    `remove`, `place`, `append`) rewrite the corners of their ball alone,
+    and `settle` re-traces only the strands through the arcs they changed.
+    New crossings are appended after every slot, so the corners are a
+    monotone image of the compact numbering: every order a move or a
+    reduction reads (ascending occurrences, the kink and bigon scans,
+    components by least arc) is the one a built diagram gives, and so is
+    every label.  A move reads the builder as a diagram: its ``_analysis``
+    is the builder itself.  `build` settles it and compacts it into a
+    `LinkDiagram` that arrives analysed; the builder stays usable.
     """
 
-    def __init__(self, base: Optional[LinkDiagram] = None):
-        if base is not None:
-            base.require_valid()
-        an = _Analysis((), 0) if base is None else base._analysis
+    def __init__(self, base: LinkDiagram):
+        base.require_valid()
+        an = base._analysis
         self.crossings: list[Optional[Crossing]] = list(an.crossings)
         self.loops = an.loops
         self.occ, self.occ_problems, self.double_ok = dict(an.occ), (), True
@@ -689,7 +685,6 @@ class DiagramBuilder(_Analysis):
         self._next = max(an.occ, default=0) + 1
         self._changed: set[int] = set()  # the arcs whose corners an unsettled edit changed
         self._settled = len(self.crossings)  # the crossings made before the unsettled edits
-        self._planar = base is not None  # a generator's diagram runs the Euler check
 
     _analysis = property(lambda self: self)
     _head = LinkDiagram._head
@@ -855,18 +850,13 @@ class DiagramBuilder(_Analysis):
             self._next -= 1
 
     def build(self, allow_reorient: bool = False) -> LinkDiagram:
-        """The builder, settled (`settle`, which turns frozen crossings
-        when ``allow_reorient``) and frozen (`freeze`)."""
+        """The diagram the builder holds, settled (`settle`, which turns
+        frozen crossings when ``allow_reorient``) and its holes compacted,
+        arriving with the analysis a fresh one would build: the builder's
+        index, corner map and strand steps, renumbered, which give the head
+        map in the order the trace gives it.  Known planar (see
+        `_Analysis`)."""
         self.settle(reorient=allow_reorient)
-        return self.freeze()
-
-    def freeze(self) -> LinkDiagram:
-        """The diagram the builder holds, its holes compacted, arriving with
-        the analysis a fresh one would build: the builder's index, corner
-        map and strand steps, renumbered, which give the head map in the
-        order the trace gives it.  Known planar (see `_Analysis`) unless
-        the builder had no base, so a generator's analysis runs the Euler
-        check."""
         d = LinkDiagram(tuple(filter(None, self.crossings)), loops=self.loops)
         if len(d.crossings) == len(self.crossings):
             occ, across, steps = dict(self.occ), list(self.across), list(self.steps)
@@ -880,8 +870,7 @@ class DiagramBuilder(_Analysis):
         an = _Analysis(d.crossings, d.loops, occ)
         an.arc_at, an.across = list(filter(None, self.arc_at)), across
         an._strands = _Strands.of(steps, an.arc_at, list(self.cycles))
-        if self._planar:
-            an._euler_problems = ()
+        an._euler_problems = ()
         object.__setattr__(d, "_analysis", an)
         return d
 
@@ -1045,13 +1034,17 @@ def open_tangle(rows: Iterable[Sequence], ports: Sequence = (), joins: Iterable[
 
 def closed(rows: Iterable[Sequence], joins: Iterable[tuple] = ()) -> LinkDiagram:
     """The diagram of a closed tangle, its crossings given as ``rows`` and
-    its glued labels as ``joins`` (see `open_tangle`): placed into an empty
-    builder, each row's under-strand on slots {0, 2}, built, which orients
-    it and turns a row whose under-strand enters at slot 2, and checked
-    valid."""
-    bld = DiagramBuilder()
-    bld.place(open_tangle(rows, joins=joins), ())
-    d = bld.build()
+    its glued labels as ``joins`` (see `open_tangle`), each row's
+    under-strand on slots {0, 2}, checked valid.  One analysis of the rows
+    orients the tangle, no crossing voting (`_Analysis._oriented`), and a
+    row whose under-strand the walk enters at slot 2 is turned by 2."""
+    tangle, _, loops = open_tangle(rows, joins=joins)
+    an = _Analysis(tuple(map(_crossing, tangle)), loops)
+    if not an.double_ok:
+        raise InvalidDiagramError(an.validity)
+    turned = {c >> 2 for corners, _ in an._oriented(()) for c in corners if c & 3 == 2}
+    d = LinkDiagram(tuple(x.rotated(2) if ci in turned else x
+                          for ci, x in enumerate(an.crossings)), loops)
     d.require_valid()
     return d
 
@@ -1483,7 +1476,8 @@ def find_r2_bigons(d: LinkDiagram) -> tuple[tuple[int, int], ...]:
     corner map with no face traced: a face entering corner k enters k2
     next, and is a bigon when it then enters k again.  Its arcs run from
     slot k + 1 to k2 and from slot k2 + 1 to k, so one is over at both
-    crossings and the other under at both when k and k2 differ in parity."""
+    crossings and the other under at both when k and k2 differ in parity.
+    A builder's hole, whose corners map to themselves, bounds none."""
     d.require_valid()
     across = d._analysis.across
     out = set()
@@ -1515,26 +1509,26 @@ def _undo_bigon(d: LinkDiagram, ci: int, cj: int) -> LinkDiagram:
 def reduce_diagram(
     d: LinkDiagram, budget: int = DEFAULT_STEP_BUDGET
 ) -> tuple[LinkDiagram, int, bool]:
-    """Greedy crossing-reducing R1/R2 until stable or out of budget.
+    """Greedy crossing-reducing R1/R2 until stable or out of budget: each
+    step undoes the first kink, else the first bigon, in one builder of
+    ``d``, built once at the end (``d`` itself when no step is needed).
 
     Returns (diagram, steps used, reached a stable form).
     """
-    steps = 0
-    cur = d
-    while steps < budget:
+    steps, cur = 0, d
+    while True:
         kinks = find_kinks(cur)
+        bigons = () if kinks else find_r2_bigons(cur)
+        if (not kinks and not bigons) or steps >= budget:
+            break
+        if cur is d:
+            cur = DiagramBuilder(d)
         if kinks:
-            cur = reidemeister1_undo(cur, kinks[0])
-            steps += 1
-            continue
-        bigons = find_r2_bigons(cur)
-        if bigons:
-            cur = _undo_bigon(cur, *bigons[0])
-            steps += 1
-            continue
-        return cur, steps, True
-    stable = not find_kinks(cur) and not find_r2_bigons(cur)
-    return cur, steps, stable
+            reidemeister1_undo(cur, kinks[0])
+        else:
+            _undo_bigon(cur, *bigons[0])
+        steps += 1
+    return (d if cur is d else cur.build()), steps, not kinks and not bigons
 
 
 # -- the standard (2, n) closed-braid template ----------------------------------

@@ -75,7 +75,9 @@ tokens in one pass and reads each token with a second regex, as
 oracles are `find_kinks` and `find_r2_bigons` as they were before they
 read the slots and the corner map directly: the kink scan tries each pair
 of neighbouring slots in a generator, and the bigon scan traces the faces
-and asks each 2-face for the arcs its two crossings share.
+and asks each 2-face for the arcs its two crossings share.  The reduce
+oracle is `reduce_diagram` as it was before it kept one builder across
+its steps: each step a move on the diagram the last step built.
 
 The oracles name a place by its (ci, si) slot.  The library's analysis
 names it by its corner 4 * ci + si; where an oracle reads or builds that
@@ -91,6 +93,7 @@ from typing import Iterable, Optional, Sequence
 from unittest import mock
 
 import hyperforge.classifier as cls
+import hyperforge.diagram as dg
 import hyperforge.generators as generators
 import hyperforge.moves as moves
 import hyperforge.tangle as tangle
@@ -104,6 +107,7 @@ from hyperforge.certificate import (
 )
 from hyperforge.diagram import (
     _DIRECTION_CONFLICT,
+    DEFAULT_STEP_BUDGET,
     Crossing,
     LinkDiagram,
     Slot,
@@ -1371,6 +1375,27 @@ def drop_crossings_oracle(d: LinkDiagram, removed: set[int], joins) -> LinkDiagr
         for o in far:
             _relabel_occurrence(crossings, 4 * remap[o[0]] + o[1], root)
     return LinkDiagram(tuple(crossings), loops=loops)
+
+
+def reduce_oracle(d: LinkDiagram, budget: int = DEFAULT_STEP_BUDGET):
+    """`diagram.reduce_diagram` one diagram per step: (diagram, steps
+    used, reached a stable form)."""
+    steps = 0
+    cur = d
+    while steps < budget:
+        kinks = dg.find_kinks(cur)
+        if kinks:
+            cur = dg.reidemeister1_undo(cur, kinks[0])
+            steps += 1
+            continue
+        bigons = dg.find_r2_bigons(cur)
+        if bigons:
+            cur = dg._undo_bigon(cur, *bigons[0])
+            steps += 1
+            continue
+        return cur, steps, True
+    stable = not dg.find_kinks(cur) and not dg.find_r2_bigons(cur)
+    return cur, steps, stable
 
 
 class DroppingBuilder:

@@ -522,6 +522,27 @@ def test_truncated_document_rejected():
         deserialize(json.dumps({"version": 99}))
 
 
+@pytest.mark.parametrize("version,shown", [
+    (True, "True"), (1.0, "1.0"), ("1", "'1'"), (None, "None"), (99, "99")])
+def test_a_version_that_is_not_the_integer_1_is_refused(version, shown):
+    """An honest document whose version is true, 1.0, "1", missing or 99 is
+    refused with its version shown (true == 1 == 1.0 in Python, but not in
+    JSON's types), in process and by the CLI's `verify`, which exits 2."""
+    from hyperforge.cli import MALFORMED, run
+
+    cert, d4 = chain_cert()
+    doc = json.loads(serialize(extend(cert, first_chain_step(d4))))
+    if version is None:
+        del doc["version"]
+    else:
+        doc["version"] = version
+    text = f"unsupported certificate version {shown}"
+    with pytest.raises(CertificateError) as err:
+        deserialize(json.dumps(doc))
+    assert str(err.value) == text
+    assert run(["verify"], stdin_text=json.dumps(doc)) == (MALFORMED, f"ERROR: {text}\n")
+
+
 def test_a_document_that_is_no_object_is_refused():
     """A JSON document that is not an object is a malformed certificate:
     `deserialize` says so, and the CLI's `verify` exits 2 with that text."""

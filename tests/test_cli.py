@@ -168,7 +168,7 @@ def test_apply_refuses_a_move_missing_its_options(move, given, message):
 
 def test_apply_undoes_a_kink_and_a_bigon():
     """`apply` undoes an R1 kink and an R2 bigon as the library does: the
-    removals edit a replay state of the parsed diagram and freeze it."""
+    removals edit a replay state of the parsed diagram and build it."""
     from hyperforge.diagram import (find_kinks, find_r2_bigons, format_pd, parse_pd,
                                     reidemeister1_undo, reidemeister2_undo)
 
@@ -186,6 +186,37 @@ def test_apply_undoes_a_kink_and_a_bigon():
                     stdin_text=pushed)
     assert (code, out) == (OK, format_pd(reidemeister2_undo(d, pair)))
     assert out.count("X(") == 8
+
+
+def test_apply_reads_an_input_file_and_takes_unchecked_evidence(tmp_path):
+    """A command given an input file reads it as it reads stdin, and
+    `apply --evidence unchecked` gives the chain move the library makes with
+    `Unchecked` evidence, in process."""
+    from hyperforge.classifier import Unchecked
+    from hyperforge.diagram import format_pd, parse_pd
+    from hyperforge.moves import chain_move, chain_site
+
+    _, pd = run(["gen", "chain", "--n", "4"])
+    path = tmp_path / "chain4.pd"
+    path.write_text(pd)
+    argv = ["apply", "--move", "chain", "--component", "0", "--strands", "4,8", "--k", "1",
+            "--evidence", "unchecked"]
+    d = parse_pd(pd)
+    want = format_pd(chain_move(d, chain_site(d, 0, (4, 8)), 1, Unchecked()))
+    assert run([*argv, str(path)]) == run(argv, stdin_text=pd) == (OK, want)
+    assert want.count("X(") == 11
+
+
+def test_gen_tk_prints_the_library_closure():
+    """`gen tk` prints `tk_closure`'s diagram, built by `closed`."""
+    from hyperforge.diagram import format_pd
+    from hyperforge.generators import tk_closure
+    from hyperforge.tangle import ConwaySequence
+
+    for seq, k, extra, n in (("3 2", 1, 0, 12), ("2 2", 0, 1, 11)):
+        out = run(["gen", "tk", "--seq", seq, "--k", str(k), "--extra-twists", str(extra)])
+        assert out == (OK, format_pd(tk_closure(ConwaySequence.parse(seq), k, extra)))
+        assert out[1].count("X(") == n
 
 
 def test_malformed_inputs_exit_2():
@@ -211,13 +242,14 @@ def test_determinism():
 def test_pipeline(tmp_path):
     script = tmp_path / "p.hf"
     script.write_text(
+        "# a comment-only line runs nothing\n"
         "A = gen chain --n 4\n"
-        "B = certify --base menasco @A\n"
+        "B = certify --base menasco @A  # certify it\n"
         "verify @B\n"
     )
     code, out = run(["pipeline", str(script)])
     assert code == OK
-    assert "VALID" in out and out.count("$ ") == 3
+    assert "VALID" in out and out.count("$ ") == 3 and "#" not in out
     # byte-deterministic
     assert run(["pipeline", str(script)]) == (code, out)
 

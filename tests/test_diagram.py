@@ -491,6 +491,53 @@ def test_one_bigon_scan_per_r2_step():
     assert diagram_isomorphic(red, chain)
 
 
+def _builders_and_builds(call, *args):
+    """(builders made, builds, result) of ``call(*args)``."""
+    init, build, made, built = dg.DiagramBuilder.__init__, dg.DiagramBuilder.build, [], []
+
+    def counted_init(bld, *rest):
+        made.append(bld)
+        init(bld, *rest)
+
+    def counted_build(bld, *rest, **kwargs):
+        built.append(bld)
+        return build(bld, *rest, **kwargs)
+
+    with mock.patch.object(dg.DiagramBuilder, "__init__", counted_init), \
+            mock.patch.object(dg.DiagramBuilder, "build", counted_build):
+        out = call(*args)
+    return len(made), len(built), out
+
+
+def test_a_reduction_edits_one_builder():
+    """A reduction of one or more steps, kinks and bigons, makes one builder
+    and builds it once; a reduced diagram is returned as it is, with no
+    builder, and so is one out of budget at once."""
+    chain = chain_link(ChainSpec(4))
+    d = reidemeister1(reidemeister2(chain, (1, 4)), 1, -1)
+    made, built, (red, steps, stable) = _builders_and_builds(reduce_diagram, d)
+    assert (made, built, steps, stable) == (1, 1, 2, True)
+    assert format_pd(red) == format_pd(chain)
+    assert _builders_and_builds(reduce_diagram, d, 1)[:2] == (1, 1)
+    assert _builders_and_builds(reduce_diagram, d, 0) == (0, 0, (d, 0, False))
+    assert _builders_and_builds(reduce_diagram, chain) == (0, 0, (chain, 0, True))
+
+
+def test_a_closed_tangle_needs_no_builder():
+    """Every generator closes its tangle (`closed`) with no builder, and a
+    tangle whose labels do not each occur twice is refused with its
+    report."""
+    for call, arg in ((chain_link, ChainSpec(6, (1, -2, 0, 0, 1, 0))),
+                      (rational_link, (2, 2, 2)), (lambda s: tk_closure(s, 1), (3, 2)),
+                      (braid2_template, 7)):
+        made, built, d = _builders_and_builds(call, arg)
+        assert (made, built) == (0, 0) and validate(d).valid
+    with pytest.raises(InvalidDiagramError) as err:
+        dg.closed([("a", "b", "a", "c")])
+    assert err.value.report.problems == ("arc 2 used 1 times (need 2)",
+                                         "arc 3 used 1 times (need 2)")
+
+
 def _oracle_reduction(d):
     """d and every intermediate of its greedy R1/R2 reduction, each step
     chosen by the scan oracles."""
@@ -643,11 +690,11 @@ def scrambled_crossings(d, data):
 
 
 def renormalized(crossings, loops, frozen=(), allow_reorient=False):
-    """``crossings`` and ``loops`` as a build orients them: placed into an
-    empty builder, which `DiagramBuilder.settle` orients with the
-    ``frozen`` crossings voting (turning a frozen crossing only when
-    ``allow_reorient``) before the build freezes it."""
-    bld = dg.DiagramBuilder()
+    """``crossings`` and ``loops`` as a build orients them: placed into a
+    builder of the empty diagram, which `DiagramBuilder.settle` orients
+    with the ``frozen`` crossings voting (turning a frozen crossing only
+    when ``allow_reorient``) before it is built."""
+    bld = dg.DiagramBuilder(LinkDiagram())
     labels = max((a for x in crossings for a in x.slots), default=0)
     bld.place((tuple(x.slots for x in crossings), labels, loops), ())
     bld.settle(frozen, allow_reorient)

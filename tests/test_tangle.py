@@ -40,6 +40,7 @@ def test_fraction_examples():
     assert fraction([-2, 0]) == Fraction(-1, 2)
     assert fraction([2, 3, 2]) == Fraction(16, 7)
     assert fraction([0, 0]) == INFINITY
+    assert fraction("2 3 2") == Fraction(16, 7)  # a sequence given as its text
 
 
 def test_fraction_matches_oracle_family():
@@ -55,6 +56,7 @@ def test_fraction_parse_print():
     assert Fraction.parse("-3/1") == Fraction(-3)
     assert Fraction.parse("inf").is_infinite
     assert Fraction.parse("7/-2") == Fraction(-7, 2)
+    assert Fraction.parse("3/0") == INFINITY
     with pytest.raises(FormatError):
         Fraction.parse("0/0")
     with pytest.raises(FormatError):

@@ -54,7 +54,7 @@ def verify_ms(hf, doc: str) -> float:
 def corners_indexed(hf, doc: str) -> int:
     """The corners that fresh analyses index in one `verify` of a freshly
     deserialised ``doc``: four per crossing of each `_Analysis` made, an
-    upper bound, since a frozen replay state's analysis is given its index."""
+    upper bound, since a built replay state's analysis is given its index."""
     cls, count = hf.diagram._Analysis, [0]
     init = cls.__init__
 
