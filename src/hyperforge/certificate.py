@@ -86,10 +86,9 @@ class ChainStep:
     evidence: ExteriorEvidence
 
     # The variant: its JSON kind, the moves-module function that applies it
-    # and that function past its gate (each looked up by name at each call),
-    # and the components it adds.
+    # past its gate (looked up by name at each call), and the components it
+    # adds.
     kind: ClassVar[str] = "ChainStep"
-    move: ClassVar[str] = "chain_move"
     splice: ClassVar[str] = "_chain_splice"
     added: ClassVar[int] = 1
     wrong_count: ClassVar[str] = "chain step must add exactly one component"
@@ -99,7 +98,6 @@ class AugChainStep(ChainStep):
     """An augmented chain move: the trivial component stays."""
 
     kind = "AugChainStep"
-    move = "augmented_chain_move"
     splice = "_augmented_chain_splice"
     added = 2
     wrong_count = "augmented chain step must add exactly two components"
@@ -146,12 +144,12 @@ def _apply_step(d: LinkDiagram, step: Step, site: Optional[ChainSite] = None) ->
     """Apply ``step`` to ``d``, a diagram, or `verify`'s replay state, which
     the move edits in place and returns; a chain step at ``site``, which
     its caller looked up and admitted (`moves.admit`), skips the move's
-    gate."""
+    gate, and any other looks its site up once, through that gate."""
     if isinstance(step, ChainStep):
-        if site is not None:
-            return getattr(_moves, step.splice)(d, site, step.k)
-        site = chain_site(d, step.trivial_component, step.strands)
-        return getattr(_moves, step.move)(d, site, step.k, step.evidence)
+        if site is None:
+            site = _moves._gated_site(d, step.trivial_component, step.strands, step.k,
+                                      step.evidence)
+        return getattr(_moves, step.splice)(d, site, step.k)
     if isinstance(step, SwitchStep):
         return _moves.switch_move(d, SwitchSite(step.arc_g, step.arc_g2), step.handedness)
     if isinstance(step, HalfTwistStep):

@@ -47,16 +47,9 @@ class Crossing:
 
     def __post_init__(self):
         object.__setattr__(self, "slots", tuple(self.slots))
-        if len(self.slots) != 4 or any(
-            not isinstance(a, int) or a < 1 for a in self.slots
-        ):
+        # a bool is an int that `format_pd` would write as a word
+        if len(self.slots) != 4 or any(type(a) is not int or a < 1 for a in self.slots):
             raise FormatError(f"crossing needs 4 positive arc labels, got {self.slots}")
-
-    def under(self) -> tuple[int, int]:
-        return (self.slots[0], self.slots[2])
-
-    def over(self) -> tuple[int, int]:
-        return (self.slots[1], self.slots[3])
 
     def rotated(self, r: int) -> "Crossing":
         r %= 4
@@ -477,7 +470,7 @@ class LinkDiagram:
 
     def __post_init__(self):
         object.__setattr__(self, "crossings", tuple(self.crossings))
-        if self.loops < 0:
+        if type(self.loops) is not int or self.loops < 0:
             raise FormatError("loop count must be nonnegative")
 
     @cached_property
@@ -556,11 +549,12 @@ def linking_number(d: LinkDiagram, a: int, b: int) -> int:
     part = components(d)
     arcs_a = set(part.arcs_of(a))
     arcs_b = set(part.arcs_of(b))
+    arc_at = d._analysis.arc_at
     total = 0
-    for ci, x in enumerate(d.crossings):
-        under, over = x.slots[0], x.slots[1]
+    for k in range(0, len(arc_at), 4):
+        under, over = arc_at[k], arc_at[k + 1]
         if (under in arcs_a and over in arcs_b) or (under in arcs_b and over in arcs_a):
-            total += d.sign(ci)
+            total += d.sign(k >> 2)
     if total % 2 != 0:
         raise AssertionError("odd signed crossing sum between two components")
     return total // 2
@@ -644,21 +638,14 @@ def is_prime_diagram(d: LinkDiagram) -> bool:
 # -- the builder -----------------------------------------------------------------
 
 
-def _relabel_occurrence(crossings: list[Crossing], k: int, new_arc: int) -> None:
-    """Put ``new_arc`` at corner ``k`` of ``crossings``."""
-    s = list(crossings[k >> 2].slots)
-    s[k & 3] = new_arc
-    crossings[k >> 2] = _crossing(tuple(s))
-
-
 class DiagramBuilder(_Analysis):
     """A diagram under edit, the replay state: the one mutable value of
     this module, which builds the diagrams of the moves and never leaves
     it and `certificate.verify`.
 
-    It starts as a copy of a valid base diagram's arrays: the crossings,
-    where a removed crossing leaves a hole (None); the arc at each corner
-    (0 at a hole's), the corner map and the occurrence index; each
+    It starts as a copy of a valid base diagram's arrays: the arc at each
+    corner, its one record of the labels, 0 at a removed crossing's hole;
+    the corner map and the occurrence index; each
     component's strand steps and arcs, and the head map, which gives the
     signs; the loop count and the next fresh label.  A base's own lists
     are shared, never changed: an edit replaces a list.  The edits (`cut`,
@@ -676,7 +663,6 @@ class DiagramBuilder(_Analysis):
     def __init__(self, base: LinkDiagram):
         base.require_valid()
         an = base._analysis
-        self.crossings: list[Optional[Crossing]] = list(an.crossings)
         self.loops = an.loops
         self.occ, self.occ_problems, self.double_ok = dict(an.occ), (), True
         self.arc_at, self.across = list(an.arc_at), list(an.across)
@@ -684,7 +670,7 @@ class DiagramBuilder(_Analysis):
         self._strands = _Strands(list(s.steps), list(s.cycles), dict(s.head), ())
         self._next = max(an.occ, default=0) + 1
         self._changed: set[int] = set()  # the arcs whose corners an unsettled edit changed
-        self._settled = len(self.crossings)  # the crossings made before the unsettled edits
+        self._settled = len(self.arc_at) >> 2  # the crossings made before the unsettled edits
 
     _analysis = property(lambda self: self)
     _head = LinkDiagram._head
@@ -705,7 +691,6 @@ class DiagramBuilder(_Analysis):
         return label
 
     def _put(self, k: int, arc: int) -> None:
-        _relabel_occurrence(self.crossings, k, arc)
         self.arc_at[k] = arc
         self._changed.add(arc)
 
@@ -732,7 +717,6 @@ class DiagramBuilder(_Analysis):
         a self-join counts as both ends."""
         occ, arc_at = self.occ, self.arc_at
         for ci in crossings:
-            self.crossings[ci] = None
             for k in range(4 * ci, 4 * ci + 4):
                 places = occ.pop(arc_at[k], ())
                 if len(places) == 2:  # the arc's other occurrence stays
@@ -774,7 +758,6 @@ class DiagramBuilder(_Analysis):
         slots {0, 2}; `settle` turns it when its under-strand enters at
         slot 2."""
         k, occ = len(self.arc_at), self.occ
-        self.crossings += map(_crossing, zip(*[iter(labels)] * 4))
         self.arc_at += labels
         self.across += range(k, k + len(labels))  # paired by `settle`
         for c, arc in enumerate(labels, k):
@@ -802,8 +785,7 @@ class DiagramBuilder(_Analysis):
             if (places := occ.get(arc)) is None:
                 head.pop(arc, None)  # gone with its crossings, or run on as another arc
             elif len(places) != 2:
-                crossings = tuple(x for x in self.crossings if x is not None)
-                raise InvalidDiagramError(_Analysis(crossings, self.loops).validity)
+                raise InvalidDiagramError(_Analysis(self._crossings(), self.loops).validity)
             else:
                 k1, k2 = places
                 across[k1], across[k2] = k2, k1
@@ -820,9 +802,8 @@ class DiagramBuilder(_Analysis):
         walks = [corners for corners, _ in oriented]
         turned = {c >> 2 for corners in walks for c in corners if c & 3 == 2}
         if turned:
-            for ci in turned:
-                x = self.crossings[ci] = self.crossings[ci].rotated(2)
-                arc_at[4 * ci:4 * ci + 4] = x.slots
+            for k in (4 * ci for ci in turned):
+                arc_at[k:k + 4] = arc_at[k + 2:k + 4] + arc_at[k:k + 2]
             # corner k of a turned crossing becomes k ^ 2, at either end of its arc
             ends = [k for ci in turned for k in range(4 * ci, 4 * ci + 4)]
             for k, far in zip(ends, [across[k] for k in ends]):
@@ -845,20 +826,25 @@ class DiagramBuilder(_Analysis):
         kept.sort()  # by least arc, each component's own
         self.steps[:] = map(itemgetter(1), kept)
         self.cycles[:] = map(itemgetter(2), kept)
-        self._settled = len(self.crossings)
+        self._settled = len(arc_at) >> 2
         while self._next > 1 and self._next - 1 not in occ:  # the next label is the least unused
             self._next -= 1
 
+    def _crossings(self) -> tuple[Crossing, ...]:
+        """The crossings of the live corners, holes dropped."""
+        live = filter(None, self.arc_at)
+        return tuple(map(_crossing, zip(*[live] * 4)))
+
     def build(self, allow_reorient: bool = False) -> LinkDiagram:
         """The diagram the builder holds, settled (`settle`, which turns
-        frozen crossings when ``allow_reorient``) and its holes compacted,
-        arriving with the analysis a fresh one would build: the builder's
-        index, corner map and strand steps, renumbered, which give the head
-        map in the order the trace gives it.  Known planar (see
-        `_Analysis`)."""
+        frozen crossings when ``allow_reorient``), its crossings made from
+        the live corners (`_crossings`), arriving with the analysis a fresh
+        one would build: the builder's index, corner map and strand steps,
+        renumbered, which give the head map in the order the trace gives
+        it.  Known planar (see `_Analysis`)."""
         self.settle(reorient=allow_reorient)
-        d = LinkDiagram(tuple(filter(None, self.crossings)), loops=self.loops)
-        if len(d.crossings) == len(self.crossings):
+        d = LinkDiagram(self._crossings(), loops=self.loops)
+        if 4 * len(d.crossings) == len(self.arc_at):
             occ, across, steps = dict(self.occ), list(self.across), list(self.steps)
         else:
             # the compact corner of each live corner: a hole's corners read arc 0
@@ -885,8 +871,8 @@ def _passages(d: LinkDiagram, comp: int) -> list[int]:
 
 def _other_strand_arcs(d: LinkDiagram, c: int) -> tuple[int, int]:
     """The two arcs of the strand crossing a component's passage at corner ``c``."""
-    x = d.crossings[c >> 2]
-    return x.under() if c & 1 else x.over()
+    arc_at, k = d._analysis.arc_at, c & ~3 | ~c & 1  # the other strand's first corner
+    return arc_at[k], arc_at[k + 2]
 
 
 def _ring_fault(d: LinkDiagram, part: ComponentPartition, comp: int) -> Optional[str]:
@@ -966,10 +952,10 @@ def remove_component(d: LinkDiagram, comp: int) -> LinkDiagram:
     if comp >= len(part.cycles):
         return LinkDiagram(d.crossings, loops=d.loops - 1)
     comp_arcs = set(part.arcs_of(comp))
-    removed = {c >> 2 for c in _passages(d, comp)}
+    pas = _passages(d, comp)
     # the strands that crossed the component continue straight
-    joins = [(a, b) for ci in removed for a, b in (d.crossings[ci].under(), d.crossings[ci].over())
-             if a not in comp_arcs and b not in comp_arcs]
+    joins = [pair for c in pas if comp_arcs.isdisjoint(pair := _other_strand_arcs(d, c))]
+    removed = {c >> 2 for c in pas}
     return _edited(d, lambda bld: bld.remove(removed, joins))
 
 
@@ -1417,25 +1403,22 @@ def find_kinks(d: LinkDiagram) -> tuple[int, ...]:
     """Crossings carrying an arc on two adjacent slots (R1-removable)."""
     d.require_valid()
     out = []
-    for ci, x in enumerate(d.crossings):
-        if x is None:  # a builder's hole
-            continue
-        a, b, c, e = x.slots
-        if a == b or b == c or c == e or e == a:
+    corners = iter(d._analysis.arc_at)
+    for ci, (a, b, c, e) in enumerate(zip(*[corners] * 4)):
+        if a and (a == b or b == c or c == e or e == a):  # a builder's hole reads 0s
             out.append(ci)
     return tuple(out)
 
 
 def reidemeister1_undo(d: LinkDiagram, ci: int) -> LinkDiagram:
     d.require_valid()
-    x = d.crossings[ci] if 0 <= ci < len(d.crossings) else None
-    if x is None:
+    x = d._analysis.arc_at[4 * ci:4 * ci + 4] if ci >= 0 else []
+    if not any(x):  # past the end, or a builder's hole, whose corners read 0
         raise SiteError(f"no crossing {ci}")
-    pair = next((s for s in range(4) if x.slots[s] == x.slots[(s + 1) % 4]), None)
+    pair = next((s for s in range(4) if x[s] == x[(s + 1) % 4]), None)
     if pair is None:
         raise SiteError(f"crossing {ci} is not a kink")
-    return _edited(d, lambda bld: bld.remove(
-        {ci}, [(x.slots[(pair + 2) % 4], x.slots[(pair + 3) % 4])]))
+    return _edited(d, lambda bld: bld.remove({ci}, [(x[(pair + 2) % 4], x[(pair + 3) % 4])]))
 
 
 def reidemeister2(
@@ -1464,8 +1447,8 @@ def _r2_fragment() -> tuple:
 def _r2_strands(d: LinkDiagram, ci: int, cj: int) -> Optional[tuple[int, int]]:
     """(arc over at both, arc under at both) of the arcs crossings ci and
     cj share, or None when either is missing."""
-    occ = d._analysis.occ
-    shared = set(d.crossings[ci].slots) & set(d.crossings[cj].slots)
+    occ, arc_at = d._analysis.occ, d._analysis.arc_at
+    shared = set(arc_at[4 * ci:4 * ci + 4]) & set(arc_at[4 * cj:4 * cj + 4])
     over = next((a for a in shared if all(k & 1 for k in occ[a])), None)
     under = next((a for a in shared if not any(k & 1 for k in occ[a])), None)
     return None if over is None or under is None else (over, under)
@@ -1500,8 +1483,9 @@ def _undo_bigon(d: LinkDiagram, ci: int, cj: int) -> LinkDiagram:
     """Remove the R2 bigon of crossings ci < cj, unchecked: the over strand
     (odd slots) and the under strand (even slots) each join the arcs they
     leave the bigon by."""
-    joins = [tuple(x.slots[s + 2] if x.slots[s] == inner else x.slots[s]
-                   for x in (d.crossings[ci], d.crossings[cj]))
+    arc_at = d._analysis.arc_at
+    joins = [tuple(arc_at[k + 2] if arc_at[k] == inner else arc_at[k]
+                   for k in (4 * ci + s, 4 * cj + s))
              for s, inner in zip((1, 0), _r2_strands(d, ci, cj))]
     return _edited(d, lambda bld: bld.remove((ci, cj), joins))
 

@@ -26,9 +26,9 @@ and the memo keeps it with the judged wiring; the splice's replay state
 places its crossings.  A move reads a diagram, or `verify`'s replay
 state, which it then edits in place, through the same accessors; either
 way a move has one version.  Each chain move
-looks its site up in the diagram it is given (`chain_site`), passes its
-gate, `admit`, and runs a private splice half, which `verify` calls for
-a step it has admitted itself.  Ring insertions and half twists
+looks its site up and passes its gate, `admit`, in one private step
+(`_gated_site`), and runs a private splice half, which `verify` calls
+for a step it has admitted itself.  Ring insertions and half twists
 often have several valid wirings that give different diagrams, so the
 order of each table is part of the output.
 """
@@ -256,13 +256,22 @@ def admit(d: LinkDiagram, site: Optional[ChainSite], k: int, evidence: ExteriorE
                      evidence.justification or "declared non-rational")
 
 
+def _gated_site(d: LinkDiagram, component: int, strands, k: int,
+                evidence: ExteriorEvidence) -> ChainSite:
+    """The chain site of ``d`` at ``component`` clasping ``strands``
+    (`chain_site`), past the chain moves' gate: `admit`'s excluded error
+    is raised."""
+    site = chain_site(d, component, strands)
+    if (excluded := admit(d, site, k, evidence).excluded) is not None:
+        raise excluded
+    return site
+
+
 def chain_move(
     d: LinkDiagram, site: ChainSite, k: int, evidence: ExteriorEvidence
 ) -> LinkDiagram:
     """Replace the trivial component C by the Tk template."""
-    site = chain_site(d, site.trivial_component, (site.strand1, site.strand2))
-    if (excluded := admit(d, site, k, evidence).excluded) is not None:
-        raise excluded
+    site = _gated_site(d, site.trivial_component, (site.strand1, site.strand2), k, evidence)
     return _chain_splice(d, site, k)
 
 
@@ -290,9 +299,7 @@ def augmented_chain_move(
     every wiring's refusal gives: cutting two arcs with no face in common
     and joining them through a connected fragment is never planar.
     """
-    site = chain_site(d, site.trivial_component, (site.strand1, site.strand2))
-    if (excluded := admit(d, site, k, evidence).excluded) is not None:
-        raise excluded
+    site = _gated_site(d, site.trivial_component, (site.strand1, site.strand2), k, evidence)
     return _augmented_chain_splice(d, site, k)
 
 
@@ -333,7 +340,7 @@ def switch_move(d: LinkDiagram, site: SwitchSite, h: Handedness) -> LinkDiagram:
     """
     g, u = site.arc_g, site.arc_g2
     _require_co_face(d, g, u, "switch move needs two distinct arcs")
-    n_old = len(d.crossings)
+    n_old = len(d._analysis.arc_at) >> 2
     result = _insert_clasped_ring(d, g, u, switched=True)
     if h is Handedness.PositiveSkew:
         ring = _new_ring_component(result, set(range(n_old, n_old + 4)))

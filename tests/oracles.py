@@ -112,6 +112,7 @@ from hyperforge.diagram import (
     LinkDiagram,
     Slot,
     _Analysis,
+    _crossing,
     _base_side,
     _disk_runs,
     _Embedding,
@@ -124,7 +125,6 @@ from hyperforge.diagram import (
     _Side,
     _Strands,
     _r2_strands,
-    _relabel_occurrence,
     _wiring_fault,
     braid2_template,
     components,
@@ -487,6 +487,14 @@ def renormalize_probe_oracle(crossings, loops, frozen, allow_reorient=False, tou
         ana._euler_problems = ()
     object.__setattr__(d, "_analysis", ana)
     return d
+
+
+def _relabel_occurrence(crossings: list[Crossing], k: int, new_arc: int) -> None:
+    """Put ``new_arc`` at corner ``k`` of ``crossings``, a new `Crossing`
+    in place of the old one."""
+    s = list(crossings[k >> 2].slots)
+    s[k & 3] = new_arc
+    crossings[k >> 2] = _crossing(tuple(s))
 
 
 class RebuildingBuilder:

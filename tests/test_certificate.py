@@ -150,6 +150,27 @@ def test_verify_gates_each_chain_step_once():
     assert calls == [0]
 
 
+@pytest.mark.parametrize("kind", [ChainStep, AugChainStep])
+def test_extend_scans_a_chain_site_once(kind):
+    """`extend` looks a chain step's site up once: the move's gate hands
+    the site it found to the splice, where looking it up again before the
+    move scanned the component twice."""
+    import hyperforge.moves as moves
+
+    cert, d4 = chain_cert()
+    step = first_chain_step(d4)
+    calls = []
+    real = moves._sites_at
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    with mock.patch.object(moves, "_sites_at", counted):
+        extend(cert, kind(step.trivial_component, step.strands, step.k, step.evidence))
+    assert calls == [step.trivial_component]
+
+
 def test_extend_excluded_evidence():
     cert, d4 = chain_cert()
     with pytest.raises(ExcludedExteriorError) as err:
@@ -424,6 +445,32 @@ def test_warm_memos_give_the_cold_verdicts(monkeypatch, tmp_path):
     warm = [verify(deserialize(item["doc"])) for item in items]
     assert warm == cold
     assert len({v.valid for v in warm}) == 2
+
+
+def test_verifying_an_honest_derivation_makes_no_crossing(monkeypatch):
+    """The replay keeps each corner's label once, in the builder's arc per
+    corner, and an honest derivation replays to its subject's own
+    crossings, which need no build: a warm `verify` of the re-anchor's
+    8-step chain-move derivation makes no `Crossing` object, counted at
+    `diagram._crossing`, through which the library makes the crossings it
+    labels itself."""
+    import hyperforge.diagram as dg
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import reanchor
+
+    cert = deserialize(serialize(reanchor.chain_derivation(hyperforge, 8)))
+    assert verify(cert).valid  # the certifier's and the splice judge's memos warm
+    made = []
+    real = dg._crossing
+
+    def counted(slots):
+        made.append(slots)
+        return real(slots)
+
+    with mock.patch.object(dg, "_crossing", counted):
+        assert verify(cert).valid
+    assert made == []
 
 
 def test_tampered_evidence_caught_at_step():

@@ -237,6 +237,15 @@ def test_linking_hopf():
     assert linking_number(d, 0, 1) == gauss_linking_oracle(d, 0, 1)
 
 
+def test_an_odd_linking_sum_is_a_fault(monkeypatch):
+    """Two components of a diagram cross an even number of times, so
+    `linking_number` halves an even signed sum; signs that make it odd,
+    here injected, are a fault, raised as an AssertionError."""
+    monkeypatch.setattr(LinkDiagram, "sign", lambda self, ci: ci + 1)
+    with pytest.raises(AssertionError, match="^odd signed crossing sum between two components$"):
+        linking_number(parse_pd(HOPF), 0, 1)
+
+
 def test_linking_chain_adjacent_and_far():
     # a closed 4-chain: every ring clasps two neighbors and misses one
     d = chain_link(ChainSpec(4))
@@ -860,15 +869,30 @@ def test_a_gauss_document_with_a_loop_line_round_trips():
     assert from_gauss(GaussCode(((),))).loops == 1
 
 
+def _trefoil_with_hole(ci):
+    """A builder of the trefoil with crossing ``ci`` punched out."""
+    bld = dg.DiagramBuilder(parse_pd(TREFOIL))
+    bld.remove({ci})
+    return bld
+
+
 @pytest.mark.parametrize("call, error, text", [
     (lambda: components(parse_pd(HOPF)).component_of(9), SiteError, "arc 9 not in any component"),
     (lambda: LinkDiagram((), loops=-1), FormatError, "loop count must be nonnegative"),
+    (lambda: LinkDiagram(loops=True), FormatError, "loop count must be nonnegative"),
+    (lambda: LinkDiagram(loops=1.5), FormatError, "loop count must be nonnegative"),
+    (lambda: Crossing((True, 2, 3, 2)), FormatError,
+     "crossing needs 4 positive arc labels, got (True, 2, 3, 2)"),
+    (lambda: Crossing((1, 2, None, 1)), FormatError,
+     "crossing needs 4 positive arc labels, got (1, 2, None, 1)"),
     (lambda: reidemeister1(parse_pd(TREFOIL), 1, 0), SiteError, "handedness must be +1 or -1"),
     (lambda: reidemeister1(parse_pd(TREFOIL), None, 1), SiteError,
      "no crossing-free loop to kink"),
     (lambda: parse_pd(TREFOIL).sign(3), SiteError, "no crossing 3"),
     (lambda: parse_pd(TREFOIL).sign(-1), SiteError, "no crossing -1"),
     (lambda: reidemeister1_undo(parse_pd(TREFOIL), 3), SiteError, "no crossing 3"),
+    (lambda: reidemeister1_undo(parse_pd(TREFOIL), -1), SiteError, "no crossing -1"),
+    (lambda: reidemeister1_undo(_trefoil_with_hole(1), 1), SiteError, "no crossing 1"),
     (lambda: reidemeister1_undo(parse_pd(TREFOIL), 0), SiteError, "crossing 0 is not a kink"),
     (lambda: reidemeister2(parse_pd(TREFOIL), (1, 4), "sideways"), SiteError,
      "layering must be first_over or second_over"),
@@ -884,15 +908,21 @@ def test_a_gauss_document_with_a_loop_line_round_trips():
     (lambda: from_gauss(parse_gauss("1: +2o, +2u")), FormatError, "crossing ids must be 1..n"),
     (lambda: from_gauss(parse_gauss("1: +1o")), FormatError,
      "crossing 1: needs one over and one under passage"),
-], ids=["unknown-arc", "negative-loops", "bad-handedness", "no-loop-to-kink",
-        "no-crossing-to-sign", "negative-crossing-to-sign", "no-crossing-to-unkink", "not-a-kink", "bad-layering", "no-bigon", "empty-template",
+], ids=["unknown-arc", "negative-loops", "bool-loops", "fractional-loops", "bool-label",
+        "missing-label", "bad-handedness", "no-loop-to-kink", "no-crossing-to-sign",
+        "negative-crossing-to-sign", "no-crossing-to-unkink", "negative-crossing-to-unkink",
+        "hole-to-unkink", "not-a-kink", "bad-layering", "no-bigon", "empty-template",
         "gauss-sign", "gauss-signs-disagree", "gauss-duplicate", "gauss-ids", "gauss-one-passage"])
 def test_input_refusals(call, error, text):
     """Each refusal of an input the diagram layer cannot take, with its
-    text: an arc in no component, a negative loop count, a kink of no
-    handedness or on no loop, the sign of no crossing, an R1 undo of no
-    crossing or of one that is no kink, an R2 layering that is neither, an R2 undo with no bigon, an
-    empty (2, n) template, and each fault of a Gauss code."""
+    text: an arc in no component, a loop count that is negative or no int
+    and a crossing label that is no int (a bool, or the gap an incomplete
+    Gauss code leaves), whose PD text `parse_pd` could not read back, a
+    kink of no handedness or on no loop, the sign of no crossing, an R1
+    undo of no crossing (past the end, negative, or a builder's hole) or
+    of one that is no kink, an R2 layering that is
+    neither, an R2 undo with no bigon, an empty (2, n) template, and each
+    fault of a Gauss code."""
     with pytest.raises(error) as refusal:
         call()
     assert str(refusal.value) == text

@@ -3,10 +3,13 @@ site scanning, the Tk template (including its calibration pins), and the
 crossings and components each move adds."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hyperforge.diagram as dg
+import hyperforge.moves as moves
 from hyperforge.classifier import DeclaredNonRational, Rational, Unchecked
 from hyperforge.diagram import (
     LinkDiagram,
@@ -437,6 +440,37 @@ def test_splice_does_not_hide_builder_faults(trefoil):
     # a wiring that welds one end twice is a bug, not a missing wiring
     with pytest.raises(AssertionError, match="over-welded"):
         splice(trefoil, one_crossing, [(0, 0, 2, 3)], "no wiring", cut=(1, 3))
+
+
+def test_splice_ends_that_free_no_arc_are_a_fault(trefoil):
+    # stub arcs whose two ends both stay on kept crossings free nothing
+    with pytest.raises(AssertionError, match=r"^splice ends must free each end of an arc once$"):
+        splice(trefoil, one_crossing, [(0, 1, 2, 3)], "no wiring", stubs=(1, 3, 4, 5))
+
+
+@pytest.mark.parametrize("wiring, error", [
+    ((0, 1, 2, 3), "frozen crossings disagree on strand direction"),
+    ((0, 0, 2, 3), "invalid diagram: arc 1 used 3 times (need 2); arc 7 used 1 times (need 2)"),
+], ids=["direction", "arc-count"])
+def test_a_judged_wiring_that_builds_invalid_is_a_fault(trefoil, wiring, error):
+    """The builder trusts the judge: a wiring the judge would refuse, here
+    injected as its ruling, fails the build, and that is a fault in the
+    judge, raised as an AssertionError with the build's error."""
+    def ruled(near, fragment, wirings):
+        return wiring, False, fragment()
+
+    with mock.patch.object(dg, "_judged", ruled), pytest.raises(AssertionError) as fault:
+        splice(trefoil, one_crossing, [wiring], "no wiring", cut=(1, 3))
+    assert str(fault.value) == f"wiring {wiring} was judged valid: {error}"
+
+
+def test_a_switch_move_that_inserts_no_ring_is_a_fault():
+    # the ring insertion, injected to return its diagram unchanged
+    d4 = chain_link(ChainSpec(4))
+    g, u = cross_component_face_pair(d4)
+    with mock.patch.object(moves, "_insert_clasped_ring", lambda d, *args, **kwargs: d), \
+            pytest.raises(AssertionError, match="^inserted ring not found$"):
+        switch_move(d4, SwitchSite(g, u), Handedness.PositiveSkew)
 
 
 # augmenting circle / remove component -------------------------------------------

@@ -57,6 +57,7 @@ from hyperforge.certificate import (
 )
 from hyperforge.classifier import DeclaredNonRational, menasco_certify
 from hyperforge.diagram import (
+    Crossing,
     DEFAULT_STEP_BUDGET,
     DiagramBuilder,
     LinkDiagram,
@@ -646,7 +647,7 @@ def _on_state(state, move, d, *args):
     """``move(d, *args)`` made on the replay ``state`` of d instead: the
     crossings an undo names are taken to their slots in the state, whose
     kinks and bigons, found among its holes, are d's in the same order."""
-    slots = [ci for ci, x in enumerate(state.crossings) if x is not None]
+    slots = [ci for ci in range(len(state.arc_at) >> 2) if state.arc_at[4 * ci]]
     assert [slots.index(ci) for ci in find_kinks(state)] == list(find_kinks(d))
     assert [tuple(map(slots.index, pair)) for pair in find_r2_bigons(state)] == list(
         find_r2_bigons(d))
@@ -1173,7 +1174,8 @@ def test_a_build_with_an_arc_used_once_is_invalid():
     of a fresh analysis of its crossings, before it walks any strand."""
     bld = DiagramBuilder(base=_CHAIN4)
     bld.cut(1)
-    crossings = tuple(bld.crossings)  # the base's, one relabelled; no fragment
+    # the base's crossings, read at the builder's corners, one relabelled; no fragment
+    crossings = [Crossing(tuple(bld.arc_at[k:k + 4])) for k in range(0, len(bld.arc_at), 4)]
     with pytest.raises(InvalidDiagramError) as refusal:
         bld.build()
     assert refusal.value.report == eager_report(LinkDiagram(crossings))

@@ -14,8 +14,9 @@ alternating from round to round.
 Prints, for each length, each tree's median verify in ms over the rounds
 and the change/base ratio of the paired rounds as a median with its
 quartiles, and then the work each tree counts in one warm verify: the
-corners that fresh ``_Analysis`` objects index, counted by wrapping
-``_Analysis.__init__`` from outside.  Nothing is gated on the figures.
+``Crossing`` objects it makes through ``diagram._crossing``, the maker of
+every crossing whose labels the library chose itself, counted by wrapping
+that function from outside.  Nothing is gated on the figures.
 """
 
 import argparse
@@ -51,23 +52,23 @@ def verify_ms(hf, doc: str) -> float:
     return elapsed * 1e3
 
 
-def corners_indexed(hf, doc: str) -> int:
-    """The corners that fresh analyses index in one `verify` of a freshly
-    deserialised ``doc``: four per crossing of each `_Analysis` made, an
-    upper bound, since a built replay state's analysis is given its index."""
-    cls, count = hf.diagram._Analysis, [0]
-    init = cls.__init__
+def crossings_made(hf, doc: str) -> int:
+    """The `Crossing` objects that one `verify` of a freshly deserialised
+    ``doc`` makes through ``diagram._crossing``; the document's own, which
+    `deserialize` parses, are not counted."""
+    module, count = hf.diagram, [0]
+    make = module._crossing
 
-    def counted(self, crossings, loops, *given):
-        count[0] += 4 * len(crossings)
-        init(self, crossings, loops, *given)
+    def counted(slots):
+        count[0] += 1
+        return make(slots)
 
     cert = hf.deserialize(doc)
-    cls.__init__ = counted
+    module._crossing = counted
     try:
         hf.verify(cert)
     finally:
-        cls.__init__ = init
+        module._crossing = make
     return count[0]
 
 
@@ -90,7 +91,7 @@ def main(argv) -> int:
     sides = [load(src, f"hyperforge_{side}") for src, side in zip(trees, ("base", "change"))]
     print(f"base:   {trees[0]}\nchange: {trees[1]}\nrounds: {args.rounds}")
     print(f"{'steps':>5} {'base ms':>9} {'change ms':>9} {'ratio':>6} {'q1':>6} {'q3':>6} "
-          f"{'base corners':>12} {'change corners':>14}")
+          f"{'base crossings':>14} {'change crossings':>16}")
     for steps in LENGTHS:
         docs = [hf.serialize(reanchor.chain_derivation(hf, steps)) for hf in sides]
         for hf, doc in zip(sides, docs):
@@ -101,10 +102,10 @@ def main(argv) -> int:
                 times[i].append(verify_ms(sides[i], docs[i]))
         ratios = [c / b for b, c in zip(*times)]
         q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
-        corners = [corners_indexed(hf, doc) for hf, doc in zip(sides, docs)]
+        made = [crossings_made(hf, doc) for hf, doc in zip(sides, docs)]
         print(f"{steps:>5} {statistics.median(times[0]):>9.2f} "
               f"{statistics.median(times[1]):>9.2f} {median:>6.3f} {q1:>6.3f} {q3:>6.3f} "
-              f"{corners[0]:>12} {corners[1]:>14}")
+              f"{made[0]:>14} {made[1]:>16}")
     return 0
 
 
